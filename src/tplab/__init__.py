@@ -18,6 +18,7 @@ from .spectral import (
     dilate,
     eigh,
     intdim,
+    max_op_norm,
     op_norm,
     psd_order_leq,
     symmetrize,
@@ -42,7 +43,6 @@ from .energy import (
     EnergyReport,
     SymmetrizedPair,
     bivariate_symmetrized,
-    carre_finite,
     carre_product_formula,
     carre_smooth,
     carre_table,

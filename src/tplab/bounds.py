@@ -32,7 +32,7 @@ from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries
 from .montecarlo import SampleSpec, estimate_tail, estimate_trace_moment
 from .poincare import PoincareCertificate
 from .reports import DEFAULT_SLACK, CheckReport, slack_for
-from .spectral import ScalarFnSpec, eigh, op_norm, symmetrize, intdim
+from .spectral import ScalarFnSpec, eigh, intdim, max_op_norm, op_norm, symmetrize
 
 UNBOUNDED = math.inf
 
@@ -215,7 +215,7 @@ def check_exp_moment(chain: FiniteChain, f: FiniteField,
     cf = FiniteField(centered)
     gam = carre_table(chain, cf)
     dirichlet = np.einsum("z,zij->ij", chain.stationary, gam)
-    v_f = max(op_norm(g) for g in gam)
+    v_f = max_op_norm(gam)
     d = cf.dim
     trbar = float(np.trace(dirichlet)) / d
     eigs = np.linalg.eigvalsh(cf.values)  # (n_states, d)
@@ -449,7 +449,7 @@ def check_intdim_variant(chain: FiniteChain, f: FiniteField,
         raise DomainError(f"the intrinsic-dimension bound needs a natural q, got {q}")
     q = int(q)
     pair = bivariate_symmetrized(chain, f)
-    mu2 = pair.product.stationary
+    mu2 = pair.stationary
     g_eigs = np.abs(np.linalg.eigvalsh(pair.g.values))
     lhs = float(np.einsum("z,zi->", mu2, g_eigs ** (2 * q)))
     idim = intdim(pair.dirichlet)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds, fixtures
 from .energy import bivariate_symmetrized, energy_report
-from .errors import CapacityError, ConfigError, LabError
+from .errors import CapacityError, ConfigError, DomainError, LabError
 from .models import (
     FiniteChain,
     FiniteField,
@@ -131,7 +131,10 @@ def build_fields(descs, chain: FiniteChain, master_seed: int) -> list[tuple[str,
     for idx, desc in enumerate(descs):
         kind = desc.get("type")
         if kind == "table":
-            f = _table_field(desc["values"])
+            try:
+                f = _table_field(desc["values"])
+            except DomainError as exc:
+                raise ConfigError(f"fields[{idx}]: {exc}") from exc
             if f.n_states != chain.n_states:
                 raise ConfigError(
                     f"fields[{idx}]: table has {f.n_states} states, chain has {chain.n_states}")
@@ -187,7 +190,7 @@ def _chain_rows(chain, name, fields, suites, params, sample_spec, seed):
                 add(suite, r)
             probe_cfg = params.get("probe", {"trials": 50, "dims": [1, 2, 3]})
             probe = equivalence_probe(chain, int(probe_cfg.get("trials", 50)),
-                                      probe_cfg.get("dims", [1, 2, 3]), seed)
+                                      probe_cfg.get("dims", [1, 2, 3]), seed, cert)
             add(suite, probe.to_check(chain.name))
         elif suite == "subadditivity":
             for fname, f in fields:
@@ -362,12 +365,9 @@ def _cmd_run(args) -> int:
         if fmt not in ("csv", "json", "both"):
             raise ConfigError(f"output.format: expected csv|json|both, got {fmt!r}")
         rows, energy_dicts, counts = run_experiment(cfg)
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return 3
     except LabError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, CapacityError) else 2
     written = _write_outputs(rows, energy_dicts, out_dir, fmt)
     for path in written:
         print(f"wrote {path}")

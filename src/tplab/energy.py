@@ -3,15 +3,22 @@ variances and variance proxies.
 
 On a finite chain every quantity is an exact finite sum: for a jump process
 the small-time limit of the defining squared-difference formula collapses to
-the closed form
 
     Gamma(f)(z) = (1/2) * sum_{z'} L(z, z') (f(z') - f(z))^2,
 
-which avoids time-discretization error entirely.  On Gaussian models the
-squared derivative is sum_i (d_i f)^2, computed from analytic partials when
-the model carries them and by central differences otherwise.  Dirichlet
-forms and variances are exact on finite chains and for Gaussian series, and
-Monte Carlo estimates elsewhere (mode ESTIMATED).
+which avoids time-discretization error entirely.  Expanding the square gives
+the generator identity (the definition of the carre du champ)
+
+    Gamma(f) = (1/2) [L(f^2) - f (Lf) - (Lf) f + r f^2],   r = L 1,
+
+so the whole table costs two dense products of L with an (n, d^2) block plus
+n small matrix products: O(n^2 d^2 + n d^3) instead of a per-state loop.  The
+row-sum term r makes the identity hold for the floating-point generator, not
+only for exact zero row sums.  On Gaussian models the squared derivative is
+sum_i (d_i f)^2, computed from analytic partials when the model carries them
+and by central differences otherwise.  Dirichlet forms and variances are
+exact on finite chains and for Gaussian series, and Monte Carlo estimates
+elsewhere (mode ESTIMATED).
 """
 
 from __future__ import annotations
@@ -28,10 +35,9 @@ from .models import (
     GaussianChaos,
     GaussianSeries,
     SmoothField,
-    product_chain,
 )
 from .montecarlo import SampleSpec
-from .spectral import op_norm
+from .spectral import max_op_norm, op_norm
 
 EXACT = "EXACT"
 ESTIMATED = "ESTIMATED"
@@ -40,32 +46,28 @@ _PSD_TOL = 1e-10
 
 
 def carre_table(chain: FiniteChain, f: FiniteField) -> np.ndarray:
-    """Squared derivative at every state: (n_states, d, d), each PSD."""
+    """Squared derivative at every state: (n_states, d, d), each PSD.
+
+    Evaluates (1/2) [L(c^2) - c (Lc) - (Lc) c + r c^2] with r = L 1, which
+    equals (1/2) sum_w L(z, w) (f(w) - f(z))^2 for any generator.  The field
+    is centred first, c = f - E_mu f; Gamma is shift-invariant, and centring
+    keeps the cancellation at the scale of the fluctuations rather than of
+    the mean.  Cost O(n^2 d^2 + n d^3).
+    """
     v = f.values
-    if v.shape[0] != chain.n_states:
+    n = chain.n_states
+    if v.shape[0] != n:
         raise DimensionError(
-            f"field has {v.shape[0]} states but chain has {chain.n_states}"
+            f"field has {v.shape[0]} states but chain has {n}"
         )
     gen = chain.generator
-    out = np.empty_like(v)
-    for z in range(chain.n_states):
-        diff = v - v[z]
-        sq = diff @ diff
-        out[z] = 0.5 * np.einsum("w,wij->ij", gen[z], sq)
+    c = v - np.einsum("z,zij->ij", chain.stationary, v)
+    sq = c @ c
+    lc = (gen @ c.reshape(n, -1)).reshape(c.shape)
+    lsq = (gen @ sq.reshape(n, -1)).reshape(c.shape)
+    rows = gen.sum(axis=1)
+    out = 0.5 * (lsq - c @ lc - lc @ c + rows[:, None, None] * sq)
     return 0.5 * (out + out.transpose(0, 2, 1))
-
-
-def carre_finite(chain: FiniteChain, f: FiniteField, z: int) -> np.ndarray:
-    """Squared derivative at one state of a finite chain."""
-    v = f.values
-    if v.shape[0] != chain.n_states:
-        raise DimensionError(
-            f"field has {v.shape[0]} states but chain has {chain.n_states}"
-        )
-    diff = v - v[z]
-    sq = diff @ diff
-    out = 0.5 * np.einsum("w,wij->ij", chain.generator[z], sq)
-    return 0.5 * (out + out.T)
 
 
 def _carre_product_at(mu: np.ndarray, values: np.ndarray, m: int, n: int, s: int) -> np.ndarray:
@@ -199,8 +201,7 @@ def variance_proxy(model, f=None, grid=None) -> tuple[float, str]:
     refuse ESTIMATED values without an explicit user-supplied bound.
     """
     if isinstance(model, FiniteChain):
-        gam = carre_table(model, f)
-        return max(op_norm(g) for g in gam), EXACT
+        return max_op_norm(carre_table(model, f)), EXACT
     if isinstance(model, GaussianSeries):
         a = model.coefficients
         return op_norm(np.einsum("kij,kjl->il", a, a)), EXACT
@@ -223,13 +224,16 @@ class SymmetrizedPair:
     """The antisymmetric difference field g(z, z') = f(z) - f(z') on the
     two-fold product chain, with its energies.
 
-    Satisfies Gamma(g)(z, z') = Gamma(f)(z) + Gamma(f)(z'), dirichlet
-    = 2 * dirichlet(f) and v <= 2 * v_f (exactly 2 v_f when |Gamma(f)| is
-    state-independent).
+    Gamma(g)(z, z') = Gamma(f)(z) + Gamma(f)(z') exactly, because each
+    coordinate of the product moves one argument of g; so the table comes
+    from one ``carre_table(base, f)`` in O(m^2 d^2) without building the
+    m^2-state product chain.  ``stationary`` is mu x mu in the row-major
+    order of (z, z').  Also dirichlet = 2 * dirichlet(f) and v <= 2 * v_f
+    (exactly 2 v_f when |Gamma(f)| is state-independent).
     """
 
     base: FiniteChain
-    product: FiniteChain
+    stationary: np.ndarray
     g: FiniteField
     gamma: np.ndarray
     dirichlet: np.ndarray
@@ -247,15 +251,15 @@ class SymmetrizedPair:
 
 def bivariate_symmetrized(chain: FiniteChain, f: FiniteField) -> SymmetrizedPair:
     """Build g(z, z') = f(z) - f(z') over the squared state space."""
-    prod = product_chain(chain, 2)
+    gam_f = carre_table(chain, f)
     v = f.values
-    g_vals = (v[:, None, :, :] - v[None, :, :, :]).reshape(-1, f.dim, f.dim)
-    g = FiniteField(g_vals)
-    gamma = carre_table(prod, g)
-    dirichlet = np.einsum("z,zij->ij", prod.stationary, gamma)
-    v_g = max(op_norm(m) for m in gamma)
-    return SymmetrizedPair(base=chain, product=prod, g=g, gamma=gamma,
-                           dirichlet=dirichlet, v=v_g)
+    d = f.dim
+    g = FiniteField((v[:, None, :, :] - v[None, :, :, :]).reshape(-1, d, d))
+    gamma = (gam_f[:, None, :, :] + gam_f[None, :, :, :]).reshape(-1, d, d)
+    mu2 = np.kron(chain.stationary, chain.stationary)
+    dirichlet = np.einsum("z,zij->ij", mu2, gamma)
+    return SymmetrizedPair(base=chain, stationary=mu2, g=g, gamma=gamma,
+                           dirichlet=dirichlet, v=max_op_norm(gamma))
 
 
 @dataclass(frozen=True)
@@ -285,11 +289,14 @@ class EnergyReport:
 
 
 def _check_psd_stack(name: str, stack: np.ndarray):
-    for m in stack:
-        w = np.linalg.eigvalsh(0.5 * (m + m.T))
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
-        if w.size and w[0] < -_PSD_TOL * (1.0 + scale):
-            raise DomainError(f"{name} is not PSD within tolerance (min eig {w[0]:.3e})")
+    if stack.size == 0:
+        return
+    w = np.linalg.eigvalsh(0.5 * (stack + stack.transpose(0, 2, 1)))
+    low = w[:, 0]
+    bad = low < -_PSD_TOL * (1.0 + np.max(np.abs(w), axis=1))
+    if np.any(bad):
+        raise DomainError(f"{name} is not PSD within tolerance "
+                          f"(min eig {low[np.argmax(bad)]:.3e})")
 
 
 def energy_report(model, f=None, spec: SampleSpec | None = None, grid=None) -> EnergyReport:
@@ -298,7 +305,7 @@ def energy_report(model, f=None, spec: SampleSpec | None = None, grid=None) -> E
         gam = carre_table(model, f)
         dirichlet = np.einsum("z,zij->ij", model.stationary, gam)
         variance = matrix_variance(model, f)
-        v_f = max(op_norm(g) for g in gam)
+        v_f = max_op_norm(gam)
         report = EnergyReport(gam, dirichlet, variance, v_f, EXACT)
     elif isinstance(model, GaussianSeries):
         dirichlet = dirichlet_form(model)
@@ -311,13 +318,12 @@ def energy_report(model, f=None, spec: SampleSpec | None = None, grid=None) -> E
         variance = matrix_variance(model, spec=spec)
         field = model.as_field() if isinstance(model, GaussianChaos) else model
         if grid is not None:
-            v_f, _ = variance_proxy(model, grid=grid)
             probe = np.asarray(grid, dtype=float)[:8]
         else:
             probe = montecarlo.draw_standard_normal(
                 SampleSpec(n=8, seed=spec.seed), field.ambient_dim)
-            v_f = max(op_norm(carre_smooth(field, x)) for x in probe)
         gam = np.stack([carre_smooth(field, x) for x in probe])
+        v_f = variance_proxy(model, grid=grid)[0] if grid is not None else max_op_norm(gam)
         meta = {"n": spec.n, "seed": spec.seed, "v_f_is_grid_sup": grid is not None}
         report = EnergyReport(gam, dirichlet, variance, v_f, ESTIMATED, meta)
     else:

@@ -1,6 +1,7 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto its exit codes: ConfigError -> 2, CapacityError -> 3.
+The CLI reports the class name and maps these onto its exit codes:
+CapacityError -> 3, every other LabError -> 2.
 """
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .errors import CapacityError, DimensionError, ModelError
+from .errors import CapacityError, DimensionError, DomainError, ModelError
 from .spectral import symmetrize
 
 ROW_SUM_TOL = 1e-12
@@ -36,9 +36,11 @@ class FiniteChain:
     """Reversible continuous-time Markov chain on a finite state space.
 
     generator: (n, n) rate matrix L; stationary: (n,) measure mu with full
-    support; states: hashable labels in index order.  Invariants (row sums,
-    nonnegative off-diagonal rates, detailed balance mu_i L_ij = mu_j L_ji)
-    are validated on construction and raise ModelError.
+    support; states: hashable labels in index order.  Invariants (finite
+    entries, row sums, nonnegative off-diagonal rates, detailed balance
+    mu_i L_ij = mu_j L_ji) are validated on construction and raise
+    ModelError.  Row sums and balance are checked relative to the rate scale
+    max_z |L(z, z)|, so rescaling time L -> cL never changes the verdict.
     """
 
     generator: np.ndarray
@@ -54,12 +56,15 @@ class FiniteChain:
         n = gen.shape[0]
         if mu.shape != (n,):
             raise ModelError(f"stationary measure has shape {mu.shape}, expected ({n},)")
+        if not (np.all(np.isfinite(gen)) and np.all(np.isfinite(mu))):
+            raise ModelError("generator and stationary measure must be finite")
         off = gen.copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off < 0.0):
             raise ModelError("off-diagonal generator entries must be nonnegative")
+        rate_scale = float(np.max(np.abs(np.diag(gen))))
         row_err = float(np.max(np.abs(gen.sum(axis=1))))
-        if row_err > ROW_SUM_TOL:
+        if row_err > ROW_SUM_TOL * rate_scale:
             raise ModelError(f"generator rows must sum to 0 (max |sum| = {row_err:.3e})")
         if np.any(mu <= 0.0):
             raise ModelError("stationary measure must be strictly positive everywhere")
@@ -67,7 +72,7 @@ class FiniteChain:
             raise ModelError(f"stationary measure must sum to 1, got {mu.sum()!r}")
         flux = mu[:, None] * gen
         bal_err = float(np.max(np.abs(flux - flux.T)))
-        if bal_err > BALANCE_TOL:
+        if bal_err > BALANCE_TOL * rate_scale:
             raise ModelError(f"detailed balance violated (max |mu_i L_ij - mu_j L_ji| = {bal_err:.3e})")
         states = tuple(self.states) if self.states else tuple(range(n))
         if len(states) != n:
@@ -163,7 +168,8 @@ def product_chain(base: FiniteChain, n: int) -> FiniteChain:
 @dataclass(frozen=True)
 class FiniteField:
     """Matrix field over a finite state space: values[z] is a symmetric
-    (d, d) matrix; symmetrized on construction."""
+    (d, d) matrix; symmetrized on construction.  Non-finite values raise
+    DomainError."""
 
     values: np.ndarray
 
@@ -173,6 +179,8 @@ class FiniteField:
             raise DimensionError(
                 f"finite field values must have shape (n_states, d, d), got {vals.shape}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("finite field values must be finite (no NaN or inf)")
         vals = 0.5 * (vals + vals.transpose(0, 2, 1))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

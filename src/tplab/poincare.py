@@ -129,16 +129,20 @@ class ProbeReport:
              "chain": chain_name, "maximizer": slim})
 
 
-def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int) -> ProbeReport:
+def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
+                      cert: PoincareCertificate | None = None) -> ProbeReport:
     """Search for the worst variance/energy ratio; it never exceeds alpha.
 
     Fields are sampled with i.i.d. standard normal entries and symmetrized;
     each trial also probes the scalar compressions z -> <u, f(z) e_i> with a
     random sign vector u, mirroring the reduction used to pass from scalar
     to trace inequalities.  Per-trial RNG streams are split deterministically
-    from the seed, so trials are order-independent.
+    from the seed, so trials are order-independent.  ``cert`` is the
+    chain's certificate when the caller already has it; by default it is
+    computed here.
     """
-    cert = poincare_constant(chain)
+    if cert is None:
+        cert = poincare_constant(chain)
     dims = tuple(int(d) for d in dims)
     n = chain.n_states
     sup = None

@@ -199,6 +199,17 @@ def op_norm(a) -> float:
     return float(np.max(np.abs(w))) if w.size else 0.0
 
 
+def max_op_norm(stack) -> float:
+    """Largest operator norm over a stack (m, d, d) of matrices, each
+    symmetrized, from one batched eigvalsh; 0 for an empty stack.  Equals
+    max(op_norm(a) for a in stack) bit for bit."""
+    a = np.asarray(stack, dtype=float)
+    if a.size == 0:
+        return 0.0
+    w = np.linalg.eigvalsh(0.5 * (a + a.transpose(0, 2, 1)))
+    return float(np.max(np.abs(w)))
+
+
 def trace_fn(a, fn: ScalarFnSpec, normalized: bool = False) -> float:
     """tr phi(A); the scalar function binds before the trace."""
     a = symmetrize(a)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tplab import FiniteField, chain_from_graph, two_state_chain
+from tplab import FiniteChain, FiniteField, chain_from_graph, two_state_chain
 
 
 def random_symmetric(rng, d, scale=1.0):
@@ -12,6 +12,17 @@ def random_symmetric(rng, d, scale=1.0):
 def random_field(rng, n_states, d, scale=1.0):
     raw = rng.standard_normal((n_states, d, d))
     return FiniteField(scale * 0.5 * (raw + raw.transpose(0, 2, 1)))
+
+
+def random_reversible_chain(rng, n_states, scale=1.0):
+    """Random reversible chain: symmetric edge weights W with mu_z L(z, w) =
+    scale * W(z, w), so detailed balance holds by construction."""
+    mu = rng.uniform(0.05, 1.0, n_states)
+    mu /= mu.sum()
+    w = np.triu(rng.uniform(0.0, 1.0, (n_states, n_states)), 1)
+    gen = scale * (w + w.T) / mu[:, None]
+    np.fill_diagonal(gen, -gen.sum(axis=1))
+    return FiniteChain(gen, mu)
 
 
 def k_complete(n):

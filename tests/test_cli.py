@@ -190,6 +190,39 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert run_cli(["run", "--config", str(path)]) == 3
 
+    def test_capacity_error_is_labelled(self, tmp_path, capsys):
+        cfg = {"seed": 1, "model": {"product": {"base": {"fixture": "two-state"}, "n": 21}},
+               "fields": [{"type": "constant", "value": 0.0}], "suites": ["poincare"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("CapacityError: ")
+
+    @pytest.mark.parametrize("model, label", [
+        ({"generator": [[-1.0, 1.0], [2.0, -2.0]], "stationary": [0.5, 0.5]}, "ModelError"),
+        ({"gaussian_series": {"coefficients": [[1.0, 2.0]]}}, "DimensionError"),
+    ])
+    def test_error_class_is_printed(self, tmp_path, capsys, model, label):
+        cfg = {"seed": 1, "model": model, "fields": [{"type": "constant", "value": 0.0}],
+               "suites": ["poincare"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{label}: ") and "config error" not in err
+
+    def test_non_finite_table_field_exits_2(self, tmp_path, capsys):
+        # one NaN entry used to give FAIL rows and exit code 1
+        cfg = {"seed": 1, "model": {"fixture": "two-state"},
+               "fields": [{"type": "table", "values": [0.0, float("nan")]}],
+               "suites": ["poincare", "tail"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: fields[0]:") and "finite" in err
+        assert not (tmp_path / "report.csv").exists()
+
     def test_missing_file_exits_2(self):
         assert run_cli(["run", "--config", "/nonexistent/cfg.json"]) == 2
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tplab import (
     DimensionError,
@@ -9,7 +11,6 @@ from tplab import (
     GaussianSeries,
     SampleSpec,
     bivariate_symmetrized,
-    carre_finite,
     carre_product_formula,
     carre_smooth,
     carre_table,
@@ -19,12 +20,14 @@ from tplab import (
     energy_report,
     matrix_variance,
     op_norm,
+    poincare_constant,
     product_chain,
     variance_proxy,
 )
-from tplab.models import SmoothField
+from tplab.energy import _check_psd_stack
+from tplab.models import FiniteChain, SmoothField
 
-from conftest import random_field
+from conftest import random_field, random_reversible_chain
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -48,8 +51,9 @@ class TestCarreFinite:
         vals = np.zeros((4, 2, 2))
         vals[0] = np.eye(2)
         f = FiniteField(vals)
-        np.testing.assert_allclose(carre_finite(k4, f, 0), 0.5 * np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(carre_finite(k4, f, 1), np.eye(2) / 6.0, atol=1e-15)
+        gam = carre_table(k4, f)
+        np.testing.assert_allclose(gam[0], 0.5 * np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(gam[1], np.eye(2) / 6.0, atol=1e-15)
 
     def test_state_count_mismatch(self, k4):
         with pytest.raises(DimensionError):
@@ -73,6 +77,64 @@ class TestCarreFinite:
                               + np.array([[1.0, 0.5, 0], [0.5, -2.0, 0], [0, 0, 1.0]]))
         np.testing.assert_allclose(carre_table(k4, shifted),
                                    2.5 ** 2 * carre_table(k4, base), atol=1e-12)
+
+
+def naive_carre(chain, f):
+    """The defining sum (1/2) sum_w L(z, w) (f(w) - f(z))^2, state by state."""
+    v = f.values
+    out = np.empty_like(v)
+    for z in range(chain.n_states):
+        diff = v - v[z]
+        out[z] = 0.5 * np.einsum("w,wij->ij", chain.generator[z], diff @ diff)
+    return 0.5 * (out + out.transpose(0, 2, 1))
+
+
+def random_orthogonal(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
+chain_cases = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 7),
+                   d=st.sampled_from([1, 2, 3]), log_scale=st.integers(-3, 3))
+
+
+class TestCarreIdentity:
+    @settings(max_examples=80, deadline=None)
+    @given(shift=st.sampled_from([0.0, 1e3]), **chain_cases)
+    def test_matches_naive_sum(self, seed, n, d, log_scale, shift):
+        rng = np.random.default_rng(seed)
+        chain = random_reversible_chain(rng, n, 10.0 ** log_scale)
+        f = FiniteField(random_field(rng, n, d).values + shift * np.eye(d))
+        want = naive_carre(chain, f)
+        err = np.max(np.abs(carre_table(chain, f) - want))
+        assert err <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.sampled_from([1e-3, 0.5, 7.0, 1e3]), **chain_cases)
+    def test_time_rescaling(self, seed, n, d, log_scale, c):
+        # L -> cL multiplies Gamma by c and divides the Poincare constant by c
+        rng = np.random.default_rng(seed)
+        chain = random_reversible_chain(rng, n, 10.0 ** log_scale)
+        fast = FiniteChain(c * chain.generator, chain.stationary)
+        f = random_field(rng, n, d)
+        gam = carre_table(chain, f)
+        np.testing.assert_allclose(carre_table(fast, f), c * gam,
+                                   rtol=0, atol=1e-12 * c * (1.0 + np.max(np.abs(gam))))
+        alpha = poincare_constant(chain).alpha
+        assert poincare_constant(fast).alpha == pytest.approx(alpha / c, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**chain_cases)
+    def test_conjugation_keeps_trace(self, seed, n, d, log_scale):
+        # Gamma(Q f Q^T) = Q Gamma(f) Q^T, so tr Gamma is unchanged at every state
+        rng = np.random.default_rng(seed)
+        chain = random_reversible_chain(rng, n, 10.0 ** log_scale)
+        f = random_field(rng, n, d)
+        q = random_orthogonal(rng, d)
+        turned = FiniteField(q @ f.values @ q.T)
+        tr = np.trace(carre_table(chain, f), axis1=1, axis2=2)
+        tr_turned = np.trace(carre_table(chain, turned), axis1=1, axis2=2)
+        assert np.max(np.abs(tr_turned - tr)) <= 1e-12 * (1.0 + np.max(np.abs(tr)))
 
 
 class TestCarreProductFormula:
@@ -263,7 +325,29 @@ class TestBivariateSymmetrized:
                 assert pair.v <= 2.0 * v_f + 1e-12
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 5),
+           d=st.sampled_from([1, 2, 3]))
+    def test_matches_product_chain_route(self, seed, n, d):
+        # the closed form against Gamma of g on the explicit two-fold product
+        rng = np.random.default_rng(seed)
+        chain = random_reversible_chain(rng, n)
+        pair = bivariate_symmetrized(chain, random_field(rng, n, d))
+        prod = product_chain(chain, 2)
+        np.testing.assert_array_equal(pair.stationary, prod.stationary)
+        want = carre_table(prod, pair.g)
+        err = np.max(np.abs(pair.gamma - want))
+        assert err <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
 class TestEnergyReport:
+    def test_psd_check_names_the_violation(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.diag([2.0, -1e-12])])
+        with pytest.raises(DomainError, match="min eig -5.000e-01"):
+            _check_psd_stack("gamma", stack)
+        _check_psd_stack("gamma", stack[[0, 2]])
+        _check_psd_stack("gamma", np.empty((0, 2, 2)))
+
     def test_exact_mode_consistency(self, k4):
         rng = np.random.default_rng(79)
         f = random_field(rng, 4, 2)

@@ -4,6 +4,7 @@ import pytest
 from tplab import (
     CapacityError,
     DimensionError,
+    DomainError,
     FiniteChain,
     FiniteField,
     GaussianChaos,
@@ -18,7 +19,7 @@ from tplab import (
     two_state_chain,
 )
 
-from conftest import cycle_adjacency, k_complete
+from conftest import cycle_adjacency, k_complete, random_reversible_chain
 
 
 def spectral_gap(chain):
@@ -51,6 +52,28 @@ class TestFiniteChainInvariants:
             FiniteChain(gen, [1.0, 0.0])
         with pytest.raises(ModelError):
             FiniteChain(gen, [0.7, 0.7])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_valid_chains_accepted_at_every_rate_scale(self, scale):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            assert random_reversible_chain(rng, 4, scale).n_states == 4
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_tolerances_follow_the_rate_scale(self, scale):
+        # a defect of 1e-9 relative to the rates is rejected at every scale
+        off = scale * (1.0 + 1e-9)
+        with pytest.raises(ModelError, match="sum to 0"):
+            FiniteChain([[-scale, off], [scale, -scale]], [0.5, 0.5])
+        with pytest.raises(ModelError, match="detailed balance"):
+            FiniteChain([[-off, off], [scale, -scale]], [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ModelError, match="finite"):
+            FiniteChain([[-1.0, 1.0], [1.0, bad]], [0.5, 0.5])
+        with pytest.raises(ModelError, match="finite"):
+            FiniteChain([[-1.0, 1.0], [1.0, -1.0]], [0.5, bad])
 
     def test_arrays_immutable(self, two_state):
         with pytest.raises(ValueError):
@@ -279,3 +302,12 @@ class TestFiniteField:
     def test_ragged_rejected(self):
         with pytest.raises(DimensionError):
             FiniteField(np.zeros((3, 2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        vals = np.zeros((3, 2, 2))
+        vals[1, 0, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            FiniteField(vals)
+        with pytest.raises(DomainError, match="finite"):
+            FiniteField.from_scalars([0.0, bad])

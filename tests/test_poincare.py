@@ -153,6 +153,15 @@ class TestEquivalenceProbe:
         assert report.sup_ratio is None and report.passed is None
         assert report.to_check("k4").verdict == "SKIPPED"
 
+    def test_caller_certificate_is_used(self, k4):
+        own = equivalence_probe(k4, trials=30, dims=[1, 2], seed=3)
+        shared = equivalence_probe(k4, trials=30, dims=[1, 2], seed=3,
+                                   cert=poincare_constant(k4))
+        assert shared == own
+        tight = equivalence_probe(k4, trials=30, dims=[1, 2], seed=3,
+                                  cert=user_certificate(0.5))
+        assert tight.alpha == 0.5 and tight.passed is False
+
     def test_deterministic_given_seed(self, k4):
         a = equivalence_probe(k4, trials=60, dims=[2], seed=21)
         b = equivalence_probe(k4, trials=60, dims=[2], seed=21)

@@ -14,6 +14,7 @@ from tplab import (
     dilate,
     eigh,
     intdim,
+    max_op_norm,
     op_norm,
     psd_order_leq,
     symmetrize,
@@ -149,6 +150,14 @@ class TestOpNorm:
         assert op_norm(np.diag([3.0, -5.0])) == 5.0
         # eigenvalues of [[2,1],[1,2]] are 1 and 3 by hand
         assert abs(op_norm([[2.0, 1.0], [1.0, 2.0]]) - 3.0) <= 1e-12
+
+    def test_batched_max_equals_loop(self):
+        # bit for bit, including matrices that are not exactly symmetric
+        rng = np.random.default_rng(17)
+        for d in (1, 2, 5):
+            stack = rng.standard_normal((40, d, d))
+            assert max_op_norm(stack) == max(op_norm(a) for a in stack)
+        assert max_op_norm(np.empty((0, 3, 3))) == 0.0
 
 
 class TestTraceFn:
