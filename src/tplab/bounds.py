@@ -28,7 +28,7 @@ from .energy import (
     variance_proxy,
 )
 from .errors import DimensionError, DomainError
-from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries
+from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, SmoothField
 from .montecarlo import SampleSpec, estimate_tail, estimate_trace_moment
 from .poincare import PoincareCertificate
 from .reports import DEFAULT_SLACK, CheckReport, slack_for
@@ -376,16 +376,15 @@ def check_poly_moment(model, f, cert: PoincareCertificate, q_list,
 
     if spec is None:
         raise DomainError("polynomial moment check on a Gaussian model needs a SampleSpec")
+    q_list = [float(q) for q in q_list]
     if isinstance(model, GaussianSeries):
         field = model.as_field()
-        center = None  # the series is mean zero
         gamma = dirichlet_form(model)  # Gamma is x-independent
         gam_eigs = np.clip(np.linalg.eigvalsh(gamma), 0.0, None)
-        for q in q_list:
-            q = float(q)
+        # the series is mean zero: no centre
+        for q, est in zip(q_list, estimate_trace_moment(field, q_list, spec)):
             tgq = float(np.sum(gam_eigs ** q))
             rhs = poly_moment_rhs(BoundParams(cert.alpha, 0.0, field.dim, q=q), tgq)
-            est = estimate_trace_moment(field, q, spec, center=center)
             root = 1.0 / (2.0 * q)
             out.append(CheckReport.from_interval(
                 "poly-moment", max(est.ci_low, 0.0) ** root, est.value ** root,
@@ -396,15 +395,13 @@ def check_poly_moment(model, f, cert: PoincareCertificate, q_list,
         return out
     if isinstance(model, GaussianChaos):
         field = model.as_field()
-        center = model.mean()
         rhs_spec = SampleSpec(n=spec.n, seed=spec.seed ^ 0x5DEECE66D,
                               workers=spec.workers)
-        for q in q_list:
-            q = float(q)
-            gam_est = _estimate_chaos_gamma_moment(model, q, rhs_spec)
+        gam_ests = _estimate_chaos_gamma_moment(model, q_list, rhs_spec)
+        f_ests = estimate_trace_moment(field, q_list, spec, center=model.mean())
+        for q, gam_est, est in zip(q_list, gam_ests, f_ests):
             rhs = poly_moment_rhs(BoundParams(cert.alpha, 0.0, field.dim, q=q),
                                   gam_est.value)
-            est = estimate_trace_moment(field, q, spec, center=center)
             root = 1.0 / (2.0 * q)
             out.append(CheckReport.from_interval(
                 "poly-moment", max(est.ci_low, 0.0) ** root, est.value ** root,
@@ -416,23 +413,21 @@ def check_poly_moment(model, f, cert: PoincareCertificate, q_list,
     raise DomainError(f"unsupported model type {type(model).__name__}")
 
 
-def _estimate_chaos_gamma_moment(chaos: GaussianChaos, q: float,
-                                 spec: SampleSpec) -> montecarlo.Estimate:
-    """Monte Carlo estimate of E tr Gamma(f)^q for a Gaussian chaos."""
-
-    class _GammaField:
-        ambient_dim = chaos.n_vars
-        dim = chaos.dim
-
-        @staticmethod
-        def eval_batch(xs):
-            return chaos_gamma_batch(chaos, xs)
+def _estimate_chaos_gamma_moment(chaos: GaussianChaos, q_list, spec: SampleSpec,
+                                 scale: float = 1.0) -> list[montecarlo.Estimate]:
+    """Monte Carlo estimates of E tr (scale * Gamma(f))^q for a Gaussian
+    chaos, one per q, from one pass.  The clipped eigenvalues of Gamma are
+    scaled rather than Gamma itself; for a power-of-two scale the two agree
+    exactly."""
+    gamma = SmoothField(ambient_dim=chaos.n_vars, dim=chaos.dim,
+                        func=lambda x: chaos_gamma_batch(chaos, x[None])[0],
+                        batch=lambda xs: chaos_gamma_batch(chaos, xs))
 
     def per_sample(mats):
-        w = np.clip(np.linalg.eigvalsh(mats), 0.0, None)
-        return np.sum(w ** q, axis=1)
+        w = scale * np.clip(np.linalg.eigvalsh(mats), 0.0, None)
+        return [np.sum(w ** q, axis=1) for q in q_list]
 
-    return montecarlo.estimate_statistic(spec, _GammaField, per_sample)
+    return montecarlo.estimate_statistic(spec, gamma, per_sample)
 
 
 def check_intdim_variant(chain: FiniteChain, f: FiniteField,
@@ -489,12 +484,11 @@ def check_chaos_scalar(chaos: GaussianChaos, q_list, spec: SampleSpec,
     if chaos.dim != 1:
         raise DomainError("the scalar chaos corollary needs d = 1 coefficients")
     a = chaos.coefficients[:, :, 0, 0]
-    field = chaos.as_field()
+    q_list = [float(q) for q in q_list]
+    rhs_list = [chaos_scalar_bound(a, q) for q in q_list]
     out = []
-    for q in q_list:
-        q = float(q)
-        rhs = chaos_scalar_bound(a, q)
-        est = estimate_trace_moment(field, q, spec)
+    for q, rhs, est in zip(q_list, rhs_list,
+                           estimate_trace_moment(chaos.as_field(), q_list, spec)):
         root = 1.0 / (2.0 * q)
         out.append(CheckReport.from_interval(
             "chaos-scalar", max(est.ci_low, 0.0) ** root, est.value ** root,
@@ -511,32 +505,18 @@ def check_chaos_matrix(chaos: GaussianChaos, q_list, spec: SampleSpec,
         (E tr |f|^{2q})^{1/(2q)}
             <= sqrt(8 q^2) * (E tr [sum_i (sum_j X_j A_ij)^2]^q)^{1/(2q)}
 
-    Both sides are Monte Carlo estimates on independent streams; no iterated
-    closed form is asserted.
+    Both sides are Monte Carlo estimates on independent streams, one pass
+    each for the whole q_list; no iterated closed form is asserted.  The
+    inner sum is Gamma(f) / 4.
     """
-    field = chaos.as_field()
+    q_list = [float(q) for q in q_list]
     rhs_spec = SampleSpec(n=spec.n, seed=spec.seed ^ 0x5DEECE66D, workers=spec.workers)
-
-    class _QuarterGamma:
-        ambient_dim = chaos.n_vars
-        dim = chaos.dim
-
-        @staticmethod
-        def eval_batch(xs):
-            return 0.25 * chaos_gamma_batch(chaos, xs)
-
+    gam_ests = _estimate_chaos_gamma_moment(chaos, q_list, rhs_spec, scale=0.25)
+    f_ests = estimate_trace_moment(chaos.as_field(), q_list, spec)
     out = []
-    for q in q_list:
-        q = float(q)
-
-        def per_sample(mats, _q=q):
-            w = np.clip(np.linalg.eigvalsh(mats), 0.0, None)
-            return np.sum(w ** _q, axis=1)
-
-        gam_est = montecarlo.estimate_statistic(rhs_spec, _QuarterGamma, per_sample)
+    for q, gam_est, est in zip(q_list, gam_ests, f_ests):
         root = 1.0 / (2.0 * q)
         rhs = math.sqrt(8.0 * q * q) * gam_est.value ** root
-        est = estimate_trace_moment(field, q, spec)
         out.append(CheckReport.from_interval(
             "chaos-matrix", max(est.ci_low, 0.0) ** root, est.value ** root,
             est.ci_high ** root, rhs, slack_for(rhs, slack_scale),

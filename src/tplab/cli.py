@@ -299,15 +299,23 @@ def validate_config(cfg: dict):
         raise ConfigError("seed: must be an unsigned 64-bit integer")
 
 
+def _sample_count(samples: dict, key: str, default: int) -> int:
+    value = samples.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"samples.{key}: expected an integer, got {value!r}") from None
+
+
 def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     """Execute the configured suites; returns (rows, energy reports, counts)."""
     validate_config(cfg)
     seed = int(cfg.get("seed", 0))
     samples = cfg.get("samples", {})
     sample_spec = SampleSpec(
-        n=int(samples.get("n", 20000)),
+        n=_sample_count(samples, "n", 20000),
         seed=seed,
-        workers=int(samples.get("workers", 1)),
+        workers=_sample_count(samples, "workers", 1),
         antithetic=bool(samples.get("antithetic", False)),
     )
     params = cfg.get("params", {})

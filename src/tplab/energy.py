@@ -131,9 +131,18 @@ def carre_smooth(f: SmoothField, x) -> np.ndarray:
 
 def chaos_gamma_batch(chaos: GaussianChaos, xs: np.ndarray) -> np.ndarray:
     """Exact squared derivative 4 sum_i (sum_j x_j A_ij)^2 at a batch of
-    points xs: (m, n) -> (m, d, d)."""
-    m = np.einsum("mj,ijkl->mikl", xs, chaos.coefficients)
-    return 4.0 * np.einsum("mikl,milp->mkp", m, m)
+    points xs: (m, n) -> (m, d, d).
+
+    One BLAS product M = xs @ A.reshape(n, n d^2) gives every
+    M_i = sum_j x_j A_ij (A is symmetric in (i, j)).  Stacking the M_i of a
+    sample into S = M.reshape(m, n d, d), a view of the same memory, gives
+    sum_i M_i^T M_i = S^T S, and M_i^T = M_i, so Gamma = 4 S^T S is one
+    batched matmul.  S^T is a strided view, which matmul hands to BLAS as a
+    transposed operand: nothing is copied beyond M itself.
+    """
+    n, d = chaos.n_vars, chaos.dim
+    s = (xs @ chaos.coefficients.reshape(n, n * d * d)).reshape(len(xs), n * d, d)
+    return 4.0 * (s.transpose(0, 2, 1) @ s)
 
 
 def _require_spec(spec):
@@ -141,11 +150,19 @@ def _require_spec(spec):
         raise DomainError("Monte Carlo estimation requires a SampleSpec with n >= 1")
 
 
+def _gamma_batch(model, xs: np.ndarray) -> np.ndarray:
+    if isinstance(model, GaussianChaos):
+        return chaos_gamma_batch(model, xs)
+    return np.stack([carre_smooth(model, x) for x in xs])
+
+
 def dirichlet_form(model, f=None, spec: SampleSpec | None = None) -> np.ndarray:
     """Total energy E_mu[Gamma(f)].
 
     Exact for finite chains and Gaussian series (sum_i A_i^2); Monte Carlo
-    for other Gaussian models, which requires a SampleSpec.
+    for other Gaussian models, which requires a SampleSpec.  The Monte Carlo
+    mean streams: each block of draws is reduced to its sum of Gamma before
+    the next is drawn, so memory stays at one block whatever the spec's n.
     """
     if isinstance(model, FiniteChain):
         gam = carre_table(model, f)
@@ -153,22 +170,18 @@ def dirichlet_form(model, f=None, spec: SampleSpec | None = None) -> np.ndarray:
     if isinstance(model, GaussianSeries):
         a = model.coefficients
         return np.einsum("kij,kjl->il", a, a)
-    if isinstance(model, GaussianChaos):
+    if isinstance(model, (GaussianChaos, SmoothField)):
         _require_spec(spec)
-        xs = montecarlo.draw_standard_normal(spec, model.n_vars)
-        return chaos_gamma_batch(model, xs).mean(axis=0)
-    if isinstance(model, SmoothField):
-        _require_spec(spec)
-        xs = montecarlo.draw_standard_normal(spec, model.ambient_dim)
-        acc = np.zeros((model.dim, model.dim))
-        for x in xs:
-            acc += carre_smooth(model, x)
-        return acc / len(xs)
+        ambient = model.n_vars if isinstance(model, GaussianChaos) else model.ambient_dim
+        (total,) = montecarlo.sum_blocks(
+            spec, ambient, lambda xs: (_gamma_batch(model, xs).sum(axis=0),))
+        return total / spec.n
     raise DomainError(f"unsupported model type {type(model).__name__}")
 
 
 def matrix_variance(model, f=None, spec: SampleSpec | None = None) -> np.ndarray:
-    """E[f^2] - (E f)^2, a PSD matrix; exact where the Dirichlet form is."""
+    """E[f^2] - (E f)^2, a PSD matrix; exact where the Dirichlet form is.
+    The Monte Carlo moments stream block by block, like ``dirichlet_form``."""
     if isinstance(model, FiniteChain):
         v = f.values
         mu = model.stationary
@@ -183,11 +196,14 @@ def matrix_variance(model, f=None, spec: SampleSpec | None = None) -> np.ndarray
     if isinstance(model, (GaussianChaos, SmoothField)):
         _require_spec(spec)
         field = model.as_field() if isinstance(model, GaussianChaos) else model
-        xs = montecarlo.draw_standard_normal(spec, field.ambient_dim)
-        vals = field.eval_batch(xs)
-        mean = vals.mean(axis=0)
-        second = np.einsum("mij,mjl->il", vals, vals) / len(xs)
-        out = second - mean @ mean
+
+        def moments(xs):
+            vals = field.eval_batch(xs)
+            return vals.sum(axis=0), np.einsum("mij,mjl->il", vals, vals)
+
+        first, second = montecarlo.sum_blocks(spec, field.ambient_dim, moments)
+        mean = first / spec.n
+        out = second / spec.n - mean @ mean
         return 0.5 * (out + out.T)
     raise DomainError(f"unsupported model type {type(model).__name__}")
 

@@ -305,6 +305,7 @@ def series_as_field(s: GaussianSeries) -> SmoothField:
 
 def chaos_as_field(c: GaussianChaos) -> SmoothField:
     a = c.coefficients
+    n, d = c.n_vars, c.dim
 
     def func(x):
         return np.einsum("i,j,ijkl->kl", x, x, a)
@@ -314,7 +315,10 @@ def chaos_as_field(c: GaussianChaos) -> SmoothField:
         return 2.0 * np.einsum("j,ijkl->ikl", x, a)
 
     def batch(xs):
-        return np.einsum("mi,mj,ijkl->mkl", xs, xs, a)
+        # f(x) = sum_i x_i M_i with M_i = sum_j x_j A_ij: one BLAS product
+        # gives every M_i, then a contraction over i
+        m = (xs @ a.reshape(n, n * d * d)).reshape(len(xs), n, d * d)
+        return np.einsum("mi,mik->mk", xs, m).reshape(len(xs), d, d)
 
     return SmoothField(ambient_dim=c.n_vars, dim=c.dim, func=func, partials=partials, batch=batch)
 

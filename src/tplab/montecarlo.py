@@ -4,6 +4,11 @@ RNG streams are counter-based (Philox): the draws of block b of a run are a
 pure function of (seed, b), so estimates are bit-identical regardless of how
 many workers process the blocks.  Reductions run in block order.  The worker
 count can be capped with the TPL_THREADS environment variable.
+
+Estimation is one pass per (stream, field, centre): ``estimate_statistic``
+draws, evaluates and (through its per-sample function) diagonalises each
+block once, takes a list of per-sample statistics and returns a list of
+Estimates, so all moment orders of a check share one set of samples.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 BLOCK = 4096
 _MASK64 = (1 << 64) - 1
@@ -71,7 +76,10 @@ def _worker_count(spec: SampleSpec) -> int:
     cap = os.environ.get("TPL_THREADS")
     workers = spec.workers
     if cap is not None:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ConfigError(f"TPL_THREADS: expected an integer, got {cap!r}") from None
     return max(1, workers)
 
 
@@ -103,6 +111,19 @@ def draw_standard_normal(spec: SampleSpec, dim: int) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
+def sum_blocks(spec: SampleSpec, dim: int, block_sums) -> tuple:
+    """Streamed sums over the draws of ``draw_standard_normal(spec, dim)``.
+
+    ``block_sums(xs)`` maps one (count, dim) block of draws to a tuple of
+    arrays; the tuples are added element-wise in block order.  Only the
+    per-block sums are kept, never the (n, dim) draws, and the result does
+    not depend on the worker count.
+    """
+    parts = _map_blocks(
+        spec, lambda b, c: block_sums(normal_stream(spec.seed, b).standard_normal((c, dim))))
+    return tuple(sum(column[1:], column[0]) for column in zip(*parts))
+
+
 def wilson_interval(successes: int, trials: int, level: float = 0.99) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
@@ -123,34 +144,9 @@ def _clt_interval(mean: float, var: float, n: int, level: float) -> tuple[float,
     return (mean - half, mean + half)
 
 
-def _batch_values(field, xs: np.ndarray, per_sample) -> np.ndarray:
-    mats = field.eval_batch(xs)
-    return per_sample(mats)
-
-
-def estimate_statistic(spec: SampleSpec, field, per_sample, level: float = 0.99,
-                       want_kurtosis: bool = False) -> Estimate:
-    """Mean of a scalar per-sample statistic of f(X) with a CLT interval.
-
-    With antithetic pairing on, the statistic is averaged over each (x, -x)
-    pair and the CLT runs on the n/2 pair means.
-    """
-
-    def job(b: int, count: int):
-        rng = normal_stream(spec.seed, b)
-        if spec.antithetic:
-            half = count // 2
-            xs = rng.standard_normal((half, field.ambient_dim))
-            vals = 0.5 * (_batch_values(field, xs, per_sample)
-                          + _batch_values(field, -xs, per_sample))
-        else:
-            xs = rng.standard_normal((count, field.ambient_dim))
-            vals = _batch_values(field, xs, per_sample)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (len(vals), vals.sum(), np.sum(vals ** 2),
-                    np.sum(vals ** 3), np.sum(vals ** 4))
-
-    parts = _map_blocks(spec, job)
+def _estimate(parts, level: float, want_kurtosis: bool) -> Estimate:
+    """Estimate from per-block (count, sum, sum of squares[, cubes, fourth
+    powers]) tuples, reduced in block order with math.fsum."""
     n_eff = sum(p[0] for p in parts)
     s1 = math.fsum(p[1] for p in parts)
     s2 = math.fsum(p[2] for p in parts)
@@ -166,28 +162,70 @@ def estimate_statistic(spec: SampleSpec, field, per_sample, level: float = 0.99,
         m4 = (s4 - 4 * m * s3 + 6 * m * m * s2) / n_eff - 3 * m ** 4
         kurt = m4 / (m2 * m2)
         meta = {"kurtosis": float(kurt), "heavy_tail_warning": bool(kurt > KURTOSIS_WARN)}
-        if kurt > KURTOSIS_WARN:
-            warnings.warn(
-                f"empirical kurtosis {kurt:.1f} suggests the CLT interval may "
-                "be unreliable for this integrand", RuntimeWarning, stacklevel=3)
     return Estimate(value=mean, ci_low=min(lo, mean), ci_high=max(hi, mean),
                     level=level, n=n_eff, meta=meta)
 
 
-def estimate_trace_moment(field, q: float, spec: SampleSpec,
+def estimate_statistic(spec: SampleSpec, field, per_sample, level: float = 0.99,
+                       want_kurtosis: bool = False) -> list[Estimate]:
+    """One Monte Carlo pass: the means of several per-sample statistics of
+    f(X), each with a CLT interval.
+
+    Each block is drawn and evaluated once; ``per_sample(mats)`` maps the
+    (m, d, d) block of values to a list of (m,) arrays, one per statistic,
+    so every statistic reuses the same draws, evaluations and eigenvalues.
+    Returns one Estimate per array, in the same order.  The block sums of
+    each statistic are kept apart and reduced in block order with
+    math.fsum, so each Estimate is bit-identical to a pass that computed
+    that statistic alone, for any worker count.  With antithetic pairing on,
+    each statistic is averaged over each (x, -x) pair and the CLT runs on
+    the n/2 pair means.
+    """
+
+    def job(b: int, count: int):
+        rng = normal_stream(spec.seed, b)
+        if spec.antithetic:
+            xs = rng.standard_normal((count // 2, field.ambient_dim))
+            vals = [0.5 * (plus + minus) for plus, minus in
+                    zip(per_sample(field.eval_batch(xs)), per_sample(field.eval_batch(-xs)))]
+        else:
+            xs = rng.standard_normal((count, field.ambient_dim))
+            vals = per_sample(field.eval_batch(xs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if want_kurtosis:
+                return [(len(v), v.sum(), np.sum(v ** 2), np.sum(v ** 3), np.sum(v ** 4))
+                        for v in vals]
+            return [(len(v), v.sum(), np.sum(v ** 2)) for v in vals]
+
+    parts = _map_blocks(spec, job)
+    return [_estimate([p[k] for p in parts], level, want_kurtosis)
+            for k in range(len(parts[0]))]
+
+
+def estimate_trace_moment(field, q, spec: SampleSpec,
                           center: np.ndarray | None = None,
-                          level: float = 0.99) -> Estimate:
-    """Estimate E tr |f(X) - center|^(2q) with a CLT interval."""
-    if q < 1:
-        raise DomainError(f"moment order q must be >= 1, got {q}")
+                          level: float = 0.99):
+    """Estimate E tr |f(X) - center|^(2q) with a CLT interval.
+
+    ``q`` is one order or a sequence of orders.  A sequence gives one
+    Estimate per order from a single pass: each block is drawn, evaluated
+    and diagonalised once, and every order takes its sums from the same
+    eigenvalues.
+    """
+    scalar = np.ndim(q) == 0
+    orders = [float(q)] if scalar else [float(x) for x in q]
+    for order in orders:
+        if order < 1:
+            raise DomainError(f"moment order q must be >= 1, got {order}")
 
     def per_sample(mats):
         if center is not None:
             mats = mats - center
-        w = np.linalg.eigvalsh(mats)
-        return np.sum(np.abs(w) ** (2.0 * q), axis=1)
+        w = np.abs(np.linalg.eigvalsh(mats))
+        return [np.sum(w ** (2.0 * order), axis=1) for order in orders]
 
-    return estimate_statistic(spec, field, per_sample, level)
+    estimates = estimate_statistic(spec, field, per_sample, level)
+    return estimates[0] if scalar else estimates
 
 
 def estimate_tail(field, center, thresholds, spec: SampleSpec,
@@ -245,4 +283,10 @@ def estimate_cosh_trace(field, center, theta: float, spec: SampleSpec,
         with np.errstate(over="ignore"):
             return np.exp(_log_trace_cosh(w))
 
-    return estimate_statistic(spec, field, per_sample, level, want_kurtosis=True)
+    (est,) = estimate_statistic(spec, field, lambda mats: [per_sample(mats)], level,
+                                want_kurtosis=True)
+    if est.meta is not None and est.meta["heavy_tail_warning"]:
+        warnings.warn(
+            f"empirical kurtosis {est.meta['kurtosis']:.1f} suggests the CLT interval "
+            "may be unreliable for this integrand", RuntimeWarning, stacklevel=2)
+    return est

@@ -33,6 +33,10 @@ from tplab import (
     poly_moment_rhs,
     tail_bound,
 )
+from tplab import montecarlo
+from tplab.bounds import _estimate_chaos_gamma_moment
+from tplab.energy import chaos_gamma_batch
+from tplab.models import SmoothField
 from tplab.reports import CheckReport
 
 from conftest import random_field, random_symmetric
@@ -429,6 +433,40 @@ class TestChaosBounds:
         chaos = GaussianChaos(np.ones((1, 1, 2, 2)))
         with pytest.raises(DomainError):
             check_chaos_scalar(chaos, [1], SampleSpec(n=100, seed=1))
+
+    def test_scaled_gamma_moments_match_scaled_gamma(self):
+        rng = np.random.default_rng(163)
+        chaos = GaussianChaos(rng.standard_normal((3, 3, 2, 2)))
+        spec = SampleSpec(n=9000, seed=35)
+        qs = [1.0, 1.5, 2.0, 3.0]
+        quarter = SmoothField(ambient_dim=3, dim=2, func=lambda x: x,
+                              batch=lambda xs: 0.25 * chaos_gamma_batch(chaos, xs))
+
+        def per_sample(mats):
+            w = np.clip(np.linalg.eigvalsh(mats), 0.0, None)
+            return [np.sum(w ** q, axis=1) for q in qs]
+
+        oracle = montecarlo.estimate_statistic(spec, quarter, per_sample)
+        for got, want in zip(_estimate_chaos_gamma_moment(chaos, qs, spec, scale=0.25), oracle):
+            assert abs(got.value - want.value) <= 1e-15 * want.value
+            assert abs(got.ci_high - want.ci_high) <= 1e-15 * want.ci_high
+
+    def test_poly_moment_on_chaos_makes_two_passes(self, monkeypatch):
+        calls = []
+        real = montecarlo.estimate_statistic
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec.seed)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "estimate_statistic", counted)
+        rng = np.random.default_rng(167)
+        chaos = GaussianChaos(rng.standard_normal((3, 3, 2, 2)))
+        rs = check_poly_moment(chaos, None, ou_certificate(), [1, 1.5, 2, 3],
+                               spec=SampleSpec(n=4000, seed=37))
+        assert len(rs) == 4
+        # one pass for f, one for Gamma on its own stream
+        assert sorted(calls) == sorted([37, 37 ^ 0x5DEECE66D])
 
     def test_matrix_one_step(self):
         rng = np.random.default_rng(151)

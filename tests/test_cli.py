@@ -223,6 +223,24 @@ class TestExitCodes:
         assert err.startswith("ConfigError: fields[0]:") and "finite" in err
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("samples, env, label", [
+        ({"n": "1e5"}, None, "ConfigError: samples.n: "),
+        ({"n": 1000, "workers": "two"}, None, "ConfigError: samples.workers: "),
+        ({"n": 1000}, "two", "ConfigError: TPL_THREADS: "),
+    ])
+    def test_malformed_sample_settings_exit_2(self, tmp_path, capsys, monkeypatch,
+                                              samples, env, label):
+        # these used to escape as a bare ValueError and exit 1, the FAIL code
+        if env is not None:
+            monkeypatch.setenv("TPL_THREADS", env)
+        cfg = {"seed": 1, "model": {"fixture": "pauli-series"}, "samples": samples,
+               "suites": ["poly-moment"], "params": {"q_list": [1]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(label)
+        assert not (tmp_path / "report.csv").exists()
+
     def test_missing_file_exits_2(self):
         assert run_cli(["run", "--config", "/nonexistent/cfg.json"]) == 2
 

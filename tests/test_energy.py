@@ -24,7 +24,8 @@ from tplab import (
     product_chain,
     variance_proxy,
 )
-from tplab.energy import _check_psd_stack
+from tplab.energy import _check_psd_stack, chaos_gamma_batch
+from tplab.montecarlo import draw_standard_normal
 from tplab.models import FiniteChain, SmoothField
 
 from conftest import random_field, random_reversible_chain
@@ -211,6 +212,24 @@ class TestCarreSmooth:
             assert np.max(np.abs(a - b)) <= 1e-6 * (1.0 + np.max(np.abs(a)))
 
 
+def relative_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestChaosKernels:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blas_kernels_match_einsum_oracle(self, d):
+        rng = np.random.default_rng(300 + d)
+        chaos = GaussianChaos(rng.standard_normal((5, 5, d, d)))
+        a = chaos.coefficients
+        xs = rng.standard_normal((257, 5))
+        sums = np.einsum("mj,ijkl->mikl", xs, a)
+        gamma = 4.0 * np.einsum("mikl,milp->mkp", sums, sums)
+        values = np.einsum("mi,mj,ijkl->mkl", xs, xs, a)
+        assert relative_gap(chaos_gamma_batch(chaos, xs), gamma) <= 1e-13
+        assert relative_gap(chaos.as_field().eval_batch(xs), values) <= 1e-13
+
+
 class TestDirichletForm:
     def test_constant_vanishes(self, k4):
         f = constant_field(4, np.eye(2))
@@ -245,6 +264,24 @@ class TestDirichletForm:
         chaos = GaussianChaos(np.ones((1, 1, 1, 1)))
         with pytest.raises(DomainError):
             dirichlet_form(chaos)
+
+    def test_streamed_estimates_match_one_block_of_all_draws(self):
+        rng = np.random.default_rng(73)
+        chaos = GaussianChaos(rng.standard_normal((4, 4, 3, 3)))
+        spec = SampleSpec(n=10000, seed=11, workers=2)
+        xs = draw_standard_normal(spec, 4)
+        gamma = chaos_gamma_batch(chaos, xs).mean(axis=0)
+        vals = chaos.as_field().eval_batch(xs)
+        mean = vals.mean(axis=0)
+        variance = np.einsum("mij,mjl->il", vals, vals) / len(xs) - mean @ mean
+        assert relative_gap(dirichlet_form(chaos, spec=spec), gamma) <= 1e-13
+        assert relative_gap(matrix_variance(chaos, spec=spec), variance) <= 1e-13
+        # a smooth field without a batched Gamma takes the same stream
+        field = SmoothField(ambient_dim=4, dim=3, func=chaos.as_field().func,
+                            partials=chaos.as_field().partials)
+        small = SampleSpec(n=300, seed=11)
+        assert relative_gap(dirichlet_form(field, spec=small),
+                            dirichlet_form(chaos, spec=small)) <= 1e-13
 
 
 class TestMatrixVariance:

@@ -14,6 +14,7 @@ from tplab import (
     sample_standard_normal,
     wilson_interval,
 )
+from tplab.montecarlo import draw_standard_normal, estimate_statistic, sum_blocks
 
 
 def scalar_series(a=1.0):
@@ -107,12 +108,73 @@ class TestTraceMoment:
     def test_q_below_one_rejected(self):
         with pytest.raises(DomainError):
             estimate_trace_moment(scalar_series(), 0.5, SampleSpec(n=100, seed=1))
+        with pytest.raises(DomainError):
+            estimate_trace_moment(scalar_series(), [1, 0.5], SampleSpec(n=100, seed=1))
 
     def test_field_without_batch_evaluator(self):
         from tplab import SmoothField
         plain = SmoothField(ambient_dim=1, dim=1, func=lambda x: 2.0 * x[:1, None])
         est = estimate_trace_moment(plain, 1, SampleSpec(n=20000, seed=13))
         assert est.ci_low <= 4.0 <= est.ci_high
+
+
+class TestFusedPass:
+    ORDERS = [1, 1.5, 2, 3]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_each_order_matches_its_own_pass_bit_for_bit(self, workers, antithetic, centred):
+        rng = np.random.default_rng(211)
+        coefs = rng.standard_normal((4, 3, 3))
+        f = GaussianSeries(0.5 * (coefs + coefs.transpose(0, 2, 1))).as_field()
+        center = np.diag([0.5, -0.25, 1.0]) if centred else None
+        # 10,000 samples span three blocks, the last one short
+        spec = SampleSpec(n=10000, seed=17, workers=workers, antithetic=antithetic)
+        fused = estimate_trace_moment(f, self.ORDERS, spec, center=center)
+        assert len(fused) == len(self.ORDERS)
+        for q, est in zip(self.ORDERS, fused):
+            assert est == estimate_trace_moment(f, q, spec, center=center)
+
+    def test_one_evaluation_per_block(self):
+        calls = []
+        base = scalar_series(1.0)
+
+        def counted(xs):
+            calls.append(len(xs))
+            return base.eval_batch(xs)
+
+        from tplab import SmoothField
+        f = SmoothField(ambient_dim=1, dim=1, func=base.func, batch=counted)
+        estimate_trace_moment(f, self.ORDERS, SampleSpec(n=10000, seed=3))
+        assert calls == [4096, 4096, 1808]
+
+    def test_statistics_list_in_estimates_list_out(self):
+        f = scalar_series(2.0)
+        spec = SampleSpec(n=5000, seed=8)
+        ests = estimate_statistic(spec, f, lambda mats: [mats[:, 0, 0], mats[:, 0, 0] ** 2])
+        assert len(ests) == 2
+        assert ests[0].ci_low <= 0.0 <= ests[0].ci_high
+        assert ests[1].ci_low <= 4.0 <= ests[1].ci_high
+
+    def test_series_second_moment_closed_form(self):
+        # E tr f^2 = tr sum_i A_i^2 for f = sum_i X_i A_i
+        rng = np.random.default_rng(223)
+        coefs = rng.standard_normal((5, 3, 3))
+        series = GaussianSeries(0.5 * (coefs + coefs.transpose(0, 2, 1)))
+        a = series.coefficients
+        exact = float(np.trace(np.einsum("kij,kjl->il", a, a)))
+        est = estimate_trace_moment(series.as_field(), 1, SampleSpec(n=100000, seed=29))
+        assert est.level == 0.99
+        assert est.ci_low <= exact <= est.ci_high
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sum_blocks_streams_the_draws(self, workers):
+        spec = SampleSpec(n=10000, seed=41, workers=workers)
+        xs = draw_standard_normal(spec, 3)
+        first, second = sum_blocks(spec, 3, lambda b: (b.sum(axis=0), b.T @ b))
+        np.testing.assert_allclose(first, xs.sum(axis=0), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(second, xs.T @ xs, rtol=1e-13)
 
 
 class TestTail:
