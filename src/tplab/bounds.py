@@ -479,16 +479,22 @@ def chaos_scalar_bound(a, q: float) -> float:
 
 
 def check_chaos_scalar(chaos: GaussianChaos, q_list, spec: SampleSpec,
-                       slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
-    """Scalar chaos corollary (E |f|^{2q})^{1/(2q)} <= 8 q^2 |A| for PSD A."""
+                       slack_scale: float = DEFAULT_SLACK,
+                       f_ests=None) -> list[CheckReport]:
+    """Scalar chaos corollary (E |f|^{2q})^{1/(2q)} <= 8 q^2 |A| for PSD A.
+
+    ``f_ests`` are the caller's ``estimate_trace_moment(chaos.as_field(),
+    q_list, spec)``, shared with ``check_chaos_matrix``; None makes the pass.
+    """
     if chaos.dim != 1:
         raise DomainError("the scalar chaos corollary needs d = 1 coefficients")
     a = chaos.coefficients[:, :, 0, 0]
     q_list = [float(q) for q in q_list]
     rhs_list = [chaos_scalar_bound(a, q) for q in q_list]
+    if f_ests is None:
+        f_ests = estimate_trace_moment(chaos.as_field(), q_list, spec)
     out = []
-    for q, rhs, est in zip(q_list, rhs_list,
-                           estimate_trace_moment(chaos.as_field(), q_list, spec)):
+    for q, rhs, est in zip(q_list, rhs_list, f_ests):
         root = 1.0 / (2.0 * q)
         out.append(CheckReport.from_interval(
             "chaos-scalar", max(est.ci_low, 0.0) ** root, est.value ** root,
@@ -499,7 +505,8 @@ def check_chaos_scalar(chaos: GaussianChaos, q_list, spec: SampleSpec,
 
 
 def check_chaos_matrix(chaos: GaussianChaos, q_list, spec: SampleSpec,
-                       slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
+                       slack_scale: float = DEFAULT_SLACK,
+                       f_ests=None) -> list[CheckReport]:
     """One-step matrix chaos inequality with alpha = 1:
 
         (E tr |f|^{2q})^{1/(2q)}
@@ -507,12 +514,14 @@ def check_chaos_matrix(chaos: GaussianChaos, q_list, spec: SampleSpec,
 
     Both sides are Monte Carlo estimates on independent streams, one pass
     each for the whole q_list; no iterated closed form is asserted.  The
-    inner sum is Gamma(f) / 4.
+    inner sum is Gamma(f) / 4.  ``f_ests`` may carry the caller's f-pass, as
+    in ``check_chaos_scalar``.
     """
     q_list = [float(q) for q in q_list]
     rhs_spec = SampleSpec(n=spec.n, seed=spec.seed ^ 0x5DEECE66D, workers=spec.workers)
     gam_ests = _estimate_chaos_gamma_moment(chaos, q_list, rhs_spec, scale=0.25)
-    f_ests = estimate_trace_moment(chaos.as_field(), q_list, spec)
+    if f_ests is None:
+        f_ests = estimate_trace_moment(chaos.as_field(), q_list, spec)
     out = []
     for q, gam_est, est in zip(q_list, gam_ests, f_ests):
         root = 1.0 / (2.0 * q)

@@ -28,7 +28,7 @@ from .models import (
     product_chain,
     two_state_chain,
 )
-from .montecarlo import SampleSpec, normal_stream
+from .montecarlo import SampleSpec, estimate_trace_moment, normal_stream
 from .poincare import (
     check_scalar_poincare,
     check_trace_poincare,
@@ -270,10 +270,13 @@ def _gaussian_rows(model, name, suites, params, sample_spec):
             if not isinstance(model, GaussianChaos):
                 raise ConfigError("suites: 'chaos' requires a gaussian_chaos model")
             q_list = params.get("q_list", [1, 2, 3])
+            # one uncentred f-pass serves both corollaries
+            f_ests = estimate_trace_moment(model.as_field(), q_list, sample_spec)
             if model.dim == 1:
-                for r in bounds.check_chaos_scalar(model, q_list, sample_spec):
+                for r in bounds.check_chaos_scalar(model, q_list, sample_spec,
+                                                   f_ests=f_ests):
                     add(suite, r)
-            for r in bounds.check_chaos_matrix(model, q_list, sample_spec):
+            for r in bounds.check_chaos_matrix(model, q_list, sample_spec, f_ests=f_ests):
                 add(suite, r)
         elif suite in CHAIN_ONLY:
             raise ConfigError(f"suites: '{suite}' requires a finite chain model")
@@ -300,11 +303,21 @@ def validate_config(cfg: dict):
 
 
 def _sample_count(samples: dict, key: str, default: int) -> int:
+    """An integer JSON number; an integral float such as 2e5 counts, a
+    fractional one is refused rather than truncated."""
     value = samples.get(key, default)
-    try:
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"samples.{key}: expected an integer, got {value!r}") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"samples.{key}: expected an integer, got {value!r}")
+
+
+def _sample_flag(samples: dict, key: str) -> bool:
+    value = samples.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"samples.{key}: expected true or false, got {value!r}")
+    return value
 
 
 def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
@@ -316,7 +329,7 @@ def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
         n=_sample_count(samples, "n", 20000),
         seed=seed,
         workers=_sample_count(samples, "workers", 1),
-        antithetic=bool(samples.get("antithetic", False)),
+        antithetic=_sample_flag(samples, "antithetic"),
     )
     params = cfg.get("params", {})
     suites = cfg["suites"]

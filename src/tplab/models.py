@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityError, DimensionError, DomainError, ModelError
 from .spectral import symmetrize
@@ -94,6 +93,22 @@ def two_state_chain(rate: float = 1.0, name: str = "two-state") -> FiniteChain:
     return FiniteChain(gen, np.array([0.5, 0.5]), name=name)
 
 
+def component_count(adjacency: np.ndarray) -> int:
+    """Number of connected components of an undirected graph, by a frontier
+    search over its 0/1 adjacency: each level is one row gather, and every
+    vertex enters a frontier once."""
+    unseen = np.ones(adjacency.shape[0], dtype=bool)
+    count = 0
+    while unseen.any():
+        count += 1
+        frontier = np.zeros_like(unseen)
+        frontier[np.argmax(unseen)] = True
+        while frontier.any():
+            unseen &= ~frontier
+            frontier = adjacency[frontier].any(axis=0) & unseen
+    return count
+
+
 def chain_from_graph(adjacency, k: int, name: str = "graph-walk") -> FiniteChain:
     """Continuous-time random walk on a connected k-regular simple graph.
 
@@ -112,7 +127,7 @@ def chain_from_graph(adjacency, k: int, name: str = "graph-walk") -> FiniteChain
     degrees = adj.sum(axis=1)
     if np.any(degrees != k):
         raise ModelError(f"graph is not {k}-regular (degrees range {degrees.min()}..{degrees.max()})")
-    n_comp, _ = connected_components(adj, directed=False)
+    n_comp = component_count(adj)
     if n_comp != 1:
         raise ModelError(f"graph is disconnected ({n_comp} components)")
     gen = adj / float(k) - np.eye(n)

@@ -18,9 +18,9 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import ConfigError, DomainError
 
@@ -124,11 +124,17 @@ def sum_blocks(spec: SampleSpec, dim: int, block_sums) -> tuple:
     return tuple(sum(column[1:], column[0]) for column in zip(*parts))
 
 
+def normal_quantile(level: float) -> float:
+    """z with P{|Z| <= z} = level for a standard normal Z (Wichura's AS241,
+    through the standard library)."""
+    return NormalDist().inv_cdf(0.5 * (1.0 + level))
+
+
 def wilson_interval(successes: int, trials: int, level: float = 0.99) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         return (0.0, 1.0)
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = normal_quantile(level)
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
@@ -139,7 +145,7 @@ def wilson_interval(successes: int, trials: int, level: float = 0.99) -> tuple[f
 def _clt_interval(mean: float, var: float, n: int, level: float) -> tuple[float, float]:
     if n <= 1 or not np.isfinite(var):
         return (mean, mean) if var == 0.0 else (-math.inf, math.inf)
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = normal_quantile(level)
     half = z * math.sqrt(max(var, 0.0) / n)
     return (mean - half, mean + half)
 

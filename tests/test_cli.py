@@ -1,11 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from tplab import FiniteChain, GaussianChaos, GaussianSeries
+import tplab
+from tplab import FiniteChain, GaussianChaos, GaussianSeries, SampleSpec, montecarlo
+from tplab.bounds import check_chaos_matrix, check_chaos_scalar
 from tplab.cli import build_model, default_config, main, run_experiment
 from tplab.fixtures import catalog, get_field, get_model
 
@@ -155,6 +161,55 @@ class TestGaussianConfigs:
         rows = read_rows(tmp_path / "out" / "report.csv")
         assert {r["citation"] for r in rows} == {"chaos-scalar", "chaos-matrix"}
 
+    def test_d1_chaos_suite_makes_one_f_pass(self, monkeypatch):
+        seeds = []
+        real = montecarlo.estimate_statistic
+
+        def counted(spec, *args, **kwargs):
+            seeds.append(spec.seed)
+            return real(spec, *args, **kwargs)
+
+        spec = SampleSpec(n=20000, seed=5)
+        chaos = get_model("psd-chaos")
+        # each checker making its own f-pass gives the same rows, bit for bit
+        alone = [r.to_row(suite="chaos", fixture="psd-chaos")
+                 for r in check_chaos_scalar(chaos, [1, 2], spec)
+                 + check_chaos_matrix(chaos, [1, 2], spec)]
+        monkeypatch.setattr(montecarlo, "estimate_statistic", counted)
+        rows, _, _ = run_experiment({"seed": 5, "samples": {"n": 20000},
+                                     "model": {"fixture": "psd-chaos"}, "suites": ["chaos"],
+                                     "params": {"q_list": [1, 2]}})
+        assert rows == alone
+        # the scalar and matrix corollaries share the f-pass; Gamma has its own stream
+        assert sorted(seeds) == sorted([5, 5 ^ 0x5DEECE66D])
+
+
+class TestColdStart:
+    def test_runs_never_load_scipy(self):
+        script = textwrap.dedent("""
+            import sys
+            import tplab, tplab.cli
+            from tplab.cli import default_config, run_experiment
+            run_experiment(default_config())
+            run_experiment({"seed": 3, "samples": {"n": 10000},
+                            "model": {"fixture": "pauli-series"},
+                            "suites": ["tail", "poly-moment"]})
+            run_experiment({"seed": 3, "samples": {"n": 2000},
+                            "model": {"fixture": "psd-chaos"}, "suites": ["chaos"]})
+            run_experiment({"model": {"graph": {"edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+                                                "k": 2}},
+                            "fields": [{"type": "random", "dim": 2}],
+                            "suites": ["poincare", "tail"]})
+            print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """)
+        src = os.path.dirname(os.path.dirname(tplab.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
 
 class TestExitCodes:
     def test_malformed_json_exits_2(self, tmp_path, capsys):
@@ -227,6 +282,11 @@ class TestExitCodes:
         ({"n": "1e5"}, None, "ConfigError: samples.n: "),
         ({"n": 1000, "workers": "two"}, None, "ConfigError: samples.workers: "),
         ({"n": 1000}, "two", "ConfigError: TPL_THREADS: "),
+        # a string flag used to turn pairing on through bool("false")
+        ({"n": 1000, "antithetic": "false"}, None, "ConfigError: samples.antithetic: "),
+        # fractional counts used to be truncated silently
+        ({"n": 20000.7}, None, "ConfigError: samples.n: "),
+        ({"n": 1000, "workers": 1.5}, None, "ConfigError: samples.workers: "),
     ])
     def test_malformed_sample_settings_exit_2(self, tmp_path, capsys, monkeypatch,
                                               samples, env, label):
@@ -240,6 +300,13 @@ class TestExitCodes:
         assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(label)
         assert not (tmp_path / "report.csv").exists()
+
+    def test_integral_float_sample_count_accepted(self):
+        cfg = {"seed": 1, "model": {"fixture": "pauli-series"},
+               "suites": ["poly-moment"], "params": {"q_list": [1]}}
+        as_int = run_experiment({**cfg, "samples": {"n": 2000, "workers": 2}})
+        as_float = run_experiment({**cfg, "samples": {"n": 2e3, "workers": 2.0}})
+        assert as_float == as_int
 
     def test_missing_file_exits_2(self):
         assert run_cli(["run", "--config", "/nonexistent/cfg.json"]) == 2

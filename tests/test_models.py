@@ -18,6 +18,7 @@ from tplab import (
     series_as_field,
     two_state_chain,
 )
+from tplab.models import component_count
 
 from conftest import cycle_adjacency, k_complete, random_reversible_chain
 
@@ -108,6 +109,26 @@ class TestChainFromGraph:
         adj[2, 3] = adj[3, 2] = 1.0
         with pytest.raises(ModelError, match="disconnected"):
             chain_from_graph(adj, 1)
+
+    def test_component_count_on_a_path(self):
+        n = 7
+        adj = np.zeros((n, n))
+        idx = np.arange(n - 1)
+        adj[idx, idx + 1] = adj[idx + 1, idx] = 1.0
+        assert component_count(adj) == 1
+        adj[2, 3] = adj[3, 2] = 0.0
+        assert component_count(adj) == 2
+
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_disconnected_regular_graph_counted(self, blocks):
+        # disjoint copies of the 3-regular K4, shuffled so that no component
+        # is a contiguous index range
+        adj = np.kron(np.eye(blocks), k_complete(4))
+        perm = np.random.default_rng(blocks).permutation(4 * blocks)
+        adj = adj[np.ix_(perm, perm)]
+        assert component_count(adj) == blocks
+        with pytest.raises(ModelError, match=rf"disconnected \({blocks} components\)"):
+            chain_from_graph(adj, 3)
 
     def test_self_loops_rejected(self):
         adj = k_complete(3)

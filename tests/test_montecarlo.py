@@ -14,7 +14,12 @@ from tplab import (
     sample_standard_normal,
     wilson_interval,
 )
-from tplab.montecarlo import draw_standard_normal, estimate_statistic, sum_blocks
+from tplab.montecarlo import (
+    draw_standard_normal,
+    estimate_statistic,
+    normal_quantile,
+    sum_blocks,
+)
 
 
 def scalar_series(a=1.0):
@@ -242,6 +247,28 @@ class TestCoshTrace:
         with pytest.warns(RuntimeWarning, match="kurtosis"):
             est = estimate_cosh_trace(f, np.zeros((1, 1)), 3.0, SampleSpec(n=50000, seed=12))
         assert est.meta["heavy_tail_warning"]
+
+
+class TestNormalQuantile:
+    # scipy.stats.norm.ppf(0.5 * (1 + level)), written out so that the test
+    # needs no scipy
+    @pytest.mark.parametrize("level, z", [
+        (0.9, 1.6448536269514722),
+        (0.95, 1.959963984540054),
+        (0.99, 2.5758293035489004),
+        (0.999, 3.2905267314919255),
+    ])
+    def test_matches_reference_values(self, level, z):
+        assert abs(normal_quantile(level) - z) <= 4 * math.ulp(z)
+
+    def test_wilson_interval_uses_it(self):
+        z, p, n = 2.5758293035489004, 0.3, 1000
+        denom = 1.0 + z * z / n
+        center = (p + z * z / (2.0 * n)) / denom
+        spread = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
+        lo, hi = wilson_interval(300, n, 0.99)
+        assert lo == pytest.approx(center - spread, rel=1e-15)
+        assert hi == pytest.approx(center + spread, rel=1e-15)
 
 
 class TestWilson:
