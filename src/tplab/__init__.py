@@ -68,7 +68,6 @@ from .montecarlo import (
     estimate_tail,
     estimate_trace_moment,
     normal_stream,
-    sample_standard_normal,
     wilson_interval,
 )
 from .bounds import (

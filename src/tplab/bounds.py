@@ -264,17 +264,45 @@ def _gaussian_center(model, spec: SampleSpec) -> np.ndarray:
     return field.eval_batch(xs).mean(axis=0)
 
 
+def gaussian_tail_thresholds(model, cert: PoincareCertificate, lambda_grid,
+                             spec: SampleSpec | None,
+                             v_f_override: float | None = None):
+    """The sampled tail check's field, thresholds sqrt(alpha v_f) * lambda,
+    v_f and v_f mode on a Gaussian model, after its admissibility checks:
+    a SampleSpec with N >= 10^4 and an exact (series) or user-certified
+    variance proxy."""
+    if spec is None:
+        raise DomainError("tail check on a Gaussian model needs a SampleSpec")
+    if spec.n < 10 ** 4:
+        raise DomainError(f"tail estimation needs N >= 10^4 samples, got {spec.n}")
+    if isinstance(model, GaussianSeries):
+        v_f, mode = variance_proxy(model)
+        field = model.as_field()
+    else:
+        if v_f_override is None:
+            raise DomainError(
+                "variance proxy for this model is only a grid estimate; "
+                "supply an explicit certified bound (v_f_override)")
+        v_f, mode = float(v_f_override), "USER_CERTIFIED"
+        field = model.as_field() if isinstance(model, GaussianChaos) else model
+    thresholds = math.sqrt(cert.alpha * v_f) * np.asarray(lambda_grid, dtype=float)
+    return field, thresholds, v_f, mode
+
+
 def check_tail_empirical(model, f, cert: PoincareCertificate, lambda_grid,
                          spec: SampleSpec | None = None,
                          v_f_override: float | None = None,
-                         slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
+                         slack_scale: float = DEFAULT_SLACK,
+                         tail_ests=None) -> list[CheckReport]:
     """P{ |f - E f| >= sqrt(alpha v_f) * lambda } <= 6 d exp(-lambda).
 
     Finite chains are enumerated exactly (no sampling).  Gaussian models are
     sampled with Wilson-interval verdicts; this requires an exact variance
     proxy (Gaussian series) or an explicit user-certified bound, and refuses
     grid-estimated proxies.  Bounds >= 1 pass automatically since the left
-    side is a probability.
+    side is a probability.  ``tail_ests`` may carry the caller's
+    ``estimate_tail`` at ``gaussian_tail_thresholds`` (a pass shared with
+    other suites); None makes the pass.
     """
     lam_grid = np.asarray(lambda_grid, dtype=float)
     out = []
@@ -301,26 +329,12 @@ def check_tail_empirical(model, f, cert: PoincareCertificate, lambda_grid,
                  "auto_pass": bound >= 1.0}))
         return out
 
-    if spec is None:
-        raise DomainError("tail check on a Gaussian model needs a SampleSpec")
-    if spec.n < 10 ** 4:
-        raise DomainError(f"tail estimation needs N >= 10^4 samples, got {spec.n}")
-    if isinstance(model, GaussianSeries):
-        v_f, mode = variance_proxy(model)
-        field = model.as_field()
-    else:
-        if v_f_override is None:
-            raise DomainError(
-                "variance proxy for this model is only a grid estimate; "
-                "supply an explicit certified bound (v_f_override)")
-        v_f, mode = float(v_f_override), "USER_CERTIFIED"
-        field = model.as_field() if isinstance(model, GaussianChaos) else model
+    field, thresholds, v_f, mode = gaussian_tail_thresholds(model, cert, lam_grid, spec,
+                                                            v_f_override)
     d = field.dim
-    scale = math.sqrt(cert.alpha * v_f)
-    center = _gaussian_center(model, spec)
-    thresholds = scale * lam_grid
-    estimates = estimate_tail(field, center, thresholds, spec)
-    for lam, est in zip(lam_grid, estimates):
+    if tail_ests is None:
+        tail_ests = estimate_tail(field, _gaussian_center(model, spec), thresholds, spec)
+    for lam, est in zip(lam_grid, tail_ests):
         bound = tail_bound(BoundParams(cert.alpha, v_f, d, lam=float(lam)))
         ctx = {"lambda": float(lam), "alpha": cert.alpha, "v_f": v_f,
                "v_f_mode": mode, "d": d, "n": est.n, "seed": spec.seed,
@@ -335,7 +349,7 @@ def poly_moment_rhs(p: BoundParams, trace_gamma_q: float) -> float:
     """sqrt(2 alpha q^2) * (E tr Gamma^q)^(1/(2q)), with the extra sqrt(2)
     in the exceptional regime q in (1, 1.5)."""
     q = p.q
-    if q is None or q < 1.0:
+    if q is None or not q >= 1.0:
         raise DomainError(f"moment order q must be >= 1, got {q}")
     if trace_gamma_q < 0:
         raise DomainError("E tr Gamma^q must be nonnegative")
@@ -351,9 +365,16 @@ def _sqrt2_regime(q: float) -> bool:
 
 def check_poly_moment(model, f, cert: PoincareCertificate, q_list,
                       spec: SampleSpec | None = None,
-                      slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
+                      slack_scale: float = DEFAULT_SLACK,
+                      f_ests=None, gam_ests=None) -> list[CheckReport]:
     """(E tr |f|^{2q})^{1/(2q)} <= poly_moment_rhs, exact on finite chains
-    and Monte Carlo on Gaussian models (fields centered first)."""
+    and Monte Carlo on Gaussian models (fields centered first).
+
+    On a Gaussian model ``f_ests`` may carry the caller's centred f-pass
+    (``estimate_trace_moment`` at the chaos mean, or with no centre for a
+    series) and, on a chaos, ``gam_ests`` the scale-1 list of
+    ``chaos_gamma_moments``, one Estimate per q each; None makes the pass.
+    """
     out = []
     if isinstance(model, FiniteChain):
         centered, mean = _centered(model, f)
@@ -382,7 +403,9 @@ def check_poly_moment(model, f, cert: PoincareCertificate, q_list,
         gamma = dirichlet_form(model)  # Gamma is x-independent
         gam_eigs = np.clip(np.linalg.eigvalsh(gamma), 0.0, None)
         # the series is mean zero: no centre
-        for q, est in zip(q_list, estimate_trace_moment(field, q_list, spec)):
+        if f_ests is None:
+            f_ests = estimate_trace_moment(field, q_list, spec)
+        for q, est in zip(q_list, f_ests):
             tgq = float(np.sum(gam_eigs ** q))
             rhs = poly_moment_rhs(BoundParams(cert.alpha, 0.0, field.dim, q=q), tgq)
             root = 1.0 / (2.0 * q)
@@ -395,10 +418,10 @@ def check_poly_moment(model, f, cert: PoincareCertificate, q_list,
         return out
     if isinstance(model, GaussianChaos):
         field = model.as_field()
-        rhs_spec = SampleSpec(n=spec.n, seed=spec.seed ^ 0x5DEECE66D,
-                              workers=spec.workers)
-        gam_ests = _estimate_chaos_gamma_moment(model, q_list, rhs_spec)
-        f_ests = estimate_trace_moment(field, q_list, spec, center=model.mean())
+        if gam_ests is None:
+            (gam_ests,) = chaos_gamma_moments(model, q_list, spec)
+        if f_ests is None:
+            f_ests = estimate_trace_moment(field, q_list, spec, center=model.mean())
         for q, gam_est, est in zip(q_list, gam_ests, f_ests):
             rhs = poly_moment_rhs(BoundParams(cert.alpha, 0.0, field.dim, q=q),
                                   gam_est.value)
@@ -413,21 +436,37 @@ def check_poly_moment(model, f, cert: PoincareCertificate, q_list,
     raise DomainError(f"unsupported model type {type(model).__name__}")
 
 
-def _estimate_chaos_gamma_moment(chaos: GaussianChaos, q_list, spec: SampleSpec,
-                                 scale: float = 1.0) -> list[montecarlo.Estimate]:
+GAMMA_STREAM = 0x5DEECE66D
+
+
+def chaos_gamma_moments(chaos: GaussianChaos, q_list, spec: SampleSpec,
+                        scales=(1.0,)) -> list[list[montecarlo.Estimate]]:
     """Monte Carlo estimates of E tr (scale * Gamma(f))^q for a Gaussian
-    chaos, one per q, from one pass.  The clipped eigenvalues of Gamma are
-    scaled rather than Gamma itself; for a power-of-two scale the two agree
-    exactly."""
+    chaos: one list per scale, one Estimate per q, all from one pass with
+    one eigvalsh per block.
+
+    The pass runs on its own stream (seed ^ GAMMA_STREAM, never paired), so
+    the Gamma side is independent of the f-pass on ``spec``.  The clipped
+    eigenvalues of Gamma are scaled rather than Gamma itself; for a
+    power-of-two scale the two agree exactly.
+    """
     gamma = SmoothField(ambient_dim=chaos.n_vars, dim=chaos.dim,
                         func=lambda x: chaos_gamma_batch(chaos, x[None])[0],
                         batch=lambda xs: chaos_gamma_batch(chaos, xs))
+    q_list = [float(q) for q in q_list]
 
     def per_sample(mats):
-        w = scale * np.clip(np.linalg.eigvalsh(mats), 0.0, None)
-        return [np.sum(w ** q, axis=1) for q in q_list]
+        w = np.clip(np.linalg.eigvalsh(mats), 0.0, None)
+        out = []
+        for scale in scales:
+            scaled = scale * w
+            out += [np.sum(scaled ** q, axis=1) for q in q_list]
+        return out
 
-    return montecarlo.estimate_statistic(spec, gamma, per_sample)
+    stream = SampleSpec(n=spec.n, seed=spec.seed ^ GAMMA_STREAM, workers=spec.workers)
+    ests = montecarlo.estimate_statistic(stream, gamma, per_sample)
+    k = len(q_list)
+    return [ests[i * k:(i + 1) * k] for i in range(len(scales))]
 
 
 def check_intdim_variant(chain: FiniteChain, f: FiniteField,
@@ -440,7 +479,7 @@ def check_intdim_variant(chain: FiniteChain, f: FiniteField,
     that follows from the polynomial moment inequality, and which of the two
     is tighter; no inequality is asserted between them.
     """
-    if q != int(q) or q < 1:
+    if not (q >= 1 and float(q).is_integer()):
         raise DomainError(f"the intrinsic-dimension bound needs a natural q, got {q}")
     q = int(q)
     pair = bivariate_symmetrized(chain, f)
@@ -467,7 +506,7 @@ def check_intdim_variant(chain: FiniteChain, f: FiniteField,
 
 def chaos_scalar_bound(a, q: float) -> float:
     """8 q^2 |A| for a PSD coefficient matrix A of a scalar Gaussian chaos."""
-    if q < 1:
+    if not q >= 1:
         raise DomainError(f"moment order q must be >= 1, got {q}")
     a = symmetrize(a)
     w = np.linalg.eigvalsh(a)
@@ -506,7 +545,7 @@ def check_chaos_scalar(chaos: GaussianChaos, q_list, spec: SampleSpec,
 
 def check_chaos_matrix(chaos: GaussianChaos, q_list, spec: SampleSpec,
                        slack_scale: float = DEFAULT_SLACK,
-                       f_ests=None) -> list[CheckReport]:
+                       f_ests=None, gam_ests=None) -> list[CheckReport]:
     """One-step matrix chaos inequality with alpha = 1:
 
         (E tr |f|^{2q})^{1/(2q)}
@@ -515,11 +554,12 @@ def check_chaos_matrix(chaos: GaussianChaos, q_list, spec: SampleSpec,
     Both sides are Monte Carlo estimates on independent streams, one pass
     each for the whole q_list; no iterated closed form is asserted.  The
     inner sum is Gamma(f) / 4.  ``f_ests`` may carry the caller's f-pass, as
-    in ``check_chaos_scalar``.
+    in ``check_chaos_scalar``, and ``gam_ests`` the scale-1/4 list of
+    ``chaos_gamma_moments``.
     """
     q_list = [float(q) for q in q_list]
-    rhs_spec = SampleSpec(n=spec.n, seed=spec.seed ^ 0x5DEECE66D, workers=spec.workers)
-    gam_ests = _estimate_chaos_gamma_moment(chaos, q_list, rhs_spec, scale=0.25)
+    if gam_ests is None:
+        (gam_ests,) = chaos_gamma_moments(chaos, q_list, spec, scales=(0.25,))
     if f_ests is None:
         f_ests = estimate_trace_moment(chaos.as_field(), q_list, spec)
     out = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .models import (
     product_chain,
     two_state_chain,
 )
-from .montecarlo import SampleSpec, estimate_trace_moment, normal_stream
+from .montecarlo import SampleSpec, estimate_tail, estimate_trace_moment, normal_stream
 from .poincare import (
     check_scalar_poincare,
     check_trace_poincare,
@@ -237,7 +238,7 @@ def _chain_rows(chain, name, fields, suites, params, sample_spec, seed):
             q_list = params.get("intdim_q", [1, 2, 3])
             for fname, f in fields:
                 for q in q_list:
-                    r = bounds.check_intdim_variant(chain, f, cert, int(q))
+                    r = bounds.check_intdim_variant(chain, f, cert, q)
                     r.context["field"] = fname
                     add(suite, r)
         else:
@@ -246,42 +247,78 @@ def _chain_rows(chain, name, fields, suites, params, sample_spec, seed):
     return rows
 
 
+def _shared_passes(model, suites, cert, grid, override, poly_q, chaos_q, spec) -> dict:
+    """One Monte Carlo pass per sample stream for all the Gaussian suites of
+    a run; returns the estimates each checker takes, in its own q order.
+
+    The f-stream (``spec.seed``) is drawn and evaluated once.  The tail and
+    poly-moment suites read the centred spectrum (the chaos mean; the
+    series is mean zero and needs no centre), the chaos corollaries the
+    uncentred one: one eigvalsh per centre and block, with every order of
+    the union of the suites' q lists read at each centre.  A chaos's Gamma
+    stream is one more pass, read at scale 1 (poly-moment) and 1/4
+    (chaos-matrix).
+    """
+    tail, poly, chaos = "tail" in suites, "poly-moment" in suites, "chaos" in suites
+    centred = None if isinstance(model, GaussianSeries) else model.mean()
+    centres = ([centred] if tail or poly else []) + ([None] if chaos else [])
+    orders = sorted({float(q) for q in (poly_q if poly else []) + (chaos_q if chaos else [])})
+    if tail:
+        field, thresholds, _, _ = bounds.gaussian_tail_thresholds(model, cert, grid, spec,
+                                                                   override)
+        groups = estimate_tail(field, None, thresholds, spec, orders=orders, centers=centres)
+    else:
+        thresholds = []
+        groups = estimate_trace_moment(model.as_field(), orders, spec, centers=centres)
+    k = len(thresholds)
+    moments = [dict(zip(orders, g[k:])) for g in groups]
+    shared = {"tail": groups[0][:k] if tail else None,
+              "poly": [moments[0][float(q)] for q in poly_q] if poly else None,
+              "chaos": [moments[-1][float(q)] for q in chaos_q] if chaos else None,
+              "poly-gamma": None, "chaos-gamma": None}
+    if isinstance(model, GaussianChaos) and (poly or chaos):
+        scales = ([1.0] if poly else []) + ([0.25] if chaos else [])
+        gammas = [dict(zip(orders, g))
+                  for g in bounds.chaos_gamma_moments(model, orders, spec, scales)]
+        if poly:
+            shared["poly-gamma"] = [gammas[0][float(q)] for q in poly_q]
+        if chaos:
+            shared["chaos-gamma"] = [gammas[-1][float(q)] for q in chaos_q]
+    return shared
+
+
 def _gaussian_rows(model, name, suites, params, sample_spec):
+    for suite in suites:
+        if suite in CHAIN_ONLY:
+            raise ConfigError(f"suites: '{suite}' requires a finite chain model")
+        if suite == "chaos" and not isinstance(model, GaussianChaos):
+            raise ConfigError("suites: 'chaos' requires a gaussian_chaos model")
     cert = ou_certificate()
+    grid = params.get("lambda_grid", [float(k) for k in range(1, 9)])
+    override = params.get("v_f_bound")
+    poly_q = params.get("q_list", [1, 1.5, 2, 3])
+    chaos_q = params.get("q_list", [1, 2, 3])
+    shared = _shared_passes(model, set(suites), cert, grid, override, poly_q, chaos_q,
+                            sample_spec)
     rows = []
-
-    def add(suite, report):
-        rows.append(report.to_row(suite=suite, fixture=name))
-
     for suite in suites:
         if suite == "tail":
-            grid = params.get("lambda_grid", [float(k) for k in range(1, 9)])
-            override = params.get("v_f_bound")
-            for r in bounds.check_tail_empirical(model, None, cert, grid,
-                                                 spec=sample_spec,
-                                                 v_f_override=override):
-                add(suite, r)
+            reports = bounds.check_tail_empirical(model, None, cert, grid, spec=sample_spec,
+                                                  v_f_override=override,
+                                                  tail_ests=shared["tail"])
         elif suite == "poly-moment":
-            q_list = params.get("q_list", [1, 1.5, 2, 3])
-            for r in bounds.check_poly_moment(model, None, cert, q_list,
-                                              spec=sample_spec):
-                add(suite, r)
-        elif suite == "chaos":
-            if not isinstance(model, GaussianChaos):
-                raise ConfigError("suites: 'chaos' requires a gaussian_chaos model")
-            q_list = params.get("q_list", [1, 2, 3])
-            # one uncentred f-pass serves both corollaries
-            f_ests = estimate_trace_moment(model.as_field(), q_list, sample_spec)
-            if model.dim == 1:
-                for r in bounds.check_chaos_scalar(model, q_list, sample_spec,
-                                                   f_ests=f_ests):
-                    add(suite, r)
-            for r in bounds.check_chaos_matrix(model, q_list, sample_spec, f_ests=f_ests):
-                add(suite, r)
-        elif suite in CHAIN_ONLY:
-            raise ConfigError(f"suites: '{suite}' requires a finite chain model")
+            reports = bounds.check_poly_moment(model, None, cert, poly_q, spec=sample_spec,
+                                               f_ests=shared["poly"],
+                                               gam_ests=shared["poly-gamma"])
         else:
-            raise ConfigError(f"suites: unknown suite '{suite}'")
+            reports = []
+            if model.dim == 1:
+                reports += bounds.check_chaos_scalar(model, chaos_q, sample_spec,
+                                                     f_ests=shared["chaos"])
+            reports += bounds.check_chaos_matrix(model, chaos_q, sample_spec,
+                                                 f_ests=shared["chaos"],
+                                                 gam_ests=shared["chaos-gamma"])
+        rows += [r.to_row(suite=suite, fixture=name) for r in reports]
     return rows
 
 
@@ -320,6 +357,38 @@ def _sample_flag(samples: dict, key: str) -> bool:
     return value
 
 
+# params lists checked once per run: (valid(float value), what is expected)
+PARAM_LISTS = {
+    "q_list": (lambda v: math.isfinite(v) and v >= 1, "finite numbers >= 1"),
+    "intdim_q": (lambda v: v.is_integer() and v >= 1, "integers >= 1"),
+    "lambda_grid": (lambda v: math.isfinite(v) and v > 0, "finite numbers > 0"),
+}
+
+
+def _checked_params(params) -> dict:
+    """params with every list of PARAM_LISTS checked: a NaN or out-of-range
+    order or level is refused rather than reaching a verdict, and intdim_q
+    becomes integers (an integral float such as 2.0 counts)."""
+    if not isinstance(params, dict):
+        raise ConfigError("params: must be a JSON object")
+    out = dict(params)
+    for key, (valid, what) in PARAM_LISTS.items():
+        if key not in out:
+            continue
+        values = out[key]
+        try:
+            ok = isinstance(values, list) and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) and valid(float(x))
+                for x in values)
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"params.{key}: expected a list of {what}, got {values!r}")
+        if key == "intdim_q":
+            out[key] = [int(x) for x in values]
+    return out
+
+
 def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     """Execute the configured suites; returns (rows, energy reports, counts)."""
     validate_config(cfg)
@@ -331,7 +400,7 @@ def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
         workers=_sample_count(samples, "workers", 1),
         antithetic=_sample_flag(samples, "antithetic"),
     )
-    params = cfg.get("params", {})
+    params = _checked_params(cfg.get("params", {}))
     suites = cfg["suites"]
     model, name = build_model(cfg["model"])
 
@@ -436,3 +505,7 @@ def main(argv=None) -> int:
     if argv is None:
         sys.exit(code)
     return code
+
+
+if __name__ == "__main__":
+    main()

@@ -5,10 +5,14 @@ pure function of (seed, b), so estimates are bit-identical regardless of how
 many workers process the blocks.  Reductions run in block order.  The worker
 count can be capped with the TPL_THREADS environment variable.
 
-Estimation is one pass per (stream, field, centre): ``estimate_statistic``
-draws, evaluates and (through its per-sample function) diagonalises each
-block once, takes a list of per-sample statistics and returns a list of
-Estimates, so all moment orders of a check share one set of samples.
+A run makes one pass per sample stream: ``estimate_statistic`` draws and
+evaluates each block once and returns one Estimate per per-sample
+statistic.  ``estimate_trace_moment`` diagonalises each block once per
+centre and reads every moment order and every tail threshold from those
+eigenvalues, and ``estimate_tail`` turns the tail frequencies of the same
+pass into Wilson estimates.  So on the f-stream the tail, poly-moment and
+chaos suites share draws and evaluations, and suites with the same centre
+share one ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -65,11 +69,6 @@ def normal_stream(seed: int, stream: int) -> np.random.Generator:
     """Deterministic stream: a pure function of (seed, stream index)."""
     key = (seed & _MASK64) | ((stream & _MASK64) << 64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_standard_normal(n: int, stream: np.random.Generator) -> np.ndarray:
-    """n i.i.d. standard normals from the given stream."""
-    return stream.standard_normal(n)
 
 
 def _worker_count(spec: SampleSpec) -> int:
@@ -210,57 +209,85 @@ def estimate_statistic(spec: SampleSpec, field, per_sample, level: float = 0.99,
 
 def estimate_trace_moment(field, q, spec: SampleSpec,
                           center: np.ndarray | None = None,
-                          level: float = 0.99):
+                          level: float = 0.99, thresholds=(), centers=None):
     """Estimate E tr |f(X) - center|^(2q) with a CLT interval.
 
     ``q`` is one order or a sequence of orders.  A sequence gives one
     Estimate per order from a single pass: each block is drawn, evaluated
     and diagonalised once, and every order takes its sums from the same
     eigenvalues.
+
+    ``thresholds`` appends, from the same eigenvalues, one Estimate per
+    threshold t of the frequency of ||f(X) - center|| >= t (the mean of an
+    indicator; ``estimate_tail`` gives it a Wilson interval).  Indicators
+    are never averaged over antithetic pairs, so thresholds refuse pairing.
+
+    ``centers`` replaces ``center`` by a list of centres (None for no
+    centre): the draws and evaluations are still shared, each block is
+    diagonalised once per centre, every order and threshold is read at
+    every centre, and the result is one list per centre.
     """
     scalar = np.ndim(q) == 0
     orders = [float(q)] if scalar else [float(x) for x in q]
     for order in orders:
-        if order < 1:
+        if not order >= 1:
             raise DomainError(f"moment order q must be >= 1, got {order}")
+    thresholds = [float(t) for t in thresholds]
+    if thresholds and spec.antithetic:
+        raise DomainError("antithetic pairing breaks the Bernoulli model of "
+                          "the Wilson interval; disable it for tail estimation")
+    several = centers is not None
+    if several and center is not None:
+        raise DomainError("give either one center or a list of centers")
+    centres = list(centers) if several else [center]
 
     def per_sample(mats):
-        if center is not None:
-            mats = mats - center
-        w = np.abs(np.linalg.eigvalsh(mats))
-        return [np.sum(w ** (2.0 * order), axis=1) for order in orders]
+        out = []
+        for c in centres:
+            w = np.abs(np.linalg.eigvalsh(mats if c is None else mats - c))
+            out += [np.sum(w ** (2.0 * order), axis=1) for order in orders]
+            if thresholds:
+                dev = np.max(w, axis=1)
+                out += [(dev >= t).astype(float) for t in thresholds]
+        return out
 
     estimates = estimate_statistic(spec, field, per_sample, level)
-    return estimates[0] if scalar else estimates
+    width = len(orders) + len(thresholds)
+    groups = [estimates[i * width:(i + 1) * width] for i in range(len(centres))]
+    if several:
+        return groups
+    return groups[0][0] if scalar and not thresholds else groups[0]
 
 
 def estimate_tail(field, center, thresholds, spec: SampleSpec,
-                  level: float = 0.99) -> list[Estimate]:
+                  level: float = 0.99, orders=(), centers=None) -> list:
     """Empirical survival P{ |f(X) - center| >= t } with Wilson intervals,
-    one pass over the samples.  Thresholds must be ascending."""
+    one pass over the samples.  Thresholds must be ascending.
+
+    ``orders`` and ``centers`` are passed on to ``estimate_trace_moment``,
+    so the tail shares its pass with trace moments: the result is the
+    survival Estimates followed by one Estimate per order (one such list
+    per centre when ``centers`` is given).
+    """
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(np.diff(thresholds) < 0):
         raise DomainError("thresholds must be ascending")
-    if spec.antithetic:
-        raise DomainError("antithetic pairing breaks the Bernoulli model of "
-                          "the Wilson interval; disable it for tail estimation")
-    center = np.asarray(center, dtype=float)
-
-    def job(b: int, count: int):
-        rng = normal_stream(spec.seed, b)
-        xs = rng.standard_normal((count, field.ambient_dim))
-        mats = field.eval_batch(xs) - center
-        dev = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
-        return (dev[:, None] >= thresholds[None, :]).sum(axis=0)
-
-    counts = sum(_map_blocks(spec, job))
+    orders = list(orders)
+    if center is not None:
+        center = np.asarray(center, dtype=float)
+    groups = estimate_trace_moment(field, orders, spec, center, level, thresholds, centers)
     out = []
-    for t_idx in range(thresholds.shape[0]):
-        k = int(counts[t_idx])
-        lo, hi = wilson_interval(k, spec.n, level)
-        out.append(Estimate(value=k / spec.n, ci_low=lo, ci_high=hi,
-                            level=level, n=spec.n))
-    return out
+    for ests in (groups if centers is not None else [groups]):
+        tail = []
+        for est in ests[len(orders):]:
+            # the indicator sum is an exact integer and the mean its correctly
+            # rounded ratio to n, so rounding recovers the count exactly
+            k = round(est.value * spec.n)
+            lo, hi = wilson_interval(k, spec.n, level)
+            tail.append(Estimate(value=k / spec.n, ci_low=lo, ci_high=hi,
+                                 level=level, n=spec.n))
+        out.append(tail + ests[:len(orders)])
+    return out if centers is not None else out[0]
 
 
 def _log_trace_cosh(eigs: np.ndarray) -> np.ndarray:

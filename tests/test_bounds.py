@@ -34,7 +34,7 @@ from tplab import (
     tail_bound,
 )
 from tplab import montecarlo
-from tplab.bounds import _estimate_chaos_gamma_moment
+from tplab.bounds import GAMMA_STREAM, chaos_gamma_moments
 from tplab.energy import chaos_gamma_batch
 from tplab.models import SmoothField
 from tplab.reports import CheckReport
@@ -410,6 +410,23 @@ class TestIntdimVariant:
             check_intdim_variant(two_state, indicator(two_state), cert, 1.5)
 
 
+class TestNonFiniteOrders:
+    # NaN >= 1 and NaN < 1 are both false: the checks must refuse it
+    def test_poly_moment_rhs(self):
+        with pytest.raises(DomainError):
+            poly_moment_rhs(BoundParams(0.5, 0.0, 1, q=math.nan), 0.5)
+
+    def test_chaos_scalar_bound(self):
+        with pytest.raises(DomainError):
+            chaos_scalar_bound(np.eye(2), math.nan)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_intdim_variant(self, two_state, q):
+        cert = poincare_constant(two_state)
+        with pytest.raises(DomainError):
+            check_intdim_variant(two_state, indicator(two_state), cert, q)
+
+
 class TestChaosBounds:
     def test_scalar_bound_values(self):
         assert chaos_scalar_bound(np.eye(3), 1) == pytest.approx(8.0)
@@ -446,8 +463,10 @@ class TestChaosBounds:
             w = np.clip(np.linalg.eigvalsh(mats), 0.0, None)
             return [np.sum(w ** q, axis=1) for q in qs]
 
-        oracle = montecarlo.estimate_statistic(spec, quarter, per_sample)
-        for got, want in zip(_estimate_chaos_gamma_moment(chaos, qs, spec, scale=0.25), oracle):
+        oracle = montecarlo.estimate_statistic(
+            SampleSpec(n=9000, seed=35 ^ GAMMA_STREAM), quarter, per_sample)
+        (got_list,) = chaos_gamma_moments(chaos, qs, spec, scales=(0.25,))
+        for got, want in zip(got_list, oracle):
             assert abs(got.value - want.value) <= 1e-15 * want.value
             assert abs(got.ci_high - want.ci_high) <= 1e-15 * want.ci_high
 

@@ -11,7 +11,7 @@ import pytest
 
 import tplab
 from tplab import FiniteChain, GaussianChaos, GaussianSeries, SampleSpec, montecarlo
-from tplab.bounds import check_chaos_matrix, check_chaos_scalar
+from tplab.bounds import GAMMA_STREAM, check_chaos_matrix, check_chaos_scalar
 from tplab.cli import build_model, default_config, main, run_experiment
 from tplab.fixtures import catalog, get_field, get_model
 
@@ -182,6 +182,162 @@ class TestGaussianConfigs:
         assert rows == alone
         # the scalar and matrix corollaries share the f-pass; Gamma has its own stream
         assert sorted(seeds) == sorted([5, 5 ^ 0x5DEECE66D])
+
+
+class _CountedField:
+    """A field whose batch evaluations are logged; all a pass reads of it."""
+
+    def __init__(self, field, calls):
+        self.field, self.calls, self.ambient_dim = field, calls, field.ambient_dim
+
+    def eval_batch(self, xs):
+        self.calls.append(len(xs))
+        return self.field.eval_batch(xs)
+
+
+def _matrix_chaos(seed=241):
+    coef = np.random.default_rng(seed).standard_normal((3, 3, 2, 2))
+    return {"name": "chaos-3x2", "gaussian_chaos": {"coefficients": coef.tolist()}}
+
+
+class TestSharedPasses:
+    def count_passes(self, monkeypatch):
+        passes = []
+        real = montecarlo.estimate_statistic
+
+        def counted(spec, field, *args, **kwargs):
+            calls = []
+            passes.append((spec.seed, calls))
+            return real(spec, _CountedField(field, calls), *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "estimate_statistic", counted)
+        return passes
+
+    def test_series_tail_and_poly_moment_evaluate_once_per_block(self, monkeypatch):
+        passes = self.count_passes(monkeypatch)
+        rows, _, _ = run_experiment({"seed": 3, "samples": {"n": 20000},
+                                     "model": {"fixture": "pauli-series"},
+                                     "suites": ["tail", "poly-moment"]})
+        assert {r["suite"] for r in rows} == {"tail", "poly-moment"}
+        assert passes == [(3, [4096] * 4 + [3616])]
+
+    def test_chaos_poly_moment_and_corollaries_make_one_pass_per_stream(self, monkeypatch):
+        passes = self.count_passes(monkeypatch)
+        rows, _, _ = run_experiment({"seed": 5, "samples": {"n": 20000},
+                                     "model": {"fixture": "psd-chaos"},
+                                     "suites": ["poly-moment", "chaos"]})
+        assert {r["citation"] for r in rows} == {"poly-moment", "chaos-scalar", "chaos-matrix"}
+        assert sorted(seed for seed, _ in passes) == sorted([5, 5 ^ GAMMA_STREAM])
+        assert all(len(calls) == 5 for _, calls in passes)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("model, suites, params", [
+        ({"fixture": "pauli-series"}, ["tail", "poly-moment"],
+         {"lambda_grid": [1, 2, 4], "q_list": [1, 2]}),
+        # no q_list: each suite keeps its own default orders
+        ({"fixture": "pauli-series"}, ["poly-moment", "tail"], {}),
+        ({"fixture": "psd-chaos"}, ["poly-moment", "chaos"], {}),
+        (_matrix_chaos(), ["chaos", "poly-moment"], {"q_list": [1, 1.5, 3]}),
+        # the tail reads the centred spectrum, the chaos suite the uncentred one
+        (_matrix_chaos(), ["tail", "poly-moment", "chaos"], {"v_f_bound": 40.0}),
+    ])
+    def test_rows_equal_one_run_per_suite(self, workers, antithetic, model, suites, params):
+        if antithetic:
+            suites = [s for s in suites if s != "tail"]
+        cfg = {"seed": 7, "samples": {"n": 10000, "workers": workers, "antithetic": antithetic},
+               "model": model, "suites": suites, "params": params}
+        rows, _, _ = run_experiment(cfg)
+        alone = []
+        for suite in suites:
+            alone += run_experiment({**cfg, "suites": [suite]})[0]
+        assert rows == alone
+
+    def write(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    def test_antithetic_tail_beside_poly_moment_exits_2(self, tmp_path, capsys):
+        cfg = {"seed": 1, "samples": {"n": 20000, "antithetic": True},
+               "model": {"fixture": "pauli-series"}, "suites": ["poly-moment", "tail"]}
+        assert run_cli(["run", "--config", self.write(tmp_path, cfg),
+                        "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "DomainError: antithetic pairing breaks the Bernoulli model")
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_small_tail_sample_exits_2(self, tmp_path, capsys):
+        cfg = {"seed": 1, "samples": {"n": 5000},
+               "model": {"fixture": "pauli-series"}, "suites": ["poly-moment", "tail"]}
+        assert run_cli(["run", "--config", self.write(tmp_path, cfg),
+                        "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "DomainError: tail estimation needs N >= 10^4 samples")
+
+
+TWO_STATE = {"model": {"fixture": "two-state"},
+             "fields": [{"type": "fixture", "name": "indicator-1"}]}
+PAULI = {"model": {"fixture": "pauli-series"}, "samples": {"n": 10000}}
+
+
+class TestParamLists:
+    @pytest.mark.parametrize("base, suite, params, label", [
+        # a NaN order used to give FAIL (lhs = rhs = nan, exit 1) on a chain
+        (TWO_STATE, "poly-moment", {"q_list": [math.nan]}, "params.q_list"),
+        # ... and INCONCLUSIVE with "q": NaN in the context on a series
+        (PAULI, "poly-moment", {"q_list": [1, math.nan]}, "params.q_list"),
+        (PAULI, "chaos", {"q_list": [0.5]}, "params.q_list"),
+        (PAULI, "poly-moment", {"q_list": [True]}, "params.q_list"),
+        (PAULI, "poly-moment", {"q_list": 2}, "params.q_list"),
+        # a NaN intdim order used to escape as a bare ValueError, exit 1
+        (TWO_STATE, "intdim", {"intdim_q": [math.nan]}, "params.intdim_q"),
+        # and a fractional one was truncated to its integer part
+        (TWO_STATE, "intdim", {"intdim_q": [1.5]}, "params.intdim_q"),
+        (TWO_STATE, "intdim", {"intdim_q": [0]}, "params.intdim_q"),
+        (TWO_STATE, "tail", {"lambda_grid": [1, math.inf]}, "params.lambda_grid"),
+        (PAULI, "tail", {"lambda_grid": [0, 1]}, "params.lambda_grid"),
+        (PAULI, "tail", {"lambda_grid": [math.nan]}, "params.lambda_grid"),
+    ])
+    def test_invalid_list_exits_2(self, tmp_path, capsys, base, suite, params, label):
+        cfg = {"seed": 1, **base, "suites": [suite], "params": params}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"ConfigError: {label}: ")
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_integral_float_intdim_order_accepted(self):
+        cfg = {"seed": 1, **TWO_STATE, "suites": ["intdim"]}
+        as_int = run_experiment({**cfg, "params": {"intdim_q": [1, 2]}})
+        as_float = run_experiment({**cfg, "params": {"intdim_q": [1.0, 2e0]}})
+        assert as_float == as_int
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["tplab", "tplab.cli"])
+    def test_python_m_runs_a_config(self, tmp_path, module):
+        cfg = {"seed": 1, **TWO_STATE, "suites": ["poincare"],
+               "params": {"probe": {"trials": 2, "dims": [1]}}}
+        good = tmp_path / "cfg.json"
+        good.write_text(json.dumps(cfg))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"seed": 1,')
+        src = os.path.dirname(os.path.dirname(tplab.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run(path, out):
+            return subprocess.run([sys.executable, "-m", module, "run", "--config", str(path),
+                                   "--out", str(out)], env=env, capture_output=True, text=True)
+
+        proc = run(good, tmp_path / "out")
+        assert proc.returncode == 0, proc.stderr
+        assert read_rows(tmp_path / "out" / "report.csv")
+        proc = run(bad, tmp_path / "bad-out")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("ConfigError: ")
+        assert not (tmp_path / "bad-out").exists()
 
 
 class TestColdStart:

@@ -11,10 +11,10 @@ from tplab import (
     estimate_tail,
     estimate_trace_moment,
     normal_stream,
-    sample_standard_normal,
     wilson_interval,
 )
 from tplab.montecarlo import (
+    BLOCK,
     draw_standard_normal,
     estimate_statistic,
     normal_quantile,
@@ -28,19 +28,19 @@ def scalar_series(a=1.0):
 
 class TestStreams:
     def test_replay_is_identical(self):
-        a = sample_standard_normal(16, normal_stream(123, 4))
-        b = sample_standard_normal(16, normal_stream(123, 4))
+        a = normal_stream(123, 4).standard_normal(16)
+        b = normal_stream(123, 4).standard_normal(16)
         np.testing.assert_array_equal(a, b)
 
     def test_streams_are_distinct(self):
-        a = sample_standard_normal(16, normal_stream(123, 0))
-        b = sample_standard_normal(16, normal_stream(123, 1))
+        a = normal_stream(123, 0).standard_normal(16)
+        b = normal_stream(123, 1).standard_normal(16)
         assert not np.array_equal(a, b)
 
     def test_draw_indexing_deterministic(self):
         s = normal_stream(9, 2)
-        first = sample_standard_normal(8, s)
-        again = sample_standard_normal(8, normal_stream(9, 2))
+        first = s.standard_normal(8)
+        again = normal_stream(9, 2).standard_normal(8)
         np.testing.assert_array_equal(first, again)
 
     def test_mean_within_clt_band(self):
@@ -116,6 +116,11 @@ class TestTraceMoment:
         with pytest.raises(DomainError):
             estimate_trace_moment(scalar_series(), [1, 0.5], SampleSpec(n=100, seed=1))
 
+    def test_nan_order_rejected(self):
+        # NaN < 1 is false, so the order check has to be phrased as q >= 1
+        with pytest.raises(DomainError):
+            estimate_trace_moment(scalar_series(), [1, math.nan], SampleSpec(n=100, seed=1))
+
     def test_field_without_batch_evaluator(self):
         from tplab import SmoothField
         plain = SmoothField(ambient_dim=1, dim=1, func=lambda x: 2.0 * x[:1, None])
@@ -182,6 +187,75 @@ class TestFusedPass:
         np.testing.assert_allclose(second, xs.T @ xs, rtol=1e-13)
 
 
+def counting_field(field, calls):
+    """``field`` with every batch evaluation's size appended to ``calls``."""
+    from tplab import SmoothField
+
+    def batch(xs):
+        calls.append(len(xs))
+        return field.eval_batch(xs)
+
+    return SmoothField(ambient_dim=field.ambient_dim, dim=field.dim, func=field.func,
+                       batch=batch)
+
+
+def series_field(seed, n=4, d=3):
+    coefs = np.random.default_rng(seed).standard_normal((n, d, d))
+    return GaussianSeries(0.5 * (coefs + coefs.transpose(0, 2, 1))).as_field()
+
+
+class TestSharedPass:
+    ORDERS = [1, 1.5, 2, 3]
+    THRESHOLDS = [0.5, 1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_centres_share_draws_and_match_their_own_passes(self, workers, antithetic):
+        f = series_field(227)
+        center = np.diag([0.5, -0.25, 1.0])
+        spec = SampleSpec(n=10000, seed=19, workers=workers, antithetic=antithetic)
+        calls = []
+        both = estimate_trace_moment(counting_field(f, calls), self.ORDERS, spec,
+                                     centers=[center, None])
+        assert both == [estimate_trace_moment(f, self.ORDERS, spec, center=center),
+                        estimate_trace_moment(f, self.ORDERS, spec)]
+        # one evaluation per block (two with antithetic pairing: x and -x)
+        assert len(calls) == 3 * (2 if antithetic else 1)
+
+    def test_center_and_centers_are_exclusive(self):
+        with pytest.raises(DomainError):
+            estimate_trace_moment(scalar_series(), 1, SampleSpec(n=100, seed=1),
+                                  center=np.zeros((1, 1)), centers=[None])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tail_and_moments_from_one_pass(self, workers):
+        f = series_field(229)
+        spec = SampleSpec(n=10000, seed=23, workers=workers)
+        calls = []
+        shared = estimate_tail(counting_field(f, calls), None, self.THRESHOLDS, spec,
+                               orders=self.ORDERS)
+        assert len(calls) == 3
+        k = len(self.THRESHOLDS)
+        assert shared[:k] == estimate_tail(f, np.zeros((3, 3)), self.THRESHOLDS, spec)
+        assert shared[k:] == estimate_trace_moment(f, self.ORDERS, spec)
+
+    def test_tail_at_several_centres(self):
+        f = series_field(233)
+        center = np.eye(3)
+        spec = SampleSpec(n=10000, seed=29)
+        got = estimate_tail(f, None, self.THRESHOLDS, spec, orders=[2], centers=[center, None])
+        assert got == [estimate_tail(f, center, self.THRESHOLDS, spec, orders=[2]),
+                       estimate_tail(f, None, self.THRESHOLDS, spec, orders=[2])]
+
+    def test_thresholds_refuse_antithetic_pairing(self):
+        # pair-averaged indicators are not Bernoulli: never average them silently
+        spec = SampleSpec(n=10000, seed=1, antithetic=True)
+        with pytest.raises(DomainError, match="antithetic pairing"):
+            estimate_trace_moment(scalar_series(), [1], spec, thresholds=[1.0])
+        with pytest.raises(DomainError, match="antithetic pairing"):
+            estimate_tail(scalar_series(), np.zeros((1, 1)), [1.0], spec, orders=[1, 2])
+
+
 class TestTail:
     def test_threshold_zero_survival_one(self):
         ests = estimate_tail(scalar_series(), np.zeros((1, 1)), [0.0],
@@ -209,6 +283,21 @@ class TestTail:
         with pytest.raises(DomainError):
             estimate_tail(scalar_series(), np.zeros((1, 1)), [1.0],
                           SampleSpec(n=10000, seed=1, antithetic=True))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_equal_a_direct_count(self, workers):
+        # n is not a multiple of BLOCK: the last block is short
+        n = 3 * BLOCK + 517
+        f = series_field(239, d=2)
+        center = np.diag([0.3, -0.3])
+        thresholds = [0.0, 0.5, 1.0, 1.5, 2.5, 4.0]
+        spec = SampleSpec(n=n, seed=31, workers=workers)
+        mats = f.eval_batch(draw_standard_normal(spec, f.ambient_dim)) - center
+        dev = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
+        for t, est in zip(thresholds, estimate_tail(f, center, thresholds, spec)):
+            k = int(np.count_nonzero(dev >= t))
+            assert est.value == k / n
+            assert (est.ci_low, est.ci_high) == wilson_interval(k, n, 0.99)
 
     def test_worker_invariance(self):
         one = estimate_tail(scalar_series(), np.zeros((1, 1)), [1.0, 2.0],
