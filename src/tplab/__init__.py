@@ -15,14 +15,11 @@ from .spectral import (
     ScalarFnSpec,
     SpectralDecomposition,
     apply_spectral_fn,
-    dilate,
     eigh,
     intdim,
     max_op_norm,
     op_norm,
-    psd_order_leq,
     symmetrize,
-    trace_fn,
 )
 from .models import (
     FiniteChain,
@@ -43,9 +40,9 @@ from .energy import (
     EnergyReport,
     SymmetrizedPair,
     bivariate_symmetrized,
-    carre_product_formula,
     carre_smooth,
     carre_table,
+    column_energies,
     dirichlet_form,
     energy_report,
     matrix_variance,
@@ -64,7 +61,6 @@ from .poincare import (
 from .montecarlo import (
     Estimate,
     SampleSpec,
-    estimate_cosh_trace,
     estimate_tail,
     estimate_trace_moment,
     normal_stream,
@@ -86,10 +82,9 @@ from .bounds import (
     check_tail_empirical,
     default_theta_grid,
     exp_moment_rhs,
-    expectation_bound,
     poly_moment_rhs,
     tail_bound,
 )
-from .reports import CheckReport, DEFAULT_SLACK, reports_to_csv, rows_to_csv, rows_to_json
+from .reports import CheckReport, DEFAULT_SLACK, rows_to_csv, rows_to_json
 
 __version__ = "0.1.0"

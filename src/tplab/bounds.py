@@ -24,6 +24,7 @@ from .energy import (
     bivariate_symmetrized,
     carre_table,
     chaos_gamma_batch,
+    column_energies,
     dirichlet_form,
     variance_proxy,
 )
@@ -80,15 +81,20 @@ def _as_grid(base: FiniteChain, g) -> np.ndarray:
     return 0.5 * (arr + arr.transpose(0, 1, 3, 2))
 
 
+def _trace_variance(mu: np.ndarray, grid: np.ndarray) -> float:
+    """tr Var_{mu x mu}[g] of a grid g of shape (m, m, d, d)."""
+    w = np.einsum("a,b->ab", mu, mu)
+    mean = np.einsum("ab,abij->ij", w, grid)
+    second = np.einsum("ab,abij->ij", w, grid @ grid)
+    return float(np.trace(second - mean @ mean))
+
+
 def check_subadditivity(base: FiniteChain, g,
                         slack_scale: float = DEFAULT_SLACK) -> CheckReport:
     """tr Var_{mu x mu}[g] <= E_2 tr Var_1[g] + E_1 tr Var_2[g]."""
     grid = _as_grid(base, g)
     mu = base.stationary
-    w = np.einsum("a,b->ab", mu, mu)
-    mean = np.einsum("ab,abij->ij", w, grid)
-    second = np.einsum("ab,abij->ij", w, grid @ grid)
-    lhs = float(np.trace(second - mean @ mean))
+    lhs = _trace_variance(mu, grid)
 
     mean1 = np.einsum("a,abij->bij", mu, grid)            # E_1 g (per z2)
     var1 = np.einsum("a,abij->bij", mu, grid @ grid) - mean1 @ mean1
@@ -104,32 +110,19 @@ def check_subadditivity(base: FiniteChain, g,
         {"chain": base.name, "d": grid.shape[2]})
 
 
-def bivariate_dirichlet(base: FiniteChain, g) -> np.ndarray:
-    """E_{mu x mu}[dirichlet_1(g) + dirichlet_2(g)] computed coordinate-wise."""
-    grid = _as_grid(base, g)
-    mu = base.stationary
-    m = base.n_states
-    d = grid.shape[2]
-    acc = np.zeros((d, d))
-    for z2 in range(m):
-        gam1 = carre_table(base, FiniteField(grid[:, z2]))
-        acc += mu[z2] * np.einsum("a,aij->ij", mu, gam1)
-    for z1 in range(m):
-        gam2 = carre_table(base, FiniteField(grid[z1, :]))
-        acc += mu[z1] * np.einsum("b,bij->ij", mu, gam2)
-    return 0.5 * (acc + acc.T)
-
-
 def check_bivariate_poincare(base: FiniteChain, g, cert: PoincareCertificate,
                              slack_scale: float = DEFAULT_SLACK) -> CheckReport:
-    """tr Var_{mu x mu}[g] <= alpha * tr E[dirichlet_1(g) + dirichlet_2(g)]."""
+    """tr Var_{mu x mu}[g] <= alpha * tr E[dirichlet_1(g) + dirichlet_2(g)];
+    the energies of all slices z1 -> g(z1, z2), and then of all slices
+    z2 -> g(z1, z2), are one ``column_energies`` call each."""
     grid = _as_grid(base, g)
-    mu = base.stationary
-    w = np.einsum("a,b->ab", mu, mu)
-    mean = np.einsum("ab,abij->ij", w, grid)
-    second = np.einsum("ab,abij->ij", w, grid @ grid)
-    lhs = float(np.trace(second - mean @ mean))
-    rhs = cert.alpha * float(np.trace(bivariate_dirichlet(base, grid)))
+    mu, m = base.stationary, base.n_states
+    energy = 0.0
+    for slices in (grid, grid.transpose(1, 0, 2, 3)):
+        _, dirichlet = column_energies(base, slices.reshape(m, -1))
+        energy += float(mu @ dirichlet.reshape(m, -1).sum(axis=1))
+    rhs = cert.alpha * energy
+    lhs = _trace_variance(mu, grid)
     return CheckReport.from_comparison(
         "poincare-subadditivity", lhs, rhs, slack_for(rhs, slack_scale),
         {"chain": base.name, "alpha": cert.alpha, "d": grid.shape[2]})
@@ -151,12 +144,9 @@ def check_mean_value_trace(a, b, phi: ScalarFnSpec,
     b = symmetrize(b)
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    da = eigh(a)
-    db = eigh(b)
-    phi_a = (da.eigenvectors * phi(da.eigenvalues)) @ da.eigenvectors.T
-    phi_b = (db.eigenvectors * phi(db.eigenvalues)) @ db.eigenvectors.T
-    psi_a = (da.eigenvectors * phi.sq_deriv(da.eigenvalues)) @ da.eigenvectors.T
-    psi_b = (db.eigenvectors * phi.sq_deriv(db.eigenvalues)) @ db.eigenvectors.T
+    dec = eigh(np.stack([a, b]))
+    phi_a, phi_b = dec.map(phi)
+    psi_a, psi_b = dec.map(phi.sq_deriv)
     diff_phi = phi_a - phi_b
     lhs = float(np.trace(diff_phi @ diff_phi))
     diff = a - b
@@ -170,15 +160,10 @@ def check_chain_rule(chain: FiniteChain, f: FiniteField, phi: ScalarFnSpec,
                      slack_scale: float = DEFAULT_SLACK) -> CheckReport:
     """tr dirichlet(phi(f)) <= E_mu tr[Gamma(f) psi(f)], both exact sums."""
     _require_convex_sq_derivative(phi)
-    decs = [eigh(m) for m in f.values]
-    phi_f = FiniteField(np.stack([
-        (dec.eigenvectors * phi(dec.eigenvalues)) @ dec.eigenvectors.T for dec in decs]))
-    lhs = float(np.trace(dirichlet_form(chain, phi_f)))
+    dec = eigh(f.values)
+    lhs = float(np.trace(dirichlet_form(chain, FiniteField(dec.map(phi)))))
     gam = carre_table(chain, f)
-    rhs = 0.0
-    for z, dec in enumerate(decs):
-        psi_m = (dec.eigenvectors * phi.sq_deriv(dec.eigenvalues)) @ dec.eigenvectors.T
-        rhs += chain.stationary[z] * float(np.trace(gam[z] @ psi_m))
+    rhs = float(np.einsum("z,zij,zji->", chain.stationary, gam, dec.map(phi.sq_deriv)))
     return CheckReport.from_comparison(
         "dirichlet-chain-rule", lhs, rhs, slack_for(rhs, slack_scale),
         {"chain": chain.name, "phi": phi.label(), "d": f.dim})
@@ -244,11 +229,6 @@ def tail_bound(p: BoundParams) -> float:
     if p.lam is None:
         raise DomainError("tail bound needs the level lambda")
     return 6.0 * p.d * math.exp(-p.lam)
-
-
-def expectation_bound(p: BoundParams) -> float:
-    """log(6 e d) * sqrt(alpha v_f)."""
-    return math.log(6.0 * math.e * p.d) * math.sqrt(p.alpha * p.v_f)
 
 
 def _gaussian_center(model, spec: SampleSpec) -> np.ndarray:
@@ -470,38 +450,44 @@ def chaos_gamma_moments(chaos: GaussianChaos, q_list, spec: SampleSpec,
 
 
 def check_intdim_variant(chain: FiniteChain, f: FiniteField,
-                         cert: PoincareCertificate, q: int,
-                         slack_scale: float = DEFAULT_SLACK) -> CheckReport:
+                         cert: PoincareCertificate, q_list,
+                         slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
     """E tr |g|^{2q} <= intdim(dirichlet(g)) * alpha^q q! * v_g^q for the
-    symmetrized difference field g(z, z') = f(z) - f(z') and natural q.
+    symmetrized difference field g(z, z') = f(z) - f(z'), one report per
+    natural q of q_list; the pair, its spectrum, intdim and v_f are built
+    once for the whole list.
 
     The context also records the uniform bound (2 alpha q^2)^q * d * v_f^q
     that follows from the polynomial moment inequality, and which of the two
     is tighter; no inequality is asserted between them.
     """
-    if not (q >= 1 and float(q).is_integer()):
-        raise DomainError(f"the intrinsic-dimension bound needs a natural q, got {q}")
-    q = int(q)
+    for q in q_list:
+        if not (q >= 1 and float(q).is_integer()):
+            raise DomainError(f"the intrinsic-dimension bound needs a natural q, got {q}")
     pair = bivariate_symmetrized(chain, f)
     mu2 = pair.stationary
     g_eigs = np.abs(np.linalg.eigvalsh(pair.g.values))
-    lhs = float(np.einsum("z,zi->", mu2, g_eigs ** (2 * q)))
     idim = intdim(pair.dirichlet)
-    # q! in log space to keep q <= 20 overflow-free
-    if idim == 0.0 or pair.v == 0.0:
-        rhs = 0.0
-    else:
-        rhs = math.exp(math.log(idim) + q * math.log(cert.alpha)
-                       + math.lgamma(q + 1) + q * math.log(pair.v))
     v_f, _ = variance_proxy(chain, f)
     d = f.dim
-    uniform = (2.0 * cert.alpha * q * q) ** q * d * v_f ** q
-    return CheckReport.from_comparison(
-        "intdim-moment", lhs, rhs, slack_for(rhs, slack_scale),
-        {"chain": chain.name, "q": q, "alpha": cert.alpha,
-         "intdim_dirichlet": idim, "v_g": pair.v, "d": d,
-         "uniform_poly_bound": uniform,
-         "tighter": "intdim" if rhs <= uniform else "uniform"})
+    out = []
+    for q in q_list:
+        q = int(q)
+        lhs = float(np.einsum("z,zi->", mu2, g_eigs ** (2 * q)))
+        # q! in log space to keep q <= 20 overflow-free
+        if idim == 0.0 or pair.v == 0.0:
+            rhs = 0.0
+        else:
+            rhs = math.exp(math.log(idim) + q * math.log(cert.alpha)
+                           + math.lgamma(q + 1) + q * math.log(pair.v))
+        uniform = (2.0 * cert.alpha * q * q) ** q * d * v_f ** q
+        out.append(CheckReport.from_comparison(
+            "intdim-moment", lhs, rhs, slack_for(rhs, slack_scale),
+            {"chain": chain.name, "q": q, "alpha": cert.alpha,
+             "intdim_dirichlet": idim, "v_g": pair.v, "d": d,
+             "uniform_poly_bound": uniform,
+             "tighter": "intdim" if rhs <= uniform else "uniform"}))
+    return out
 
 
 def chaos_scalar_bound(a, q: float) -> float:

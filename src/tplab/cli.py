@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds, fixtures
 from .energy import bivariate_symmetrized, energy_report
-from .errors import CapacityError, ConfigError, DomainError, LabError
+from .errors import CapacityError, ConfigError, LabError
 from .models import (
     FiniteChain,
     FiniteField,
@@ -87,35 +87,52 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def build_model(desc) -> tuple[object, str]:
+MODEL_KEYS = ("fixture", "graph", "generator", "two_state", "complete_refresh", "product",
+              "gaussian_series", "gaussian_chaos")
+
+
+def _labelled(label: str, refused: tuple, build, *args):
+    """build(*args), with a missing key, a value of the wrong type or one of
+    the ``refused`` package errors turned into a ConfigError that names the
+    descriptor's path, such as ``model.product`` or ``fields[2]``."""
+    try:
+        return build(*args)
+    except KeyError as exc:
+        raise ConfigError(f"{label}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, AttributeError, *refused) as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
+def build_model(desc, label: str = "model") -> tuple[object, str]:
     if not isinstance(desc, dict):
-        raise ConfigError("model: descriptor must be a JSON object")
-    if "fixture" in desc:
-        name = desc["fixture"]
-        return fixtures.get_model(name), name
-    if "graph" in desc or "generator" in desc:
+        raise ConfigError(f"{label}: descriptor must be a JSON object")
+    key = next((k for k in MODEL_KEYS if k in desc), None)
+    if key is None:
+        raise ConfigError(f"{label}: unrecognized descriptor with keys {sorted(desc)}")
+    return _labelled(f"{label}.{key}", (), _model, desc, key, label)
+
+
+def _model(desc: dict, key: str, label: str) -> tuple[object, str]:
+    if key == "fixture":
+        return fixtures.get_model(desc["fixture"]), desc["fixture"]
+    if key in ("graph", "generator"):
         chain = chain_from_json(desc, name=desc.get("name", "chain"))
-        return chain, chain.name
-    if "two_state" in desc:
-        rate = float(desc["two_state"].get("rate", 1.0))
-        chain = two_state_chain(rate)
-        return chain, chain.name
-    if "complete_refresh" in desc:
+    elif key == "two_state":
+        chain = two_state_chain(float(desc["two_state"].get("rate", 1.0)))
+    elif key == "complete_refresh":
         chain = complete_refresh_chain(desc["complete_refresh"]["stationary"])
-        return chain, chain.name
-    if "product" in desc:
-        base, _ = build_model(desc["product"]["base"])
+    elif key == "product":
+        base, _ = build_model(desc["product"]["base"], f"{label}.product.base")
         if not isinstance(base, FiniteChain):
-            raise ConfigError("model.product.base: must describe a finite chain")
-        chain = product_chain(base, int(desc["product"]["n"]))
-        return chain, chain.name
-    if "gaussian_series" in desc:
+            raise ConfigError(f"{label}.product.base: must describe a finite chain")
+        chain = product_chain(base, _integer(desc["product"]["n"], f"{label}.product.n"))
+    elif key == "gaussian_series":
         series = GaussianSeries(np.asarray(desc["gaussian_series"]["coefficients"], dtype=float))
         return series, desc.get("name", "gaussian-series")
-    if "gaussian_chaos" in desc:
+    else:
         chaos = GaussianChaos(np.asarray(desc["gaussian_chaos"]["coefficients"], dtype=float))
         return chaos, desc.get("name", "gaussian-chaos")
-    raise ConfigError(f"model: unrecognized descriptor with keys {sorted(desc)}")
+    return chain, chain.name
 
 
 def _table_field(values) -> FiniteField:
@@ -124,40 +141,41 @@ def _table_field(values) -> FiniteField:
         return FiniteField.from_scalars(arr)
     if arr.ndim == 3:
         return FiniteField(arr)
-    raise ConfigError(f"fields: table values must be 1-d (scalars) or 3-d, got {arr.ndim}-d")
+    raise ConfigError(f"table values must be 1-d (scalars) or 3-d, got {arr.ndim}-d")
 
 
 def build_fields(descs, chain: FiniteChain, master_seed: int) -> list[tuple[str, FiniteField]]:
+    if not isinstance(descs, list):
+        raise ConfigError(f"fields: expected a list of field descriptors, got {descs!r}")
     out = []
     for idx, desc in enumerate(descs):
-        kind = desc.get("type")
-        if kind == "table":
-            try:
-                f = _table_field(desc["values"])
-            except DomainError as exc:
-                raise ConfigError(f"fields[{idx}]: {exc}") from exc
-            if f.n_states != chain.n_states:
-                raise ConfigError(
-                    f"fields[{idx}]: table has {f.n_states} states, chain has {chain.n_states}")
-            out.append((desc.get("name", f"table-{idx}"), f))
-        elif kind == "constant":
-            value = desc.get("matrix", [[float(desc.get("value", 0.0))]])
-            m = np.atleast_2d(np.asarray(value, dtype=float))
-            vals = np.broadcast_to(m, (chain.n_states,) + m.shape).copy()
-            out.append((desc.get("name", f"constant-{idx}"), FiniteField(vals)))
-        elif kind == "random":
-            dim = int(desc.get("dim", 2))
-            count = int(desc.get("count", 1))
-            sub = int(desc.get("seed", 0))
-            for i in range(count):
-                rng = normal_stream(master_seed ^ sub, i)
-                raw = rng.standard_normal((chain.n_states, dim, dim))
-                out.append((f"random-{idx}-{i}", FiniteField(0.5 * (raw + raw.transpose(0, 2, 1)))))
-        elif kind == "fixture":
-            out.append((desc["name"], fixtures.get_field(desc["name"], chain)))
-        else:
-            raise ConfigError(f"fields[{idx}]: unknown field type {kind!r}")
+        out += _labelled(f"fields[{idx}]", (LabError,), _fields, desc, idx, chain, master_seed)
     return out
+
+
+def _fields(desc: dict, idx: int, chain: FiniteChain, master_seed: int) -> list:
+    kind, n = desc.get("type"), chain.n_states
+    if kind == "table":
+        f = _table_field(desc["values"])
+        if f.n_states != n:
+            raise ConfigError(f"table has {f.n_states} states, chain has {n}")
+        return [(desc.get("name", f"table-{idx}"), f)]
+    if kind == "constant":
+        m = np.atleast_2d(np.asarray(desc.get("matrix", [[float(desc.get("value", 0.0))]]),
+                                     dtype=float))
+        return [(desc.get("name", f"constant-{idx}"),
+                 FiniteField(np.broadcast_to(m, (n,) + m.shape).copy()))]
+    if kind == "random":
+        dim = _integer(desc.get("dim", 2), "dim", low=1)
+        sub = _integer(desc.get("seed", 0), "seed")
+        out = []
+        for i in range(_integer(desc.get("count", 1), "count", low=0)):
+            raw = normal_stream(master_seed ^ sub, i).standard_normal((n, dim, dim))
+            out.append((f"random-{idx}-{i}", FiniteField(0.5 * (raw + raw.transpose(0, 2, 1)))))
+        return out
+    if kind == "fixture":
+        return [(desc["name"], fixtures.get_field(desc["name"], chain))]
+    raise ConfigError(f"unknown field type {kind!r}")
 
 
 def _build_phi(desc: dict) -> ScalarFnSpec:
@@ -168,7 +186,7 @@ def _build_phi(desc: dict) -> ScalarFnSpec:
         return ScalarFnSpec.signed_pow(float(desc.get("exponent", 2.0)))
     if kind == "affine":
         return ScalarFnSpec.affine(float(desc.get("a", 1.0)), float(desc.get("b", 0.0)))
-    raise ConfigError(f"params.phis: unsupported scalar function kind {kind!r} "
+    raise ConfigError(f"unsupported scalar function kind {kind!r} "
                       "(chain-rule admits sinh, signed_pow, affine)")
 
 
@@ -189,8 +207,8 @@ def _chain_rows(chain, name, fields, suites, params, sample_spec, seed):
                 r = check_trace_poincare(chain, f, cert)
                 r.context["field"] = fname
                 add(suite, r)
-            probe_cfg = params.get("probe", {"trials": 50, "dims": [1, 2, 3]})
-            probe = equivalence_probe(chain, int(probe_cfg.get("trials", 50)),
+            probe_cfg = params.get("probe", {})
+            probe = equivalence_probe(chain, probe_cfg.get("trials", 50),
                                       probe_cfg.get("dims", [1, 2, 3]), seed, cert)
             add(suite, probe.to_check(chain.name))
         elif suite == "subadditivity":
@@ -203,7 +221,11 @@ def _chain_rows(chain, name, fields, suites, params, sample_spec, seed):
                 r.context["field"] = fname
                 add(suite, r)
         elif suite == "chain-rule":
-            phis = [_build_phi(p) for p in params.get("phis", [{"kind": "sinh"}])]
+            descs = params.get("phis", [{"kind": "sinh"}])
+            if not isinstance(descs, list):
+                raise ConfigError(f"params.phis: expected a list, got {descs!r}")
+            phis = [_labelled(f"params.phis[{i}]", (LabError,), _build_phi, desc)
+                    for i, desc in enumerate(descs)]
             for fname, f in fields:
                 for phi in phis:
                     r = bounds.check_chain_rule(chain, f, phi)
@@ -237,8 +259,7 @@ def _chain_rows(chain, name, fields, suites, params, sample_spec, seed):
         elif suite == "intdim":
             q_list = params.get("intdim_q", [1, 2, 3])
             for fname, f in fields:
-                for q in q_list:
-                    r = bounds.check_intdim_variant(chain, f, cert, q)
+                for r in bounds.check_intdim_variant(chain, f, cert, q_list):
                     r.context["field"] = fname
                     add(suite, r)
         else:
@@ -339,15 +360,16 @@ def validate_config(cfg: dict):
         raise ConfigError("seed: must be an unsigned 64-bit integer")
 
 
-def _sample_count(samples: dict, key: str, default: int) -> int:
-    """An integer JSON number; an integral float such as 2e5 counts, a
-    fractional one is refused rather than truncated."""
-    value = samples.get(key, default)
+def _integer(value, label: str, low: int | None = None) -> int:
+    """An integer JSON number, at least ``low`` when given; an integral float
+    such as 2e5 counts, a fractional one is refused rather than truncated."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"samples.{key}: expected an integer, got {value!r}")
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool) or (low is not None
+                                                                 and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{label}: expected an integer{bound}, got {value!r}")
+    return value
 
 
 def _sample_flag(samples: dict, key: str) -> bool:
@@ -362,13 +384,15 @@ PARAM_LISTS = {
     "q_list": (lambda v: math.isfinite(v) and v >= 1, "finite numbers >= 1"),
     "intdim_q": (lambda v: v.is_integer() and v >= 1, "integers >= 1"),
     "lambda_grid": (lambda v: math.isfinite(v) and v > 0, "finite numbers > 0"),
+    "theta_grid": (lambda v: math.isfinite(v) and v >= 0, "finite numbers >= 0"),
 }
 
 
 def _checked_params(params) -> dict:
-    """params with every list of PARAM_LISTS checked: a NaN or out-of-range
-    order or level is refused rather than reaching a verdict, and intdim_q
-    becomes integers (an integral float such as 2.0 counts)."""
+    """params with every list of PARAM_LISTS and the probe settings checked:
+    a NaN or out-of-range order, level, scale or trial count is refused
+    rather than reaching a verdict, and intdim_q and the probe's trials and
+    dims become integers (an integral float such as 2.0 counts)."""
     if not isinstance(params, dict):
         raise ConfigError("params: must be a JSON object")
     out = dict(params)
@@ -386,6 +410,18 @@ def _checked_params(params) -> dict:
             raise ConfigError(f"params.{key}: expected a list of {what}, got {values!r}")
         if key == "intdim_q":
             out[key] = [int(x) for x in values]
+    if "probe" in out:
+        probe = out["probe"]
+        if not isinstance(probe, dict):
+            raise ConfigError(f"params.probe: must be a JSON object with trials/dims, "
+                              f"got {probe!r}")
+        dims = probe.get("dims", [1, 2, 3])
+        if not isinstance(dims, list) or not dims:
+            raise ConfigError(f"params.probe.dims: expected a non-empty list of "
+                              f"integers >= 1, got {dims!r}")
+        out["probe"] = dict(
+            probe, trials=_integer(probe.get("trials", 50), "params.probe.trials", low=0),
+            dims=[_integer(d, "params.probe.dims", low=1) for d in dims])
     return out
 
 
@@ -395,9 +431,9 @@ def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     seed = int(cfg.get("seed", 0))
     samples = cfg.get("samples", {})
     sample_spec = SampleSpec(
-        n=_sample_count(samples, "n", 20000),
+        n=_integer(samples.get("n", 20000), "samples.n"),
         seed=seed,
-        workers=_sample_count(samples, "workers", 1),
+        workers=_integer(samples.get("workers", 1), "samples.workers"),
         antithetic=_sample_flag(samples, "antithetic"),
     )
     params = _checked_params(cfg.get("params", {}))

@@ -70,42 +70,20 @@ def carre_table(chain: FiniteChain, f: FiniteField) -> np.ndarray:
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
-def _carre_product_at(mu: np.ndarray, values: np.ndarray, m: int, n: int, s: int) -> np.ndarray:
-    acc = np.zeros(values.shape[1:])
-    fz = values[s]
-    for i in range(n):
-        p = m ** (n - 1 - i)
-        digit = (s // p) % m
-        base = s - digit * p
-        repl = values[base + np.arange(m) * p]
-        diff = repl - fz
-        acc += 0.5 * np.einsum("w,wij->ij", mu, diff @ diff)
-    return 0.5 * (acc + acc.T)
-
-
-def carre_product_formula(base_mu, f: FiniteField, z: int | None = None):
-    """Sum of squared discrete derivatives on a product space Omega^n:
-
-        Gamma(f)(z) = (1/2) sum_i E_{Z~mu} [(f(z) - f(z with coord i := Z))^2]
-
-    where f is tabulated over product states in row-major coordinate order.
-    Equals ``carre_table`` on the matching complete-refresh product chain.
-    Returns the full (m^n, d, d) table when z is None.
+def column_energies(chain: FiniteChain, cols) -> tuple[np.ndarray, np.ndarray]:
+    """mu-variance and Dirichlet form of every column of an (n_states, k)
+    block of scalar fields, as two (k,) arrays: the scalar form
+    Gamma(c) = (1/2) [L(c^2) - 2 c (Lc) + r c^2] of ``carre_table``'s
+    identity, with the same centring c = f - E_mu f and r = L 1.  Traces are
+    sums over entries, tr Gamma(f) = sum_ij Gamma(f_ij), so the d^2 entry
+    columns of a matrix field give its trace energies without a Gamma table.
     """
-    mu = np.asarray(base_mu, dtype=float)
-    m = mu.shape[0]
-    total = f.n_states
-    n = max(1, round(np.log(total) / np.log(m))) if m > 1 else 1
-    if m ** n != total:
-        raise DimensionError(
-            f"field has {total} states, not a power of the base size {m}"
-        )
-    if z is not None:
-        return _carre_product_at(mu, f.values, m, n, z)
-    out = np.empty_like(f.values)
-    for s in range(total):
-        out[s] = _carre_product_at(mu, f.values, m, n, s)
-    return out
+    cols = np.asarray(cols, dtype=float)
+    mu, gen = chain.stationary, chain.generator
+    c = cols - mu @ cols
+    sq = c * c
+    gam = 0.5 * (gen @ sq - 2.0 * c * (gen @ c) + gen.sum(axis=1)[:, None] * sq)
+    return mu @ sq, mu @ gam
 
 
 def carre_smooth(f: SmoothField, x) -> np.ndarray:
@@ -260,9 +238,6 @@ class SymmetrizedPair:
         m = self.base.n_states
         d = self.g.dim
         return self.g.values.reshape(m, m, d, d)
-
-    def gamma_at(self, z: int, zp: int) -> np.ndarray:
-        return self.gamma[z * self.base.n_states + zp]
 
 
 def bivariate_symmetrized(chain: FiniteChain, f: FiniteField) -> SymmetrizedPair:

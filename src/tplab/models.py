@@ -194,6 +194,8 @@ class FiniteField:
             raise DimensionError(
                 f"finite field values must have shape (n_states, d, d), got {vals.shape}"
             )
+        if vals.shape[1] < 1:
+            raise DimensionError("finite field values must be at least 1x1 matrices")
         if not np.all(np.isfinite(vals)):
             raise DomainError("finite field values must be finite (no NaN or inf)")
         vals = 0.5 * (vals + vals.transpose(0, 2, 1))
@@ -252,6 +254,8 @@ class GaussianSeries:
             raise DimensionError(f"coefficients must have shape (n, d, d), got {coef.shape}")
         if coef.shape[0] < 1:
             raise ModelError("a Gaussian series needs at least one coefficient")
+        if not np.all(np.isfinite(coef)):
+            raise DomainError("Gaussian series coefficients must be finite (no NaN or inf)")
         coef = 0.5 * (coef + coef.transpose(0, 2, 1))
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
@@ -282,6 +286,8 @@ class GaussianChaos:
         coef = np.array(self.coefficients, dtype=float)
         if coef.ndim != 4 or coef.shape[0] != coef.shape[1] or coef.shape[2] != coef.shape[3]:
             raise DimensionError(f"coefficients must have shape (n, n, d, d), got {coef.shape}")
+        if not np.all(np.isfinite(coef)):
+            raise DomainError("Gaussian chaos coefficients must be finite (no NaN or inf)")
         coef = 0.5 * (coef + coef.transpose(1, 0, 2, 3))
         coef = 0.5 * (coef + coef.transpose(0, 1, 3, 2))
         coef.setflags(write=False)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -30,8 +29,6 @@ from .errors import ConfigError, DomainError
 
 BLOCK = 4096
 _MASK64 = (1 << 64) - 1
-
-KURTOSIS_WARN = 20.0
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,6 @@ class Estimate:
     ci_high: float
     level: float
     n: int
-    meta: dict | None = None
 
 
 def normal_stream(seed: int, stream: int) -> np.random.Generator:
@@ -149,30 +145,21 @@ def _clt_interval(mean: float, var: float, n: int, level: float) -> tuple[float,
     return (mean - half, mean + half)
 
 
-def _estimate(parts, level: float, want_kurtosis: bool) -> Estimate:
-    """Estimate from per-block (count, sum, sum of squares[, cubes, fourth
-    powers]) tuples, reduced in block order with math.fsum."""
+def _estimate(parts, level: float) -> Estimate:
+    """Estimate from per-block (count, sum, sum of squares) tuples, reduced
+    in block order with math.fsum."""
     n_eff = sum(p[0] for p in parts)
     s1 = math.fsum(p[1] for p in parts)
     s2 = math.fsum(p[2] for p in parts)
     mean = s1 / n_eff
     var = max(s2 / n_eff - mean * mean, 0.0) if np.isfinite(s2) else math.inf
     lo, hi = _clt_interval(mean, var, n_eff, level)
-    meta = None
-    if want_kurtosis and np.isfinite(s2) and var > 0.0:
-        s3 = math.fsum(p[3] for p in parts)
-        s4 = math.fsum(p[4] for p in parts)
-        m = mean
-        m2 = s2 / n_eff - m * m
-        m4 = (s4 - 4 * m * s3 + 6 * m * m * s2) / n_eff - 3 * m ** 4
-        kurt = m4 / (m2 * m2)
-        meta = {"kurtosis": float(kurt), "heavy_tail_warning": bool(kurt > KURTOSIS_WARN)}
     return Estimate(value=mean, ci_low=min(lo, mean), ci_high=max(hi, mean),
-                    level=level, n=n_eff, meta=meta)
+                    level=level, n=n_eff)
 
 
-def estimate_statistic(spec: SampleSpec, field, per_sample, level: float = 0.99,
-                       want_kurtosis: bool = False) -> list[Estimate]:
+def estimate_statistic(spec: SampleSpec, field, per_sample,
+                       level: float = 0.99) -> list[Estimate]:
     """One Monte Carlo pass: the means of several per-sample statistics of
     f(X), each with a CLT interval.
 
@@ -197,13 +184,10 @@ def estimate_statistic(spec: SampleSpec, field, per_sample, level: float = 0.99,
             xs = rng.standard_normal((count, field.ambient_dim))
             vals = per_sample(field.eval_batch(xs))
         with np.errstate(over="ignore", invalid="ignore"):
-            if want_kurtosis:
-                return [(len(v), v.sum(), np.sum(v ** 2), np.sum(v ** 3), np.sum(v ** 4))
-                        for v in vals]
             return [(len(v), v.sum(), np.sum(v ** 2)) for v in vals]
 
     parts = _map_blocks(spec, job)
-    return [_estimate([p[k] for p in parts], level, want_kurtosis)
+    return [_estimate([p[k] for p in parts], level)
             for k in range(len(parts[0]))]
 
 
@@ -288,38 +272,3 @@ def estimate_tail(field, center, thresholds, spec: SampleSpec,
                                  level=level, n=spec.n))
         out.append(tail + ests[:len(orders)])
     return out if centers is not None else out[0]
-
-
-def _log_trace_cosh(eigs: np.ndarray) -> np.ndarray:
-    """log tr cosh over rows of eigenvalues, without intermediate overflow:
-    log cosh(t) = |t| + log1p(exp(-2|t|)) - log 2, combined by log-sum-exp."""
-    a = np.abs(eigs)
-    logc = a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
-    m = logc.max(axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(logc - m), axis=1, keepdims=True)))[:, 0]
-
-
-def estimate_cosh_trace(field, center, theta: float, spec: SampleSpec,
-                        level: float = 0.99) -> Estimate:
-    """Estimate E tr cosh(theta * (f(X) - center)) with a CLT interval.
-
-    Evaluated in log-sum-exp form, so large theta*|f| degrades to inf
-    instead of raising; a heavy-tail warning is attached when the empirical
-    kurtosis indicates an unreliable interval.
-    """
-    center = np.asarray(center, dtype=float)
-
-    def per_sample(mats):
-        w = theta * np.linalg.eigvalsh(mats - center)
-        if np.max(np.abs(w), initial=0.0) < 700.0:
-            return np.cosh(w).sum(axis=1)
-        with np.errstate(over="ignore"):
-            return np.exp(_log_trace_cosh(w))
-
-    (est,) = estimate_statistic(spec, field, lambda mats: [per_sample(mats)], level,
-                                want_kurtosis=True)
-    if est.meta is not None and est.meta["heavy_tail_warning"]:
-        warnings.warn(
-            f"empirical kurtosis {est.meta['kurtosis']:.1f} suggests the CLT interval "
-            "may be unreliable for this integrand", RuntimeWarning, stacklevel=2)
-    return est

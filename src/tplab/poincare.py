@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import dirichlet_form, matrix_variance
+from .energy import column_energies, dirichlet_form, matrix_variance
 from .errors import ModelError
 from .models import FiniteChain, FiniteField
 from .montecarlo import normal_stream
@@ -71,19 +71,12 @@ def ou_certificate() -> PoincareCertificate:
                                chain_id="gaussian-ou")
 
 
-def _scalar_energy(chain: FiniteChain, values: np.ndarray) -> tuple[float, float]:
-    f = FiniteField.from_scalars(values)
-    var = matrix_variance(chain, f)[0, 0]
-    dirich = dirichlet_form(chain, f)[0, 0]
-    return float(var), float(dirich)
-
-
 def check_scalar_poincare(chain: FiniteChain, f, cert: PoincareCertificate,
                           slack_scale: float = DEFAULT_SLACK) -> CheckReport:
     """Var_mu[f] <= alpha * dirichlet(f) for a real-valued f per state."""
-    values = np.asarray(f, dtype=float).reshape(-1)
-    var, dirich = _scalar_energy(chain, values)
-    rhs = cert.alpha * dirich
+    field = FiniteField.from_scalars(np.asarray(f, dtype=float).reshape(-1))
+    var = float(matrix_variance(chain, field)[0, 0])
+    rhs = cert.alpha * float(dirichlet_form(chain, field)[0, 0])
     return CheckReport.from_comparison(
         "scalar-poincare", var, rhs, slack_for(rhs, slack_scale),
         {"alpha": cert.alpha, "chain": chain.name, "method": cert.method})
@@ -129,6 +122,14 @@ class ProbeReport:
              "chain": chain_name, "maximizer": slim})
 
 
+def _probe_field(seed: int, t: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trial t's symmetrized standard normal field (n, d, d) and its random
+    sign vector u, from the trial's own stream."""
+    rng = normal_stream(seed, t)
+    raw = rng.standard_normal((n, d, d))
+    return 0.5 * (raw + raw.transpose(0, 2, 1)), rng.choice([-1.0, 1.0], size=d)
+
+
 def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
                       cert: PoincareCertificate | None = None) -> ProbeReport:
     """Search for the worst variance/energy ratio; it never exceeds alpha.
@@ -137,45 +138,38 @@ def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
     each trial also probes the scalar compressions z -> <u, f(z) e_i> with a
     random sign vector u, mirroring the reduction used to pass from scalar
     to trace inequalities.  Per-trial RNG streams are split deterministically
-    from the seed, so trials are order-independent.  ``cert`` is the
-    chain's certificate when the caller already has it; by default it is
-    computed here.
+    from the seed, so trials are order-independent.  A trace ratio is a
+    ratio of sums over the field's entries, so one ``column_energies`` call
+    per trial covers the d^2 entries and the d compressions; only the best
+    ratio is kept, and the winning trial is redrawn from its stream to
+    report its field.  ``cert`` is the chain's certificate when the caller
+    already has it; by default it is computed here.
     """
     if cert is None:
         cert = poincare_constant(chain)
     dims = tuple(int(d) for d in dims)
     n = chain.n_states
-    sup = None
-    argmax = None
-
-    def consider(ratio: float, info: dict):
-        nonlocal sup, argmax
-        if ratio is not None and (sup is None or ratio > sup):
-            sup = ratio
-            argmax = info
-
+    best = None  # (ratio, trial, compression axis or None)
     for t in range(trials):
-        rng = normal_stream(seed, t)
         d = dims[t % len(dims)]
-        raw = rng.standard_normal((n, d, d))
-        f = FiniteField(0.5 * (raw + raw.transpose(0, 2, 1)))
-        tr_var = float(np.trace(matrix_variance(chain, f)))
-        tr_dir = float(np.trace(dirichlet_form(chain, f)))
-        if tr_dir > 1e-14:
-            consider(tr_var / tr_dir, {"trial": t, "kind": "matrix", "d": d,
-                                       "field": f.values.tolist()})
-        u = rng.choice([-1.0, 1.0], size=d)
-        for i in range(d):
-            g = f.values[:, :, i] @ u  # <u, f(z) e_i>
-            var, dirich = _scalar_energy(chain, g)
-            if dirich > 1e-14:
-                consider(var / dirich,
-                         {"trial": t, "kind": "compression", "d": d, "axis": i,
-                          "field": g.tolist()})
+        vals, u = _probe_field(seed, t, n, d)
+        var, dirich = column_energies(chain, np.hstack([vals.reshape(n, -1), u @ vals]))
+        k = d * d
+        candidates = [(var[:k].sum(), dirich[:k].sum(), None)]
+        candidates += [(var[k + i], dirich[k + i], i) for i in range(d)]
+        for v, e, axis in candidates:
+            if e > 1e-14 and (best is None or v / e > best[0]):
+                best = (float(v / e), t, axis)
 
-    if trials == 0 or sup is None:
-        passed = None
-    else:
-        passed = bool(sup <= cert.alpha * (1.0 + _PROBE_SLACK))
-    return ProbeReport(sup_ratio=sup, alpha=cert.alpha, trials=trials,
-                       dims=dims, seed=seed, passed=passed, maximizer=argmax)
+    if best is None:
+        return ProbeReport(sup_ratio=None, alpha=cert.alpha, trials=trials, dims=dims,
+                           seed=seed, passed=None, maximizer=None)
+    sup, t, axis = best
+    d = dims[t % len(dims)]
+    vals, u = _probe_field(seed, t, n, d)
+    argmax = {"trial": t, "kind": "matrix", "d": d, "field": vals.tolist()}
+    if axis is not None:  # <u, f(z) e_axis>
+        argmax.update(kind="compression", axis=axis, field=(vals[:, :, axis] @ u).tolist())
+    return ProbeReport(sup_ratio=sup, alpha=cert.alpha, trials=trials, dims=dims,
+                       seed=seed, passed=bool(sup <= cert.alpha * (1.0 + _PROBE_SLACK)),
+                       maximizer=argmax)

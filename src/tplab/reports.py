@@ -134,19 +134,6 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def reports_to_csv(reports: list[CheckReport]) -> str:
-    """CSV for a bare CheckReport list: citation, lhs, rhs, margin, verdict,
-    tolerance, context (the CLI adds suite and fixture columns)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["citation", "lhs", "rhs", "margin", "verdict",
-                     "tolerance", "context"])
-    for r in reports:
-        writer.writerow([r.citation, _fmt(r.lhs), _fmt(r.rhs), _fmt(r.margin),
-                         r.verdict, _fmt(r.tolerance), _context_json(r.context)])
-    return buf.getvalue()
-
-
 def rows_to_json(rows: list[dict], energy_reports: list[dict] | None = None) -> str:
     doc = {"schema": "tplab-report-v1", "rows": rows}
     if energy_reports is not None:

@@ -31,42 +31,55 @@ def symmetrize(raw) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of one
+    matrix, or of each matrix of a stack (..., d, d)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        q, w = self.eigenvectors, self.eigenvalues
-        return (q * w) @ q.T
+    def map(self, fn: Callable) -> np.ndarray:
+        """Q diag(fn(w)) Q^T for each matrix; fn acts elementwise."""
+        q = self.eigenvectors
+        return (q * fn(self.eigenvalues)[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def eigh(a) -> SpectralDecomposition:
-    """Spectral decomposition of a symmetric matrix.
+    """Spectral decomposition of a symmetric matrix or of each matrix of a
+    stack (..., d, d), each symmetrized first.
 
-    Verifies the reconstruction and orthogonality contracts
+    Verifies the reconstruction and orthogonality contracts on every matrix
     (residuals below RTOL * (1 + |A|)) and raises NumericError with a
-    condition report if the solver fails or the contracts are violated.
+    condition report if the solver fails or a contract is violated.
     """
-    a = symmetrize(a)
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    a = 0.5 * (a + np.swapaxes(a, -1, -2))
     try:
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             "symmetric eigensolver failed to converge: "
-            f"dim={a.shape[0]}, fro_norm={np.linalg.norm(a):.3e}, "
+            f"shape={a.shape}, fro_norm={np.linalg.norm(a):.3e}, "
             f"max_entry={np.max(np.abs(a)):.3e}"
         ) from exc
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    recon_err = np.linalg.norm((q * w) @ q.T - a, 2)
-    orth_err = np.linalg.norm(q.T @ q - np.eye(a.shape[0]), 2)
-    if recon_err > RTOL * (1.0 + scale) or orth_err > RTOL:
+    dec = SpectralDecomposition(eigenvalues=w, eigenvectors=q)
+    if a.size == 0:
+        return dec
+    recon_err = np.linalg.norm(dec.map(lambda x: x) - a, 2, axis=(-2, -1)).reshape(-1)
+    orth_err = np.linalg.norm(np.swapaxes(q, -1, -2) @ q - np.eye(a.shape[-1]), 2,
+                              axis=(-2, -1)).reshape(-1)
+    w = w.reshape(len(recon_err), -1)
+    scale = np.max(np.abs(w), axis=1)
+    bad = (recon_err > RTOL * (1.0 + scale)) | (orth_err > RTOL)
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise NumericError(
-            f"eigendecomposition accuracy contract violated: "
-            f"reconstruction={recon_err:.3e}, orthogonality={orth_err:.3e}, "
-            f"spectral_range=({w[0]:.3e}, {w[-1]:.3e})"
+            f"eigendecomposition accuracy contract violated (matrix {k} of {len(bad)}): "
+            f"reconstruction={recon_err[k]:.3e}, orthogonality={orth_err[k]:.3e}, "
+            f"spectral_range=({w[k, 0]:.3e}, {w[k, -1]:.3e})"
         )
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=q)
+    return dec
 
 
 @dataclass(frozen=True)
@@ -187,9 +200,7 @@ class ScalarFnSpec:
 
 def apply_spectral_fn(a, fn: ScalarFnSpec) -> np.ndarray:
     """phi(A) through the eigendecomposition; commutes with A."""
-    dec = eigh(a)
-    q = dec.eigenvectors
-    return symmetrize((q * fn(dec.eigenvalues)) @ q.T)
+    return symmetrize(eigh(a).map(fn))
 
 
 def op_norm(a) -> float:
@@ -210,25 +221,6 @@ def max_op_norm(stack) -> float:
     return float(np.max(np.abs(w)))
 
 
-def trace_fn(a, fn: ScalarFnSpec, normalized: bool = False) -> float:
-    """tr phi(A); the scalar function binds before the trace."""
-    a = symmetrize(a)
-    w = np.linalg.eigvalsh(a)
-    t = float(np.sum(fn(w)))
-    return t / a.shape[0] if normalized else t
-
-
-def psd_order_leq(a, b, tol: float = RTOL) -> bool:
-    """True iff A <= B in the semidefinite order, up to tol*(1+|B-A|)."""
-    a = symmetrize(a)
-    b = symmetrize(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    w = np.linalg.eigvalsh(b - a)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    return bool(w[0] >= -tol * (1.0 + scale))
-
-
 def intdim(a, tol: float = RTOL) -> float:
     """Intrinsic dimension tr(A)/|A| of a PSD matrix; 0 for the zero matrix.
 
@@ -243,27 +235,3 @@ def intdim(a, tol: float = RTOL) -> float:
     if w[0] < -tol * (1.0 + norm):
         raise DomainError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     return float(np.sum(w)) / norm
-
-
-def dilate(h) -> np.ndarray:
-    """Self-adjoint dilation [[0, H], [H^T, 0]] of a rectangular matrix.
-
-    Its operator norm equals the largest singular value of H, and its
-    spectrum is symmetric about zero.
-    """
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    d1, d2 = h.shape
-    out = np.zeros((d1 + d2, d1 + d2))
-    out[:d1, d1:] = h
-    out[d1:, :d1] = h.T
-    return out
-
-
-def rank_with_threshold(a, rel_threshold: float = 1e-10) -> int:
-    """Eigenvalue-count rank with threshold rel_threshold * |A|."""
-    a = symmetrize(a)
-    w = np.abs(np.linalg.eigvalsh(a))
-    norm = float(np.max(w))
-    if norm == 0.0:
-        return 0
-    return int(np.sum(w > rel_threshold * norm))

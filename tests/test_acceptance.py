@@ -37,7 +37,6 @@ from tplab import (
 )
 from tplab.cli import default_config, run_experiment
 from tplab.reports import rows_to_csv
-from tplab.spectral import rank_with_threshold
 
 from conftest import k_complete, random_field, random_symmetric
 
@@ -189,8 +188,7 @@ def test_criterion_09_intdim_variant(two_state, k4):
             for _ in range(50):
                 d = int(rng.integers(1, 4))
                 f = random_field(rng, chain.n_states, d)
-                for q in (1, 2, 3):
-                    assert check_intdim_variant(chain, f, cert, q).passed
+                assert all(r.passed for r in check_intdim_variant(chain, f, cert, [1, 2, 3]))
         for _ in range(1000):
             d = int(rng.integers(1, 9))
             r = int(rng.integers(1, d + 1))
@@ -199,7 +197,8 @@ def test_criterion_09_intdim_variant(two_state, k4):
             if op_norm(a) == 0.0:
                 continue
             val = intdim(a)
-            assert 1.0 - 1e-12 <= val <= rank_with_threshold(a, 1e-10) + 1e-12
+            rank = np.linalg.matrix_rank(a, rtol=1e-10, hermitian=True)
+            assert 1.0 - 1e-12 <= val <= rank + 1e-12
 
 
 def test_criterion_10_gaussian_chaos_corollary():

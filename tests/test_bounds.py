@@ -26,8 +26,8 @@ from tplab import (
     check_tail_empirical,
     constant_field,
     default_theta_grid,
+    dirichlet_form,
     exp_moment_rhs,
-    expectation_bound,
     ou_certificate,
     poincare_constant,
     poly_moment_rhs,
@@ -35,11 +35,11 @@ from tplab import (
 )
 from tplab import montecarlo
 from tplab.bounds import GAMMA_STREAM, chaos_gamma_moments
-from tplab.energy import chaos_gamma_batch
+from tplab.energy import carre_table, chaos_gamma_batch
 from tplab.models import SmoothField
 from tplab.reports import CheckReport
 
-from conftest import random_field, random_symmetric
+from conftest import random_field, random_reversible_chain, random_symmetric
 
 
 def indicator(two_state):
@@ -109,6 +109,24 @@ class TestBivariatePoincare:
             r = check_bivariate_poincare(two_state, raw + raw.transpose(0, 1, 3, 2), cert)
             assert r.passed
 
+    def test_rhs_matches_per_slice_energies(self, two_state, k4):
+        # oracle: the Dirichlet form of every slice, one carre_table each, on
+        # raw (unsymmetrized) grids
+        rng = np.random.default_rng(211)
+        chains = [two_state, k4] + [random_reversible_chain(rng, n, 10.0 ** e)
+                                    for n, e in ((3, -3), (5, 0), (6, 3))]
+        for chain in chains:
+            cert = poincare_constant(chain)
+            mu, m = chain.stationary, chain.n_states
+            for d in (1, 2, 3):
+                grid = rng.standard_normal((m, m, d, d))
+                acc = sum(mu[z] * (dirichlet_form(chain, FiniteField(grid[:, z]))
+                                   + dirichlet_form(chain, FiniteField(grid[z])))
+                          for z in range(m))
+                want = cert.alpha * float(np.trace(acc))
+                r = check_bivariate_poincare(chain, grid, cert)
+                assert abs(r.rhs - want) <= 1e-12 * abs(want)
+
 
 class TestMeanValueTrace:
     def test_equal_arguments(self):
@@ -176,6 +194,29 @@ class TestChainRule:
         with pytest.raises(DomainError):
             check_chain_rule(two_state, indicator(two_state), ScalarFnSpec.cosh())
 
+    def test_matches_per_state_eigh_oracle(self, k4):
+        # oracle: one eigendecomposition per state, as phi(f(z)) and
+        # psi(f(z)) were built before the decomposition was batched
+        rng = np.random.default_rng(223)
+        chains = [k4] + [random_reversible_chain(rng, n, 10.0 ** e)
+                         for n, e in ((2, -3), (5, 0), (7, 3))]
+        phis = (ScalarFnSpec.sinh(0.8), ScalarFnSpec.signed_pow(2.5),
+                ScalarFnSpec.affine(2.0, 1.0))
+        for chain in chains:
+            for d in (1, 2, 3):
+                f = random_field(rng, chain.n_states, d)
+                decs = [np.linalg.eigh(m) for m in f.values]
+                gam = carre_table(chain, f)
+                for phi in phis:
+                    phi_f = FiniteField(np.stack([(q * phi(w)) @ q.T for w, q in decs]))
+                    lhs = float(np.trace(dirichlet_form(chain, phi_f)))
+                    psi_f = [(q * phi.sq_deriv(w)) @ q.T for w, q in decs]
+                    rhs = sum(chain.stationary[z] * float(np.trace(gam[z] @ psi_f[z]))
+                              for z in range(chain.n_states))
+                    r = check_chain_rule(chain, f, phi)
+                    assert r.lhs == lhs
+                    assert abs(r.rhs - rhs) <= 1e-13 * abs(rhs)
+
 
 class TestExpMomentRhs:
     def test_theta_to_zero_limit(self):
@@ -239,13 +280,6 @@ class TestTailAndExpectationValues:
         lams = np.linspace(0.5, 8, 16)
         vals = [tail_bound(BoundParams(1.0, 1.0, 2, lam=l)) for l in lams]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_expectation_bound_values(self):
-        assert expectation_bound(BoundParams(1.0, 0.0, 5)) == 0.0
-        assert expectation_bound(BoundParams(1.0, 1.0, 1)) == pytest.approx(
-            math.log(6.0 * math.e), abs=1e-12)
-        base = expectation_bound(BoundParams(1.0, 1.0, 3))
-        assert expectation_bound(BoundParams(4.0, 1.0, 3)) == pytest.approx(2 * base)
 
 
 class TestTailEmpirical:
@@ -377,7 +411,7 @@ class TestVarianceDomination:
 class TestIntdimVariant:
     def test_constant_field(self, two_state):
         cert = poincare_constant(two_state)
-        r = check_intdim_variant(two_state, constant_field(2, np.eye(2)), cert, 1)
+        (r,) = check_intdim_variant(two_state, constant_field(2, np.eye(2)), cert, [1])
         assert r.passed and r.lhs == 0.0 and r.rhs == 0.0
 
     @pytest.mark.parametrize("q,expected_rhs", [(1, 0.5), (2, 0.5), (3, 0.75)])
@@ -385,7 +419,7 @@ class TestIntdimVariant:
         # g takes values {0, +-1}, so E tr |g|^{2q} = 1/2 for every q; the
         # bound intdim * alpha^q q! v^q enumerates to 1/2, 1/2, 3/4
         cert = poincare_constant(two_state)
-        r = check_intdim_variant(two_state, indicator(two_state), cert, q)
+        (r,) = check_intdim_variant(two_state, indicator(two_state), cert, [q])
         assert r.passed
         assert r.lhs == pytest.approx(0.5, abs=1e-12)
         assert r.rhs == pytest.approx(expected_rhs, abs=1e-12)
@@ -395,19 +429,25 @@ class TestIntdimVariant:
         rng = np.random.default_rng(149)
         for _ in range(30):
             f = random_field(rng, 4, 2)
-            for q in (1, 2, 3):
-                assert check_intdim_variant(k4, f, cert, q).passed
+            assert all(r.passed for r in check_intdim_variant(k4, f, cert, [1, 2, 3]))
 
     def test_comparison_recorded(self, two_state):
         cert = poincare_constant(two_state)
-        r = check_intdim_variant(two_state, indicator(two_state), cert, 2)
+        (r,) = check_intdim_variant(two_state, indicator(two_state), cert, [2])
         assert r.context["tighter"] in ("intdim", "uniform")
         assert r.context["uniform_poly_bound"] > 0
 
     def test_fractional_q_rejected(self, two_state):
         cert = poincare_constant(two_state)
         with pytest.raises(DomainError):
-            check_intdim_variant(two_state, indicator(two_state), cert, 1.5)
+            check_intdim_variant(two_state, indicator(two_state), cert, [1, 1.5])
+
+    def test_order_list_equals_one_order_at_a_time(self, k4):
+        cert = poincare_constant(k4)
+        f = random_field(np.random.default_rng(151), 4, 3)
+        one_by_one = [check_intdim_variant(k4, f, cert, [q])[0] for q in (3, 1, 2)]
+        assert check_intdim_variant(k4, f, cert, [3, 1, 2]) == one_by_one
+        assert check_intdim_variant(k4, f, cert, []) == []
 
 
 class TestNonFiniteOrders:
@@ -424,7 +464,7 @@ class TestNonFiniteOrders:
     def test_intdim_variant(self, two_state, q):
         cert = poincare_constant(two_state)
         with pytest.raises(DomainError):
-            check_intdim_variant(two_state, indicator(two_state), cert, q)
+            check_intdim_variant(two_state, indicator(two_state), cert, [q])
 
 
 class TestChaosBounds:

@@ -298,6 +298,19 @@ class TestParamLists:
         (TWO_STATE, "tail", {"lambda_grid": [1, math.inf]}, "params.lambda_grid"),
         (PAULI, "tail", {"lambda_grid": [0, 1]}, "params.lambda_grid"),
         (PAULI, "tail", {"lambda_grid": [math.nan]}, "params.lambda_grid"),
+        # a NaN scale used to give a SKIPPED row reading "bound unbounded"
+        (TWO_STATE, "exp-moment", {"theta_grid": [math.nan]}, "params.theta_grid"),
+        # ... and a string a bare ValueError, exit 1
+        (TWO_STATE, "exp-moment", {"theta_grid": ["a"]}, "params.theta_grid"),
+        (TWO_STATE, "exp-moment", {"theta_grid": [0.5, -1.0]}, "params.theta_grid"),
+        # an empty dims list used to raise ZeroDivisionError, exit 1
+        (TWO_STATE, "poincare", {"probe": {"trials": 3, "dims": []}}, "params.probe.dims"),
+        # d = 0 used to give a SKIPPED row reading "trials": 0 for 3 trials
+        (TWO_STATE, "poincare", {"probe": {"trials": 3, "dims": [0]}}, "params.probe.dims"),
+        (TWO_STATE, "poincare", {"probe": {"trials": 3, "dims": [1.5]}}, "params.probe.dims"),
+        (TWO_STATE, "poincare", {"probe": {"trials": "a"}}, "params.probe.trials"),
+        (TWO_STATE, "poincare", {"probe": {"trials": -1}}, "params.probe.trials"),
+        (TWO_STATE, "poincare", {"probe": [3, [1]]}, "params.probe"),
     ])
     def test_invalid_list_exits_2(self, tmp_path, capsys, base, suite, params, label):
         cfg = {"seed": 1, **base, "suites": [suite], "params": params}
@@ -306,6 +319,12 @@ class TestParamLists:
         assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"ConfigError: {label}: ")
         assert not (tmp_path / "report.csv").exists()
+
+    def test_integral_float_probe_settings_accepted(self):
+        cfg = {"seed": 1, **TWO_STATE, "suites": ["poincare"]}
+        as_int = run_experiment({**cfg, "params": {"probe": {"trials": 6, "dims": [1, 2]}}})
+        as_float = run_experiment({**cfg, "params": {"probe": {"trials": 6.0, "dims": [1.0, 2]}}})
+        assert as_float == as_int
 
     def test_integral_float_intdim_order_accepted(self):
         cfg = {"seed": 1, **TWO_STATE, "suites": ["intdim"]}
@@ -432,6 +451,49 @@ class TestExitCodes:
         assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ConfigError: fields[0]:") and "finite" in err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("model, suites", [
+        # these used to give PASS rows and exit 0, or PASS and INCONCLUSIVE
+        ({"gaussian_series": {"coefficients": [[[math.inf]]]}}, ["poly-moment"]),
+        ({"gaussian_series": {"coefficients": [[[1.0]], [[math.nan]]]}},
+         ["tail", "poly-moment"]),
+        ({"gaussian_chaos": {"coefficients": [[[[math.inf]]]]}}, ["chaos"]),
+    ])
+    def test_non_finite_gaussian_coefficients_exit_2(self, tmp_path, capsys, model, suites):
+        cfg = {"seed": 1, "samples": {"n": 10000}, "model": model, "suites": suites}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("DomainError: Gaussian ") and "finite" in err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("change, label", [
+        # bare KeyErrors, exit 1
+        ({"fields": [{"type": "fixture"}]}, "fields[0]: missing key 'name'"),
+        ({"fields": [{"type": "table"}]}, "fields[0]: missing key 'values'"),
+        ({"model": {"product": {"base": {"fixture": "two-state"}}}},
+         "model.product: missing key 'n'"),
+        # AttributeErrors, exit 1
+        ({"fields": {"type": "fixture", "name": "indicator-1"}}, "fields: "),
+        ({"fields": [3]}, "fields[0]: "),
+        # ValueErrors, exit 1
+        ({"model": {"two_state": {"rate": "x"}}}, "model.two_state: "),
+        ({"model": {"graph": {"edges": [[0, 1]], "k": "x"}}}, "model.graph: "),
+        ({"params": {"phis": [{"kind": "sinh", "scale": "x"}]}}, "params.phis[0]: "),
+        ({"model": {"product": {"base": {"fixture": "two-state"}, "n": "x"}}},
+         "model.product.n: "),
+        # a d = 0 field used to run and PASS trace-poincare
+        ({"fields": [{"type": "random", "dim": 0}]}, "fields[0]: "),
+    ])
+    def test_malformed_descriptor_exits_2(self, tmp_path, capsys, change, label):
+        cfg = {"seed": 1, **TWO_STATE, "suites": ["poincare", "chain-rule"],
+               "params": {"probe": {"trials": 3}}, **change}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"ConfigError: {label}")
         assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("samples, env, label", [

@@ -11,9 +11,9 @@ from tplab import (
     GaussianSeries,
     SampleSpec,
     bivariate_symmetrized,
-    carre_product_formula,
     carre_smooth,
     carre_table,
+    column_energies,
     complete_refresh_chain,
     constant_field,
     dirichlet_form,
@@ -100,6 +100,15 @@ chain_cases = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 7),
 
 
 class TestCarreIdentity:
+    def test_refresh_product_matches_naive_sum(self):
+        rng = np.random.default_rng(43)
+        prod = product_chain(complete_refresh_chain([0.2, 0.3, 0.5]), 2)
+        for _ in range(20):
+            f = random_field(rng, 9, 2)
+            want = naive_carre(prod, f)
+            err = np.max(np.abs(carre_table(prod, f) - want))
+            assert err <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
     @settings(max_examples=80, deadline=None)
     @given(shift=st.sampled_from([0.0, 1e3]), **chain_cases)
     def test_matches_naive_sum(self, seed, n, d, log_scale, shift):
@@ -139,44 +148,67 @@ class TestCarreIdentity:
 
 
 class TestCarreProductFormula:
+    """On a product of complete-refresh chains Gamma is the product-space
+    formula (1/2) sum_i E_{Z~mu}[(f(z) - f(z with coordinate i := Z))^2];
+    its hand-enumerated values, through carre_table."""
+
     def test_constant_vanishes(self):
-        mu = [0.5, 0.5]
+        prod = product_chain(complete_refresh_chain([0.5, 0.5]), 2)
         f = constant_field(4, [[3.0]])
-        np.testing.assert_allclose(carre_product_formula(mu, f), 0.0, atol=1e-15)
+        np.testing.assert_allclose(carre_table(prod, f), 0.0, atol=1e-15)
 
     def test_single_coordinate_reduces_to_refresh_average(self):
         mu = np.array([0.2, 0.3, 0.5])
         vals = np.array([1.0, -1.0, 2.0])
-        f = FiniteField.from_scalars(vals)
+        gam = carre_table(complete_refresh_chain(mu), FiniteField.from_scalars(vals))
         # direct enumeration of (1/2) E[(f(z) - f(Z))^2]
         for z in range(3):
             expected = 0.5 * np.sum(mu * (vals[z] - vals) ** 2)
-            got = carre_product_formula(mu, f, z)[0, 0]
-            assert got == pytest.approx(expected, abs=1e-15)
+            assert gam[z, 0, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_two_state_sum_field(self):
         # f(z) = z1 + z2 on {0,1}^2 with uniform base: each coordinate
         # replacement contributes E(z_i - Z)^2 = 1/2, so Gamma = 1/2 * (1/2
         # + 1/2) = 1/2 at every state (enumerated by hand)
-        mu = [0.5, 0.5]
+        prod = product_chain(complete_refresh_chain([0.5, 0.5]), 2)
         vals = np.array([z1 + z2 for z1 in (0.0, 1.0) for z2 in (0.0, 1.0)])
-        f = FiniteField.from_scalars(vals)
-        gam = carre_product_formula(mu, f)
+        gam = carre_table(prod, FiniteField.from_scalars(vals))
         np.testing.assert_allclose(gam[:, 0, 0], 0.5, atol=1e-15)
 
-    def test_matches_chain_route(self):
-        rng = np.random.default_rng(43)
-        mu = np.array([0.2, 0.3, 0.5])
-        base = complete_refresh_chain(mu)
-        prod = product_chain(base, 2)
-        for _ in range(20):
-            f = random_field(rng, 9, 2)
-            np.testing.assert_allclose(carre_product_formula(mu, f),
-                                       carre_table(prod, f), atol=1e-12)
 
-    def test_rejects_non_power_table(self):
-        with pytest.raises(DimensionError):
-            carre_product_formula([0.5, 0.5], FiniteField.from_scalars([0.0, 1.0, 2.0]))
+class TestColumnEnergies:
+    @settings(max_examples=80, deadline=None)
+    @given(shift=st.sampled_from([0.0, 1e3]), **chain_cases)
+    def test_matches_energies_of_each_entry_field(self, seed, n, d, log_scale, shift):
+        # oracle: matrix_variance and dirichlet_form of every entry f_ij as a
+        # scalar field; the oracle's variance is E f^2 - (E f)^2, so its
+        # rounding grows with the second moment, and its energy with the rate
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        chain = random_reversible_chain(rng, n, scale)
+        f = FiniteField(random_field(rng, n, d).values + shift * np.eye(d))
+        cols = f.values.reshape(n, d * d)
+        var, dirich = column_energies(chain, cols)
+        second = chain.stationary @ cols ** 2
+        for k in range(d * d):
+            entry = FiniteField.from_scalars(cols[:, k])
+            want_var = matrix_variance(chain, entry)[0, 0]
+            want_dir = dirichlet_form(chain, entry)[0, 0]
+            assert abs(var[k] - want_var) <= 1e-12 * (1.0 + second[k])
+            assert abs(dirich[k] - want_dir) <= 1e-12 * (1.0 + scale) * (1.0 + want_var)
+
+    def test_trace_is_sum_over_entries(self, k4, cycle4):
+        rng = np.random.default_rng(241)
+        for chain in (k4, cycle4):
+            f = random_field(rng, 4, 3)
+            var, dirich = column_energies(chain, f.values.reshape(4, 9))
+            assert var.sum() == pytest.approx(np.trace(matrix_variance(chain, f)), rel=1e-13)
+            assert dirich.sum() == pytest.approx(np.trace(dirichlet_form(chain, f)), rel=1e-13)
+
+    def test_two_state_indicator(self, two_state):
+        var, dirich = column_energies(two_state, [[0.0, 5.0], [1.0, 5.0]])
+        np.testing.assert_allclose(var, [0.25, 0.0], atol=1e-15)
+        np.testing.assert_allclose(dirich, [0.5, 0.0], atol=1e-15)
 
 
 class TestCarreSmooth:
@@ -354,7 +386,7 @@ class TestBivariateSymmetrized:
                 pair = bivariate_symmetrized(chain, f)
                 for z in range(n):
                     for zp in range(n):
-                        delta = pair.gamma_at(z, zp) - gam_f[z] - gam_f[zp]
+                        delta = pair.gamma[z * n + zp] - gam_f[z] - gam_f[zp]
                         assert np.max(np.abs(delta)) <= 1e-12
                 twice = 2.0 * dirichlet_form(chain, f)
                 assert op_norm(pair.dirichlet - twice) <= 1e-12

@@ -7,7 +7,6 @@ from tplab import (
     DomainError,
     GaussianSeries,
     SampleSpec,
-    estimate_cosh_trace,
     estimate_tail,
     estimate_trace_moment,
     normal_stream,
@@ -305,37 +304,6 @@ class TestTail:
         four = estimate_tail(scalar_series(), np.zeros((1, 1)), [1.0, 2.0],
                              SampleSpec(n=30000, seed=8, workers=4))
         assert one == four
-
-
-class TestCoshTrace:
-    def test_field_equal_center_gives_dimension(self):
-        # zero series: f(X) = 0 = center, so tr cosh = d exactly
-        f = GaussianSeries(np.zeros((1, 2, 2))).as_field()
-        est = estimate_cosh_trace(f, np.zeros((2, 2)), 1.0, SampleSpec(n=100, seed=1))
-        assert est.value == 2.0 and est.ci_low == 2.0 and est.ci_high == 2.0
-
-    def test_theta_zero_gives_dimension(self):
-        f = scalar_series(2.0)
-        est = estimate_cosh_trace(f, np.zeros((1, 1)), 0.0, SampleSpec(n=100, seed=1))
-        assert est.value == 1.0 and est.ci_low == est.ci_high == 1.0
-
-    @pytest.mark.filterwarnings("ignore:empirical kurtosis")
-    def test_gaussian_mgf_oracle(self):
-        # E cosh(X/2) = exp(1/8) for X standard normal
-        f = scalar_series(1.0)
-        est = estimate_cosh_trace(f, np.zeros((1, 1)), 0.5, SampleSpec(n=200000, seed=10))
-        assert est.ci_low <= math.exp(0.125) <= est.ci_high
-
-    def test_huge_theta_does_not_raise(self):
-        f = scalar_series(1.0)
-        est = estimate_cosh_trace(f, np.zeros((1, 1)), 5000.0, SampleSpec(n=2000, seed=11))
-        assert math.isinf(est.value)
-
-    def test_heavy_tail_warning_and_meta(self):
-        f = scalar_series(1.0)
-        with pytest.warns(RuntimeWarning, match="kurtosis"):
-            est = estimate_cosh_trace(f, np.zeros((1, 1)), 3.0, SampleSpec(n=50000, seed=12))
-        assert est.meta["heavy_tail_warning"]
 
 
 class TestNormalQuantile:

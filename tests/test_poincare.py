@@ -19,7 +19,35 @@ from tplab import (
     user_certificate,
 )
 
-from conftest import k_complete, random_field
+from tplab.montecarlo import normal_stream
+
+from conftest import k_complete, random_field, random_reversible_chain
+
+
+def per_trial_ratios(chain, trials, dims, seed):
+    """Oracle: the probe's ratios in search order, from one
+    matrix_variance/dirichlet_form pair per trial and per compression, each
+    with the maximizer record it would report."""
+    n = chain.n_states
+    out = []
+    for t in range(trials):
+        rng = normal_stream(seed, t)
+        d = dims[t % len(dims)]
+        raw = rng.standard_normal((n, d, d))
+        f = FiniteField(0.5 * (raw + raw.transpose(0, 2, 1)))
+        u = rng.choice([-1.0, 1.0], size=d)
+        cases = [(f, {"trial": t, "kind": "matrix", "d": d, "field": f.values.tolist()})]
+        for i in range(d):
+            g = f.values[:, :, i] @ u
+            cases.append((FiniteField.from_scalars(g),
+                          {"trial": t, "kind": "compression", "d": d, "axis": i,
+                           "field": g.tolist()}))
+        for field, info in cases:
+            var = float(np.trace(matrix_variance(chain, field)))
+            dirich = float(np.trace(dirichlet_form(chain, field)))
+            if dirich > 1e-14:
+                out.append((var / dirich, info))
+    return out
 
 
 class TestPoincareConstant:
@@ -161,6 +189,26 @@ class TestEquivalenceProbe:
         tight = equivalence_probe(k4, trials=30, dims=[1, 2], seed=3,
                                   cert=user_certificate(0.5))
         assert tight.alpha == 0.5 and tight.passed is False
+
+    def test_matches_per_trial_oracle(self, two_state, k4):
+        # on a two-state chain and on K4 every field attains alpha, so the
+        # maximizer there is any field whose ratio ties with the supremum;
+        # elsewhere it is the oracle's first strict maximum
+        rng = np.random.default_rng(257)
+        chains = [two_state, k4] + [random_reversible_chain(rng, n, 10.0 ** e)
+                                    for n, e in ((2, 0), (3, -3), (5, 0), (8, 3))]
+        for chain in chains:
+            for seed, dims in ((11, [1, 2, 3]), (12, [2]), (13, [3, 1])):
+                report = equivalence_probe(chain, trials=60, dims=dims, seed=seed)
+                ratios = per_trial_ratios(chain, 60, dims, seed)
+                sup = max(r for r, _ in ratios)
+                assert abs(report.sup_ratio - sup) <= 1e-11 * sup
+                ties = [info for r, info in ratios if r >= sup * (1 - 1e-11)]
+                if chain.n_states == 2 or chain is k4:
+                    assert report.maximizer in ties
+                else:
+                    assert report.maximizer == ties[0]
+                    assert abs(report.sup_ratio - sup) <= 1e-13 * sup
 
     def test_deterministic_given_seed(self, k4):
         a = equivalence_probe(k4, trials=60, dims=[2], seed=21)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tplab import CheckReport, reports_to_csv, rows_to_csv, rows_to_json
+from tplab import CheckReport, rows_to_csv, rows_to_json
 from tplab.reports import slack_for
 
 
@@ -27,14 +27,6 @@ class TestCheckReport:
 
 
 class TestSerialization:
-    def test_bare_report_csv_columns(self):
-        reports = [CheckReport.from_comparison("trace-poincare", 0.25, 0.25, 1e-9,
-                                               {"alpha": 0.5})]
-        text = reports_to_csv(reports)
-        lines = text.splitlines()
-        assert lines[0] == "citation,lhs,rhs,margin,verdict,tolerance,context"
-        assert lines[1].startswith("trace-poincare,0.25,0.25,0.0,PASS,")
-
     def test_row_csv_deterministic(self):
         rows = [CheckReport.from_comparison("x", 1 / 3, 2 / 3, 1e-9,
                                             {"b": 2, "a": 1}).to_row("s", "f")]

@@ -2,25 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tplab import (
     DimensionError,
     DomainError,
+    NumericError,
     ScalarFnSpec,
     apply_spectral_fn,
-    dilate,
     eigh,
     intdim,
     max_op_norm,
     op_norm,
-    psd_order_leq,
     symmetrize,
-    trace_fn,
 )
-from tplab.spectral import rank_with_threshold
 
 from conftest import random_symmetric
 
@@ -66,8 +63,43 @@ class TestEigh:
             a = random_symmetric(rng, d, scale=10.0 ** rng.integers(-3, 4))
             dec = eigh(a)
             scale = 1.0 + op_norm(a)
-            assert np.linalg.norm(dec.reconstruct() - a, 2) <= 1e-10 * scale
+            assert np.linalg.norm(dec.map(lambda w: w) - a, 2) <= 1e-10 * scale
             assert np.linalg.norm(dec.eigenvectors.T @ dec.eigenvectors - np.eye(d), 2) <= 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_stack_matches_per_matrix_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        stack = rng.standard_normal((40, d, d))
+        dec = eigh(stack)
+        recon = dec.map(lambda w: w)
+        sinh = dec.map(ScalarFnSpec.sinh(0.7))
+        for k, a in enumerate(stack):
+            one = eigh(a)
+            q, w = one.eigenvectors, one.eigenvalues
+            assert np.array_equal(dec.eigenvalues[k], w)
+            assert np.array_equal(dec.eigenvectors[k], q)
+            # the per-matrix reconstruction Q diag(w) Q^T, written out
+            assert np.array_equal(recon[k], (q * w) @ q.T)
+            assert np.array_equal(sinh[k], one.map(ScalarFnSpec.sinh(0.7)))
+
+    def test_stack_of_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            eigh(np.zeros((4, 2, 3)))
+
+    def test_contract_checked_on_every_matrix_of_a_stack(self, monkeypatch):
+        solver = np.linalg.eigh
+
+        def corrupt_one(a):
+            w, q = solver(a)
+            w = w.copy()
+            w[3, 0] += 1e-3  # one eigenvalue of one matrix off
+            return w, q
+
+        stack = np.random.default_rng(5).standard_normal((6, 3, 3))
+        eigh(stack)
+        monkeypatch.setattr(np.linalg, "eigh", corrupt_one)
+        with pytest.raises(NumericError, match="matrix 3 of 6"):
+            eigh(stack)
 
 
 class TestApplySpectralFn:
@@ -161,29 +193,24 @@ class TestOpNorm:
 
 
 class TestTraceFn:
+    """tr phi(A) for every matrix of a stack, through SpectralDecomposition.map."""
+
     def test_cosh_of_zero(self):
-        assert trace_fn(np.zeros((3, 3)), ScalarFnSpec.cosh()) == pytest.approx(3.0)
-        assert trace_fn(np.zeros((3, 3)), ScalarFnSpec.cosh(), normalized=True) == pytest.approx(1.0)
+        out = eigh(np.zeros((2, 3, 3))).map(ScalarFnSpec.cosh())
+        np.testing.assert_allclose(np.trace(out, axis1=1, axis2=2), [3.0, 3.0])
 
     def test_abs_fourth_power(self):
-        assert trace_fn(np.diag([2.0, -2.0]), ScalarFnSpec.abs_pow(4)) == pytest.approx(32.0)
+        stack = np.stack([np.diag([2.0, -2.0]), np.diag([1.0, 0.0])])
+        out = eigh(stack).map(ScalarFnSpec.abs_pow(4))
+        np.testing.assert_allclose(np.trace(out, axis1=1, axis2=2), [32.0, 1.0])
 
     def test_sinh_squared_swap(self):
         # eigenvalues of theta*[[0,1],[1,0]] are +-theta and sinh^2 is even
         theta = 0.83
         a = theta * np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert trace_fn(a, ScalarFnSpec.sinh2()) == pytest.approx(2 * math.sinh(theta) ** 2)
-
-
-class TestPsdOrder:
-    def test_examples(self):
-        assert psd_order_leq(np.zeros((2, 2)), np.eye(2), 1e-10)
-        assert not psd_order_leq(np.eye(2), np.zeros((2, 2)), 1e-10)
-        assert psd_order_leq(np.diag([1.0, 0.0]), np.diag([1.0, 1.0]), 1e-10)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionError):
-            psd_order_leq(np.eye(2), np.eye(3))
+        out = eigh(np.stack([a, -a])).map(ScalarFnSpec.sinh2())
+        np.testing.assert_allclose(np.trace(out, axis1=1, axis2=2),
+                                   2 * math.sinh(theta) ** 2, rtol=1e-12)
 
 
 class TestIntdim:
@@ -209,30 +236,5 @@ class TestIntdim:
             if op_norm(a) == 0.0:
                 continue
             val = intdim(a)
-            rank = rank_with_threshold(a, 1e-10)
+            rank = np.linalg.matrix_rank(a, rtol=1e-10, hermitian=True)
             assert 1.0 - 1e-12 <= val <= rank + 1e-12
-
-
-class TestDilate:
-    def test_scalar(self):
-        out = dilate([[1.0]])
-        np.testing.assert_array_equal(out, [[0, 1], [1, 0]])
-        assert op_norm(out) == pytest.approx(1.0)
-
-    def test_zero(self):
-        np.testing.assert_array_equal(dilate(np.zeros((2, 3))), np.zeros((5, 5)))
-
-    def test_norm_is_largest_singular_value(self):
-        # singular values of diag(3, 4) are 3 and 4
-        assert op_norm(dilate(np.diag([3.0, 4.0]))) == pytest.approx(4.0)
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            h = rng.standard_normal((int(rng.integers(1, 5)), int(rng.integers(1, 5))))
-            sv = np.linalg.svd(h, compute_uv=False)
-            assert op_norm(dilate(h)) == pytest.approx(sv[0], abs=1e-10)
-
-    @settings(max_examples=50)
-    @given(arrays(np.float64, (3, 2), elements=st.floats(-100, 100)))
-    def test_spectrum_symmetric_about_zero(self, h):
-        w = np.linalg.eigvalsh(dilate(h))
-        np.testing.assert_allclose(w, -w[::-1], atol=1e-9 * (1 + np.max(np.abs(w))))
