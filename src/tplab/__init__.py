@@ -40,7 +40,6 @@ from .energy import (
     EnergyReport,
     SymmetrizedPair,
     bivariate_symmetrized,
-    carre_smooth,
     carre_table,
     column_energies,
     dirichlet_form,

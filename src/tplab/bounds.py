@@ -231,17 +231,10 @@ def tail_bound(p: BoundParams) -> float:
     return 6.0 * p.d * math.exp(-p.lam)
 
 
-def _gaussian_center(model, spec: SampleSpec) -> np.ndarray:
+def _gaussian_center(model) -> np.ndarray:
     if isinstance(model, GaussianSeries):
-        d = model.dim
-        return np.zeros((d, d))
-    if isinstance(model, GaussianChaos):
-        return model.mean()
-    # generic smooth field: estimated mean from a dedicated stream
-    field = model
-    xs = montecarlo.draw_standard_normal(
-        SampleSpec(n=spec.n, seed=spec.seed ^ 0x9E3779B97F4A7C15), field.ambient_dim)
-    return field.eval_batch(xs).mean(axis=0)
+        return np.zeros((model.dim, model.dim))
+    return model.mean()
 
 
 def gaussian_tail_thresholds(model, cert: PoincareCertificate, lambda_grid,
@@ -250,7 +243,7 @@ def gaussian_tail_thresholds(model, cert: PoincareCertificate, lambda_grid,
     """The sampled tail check's field, thresholds sqrt(alpha v_f) * lambda,
     v_f and v_f mode on a Gaussian model, after its admissibility checks:
     a SampleSpec with N >= 10^4 and an exact (series) or user-certified
-    variance proxy."""
+    (chaos) variance proxy."""
     if spec is None:
         raise DomainError("tail check on a Gaussian model needs a SampleSpec")
     if spec.n < 10 ** 4:
@@ -261,10 +254,10 @@ def gaussian_tail_thresholds(model, cert: PoincareCertificate, lambda_grid,
     else:
         if v_f_override is None:
             raise DomainError(
-                "variance proxy for this model is only a grid estimate; "
-                "supply an explicit certified bound (v_f_override)")
+                "Gamma of a Gaussian chaos is unbounded, so it has no exact variance "
+                "proxy; supply an explicit certified bound (v_f_override)")
         v_f, mode = float(v_f_override), "USER_CERTIFIED"
-        field = model.as_field() if isinstance(model, GaussianChaos) else model
+        field = model.as_field()
     thresholds = math.sqrt(cert.alpha * v_f) * np.asarray(lambda_grid, dtype=float)
     return field, thresholds, v_f, mode
 
@@ -278,8 +271,8 @@ def check_tail_empirical(model, f, cert: PoincareCertificate, lambda_grid,
 
     Finite chains are enumerated exactly (no sampling).  Gaussian models are
     sampled with Wilson-interval verdicts; this requires an exact variance
-    proxy (Gaussian series) or an explicit user-certified bound, and refuses
-    grid-estimated proxies.  Bounds >= 1 pass automatically since the left
+    proxy (Gaussian series) or an explicit user-certified bound (a chaos,
+    whose Gamma is unbounded).  Bounds >= 1 pass automatically since the left
     side is a probability.  ``tail_ests`` may carry the caller's
     ``estimate_tail`` at ``gaussian_tail_thresholds`` (a pass shared with
     other suites); None makes the pass.
@@ -313,7 +306,7 @@ def check_tail_empirical(model, f, cert: PoincareCertificate, lambda_grid,
                                                             v_f_override)
     d = field.dim
     if tail_ests is None:
-        tail_ests = estimate_tail(field, _gaussian_center(model, spec), thresholds, spec)
+        tail_ests = estimate_tail(field, _gaussian_center(model), thresholds, spec)
     for lam, est in zip(lam_grid, tail_ests):
         bound = tail_bound(BoundParams(cert.alpha, v_f, d, lam=float(lam)))
         ctx = {"lambda": float(lam), "alpha": cert.alpha, "v_f": v_f,
@@ -474,13 +467,19 @@ def check_intdim_variant(chain: FiniteChain, f: FiniteField,
     for q in q_list:
         q = int(q)
         lhs = float(np.einsum("z,zi->", mu2, g_eigs ** (2 * q)))
-        # q! in log space to keep q <= 20 overflow-free
+        # q! in log space; a bound beyond the float range is read as inf
         if idim == 0.0 or pair.v == 0.0:
             rhs = 0.0
         else:
-            rhs = math.exp(math.log(idim) + q * math.log(cert.alpha)
-                           + math.lgamma(q + 1) + q * math.log(pair.v))
-        uniform = (2.0 * cert.alpha * q * q) ** q * d * v_f ** q
+            try:
+                rhs = math.exp(math.log(idim) + q * math.log(cert.alpha)
+                               + math.lgamma(q + 1) + q * math.log(pair.v))
+            except OverflowError:
+                rhs = math.inf
+        try:
+            uniform = (2.0 * cert.alpha * q * q) ** q * d * v_f ** q
+        except OverflowError:
+            uniform = math.inf
         out.append(CheckReport.from_comparison(
             "intdim-moment", lhs, rhs, slack_for(rhs, slack_scale),
             {"chain": chain.name, "q": q, "alpha": cert.alpha,

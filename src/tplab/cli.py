@@ -190,7 +190,9 @@ def _build_phi(desc: dict) -> ScalarFnSpec:
                       "(chain-rule admits sinh, signed_pow, affine)")
 
 
-def _chain_rows(chain, name, fields, suites, params, sample_spec, seed):
+def _chain_rows(chain, name, fields, reports, suites, params, seed):
+    """The rows of the chain suites; ``reports`` holds each field's energy
+    report, whose v_f anchors the default theta grid."""
     cert = poincare_constant(chain)
     rows = []
 
@@ -236,10 +238,9 @@ def _chain_rows(chain, name, fields, suites, params, sample_spec, seed):
                         r.context["field"] = fname
                         add(suite, r)
         elif suite == "exp-moment":
-            for fname, f in fields:
+            for (fname, f), rep in zip(fields, reports):
                 grid = params.get("theta_grid")
                 if grid is None:
-                    rep = energy_report(chain, f)
                     grid = bounds.default_theta_grid(cert.alpha, rep.v_f)
                 for r in bounds.check_exp_moment(chain, f, cert, grid):
                     r.context["field"] = fname
@@ -440,21 +441,18 @@ def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     suites = cfg["suites"]
     model, name = build_model(cfg["model"])
 
-    energy_dicts = []
     if isinstance(model, FiniteChain):
         fields = build_fields(cfg.get("fields", []), model, seed)
         if not fields:
             raise ConfigError("fields: a finite-chain experiment needs at least one field")
-        rows = _chain_rows(model, name, fields, suites, params, sample_spec, seed)
-        for fname, f in fields:
-            rep = energy_report(model, f)
-            energy_dicts.append({"fixture": name, "field": fname,
-                                 "report": rep.to_json_dict()})
+        reports = [energy_report(model, f) for _, f in fields]
+        rows = _chain_rows(model, name, fields, reports, suites, params, seed)
+        names = [fname for fname, _ in fields]
     else:
         rows = _gaussian_rows(model, name, suites, params, sample_spec)
-        rep = energy_report(model, spec=sample_spec)
-        energy_dicts.append({"fixture": name, "field": "model",
-                             "report": rep.to_json_dict()})
+        reports, names = [energy_report(model, spec=sample_spec)], ["model"]
+    energy_dicts = [{"fixture": name, "field": fname, "report": rep.to_json_dict()}
+                    for fname, rep in zip(names, reports)]
 
     counts = {PASS: 0, FAIL: 0, SKIPPED: 0, INCONCLUSIVE: 0}
     for row in rows:

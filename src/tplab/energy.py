@@ -15,10 +15,14 @@ so the whole table costs two dense products of L with an (n, d^2) block plus
 n small matrix products: O(n^2 d^2 + n d^3) instead of a per-state loop.  The
 row-sum term r makes the identity hold for the floating-point generator, not
 only for exact zero row sums.  On Gaussian models the squared derivative is
-sum_i (d_i f)^2, computed from analytic partials when the model carries them
-and by central differences otherwise.  Dirichlet forms and variances are
-exact on finite chains and for Gaussian series, and Monte Carlo estimates
-elsewhere (mode ESTIMATED).
+sum_i (d_i f)^2: the constant sum_i A_i^2 for a series f = sum_i X_i A_i,
+and 4 sum_i (sum_j X_j A_ij)^2 for a chaos f = sum_ij X_i X_j A_ij.  Their
+Dirichlet forms and variances are exact too.  For a series both are
+sum_i A_i^2.  For a chaos, Isserlis' theorem (E[X_i X_j X_k X_l] is a sum
+over pairings) gives E Gamma(f) = 4 S and Var f = 2 S with
+S = sum_ij A_ij^2, so nothing is sampled.  Only the Gamma table and the
+variance proxy of a chaos's energy report come from a seeded probe (mode
+ESTIMATED), because Gamma is not constant there.
 """
 
 from __future__ import annotations
@@ -29,13 +33,7 @@ import numpy as np
 
 from . import montecarlo
 from .errors import DimensionError, DomainError
-from .models import (
-    FiniteChain,
-    FiniteField,
-    GaussianChaos,
-    GaussianSeries,
-    SmoothField,
-)
+from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries
 from .montecarlo import SampleSpec
 from .spectral import max_op_norm, op_norm
 
@@ -86,27 +84,6 @@ def column_energies(chain: FiniteChain, cols) -> tuple[np.ndarray, np.ndarray]:
     return mu @ sq, mu @ gam
 
 
-def carre_smooth(f: SmoothField, x) -> np.ndarray:
-    """Squared derivative sum_i (d_i f(x))^2.
-
-    Uses analytic partials when the field carries them; otherwise central
-    differences with step h_i = cbrt(eps) * (1 + |x_i|), a second-order
-    estimate.
-    """
-    x = np.asarray(x, dtype=float)
-    if f.partials is not None:
-        p = np.asarray(f.partials(x), dtype=float)
-    else:
-        h = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(x))
-        p = np.empty((f.ambient_dim, f.dim, f.dim))
-        for i in range(f.ambient_dim):
-            step = np.zeros_like(x)
-            step[i] = h[i]
-            p[i] = (f(x + step) - f(x - step)) / (2.0 * h[i])
-    out = np.einsum("kij,kjl->il", p, p)
-    return 0.5 * (out + out.T)
-
-
 def chaos_gamma_batch(chaos: GaussianChaos, xs: np.ndarray) -> np.ndarray:
     """Exact squared derivative 4 sum_i (sum_j x_j A_ij)^2 at a batch of
     points xs: (m, n) -> (m, d, d).
@@ -123,43 +100,30 @@ def chaos_gamma_batch(chaos: GaussianChaos, xs: np.ndarray) -> np.ndarray:
     return 4.0 * (s.transpose(0, 2, 1) @ s)
 
 
-def _require_spec(spec):
-    if spec is None or spec.n < 1:
-        raise DomainError("Monte Carlo estimation requires a SampleSpec with n >= 1")
+def _chaos_square(chaos: GaussianChaos) -> np.ndarray:
+    """S = sum_ij A_ij^2, which gives E Gamma(f) = 4 S and Var f = 2 S."""
+    a = chaos.coefficients
+    return np.einsum("ijkl,ijlm->km", a, a)
 
 
-def _gamma_batch(model, xs: np.ndarray) -> np.ndarray:
-    if isinstance(model, GaussianChaos):
-        return chaos_gamma_batch(model, xs)
-    return np.stack([carre_smooth(model, x) for x in xs])
-
-
-def dirichlet_form(model, f=None, spec: SampleSpec | None = None) -> np.ndarray:
-    """Total energy E_mu[Gamma(f)].
-
-    Exact for finite chains and Gaussian series (sum_i A_i^2); Monte Carlo
-    for other Gaussian models, which requires a SampleSpec.  The Monte Carlo
-    mean streams: each block of draws is reduced to its sum of Gamma before
-    the next is drawn, so memory stays at one block whatever the spec's n.
-    """
+def dirichlet_form(model, f=None) -> np.ndarray:
+    """Total energy E_mu[Gamma(f)], exact for every model: a mu-average on a
+    finite chain, sum_i A_i^2 for a Gaussian series and 4 sum_ij A_ij^2 for
+    a Gaussian chaos."""
     if isinstance(model, FiniteChain):
         gam = carre_table(model, f)
         return np.einsum("z,zij->ij", model.stationary, gam)
     if isinstance(model, GaussianSeries):
         a = model.coefficients
         return np.einsum("kij,kjl->il", a, a)
-    if isinstance(model, (GaussianChaos, SmoothField)):
-        _require_spec(spec)
-        ambient = model.n_vars if isinstance(model, GaussianChaos) else model.ambient_dim
-        (total,) = montecarlo.sum_blocks(
-            spec, ambient, lambda xs: (_gamma_batch(model, xs).sum(axis=0),))
-        return total / spec.n
+    if isinstance(model, GaussianChaos):
+        return 4.0 * _chaos_square(model)
     raise DomainError(f"unsupported model type {type(model).__name__}")
 
 
-def matrix_variance(model, f=None, spec: SampleSpec | None = None) -> np.ndarray:
-    """E[f^2] - (E f)^2, a PSD matrix; exact where the Dirichlet form is.
-    The Monte Carlo moments stream block by block, like ``dirichlet_form``."""
+def matrix_variance(model, f=None) -> np.ndarray:
+    """E[f^2] - (E f)^2, a PSD matrix, exact for every model: sum_i A_i^2 for
+    a Gaussian series and 2 sum_ij A_ij^2 for a Gaussian chaos."""
     if isinstance(model, FiniteChain):
         v = f.values
         mu = model.stationary
@@ -171,45 +135,23 @@ def matrix_variance(model, f=None, spec: SampleSpec | None = None) -> np.ndarray
         # E f = 0 and E[f^2] = sum_i A_i^2 for independent standard normals
         a = model.coefficients
         return np.einsum("kij,kjl->il", a, a)
-    if isinstance(model, (GaussianChaos, SmoothField)):
-        _require_spec(spec)
-        field = model.as_field() if isinstance(model, GaussianChaos) else model
-
-        def moments(xs):
-            vals = field.eval_batch(xs)
-            return vals.sum(axis=0), np.einsum("mij,mjl->il", vals, vals)
-
-        first, second = montecarlo.sum_blocks(spec, field.ambient_dim, moments)
-        mean = first / spec.n
-        out = second / spec.n - mean @ mean
-        return 0.5 * (out + out.T)
+    if isinstance(model, GaussianChaos):
+        return 2.0 * _chaos_square(model)
     raise DomainError(f"unsupported model type {type(model).__name__}")
 
 
-def variance_proxy(model, f=None, grid=None) -> tuple[float, str]:
-    """Essential supremum of |Gamma(f)| over the state space.
-
-    Finite chains (full-support mu) and Gaussian series are exact; for any
-    other smooth model the supremum over a caller-declared grid of points is
-    reported with mode ESTIMATED.  Checkers that need a true supremum must
-    refuse ESTIMATED values without an explicit user-supplied bound.
-    """
+def variance_proxy(model, f=None) -> tuple[float, str]:
+    """Essential supremum of |Gamma(f)| over the state space, exact on finite
+    chains (full-support mu) and Gaussian series.  A Gaussian chaos has none:
+    its Gamma grows without bound in x unless A = 0."""
     if isinstance(model, FiniteChain):
         return max_op_norm(carre_table(model, f)), EXACT
     if isinstance(model, GaussianSeries):
         a = model.coefficients
         return op_norm(np.einsum("kij,kjl->il", a, a)), EXACT
-    if isinstance(model, (GaussianChaos, SmoothField)):
-        if grid is None:
-            raise DomainError(
-                "variance proxy for a general smooth field needs a declared "
-                "evaluation grid (result is a lower estimate, mode ESTIMATED)"
-            )
-        field = model.as_field() if isinstance(model, GaussianChaos) else model
-        sup = 0.0
-        for x in np.asarray(grid, dtype=float):
-            sup = max(sup, op_norm(carre_smooth(field, x)))
-        return sup, ESTIMATED
+    if isinstance(model, GaussianChaos):
+        raise DomainError("Gamma of a Gaussian chaos, 4 sum_i (sum_j x_j A_ij)^2, "
+                          "is unbounded in x, so it has no finite variance proxy")
     raise DomainError(f"unsupported model type {type(model).__name__}")
 
 
@@ -256,8 +198,10 @@ def bivariate_symmetrized(chain: FiniteChain, f: FiniteField) -> SymmetrizedPair
 @dataclass(frozen=True)
 class EnergyReport:
     """Bundle of Gamma, Dirichlet form, variance and variance proxy with
-    provenance (EXACT on finite chains and Gaussian series, ESTIMATED via
-    Monte Carlo elsewhere)."""
+    provenance.  Everything is EXACT on finite chains and Gaussian series.
+    On a Gaussian chaos the Dirichlet form and the variance are exact, but
+    Gamma is tabled at an 8-point probe and v_f is its largest norm there:
+    mode ESTIMATED, with the probe's size and seed in ``sample_meta``."""
 
     gamma: np.ndarray
     dirichlet: np.ndarray
@@ -290,8 +234,12 @@ def _check_psd_stack(name: str, stack: np.ndarray):
                           f"(min eig {low[np.argmax(bad)]:.3e})")
 
 
-def energy_report(model, f=None, spec: SampleSpec | None = None, grid=None) -> EnergyReport:
-    """Assemble a validated EnergyReport for any supported model."""
+_GAMMA_PROBE = 8
+
+
+def energy_report(model, f=None, spec: SampleSpec | None = None) -> EnergyReport:
+    """Assemble a validated EnergyReport for any supported model.  A Gaussian
+    chaos needs ``spec``, whose seed draws the Gamma probe."""
     if isinstance(model, FiniteChain):
         gam = carre_table(model, f)
         dirichlet = np.einsum("z,zij->ij", model.stationary, gam)
@@ -303,20 +251,16 @@ def energy_report(model, f=None, spec: SampleSpec | None = None, grid=None) -> E
         gam = dirichlet[None, :, :]  # x-independent
         variance = matrix_variance(model)
         report = EnergyReport(gam, dirichlet, variance, op_norm(dirichlet), EXACT)
-    elif isinstance(model, (GaussianChaos, SmoothField)):
-        _require_spec(spec)
-        dirichlet = dirichlet_form(model, spec=spec)
-        variance = matrix_variance(model, spec=spec)
-        field = model.as_field() if isinstance(model, GaussianChaos) else model
-        if grid is not None:
-            probe = np.asarray(grid, dtype=float)[:8]
-        else:
-            probe = montecarlo.draw_standard_normal(
-                SampleSpec(n=8, seed=spec.seed), field.ambient_dim)
-        gam = np.stack([carre_smooth(field, x) for x in probe])
-        v_f = variance_proxy(model, grid=grid)[0] if grid is not None else max_op_norm(gam)
-        meta = {"n": spec.n, "seed": spec.seed, "v_f_is_grid_sup": grid is not None}
-        report = EnergyReport(gam, dirichlet, variance, v_f, ESTIMATED, meta)
+    elif isinstance(model, GaussianChaos):
+        if spec is None:
+            raise DomainError("the energy report of a Gaussian chaos needs a SampleSpec "
+                              "to seed its Gamma probe")
+        probe = montecarlo.draw_standard_normal(SampleSpec(n=_GAMMA_PROBE, seed=spec.seed),
+                                                model.n_vars)
+        gam = chaos_gamma_batch(model, probe)
+        report = EnergyReport(gam, dirichlet_form(model), matrix_variance(model),
+                              max_op_norm(gam), ESTIMATED,
+                              {"probe_n": _GAMMA_PROBE, "probe_seed": spec.seed})
     else:
         raise DomainError(f"unsupported model type {type(model).__name__}")
     _check_psd_stack("gamma", report.gamma)

@@ -220,14 +220,13 @@ class FiniteField:
 
 @dataclass(frozen=True)
 class SmoothField:
-    """Matrix field on R^n given by an evaluator, with optional analytic
-    partial derivatives (partials(x) -> (n, d, d)) and an optional batched
-    evaluator (batch(X: (m, n)) -> (m, d, d)) for Monte Carlo work."""
+    """Matrix field on R^n given by an evaluator and an optional batched
+    evaluator (batch(X: (m, n)) -> (m, d, d)): what a Monte Carlo pass reads
+    of a Gaussian series or chaos."""
 
     ambient_dim: int
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
-    partials: Callable[[np.ndarray], np.ndarray] | None = None
     batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x) -> np.ndarray:
@@ -315,13 +314,10 @@ def series_as_field(s: GaussianSeries) -> SmoothField:
     def func(x):
         return np.tensordot(x, a, axes=1)
 
-    def partials(x):
-        return a
-
     def batch(xs):
         return np.tensordot(xs, a, axes=([1], [0]))
 
-    return SmoothField(ambient_dim=s.n_terms, dim=s.dim, func=func, partials=partials, batch=batch)
+    return SmoothField(ambient_dim=s.n_terms, dim=s.dim, func=func, batch=batch)
 
 
 def chaos_as_field(c: GaussianChaos) -> SmoothField:
@@ -331,17 +327,13 @@ def chaos_as_field(c: GaussianChaos) -> SmoothField:
     def func(x):
         return np.einsum("i,j,ijkl->kl", x, x, a)
 
-    def partials(x):
-        # d/dx_i of sum_{jk} x_j x_k A_jk = 2 sum_j x_j A_ij (A symmetric in ij)
-        return 2.0 * np.einsum("j,ijkl->ikl", x, a)
-
     def batch(xs):
         # f(x) = sum_i x_i M_i with M_i = sum_j x_j A_ij: one BLAS product
         # gives every M_i, then a contraction over i
         m = (xs @ a.reshape(n, n * d * d)).reshape(len(xs), n, d * d)
         return np.einsum("mi,mik->mk", xs, m).reshape(len(xs), d, d)
 
-    return SmoothField(ambient_dim=c.n_vars, dim=c.dim, func=func, partials=partials, batch=batch)
+    return SmoothField(ambient_dim=c.n_vars, dim=c.dim, func=func, batch=batch)
 
 
 def constant_field(n_states: int, matrix) -> FiniteField:

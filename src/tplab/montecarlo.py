@@ -106,19 +106,6 @@ def draw_standard_normal(spec: SampleSpec, dim: int) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def sum_blocks(spec: SampleSpec, dim: int, block_sums) -> tuple:
-    """Streamed sums over the draws of ``draw_standard_normal(spec, dim)``.
-
-    ``block_sums(xs)`` maps one (count, dim) block of draws to a tuple of
-    arrays; the tuples are added element-wise in block order.  Only the
-    per-block sums are kept, never the (n, dim) draws, and the result does
-    not depend on the worker count.
-    """
-    parts = _map_blocks(
-        spec, lambda b, c: block_sums(normal_stream(spec.seed, b).standard_normal((c, dim))))
-    return tuple(sum(column[1:], column[0]) for column in zip(*parts))
-
-
 def normal_quantile(level: float) -> float:
     """z with P{|Z| <= z} = level for a standard normal Z (Wichura's AS241,
     through the standard library)."""

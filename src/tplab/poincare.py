@@ -140,16 +140,19 @@ def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
     to trace inequalities.  Per-trial RNG streams are split deterministically
     from the seed, so trials are order-independent.  A trace ratio is a
     ratio of sums over the field's entries, so one ``column_energies`` call
-    per trial covers the d^2 entries and the d compressions; only the best
-    ratio is kept, and the winning trial is redrawn from its stream to
-    report its field.  ``cert`` is the chain's certificate when the caller
-    already has it; by default it is computed here.
+    per trial covers the d^2 entries and the d compressions.  The maximizer
+    is the first (trial, candidate) whose ratio lies within _PROBE_SLACK
+    (relative) of the supremum, so exact ties, which every field makes on a
+    two-state chain or K_n, resolve to the earliest; its trial is redrawn
+    from its stream to report its field.  ``cert`` is the chain's
+    certificate when the caller already has it; by default it is computed
+    here.
     """
     if cert is None:
         cert = poincare_constant(chain)
     dims = tuple(int(d) for d in dims)
     n = chain.n_states
-    best = None  # (ratio, trial, compression axis or None)
+    ratios = []  # (ratio, trial, compression axis or None), in search order
     for t in range(trials):
         d = dims[t % len(dims)]
         vals, u = _probe_field(seed, t, n, d)
@@ -157,14 +160,14 @@ def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
         k = d * d
         candidates = [(var[:k].sum(), dirich[:k].sum(), None)]
         candidates += [(var[k + i], dirich[k + i], i) for i in range(d)]
-        for v, e, axis in candidates:
-            if e > 1e-14 and (best is None or v / e > best[0]):
-                best = (float(v / e), t, axis)
+        ratios += [(float(v / e), t, axis) for v, e, axis in candidates if e > 1e-14]
 
-    if best is None:
+    if not ratios:
         return ProbeReport(sup_ratio=None, alpha=cert.alpha, trials=trials, dims=dims,
                            seed=seed, passed=None, maximizer=None)
-    sup, t, axis = best
+    sup = max(r for r, _, _ in ratios)
+    # the first near-tie, so that rounding never picks among exact ties
+    _, t, axis = next(c for c in ratios if c[0] >= sup * (1.0 - _PROBE_SLACK))
     d = dims[t % len(dims)]
     vals, u = _probe_field(seed, t, n, d)
     argmax = {"trial": t, "kind": "matrix", "d": d, "field": vals.tolist()}

@@ -5,7 +5,9 @@ margin rhs - lhs, a verdict, the tolerance used and a free-form context.
 Verdicts: PASS/FAIL for deterministic comparisons (pass iff
 margin >= -tolerance), SKIPPED for vacuous instances (e.g. an unbounded
 right-hand side), INCONCLUSIVE for Monte Carlo comparisons violated only
-within the confidence-interval width.
+within the confidence-interval width.  A comparison whose lhs, rhs or
+margin is NaN (say inf against inf after an overflow) has no verdict and
+raises NumericError: a FAIL must be a counterexample, never a NaN.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
+
+from .errors import NumericError
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -27,6 +32,12 @@ DEFAULT_SLACK = 1e-9
 
 def slack_for(rhs: float, scale: float = DEFAULT_SLACK) -> float:
     return scale * (1.0 + abs(rhs))
+
+
+def _comparable(citation: str, lhs: float, rhs: float, margin: float):
+    if math.isnan(lhs) or math.isnan(rhs) or math.isnan(margin):
+        raise NumericError(f"{citation}: no verdict for lhs {lhs!r} against rhs {rhs!r} "
+                           f"(margin {margin!r}); the values overflow or are undefined")
 
 
 @dataclass(frozen=True)
@@ -46,8 +57,10 @@ class CheckReport:
     @classmethod
     def from_comparison(cls, citation: str, lhs: float, rhs: float,
                         tolerance: float, context: dict | None = None) -> "CheckReport":
-        """PASS iff lhs <= rhs within tolerance (margin >= -tolerance)."""
+        """PASS iff lhs <= rhs within tolerance (margin >= -tolerance);
+        NumericError when lhs, rhs or the margin is NaN."""
         margin = rhs - lhs
+        _comparable(citation, lhs, rhs, margin)
         verdict = PASS if margin >= -tolerance else FAIL
         return cls(citation, float(lhs), float(rhs), float(margin), verdict,
                    float(tolerance), dict(context or {}))
@@ -69,6 +82,7 @@ class CheckReport:
         ctx.setdefault("ci_low", float(ci_low))
         ctx.setdefault("ci_high", float(ci_high))
         margin = rhs - value
+        _comparable(citation, value, rhs, margin)
         if ci_high <= rhs + tolerance:
             verdict = PASS
         elif ci_low > rhs + tolerance:

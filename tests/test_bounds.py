@@ -431,6 +431,14 @@ class TestIntdimVariant:
             f = random_field(rng, 4, 2)
             assert all(r.passed for r in check_intdim_variant(k4, f, cert, [1, 2, 3]))
 
+    def test_overflowing_bounds_read_as_inf(self, two_state):
+        # 200! (1/2)^200 and (2 alpha q^2)^q exceed the float range; the lhs
+        # stays 1/2, so the vacuous bound passes instead of raising
+        cert = poincare_constant(two_state)
+        (r,) = check_intdim_variant(two_state, indicator(two_state), cert, [200])
+        assert r.passed and r.lhs == pytest.approx(0.5, abs=1e-12)
+        assert r.rhs == math.inf and r.context["uniform_poly_bound"] == math.inf
+
     def test_comparison_recorded(self, two_state):
         cert = poincare_constant(two_state)
         (r,) = check_intdim_variant(two_state, indicator(two_state), cert, [2])

@@ -230,6 +230,21 @@ class TestSharedPasses:
         assert sorted(seed for seed, _ in passes) == sorted([5, 5 ^ GAMMA_STREAM])
         assert all(len(calls) == 5 for _, calls in passes)
 
+    def test_chaos_energies_open_no_stream(self, monkeypatch):
+        # 5 blocks of the f-stream, 5 of the Gamma stream and the energy
+        # report's 8-point probe; the exact energies draw nothing
+        opened = []
+        real = montecarlo.normal_stream
+
+        def counted(seed, stream):
+            opened.append((seed, stream))
+            return real(seed, stream)
+
+        monkeypatch.setattr(montecarlo, "normal_stream", counted)
+        run_experiment({"seed": 5, "samples": {"n": 20000}, "model": {"fixture": "psd-chaos"},
+                        "suites": ["poly-moment", "chaos"]})
+        assert len(opened) == 11
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("model, suites, params", [
@@ -451,6 +466,26 @@ class TestExitCodes:
         assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ConfigError: fields[0]:") and "finite" in err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("values, suites, params, citation", [
+        # these used to give a FAIL row with lhs = rhs = inf and margin nan,
+        # an uncaught OverflowError, and FAIL rows with NaN sides: exit 1
+        ([0.0, 1000.0], ["poly-moment"], {"q_list": [2, 200]}, "poly-moment"),
+        ([0.0, 1000.0], ["intdim"], {"intdim_q": [200]}, "intdim-moment"),
+        ([0.0, 1e200], ["poincare", "poly-moment"], {}, "scalar-poincare"),
+    ])
+    def test_overflow_exits_2(self, tmp_path, capsys, values, suites, params, citation):
+        cfg = {"seed": 1, "model": {"fixture": "two-state"},
+               "fields": [{"type": "table", "values": values}],
+               "suites": suites, "params": params}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with np.errstate(all="ignore"):
+            code = run_cli(["run", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"NumericError: {citation}: no verdict")
         assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("model, suites", [

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy.polynomial.hermite_e import hermegauss
 from hypothesis import strategies as st
 
 from tplab import (
@@ -11,7 +14,6 @@ from tplab import (
     GaussianSeries,
     SampleSpec,
     bivariate_symmetrized,
-    carre_smooth,
     carre_table,
     column_energies,
     complete_refresh_chain,
@@ -25,8 +27,8 @@ from tplab import (
     variance_proxy,
 )
 from tplab.energy import _check_psd_stack, chaos_gamma_batch
+from tplab.models import FiniteChain
 from tplab.montecarlo import draw_standard_normal
-from tplab.models import FiniteChain, SmoothField
 
 from conftest import random_field, random_reversible_chain
 
@@ -211,37 +213,46 @@ class TestColumnEnergies:
         np.testing.assert_allclose(dirich, [0.5, 0.0], atol=1e-15)
 
 
+def central_gamma(field, xs):
+    """Oracle: sum_i (d_i f)^2 at each row of xs, with the central difference
+    d_i f(x) = (f(x + e_i) - f(x - e_i)) / 2, exact for a quadratic f."""
+    out = 0.0
+    for step in np.eye(field.ambient_dim):
+        p = 0.5 * (field.eval_batch(xs + step) - field.eval_batch(xs - step))
+        out = out + p @ p
+    return out
+
+
+def gauss_hermite_mean(fn, n):
+    """Oracle: E fn(X) for X ~ N(0, I_n), by the tensor rule with 3
+    Gauss-Hermite nodes per variable, exact for polynomials of degree <= 5
+    in each variable; fn maps (m, n) points to (m, d, d) values."""
+    nodes, weights = hermegauss(3)
+    weights = weights / weights.sum()
+    points = np.array(list(itertools.product(nodes, repeat=n)))
+    w = np.prod(np.array(list(itertools.product(weights, repeat=n))), axis=1)
+    return np.einsum("m,mij->ij", w, fn(points))
+
+
 class TestCarreSmooth:
+    """Gamma = sum_i (d_i f)^2 of the Gaussian models, against central
+    differences of the field's evaluator."""
+
     def test_series_is_sum_of_squared_coefficients(self):
         series = GaussianSeries(np.stack([PAULI_Z, PAULI_X]))
-        field = series.as_field()
-        rng = np.random.default_rng(47)
         expected = PAULI_Z @ PAULI_Z + PAULI_X @ PAULI_X  # = 2I
         np.testing.assert_allclose(expected, 2.0 * np.eye(2))
-        for _ in range(10):
-            x = rng.standard_normal(2)
-            np.testing.assert_allclose(carre_smooth(field, x), expected, atol=1e-12)
+        xs = np.random.default_rng(47).standard_normal((10, 2))
+        np.testing.assert_allclose(central_gamma(series.as_field(), xs),
+                                   np.broadcast_to(expected, (10, 2, 2)), atol=1e-12)
+        np.testing.assert_allclose(energy_report(series).gamma, expected[None], atol=1e-15)
 
     def test_chaos_closed_form(self):
         rng = np.random.default_rng(53)
         chaos = GaussianChaos(rng.standard_normal((3, 3, 2, 2)))
-        field = chaos.as_field()
-        for _ in range(10):
-            x = rng.standard_normal(3)
-            sums = np.einsum("j,ijkl->ikl", x, chaos.coefficients)
-            expected = 4.0 * np.einsum("ikl,ilp->kp", sums, sums)
-            np.testing.assert_allclose(carre_smooth(field, x), expected, atol=1e-10)
-
-    def test_finite_difference_fallback_matches_analytic(self):
-        rng = np.random.default_rng(59)
-        chaos = GaussianChaos(rng.standard_normal((2, 2, 2, 2)))
-        with_partials = chaos.as_field()
-        without = SmoothField(ambient_dim=2, dim=2, func=with_partials.func)
-        for _ in range(20):
-            x = rng.standard_normal(2)
-            a = carre_smooth(with_partials, x)
-            b = carre_smooth(without, x)
-            assert np.max(np.abs(a - b)) <= 1e-6 * (1.0 + np.max(np.abs(a)))
+        xs = rng.standard_normal((10, 3))
+        expected = central_gamma(chaos.as_field(), xs)
+        assert relative_gap(chaos_gamma_batch(chaos, xs), expected) <= 1e-13
 
 
 def relative_gap(a, b):
@@ -285,35 +296,35 @@ class TestDirichletForm:
                 np.testing.assert_allclose(dirichlet_form(chain, f), expected, atol=1e-12)
 
     def test_chaos_monte_carlo_matches_analytic_oracle(self):
+        # the exact form (the name is older than it):
+        # E Gamma = 4 sum_ij A_ij^2 since E[X_j X_k] = delta_jk
         rng = np.random.default_rng(67)
         chaos = GaussianChaos(rng.standard_normal((2, 2, 2, 2)))
-        # E Gamma = 4 sum_ij A_ij^2 since E[X_j X_k] = delta_jk
-        oracle = 4.0 * np.einsum("ijkl,ijlp->kp", chaos.coefficients, chaos.coefficients)
-        est = dirichlet_form(chaos, spec=SampleSpec(n=200000, seed=7))
-        assert np.max(np.abs(est - oracle)) <= 0.05 * (1.0 + op_norm(oracle))
+        a = chaos.coefficients
+        oracle = 4.0 * sum(a[i, j] @ a[i, j] for i in range(2) for j in range(2))
+        assert relative_gap(dirichlet_form(chaos), oracle) <= 1e-14
 
-    def test_requires_budget_for_estimation(self):
-        chaos = GaussianChaos(np.ones((1, 1, 1, 1)))
-        with pytest.raises(DomainError):
-            dirichlet_form(chaos)
 
-    def test_streamed_estimates_match_one_block_of_all_draws(self):
-        rng = np.random.default_rng(73)
-        chaos = GaussianChaos(rng.standard_normal((4, 4, 3, 3)))
-        spec = SampleSpec(n=10000, seed=11, workers=2)
-        xs = draw_standard_normal(spec, 4)
-        gamma = chaos_gamma_batch(chaos, xs).mean(axis=0)
-        vals = chaos.as_field().eval_batch(xs)
-        mean = vals.mean(axis=0)
-        variance = np.einsum("mij,mjl->il", vals, vals) / len(xs) - mean @ mean
-        assert relative_gap(dirichlet_form(chaos, spec=spec), gamma) <= 1e-13
-        assert relative_gap(matrix_variance(chaos, spec=spec), variance) <= 1e-13
-        # a smooth field without a batched Gamma takes the same stream
-        field = SmoothField(ambient_dim=4, dim=3, func=chaos.as_field().func,
-                            partials=chaos.as_field().partials)
-        small = SampleSpec(n=300, seed=11)
-        assert relative_gap(dirichlet_form(field, spec=small),
-                            dirichlet_form(chaos, spec=small)) <= 1e-13
+class TestChaosEnergies:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_match_gauss_hermite_quadrature(self, n, d):
+        rng = np.random.default_rng(10 * n + d)
+        chaos = GaussianChaos(rng.standard_normal((n, n, d, d)))
+        field = chaos.as_field()
+        mean = gauss_hermite_mean(field.eval_batch, n)
+        second = gauss_hermite_mean(lambda xs: field.eval_batch(xs) @ field.eval_batch(xs), n)
+        energy = gauss_hermite_mean(lambda xs: central_gamma(field, xs), n)
+        assert relative_gap(chaos.mean(), mean) <= 1e-12
+        assert relative_gap(matrix_variance(chaos), second - mean @ mean) <= 1e-12
+        assert relative_gap(dirichlet_form(chaos), energy) <= 1e-12
+
+    def test_variance_is_half_the_energy(self):
+        # on the second chaos Var f = E Gamma(f) / 2, bit for bit
+        rng = np.random.default_rng(89)
+        for n, d in ((1, 1), (4, 2), (8, 3)):
+            chaos = GaussianChaos(rng.standard_normal((n, n, d, d)))
+            np.testing.assert_array_equal(matrix_variance(chaos), 0.5 * dirichlet_form(chaos))
 
 
 class TestMatrixVariance:
@@ -356,11 +367,8 @@ class TestVarianceProxy:
 
     def test_general_smooth_needs_grid(self):
         chaos = GaussianChaos(np.ones((1, 1, 1, 1)))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="unbounded"):
             variance_proxy(chaos)
-        v, mode = variance_proxy(chaos, grid=[[0.0], [1.0], [-2.0]])
-        # Gamma(x) = 4 x^2 on the grid, sup at x = -2
-        assert v == pytest.approx(16.0) and mode == "ESTIMATED"
 
 
 class TestBivariateSymmetrized:
@@ -429,8 +437,15 @@ class TestEnergyReport:
         assert np.asarray(doc["gamma"]).shape == (4, 2, 2)
 
     def test_estimated_mode_has_meta(self):
+        # f = X^2: the energies are exact, Gamma(x) = 4 x^2 is probed
         chaos = GaussianChaos(np.ones((1, 1, 1, 1)))
+        with pytest.raises(DomainError, match="SampleSpec"):
+            energy_report(chaos)
         rep = energy_report(chaos, spec=SampleSpec(n=2000, seed=3))
         assert rep.mode == "ESTIMATED"
-        assert rep.sample_meta["n"] == 2000
+        assert rep.sample_meta == {"probe_n": 8, "probe_seed": 3}
         assert "sample_meta" in rep.to_json_dict()
+        assert rep.dirichlet.tolist() == [[4.0]] and rep.variance.tolist() == [[2.0]]
+        probe = draw_standard_normal(SampleSpec(n=8, seed=3), 1)
+        np.testing.assert_allclose(rep.gamma[:, 0, 0], 4.0 * probe[:, 0] ** 2, rtol=1e-15)
+        assert rep.v_f == pytest.approx(4.0 * np.max(probe ** 2), rel=1e-15)

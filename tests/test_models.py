@@ -228,11 +228,6 @@ class TestGaussianSeriesField:
         field = series_as_field(GaussianSeries(np.stack([a1, a2])))
         np.testing.assert_allclose(field([1.0, 1.0]), [[1.0, 1.0], [1.0, -1.0]])
 
-    def test_partials_are_coefficients(self):
-        coefs = np.stack([np.eye(2), np.diag([1.0, -1.0])])
-        field = series_as_field(GaussianSeries(coefs))
-        np.testing.assert_array_equal(field.partials(np.ones(2)), coefs)
-
     def test_batch_matches_pointwise(self):
         rng = np.random.default_rng(3)
         coefs = rng.standard_normal((3, 2, 2))
@@ -266,25 +261,6 @@ class TestGaussianChaosField:
         chaos = GaussianChaos(coef)
         np.testing.assert_allclose(chaos.mean(),
                                    sum(chaos.coefficients[i, i] for i in range(3)))
-
-
-@pytest.mark.parametrize("make_field", [
-    lambda rng: series_as_field(GaussianSeries(rng.standard_normal((3, 2, 2)))),
-    lambda rng: chaos_as_field(GaussianChaos(rng.standard_normal((3, 3, 2, 2)))),
-])
-def test_analytic_partials_match_central_differences(make_field):
-    rng = np.random.default_rng(41)
-    field = make_field(rng)
-    h = 1e-6
-    for _ in range(100):
-        x = rng.standard_normal(field.ambient_dim)
-        analytic = field.partials(x)
-        for i in range(field.ambient_dim):
-            step = np.zeros(field.ambient_dim)
-            step[i] = h
-            fd = (field(x + step) - field(x - step)) / (2 * h)
-            scale = max(1.0, np.max(np.abs(analytic[i])))
-            assert np.max(np.abs(analytic[i] - fd)) <= 1e-6 * scale
 
 
 class TestChainFromJson:

@@ -17,7 +17,6 @@ from tplab.montecarlo import (
     draw_standard_normal,
     estimate_statistic,
     normal_quantile,
-    sum_blocks,
 )
 
 
@@ -176,14 +175,6 @@ class TestFusedPass:
         est = estimate_trace_moment(series.as_field(), 1, SampleSpec(n=100000, seed=29))
         assert est.level == 0.99
         assert est.ci_low <= exact <= est.ci_high
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sum_blocks_streams_the_draws(self, workers):
-        spec = SampleSpec(n=10000, seed=41, workers=workers)
-        xs = draw_standard_normal(spec, 3)
-        first, second = sum_blocks(spec, 3, lambda b: (b.sum(axis=0), b.T @ b))
-        np.testing.assert_allclose(first, xs.sum(axis=0), rtol=0, atol=1e-11)
-        np.testing.assert_allclose(second, xs.T @ xs, rtol=1e-13)
 
 
 def counting_field(field, calls):

@@ -192,8 +192,8 @@ class TestEquivalenceProbe:
 
     def test_matches_per_trial_oracle(self, two_state, k4):
         # on a two-state chain and on K4 every field attains alpha, so the
-        # maximizer there is any field whose ratio ties with the supremum;
-        # elsewhere it is the oracle's first strict maximum
+        # ratios tie; the maximizer is the first within the probe's relative
+        # slack 1e-9 of the supremum, there as elsewhere
         rng = np.random.default_rng(257)
         chains = [two_state, k4] + [random_reversible_chain(rng, n, 10.0 ** e)
                                     for n, e in ((2, 0), (3, -3), (5, 0), (8, 3))]
@@ -203,11 +203,9 @@ class TestEquivalenceProbe:
                 ratios = per_trial_ratios(chain, 60, dims, seed)
                 sup = max(r for r, _ in ratios)
                 assert abs(report.sup_ratio - sup) <= 1e-11 * sup
-                ties = [info for r, info in ratios if r >= sup * (1 - 1e-11)]
-                if chain.n_states == 2 or chain is k4:
-                    assert report.maximizer in ties
-                else:
-                    assert report.maximizer == ties[0]
+                ties = [info for r, info in ratios if r >= sup * (1 - 1e-9)]
+                assert report.maximizer == ties[0]
+                if chain.n_states > 2 and chain is not k4:
                     assert abs(report.sup_ratio - sup) <= 1e-13 * sup
 
     def test_deterministic_given_seed(self, k4):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tplab import CheckReport, rows_to_csv, rows_to_json
+from tplab import CheckReport, NumericError, rows_to_csv, rows_to_json
 from tplab.reports import slack_for
 
 
@@ -20,6 +20,14 @@ class TestCheckReport:
     def test_skipped(self):
         r = CheckReport.skipped("x", 1.0, float("inf"))
         assert r.verdict == "SKIPPED" and not r.passed
+
+    @pytest.mark.parametrize("lhs, rhs", [
+        (float("inf"), float("inf")), (float("nan"), 1.0), (0.0, float("nan"))])
+    def test_nan_has_no_verdict(self, lhs, rhs):
+        with pytest.raises(NumericError, match="^poly-moment: no verdict"):
+            CheckReport.from_comparison("poly-moment", lhs, rhs, 1e-9)
+        with pytest.raises(NumericError, match="^chaos-matrix: no verdict"):
+            CheckReport.from_interval("chaos-matrix", lhs, lhs, lhs, rhs, 1e-9)
 
     def test_slack_is_absolute_relative_hybrid(self):
         assert slack_for(0.0) == pytest.approx(1e-9)
