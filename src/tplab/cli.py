@@ -229,8 +229,7 @@ def _chain_rows(chain, name, fields, reports, suites, params, seed):
             phis = [_labelled(f"params.phis[{i}]", (LabError,), _build_phi, desc)
                     for i, desc in enumerate(descs)]
             for fname, f in fields:
-                for phi in phis:
-                    r = bounds.check_chain_rule(chain, f, phi)
+                for phi, r in zip(phis, bounds.check_chain_rule(chain, f, phis)):
                     r.context["field"] = fname
                     add(suite, r)
                     if chain.n_states >= 2:

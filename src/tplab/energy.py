@@ -11,12 +11,14 @@ the generator identity (the definition of the carre du champ)
 
     Gamma(f) = (1/2) [L(f^2) - f (Lf) - (Lf) f + r f^2],   r = L 1,
 
-so the whole table costs two dense products of L with an (n, d^2) block plus
-n small matrix products: O(n^2 d^2 + n d^3) instead of a per-state loop.  The
-row-sum term r makes the identity hold for the floating-point generator, not
-only for exact zero row sums.  On Gaussian models the squared derivative is
-sum_i (d_i f)^2: the constant sum_i A_i^2 for a series f = sum_i X_i A_i,
-and 4 sum_i (sum_j X_j A_ij)^2 for a chaos f = sum_ij X_i X_j A_ij.  Their
+so the whole table costs two products of L with an (n, d^2) block plus n
+small matrix products instead of a per-state loop.  On a product chain each
+product with L is one mode product per coordinate (``FiniteChain.apply``),
+so no n x n matrix is formed.  The row-sum term r makes the identity hold
+for the floating-point generator, not only for exact zero row sums.  On
+Gaussian models the squared derivative is sum_i (d_i f)^2: the constant
+sum_i A_i^2 for a series f = sum_i X_i A_i, and 4 sum_i (sum_j X_j A_ij)^2
+for a chaos f = sum_ij X_i X_j A_ij.  Their
 Dirichlet forms and variances are exact too.  For a series both are
 sum_i A_i^2.  For a chaos, Isserlis' theorem (E[X_i X_j X_k X_l] is a sum
 over pairings) gives E Gamma(f) = 4 S and Var f = 2 S with
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo
-from .errors import DimensionError, DomainError
+from .errors import CapacityError, DimensionError, DomainError, NumericError
 from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries
 from .montecarlo import SampleSpec
 from .spectral import max_op_norm, op_norm
@@ -50,7 +52,11 @@ def carre_table(chain: FiniteChain, f: FiniteField) -> np.ndarray:
     equals (1/2) sum_w L(z, w) (f(w) - f(z))^2 for any generator.  The field
     is centred first, c = f - E_mu f; Gamma is shift-invariant, and centring
     keeps the cancellation at the scale of the fluctuations rather than of
-    the mean.  Cost O(n^2 d^2 + n d^3).
+    the mean.  L is read only through ``chain.apply`` and ``chain.row_sums``:
+    O(n m k d^2 + n d^3) on a k-factor chain with an (m, m) factor, and
+    O(n^2 d^2 + n d^3) on a plain one.  A table that is not finite (the
+    squared fluctuations overflow) raises NumericError, since no bound read
+    from it would mean anything.
     """
     v = f.values
     n = chain.n_states
@@ -58,14 +64,16 @@ def carre_table(chain: FiniteChain, f: FiniteField) -> np.ndarray:
         raise DimensionError(
             f"field has {v.shape[0]} states but chain has {n}"
         )
-    gen = chain.generator
     c = v - np.einsum("z,zij->ij", chain.stationary, v)
     sq = c @ c
-    lc = (gen @ c.reshape(n, -1)).reshape(c.shape)
-    lsq = (gen @ sq.reshape(n, -1)).reshape(c.shape)
-    rows = gen.sum(axis=1)
-    out = 0.5 * (lsq - c @ lc - lc @ c + rows[:, None, None] * sq)
-    return 0.5 * (out + out.transpose(0, 2, 1))
+    lc = chain.apply(c.reshape(n, -1)).reshape(c.shape)
+    lsq = chain.apply(sq.reshape(n, -1)).reshape(c.shape)
+    out = 0.5 * (lsq - c @ lc - lc @ c + chain.row_sums[:, None, None] * sq)
+    out = 0.5 * (out + out.transpose(0, 2, 1))
+    if not np.all(np.isfinite(out)):
+        raise NumericError("carre-du-champ: no verdict, the Gamma table is not finite; "
+                           "the squared fluctuations of the field overflow")
+    return out
 
 
 def column_energies(chain: FiniteChain, cols) -> tuple[np.ndarray, np.ndarray]:
@@ -77,10 +85,10 @@ def column_energies(chain: FiniteChain, cols) -> tuple[np.ndarray, np.ndarray]:
     columns of a matrix field give its trace energies without a Gamma table.
     """
     cols = np.asarray(cols, dtype=float)
-    mu, gen = chain.stationary, chain.generator
+    mu = chain.stationary
     c = cols - mu @ cols
     sq = c * c
-    gam = 0.5 * (gen @ sq - 2.0 * c * (gen @ c) + gen.sum(axis=1)[:, None] * sq)
+    gam = 0.5 * (chain.apply(sq) - 2.0 * c * chain.apply(c) + chain.row_sums[:, None] * sq)
     return mu @ sq, mu @ gam
 
 
@@ -182,11 +190,22 @@ class SymmetrizedPair:
         return self.g.values.reshape(m, m, d, d)
 
 
+# bytes the bivariate pair's g and Gamma tables, (n^2, d, d) each, may take
+PAIR_BYTE_BUDGET = 2 << 30
+
+
 def bivariate_symmetrized(chain: FiniteChain, f: FiniteField) -> SymmetrizedPair:
-    """Build g(z, z') = f(z) - f(z') over the squared state space."""
+    """Build g(z, z') = f(z) - f(z') over the squared state space.  Raises
+    CapacityError, before allocating, when the g and Gamma tables
+    (2 n^2 d^2 doubles) exceed PAIR_BYTE_BUDGET (2 GiB)."""
+    n, d = chain.n_states, f.dim
+    need = 2 * n * n * d * d * 8
+    if need > PAIR_BYTE_BUDGET:
+        raise CapacityError(f"the bivariate pair of '{chain.name}' ({n}^2 states, d = {d}) "
+                            f"needs {need / 2 ** 30:.3g} GiB for its g and Gamma tables, "
+                            f"over the budget of {PAIR_BYTE_BUDGET / 2 ** 30:g} GiB")
     gam_f = carre_table(chain, f)
     v = f.values
-    d = f.dim
     g = FiniteField((v[:, None, :, :] - v[None, :, :, :]).reshape(-1, d, d))
     gamma = (gam_f[:, None, :, :] + gam_f[None, :, :, :]).reshape(-1, d, d)
     mu2 = np.kron(chain.stationary, chain.stationary)

@@ -22,7 +22,7 @@ class ModelError(LabError):
 
 
 class CapacityError(LabError):
-    """Exact enumeration budget exceeded (state count too large)."""
+    """Exact enumeration budget exceeded (state count or table bytes too large)."""
 
 
 class NumericError(LabError):

@@ -3,14 +3,17 @@ Gaussian-space matrix models.
 
 Finite chains are continuous-time generators L (rows sum to zero,
 off-diagonal rates nonnegative) together with a fully supported stationary
-measure satisfying detailed balance.  Matrix fields map states (or points of
-R^n) to symmetric d x d matrices.
+measure satisfying detailed balance.  A product chain keeps its factor's
+generator and applies the Kronecker sum over its coordinates by mode
+products, so no chain holds an n x n matrix beyond its factor.  Matrix
+fields map states (or points of R^n) to symmetric d x d matrices.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -32,27 +35,43 @@ def _frozen_array(obj, name, arr):
 
 @dataclass(frozen=True)
 class FiniteChain:
-    """Reversible continuous-time Markov chain on a finite state space.
+    """Reversible continuous-time Markov chain on a finite state space, the
+    product of ``factors`` independent copies of one factor chain (a plain
+    chain has one factor).
 
-    generator: (n, n) rate matrix L; stationary: (n,) measure mu with full
-    support; states: hashable labels in index order.  Invariants (finite
-    entries, row sums, nonnegative off-diagonal rates, detailed balance
-    mu_i L_ij = mu_j L_ji) are validated on construction and raise
-    ModelError.  Row sums and balance are checked relative to the rate scale
-    max_z |L(z, z)|, so rescaling time L -> cL never changes the verdict.
+    generator: the factor's (m, m) rate matrix L.  The chain's generator is
+    the Kronecker sum L (+) ... (+) L, one term per coordinate; it is never
+    formed, and the chain layer reads it only through ``apply`` and
+    ``row_sums``.  stationary: the (n,) measure mu with full support,
+    n = m ** factors, the product of the factor's measure
+    ``factor_stationary`` (its first-coordinate marginal).  states: hashable
+    labels in index order, the first coordinate varying slowest.
+
+    Invariants (finite entries, row sums, nonnegative off-diagonal rates,
+    detailed balance pi_i L_ij = pi_j L_ji of the factor with its measure
+    pi, and mu the product of pi) are validated on construction and raise
+    ModelError; a product of reversible factors is reversible for the
+    product measure, so nothing of size n x n is checked.  Row sums and
+    balance are checked relative to the rate scale max_z |L(z, z)|, so
+    rescaling time L -> cL never changes the verdict.
     """
 
     generator: np.ndarray
     stationary: np.ndarray
     states: tuple = ()
     name: str = "chain"
+    factors: int = 1
 
     def __post_init__(self):
         gen = np.array(self.generator, dtype=float)
         mu = np.array(self.stationary, dtype=float)
         if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
             raise ModelError(f"generator must be square, got shape {gen.shape}")
-        n = gen.shape[0]
+        k = self.factors
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ModelError(f"factors must be an integer >= 1, got {k!r}")
+        m = gen.shape[0]
+        n = m ** k
         if mu.shape != (n,):
             raise ModelError(f"stationary measure has shape {mu.shape}, expected ({n},)")
         if not (np.all(np.isfinite(gen)) and np.all(np.isfinite(mu))):
@@ -69,20 +88,55 @@ class FiniteChain:
             raise ModelError("stationary measure must be strictly positive everywhere")
         if abs(float(mu.sum()) - 1.0) > STATIONARY_TOL:
             raise ModelError(f"stationary measure must sum to 1, got {mu.sum()!r}")
-        flux = mu[:, None] * gen
+        pi = mu.reshape(m, -1).sum(axis=1)  # mu itself for one factor
+        flux = pi[:, None] * gen
         bal_err = float(np.max(np.abs(flux - flux.T)))
         if bal_err > BALANCE_TOL * rate_scale:
             raise ModelError(f"detailed balance violated (max |mu_i L_ij - mu_j L_ji| = {bal_err:.3e})")
+        if k > 1 and np.max(np.abs(mu - _kron_power(pi, k))) > STATIONARY_TOL * np.max(mu):
+            raise ModelError(f"stationary measure of a {k}-factor chain must be the "
+                             f"product of its marginal")
         states = tuple(self.states) if self.states else tuple(range(n))
         if len(states) != n:
             raise ModelError(f"{len(states)} state labels for {n} states")
         _frozen_array(self, "generator", gen)
         _frozen_array(self, "stationary", mu)
+        _frozen_array(self, "factor_stationary", pi)
         object.__setattr__(self, "states", states)
 
     @property
     def n_states(self) -> int:
-        return self.generator.shape[0]
+        return self.stationary.shape[0]
+
+    def apply(self, x) -> np.ndarray:
+        """L x for an (n_states,) vector or an (n_states, cols) block: one
+        mode product of the (m, m) factor generator per coordinate, O(n m)
+        per column and coordinate.  For one factor this is generator @ x, bit
+        for bit."""
+        x = np.asarray(x, dtype=float)
+        m = self.generator.shape[0]
+        out = (self.generator @ x.reshape(1, m, -1)).reshape(x.shape)
+        for i in range(1, self.factors):
+            out += (self.generator @ x.reshape(m ** i, m, -1)).reshape(x.shape)
+        return out
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """L 1, zero up to rounding: the Kronecker sum of the factor's row
+        sums, which is generator.sum(axis=1) for one factor."""
+        r = self.generator.sum(axis=1)
+        out = r
+        for _ in range(self.factors - 1):
+            out = (out[:, None] + r).ravel()
+        return out
+
+
+def _kron_power(v: np.ndarray, k: int) -> np.ndarray:
+    """v (x) ... (x) v, k factors, in row-major order."""
+    out = v
+    for _ in range(k - 1):
+        out = np.kron(out, v)
+    return out
 
 
 def two_state_chain(rate: float = 1.0, name: str = "two-state") -> FiniteChain:
@@ -150,13 +204,22 @@ def complete_refresh_chain(mu, name: str = "refresh") -> FiniteChain:
 
 def product_chain(base: FiniteChain, n: int) -> FiniteChain:
     """n-fold product chain: each coordinate refreshed by an independent
-    unit-rate copy of the base dynamics (generator = sum over coordinates).
+    unit-rate copy of the base dynamics (generator = the Kronecker sum over
+    coordinates, applied by mode products and never formed).
 
-    States are n-tuples of base states enumerated in row-major coordinate
-    order (first coordinate varies slowest); the stationary measure is the
-    n-fold product.  Raises CapacityError beyond the exact-enumeration
-    budget of 10^6 states.
+    Keeps the base's (m, m) generator, so the only validation is the
+    base's, which is exact: a product of reversible, validated factors is
+    reversible for the product measure.  A product of products is flattened:
+    the n-fold product of a k-factor chain is its factor's (n k)-fold
+    product, with the same row-major state order.  States are n-tuples of
+    base states enumerated in row-major coordinate order (first coordinate
+    varies slowest); the stationary measure is the n-fold product.  No
+    (n_states, n_states) array is allocated.  Raises CapacityError beyond
+    the exact-enumeration budget of 10^6 states.
     """
+    if not isinstance(base, FiniteChain):
+        raise ModelError(f"the base of a product must be a finite chain, "
+                         f"got {type(base).__name__}")
     if n < 1:
         raise ModelError(f"number of factors must be >= 1, got {n}")
     if n == 1:
@@ -164,16 +227,9 @@ def product_chain(base: FiniteChain, n: int) -> FiniteChain:
     m = base.n_states
     if m ** n > STATE_BUDGET:
         raise CapacityError(f"product state space {m}^{n} exceeds budget {STATE_BUDGET}")
-    gen = np.zeros((m ** n, m ** n))
-    for i in range(n):
-        left = np.eye(m ** i)
-        right = np.eye(m ** (n - 1 - i))
-        gen += np.kron(np.kron(left, base.generator), right)
-    mu = base.stationary
-    for _ in range(n - 1):
-        mu = np.kron(mu, base.stationary)
     states = tuple(itertools.product(base.states, repeat=n))
-    return FiniteChain(gen, mu, states=states, name=f"{base.name}^{n}")
+    return FiniteChain(base.generator, _kron_power(base.stationary, n), states=states,
+                       name=f"{base.name}^{n}", factors=base.factors * n)
 
 
 # ---------------------------------------------------------------------------

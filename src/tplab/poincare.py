@@ -4,7 +4,10 @@ checkers with an equivalence probe.
 For a reversible chain the similarity transform S = D^{1/2} L D^{-1/2} with
 D = diag(mu) is symmetric, so a symmetric eigensolver gives the spectrum of
 the generator; the gap is the smallest nonzero eigenvalue of -S and the
-Poincare constant is its reciprocal.
+Poincare constant is its reciprocal.  The spectrum of a Kronecker sum is the
+set of sums of its factors' eigenvalues, so a product chain's gap is its
+factor's, exactly (tensorization; Bakry-Gentil-Ledoux 2014, 4.3), and only
+the (m, m) factor is diagonalised.
 """
 
 from __future__ import annotations
@@ -41,17 +44,20 @@ class PoincareCertificate:
 
 
 def poincare_constant(chain: FiniteChain) -> PoincareCertificate:
-    """Certificate with alpha = 1/gap from the symmetrized generator."""
-    mu = chain.stationary
+    """Certificate with alpha = 1/gap from the symmetrized (m, m) factor
+    generator and the factor's measure: O(m^3) for any number of factors,
+    and the exact gap of the product."""
+    mu = chain.factor_stationary
     root = np.sqrt(mu)
     sym = (root[:, None] * chain.generator) / root[None, :]
     sym = 0.5 * (sym + sym.T)
     w = np.linalg.eigvalsh(-sym)
     scale = max(1.0, float(np.max(np.abs(w))))
-    if chain.n_states < 2 or w[1] <= _GAP_REL_TOL * scale:
+    m = mu.shape[0]
+    if m < 2 or w[1] <= _GAP_REL_TOL * scale:
         raise ModelError(
             f"chain '{chain.name}' has zero spectral gap (disconnected or "
-            f"non-ergodic); second eigenvalue {w[1] if chain.n_states > 1 else 0.0:.3e}"
+            f"non-ergodic); second eigenvalue {w[1] if m > 1 else 0.0:.3e}"
         )
     gap = float(w[1])
     return PoincareCertificate(alpha=1.0 / gap, gap=gap,
@@ -130,6 +136,28 @@ def _probe_field(seed: int, t: int, n: int, d: int) -> tuple[np.ndarray, np.ndar
     return 0.5 * (raw + raw.transpose(0, 2, 1)), rng.choice([-1.0, 1.0], size=d)
 
 
+# entries of the stacked probe columns per ``column_energies`` call: at most
+# 128 KiB per array, so that stacking trials saves calls without raising the
+# peak memory of a small chain's probe
+_PROBE_ENTRIES = 2 ** 14
+
+
+def _probe_chunks(n: int, trial_dims, limit: int) -> list[range]:
+    """Runs of consecutive trials whose blocks (d^2 + d columns of n entries
+    each) stack to at most ``limit`` entries; a trial over the limit is a
+    run of its own."""
+    chunks, start, entries = [], 0, 0
+    for t, d in enumerate(trial_dims):
+        size = n * (d * d + d)
+        if t > start and entries + size > limit:
+            chunks.append(range(start, t))
+            start, entries = t, 0
+        entries += size
+    if trial_dims:
+        chunks.append(range(start, len(trial_dims)))
+    return chunks
+
+
 def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
                       cert: PoincareCertificate | None = None) -> ProbeReport:
     """Search for the worst variance/energy ratio; it never exceeds alpha.
@@ -139,28 +167,34 @@ def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
     random sign vector u, mirroring the reduction used to pass from scalar
     to trace inequalities.  Per-trial RNG streams are split deterministically
     from the seed, so trials are order-independent.  A trace ratio is a
-    ratio of sums over the field's entries, so one ``column_energies`` call
-    per trial covers the d^2 entries and the d compressions.  The maximizer
-    is the first (trial, candidate) whose ratio lies within _PROBE_SLACK
-    (relative) of the supremum, so exact ties, which every field makes on a
-    two-state chain or K_n, resolve to the earliest; its trial is redrawn
-    from its stream to report its field.  ``cert`` is the chain's
-    certificate when the caller already has it; by default it is computed
-    here.
+    ratio of sums over the field's entries, so the d^2 entries and the d
+    compressions of a trial are columns of one block, and the blocks of
+    consecutive trials are stacked into one ``column_energies`` call of at
+    most _PROBE_ENTRIES entries.  The maximizer is the first (trial,
+    candidate) whose ratio lies within _PROBE_SLACK (relative) of the
+    supremum, so exact ties, which every field makes on a two-state chain or
+    K_n, resolve to the earliest; its trial is redrawn from its stream to
+    report its field.  ``cert`` is the chain's certificate when the caller
+    already has it; by default it is computed here.
     """
     if cert is None:
         cert = poincare_constant(chain)
     dims = tuple(int(d) for d in dims)
     n = chain.n_states
     ratios = []  # (ratio, trial, compression axis or None), in search order
-    for t in range(trials):
-        d = dims[t % len(dims)]
-        vals, u = _probe_field(seed, t, n, d)
-        var, dirich = column_energies(chain, np.hstack([vals.reshape(n, -1), u @ vals]))
-        k = d * d
-        candidates = [(var[:k].sum(), dirich[:k].sum(), None)]
-        candidates += [(var[k + i], dirich[k + i], i) for i in range(d)]
-        ratios += [(float(v / e), t, axis) for v, e, axis in candidates if e > 1e-14]
+    trial_dims = [dims[t % len(dims)] for t in range(trials)]
+    for chunk in _probe_chunks(n, trial_dims, _PROBE_ENTRIES):
+        fields = [_probe_field(seed, t, n, trial_dims[t]) for t in chunk]
+        var, dirich = column_energies(
+            chain, np.hstack([np.hstack([vals.reshape(n, -1), u @ vals]) for vals, u in fields]))
+        start = 0
+        for t, (vals, _) in zip(chunk, fields):
+            d = vals.shape[1]
+            k = start + d * d
+            candidates = [(var[start:k].sum(), dirich[start:k].sum(), None)]
+            candidates += [(var[k + i], dirich[k + i], i) for i in range(d)]
+            ratios += [(float(v / e), t, axis) for v, e, axis in candidates if e > 1e-14]
+            start = k + d
 
     if not ratios:
         return ProbeReport(sup_ratio=None, alpha=cert.alpha, trials=trials, dims=dims,

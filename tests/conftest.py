@@ -25,6 +25,17 @@ def random_reversible_chain(rng, n_states, scale=1.0):
     return FiniteChain(gen, mu)
 
 
+def dense_product_generator(base, k):
+    """The Kronecker sum L (+) ... (+) L of k copies of a one-factor base's
+    (m, m) generator as a dense (m^k, m^k) matrix, coordinates in row-major
+    order: the oracle for a product chain's matrix-free ``apply``."""
+    m = base.generator.shape[0]
+    gen = np.zeros((m ** k, m ** k))
+    for i in range(k):
+        gen += np.kron(np.kron(np.eye(m ** i), base.generator), np.eye(m ** (k - 1 - i)))
+    return gen
+
+
 def k_complete(n):
     return np.ones((n, n)) - np.eye(n)
 

@@ -168,14 +168,14 @@ class TestMeanValueTrace:
 
 class TestChainRule:
     def test_constant_field(self, k4):
-        r = check_chain_rule(k4, constant_field(4, np.diag([1.0, 2.0])),
-                             ScalarFnSpec.sinh(1.0))
+        (r,) = check_chain_rule(k4, constant_field(4, np.diag([1.0, 2.0])),
+                                [ScalarFnSpec.sinh(1.0)])
         assert r.passed and r.lhs == pytest.approx(0.0, abs=1e-14)
 
     def test_affine_equality(self, k4):
         rng = np.random.default_rng(127)
         f = random_field(rng, 4, 3)
-        r = check_chain_rule(k4, f, ScalarFnSpec.affine(1.7, -0.4))
+        (r,) = check_chain_rule(k4, f, [ScalarFnSpec.affine(1.7, -0.4)])
         assert r.passed
         assert abs(r.margin) <= 1e-10 * (1.0 + abs(r.rhs))
 
@@ -185,14 +185,15 @@ class TestChainRule:
         # (1/2)(tr(I/2) + cosh(1)^2 tr(I/2)) = (1 + cosh(1)^2)/2; the lhs is
         # the energy of sinh(f), namely sinh(1)^2
         f = FiniteField(np.stack([np.zeros((2, 2)), np.eye(2)]))
-        r = check_chain_rule(two_state, f, ScalarFnSpec.sinh(1.0))
+        (r,) = check_chain_rule(two_state, f, [ScalarFnSpec.sinh(1.0)])
         assert r.passed
         assert r.lhs == pytest.approx(math.sinh(1.0) ** 2, abs=1e-12)
         assert r.rhs == pytest.approx(0.5 * (1.0 + math.cosh(1.0) ** 2), abs=1e-12)
 
     def test_inadmissible_phi_rejected(self, two_state):
         with pytest.raises(DomainError):
-            check_chain_rule(two_state, indicator(two_state), ScalarFnSpec.cosh())
+            check_chain_rule(two_state, indicator(two_state),
+                             [ScalarFnSpec.sinh(1.0), ScalarFnSpec.cosh()])
 
     def test_matches_per_state_eigh_oracle(self, k4):
         # oracle: one eigendecomposition per state, as phi(f(z)) and
@@ -207,13 +208,14 @@ class TestChainRule:
                 f = random_field(rng, chain.n_states, d)
                 decs = [np.linalg.eigh(m) for m in f.values]
                 gam = carre_table(chain, f)
-                for phi in phis:
+                reports = check_chain_rule(chain, f, phis)
+                assert len(reports) == len(phis)
+                for phi, r in zip(phis, reports):
                     phi_f = FiniteField(np.stack([(q * phi(w)) @ q.T for w, q in decs]))
                     lhs = float(np.trace(dirichlet_form(chain, phi_f)))
                     psi_f = [(q * phi.sq_deriv(w)) @ q.T for w, q in decs]
                     rhs = sum(chain.stationary[z] * float(np.trace(gam[z] @ psi_f[z]))
                               for z in range(chain.n_states))
-                    r = check_chain_rule(chain, f, phi)
                     assert r.lhs == lhs
                     assert abs(r.rhs - rhs) <= 1e-13 * abs(rhs)
 

@@ -443,6 +443,21 @@ class TestExitCodes:
         assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith("CapacityError: ")
 
+    @pytest.mark.parametrize("suite", ["subadditivity", "intdim"])
+    def test_pair_capacity_exits_3(self, tmp_path, capsys, suite):
+        # refresh3^12 itself fits (531,441 states); its bivariate pair would
+        # need 4.2e3 GiB, so the pair is refused before any allocation
+        cfg = {"seed": 1,
+               "model": {"product": {"base": {"complete_refresh": {"stationary": [0.2, 0.3, 0.5]}},
+                                     "n": 12}},
+               "fields": [{"type": "fixture", "name": "indicator-1"}], "suites": [suite]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("CapacityError: the bivariate pair of 'refresh^12'")
+        assert not (tmp_path / "report.csv").exists()
+
     @pytest.mark.parametrize("model, label", [
         ({"generator": [[-1.0, 1.0], [2.0, -2.0]], "stationary": [0.5, 0.5]}, "ModelError"),
         ({"gaussian_series": {"coefficients": [[1.0, 2.0]]}}, "DimensionError"),
@@ -473,7 +488,12 @@ class TestExitCodes:
         # an uncaught OverflowError, and FAIL rows with NaN sides: exit 1
         ([0.0, 1000.0], ["poly-moment"], {"q_list": [2, 200]}, "poly-moment"),
         ([0.0, 1000.0], ["intdim"], {"intdim_q": [200]}, "intdim-moment"),
-        ([0.0, 1e200], ["poincare", "poly-moment"], {}, "scalar-poincare"),
+        # the Gamma table of [0, 1e200] overflows, which gave FAIL rows with
+        # NaN sides here, and PASS tail and SKIPPED exp-moment rows with a
+        # NaN v_f: exit 1 and exit 0
+        ([0.0, 1e200], ["poincare", "poly-moment"], {}, "carre-du-champ"),
+        ([0.0, 1e200], ["tail"], {}, "carre-du-champ"),
+        ([0.0, 1e200], ["exp-moment"], {}, "carre-du-champ"),
     ])
     def test_overflow_exits_2(self, tmp_path, capsys, values, suites, params, citation):
         cfg = {"seed": 1, "model": {"fixture": "two-state"},

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from numpy.polynomial.hermite_e import hermegauss
 from hypothesis import strategies as st
 
 from tplab import (
+    CapacityError,
     DimensionError,
     DomainError,
+    NumericError,
     FiniteField,
     GaussianChaos,
     GaussianSeries,
@@ -26,11 +29,12 @@ from tplab import (
     product_chain,
     variance_proxy,
 )
+from tplab import energy
 from tplab.energy import _check_psd_stack, chaos_gamma_batch
 from tplab.models import FiniteChain
 from tplab.montecarlo import draw_standard_normal
 
-from conftest import random_field, random_reversible_chain
+from conftest import dense_product_generator, random_field, random_reversible_chain
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -57,6 +61,11 @@ class TestCarreFinite:
         gam = carre_table(k4, f)
         np.testing.assert_allclose(gam[0], 0.5 * np.eye(2), atol=1e-15)
         np.testing.assert_allclose(gam[1], np.eye(2) / 6.0, atol=1e-15)
+
+    def test_overflowing_table_raises(self, two_state):
+        # the squared fluctuations of [0, 1e200] overflow: no finite Gamma
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
+            carre_table(two_state, FiniteField.from_scalars([0.0, 1e200]))
 
     def test_state_count_mismatch(self, k4):
         with pytest.raises(DimensionError):
@@ -104,10 +113,12 @@ chain_cases = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 7),
 class TestCarreIdentity:
     def test_refresh_product_matches_naive_sum(self):
         rng = np.random.default_rng(43)
-        prod = product_chain(complete_refresh_chain([0.2, 0.3, 0.5]), 2)
+        base = complete_refresh_chain([0.2, 0.3, 0.5])
+        prod = product_chain(base, 2)
+        dense = FiniteChain(dense_product_generator(base, 2), prod.stationary)
         for _ in range(20):
             f = random_field(rng, 9, 2)
-            want = naive_carre(prod, f)
+            want = naive_carre(dense, f)
             err = np.max(np.abs(carre_table(prod, f) - want))
             assert err <= 1e-12 * (1.0 + np.max(np.abs(want)))
 
@@ -372,6 +383,21 @@ class TestVarianceProxy:
 
 
 class TestBivariateSymmetrized:
+    def test_pair_over_byte_budget_refused(self, two_state):
+        # 2^16 states: the pair's two (2^32, 1, 1) tables would take 64 GiB
+        prod = product_chain(two_state, 16)
+        with pytest.raises(CapacityError, match="64 GiB"):
+            bivariate_symmetrized(prod, FiniteField.from_scalars(np.zeros(prod.n_states)))
+
+    def test_budget_counts_both_tables(self, k4, monkeypatch):
+        # 2 tables x 16 states x 2 x 2 doubles = 1024 bytes
+        f = FiniteField(np.zeros((4, 2, 2)))
+        monkeypatch.setattr(energy, "PAIR_BYTE_BUDGET", 1024)
+        assert bivariate_symmetrized(k4, f).g.n_states == 16
+        monkeypatch.setattr(energy, "PAIR_BYTE_BUDGET", 1023)
+        with pytest.raises(CapacityError):
+            bivariate_symmetrized(k4, f)
+
     def test_constant_field_all_zero(self, two_state):
         pair = bivariate_symmetrized(two_state, constant_field(2, [[5.0]]))
         np.testing.assert_allclose(pair.g.values, 0.0, atol=1e-15)
@@ -449,3 +475,21 @@ class TestEnergyReport:
         probe = draw_standard_normal(SampleSpec(n=8, seed=3), 1)
         np.testing.assert_allclose(rep.gamma[:, 0, 0], 4.0 * probe[:, 0] ** 2, rtol=1e-15)
         assert rep.v_f == pytest.approx(4.0 * np.max(probe ** 2), rel=1e-15)
+
+
+class TestMatrixFreeProducts:
+    def test_refresh3_power_12_stays_small(self):
+        # 531,441 states: a dense generator would take 2.26 TB, and the
+        # chain, a d = 2 Gamma table and the gap stay far below 400 MB
+        tracemalloc.start()
+        try:
+            prod = product_chain(complete_refresh_chain([0.2, 0.3, 0.5]), 12)
+            f = random_field(np.random.default_rng(3), prod.n_states, 2)
+            gam = carre_table(prod, f)
+            cert = poincare_constant(prod)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 2 ** 20
+        assert gam.shape == (3 ** 12, 2, 2)
+        assert cert.alpha == pytest.approx(1.0, rel=1e-12)

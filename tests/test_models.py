@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tplab import (
     CapacityError,
@@ -20,12 +22,20 @@ from tplab import (
 )
 from tplab.models import component_count
 
-from conftest import cycle_adjacency, k_complete, random_reversible_chain
+from conftest import (
+    cycle_adjacency,
+    dense_product_generator,
+    k_complete,
+    random_reversible_chain,
+)
 
 
-def spectral_gap(chain):
+def spectral_gap(chain, generator=None):
+    """The gap of ``generator`` (by default the chain's own) against the
+    chain's stationary measure, from a dense symmetric eigensolve."""
+    gen = chain.generator if generator is None else generator
     root = np.sqrt(chain.stationary)
-    sym = (root[:, None] * chain.generator) / root[None, :]
+    sym = (root[:, None] * gen) / root[None, :]
     w = np.linalg.eigvalsh(-0.5 * (sym + sym.T))
     return w[1]
 
@@ -178,21 +188,23 @@ class TestProductChain:
 
     def test_moves_exactly_one_coordinate(self, two_state):
         prod = product_chain(two_state, 2)
+        gen = dense_product_generator(two_state, 2)
+        np.testing.assert_array_equal(prod.apply(np.eye(4)), gen)
         for a, za in enumerate(prod.states):
             for b, zb in enumerate(prod.states):
                 if a == b:
                     continue
                 hamming = sum(x != y for x, y in zip(za, zb))
                 if hamming > 1:
-                    assert prod.generator[a, b] == 0.0
+                    assert gen[a, b] == 0.0
                 else:
-                    assert prod.generator[a, b] > 0.0
+                    assert gen[a, b] > 0.0
 
     def test_k3_square_satisfies_invariants(self):
         base = chain_from_graph(k_complete(3), 2)
         prod = product_chain(base, 2)  # constructor validates detailed balance
         assert prod.n_states == 9
-        flux = prod.stationary[:, None] * prod.generator
+        flux = prod.stationary[:, None] * dense_product_generator(base, 2)
         assert np.max(np.abs(flux - flux.T)) <= 1e-12
 
     def test_stationary_is_product_measure(self):
@@ -205,12 +217,67 @@ class TestProductChain:
     def test_gap_tensorization(self, n):
         base = chain_from_graph(k_complete(3), 2)
         prod = product_chain(base, n)
-        assert spectral_gap(prod) == pytest.approx(spectral_gap(base), abs=1e-9)
+        gen = dense_product_generator(base, n)
+        assert spectral_gap(prod, gen) == pytest.approx(spectral_gap(base), abs=1e-9)
 
     def test_budget_enforced(self):
         base = complete_refresh_chain(np.full(11, 1.0 / 11.0))
         with pytest.raises(CapacityError):
             product_chain(base, 6)  # 11^6 > 10^6
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 4), k=st.sampled_from([1, 2, 3, 4]),
+           cols=st.sampled_from([1, 4, 9]), log_scale=st.integers(-3, 3))
+    def test_apply_matches_dense_kronecker_sum(self, seed, m, k, cols, log_scale):
+        rng = np.random.default_rng(seed)
+        base = random_reversible_chain(rng, m, 10.0 ** log_scale)
+        prod = product_chain(base, k)
+        assert prod.factors == k and prod.n_states == m ** k
+        gen = dense_product_generator(base, k)
+        x = rng.standard_normal((m ** k, cols))
+        want = gen @ x
+        assert np.max(np.abs(prod.apply(x) - want)) <= 1e-13 * np.max(np.abs(want))
+        np.testing.assert_allclose(prod.apply(x[:, 0]), want[:, 0], rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+        np.testing.assert_allclose(prod.row_sums, gen.sum(axis=1), rtol=0,
+                                   atol=1e-13 * np.max(np.abs(gen)))
+
+    def test_single_factor_apply_is_the_dense_product(self):
+        rng = np.random.default_rng(71)
+        for n in (2, 3, 5, 9, 27, 64):
+            chain = random_reversible_chain(rng, n)
+            assert chain.factors == 1
+            np.testing.assert_array_equal(chain.row_sums, chain.generator.sum(axis=1))
+            for shape in ((n,), (n, 1), (n, 4), (n, 12)):
+                x = rng.standard_normal(shape)
+                np.testing.assert_array_equal(chain.apply(x), chain.generator @ x)
+
+    def test_product_of_products_is_flattened(self):
+        base = complete_refresh_chain([0.2, 0.3, 0.5])
+        nested = product_chain(product_chain(base, 2), 3)
+        flat = product_chain(base, 6)
+        assert nested.factors == 6 and nested.n_states == 3 ** 6
+        np.testing.assert_array_equal(nested.generator, base.generator)
+        np.testing.assert_allclose(nested.stationary, flat.stationary, rtol=1e-15)
+        x = np.random.default_rng(5).standard_normal((3 ** 6, 2))
+        np.testing.assert_allclose(nested.apply(x), flat.apply(x), rtol=0, atol=1e-14)
+        assert nested.states[1] == ((0, 0), (0, 0), (0, 1))
+
+    def test_invalid_base_refused(self, two_state):
+        with pytest.raises(ModelError, match="finite chain"):
+            product_chain(GaussianSeries(np.eye(1)[None]), 2)
+        # the product's validation is its base's: a generator that is not
+        # reversible for the marginal is refused at any number of factors
+        gen = np.array([[-2.0, 2.0], [1.0, -1.0]])
+        mu = np.kron([0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(ModelError, match="detailed balance"):
+            FiniteChain(gen, mu, factors=2)
+        with pytest.raises(ModelError, match="product of its marginal"):
+            FiniteChain(two_state.generator, [0.3, 0.2, 0.2, 0.3], factors=2)
+        with pytest.raises(ModelError, match="shape"):
+            FiniteChain(two_state.generator, [0.5, 0.5], factors=2)
+        with pytest.raises(ModelError, match="factors"):
+            FiniteChain(two_state.generator, [0.5, 0.5], factors=0)
 
 
 class TestGaussianSeriesField:

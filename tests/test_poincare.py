@@ -15,13 +15,15 @@ from tplab import (
     equivalence_probe,
     matrix_variance,
     poincare_constant,
+    product_chain,
     two_state_chain,
     user_certificate,
 )
 
+from tplab import poincare
 from tplab.montecarlo import normal_stream
 
-from conftest import k_complete, random_field, random_reversible_chain
+from conftest import dense_product_generator, k_complete, random_field, random_reversible_chain
 
 
 def per_trial_ratios(chain, trials, dims, seed):
@@ -75,6 +77,29 @@ class TestPoincareConstant:
         base = poincare_constant(two_state_chain(1.0))
         scaled = poincare_constant(two_state_chain(c))
         assert scaled.alpha == pytest.approx(base.alpha / c, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_product_gap_is_the_factor_gap(self, k):
+        # tensorization: the Kronecker sum's gap is its factor's, exactly
+        rng = np.random.default_rng(90 + k)
+        for _ in range(10):
+            base = random_reversible_chain(rng, int(rng.integers(2, 5)))
+            prod = product_chain(base, k)
+            gap = poincare_constant(prod).gap
+            assert gap == pytest.approx(poincare_constant(base).gap, rel=1e-14)
+            root = np.sqrt(prod.stationary)
+            sym = root[:, None] * dense_product_generator(base, k) / root[None, :]
+            dense = np.linalg.eigvalsh(-0.5 * (sym + sym.T))[1]
+            assert gap == pytest.approx(dense, rel=1e-10)
+
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 7.0, 1e3])
+    def test_base_time_rescaling_divides_product_alpha(self, c):
+        rng = np.random.default_rng(97)
+        base = random_reversible_chain(rng, 3)
+        fast = FiniteChain(c * base.generator, base.stationary)
+        alpha = poincare_constant(product_chain(base, 4)).alpha
+        assert poincare_constant(product_chain(fast, 4)).alpha == pytest.approx(alpha / c,
+                                                                               rel=1e-12)
 
     def test_disconnected_chain_rejected(self):
         gen = np.zeros((4, 4))
@@ -207,6 +232,23 @@ class TestEquivalenceProbe:
                 assert report.maximizer == ties[0]
                 if chain.n_states > 2 and chain is not k4:
                     assert abs(report.sup_ratio - sup) <= 1e-13 * sup
+
+    def test_stacked_trials_match_one_trial_per_call(self, monkeypatch):
+        chain = random_reversible_chain(np.random.default_rng(263), 27)
+        stacked = equivalence_probe(chain, trials=90, dims=[1, 2, 3], seed=7)
+        monkeypatch.setattr(poincare, "_PROBE_ENTRIES", 1)
+        single = equivalence_probe(chain, trials=90, dims=[1, 2, 3], seed=7)
+        assert abs(stacked.sup_ratio - single.sup_ratio) <= 1e-13 * single.sup_ratio
+        assert stacked.maximizer == single.maximizer
+
+    def test_chunks_respect_the_entry_bound(self):
+        dims = [1, 2, 3] * 7
+        for n, bound in ((27, 2 ** 20), (2187, 2 ** 16), (3 ** 12, 2 ** 20), (5, 30)):
+            chunks = poincare._probe_chunks(n, dims, bound)
+            assert [t for c in chunks for t in c] == list(range(len(dims)))
+            for c in chunks:
+                entries = sum(n * (dims[t] ** 2 + dims[t]) for t in c)
+                assert len(c) == 1 or entries <= bound
 
     def test_deterministic_given_seed(self, k4):
         a = equivalence_probe(k4, trials=60, dims=[2], seed=21)
