@@ -20,20 +20,20 @@ import numpy as np
 
 from . import montecarlo
 from .energy import (
+    EnergyReport,
     SymmetrizedPair,
     bivariate_symmetrized,
-    carre_table,
     chaos_gamma_batch,
     column_energies,
     dirichlet_form,
     variance_proxy,
 )
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, NumericError
 from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, SmoothField
 from .montecarlo import SampleSpec, estimate_tail, estimate_trace_moment
 from .poincare import PoincareCertificate
 from .reports import DEFAULT_SLACK, CheckReport, slack_for
-from .spectral import ScalarFnSpec, eigh, intdim, max_op_norm, op_norm, symmetrize
+from .spectral import ScalarFnSpec, eigh, intdim, op_norm, symmetrize
 
 UNBOUNDED = math.inf
 
@@ -65,9 +65,10 @@ class BoundParams:
             raise DomainError(f"tail level must be positive, got {self.lam}")
 
 
-def _centered(chain: FiniteChain, f: FiniteField) -> tuple[np.ndarray, np.ndarray]:
+def _centred_spectrum(chain: FiniteChain, f: FiniteField) -> tuple[np.ndarray, np.ndarray]:
+    """The (n_states, d) eigenvalues of f - E_mu f, and E_mu f."""
     mean = np.einsum("z,zij->ij", chain.stationary, f.values)
-    return f.values - mean, mean
+    return np.linalg.eigvalsh(f.values - mean), mean
 
 
 def _as_grid(base: FiniteChain, g) -> np.ndarray:
@@ -156,19 +157,27 @@ def check_mean_value_trace(a, b, phi: ScalarFnSpec,
         {"phi": phi.label(), "d": a.shape[0]})
 
 
-def check_chain_rule(chain: FiniteChain, f: FiniteField, phis,
+def check_chain_rule(chain: FiniteChain, rep: EnergyReport, phis,
                      slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
     """tr dirichlet(phi(f)) <= E_mu tr[Gamma(f) psi(f)], both exact sums,
-    one report per phi of ``phis``; f's eigendecomposition and Gamma table
-    are computed once for the list."""
+    one report per phi of ``phis``; f's eigendecomposition is computed once
+    for the list, and Gamma(f) is read from its energy report.  The trace of
+    a Dirichlet form is the sum of its entries' energies, so the left sides
+    are one ``column_energies`` call over the entries of every phi(f)."""
     for phi in phis:
         _require_convex_sq_derivative(phi)
+    if not phis:
+        return []
+    f = rep.field
     dec = eigh(f.values)
-    gam = carre_table(chain, f)
+    entries = [FiniteField(dec.map(phi)).values.reshape(chain.n_states, -1) for phi in phis]
+    _, energies = column_energies(chain, np.hstack(entries))
+    if not np.all(np.isfinite(energies)):
+        raise NumericError("chain rule: no verdict, an energy of phi(f) overflows")
     out = []
-    for phi in phis:
-        lhs = float(np.trace(dirichlet_form(chain, FiniteField(dec.map(phi)))))
-        rhs = float(np.einsum("z,zij,zji->", chain.stationary, gam, dec.map(phi.sq_deriv)))
+    for phi, lhs in zip(phis, energies.reshape(len(phis), -1).sum(axis=1).tolist()):
+        rhs = float(np.einsum("z,zij,zji->", chain.stationary, rep.gamma,
+                              dec.map(phi.sq_deriv)))
         out.append(CheckReport.from_comparison(
             "dirichlet-chain-rule", lhs, rhs, slack_for(rhs, slack_scale),
             {"chain": chain.name, "phi": phi.label(), "d": f.dim}))
@@ -197,19 +206,15 @@ def default_theta_grid(alpha: float, v_f: float, points: int = 20) -> np.ndarray
     return anchor * np.linspace(0.05, 1.35, points)
 
 
-def check_exp_moment(chain: FiniteChain, f: FiniteField,
+def check_exp_moment(chain: FiniteChain, rep: EnergyReport,
                      cert: PoincareCertificate, theta_grid,
                      slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
     """E_mu tr cosh(theta f) <= exp_moment_rhs for each grid theta, with f
-    centered first (the subtracted mean is logged in the context)."""
-    centered, mean = _centered(chain, f)
-    cf = FiniteField(centered)
-    gam = carre_table(chain, cf)
-    dirichlet = np.einsum("z,zij->ij", chain.stationary, gam)
-    v_f = max_op_norm(gam)
-    d = cf.dim
-    trbar = float(np.trace(dirichlet)) / d
-    eigs = np.linalg.eigvalsh(cf.values)  # (n_states, d)
+    centered first (the subtracted mean is logged in the context); the
+    energies are read from f's report, since Gamma is shift-invariant."""
+    eigs, mean = _centred_spectrum(chain, rep.field)
+    v_f, d = rep.v_f, rep.field.dim
+    trbar = float(np.trace(rep.dirichlet)) / d
     mu = chain.stationary
     base_ctx = {"chain": chain.name, "alpha": cert.alpha, "v_f": v_f,
                 "trbar_dirichlet": trbar, "d": d,
@@ -268,17 +273,18 @@ def gaussian_tail_thresholds(model, cert: PoincareCertificate, lambda_grid,
     return field, thresholds, v_f, mode
 
 
-def check_tail_empirical(model, f, cert: PoincareCertificate, lambda_grid,
+def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid,
                          spec: SampleSpec | None = None,
                          v_f_override: float | None = None,
                          slack_scale: float = DEFAULT_SLACK,
                          tail_ests=None) -> list[CheckReport]:
     """P{ |f - E f| >= sqrt(alpha v_f) * lambda } <= 6 d exp(-lambda).
 
-    Finite chains are enumerated exactly (no sampling).  Gaussian models are
-    sampled with Wilson-interval verdicts; this requires an exact variance
-    proxy (Gaussian series) or an explicit user-certified bound (a chaos,
-    whose Gamma is unbounded).  Bounds >= 1 pass automatically since the left
+    Finite chains are enumerated exactly from f's energy report ``rep`` (a
+    Gaussian model passes None).  Gaussian models are sampled with
+    Wilson-interval verdicts; this requires an exact variance proxy
+    (Gaussian series) or an explicit user-certified bound (a chaos, whose
+    Gamma is unbounded).  Bounds >= 1 pass automatically since the left
     side is a probability.  ``tail_ests`` may carry the caller's
     ``estimate_tail`` at ``gaussian_tail_thresholds`` (a pass shared with
     other suites); None makes the pass.
@@ -286,12 +292,9 @@ def check_tail_empirical(model, f, cert: PoincareCertificate, lambda_grid,
     lam_grid = np.asarray(lambda_grid, dtype=float)
     out = []
     if isinstance(model, FiniteChain):
-        centered, mean = _centered(model, f)
-        cf = FiniteField(centered)
-        v_f, _ = variance_proxy(model, cf)
-        d = cf.dim
+        v_f, d = rep.v_f, rep.field.dim
         scale = math.sqrt(cert.alpha * v_f)
-        devs = np.max(np.abs(np.linalg.eigvalsh(cf.values)), axis=1)
+        devs = np.max(np.abs(_centred_spectrum(model, rep.field)[0]), axis=1)
         mu = model.stationary
         for lam in lam_grid:
             bound = tail_bound(BoundParams(cert.alpha, v_f, d, lam=float(lam)))
@@ -342,12 +345,17 @@ def _sqrt2_regime(q: float) -> bool:
     return 1.0 < q < 1.5
 
 
-def check_poly_moment(model, f, cert: PoincareCertificate, q_list,
+def check_poly_moment(model, rep, cert: PoincareCertificate, q_list,
                       spec: SampleSpec | None = None,
                       slack_scale: float = DEFAULT_SLACK,
                       f_ests=None, gam_ests=None) -> list[CheckReport]:
     """(E tr |f|^{2q})^{1/(2q)} <= poly_moment_rhs, exact on finite chains
     and Monte Carlo on Gaussian models (fields centered first).
+
+    On a finite chain ``rep`` is f's energy report (a Gaussian model passes
+    None) and both sides are scale-free, so no power overflows before its
+    root: s (E tr (|f| / s)^{2q})^{1/(2q)} with s = max |f - E f|, and
+    sqrt(s_G) poly_moment_rhs(E tr (Gamma / s_G)^q) with s_G = max |Gamma|.
 
     On a Gaussian model ``f_ests`` may carry the caller's centred f-pass
     (``estimate_trace_moment`` at the chaos mean, or with no centre for a
@@ -356,20 +364,20 @@ def check_poly_moment(model, f, cert: PoincareCertificate, q_list,
     """
     out = []
     if isinstance(model, FiniteChain):
-        centered, mean = _centered(model, f)
-        cf = FiniteField(centered)
-        gam = carre_table(model, cf)
-        gam_eigs = np.clip(np.linalg.eigvalsh(gam), 0.0, None)
-        f_eigs = np.abs(np.linalg.eigvalsh(cf.values))
-        mu = model.stationary
+        f_eigs, mean = _centred_spectrum(model, rep.field)
+        f_eigs = np.abs(f_eigs)
+        gam_eigs = np.clip(np.linalg.eigvalsh(rep.gamma), 0.0, None)
+        s, s_gam = float(np.max(f_eigs)), float(np.max(gam_eigs))
+        f_eigs, gam_eigs = f_eigs / (s or 1.0), gam_eigs / (s_gam or 1.0)
+        mu, d = model.stationary, rep.field.dim
         for q in q_list:
             q = float(q)
             tgq = float(np.einsum("z,zi->", mu, gam_eigs ** q))
-            rhs = poly_moment_rhs(BoundParams(cert.alpha, 0.0, cf.dim, q=q), tgq)
-            lhs = float(np.einsum("z,zi->", mu, f_eigs ** (2.0 * q))) ** (1.0 / (2.0 * q))
+            rhs = poly_moment_rhs(BoundParams(cert.alpha, 0.0, d, q=q), tgq) * math.sqrt(s_gam)
+            lhs = s * float(np.einsum("z,zi->", mu, f_eigs ** (2.0 * q))) ** (1.0 / (2.0 * q))
             out.append(CheckReport.from_comparison(
                 "poly-moment", lhs, rhs, slack_for(rhs, slack_scale),
-                {"chain": model.name, "q": q, "alpha": cert.alpha, "d": cf.dim,
+                {"chain": model.name, "q": q, "alpha": cert.alpha, "d": d,
                  "centered_mean_norm": op_norm(mean),
                  "sqrt2_regime": _sqrt2_regime(q), "exact": True}))
         return out
@@ -448,13 +456,13 @@ def chaos_gamma_moments(chaos: GaussianChaos, q_list, spec: SampleSpec,
     return [ests[i * k:(i + 1) * k] for i in range(len(scales))]
 
 
-def check_intdim_variant(chain: FiniteChain, f: FiniteField,
+def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
                          cert: PoincareCertificate, q_list,
                          slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
     """E tr |g|^{2q} <= intdim(dirichlet(g)) * alpha^q q! * v_g^q for the
     symmetrized difference field g(z, z') = f(z) - f(z'), one report per
-    natural q of q_list; the pair, its spectrum, intdim and v_f are built
-    once for the whole list.
+    natural q of q_list; the pair, its spectrum and intdim are built once
+    for the whole list from f's energy report ``rep``, which gives v_f.
 
     The context also records the uniform bound (2 alpha q^2)^q * d * v_f^q
     that follows from the polynomial moment inequality, and which of the two
@@ -463,12 +471,11 @@ def check_intdim_variant(chain: FiniteChain, f: FiniteField,
     for q in q_list:
         if not (q >= 1 and float(q).is_integer()):
             raise DomainError(f"the intrinsic-dimension bound needs a natural q, got {q}")
-    pair = bivariate_symmetrized(chain, f)
+    pair = bivariate_symmetrized(chain, rep)
     mu2 = pair.stationary
     g_eigs = np.abs(np.linalg.eigvalsh(pair.g.values))
     idim = intdim(pair.dirichlet)
-    v_f, _ = variance_proxy(chain, f)
-    d = f.dim
+    v_f, d = rep.v_f, rep.field.dim
     out = []
     for q in q_list:
         q = int(q)

@@ -190,78 +190,67 @@ def _build_phi(desc: dict) -> ScalarFnSpec:
                       "(chain-rule admits sinh, signed_pow, affine)")
 
 
-def _chain_rows(chain, name, fields, reports, suites, params, seed):
-    """The rows of the chain suites; ``reports`` holds each field's energy
-    report, whose v_f anchors the default theta grid."""
+def _chain_rows(chain, name, named, suites, params, seed):
+    """The rows of the chain suites; ``named`` pairs each field's name with
+    its energy report, the one bundle of Gamma, Dirichlet form, variance and
+    v_f that every chain checker reads."""
     cert = poincare_constant(chain)
     rows = []
 
-    def add(suite, report):
+    def add(suite, report, fname=None):
+        if fname is not None:
+            report.context["field"] = fname
         rows.append(report.to_row(suite=suite, fixture=name))
 
     for suite in suites:
         if suite == "poincare":
-            for fname, f in fields:
-                if f.dim == 1:
-                    r = check_scalar_poincare(chain, f.values[:, 0, 0], cert)
-                    r.context["field"] = fname
-                    add(suite, r)
-                r = check_trace_poincare(chain, f, cert)
-                r.context["field"] = fname
-                add(suite, r)
+            for fname, rep in named:
+                if rep.field.dim == 1:
+                    add(suite, check_scalar_poincare(chain, rep, cert), fname)
+                add(suite, check_trace_poincare(chain, rep, cert), fname)
             probe_cfg = params.get("probe", {})
             probe = equivalence_probe(chain, probe_cfg.get("trials", 50),
                                       probe_cfg.get("dims", [1, 2, 3]), seed, cert)
             add(suite, probe.to_check(chain.name))
         elif suite == "subadditivity":
-            for fname, f in fields:
-                pair = bivariate_symmetrized(chain, f)
-                r = bounds.check_subadditivity(chain, pair)
-                r.context["field"] = fname
-                add(suite, r)
-                r = bounds.check_bivariate_poincare(chain, pair, cert)
-                r.context["field"] = fname
-                add(suite, r)
+            for fname, rep in named:
+                pair = bivariate_symmetrized(chain, rep)
+                add(suite, bounds.check_subadditivity(chain, pair), fname)
+                add(suite, bounds.check_bivariate_poincare(chain, pair, cert), fname)
         elif suite == "chain-rule":
             descs = params.get("phis", [{"kind": "sinh"}])
             if not isinstance(descs, list):
                 raise ConfigError(f"params.phis: expected a list, got {descs!r}")
             phis = [_labelled(f"params.phis[{i}]", (LabError,), _build_phi, desc)
                     for i, desc in enumerate(descs)]
-            for fname, f in fields:
-                for phi, r in zip(phis, bounds.check_chain_rule(chain, f, phis)):
-                    r.context["field"] = fname
-                    add(suite, r)
+            for fname, rep in named:
+                v = rep.field.values
+                for phi, r in zip(phis, bounds.check_chain_rule(chain, rep, phis)):
+                    add(suite, r, fname)
                     if chain.n_states >= 2:
-                        r = bounds.check_mean_value_trace(f.values[0], f.values[1], phi)
-                        r.context["field"] = fname
-                        add(suite, r)
+                        add(suite, bounds.check_mean_value_trace(v[0], v[1], phi), fname)
         elif suite == "exp-moment":
-            for (fname, f), rep in zip(fields, reports):
+            for fname, rep in named:
                 grid = params.get("theta_grid")
                 if grid is None:
                     grid = bounds.default_theta_grid(cert.alpha, rep.v_f)
-                for r in bounds.check_exp_moment(chain, f, cert, grid):
-                    r.context["field"] = fname
-                    add(suite, r)
+                for r in bounds.check_exp_moment(chain, rep, cert, grid):
+                    add(suite, r, fname)
         elif suite == "tail":
             grid = params.get("lambda_grid", [0.5 * k for k in range(1, 17)])
-            for fname, f in fields:
-                for r in bounds.check_tail_empirical(chain, f, cert, grid):
-                    r.context["field"] = fname
-                    add(suite, r)
+            for fname, rep in named:
+                for r in bounds.check_tail_empirical(chain, rep, cert, grid):
+                    add(suite, r, fname)
         elif suite == "poly-moment":
             q_list = params.get("q_list", [1, 1.5, 2, 3])
-            for fname, f in fields:
-                for r in bounds.check_poly_moment(chain, f, cert, q_list):
-                    r.context["field"] = fname
-                    add(suite, r)
+            for fname, rep in named:
+                for r in bounds.check_poly_moment(chain, rep, cert, q_list):
+                    add(suite, r, fname)
         elif suite == "intdim":
             q_list = params.get("intdim_q", [1, 2, 3])
-            for fname, f in fields:
-                for r in bounds.check_intdim_variant(chain, f, cert, q_list):
-                    r.context["field"] = fname
-                    add(suite, r)
+            for fname, rep in named:
+                for r in bounds.check_intdim_variant(chain, rep, cert, q_list):
+                    add(suite, r, fname)
         else:
             raise ConfigError(f"suites: '{suite}' requires a Gaussian model, "
                               f"but the config model is a finite chain")
@@ -444,9 +433,9 @@ def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
         fields = build_fields(cfg.get("fields", []), model, seed)
         if not fields:
             raise ConfigError("fields: a finite-chain experiment needs at least one field")
-        reports = [energy_report(model, f) for _, f in fields]
-        rows = _chain_rows(model, name, fields, reports, suites, params, seed)
-        names = [fname for fname, _ in fields]
+        named = [(fname, energy_report(model, f)) for fname, f in fields]
+        rows = _chain_rows(model, name, named, suites, params, seed)
+        names, reports = zip(*named)
     else:
         rows = _gaussian_rows(model, name, suites, params, sample_spec)
         reports, names = [energy_report(model, spec=sample_spec)], ["model"]

@@ -15,13 +15,15 @@ so the whole table costs two products of L with an (n, d^2) block plus n
 small matrix products instead of a per-state loop.  On a product chain each
 product with L is one mode product per coordinate (``FiniteChain.apply``),
 so no n x n matrix is formed.  The row-sum term r makes the identity hold
-for the floating-point generator, not only for exact zero row sums.  On
-Gaussian models the squared derivative is sum_i (d_i f)^2: the constant
+for the floating-point generator, not only for exact zero row sums.  A
+chain's energies of f (Gamma, Dirichlet form, variance, v_f) are computed
+only by ``energy_report``, which every chain checker reads.  On Gaussian
+models the squared derivative is sum_i (d_i f)^2: the constant
 sum_i A_i^2 for a series f = sum_i X_i A_i, and 4 sum_i (sum_j X_j A_ij)^2
-for a chaos f = sum_ij X_i X_j A_ij.  Their
-Dirichlet forms and variances are exact too.  For a series both are
-sum_i A_i^2.  For a chaos, Isserlis' theorem (E[X_i X_j X_k X_l] is a sum
-over pairings) gives E Gamma(f) = 4 S and Var f = 2 S with
+for a chaos f = sum_ij X_i X_j A_ij.  Their Dirichlet forms and variances
+are exact too (``dirichlet_form``, ``matrix_variance``).  For a series both
+are sum_i A_i^2.  For a chaos, Isserlis' theorem (E[X_i X_j X_k X_l] is a
+sum over pairings) gives E Gamma(f) = 4 S and Var f = 2 S with
 S = sum_ij A_ij^2, so nothing is sampled.  Only the Gamma table and the
 variance proxy of a chaos's energy report come from a seeded probe (mode
 ESTIMATED), because Gamma is not constant there.
@@ -114,13 +116,10 @@ def _chaos_square(chaos: GaussianChaos) -> np.ndarray:
     return np.einsum("ijkl,ijlm->km", a, a)
 
 
-def dirichlet_form(model, f=None) -> np.ndarray:
-    """Total energy E_mu[Gamma(f)], exact for every model: a mu-average on a
-    finite chain, sum_i A_i^2 for a Gaussian series and 4 sum_ij A_ij^2 for
-    a Gaussian chaos."""
-    if isinstance(model, FiniteChain):
-        gam = carre_table(model, f)
-        return np.einsum("z,zij->ij", model.stationary, gam)
+def dirichlet_form(model) -> np.ndarray:
+    """Total energy E[Gamma(f)] of a Gaussian model, exact: sum_i A_i^2 for
+    a series and 4 sum_ij A_ij^2 for a chaos.  A finite chain's comes with
+    its field's ``energy_report``."""
     if isinstance(model, GaussianSeries):
         a = model.coefficients
         return np.einsum("kij,kjl->il", a, a)
@@ -129,18 +128,11 @@ def dirichlet_form(model, f=None) -> np.ndarray:
     raise DomainError(f"unsupported model type {type(model).__name__}")
 
 
-def matrix_variance(model, f=None) -> np.ndarray:
-    """E[f^2] - (E f)^2, a PSD matrix, exact for every model: sum_i A_i^2 for
-    a Gaussian series and 2 sum_ij A_ij^2 for a Gaussian chaos."""
-    if isinstance(model, FiniteChain):
-        v = f.values
-        mu = model.stationary
-        mean = np.einsum("z,zij->ij", mu, v)
-        second = np.einsum("z,zij->ij", mu, v @ v)
-        out = second - mean @ mean
-        return 0.5 * (out + out.T)
+def matrix_variance(model) -> np.ndarray:
+    """E[f^2] - (E f)^2 of a Gaussian model, a PSD matrix, exact: sum_i A_i^2
+    for a series (E f = 0) and 2 sum_ij A_ij^2 for a chaos.  A finite
+    chain's comes with its field's ``energy_report``."""
     if isinstance(model, GaussianSeries):
-        # E f = 0 and E[f^2] = sum_i A_i^2 for independent standard normals
         a = model.coefficients
         return np.einsum("kij,kjl->il", a, a)
     if isinstance(model, GaussianChaos):
@@ -148,15 +140,13 @@ def matrix_variance(model, f=None) -> np.ndarray:
     raise DomainError(f"unsupported model type {type(model).__name__}")
 
 
-def variance_proxy(model, f=None) -> tuple[float, str]:
-    """Essential supremum of |Gamma(f)| over the state space, exact on finite
-    chains (full-support mu) and Gaussian series.  A Gaussian chaos has none:
-    its Gamma grows without bound in x unless A = 0."""
-    if isinstance(model, FiniteChain):
-        return max_op_norm(carre_table(model, f)), EXACT
+def variance_proxy(model) -> tuple[float, str]:
+    """Supremum of |Gamma(f)| over x of a Gaussian series, exact, since its
+    Gamma is the constant sum_i A_i^2.  A Gaussian chaos has none: its Gamma
+    grows without bound in x unless A = 0.  A finite chain's v_f comes with
+    its field's ``energy_report``."""
     if isinstance(model, GaussianSeries):
-        a = model.coefficients
-        return op_norm(np.einsum("kij,kjl->il", a, a)), EXACT
+        return op_norm(dirichlet_form(model)), EXACT
     if isinstance(model, GaussianChaos):
         raise DomainError("Gamma of a Gaussian chaos, 4 sum_i (sum_j x_j A_ij)^2, "
                           "is unbounded in x, so it has no finite variance proxy")
@@ -170,8 +160,8 @@ class SymmetrizedPair:
 
     Gamma(g)(z, z') = Gamma(f)(z) + Gamma(f)(z') exactly, because each
     coordinate of the product moves one argument of g; so the table comes
-    from one ``carre_table(base, f)`` in O(m^2 d^2) without building the
-    m^2-state product chain.  ``stationary`` is mu x mu in the row-major
+    from f's Gamma table in O(m^2 d^2) without building the m^2-state
+    product chain.  ``stationary`` is mu x mu in the row-major
     order of (z, z').  Also dirichlet = 2 * dirichlet(f) and v <= 2 * v_f
     (exactly 2 v_f when |Gamma(f)| is state-independent).
     """
@@ -194,18 +184,18 @@ class SymmetrizedPair:
 PAIR_BYTE_BUDGET = 2 << 30
 
 
-def bivariate_symmetrized(chain: FiniteChain, f: FiniteField) -> SymmetrizedPair:
-    """Build g(z, z') = f(z) - f(z') over the squared state space.  Raises
-    CapacityError, before allocating, when the g and Gamma tables
-    (2 n^2 d^2 doubles) exceed PAIR_BYTE_BUDGET (2 GiB)."""
-    n, d = chain.n_states, f.dim
+def bivariate_symmetrized(chain: FiniteChain, rep: EnergyReport) -> SymmetrizedPair:
+    """Build g(z, z') = f(z) - f(z') over the squared state space from f's
+    energy report.  Raises CapacityError, before allocating, when the g and
+    Gamma tables (2 n^2 d^2 doubles) exceed PAIR_BYTE_BUDGET (2 GiB)."""
+    n, d = chain.n_states, rep.field.dim
     need = 2 * n * n * d * d * 8
     if need > PAIR_BYTE_BUDGET:
         raise CapacityError(f"the bivariate pair of '{chain.name}' ({n}^2 states, d = {d}) "
                             f"needs {need / 2 ** 30:.3g} GiB for its g and Gamma tables, "
                             f"over the budget of {PAIR_BYTE_BUDGET / 2 ** 30:g} GiB")
-    gam_f = carre_table(chain, f)
-    v = f.values
+    gam_f = rep.gamma
+    v = rep.field.values
     g = FiniteField((v[:, None, :, :] - v[None, :, :, :]).reshape(-1, d, d))
     gamma = (gam_f[:, None, :, :] + gam_f[None, :, :, :]).reshape(-1, d, d)
     mu2 = np.kron(chain.stationary, chain.stationary)
@@ -220,7 +210,8 @@ class EnergyReport:
     provenance.  Everything is EXACT on finite chains and Gaussian series.
     On a Gaussian chaos the Dirichlet form and the variance are exact, but
     Gamma is tabled at an 8-point probe and v_f is its largest norm there:
-    mode ESTIMATED, with the probe's size and seed in ``sample_meta``."""
+    mode ESTIMATED, with the probe's size and seed in ``sample_meta``.  A
+    chain's report keeps its ``field`` for the checkers (not in the JSON)."""
 
     gamma: np.ndarray
     dirichlet: np.ndarray
@@ -228,6 +219,7 @@ class EnergyReport:
     v_f: float
     mode: str
     sample_meta: dict | None = None
+    field: FiniteField | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -257,14 +249,16 @@ _GAMMA_PROBE = 8
 
 
 def energy_report(model, f=None, spec: SampleSpec | None = None) -> EnergyReport:
-    """Assemble a validated EnergyReport for any supported model.  A Gaussian
-    chaos needs ``spec``, whose seed draws the Gamma probe."""
+    """Assemble a validated EnergyReport for any supported model, with one
+    ``carre_table`` on a chain.  A Gaussian chaos needs ``spec``, whose seed
+    draws the Gamma probe."""
     if isinstance(model, FiniteChain):
         gam = carre_table(model, f)
-        dirichlet = np.einsum("z,zij->ij", model.stationary, gam)
-        variance = matrix_variance(model, f)
-        v_f = max_op_norm(gam)
-        report = EnergyReport(gam, dirichlet, variance, v_f, EXACT)
+        mu, v = model.stationary, f.values
+        mean = np.einsum("z,zij->ij", mu, v)
+        var = np.einsum("z,zij->ij", mu, v @ v) - mean @ mean
+        report = EnergyReport(gam, np.einsum("z,zij->ij", mu, gam), 0.5 * (var + var.T),
+                              max_op_norm(gam), EXACT, field=f)
     elif isinstance(model, GaussianSeries):
         dirichlet = dirichlet_form(model)
         gam = dirichlet[None, :, :]  # x-independent

@@ -11,7 +11,6 @@ fields map states (or points of R^n) to symmetric d x d matrices.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -45,7 +44,8 @@ class FiniteChain:
     ``row_sums``.  stationary: the (n,) measure mu with full support,
     n = m ** factors, the product of the factor's measure
     ``factor_stationary`` (its first-coordinate marginal).  states: hashable
-    labels in index order, the first coordinate varying slowest.
+    labels in index order; a product's are its indices, and the coordinates
+    of state z are ``np.unravel_index(z, (m,) * factors)``.
 
     Invariants (finite entries, row sums, nonnegative off-diagonal rates,
     detailed balance pi_i L_ij = pi_j L_ji of the factor with its measure
@@ -211,9 +211,9 @@ def product_chain(base: FiniteChain, n: int) -> FiniteChain:
     base's, which is exact: a product of reversible, validated factors is
     reversible for the product measure.  A product of products is flattened:
     the n-fold product of a k-factor chain is its factor's (n k)-fold
-    product, with the same row-major state order.  States are n-tuples of
-    base states enumerated in row-major coordinate order (first coordinate
-    varies slowest); the stationary measure is the n-fold product.  No
+    product, with the same row-major state order.  States are indices, no
+    labels: z has coordinates ``np.unravel_index(z, (m,) * factors)``, the
+    first varying slowest; the stationary measure is the n-fold product.  No
     (n_states, n_states) array is allocated.  Raises CapacityError beyond
     the exact-enumeration budget of 10^6 states.
     """
@@ -227,8 +227,7 @@ def product_chain(base: FiniteChain, n: int) -> FiniteChain:
     m = base.n_states
     if m ** n > STATE_BUDGET:
         raise CapacityError(f"product state space {m}^{n} exceeds budget {STATE_BUDGET}")
-    states = tuple(itertools.product(base.states, repeat=n))
-    return FiniteChain(base.generator, _kron_power(base.stationary, n), states=states,
+    return FiniteChain(base.generator, _kron_power(base.stationary, n),
                        name=f"{base.name}^{n}", factors=base.factors * n)
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import column_energies, dirichlet_form, matrix_variance
-from .errors import ModelError
-from .models import FiniteChain, FiniteField
+from .energy import EnergyReport, column_energies
+from .errors import DimensionError, ModelError
+from .models import FiniteChain
 from .montecarlo import normal_stream
 from .reports import DEFAULT_SLACK, CheckReport, slack_for
 
@@ -77,26 +77,29 @@ def ou_certificate() -> PoincareCertificate:
                                chain_id="gaussian-ou")
 
 
-def check_scalar_poincare(chain: FiniteChain, f, cert: PoincareCertificate,
+def check_scalar_poincare(chain: FiniteChain, rep: EnergyReport, cert: PoincareCertificate,
                           slack_scale: float = DEFAULT_SLACK) -> CheckReport:
-    """Var_mu[f] <= alpha * dirichlet(f) for a real-valued f per state."""
-    field = FiniteField.from_scalars(np.asarray(f, dtype=float).reshape(-1))
-    var = float(matrix_variance(chain, field)[0, 0])
-    rhs = cert.alpha * float(dirichlet_form(chain, field)[0, 0])
+    """Var_mu[f] <= alpha * dirichlet(f) for a real-valued f, read from its
+    energy report (a 1 x 1 field)."""
+    if rep.field.dim != 1:
+        raise DimensionError(f"the scalar inequality needs a 1 x 1 field, got d = {rep.field.dim}")
+    var = float(rep.variance[0, 0])
+    rhs = cert.alpha * float(rep.dirichlet[0, 0])
     return CheckReport.from_comparison(
         "scalar-poincare", var, rhs, slack_for(rhs, slack_scale),
         {"alpha": cert.alpha, "chain": chain.name, "method": cert.method})
 
 
-def check_trace_poincare(chain: FiniteChain, f: FiniteField,
+def check_trace_poincare(chain: FiniteChain, rep: EnergyReport,
                          cert: PoincareCertificate,
                          slack_scale: float = DEFAULT_SLACK) -> CheckReport:
-    """tr Var_mu[f] <= alpha * tr dirichlet(f) for a matrix field."""
-    lhs = float(np.trace(matrix_variance(chain, f)))
-    rhs = cert.alpha * float(np.trace(dirichlet_form(chain, f)))
+    """tr Var_mu[f] <= alpha * tr dirichlet(f) for a matrix field, read from
+    its energy report."""
+    lhs = float(np.trace(rep.variance))
+    rhs = cert.alpha * float(np.trace(rep.dirichlet))
     return CheckReport.from_comparison(
         "trace-poincare", lhs, rhs, slack_for(rhs, slack_scale),
-        {"alpha": cert.alpha, "chain": chain.name, "d": f.dim,
+        {"alpha": cert.alpha, "chain": chain.name, "d": rep.field.dim,
          "method": cert.method})
 
 

@@ -24,11 +24,10 @@ from tplab import (
     check_trace_poincare,
     complete_refresh_chain,
     default_theta_grid,
-    dirichlet_form,
+    energy_report,
     equivalence_probe,
     estimate_trace_moment,
     intdim,
-    matrix_variance,
     op_norm,
     ou_certificate,
     poincare_constant,
@@ -53,14 +52,13 @@ def criterion(number, description):
 
 def test_criterion_01_two_state_oracle(two_state):
     with criterion(1, "two-state oracle values and scalar equality"):
-        f = FiniteField.from_scalars([0.0, 1.0])
-        assert matrix_variance(two_state, f)[0, 0] == pytest.approx(0.25, abs=1e-12)
-        assert dirichlet_form(two_state, f)[0, 0] == pytest.approx(0.5, abs=1e-12)
+        rep = energy_report(two_state, FiniteField.from_scalars([0.0, 1.0]))
+        assert rep.variance[0, 0] == pytest.approx(0.25, abs=1e-12)
+        assert rep.dirichlet[0, 0] == pytest.approx(0.5, abs=1e-12)
         cert = poincare_constant(two_state)
         assert cert.alpha == pytest.approx(0.5, abs=1e-12)
-        v_f, mode = variance_proxy(two_state, f)
-        assert v_f == pytest.approx(0.5, abs=1e-12) and mode == "EXACT"
-        report = check_scalar_poincare(two_state, [0.0, 1.0], cert)
+        assert rep.v_f == pytest.approx(0.5, abs=1e-12) and rep.mode == "EXACT"
+        report = check_scalar_poincare(two_state, rep, cert)
         assert report.passed and abs(report.margin) <= 1e-12
 
 
@@ -82,7 +80,7 @@ def test_criterion_03_trace_poincare_sweep(two_state, k4, cycle4):
             for _ in range(1000):
                 d = int(rng.integers(1, 5))
                 f = random_field(rng, chain.n_states, d)
-                assert check_trace_poincare(chain, f, cert).passed
+                assert check_trace_poincare(chain, energy_report(chain, f), cert).passed
             probe = equivalence_probe(chain, trials=300, dims=[1, 2, 3, 4],
                                       seed=424242)
             assert probe.passed
@@ -114,7 +112,7 @@ def test_criterion_05_chain_rule(two_state, k4):
                 f = random_field(rng, chain.n_states, d)
                 theta = float(rng.uniform(0.1, 1.5))
                 sinh, pow2, affine = check_chain_rule(
-                    chain, f, [ScalarFnSpec.sinh(theta), ScalarFnSpec.signed_pow(2.0),
+                    chain, energy_report(chain, f), [ScalarFnSpec.sinh(theta), ScalarFnSpec.signed_pow(2.0),
                                ScalarFnSpec.affine(1.3, -0.2)])
                 assert sinh.passed
                 assert pow2.passed
@@ -128,15 +126,13 @@ def test_criterion_06_exponential_moments(two_state, k4):
             cert = poincare_constant(chain)
             for _ in range(100):
                 d = int(rng.integers(1, 4))
-                f = random_field(rng, chain.n_states, d)
-                v_f, _ = variance_proxy(
-                    chain, FiniteField(f.values - np.einsum(
-                        "z,zij->ij", chain.stationary, f.values)))
-                grid = default_theta_grid(cert.alpha, v_f, points=20)
-                for report in check_exp_moment(chain, f, cert, grid):
+                rep = energy_report(chain, random_field(rng, chain.n_states, d))
+                grid = default_theta_grid(cert.alpha, rep.v_f, points=20)
+                for report in check_exp_moment(chain, rep, cert, grid):
                     assert report.verdict == "PASS"
         cert = poincare_constant(two_state)
-        hand = check_exp_moment(two_state, FiniteField.from_scalars([0.0, 1.0]),
+        hand = check_exp_moment(two_state,
+                                energy_report(two_state, FiniteField.from_scalars([0.0, 1.0])),
                                 cert, [1.0])[0]
         assert abs(hand.rhs - 9.0 / 7.0) <= 1e-12
         assert abs(hand.lhs - math.cosh(0.5)) <= 1e-12
@@ -151,7 +147,8 @@ def test_criterion_07_subexponential_tails(two_state, k4):
             for _ in range(50):
                 d = int(rng.integers(1, 4))
                 f = random_field(rng, chain.n_states, d)
-                for report in check_tail_empirical(chain, f, cert, lam_grid):
+                for report in check_tail_empirical(chain, energy_report(chain, f), cert,
+                                                   lam_grid):
                     assert report.passed
         series = GaussianSeries(np.stack([[[1.0, 0.0], [0.0, -1.0]],
                                           [[0.0, 1.0], [1.0, 0.0]]]))
@@ -171,7 +168,8 @@ def test_criterion_08_polynomial_moments(two_state, k4):
             for _ in range(100):
                 d = int(rng.integers(1, 4))
                 f = random_field(rng, chain.n_states, d)
-                for report in check_poly_moment(chain, f, cert, [1, 1.5, 2, 3]):
+                for report in check_poly_moment(chain, energy_report(chain, f), cert,
+                                                [1, 1.5, 2, 3]):
                     assert report.passed
         a = 1.4
         field = GaussianSeries(np.array([[[a]]])).as_field()
@@ -190,7 +188,8 @@ def test_criterion_09_intdim_variant(two_state, k4):
             for _ in range(50):
                 d = int(rng.integers(1, 4))
                 f = random_field(rng, chain.n_states, d)
-                assert all(r.passed for r in check_intdim_variant(chain, f, cert, [1, 2, 3]))
+                rep = energy_report(chain, f)
+                assert all(r.passed for r in check_intdim_variant(chain, rep, cert, [1, 2, 3]))
         for _ in range(1000):
             d = int(rng.integers(1, 9))
             r = int(rng.integers(1, d + 1))

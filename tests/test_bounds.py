@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tplab import (
     BoundParams,
     DomainError,
     FiniteField,
+    NumericError,
     GaussianChaos,
     GaussianSeries,
     SampleSpec,
@@ -24,13 +27,15 @@ from tplab import (
     check_poly_moment,
     check_subadditivity,
     check_tail_empirical,
+    check_trace_poincare,
     constant_field,
     default_theta_grid,
-    dirichlet_form,
+    energy_report,
     exp_moment_rhs,
     ou_certificate,
     poincare_constant,
     poly_moment_rhs,
+    product_chain,
     tail_bound,
 )
 from tplab import montecarlo
@@ -43,7 +48,8 @@ from conftest import random_field, random_reversible_chain, random_symmetric
 
 
 def indicator(two_state):
-    return FiniteField.from_scalars([0.0, 1.0])
+    """The energy report of the indicator of state 1 on the two-state chain."""
+    return energy_report(two_state, FiniteField.from_scalars([0.0, 1.0]))
 
 
 def bivariate_grid(two_state, fn):
@@ -110,7 +116,7 @@ class TestBivariatePoincare:
             assert r.passed
 
     def test_rhs_matches_per_slice_energies(self, two_state, k4):
-        # oracle: the Dirichlet form of every slice, one carre_table each, on
+        # oracle: the Dirichlet form of every slice, one energy report each, on
         # raw (unsymmetrized) grids
         rng = np.random.default_rng(211)
         chains = [two_state, k4] + [random_reversible_chain(rng, n, 10.0 ** e)
@@ -120,8 +126,8 @@ class TestBivariatePoincare:
             mu, m = chain.stationary, chain.n_states
             for d in (1, 2, 3):
                 grid = rng.standard_normal((m, m, d, d))
-                acc = sum(mu[z] * (dirichlet_form(chain, FiniteField(grid[:, z]))
-                                   + dirichlet_form(chain, FiniteField(grid[z])))
+                acc = sum(mu[z] * (energy_report(chain, FiniteField(grid[:, z])).dirichlet
+                                   + energy_report(chain, FiniteField(grid[z])).dirichlet)
                           for z in range(m))
                 want = cert.alpha * float(np.trace(acc))
                 r = check_bivariate_poincare(chain, grid, cert)
@@ -168,14 +174,14 @@ class TestMeanValueTrace:
 
 class TestChainRule:
     def test_constant_field(self, k4):
-        (r,) = check_chain_rule(k4, constant_field(4, np.diag([1.0, 2.0])),
+        (r,) = check_chain_rule(k4, energy_report(k4, constant_field(4, np.diag([1.0, 2.0]))),
                                 [ScalarFnSpec.sinh(1.0)])
         assert r.passed and r.lhs == pytest.approx(0.0, abs=1e-14)
 
     def test_affine_equality(self, k4):
         rng = np.random.default_rng(127)
         f = random_field(rng, 4, 3)
-        (r,) = check_chain_rule(k4, f, [ScalarFnSpec.affine(1.7, -0.4)])
+        (r,) = check_chain_rule(k4, energy_report(k4, f), [ScalarFnSpec.affine(1.7, -0.4)])
         assert r.passed
         assert abs(r.margin) <= 1e-10 * (1.0 + abs(r.rhs))
 
@@ -185,7 +191,7 @@ class TestChainRule:
         # (1/2)(tr(I/2) + cosh(1)^2 tr(I/2)) = (1 + cosh(1)^2)/2; the lhs is
         # the energy of sinh(f), namely sinh(1)^2
         f = FiniteField(np.stack([np.zeros((2, 2)), np.eye(2)]))
-        (r,) = check_chain_rule(two_state, f, [ScalarFnSpec.sinh(1.0)])
+        (r,) = check_chain_rule(two_state, energy_report(two_state, f), [ScalarFnSpec.sinh(1.0)])
         assert r.passed
         assert r.lhs == pytest.approx(math.sinh(1.0) ** 2, abs=1e-12)
         assert r.rhs == pytest.approx(0.5 * (1.0 + math.cosh(1.0) ** 2), abs=1e-12)
@@ -195,9 +201,19 @@ class TestChainRule:
             check_chain_rule(two_state, indicator(two_state),
                              [ScalarFnSpec.sinh(1.0), ScalarFnSpec.cosh()])
 
+    def test_overflowing_energy_refused(self, two_state):
+        # f and phi(f) = f^2 (up to 1e160) are finite, the squares of phi(f)
+        # are not: no verdict rather than a NaN side
+        rep = energy_report(two_state, FiniteField.from_scalars([0.0, 1e80]))
+        with np.errstate(all="ignore"), pytest.raises(NumericError,
+                                                      match="chain rule: no verdict"):
+            check_chain_rule(two_state, rep, [ScalarFnSpec.signed_pow(2.0)])
+        assert check_chain_rule(two_state, rep, []) == []
+
     def test_matches_per_state_eigh_oracle(self, k4):
         # oracle: one eigendecomposition per state, as phi(f(z)) and
-        # psi(f(z)) were built before the decomposition was batched
+        # psi(f(z)) were built before the decomposition was batched, and the
+        # lhs from phi(f)'s Gamma table rather than from its entries' energies
         rng = np.random.default_rng(223)
         chains = [k4] + [random_reversible_chain(rng, n, 10.0 ** e)
                          for n, e in ((2, -3), (5, 0), (7, 3))]
@@ -208,16 +224,62 @@ class TestChainRule:
                 f = random_field(rng, chain.n_states, d)
                 decs = [np.linalg.eigh(m) for m in f.values]
                 gam = carre_table(chain, f)
-                reports = check_chain_rule(chain, f, phis)
+                reports = check_chain_rule(chain, energy_report(chain, f), phis)
                 assert len(reports) == len(phis)
                 for phi, r in zip(phis, reports):
                     phi_f = FiniteField(np.stack([(q * phi(w)) @ q.T for w, q in decs]))
-                    lhs = float(np.trace(dirichlet_form(chain, phi_f)))
+                    lhs = float(np.trace(energy_report(chain, phi_f).dirichlet))
                     psi_f = [(q * phi.sq_deriv(w)) @ q.T for w, q in decs]
                     rhs = sum(chain.stationary[z] * float(np.trace(gam[z] @ psi_f[z]))
                               for z in range(chain.n_states))
-                    assert r.lhs == lhs
+                    assert abs(r.lhs - lhs) <= 1e-14 * abs(lhs)
                     assert abs(r.rhs - rhs) <= 1e-13 * abs(rhs)
+
+
+witness_cases = dict(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 4),
+                     factors=st.sampled_from([1, 2, 3]), d=st.sampled_from([1, 2, 3]),
+                     log_scale=st.integers(-3, 3))
+
+
+def witness_chain(seed, m, factors, log_scale):
+    """A random reversible chain, or the product of ``factors`` copies of
+    one, with the rng that drew it."""
+    rng = np.random.default_rng(seed)
+    base = random_reversible_chain(rng, m, 10.0 ** log_scale)
+    return rng, base, product_chain(base, factors)
+
+
+class TestTightnessWitnesses:
+    """Instances where a bound is attained: each |margin| is rounding."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**witness_cases)
+    def test_trace_poincare_at_gap_eigenvector_times_matrix(self, seed, m, factors, d,
+                                                            log_scale):
+        # f(z) = v(z_j) A, with v the factor's gap eigenvector read at one
+        # coordinate z_j: tr Var f = E v^2 tr A^2 = alpha tr E Gamma(f)
+        rng, base, chain = witness_chain(seed, m, factors, log_scale)
+        cert = poincare_constant(chain)
+        root = np.sqrt(base.stationary)
+        sym = root[:, None] * base.generator / root[None, :]
+        _, vecs = np.linalg.eigh(-0.5 * (sym + sym.T))
+        v = vecs[:, 1] / root
+        coord = np.unravel_index(np.arange(chain.n_states), (m,) * factors)[
+            int(rng.integers(factors))]
+        f = FiniteField(v[coord][:, None, None] * random_symmetric(rng, d))
+        r = check_trace_poincare(chain, energy_report(chain, f), cert)
+        assert r.passed and abs(r.margin) <= 1e-9 * r.rhs
+
+    @settings(max_examples=60, deadline=None)
+    @given(**witness_cases)
+    def test_chain_rule_at_affine_phi(self, seed, m, factors, d, log_scale):
+        # phi(x) = a x + b: tr dirichlet(phi(f)) = a^2 tr E Gamma(f), the lhs
+        # from the entries' energies and the rhs from f's Gamma table
+        rng, _, chain = witness_chain(seed, m, factors, log_scale)
+        f = random_field(rng, chain.n_states, d)
+        phi = ScalarFnSpec.affine(float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-5.0, 5.0)))
+        (r,) = check_chain_rule(chain, energy_report(chain, f), [phi])
+        assert r.passed and abs(r.margin) <= 1e-9 * r.rhs
 
 
 class TestExpMomentRhs:
@@ -241,7 +303,7 @@ class TestCheckExpMoment:
     def test_zero_field_equality_for_all_theta(self, k4):
         cert = poincare_constant(k4)
         f = constant_field(4, np.zeros((3, 3)))
-        for r in check_exp_moment(k4, f, cert, [0.1, 1.0, 10.0]):
+        for r in check_exp_moment(k4, energy_report(k4, f), cert, [0.1, 1.0, 10.0]):
             assert r.passed
             assert r.lhs == pytest.approx(3.0, abs=1e-14)
             assert r.rhs == pytest.approx(3.0, abs=1e-14)
@@ -292,7 +354,7 @@ class TestTailEmpirical:
             cert = poincare_constant(chain)
             for _ in range(50):
                 f = random_field(rng, chain.n_states, int(rng.integers(1, 4)))
-                for r in check_tail_empirical(chain, f, cert, lams):
+                for r in check_tail_empirical(chain, energy_report(chain, f), cert, lams):
                     assert r.passed
                     assert r.context["exact"]
 
@@ -304,7 +366,7 @@ class TestTailEmpirical:
     def test_constant_field_passes_everywhere(self, k4):
         cert = poincare_constant(k4)
         f = constant_field(4, np.eye(2))
-        for r in check_tail_empirical(k4, f, cert, np.arange(0.5, 8.5, 0.5)):
+        for r in check_tail_empirical(k4, energy_report(k4, f), cert, np.arange(0.5, 8.5, 0.5)):
             assert r.passed and r.lhs == 0.0
 
     def test_pauli_series_monte_carlo(self):
@@ -352,7 +414,8 @@ class TestPolyMomentRhs:
 class TestCheckPolyMoment:
     def test_zero_field(self, k4):
         cert = poincare_constant(k4)
-        rs = check_poly_moment(k4, constant_field(4, np.zeros((2, 2))), cert, [1, 2])
+        rs = check_poly_moment(k4, energy_report(k4, constant_field(4, np.zeros((2, 2)))), cert,
+                               [1, 2])
         for r in rs:
             assert r.passed and r.lhs == 0.0 and r.rhs == 0.0
 
@@ -368,7 +431,7 @@ class TestCheckPolyMoment:
         rng = np.random.default_rng(137)
         for _ in range(100):
             f = random_field(rng, 4, int(rng.integers(1, 4)))
-            for r in check_poly_moment(k4, f, cert, [1, 1.5, 2, 3]):
+            for r in check_poly_moment(k4, energy_report(k4, f), cert, [1, 1.5, 2, 3]):
                 assert r.passed
                 assert r.context["sqrt2_regime"] is False
 
@@ -396,7 +459,6 @@ class TestCheckPolyMoment:
 class TestVarianceDomination:
     def test_q1_dominates_trace_variance(self, two_state, k4):
         # Schatten-2 bookkeeping: sqrt(tr Var) <= sqrt(d) * rhs at q = 1
-        from tplab import matrix_variance
         rng = np.random.default_rng(139)
         for chain in (two_state, k4):
             cert = poincare_constant(chain)
@@ -405,15 +467,16 @@ class TestVarianceDomination:
                 f = random_field(rng, chain.n_states, d)
                 mean = np.einsum("z,zij->ij", chain.stationary, f.values)
                 centered = FiniteField(f.values - mean)
-                tv = float(np.trace(matrix_variance(chain, centered)))
-                r = check_poly_moment(chain, f, cert, [1])[0]
+                tv = float(np.trace(energy_report(chain, centered).variance))
+                r = check_poly_moment(chain, energy_report(chain, f), cert, [1])[0]
                 assert math.sqrt(tv) <= math.sqrt(d) * r.rhs + 1e-9
 
 
 class TestIntdimVariant:
     def test_constant_field(self, two_state):
         cert = poincare_constant(two_state)
-        (r,) = check_intdim_variant(two_state, constant_field(2, np.eye(2)), cert, [1])
+        (r,) = check_intdim_variant(two_state, energy_report(two_state, constant_field(2, np.eye(2))),
+                                    cert, [1])
         assert r.passed and r.lhs == 0.0 and r.rhs == 0.0
 
     @pytest.mark.parametrize("q,expected_rhs", [(1, 0.5), (2, 0.5), (3, 0.75)])
@@ -430,8 +493,8 @@ class TestIntdimVariant:
         cert = poincare_constant(k4)
         rng = np.random.default_rng(149)
         for _ in range(30):
-            f = random_field(rng, 4, 2)
-            assert all(r.passed for r in check_intdim_variant(k4, f, cert, [1, 2, 3]))
+            rep = energy_report(k4, random_field(rng, 4, 2))
+            assert all(r.passed for r in check_intdim_variant(k4, rep, cert, [1, 2, 3]))
 
     def test_overflowing_bounds_read_as_inf(self, two_state):
         # 200! (1/2)^200 and (2 alpha q^2)^q exceed the float range; the lhs
@@ -454,10 +517,10 @@ class TestIntdimVariant:
 
     def test_order_list_equals_one_order_at_a_time(self, k4):
         cert = poincare_constant(k4)
-        f = random_field(np.random.default_rng(151), 4, 3)
-        one_by_one = [check_intdim_variant(k4, f, cert, [q])[0] for q in (3, 1, 2)]
-        assert check_intdim_variant(k4, f, cert, [3, 1, 2]) == one_by_one
-        assert check_intdim_variant(k4, f, cert, []) == []
+        rep = energy_report(k4, random_field(np.random.default_rng(151), 4, 3))
+        one_by_one = [check_intdim_variant(k4, rep, cert, [q])[0] for q in (3, 1, 2)]
+        assert check_intdim_variant(k4, rep, cert, [3, 1, 2]) == one_by_one
+        assert check_intdim_variant(k4, rep, cert, []) == []
 
 
 class TestNonFiniteOrders:

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import tplab
-from tplab import FiniteChain, GaussianChaos, GaussianSeries, SampleSpec, montecarlo
+from tplab import FiniteChain, GaussianChaos, GaussianSeries, SampleSpec, energy, montecarlo
 from tplab.bounds import GAMMA_STREAM, check_chaos_matrix, check_chaos_scalar
-from tplab.cli import build_model, default_config, main, run_experiment
+from tplab.cli import CHAIN_ONLY, build_model, default_config, main, run_experiment
 from tplab.fixtures import catalog, get_field, get_model
 
 
@@ -128,6 +128,27 @@ class TestHandValuesThroughCli:
         # equality or trivial-pass margins everywhere that is not SKIPPED
         for row in rows:
             assert row["verdict"] in ("PASS", "SKIPPED")
+
+
+class TestSharedEnergies:
+    def test_gamma_built_once_per_field(self, monkeypatch):
+        # every chain suite reads the field's one energy report
+        calls = []
+        real = energy.carre_table
+
+        def counted(chain, f):
+            calls.append(f)
+            return real(chain, f)
+
+        monkeypatch.setattr(energy, "carre_table", counted)
+        cfg = default_config()
+        cfg["fields"] = [{"type": "fixture", "name": "indicator-1"},
+                         {"type": "random", "dim": 2, "count": 2, "seed": 101}]
+        cfg["params"]["probe"] = {"trials": 6, "dims": [1, 2]}
+        assert set(cfg["suites"]) == CHAIN_ONLY | {"tail", "poly-moment"}
+        rows, reports, _ = run_experiment(cfg)
+        assert len(reports) == 3 and {r["suite"] for r in rows} == set(cfg["suites"])
+        assert len(calls) == 3
 
 
 class TestGaussianConfigs:
@@ -484,9 +505,8 @@ class TestExitCodes:
         assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("values, suites, params, citation", [
-        # these used to give a FAIL row with lhs = rhs = inf and margin nan,
-        # an uncaught OverflowError, and FAIL rows with NaN sides: exit 1
-        ([0.0, 1000.0], ["poly-moment"], {"q_list": [2, 200]}, "poly-moment"),
+        # the unrooted moment E tr |g|^400 (about 1000^400) overflows; this
+        # used to be an uncaught OverflowError, exit 1
         ([0.0, 1000.0], ["intdim"], {"intdim_q": [200]}, "intdim-moment"),
         # the Gamma table of [0, 1e200] overflows, which gave FAIL rows with
         # NaN sides here, and PASS tail and SKIPPED exp-moment rows with a
@@ -494,7 +514,9 @@ class TestExitCodes:
         ([0.0, 1e200], ["poincare", "poly-moment"], {}, "carre-du-champ"),
         ([0.0, 1e200], ["tail"], {}, "carre-du-champ"),
         ([0.0, 1e200], ["exp-moment"], {}, "carre-du-champ"),
-    ])
+    ], ids=[  # explicit ids keep each case's name when a case leaves the list
+        "values1-suites1-params1-intdim-moment", "values2-suites2-params2-carre-du-champ",
+        "values3-suites3-params3-carre-du-champ", "values4-suites4-params4-carre-du-champ"])
     def test_overflow_exits_2(self, tmp_path, capsys, values, suites, params, citation):
         cfg = {"seed": 1, "model": {"fixture": "two-state"},
                "fields": [{"type": "table", "values": values}],
@@ -507,6 +529,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"NumericError: {citation}: no verdict")
         assert not (tmp_path / "report.csv").exists()
+
+    def test_high_order_poly_moment_gets_a_verdict(self, tmp_path):
+        # q = 200 on [0, 1000]: E tr |f - E f|^400 = 500^400 and E tr Gamma^200
+        # overflow, which gave a FAIL row with lhs = rhs = inf, then exit 2;
+        # the scale-free moments give lhs = 500 and rhs = 200 sqrt(5e5)
+        cfg = {"seed": 1, "model": {"fixture": "two-state"},
+               "fields": [{"type": "table", "values": [0.0, 1000.0]}],
+               "suites": ["poly-moment"], "params": {"q_list": [2, 200]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "report.csv")
+        assert len(rows) == 2
+        assert all(math.isfinite(float(r["lhs"])) and math.isfinite(float(r["rhs"]))
+                   for r in rows)
+        (top,) = [r for r in rows if json.loads(r["context"])["q"] == 200.0]
+        assert top["verdict"] == "PASS"
+        assert float(top["lhs"]) == pytest.approx(500.0, rel=1e-12)
+        assert float(top["rhs"]) == pytest.approx(200.0 * math.sqrt(5e5), rel=1e-12)
 
     @pytest.mark.parametrize("model, suites", [
         # these used to give PASS rows and exit 0, or PASS and INCONCLUSIVE

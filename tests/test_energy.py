@@ -193,8 +193,7 @@ class TestColumnEnergies:
     @settings(max_examples=80, deadline=None)
     @given(shift=st.sampled_from([0.0, 1e3]), **chain_cases)
     def test_matches_energies_of_each_entry_field(self, seed, n, d, log_scale, shift):
-        # oracle: matrix_variance and dirichlet_form of every entry f_ij as a
-        # scalar field; the oracle's variance is E f^2 - (E f)^2, so its
+        # oracle: the energy report of every entry f_ij as a scalar field; the oracle's variance is E f^2 - (E f)^2, so its
         # rounding grows with the second moment, and its energy with the rate
         rng = np.random.default_rng(seed)
         scale = 10.0 ** log_scale
@@ -205,8 +204,8 @@ class TestColumnEnergies:
         second = chain.stationary @ cols ** 2
         for k in range(d * d):
             entry = FiniteField.from_scalars(cols[:, k])
-            want_var = matrix_variance(chain, entry)[0, 0]
-            want_dir = dirichlet_form(chain, entry)[0, 0]
+            want = energy_report(chain, entry)
+            want_var, want_dir = want.variance[0, 0], want.dirichlet[0, 0]
             assert abs(var[k] - want_var) <= 1e-12 * (1.0 + second[k])
             assert abs(dirich[k] - want_dir) <= 1e-12 * (1.0 + scale) * (1.0 + want_var)
 
@@ -215,8 +214,9 @@ class TestColumnEnergies:
         for chain in (k4, cycle4):
             f = random_field(rng, 4, 3)
             var, dirich = column_energies(chain, f.values.reshape(4, 9))
-            assert var.sum() == pytest.approx(np.trace(matrix_variance(chain, f)), rel=1e-13)
-            assert dirich.sum() == pytest.approx(np.trace(dirichlet_form(chain, f)), rel=1e-13)
+            rep = energy_report(chain, f)
+            assert var.sum() == pytest.approx(np.trace(rep.variance), rel=1e-13)
+            assert dirich.sum() == pytest.approx(np.trace(rep.dirichlet), rel=1e-13)
 
     def test_two_state_indicator(self, two_state):
         var, dirich = column_energies(two_state, [[0.0, 5.0], [1.0, 5.0]])
@@ -287,11 +287,11 @@ class TestChaosKernels:
 class TestDirichletForm:
     def test_constant_vanishes(self, k4):
         f = constant_field(4, np.eye(2))
-        np.testing.assert_allclose(dirichlet_form(k4, f), 0.0, atol=1e-15)
+        np.testing.assert_allclose(energy_report(k4, f).dirichlet, 0.0, atol=1e-15)
 
     def test_two_state_indicator(self, two_state):
         f = FiniteField.from_scalars([0.0, 1.0])
-        assert dirichlet_form(two_state, f)[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert energy_report(two_state, f).dirichlet[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_series_exact(self):
         series = GaussianSeries(np.stack([PAULI_Z, PAULI_X]))
@@ -304,7 +304,8 @@ class TestDirichletForm:
                 f = random_field(rng, chain.n_states, 3)
                 gam = carre_table(chain, f)
                 expected = np.einsum("z,zij->ij", chain.stationary, gam)
-                np.testing.assert_allclose(dirichlet_form(chain, f), expected, atol=1e-12)
+                np.testing.assert_allclose(energy_report(chain, f).dirichlet, expected,
+                                           atol=1e-12)
 
     def test_chaos_monte_carlo_matches_analytic_oracle(self):
         # the exact form (the name is older than it):
@@ -341,11 +342,11 @@ class TestChaosEnergies:
 class TestMatrixVariance:
     def test_constant_vanishes(self, two_state):
         f = constant_field(2, [[4.0]])
-        np.testing.assert_allclose(matrix_variance(two_state, f), 0.0, atol=1e-15)
+        np.testing.assert_allclose(energy_report(two_state, f).variance, 0.0, atol=1e-15)
 
     def test_two_state_indicator(self, two_state):
         f = FiniteField.from_scalars([0.0, 1.0])
-        assert matrix_variance(two_state, f)[0, 0] == pytest.approx(0.25, abs=1e-15)
+        assert energy_report(two_state, f).variance[0, 0] == pytest.approx(0.25, abs=1e-15)
 
     def test_series_scalar_oracle(self):
         a = np.array([0.7, -1.2, 0.4])
@@ -357,19 +358,19 @@ class TestMatrixVariance:
         rng = np.random.default_rng(71)
         for _ in range(100):
             f = random_field(rng, 4, 3)
-            w = np.linalg.eigvalsh(matrix_variance(k4, f))
+            w = np.linalg.eigvalsh(energy_report(k4, f).variance)
             assert w[0] >= -1e-10 * (1.0 + abs(w[-1]))
 
 
 class TestVarianceProxy:
     def test_constant_field(self, k4):
         f = constant_field(4, np.eye(2))
-        v, mode = variance_proxy(k4, f)
-        assert v == 0.0 and mode == "EXACT"
+        rep = energy_report(k4, f)
+        assert rep.v_f == 0.0 and rep.mode == "EXACT"
 
     def test_two_state_indicator(self, two_state):
-        v, mode = variance_proxy(two_state, FiniteField.from_scalars([0.0, 1.0]))
-        assert v == pytest.approx(0.5, abs=1e-15) and mode == "EXACT"
+        rep = energy_report(two_state, FiniteField.from_scalars([0.0, 1.0]))
+        assert rep.v_f == pytest.approx(0.5, abs=1e-15) and rep.mode == "EXACT"
 
     def test_series_norm(self):
         series = GaussianSeries(np.stack([PAULI_Z, PAULI_X]))
@@ -381,32 +382,39 @@ class TestVarianceProxy:
         with pytest.raises(DomainError, match="unbounded"):
             variance_proxy(chaos)
 
+    def test_finite_chains_read_the_energy_report(self, two_state):
+        # the Gaussian energies take no field; a chain's come with its report
+        for fn in (dirichlet_form, matrix_variance, variance_proxy):
+            with pytest.raises(DomainError, match="FiniteChain"):
+                fn(two_state)
+
 
 class TestBivariateSymmetrized:
     def test_pair_over_byte_budget_refused(self, two_state):
         # 2^16 states: the pair's two (2^32, 1, 1) tables would take 64 GiB
         prod = product_chain(two_state, 16)
         with pytest.raises(CapacityError, match="64 GiB"):
-            bivariate_symmetrized(prod, FiniteField.from_scalars(np.zeros(prod.n_states)))
+            bivariate_symmetrized(
+                prod, energy_report(prod, FiniteField.from_scalars(np.zeros(prod.n_states))))
 
     def test_budget_counts_both_tables(self, k4, monkeypatch):
         # 2 tables x 16 states x 2 x 2 doubles = 1024 bytes
-        f = FiniteField(np.zeros((4, 2, 2)))
+        rep = energy_report(k4, FiniteField(np.zeros((4, 2, 2))))
         monkeypatch.setattr(energy, "PAIR_BYTE_BUDGET", 1024)
-        assert bivariate_symmetrized(k4, f).g.n_states == 16
+        assert bivariate_symmetrized(k4, rep).g.n_states == 16
         monkeypatch.setattr(energy, "PAIR_BYTE_BUDGET", 1023)
         with pytest.raises(CapacityError):
-            bivariate_symmetrized(k4, f)
+            bivariate_symmetrized(k4, rep)
 
     def test_constant_field_all_zero(self, two_state):
-        pair = bivariate_symmetrized(two_state, constant_field(2, [[5.0]]))
+        pair = bivariate_symmetrized(two_state, energy_report(two_state, constant_field(2, [[5.0]])))
         np.testing.assert_allclose(pair.g.values, 0.0, atol=1e-15)
         np.testing.assert_allclose(pair.gamma, 0.0, atol=1e-15)
         assert pair.v == 0.0
 
     def test_two_state_doubling(self, two_state):
-        f = FiniteField.from_scalars([0.0, 1.0])
-        pair = bivariate_symmetrized(two_state, f)
+        pair = bivariate_symmetrized(
+            two_state, energy_report(two_state, FiniteField.from_scalars([0.0, 1.0])))
         assert pair.dirichlet[0, 0] == pytest.approx(1.0, abs=1e-15)  # 2 * (1/2)
         assert pair.v == pytest.approx(1.0, abs=1e-15)  # 2 * v_f, state-independent Gamma
 
@@ -417,15 +425,14 @@ class TestBivariateSymmetrized:
             for _ in range(25):
                 f = random_field(rng, n, 2)
                 gam_f = carre_table(chain, f)
-                pair = bivariate_symmetrized(chain, f)
+                rep = energy_report(chain, f)
+                pair = bivariate_symmetrized(chain, rep)
                 for z in range(n):
                     for zp in range(n):
                         delta = pair.gamma[z * n + zp] - gam_f[z] - gam_f[zp]
                         assert np.max(np.abs(delta)) <= 1e-12
-                twice = 2.0 * dirichlet_form(chain, f)
-                assert op_norm(pair.dirichlet - twice) <= 1e-12
-                v_f, _ = variance_proxy(chain, f)
-                assert pair.v <= 2.0 * v_f + 1e-12
+                assert op_norm(pair.dirichlet - 2.0 * rep.dirichlet) <= 1e-12
+                assert pair.v <= 2.0 * rep.v_f + 1e-12
 
 
     @settings(max_examples=25, deadline=None)
@@ -435,7 +442,7 @@ class TestBivariateSymmetrized:
         # the closed form against Gamma of g on the explicit two-fold product
         rng = np.random.default_rng(seed)
         chain = random_reversible_chain(rng, n)
-        pair = bivariate_symmetrized(chain, random_field(rng, n, d))
+        pair = bivariate_symmetrized(chain, energy_report(chain, random_field(rng, n, d)))
         prod = product_chain(chain, 2)
         np.testing.assert_array_equal(pair.stationary, prod.stationary)
         want = carre_table(prod, pair.g)

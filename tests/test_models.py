@@ -184,14 +184,18 @@ class TestProductChain:
         prod = product_chain(two_state, 2)
         assert prod.n_states == 4
         np.testing.assert_allclose(prod.stationary, np.full(4, 0.25))
-        assert prod.states == ((0, 0), (0, 1), (1, 0), (1, 1))
+        # no labels: the states are indices, their coordinates row-major
+        assert prod.states == (0, 1, 2, 3)
+        coords = np.unravel_index(prod.states, (2,) * prod.factors)
+        assert np.stack(coords, axis=1).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_moves_exactly_one_coordinate(self, two_state):
         prod = product_chain(two_state, 2)
         gen = dense_product_generator(two_state, 2)
         np.testing.assert_array_equal(prod.apply(np.eye(4)), gen)
-        for a, za in enumerate(prod.states):
-            for b, zb in enumerate(prod.states):
+        coords = [np.unravel_index(z, (2,) * prod.factors) for z in prod.states]
+        for a, za in enumerate(coords):
+            for b, zb in enumerate(coords):
                 if a == b:
                     continue
                 hamming = sum(x != y for x, y in zip(za, zb))
@@ -261,7 +265,9 @@ class TestProductChain:
         np.testing.assert_allclose(nested.stationary, flat.stationary, rtol=1e-15)
         x = np.random.default_rng(5).standard_normal((3 ** 6, 2))
         np.testing.assert_allclose(nested.apply(x), flat.apply(x), rtol=0, atol=1e-14)
-        assert nested.states[1] == ((0, 0), (0, 0), (0, 1))
+        # row-major over the six flattened coordinates: state 1 moves the last
+        assert nested.states == tuple(range(3 ** 6))
+        assert np.unravel_index(nested.states[1], (3,) * nested.factors) == (0, 0, 0, 0, 0, 1)
 
     def test_invalid_base_refused(self, two_state):
         with pytest.raises(ModelError, match="finite chain"):

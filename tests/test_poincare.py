@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tplab import (
+    DimensionError,
     FiniteChain,
     FiniteField,
     ModelError,
@@ -11,9 +12,8 @@ from tplab import (
     check_scalar_poincare,
     check_trace_poincare,
     complete_refresh_chain,
-    dirichlet_form,
+    energy_report,
     equivalence_probe,
-    matrix_variance,
     poincare_constant,
     product_chain,
     two_state_chain,
@@ -26,10 +26,15 @@ from tplab.montecarlo import normal_stream
 from conftest import dense_product_generator, k_complete, random_field, random_reversible_chain
 
 
+def scalar_report(chain, vals):
+    """The energy report of a real-valued field given by its values."""
+    return energy_report(chain, FiniteField.from_scalars(np.asarray(vals, dtype=float)))
+
+
 def per_trial_ratios(chain, trials, dims, seed):
-    """Oracle: the probe's ratios in search order, from one
-    matrix_variance/dirichlet_form pair per trial and per compression, each
-    with the maximizer record it would report."""
+    """Oracle: the probe's ratios in search order, from one energy report
+    per trial and per compression, each with the maximizer record it would
+    report."""
     n = chain.n_states
     out = []
     for t in range(trials):
@@ -45,8 +50,8 @@ def per_trial_ratios(chain, trials, dims, seed):
                           {"trial": t, "kind": "compression", "d": d, "axis": i,
                            "field": g.tolist()}))
         for field, info in cases:
-            var = float(np.trace(matrix_variance(chain, field)))
-            dirich = float(np.trace(dirichlet_form(chain, field)))
+            rep = energy_report(chain, field)
+            var, dirich = float(np.trace(rep.variance)), float(np.trace(rep.dirichlet))
             if dirich > 1e-14:
                 out.append((var / dirich, info))
     return out
@@ -118,12 +123,12 @@ class TestPoincareConstant:
 class TestScalarCheck:
     def test_constant_passes_with_zero_margin(self, k4):
         cert = poincare_constant(k4)
-        r = check_scalar_poincare(k4, np.full(4, 3.0), cert)
+        r = check_scalar_poincare(k4, scalar_report(k4, np.full(4, 3.0)), cert)
         assert r.passed and r.lhs == 0.0 and r.rhs == 0.0
 
     def test_two_state_gap_eigenfunction_equality(self, two_state):
         cert = poincare_constant(two_state)
-        r = check_scalar_poincare(two_state, [0.0, 1.0], cert)
+        r = check_scalar_poincare(two_state, scalar_report(two_state, [0.0, 1.0]), cert)
         assert r.passed
         assert abs(r.margin) <= 1e-12
         assert r.lhs == pytest.approx(0.25, abs=1e-15)
@@ -132,12 +137,17 @@ class TestScalarCheck:
         cert = poincare_constant(k4)
         rng = np.random.default_rng(83)
         for _ in range(1000):
-            r = check_scalar_poincare(k4, rng.standard_normal(4), cert)
+            r = check_scalar_poincare(k4, scalar_report(k4, rng.standard_normal(4)), cert)
             assert r.passed
+
+    def test_matrix_field_refused(self, two_state):
+        rep = energy_report(two_state, FiniteField(np.zeros((2, 2, 2))))
+        with pytest.raises(DimensionError, match="1 x 1"):
+            check_scalar_poincare(two_state, rep, poincare_constant(two_state))
 
     def test_report_shape(self, two_state):
         cert = poincare_constant(two_state)
-        r = check_scalar_poincare(two_state, [0.0, 1.0], cert)
+        r = check_scalar_poincare(two_state, scalar_report(two_state, [0.0, 1.0]), cert)
         assert r.citation == "scalar-poincare"
         assert r.margin == r.rhs - r.lhs
         assert r.context["alpha"] == pytest.approx(0.5)
@@ -147,7 +157,7 @@ class TestTraceCheck:
     def test_constant_zero_margin(self, cycle4):
         cert = poincare_constant(cycle4)
         f = FiniteField(np.broadcast_to(np.eye(2), (4, 2, 2)).copy())
-        r = check_trace_poincare(cycle4, f, cert)
+        r = check_trace_poincare(cycle4, energy_report(cycle4, f), cert)
         assert r.passed and r.margin == 0.0
 
     def test_d1_matches_scalar_verdicts(self, k4):
@@ -155,8 +165,8 @@ class TestTraceCheck:
         rng = np.random.default_rng(89)
         for _ in range(200):
             vals = rng.standard_normal(4)
-            scalar = check_scalar_poincare(k4, vals, cert)
-            trace = check_trace_poincare(k4, FiniteField.from_scalars(vals), cert)
+            scalar = check_scalar_poincare(k4, scalar_report(k4, vals), cert)
+            trace = check_trace_poincare(k4, scalar_report(k4, vals), cert)
             assert scalar.passed == trace.passed
             assert trace.lhs == pytest.approx(scalar.lhs, abs=1e-14)
 
@@ -165,8 +175,9 @@ class TestTraceCheck:
         rng = np.random.default_rng(97)
         comps = rng.standard_normal((3, 4))  # three scalar fields
         diag = FiniteField(np.stack([np.diag(comps[:, z]) for z in range(4)]))
-        total = check_trace_poincare(k4, diag, cert)
-        margins = [check_scalar_poincare(k4, comps[i], cert).margin for i in range(3)]
+        total = check_trace_poincare(k4, energy_report(k4, diag), cert)
+        margins = [check_scalar_poincare(k4, scalar_report(k4, comps[i]), cert).margin
+                   for i in range(3)]
         assert total.margin == pytest.approx(sum(margins), abs=1e-12)
 
     def test_property_sweep_all_chains(self, two_state, k4, cycle4):
@@ -175,7 +186,7 @@ class TestTraceCheck:
             cert = poincare_constant(chain)
             for _ in range(1000):
                 f = random_field(rng, chain.n_states, int(rng.integers(1, 5)))
-                assert check_trace_poincare(chain, f, cert).passed
+                assert check_trace_poincare(chain, energy_report(chain, f), cert).passed
 
 
 class TestEquivalenceProbe:
@@ -185,9 +196,8 @@ class TestEquivalenceProbe:
         for vals in itertools.product([-1.0, 1.0], repeat=2):
             if vals[0] == vals[1]:
                 continue
-            f = FiniteField.from_scalars(vals)
-            ratio = (np.trace(matrix_variance(two_state, f))
-                     / np.trace(dirichlet_form(two_state, f)))
+            rep = scalar_report(two_state, vals)
+            ratio = np.trace(rep.variance) / np.trace(rep.dirichlet)
             assert ratio == pytest.approx(0.5, abs=1e-14)
 
     def test_two_state_probe_attains_alpha(self, two_state):
