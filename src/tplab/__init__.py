@@ -68,6 +68,7 @@ from .montecarlo import (
 from .bounds import (
     UNBOUNDED,
     BoundParams,
+    GaussianPass,
     chaos_scalar_bound,
     check_bivariate_poincare,
     check_chain_rule,
@@ -81,6 +82,7 @@ from .bounds import (
     check_tail_empirical,
     default_theta_grid,
     exp_moment_rhs,
+    gaussian_pass,
     poly_moment_rhs,
     tail_bound,
 )

@@ -242,52 +242,104 @@ def tail_bound(p: BoundParams) -> float:
     return 6.0 * p.d * math.exp(-p.lam)
 
 
-def _gaussian_center(model) -> np.ndarray:
-    if isinstance(model, GaussianSeries):
-        return np.zeros((model.dim, model.dim))
-    return model.mean()
+@dataclass(frozen=True)
+class GaussianPass:
+    """The Monte Carlo estimates every Gaussian checker of a run reads, from
+    one pass per sample stream (``gaussian_pass``).
+
+    ``tail`` maps each level lambda to its survival Estimate, ``poly`` and
+    ``chaos`` map each order q to a pair (Estimate of E tr |f - c|^{2q},
+    Estimate of E tr (s Gamma)^q): c is the chaos mean (the series is mean
+    zero) for poly-moment and no centre for the chaos corollaries, s is 1
+    and 1/4, and the Gamma entry is None on a series, whose Gamma is exact.
+    ``v_f`` and ``v_f_mode`` are those of the tail, None without one.
+    """
+
+    spec: SampleSpec
+    v_f: float | None
+    v_f_mode: str | None
+    tail: dict
+    poly: dict
+    chaos: dict
 
 
-def gaussian_tail_thresholds(model, cert: PoincareCertificate, lambda_grid,
-                             spec: SampleSpec | None,
-                             v_f_override: float | None = None):
-    """The sampled tail check's field, thresholds sqrt(alpha v_f) * lambda,
-    v_f and v_f mode on a Gaussian model, after its admissibility checks:
-    a SampleSpec with N >= 10^4 and an exact (series) or user-certified
-    (chaos) variance proxy."""
-    if spec is None:
-        raise DomainError("tail check on a Gaussian model needs a SampleSpec")
-    if spec.n < 10 ** 4:
-        raise DomainError(f"tail estimation needs N >= 10^4 samples, got {spec.n}")
-    if isinstance(model, GaussianSeries):
-        v_f, mode = variance_proxy(model)
-        field = model.as_field()
-    else:
-        if v_f_override is None:
+def _read(table: dict, keys, suite: str) -> list:
+    """The entries of ``table`` at ``keys``; a key the pass did not
+    estimate is refused, never matched to another by position."""
+    missing = [float(k) for k in keys if float(k) not in table]
+    if missing:
+        raise DomainError(f"the Gaussian pass has no {suite} estimate at {missing}; "
+                          f"give them to gaussian_pass")
+    return [table[float(k)] for k in keys]
+
+
+def gaussian_pass(model, cert: PoincareCertificate, spec: SampleSpec, lambda_grid=None,
+                  v_f_override: float | None = None, poly_q=None,
+                  chaos_q=None) -> GaussianPass:
+    """One Monte Carlo pass per sample stream for the Gaussian suites of a
+    run: the tail at the levels of ``lambda_grid``, poly-moment at the
+    orders of ``poly_q`` and the chaos corollaries at those of ``chaos_q``
+    (None leaves a suite out).
+
+    The tail needs N >= 10^4 samples and an exact variance proxy (a series)
+    or a user-certified one (``v_f_override``, for a chaos, whose Gamma is
+    unbounded); its thresholds are sqrt(alpha v_f) * lambda.  The f-stream
+    (``spec.seed``) is drawn and evaluated once.  The tail and poly-moment
+    read the centred spectrum (the chaos mean; the series is mean zero and
+    needs no centre), the chaos corollaries the uncentred one: one eigvalsh
+    per centre and block, with every order of the union of the q lists read
+    at each centre.  A chaos's Gamma stream is one more pass, read at scale
+    1 (poly-moment) and 1/4 (chaos-matrix).
+    """
+    if not isinstance(model, (GaussianSeries, GaussianChaos)):
+        raise DomainError(f"unsupported model type {type(model).__name__}")
+    tail, poly, chaos = lambda_grid is not None, poly_q is not None, chaos_q is not None
+    v_f = mode = None
+    lams, thresholds = [], []
+    if tail:
+        if spec.n < 10 ** 4:
+            raise DomainError(f"tail estimation needs N >= 10^4 samples, got {spec.n}")
+        if isinstance(model, GaussianSeries):
+            v_f, mode = variance_proxy(model)
+        elif v_f_override is None:
             raise DomainError(
                 "Gamma of a Gaussian chaos is unbounded, so it has no exact variance "
                 "proxy; supply an explicit certified bound (v_f_override)")
-        v_f, mode = float(v_f_override), "USER_CERTIFIED"
-        field = model.as_field()
-    thresholds = math.sqrt(cert.alpha * v_f) * np.asarray(lambda_grid, dtype=float)
-    return field, thresholds, v_f, mode
+        else:
+            v_f, mode = float(v_f_override), "USER_CERTIFIED"
+        lams = [float(lam) for lam in lambda_grid]
+        thresholds = math.sqrt(cert.alpha * v_f) * np.asarray(lams)
+    centred = None if isinstance(model, GaussianSeries) else model.mean()
+    centres = ([centred] if tail or poly else []) + ([None] if chaos else [])
+    orders = sorted({float(q) for q in [*(poly_q or []), *(chaos_q or [])]})
+    field = model.as_field()
+    if tail:
+        groups = estimate_tail(field, thresholds, spec, orders, centres)
+    else:
+        groups = estimate_trace_moment(field, orders, spec, centres)
+    k = len(lams)
+    moments = [dict(zip(orders, g[k:])) for g in groups]
+    gammas = [dict.fromkeys(orders)]  # a series's Gamma is exact: nothing to estimate
+    if isinstance(model, GaussianChaos) and (poly or chaos):
+        scales = ([1.0] if poly else []) + ([0.25] if chaos else [])
+        gammas = [dict(zip(orders, g))
+                  for g in chaos_gamma_moments(model, orders, spec, scales)]
+    return GaussianPass(
+        spec=spec, v_f=v_f, v_f_mode=mode,
+        tail=dict(zip(lams, groups[0][:k])) if tail else {},
+        poly={float(q): (moments[0][float(q)], gammas[0][float(q)]) for q in poly_q or []},
+        chaos={float(q): (moments[-1][float(q)], gammas[-1][float(q)]) for q in chaos_q or []})
 
 
 def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid,
-                         spec: SampleSpec | None = None,
-                         v_f_override: float | None = None,
-                         slack_scale: float = DEFAULT_SLACK,
-                         tail_ests=None) -> list[CheckReport]:
+                         slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
     """P{ |f - E f| >= sqrt(alpha v_f) * lambda } <= 6 d exp(-lambda).
 
-    Finite chains are enumerated exactly from f's energy report ``rep`` (a
-    Gaussian model passes None).  Gaussian models are sampled with
-    Wilson-interval verdicts; this requires an exact variance proxy
-    (Gaussian series) or an explicit user-certified bound (a chaos, whose
-    Gamma is unbounded).  Bounds >= 1 pass automatically since the left
-    side is a probability.  ``tail_ests`` may carry the caller's
-    ``estimate_tail`` at ``gaussian_tail_thresholds`` (a pass shared with
-    other suites); None makes the pass.
+    Finite chains are enumerated exactly from f's energy report ``rep``.  On
+    a Gaussian model ``rep`` is the run's ``gaussian_pass``, which holds a
+    Wilson estimate per level and the exact (series) or user-certified
+    (chaos) variance proxy.  Bounds >= 1 pass automatically since the left
+    side is a probability.
     """
     lam_grid = np.asarray(lambda_grid, dtype=float)
     out = []
@@ -311,15 +363,11 @@ def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid,
                  "auto_pass": bound >= 1.0}))
         return out
 
-    field, thresholds, v_f, mode = gaussian_tail_thresholds(model, cert, lam_grid, spec,
-                                                            v_f_override)
-    d = field.dim
-    if tail_ests is None:
-        tail_ests = estimate_tail(field, _gaussian_center(model), thresholds, spec)
-    for lam, est in zip(lam_grid, tail_ests):
-        bound = tail_bound(BoundParams(cert.alpha, v_f, d, lam=float(lam)))
-        ctx = {"lambda": float(lam), "alpha": cert.alpha, "v_f": v_f,
-               "v_f_mode": mode, "d": d, "n": est.n, "seed": spec.seed,
+    d = model.dim
+    for lam, est in zip(lam_grid, _read(rep.tail, lam_grid, "tail")):
+        bound = tail_bound(BoundParams(cert.alpha, rep.v_f, d, lam=float(lam)))
+        ctx = {"lambda": float(lam), "alpha": cert.alpha, "v_f": rep.v_f,
+               "v_f_mode": rep.v_f_mode, "d": d, "n": est.n, "seed": rep.spec.seed,
                "level": est.level, "auto_pass": bound >= 1.0}
         out.append(CheckReport.from_interval(
             "subexp-tail", est.ci_low, est.value, est.ci_high, bound,
@@ -327,40 +375,45 @@ def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid,
     return out
 
 
+def _sqrt2_regime(q: float) -> bool:
+    return 1.0 < q < 1.5
+
+
 def poly_moment_rhs(p: BoundParams, trace_gamma_q: float) -> float:
-    """sqrt(2 alpha q^2) * (E tr Gamma^q)^(1/(2q)), with the extra sqrt(2)
-    in the exceptional regime q in (1, 1.5)."""
+    """sqrt(2 alpha) q (E tr Gamma^q)^(1/(2q)), with the extra sqrt(2) in
+    the exceptional regime q in (1, 1.5); q stays outside the square root,
+    so a huge finite q gives a finite rhs."""
     q = p.q
     if q is None or not q >= 1.0:
         raise DomainError(f"moment order q must be >= 1, got {q}")
     if trace_gamma_q < 0:
         raise DomainError("E tr Gamma^q must be nonnegative")
-    rhs = math.sqrt(2.0 * p.alpha * q * q) * trace_gamma_q ** (1.0 / (2.0 * q))
-    if 1.0 < q < 1.5:
+    rhs = math.sqrt(2.0 * p.alpha) * q * trace_gamma_q ** (1.0 / (2.0 * q))
+    if _sqrt2_regime(q):
         rhs *= math.sqrt(2.0)
     return rhs
 
 
-def _sqrt2_regime(q: float) -> bool:
-    return 1.0 < q < 1.5
+def _root_interval(est: montecarlo.Estimate, q: float) -> tuple[float, float, float]:
+    """The (2q)-th roots of an Estimate's interval and value, as the
+    (lower, value, upper) sides of a moment norm."""
+    root = 1.0 / (2.0 * q)
+    return max(est.ci_low, 0.0) ** root, est.value ** root, est.ci_high ** root
 
 
 def check_poly_moment(model, rep, cert: PoincareCertificate, q_list,
-                      spec: SampleSpec | None = None,
-                      slack_scale: float = DEFAULT_SLACK,
-                      f_ests=None, gam_ests=None) -> list[CheckReport]:
+                      slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
     """(E tr |f|^{2q})^{1/(2q)} <= poly_moment_rhs, exact on finite chains
     and Monte Carlo on Gaussian models (fields centered first).
 
-    On a finite chain ``rep`` is f's energy report (a Gaussian model passes
-    None) and both sides are scale-free, so no power overflows before its
-    root: s (E tr (|f| / s)^{2q})^{1/(2q)} with s = max |f - E f|, and
-    sqrt(s_G) poly_moment_rhs(E tr (Gamma / s_G)^q) with s_G = max |Gamma|.
+    On a finite chain ``rep`` is f's energy report and both sides are
+    scale-free, so no power overflows before its root: s (E tr (|f| /
+    s)^{2q})^{1/(2q)} with s = max |f - E f|, and sqrt(s_G) poly_moment_rhs(E
+    tr (Gamma / s_G)^q) with s_G = max |Gamma|.
 
-    On a Gaussian model ``f_ests`` may carry the caller's centred f-pass
-    (``estimate_trace_moment`` at the chaos mean, or with no centre for a
-    series) and, on a chaos, ``gam_ests`` the scale-1 list of
-    ``chaos_gamma_moments``, one Estimate per q each; None makes the pass.
+    On a Gaussian model ``rep`` is the run's ``gaussian_pass``, which holds
+    the centred f-moments and, on a chaos, the Gamma moments; a series's
+    Gamma is x-independent and its moments are exact.
     """
     out = []
     if isinstance(model, FiniteChain):
@@ -382,45 +435,22 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list,
                  "sqrt2_regime": _sqrt2_regime(q), "exact": True}))
         return out
 
-    if spec is None:
-        raise DomainError("polynomial moment check on a Gaussian model needs a SampleSpec")
     q_list = [float(q) for q in q_list]
+    d = model.dim
     if isinstance(model, GaussianSeries):
-        field = model.as_field()
-        gamma = dirichlet_form(model)  # Gamma is x-independent
-        gam_eigs = np.clip(np.linalg.eigvalsh(gamma), 0.0, None)
-        # the series is mean zero: no centre
-        if f_ests is None:
-            f_ests = estimate_trace_moment(field, q_list, spec)
-        for q, est in zip(q_list, f_ests):
-            tgq = float(np.sum(gam_eigs ** q))
-            rhs = poly_moment_rhs(BoundParams(cert.alpha, 0.0, field.dim, q=q), tgq)
-            root = 1.0 / (2.0 * q)
-            out.append(CheckReport.from_interval(
-                "poly-moment", max(est.ci_low, 0.0) ** root, est.value ** root,
-                est.ci_high ** root, rhs, slack_for(rhs, slack_scale),
-                {"q": q, "alpha": cert.alpha, "d": field.dim, "n": est.n,
-                 "seed": spec.seed, "sqrt2_regime": _sqrt2_regime(q),
-                 "gamma_moment_exact": True}))
-        return out
-    if isinstance(model, GaussianChaos):
-        field = model.as_field()
-        if gam_ests is None:
-            (gam_ests,) = chaos_gamma_moments(model, q_list, spec)
-        if f_ests is None:
-            f_ests = estimate_trace_moment(field, q_list, spec, center=model.mean())
-        for q, gam_est, est in zip(q_list, gam_ests, f_ests):
-            rhs = poly_moment_rhs(BoundParams(cert.alpha, 0.0, field.dim, q=q),
-                                  gam_est.value)
-            root = 1.0 / (2.0 * q)
-            out.append(CheckReport.from_interval(
-                "poly-moment", max(est.ci_low, 0.0) ** root, est.value ** root,
-                est.ci_high ** root, rhs, slack_for(rhs, slack_scale),
-                {"q": q, "alpha": cert.alpha, "d": field.dim, "n": est.n,
-                 "seed": spec.seed, "sqrt2_regime": _sqrt2_regime(q),
-                 "gamma_moment_ci": [gam_est.ci_low, gam_est.ci_high]}))
-        return out
-    raise DomainError(f"unsupported model type {type(model).__name__}")
+        gam_eigs = np.clip(np.linalg.eigvalsh(dirichlet_form(model)), 0.0, None)
+    for q, (est, gam_est) in zip(q_list, _read(rep.poly, q_list, "poly-moment")):
+        if gam_est is None:
+            tgq, gamma_ctx = float(np.sum(gam_eigs ** q)), {"gamma_moment_exact": True}
+        else:
+            tgq, gamma_ctx = gam_est.value, {"gamma_moment_ci": [gam_est.ci_low,
+                                                                 gam_est.ci_high]}
+        rhs = poly_moment_rhs(BoundParams(cert.alpha, 0.0, d, q=q), tgq)
+        out.append(CheckReport.from_interval(
+            "poly-moment", *_root_interval(est, q), rhs, slack_for(rhs, slack_scale),
+            {"q": q, "alpha": cert.alpha, "d": d, "n": est.n, "seed": rep.spec.seed,
+             "sqrt2_regime": _sqrt2_regime(q), **gamma_ctx}))
+    return out
 
 
 GAMMA_STREAM = 0x5DEECE66D
@@ -438,7 +468,6 @@ def chaos_gamma_moments(chaos: GaussianChaos, q_list, spec: SampleSpec,
     power-of-two scale the two agree exactly.
     """
     gamma = SmoothField(ambient_dim=chaos.n_vars, dim=chaos.dim,
-                        func=lambda x: chaos_gamma_batch(chaos, x[None])[0],
                         batch=lambda xs: chaos_gamma_batch(chaos, xs))
     q_list = [float(q) for q in q_list]
 
@@ -515,59 +544,42 @@ def chaos_scalar_bound(a, q: float) -> float:
     return 8.0 * q * q * norm
 
 
-def check_chaos_scalar(chaos: GaussianChaos, q_list, spec: SampleSpec,
-                       slack_scale: float = DEFAULT_SLACK,
-                       f_ests=None) -> list[CheckReport]:
-    """Scalar chaos corollary (E |f|^{2q})^{1/(2q)} <= 8 q^2 |A| for PSD A.
-
-    ``f_ests`` are the caller's ``estimate_trace_moment(chaos.as_field(),
-    q_list, spec)``, shared with ``check_chaos_matrix``; None makes the pass.
-    """
+def check_chaos_scalar(chaos: GaussianChaos, mc: GaussianPass, q_list,
+                       slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
+    """Scalar chaos corollary (E |f|^{2q})^{1/(2q)} <= 8 q^2 |A| for PSD A,
+    read from the uncentred f-moments of the run's ``gaussian_pass``."""
     if chaos.dim != 1:
         raise DomainError("the scalar chaos corollary needs d = 1 coefficients")
     a = chaos.coefficients[:, :, 0, 0]
     q_list = [float(q) for q in q_list]
     rhs_list = [chaos_scalar_bound(a, q) for q in q_list]
-    if f_ests is None:
-        f_ests = estimate_trace_moment(chaos.as_field(), q_list, spec)
     out = []
-    for q, rhs, est in zip(q_list, rhs_list, f_ests):
-        root = 1.0 / (2.0 * q)
+    for q, rhs, (est, _) in zip(q_list, rhs_list, _read(mc.chaos, q_list, "chaos")):
         out.append(CheckReport.from_interval(
-            "chaos-scalar", max(est.ci_low, 0.0) ** root, est.value ** root,
-            est.ci_high ** root, rhs, slack_for(rhs, slack_scale),
-            {"q": q, "norm_A": rhs / (8.0 * q * q), "n": est.n,
-             "seed": spec.seed}))
+            "chaos-scalar", *_root_interval(est, q), rhs, slack_for(rhs, slack_scale),
+            {"q": q, "norm_A": rhs / (8.0 * q * q), "n": est.n, "seed": mc.spec.seed}))
     return out
 
 
-def check_chaos_matrix(chaos: GaussianChaos, q_list, spec: SampleSpec,
-                       slack_scale: float = DEFAULT_SLACK,
-                       f_ests=None, gam_ests=None) -> list[CheckReport]:
+def check_chaos_matrix(chaos: GaussianChaos, mc: GaussianPass, q_list,
+                       slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
     """One-step matrix chaos inequality with alpha = 1:
 
         (E tr |f|^{2q})^{1/(2q)}
             <= sqrt(8 q^2) * (E tr [sum_i (sum_j X_j A_ij)^2]^q)^{1/(2q)}
 
-    Both sides are Monte Carlo estimates on independent streams, one pass
-    each for the whole q_list; no iterated closed form is asserted.  The
-    inner sum is Gamma(f) / 4.  ``f_ests`` may carry the caller's f-pass, as
-    in ``check_chaos_scalar``, and ``gam_ests`` the scale-1/4 list of
-    ``chaos_gamma_moments``.
+    Both sides are Monte Carlo estimates on independent streams, read from
+    the run's ``gaussian_pass``; no iterated closed form is asserted.  The
+    inner sum is Gamma(f) / 4.
     """
     q_list = [float(q) for q in q_list]
-    if gam_ests is None:
-        (gam_ests,) = chaos_gamma_moments(chaos, q_list, spec, scales=(0.25,))
-    if f_ests is None:
-        f_ests = estimate_trace_moment(chaos.as_field(), q_list, spec)
     out = []
-    for q, gam_est, est in zip(q_list, gam_ests, f_ests):
-        root = 1.0 / (2.0 * q)
-        rhs = math.sqrt(8.0 * q * q) * gam_est.value ** root
+    for q, (est, gam_est) in zip(q_list, _read(mc.chaos, q_list, "chaos")):
+        factor = math.sqrt(8.0 * q * q)
+        gam_lo, gam_value, gam_hi = _root_interval(gam_est, q)
+        rhs = factor * gam_value
         out.append(CheckReport.from_interval(
-            "chaos-matrix", max(est.ci_low, 0.0) ** root, est.value ** root,
-            est.ci_high ** root, rhs, slack_for(rhs, slack_scale),
-            {"q": q, "d": chaos.dim, "n": est.n, "seed": spec.seed,
-             "rhs_ci": [math.sqrt(8.0 * q * q) * max(gam_est.ci_low, 0.0) ** root,
-                        math.sqrt(8.0 * q * q) * gam_est.ci_high ** root]}))
+            "chaos-matrix", *_root_interval(est, q), rhs, slack_for(rhs, slack_scale),
+            {"q": q, "d": chaos.dim, "n": est.n, "seed": mc.spec.seed,
+             "rhs_ci": [factor * gam_lo, factor * gam_hi]}))
     return out

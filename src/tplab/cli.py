@@ -29,7 +29,7 @@ from .models import (
     product_chain,
     two_state_chain,
 )
-from .montecarlo import SampleSpec, estimate_tail, estimate_trace_moment, normal_stream
+from .montecarlo import SampleSpec, normal_stream
 from .poincare import (
     check_scalar_poincare,
     check_trace_poincare,
@@ -257,47 +257,8 @@ def _chain_rows(chain, name, named, suites, params, seed):
     return rows
 
 
-def _shared_passes(model, suites, cert, grid, override, poly_q, chaos_q, spec) -> dict:
-    """One Monte Carlo pass per sample stream for all the Gaussian suites of
-    a run; returns the estimates each checker takes, in its own q order.
-
-    The f-stream (``spec.seed``) is drawn and evaluated once.  The tail and
-    poly-moment suites read the centred spectrum (the chaos mean; the
-    series is mean zero and needs no centre), the chaos corollaries the
-    uncentred one: one eigvalsh per centre and block, with every order of
-    the union of the suites' q lists read at each centre.  A chaos's Gamma
-    stream is one more pass, read at scale 1 (poly-moment) and 1/4
-    (chaos-matrix).
-    """
-    tail, poly, chaos = "tail" in suites, "poly-moment" in suites, "chaos" in suites
-    centred = None if isinstance(model, GaussianSeries) else model.mean()
-    centres = ([centred] if tail or poly else []) + ([None] if chaos else [])
-    orders = sorted({float(q) for q in (poly_q if poly else []) + (chaos_q if chaos else [])})
-    if tail:
-        field, thresholds, _, _ = bounds.gaussian_tail_thresholds(model, cert, grid, spec,
-                                                                   override)
-        groups = estimate_tail(field, None, thresholds, spec, orders=orders, centers=centres)
-    else:
-        thresholds = []
-        groups = estimate_trace_moment(model.as_field(), orders, spec, centers=centres)
-    k = len(thresholds)
-    moments = [dict(zip(orders, g[k:])) for g in groups]
-    shared = {"tail": groups[0][:k] if tail else None,
-              "poly": [moments[0][float(q)] for q in poly_q] if poly else None,
-              "chaos": [moments[-1][float(q)] for q in chaos_q] if chaos else None,
-              "poly-gamma": None, "chaos-gamma": None}
-    if isinstance(model, GaussianChaos) and (poly or chaos):
-        scales = ([1.0] if poly else []) + ([0.25] if chaos else [])
-        gammas = [dict(zip(orders, g))
-                  for g in bounds.chaos_gamma_moments(model, orders, spec, scales)]
-        if poly:
-            shared["poly-gamma"] = [gammas[0][float(q)] for q in poly_q]
-        if chaos:
-            shared["chaos-gamma"] = [gammas[-1][float(q)] for q in chaos_q]
-    return shared
-
-
 def _gaussian_rows(model, name, suites, params, sample_spec):
+    """The rows of the Gaussian suites, all read from one ``gaussian_pass``."""
     for suite in suites:
         if suite in CHAIN_ONLY:
             raise ConfigError(f"suites: '{suite}' requires a finite chain model")
@@ -305,29 +266,22 @@ def _gaussian_rows(model, name, suites, params, sample_spec):
             raise ConfigError("suites: 'chaos' requires a gaussian_chaos model")
     cert = ou_certificate()
     grid = params.get("lambda_grid", [float(k) for k in range(1, 9)])
-    override = params.get("v_f_bound")
     poly_q = params.get("q_list", [1, 1.5, 2, 3])
     chaos_q = params.get("q_list", [1, 2, 3])
-    shared = _shared_passes(model, set(suites), cert, grid, override, poly_q, chaos_q,
-                            sample_spec)
+    mc = bounds.gaussian_pass(model, cert, sample_spec,
+                              lambda_grid=grid if "tail" in suites else None,
+                              v_f_override=params.get("v_f_bound"),
+                              poly_q=poly_q if "poly-moment" in suites else None,
+                              chaos_q=chaos_q if "chaos" in suites else None)
     rows = []
     for suite in suites:
         if suite == "tail":
-            reports = bounds.check_tail_empirical(model, None, cert, grid, spec=sample_spec,
-                                                  v_f_override=override,
-                                                  tail_ests=shared["tail"])
+            reports = bounds.check_tail_empirical(model, mc, cert, grid)
         elif suite == "poly-moment":
-            reports = bounds.check_poly_moment(model, None, cert, poly_q, spec=sample_spec,
-                                               f_ests=shared["poly"],
-                                               gam_ests=shared["poly-gamma"])
+            reports = bounds.check_poly_moment(model, mc, cert, poly_q)
         else:
-            reports = []
-            if model.dim == 1:
-                reports += bounds.check_chaos_scalar(model, chaos_q, sample_spec,
-                                                     f_ests=shared["chaos"])
-            reports += bounds.check_chaos_matrix(model, chaos_q, sample_spec,
-                                                 f_ests=shared["chaos"],
-                                                 gam_ests=shared["chaos-gamma"])
+            reports = bounds.check_chaos_scalar(model, mc, chaos_q) if model.dim == 1 else []
+            reports += bounds.check_chaos_matrix(model, mc, chaos_q)
         rows += [r.to_row(suite=suite, fixture=name) for r in reports]
     return rows
 
@@ -368,6 +322,14 @@ def _sample_flag(samples: dict, key: str) -> bool:
     return value
 
 
+def _is_number(x, valid) -> bool:
+    """Whether a JSON value is a number (not a boolean) with valid(float)."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and valid(float(x))
+    except OverflowError:
+        return False
+
+
 # params lists checked once per run: (valid(float value), what is expected)
 PARAM_LISTS = {
     "q_list": (lambda v: math.isfinite(v) and v >= 1, "finite numbers >= 1"),
@@ -378,10 +340,11 @@ PARAM_LISTS = {
 
 
 def _checked_params(params) -> dict:
-    """params with every list of PARAM_LISTS and the probe settings checked:
-    a NaN or out-of-range order, level, scale or trial count is refused
-    rather than reaching a verdict, and intdim_q and the probe's trials and
-    dims become integers (an integral float such as 2.0 counts)."""
+    """params with every list of PARAM_LISTS, the certified v_f_bound and the
+    probe settings checked: a NaN or out-of-range order, level, scale, bound
+    or trial count is refused rather than reaching a verdict, and intdim_q
+    and the probe's trials and dims become integers (an integral float such
+    as 2.0 counts)."""
     if not isinstance(params, dict):
         raise ConfigError("params: must be a JSON object")
     out = dict(params)
@@ -389,16 +352,13 @@ def _checked_params(params) -> dict:
         if key not in out:
             continue
         values = out[key]
-        try:
-            ok = isinstance(values, list) and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) and valid(float(x))
-                for x in values)
-        except OverflowError:
-            ok = False
-        if not ok:
+        if not (isinstance(values, list) and all(_is_number(x, valid) for x in values)):
             raise ConfigError(f"params.{key}: expected a list of {what}, got {values!r}")
         if key == "intdim_q":
             out[key] = [int(x) for x in values]
+    bound = out.get("v_f_bound")
+    if bound is not None and not _is_number(bound, lambda v: math.isfinite(v) and v >= 0):
+        raise ConfigError(f"params.v_f_bound: expected a finite number >= 0, got {bound!r}")
     if "probe" in out:
         probe = out["probe"]
         if not isinstance(probe, dict):

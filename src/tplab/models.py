@@ -275,22 +275,19 @@ class FiniteField:
 
 @dataclass(frozen=True)
 class SmoothField:
-    """Matrix field on R^n given by an evaluator and an optional batched
-    evaluator (batch(X: (m, n)) -> (m, d, d)): what a Monte Carlo pass reads
-    of a Gaussian series or chaos."""
+    """Matrix field on R^n given by its batched evaluator (batch(X: (m, n))
+    -> (m, d, d)): what a Monte Carlo pass reads of a Gaussian series or
+    chaos."""
 
     ambient_dim: int
     dim: int
-    func: Callable[[np.ndarray], np.ndarray]
-    batch: Callable[[np.ndarray], np.ndarray] | None = None
+    batch: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
+        return self.eval_batch(np.asarray(x, dtype=float)[None])[0]
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        if self.batch is not None:
-            return np.asarray(self.batch(xs), dtype=float)
-        return np.stack([self(x) for x in xs])
+        return np.asarray(self.batch(xs), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -366,21 +363,15 @@ class GaussianChaos:
 def series_as_field(s: GaussianSeries) -> SmoothField:
     a = s.coefficients
 
-    def func(x):
-        return np.tensordot(x, a, axes=1)
-
     def batch(xs):
         return np.tensordot(xs, a, axes=([1], [0]))
 
-    return SmoothField(ambient_dim=s.n_terms, dim=s.dim, func=func, batch=batch)
+    return SmoothField(ambient_dim=s.n_terms, dim=s.dim, batch=batch)
 
 
 def chaos_as_field(c: GaussianChaos) -> SmoothField:
     a = c.coefficients
     n, d = c.n_vars, c.dim
-
-    def func(x):
-        return np.einsum("i,j,ijkl->kl", x, x, a)
 
     def batch(xs):
         # f(x) = sum_i x_i M_i with M_i = sum_j x_j A_ij: one BLAS product
@@ -388,7 +379,7 @@ def chaos_as_field(c: GaussianChaos) -> SmoothField:
         m = (xs @ a.reshape(n, n * d * d)).reshape(len(xs), n, d * d)
         return np.einsum("mi,mik->mk", xs, m).reshape(len(xs), d, d)
 
-    return SmoothField(ambient_dim=c.n_vars, dim=c.dim, func=func, batch=batch)
+    return SmoothField(ambient_dim=c.n_vars, dim=c.dim, batch=batch)
 
 
 def constant_field(n_states: int, matrix) -> FiniteField:

@@ -10,9 +10,10 @@ evaluates each block once and returns one Estimate per per-sample
 statistic.  ``estimate_trace_moment`` diagonalises each block once per
 centre and reads every moment order and every tail threshold from those
 eigenvalues, and ``estimate_tail`` turns the tail frequencies of the same
-pass into Wilson estimates.  So on the f-stream the tail, poly-moment and
-chaos suites share draws and evaluations, and suites with the same centre
-share one ``eigvalsh``.
+pass into Wilson estimates; both return one list of Estimates per centre.
+``bounds.gaussian_pass`` makes these passes once per run, so on the
+f-stream the tail, poly-moment and chaos suites share draws and
+evaluations, and suites with the same centre share one ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -178,28 +179,21 @@ def estimate_statistic(spec: SampleSpec, field, per_sample,
             for k in range(len(parts[0]))]
 
 
-def estimate_trace_moment(field, q, spec: SampleSpec,
-                          center: np.ndarray | None = None,
-                          level: float = 0.99, thresholds=(), centers=None):
-    """Estimate E tr |f(X) - center|^(2q) with a CLT interval.
+def estimate_trace_moment(field, orders, spec: SampleSpec, centers=(None,),
+                          level: float = 0.99, thresholds=()) -> list[list[Estimate]]:
+    """Estimates of E tr |f(X) - c|^(2q) with CLT intervals, one list per
+    centre c of ``centers`` (None for no centre) and one Estimate per order
+    q of ``orders`` in each list, all from a single pass: each block is
+    drawn and evaluated once and diagonalised once per centre, and every
+    order takes its sums from the same eigenvalues.
 
-    ``q`` is one order or a sequence of orders.  A sequence gives one
-    Estimate per order from a single pass: each block is drawn, evaluated
-    and diagonalised once, and every order takes its sums from the same
-    eigenvalues.
-
-    ``thresholds`` appends, from the same eigenvalues, one Estimate per
-    threshold t of the frequency of ||f(X) - center|| >= t (the mean of an
-    indicator; ``estimate_tail`` gives it a Wilson interval).  Indicators
-    are never averaged over antithetic pairs, so thresholds refuse pairing.
-
-    ``centers`` replaces ``center`` by a list of centres (None for no
-    centre): the draws and evaluations are still shared, each block is
-    diagonalised once per centre, every order and threshold is read at
-    every centre, and the result is one list per centre.
+    ``thresholds`` appends to each list, from the same eigenvalues, one
+    Estimate per threshold t of the frequency of ||f(X) - c|| >= t (the mean
+    of an indicator; ``estimate_tail`` gives it a Wilson interval).
+    Indicators are never averaged over antithetic pairs, so thresholds
+    refuse pairing.
     """
-    scalar = np.ndim(q) == 0
-    orders = [float(q)] if scalar else [float(x) for x in q]
+    orders = [float(q) for q in orders]
     for order in orders:
         if not order >= 1:
             raise DomainError(f"moment order q must be >= 1, got {order}")
@@ -207,10 +201,7 @@ def estimate_trace_moment(field, q, spec: SampleSpec,
     if thresholds and spec.antithetic:
         raise DomainError("antithetic pairing breaks the Bernoulli model of "
                           "the Wilson interval; disable it for tail estimation")
-    several = centers is not None
-    if several and center is not None:
-        raise DomainError("give either one center or a list of centers")
-    centres = list(centers) if several else [center]
+    centres = list(centers)
 
     def per_sample(mats):
         out = []
@@ -224,38 +215,27 @@ def estimate_trace_moment(field, q, spec: SampleSpec,
 
     estimates = estimate_statistic(spec, field, per_sample, level)
     width = len(orders) + len(thresholds)
-    groups = [estimates[i * width:(i + 1) * width] for i in range(len(centres))]
-    if several:
-        return groups
-    return groups[0][0] if scalar and not thresholds else groups[0]
+    return [estimates[i * width:(i + 1) * width] for i in range(len(centres))]
 
 
-def estimate_tail(field, center, thresholds, spec: SampleSpec,
-                  level: float = 0.99, orders=(), centers=None) -> list:
-    """Empirical survival P{ |f(X) - center| >= t } with Wilson intervals,
-    one pass over the samples.  Thresholds must be ascending.
-
-    ``orders`` and ``centers`` are passed on to ``estimate_trace_moment``,
-    so the tail shares its pass with trace moments: the result is the
-    survival Estimates followed by one Estimate per order (one such list
-    per centre when ``centers`` is given).
+def estimate_tail(field, thresholds, spec: SampleSpec, orders=(), centers=(None,),
+                  level: float = 0.99) -> list[list[Estimate]]:
+    """Empirical survival P{ |f(X) - c| >= t } with Wilson intervals, one
+    pass over the samples: per centre c of ``centers``, one Estimate per
+    threshold t (in any order) followed by one Estimate per order of
+    ``orders``, read from the same eigenvalues by ``estimate_trace_moment``.
     """
-    thresholds = np.asarray(thresholds, dtype=float)
-    if np.any(np.diff(thresholds) < 0):
-        raise DomainError("thresholds must be ascending")
     orders = list(orders)
-    if center is not None:
-        center = np.asarray(center, dtype=float)
-    groups = estimate_trace_moment(field, orders, spec, center, level, thresholds, centers)
+    k = len(orders)
     out = []
-    for ests in (groups if centers is not None else [groups]):
+    for ests in estimate_trace_moment(field, orders, spec, centers, level, thresholds):
         tail = []
-        for est in ests[len(orders):]:
+        for est in ests[k:]:
             # the indicator sum is an exact integer and the mean its correctly
             # rounded ratio to n, so rounding recovers the count exactly
-            k = round(est.value * spec.n)
-            lo, hi = wilson_interval(k, spec.n, level)
-            tail.append(Estimate(value=k / spec.n, ci_low=lo, ci_high=hi,
+            count = round(est.value * spec.n)
+            lo, hi = wilson_interval(count, spec.n, level)
+            tail.append(Estimate(value=count / spec.n, ci_low=lo, ci_high=hi,
                                  level=level, n=spec.n))
-        out.append(tail + ests[:len(orders)])
-    return out if centers is not None else out[0]
+        out.append(tail + ests[:k])
+    return out

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tplab import FiniteChain, FiniteField, chain_from_graph, two_state_chain
+from tplab import (FiniteChain, FiniteField, chain_from_graph, estimate_trace_moment,
+                   two_state_chain)
 
 
 def random_symmetric(rng, d, scale=1.0):
@@ -34,6 +35,12 @@ def dense_product_generator(base, k):
     for i in range(k):
         gen += np.kron(np.kron(np.eye(m ** i), base.generator), np.eye(m ** (k - 1 - i)))
     return gen
+
+
+def moment(field, q, spec, center=None):
+    """The Estimate of E tr |f(X) - center|^(2q) at one order and one centre
+    (None for no centre), from ``estimate_trace_moment``."""
+    return estimate_trace_moment(field, [q], spec, centers=[center])[0][0]
 
 
 def k_complete(n):

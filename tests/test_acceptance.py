@@ -26,7 +26,7 @@ from tplab import (
     default_theta_grid,
     energy_report,
     equivalence_probe,
-    estimate_trace_moment,
+    gaussian_pass,
     intdim,
     op_norm,
     ou_certificate,
@@ -37,7 +37,7 @@ from tplab import (
 from tplab.cli import default_config, run_experiment
 from tplab.reports import rows_to_csv
 
-from conftest import k_complete, random_field, random_symmetric
+from conftest import k_complete, moment, random_field, random_symmetric
 
 
 @contextlib.contextmanager
@@ -154,9 +154,10 @@ def test_criterion_07_subexponential_tails(two_state, k4):
                                           [[0.0, 1.0], [1.0, 0.0]]]))
         v_f, mode = variance_proxy(series)
         assert mode == "EXACT" and v_f == pytest.approx(2.0)
-        reports = check_tail_empirical(series, None, ou_certificate(),
-                                       range(1, 9),
-                                       spec=SampleSpec(n=10 ** 5, seed=20240601))
+        cert = ou_certificate()
+        mc = gaussian_pass(series, cert, SampleSpec(n=10 ** 5, seed=20240601),
+                           lambda_grid=range(1, 9))
+        reports = check_tail_empirical(series, mc, cert, range(1, 9))
         assert all(r.passed for r in reports)
 
 
@@ -174,9 +175,9 @@ def test_criterion_08_polynomial_moments(two_state, k4):
         a = 1.4
         field = GaussianSeries(np.array([[[a]]])).as_field()
         spec = SampleSpec(n=10 ** 5, seed=20240601)
-        second = estimate_trace_moment(field, 1, spec)
+        second = moment(field, 1, spec)
         assert second.ci_low <= a ** 2 <= second.ci_high
-        fourth = estimate_trace_moment(field, 2, spec)
+        fourth = moment(field, 2, spec)
         assert fourth.ci_low <= 3 * a ** 4 <= fourth.ci_high
 
 
@@ -210,7 +211,7 @@ def test_criterion_10_gaussian_chaos_corollary():
         field = chaos.as_field()
         spec = SampleSpec(n=10 ** 5, seed=20240601)
         for q in (1, 2, 3):
-            est = estimate_trace_moment(field, q, spec)
+            est = moment(field, q, spec)
             root = 1.0 / (2.0 * q)
             upper = est.ci_high ** root
             assert upper <= 8.0 * q * q * 1.0

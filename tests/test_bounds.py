@@ -31,7 +31,9 @@ from tplab import (
     constant_field,
     default_theta_grid,
     energy_report,
+    estimate_trace_moment,
     exp_moment_rhs,
+    gaussian_pass,
     ou_certificate,
     poincare_constant,
     poly_moment_rhs,
@@ -371,24 +373,24 @@ class TestTailEmpirical:
 
     def test_pauli_series_monte_carlo(self):
         series = GaussianSeries(np.stack([[[1.0, 0], [0, -1.0]], [[0, 1.0], [1.0, 0]]]))
-        rs = check_tail_empirical(series, None, ou_certificate(), range(1, 9),
-                                  spec=SampleSpec(n=20000, seed=99))
+        cert = ou_certificate()
+        mc = gaussian_pass(series, cert, SampleSpec(n=20000, seed=99), lambda_grid=range(1, 9))
+        rs = check_tail_empirical(series, mc, cert, range(1, 9))
         assert all(r.passed for r in rs)
         assert rs[0].context["v_f"] == pytest.approx(2.0)
 
     def test_sample_floor_enforced(self):
         series = GaussianSeries(np.ones((1, 1, 1)))
         with pytest.raises(DomainError, match="10\\^4"):
-            check_tail_empirical(series, None, ou_certificate(), [1.0],
-                                 spec=SampleSpec(n=100, seed=1))
+            gaussian_pass(series, ou_certificate(), SampleSpec(n=100, seed=1), lambda_grid=[1.0])
 
     def test_estimated_proxy_refused_without_certificate(self):
         chaos = GaussianChaos(np.ones((1, 1, 1, 1)))
+        cert, spec = ou_certificate(), SampleSpec(n=10 ** 4, seed=1)
         with pytest.raises(DomainError, match="certified"):
-            check_tail_empirical(chaos, None, ou_certificate(), [1.0],
-                                 spec=SampleSpec(n=10 ** 4, seed=1))
-        rs = check_tail_empirical(chaos, None, ou_certificate(), [6.0, 8.0],
-                                  spec=SampleSpec(n=10 ** 4, seed=1), v_f_override=50.0)
+            gaussian_pass(chaos, cert, spec, lambda_grid=[1.0])
+        mc = gaussian_pass(chaos, cert, spec, lambda_grid=[6.0, 8.0], v_f_override=50.0)
+        rs = check_tail_empirical(chaos, mc, cert, [6.0, 8.0])
         assert all(r.verdict in ("PASS", "INCONCLUSIVE") for r in rs)
         assert rs[0].context["v_f_mode"] == "USER_CERTIFIED"
 
@@ -442,16 +444,18 @@ class TestCheckPolyMoment:
 
     def test_series_monte_carlo_with_exact_gamma(self):
         series = GaussianSeries(np.array([[[1.3]]]))
-        rs = check_poly_moment(series, None, ou_certificate(), [1, 2],
-                               spec=SampleSpec(n=50000, seed=21))
+        cert = ou_certificate()
+        mc = gaussian_pass(series, cert, SampleSpec(n=50000, seed=21), poly_q=[1, 2])
+        rs = check_poly_moment(series, mc, cert, [1, 2])
         for r in rs:
             assert r.verdict in ("PASS",)
             assert r.context["gamma_moment_exact"]
 
     def test_chaos_monte_carlo(self):
         chaos = GaussianChaos(np.ones((1, 1, 1, 1)))
-        rs = check_poly_moment(chaos, None, ou_certificate(), [1, 2],
-                               spec=SampleSpec(n=50000, seed=23))
+        cert = ou_certificate()
+        mc = gaussian_pass(chaos, cert, SampleSpec(n=50000, seed=23), poly_q=[1, 2])
+        rs = check_poly_moment(chaos, mc, cert, [1, 2])
         for r in rs:
             assert r.verdict in ("PASS", "INCONCLUSIVE")
 
@@ -553,7 +557,8 @@ class TestChaosBounds:
         coef = np.zeros((2, 2, 1, 1))
         coef[0, 0, 0, 0] = coef[1, 1, 0, 0] = 1.0
         chaos = GaussianChaos(coef)
-        rs = check_chaos_scalar(chaos, [2], SampleSpec(n=20000, seed=31))
+        mc = gaussian_pass(chaos, ou_certificate(), SampleSpec(n=20000, seed=31), chaos_q=[2])
+        rs = check_chaos_scalar(chaos, mc, [2])
         # f = X1^2 + X2^2 ~ chi^2_2: (E f^4)^(1/4) = (2^4 4!)^(1/4) << 32
         assert rs[0].passed
         assert rs[0].lhs == pytest.approx((16 * 24) ** 0.25, rel=0.05)
@@ -562,14 +567,15 @@ class TestChaosBounds:
     def test_scalar_checker_needs_d1(self):
         chaos = GaussianChaos(np.ones((1, 1, 2, 2)))
         with pytest.raises(DomainError):
-            check_chaos_scalar(chaos, [1], SampleSpec(n=100, seed=1))
+            check_chaos_scalar(chaos, gaussian_pass(chaos, ou_certificate(),
+                                                    SampleSpec(n=100, seed=1), chaos_q=[1]), [1])
 
     def test_scaled_gamma_moments_match_scaled_gamma(self):
         rng = np.random.default_rng(163)
         chaos = GaussianChaos(rng.standard_normal((3, 3, 2, 2)))
         spec = SampleSpec(n=9000, seed=35)
         qs = [1.0, 1.5, 2.0, 3.0]
-        quarter = SmoothField(ambient_dim=3, dim=2, func=lambda x: x,
+        quarter = SmoothField(ambient_dim=3, dim=2,
                               batch=lambda xs: 0.25 * chaos_gamma_batch(chaos, xs))
 
         def per_sample(mats):
@@ -591,22 +597,68 @@ class TestChaosBounds:
             calls.append(spec.seed)
             return real(spec, *args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "estimate_statistic", counted)
         rng = np.random.default_rng(167)
         chaos = GaussianChaos(rng.standard_normal((3, 3, 2, 2)))
-        rs = check_poly_moment(chaos, None, ou_certificate(), [1, 1.5, 2, 3],
-                               spec=SampleSpec(n=4000, seed=37))
-        assert len(rs) == 4
+        qs, spec, cert = [1, 1.5, 2, 3], SampleSpec(n=4000, seed=37), ou_certificate()
+        # the centred f-pass and the scale-1 Gamma pass, each made alone
+        (f_ests,) = estimate_trace_moment(chaos.as_field(), qs, spec, centers=[chaos.mean()])
+        (gam_ests,) = chaos_gamma_moments(chaos, qs, spec)
+        monkeypatch.setattr(montecarlo, "estimate_statistic", counted)
+        mc = gaussian_pass(chaos, cert, spec, poly_q=qs)
+        assert [mc.poly[q] for q in qs] == list(zip(f_ests, gam_ests))
+        assert len(check_poly_moment(chaos, mc, cert, qs)) == 4
         # one pass for f, one for Gamma on its own stream
         assert sorted(calls) == sorted([37, 37 ^ 0x5DEECE66D])
 
     def test_matrix_one_step(self):
         rng = np.random.default_rng(151)
         chaos = GaussianChaos(rng.standard_normal((2, 2, 2, 2)))
-        rs = check_chaos_matrix(chaos, [1, 2], SampleSpec(n=30000, seed=33))
+        mc = gaussian_pass(chaos, ou_certificate(), SampleSpec(n=30000, seed=33), chaos_q=[1, 2])
+        rs = check_chaos_matrix(chaos, mc, [1, 2])
         for r in rs:
             assert r.verdict in ("PASS", "INCONCLUSIVE")
             assert "rhs_ci" in r.context
+
+
+class TestGaussianPass:
+    def psd_chaos(self):
+        coef = np.zeros((2, 2, 1, 1))
+        coef[0, 0, 0, 0], coef[1, 1, 0, 0] = 1.0, 0.5
+        return GaussianChaos(coef)
+
+    def test_checkers_make_no_draw(self, monkeypatch):
+        chaos, cert, qs, lams = self.psd_chaos(), ou_certificate(), [1, 1.5, 2], [1.0, 4.0]
+        mc = gaussian_pass(chaos, cert, SampleSpec(n=10 ** 4, seed=3), lambda_grid=lams,
+                           v_f_override=50.0, poly_q=qs, chaos_q=qs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checker drew a sample")
+
+        monkeypatch.setattr(montecarlo, "estimate_statistic", refuse)
+        rs = (check_tail_empirical(chaos, mc, cert, lams)
+              + check_poly_moment(chaos, mc, cert, qs)
+              + check_chaos_scalar(chaos, mc, qs)
+              + check_chaos_matrix(chaos, mc, qs))
+        assert len(rs) == 2 + 3 * 3
+        assert all(r.verdict in ("PASS", "INCONCLUSIVE") for r in rs)
+
+    def test_missing_order_or_level_refused(self):
+        chaos, cert = self.psd_chaos(), ou_certificate()
+        mc = gaussian_pass(chaos, cert, SampleSpec(n=10 ** 4, seed=3), lambda_grid=[1.0],
+                           v_f_override=50.0, poly_q=[1, 2])
+        with pytest.raises(DomainError, match="no tail estimate at \\[2.0\\]"):
+            check_tail_empirical(chaos, mc, cert, [1.0, 2.0])
+        with pytest.raises(DomainError, match="no poly-moment estimate at \\[3.0\\]"):
+            check_poly_moment(chaos, mc, cert, [1, 3])
+        # the chaos suite was not part of the pass
+        with pytest.raises(DomainError, match="no chaos estimate"):
+            check_chaos_matrix(chaos, mc, [1])
+        with pytest.raises(DomainError, match="no chaos estimate"):
+            check_chaos_scalar(chaos, mc, [1])
+
+    def test_chain_model_refused(self, two_state):
+        with pytest.raises(DomainError, match="unsupported model type"):
+            gaussian_pass(two_state, ou_certificate(), SampleSpec(n=100, seed=1), poly_q=[1])
 
 
 class TestVerdictMechanics:

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import tplab
-from tplab import FiniteChain, GaussianChaos, GaussianSeries, SampleSpec, energy, montecarlo
-from tplab.bounds import GAMMA_STREAM, check_chaos_matrix, check_chaos_scalar
+from tplab import (FiniteChain, GaussianChaos, GaussianPass, GaussianSeries, SampleSpec, energy,
+                   estimate_trace_moment, montecarlo)
+from tplab.bounds import (GAMMA_STREAM, chaos_gamma_moments, check_chaos_matrix,
+                          check_chaos_scalar)
 from tplab.cli import CHAIN_ONLY, build_model, default_config, main, run_experiment
 from tplab.fixtures import catalog, get_field, get_model
 
@@ -192,10 +194,15 @@ class TestGaussianConfigs:
 
         spec = SampleSpec(n=20000, seed=5)
         chaos = get_model("psd-chaos")
-        # each checker making its own f-pass gives the same rows, bit for bit
+        # the uncentred f-pass and the scale-1/4 Gamma pass, each made alone,
+        # give the same rows, bit for bit
+        (f_ests,) = estimate_trace_moment(chaos.as_field(), [1, 2], spec)
+        (gam_ests,) = chaos_gamma_moments(chaos, [1, 2], spec, scales=(0.25,))
+        mc = GaussianPass(spec=spec, v_f=None, v_f_mode=None, tail={}, poly={},
+                          chaos=dict(zip([1.0, 2.0], zip(f_ests, gam_ests))))
         alone = [r.to_row(suite="chaos", fixture="psd-chaos")
-                 for r in check_chaos_scalar(chaos, [1, 2], spec)
-                 + check_chaos_matrix(chaos, [1, 2], spec)]
+                 for r in check_chaos_scalar(chaos, mc, [1, 2])
+                 + check_chaos_matrix(chaos, mc, [1, 2])]
         monkeypatch.setattr(montecarlo, "estimate_statistic", counted)
         rows, _, _ = run_experiment({"seed": 5, "samples": {"n": 20000},
                                      "model": {"fixture": "psd-chaos"}, "suites": ["chaos"],
@@ -203,6 +210,15 @@ class TestGaussianConfigs:
         assert rows == alone
         # the scalar and matrix corollaries share the f-pass; Gamma has its own stream
         assert sorted(seeds) == sorted([5, 5 ^ 0x5DEECE66D])
+
+    def test_reversed_lambda_grid_gives_reversed_rows(self):
+        # each level is its own indicator, so the order of the grid is free;
+        # a descending grid used to exit 2 on Gaussian models only
+        cfg = {"seed": 3, "samples": {"n": 10000}, "model": {"fixture": "pauli-series"},
+               "suites": ["tail"], "params": {"lambda_grid": [0.5, 1, 2, 4]}}
+        up, _, _ = run_experiment(cfg)
+        down, _, _ = run_experiment({**cfg, "params": {"lambda_grid": [4, 2, 1, 0.5]}})
+        assert len(up) == 4 and down == up[::-1]
 
 
 class _CountedField:
@@ -315,6 +331,7 @@ class TestSharedPasses:
 TWO_STATE = {"model": {"fixture": "two-state"},
              "fields": [{"type": "fixture", "name": "indicator-1"}]}
 PAULI = {"model": {"fixture": "pauli-series"}, "samples": {"n": 10000}}
+PSD_CHAOS = {"model": {"fixture": "psd-chaos"}, "samples": {"n": 10000}}
 
 
 class TestParamLists:
@@ -347,6 +364,12 @@ class TestParamLists:
         (TWO_STATE, "poincare", {"probe": {"trials": "a"}}, "params.probe.trials"),
         (TWO_STATE, "poincare", {"probe": {"trials": -1}}, "params.probe.trials"),
         (TWO_STATE, "poincare", {"probe": [3, [1]]}, "params.probe"),
+        # a string or negative bound was a bare ValueError, exit 1, and NaN
+        # or inf gave PASS rows reading "v_f": NaN or Infinity, exit 0
+        (PSD_CHAOS, "tail", {"v_f_bound": "abc"}, "params.v_f_bound"),
+        (PSD_CHAOS, "tail", {"v_f_bound": -1.0}, "params.v_f_bound"),
+        (PSD_CHAOS, "tail", {"v_f_bound": math.nan}, "params.v_f_bound"),
+        (PSD_CHAOS, "tail", {"v_f_bound": math.inf}, "params.v_f_bound"),
     ])
     def test_invalid_list_exits_2(self, tmp_path, capsys, base, suite, params, label):
         cfg = {"seed": 1, **base, "suites": [suite], "params": params}
@@ -548,6 +571,28 @@ class TestExitCodes:
         assert top["verdict"] == "PASS"
         assert float(top["lhs"]) == pytest.approx(500.0, rel=1e-12)
         assert float(top["rhs"]) == pytest.approx(200.0 * math.sqrt(5e5), rel=1e-12)
+
+    @pytest.mark.parametrize("values", [[1.0, 1.0], [0.0, 1.0]])
+    def test_huge_order_poly_moment_rhs_is_finite(self, tmp_path, values):
+        # q = 1e200: sqrt(2 alpha q^2) overflowed, which gave rhs = inf * 0 =
+        # NaN (exit 2) on a constant field and a vacuous rhs = inf on [0, 1];
+        # sqrt(2 alpha) q (E tr Gamma^q)^(1/(2q)) is finite, with alpha = 1/2
+        # and Gamma = 1/2 at both states of [0, 1]
+        cfg = {"seed": 1, "model": {"fixture": "two-state"},
+               "fields": [{"type": "table", "values": values}],
+               "suites": ["poly-moment"], "params": {"q_list": [2, 1e200]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "report.csv")
+        assert len(rows) == 2 and {r["verdict"] for r in rows} == {"PASS"}
+        assert all(math.isfinite(float(r["lhs"])) and math.isfinite(float(r["rhs"]))
+                   for r in rows)
+        (top,) = [r for r in rows if json.loads(r["context"])["q"] == 1e200]
+        constant = values[0] == values[1]
+        assert float(top["lhs"]) == (0.0 if constant else pytest.approx(0.5, rel=1e-12))
+        assert float(top["rhs"]) == (0.0 if constant
+                                     else pytest.approx(1e200 * math.sqrt(0.5), rel=1e-12))
 
     @pytest.mark.parametrize("model, suites", [
         # these used to give PASS rows and exit 0, or PASS and INCONCLUSIVE

@@ -304,9 +304,13 @@ class TestGaussianSeriesField:
     def test_batch_matches_pointwise(self):
         rng = np.random.default_rng(3)
         coefs = rng.standard_normal((3, 2, 2))
-        field = series_as_field(GaussianSeries(coefs))
+        series = GaussianSeries(coefs)
+        field = series_as_field(series)
         xs = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(field.eval_batch(xs), np.stack([field(x) for x in xs]))
+        values = np.einsum("mi,ikl->mkl", xs, series.coefficients)
+        np.testing.assert_allclose(field.eval_batch(xs), values, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(np.stack([field(x) for x in xs]), values,
+                                   rtol=1e-13, atol=1e-15)
 
     def test_needs_at_least_one_term(self):
         with pytest.raises(ModelError):

@@ -19,9 +19,14 @@ from tplab.montecarlo import (
     normal_quantile,
 )
 
+from conftest import moment
+
 
 def scalar_series(a=1.0):
     return GaussianSeries(np.array([[[float(a)]]])).as_field()
+
+
+ZERO = [np.zeros((1, 1))]
 
 
 class TestStreams:
@@ -63,17 +68,17 @@ class TestSampleSpec:
 
 class TestTraceMoment:
     def test_zero_field_zero_width(self):
-        est = estimate_trace_moment(scalar_series(0.0), 1, SampleSpec(n=1000, seed=2))
+        est = moment(scalar_series(0.0), 1, SampleSpec(n=1000, seed=2))
         assert est.value == 0.0 and est.ci_low == 0.0 and est.ci_high == 0.0
 
     def test_second_moment_oracle(self):
         a = 1.7
-        est = estimate_trace_moment(scalar_series(a), 1, SampleSpec(n=100000, seed=3))
+        est = moment(scalar_series(a), 1, SampleSpec(n=100000, seed=3))
         assert est.ci_low <= a ** 2 <= est.ci_high
 
     def test_fourth_moment_oracle(self):
         a = 1.7
-        est = estimate_trace_moment(scalar_series(a), 2, SampleSpec(n=100000, seed=3))
+        est = moment(scalar_series(a), 2, SampleSpec(n=100000, seed=3))
         assert est.ci_low <= 3 * a ** 4 <= est.ci_high
 
     def test_orthogonal_conjugation_invariance(self):
@@ -82,35 +87,35 @@ class TestTraceMoment:
         coefs = 0.5 * (coefs + coefs.transpose(0, 2, 1))
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         spec = SampleSpec(n=20000, seed=77)
-        base = estimate_trace_moment(GaussianSeries(coefs).as_field(), 2, spec)
-        conj = estimate_trace_moment(
+        base = moment(GaussianSeries(coefs).as_field(), 2, spec)
+        conj = moment(
             GaussianSeries(np.einsum("ab,kbc,dc->kad", q, coefs, q)).as_field(), 2, spec)
         assert conj.value == pytest.approx(base.value, abs=1e-12 * (1 + abs(base.value)))
 
     def test_worker_count_does_not_change_bits(self):
         f = scalar_series(1.3)
-        one = estimate_trace_moment(f, 2, SampleSpec(n=50000, seed=5, workers=1))
-        four = estimate_trace_moment(f, 2, SampleSpec(n=50000, seed=5, workers=4))
+        one = moment(f, 2, SampleSpec(n=50000, seed=5, workers=1))
+        four = moment(f, 2, SampleSpec(n=50000, seed=5, workers=4))
         assert one == four
 
     def test_tpl_threads_env_caps_workers(self, monkeypatch):
         f = scalar_series(1.3)
-        base = estimate_trace_moment(f, 2, SampleSpec(n=50000, seed=5, workers=1))
+        base = moment(f, 2, SampleSpec(n=50000, seed=5, workers=1))
         monkeypatch.setenv("TPL_THREADS", "1")
-        capped = estimate_trace_moment(f, 2, SampleSpec(n=50000, seed=5, workers=8))
+        capped = moment(f, 2, SampleSpec(n=50000, seed=5, workers=8))
         assert capped == base
 
     def test_antithetic_pairing(self):
         # the statistic is even in X, so pair means equal the plain values
         # computed from half the draws; the mechanism must stay deterministic
         f = scalar_series(1.0)
-        est = estimate_trace_moment(f, 1, SampleSpec(n=20000, seed=9, antithetic=True))
+        est = moment(f, 1, SampleSpec(n=20000, seed=9, antithetic=True))
         assert est.n == 10000
         assert est.ci_low <= 1.0 <= est.ci_high
 
     def test_q_below_one_rejected(self):
         with pytest.raises(DomainError):
-            estimate_trace_moment(scalar_series(), 0.5, SampleSpec(n=100, seed=1))
+            moment(scalar_series(), 0.5, SampleSpec(n=100, seed=1))
         with pytest.raises(DomainError):
             estimate_trace_moment(scalar_series(), [1, 0.5], SampleSpec(n=100, seed=1))
 
@@ -118,12 +123,6 @@ class TestTraceMoment:
         # NaN < 1 is false, so the order check has to be phrased as q >= 1
         with pytest.raises(DomainError):
             estimate_trace_moment(scalar_series(), [1, math.nan], SampleSpec(n=100, seed=1))
-
-    def test_field_without_batch_evaluator(self):
-        from tplab import SmoothField
-        plain = SmoothField(ambient_dim=1, dim=1, func=lambda x: 2.0 * x[:1, None])
-        est = estimate_trace_moment(plain, 1, SampleSpec(n=20000, seed=13))
-        assert est.ci_low <= 4.0 <= est.ci_high
 
 
 class TestFusedPass:
@@ -139,10 +138,10 @@ class TestFusedPass:
         center = np.diag([0.5, -0.25, 1.0]) if centred else None
         # 10,000 samples span three blocks, the last one short
         spec = SampleSpec(n=10000, seed=17, workers=workers, antithetic=antithetic)
-        fused = estimate_trace_moment(f, self.ORDERS, spec, center=center)
+        (fused,) = estimate_trace_moment(f, self.ORDERS, spec, centers=[center])
         assert len(fused) == len(self.ORDERS)
         for q, est in zip(self.ORDERS, fused):
-            assert est == estimate_trace_moment(f, q, spec, center=center)
+            assert est == moment(f, q, spec, center)
 
     def test_one_evaluation_per_block(self):
         calls = []
@@ -153,7 +152,7 @@ class TestFusedPass:
             return base.eval_batch(xs)
 
         from tplab import SmoothField
-        f = SmoothField(ambient_dim=1, dim=1, func=base.func, batch=counted)
+        f = SmoothField(ambient_dim=1, dim=1, batch=counted)
         estimate_trace_moment(f, self.ORDERS, SampleSpec(n=10000, seed=3))
         assert calls == [4096, 4096, 1808]
 
@@ -172,7 +171,7 @@ class TestFusedPass:
         series = GaussianSeries(0.5 * (coefs + coefs.transpose(0, 2, 1)))
         a = series.coefficients
         exact = float(np.trace(np.einsum("kij,kjl->il", a, a)))
-        est = estimate_trace_moment(series.as_field(), 1, SampleSpec(n=100000, seed=29))
+        est = moment(series.as_field(), 1, SampleSpec(n=100000, seed=29))
         assert est.level == 0.99
         assert est.ci_low <= exact <= est.ci_high
 
@@ -185,8 +184,7 @@ def counting_field(field, calls):
         calls.append(len(xs))
         return field.eval_batch(xs)
 
-    return SmoothField(ambient_dim=field.ambient_dim, dim=field.dim, func=field.func,
-                       batch=batch)
+    return SmoothField(ambient_dim=field.ambient_dim, dim=field.dim, batch=batch)
 
 
 def series_field(seed, n=4, d=3):
@@ -207,35 +205,31 @@ class TestSharedPass:
         calls = []
         both = estimate_trace_moment(counting_field(f, calls), self.ORDERS, spec,
                                      centers=[center, None])
-        assert both == [estimate_trace_moment(f, self.ORDERS, spec, center=center),
-                        estimate_trace_moment(f, self.ORDERS, spec)]
+        assert both == [estimate_trace_moment(f, self.ORDERS, spec, centers=[center])[0],
+                        estimate_trace_moment(f, self.ORDERS, spec)[0]]
         # one evaluation per block (two with antithetic pairing: x and -x)
         assert len(calls) == 3 * (2 if antithetic else 1)
-
-    def test_center_and_centers_are_exclusive(self):
-        with pytest.raises(DomainError):
-            estimate_trace_moment(scalar_series(), 1, SampleSpec(n=100, seed=1),
-                                  center=np.zeros((1, 1)), centers=[None])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_tail_and_moments_from_one_pass(self, workers):
         f = series_field(229)
         spec = SampleSpec(n=10000, seed=23, workers=workers)
         calls = []
-        shared = estimate_tail(counting_field(f, calls), None, self.THRESHOLDS, spec,
-                               orders=self.ORDERS)
+        (shared,) = estimate_tail(counting_field(f, calls), self.THRESHOLDS, spec,
+                                  orders=self.ORDERS)
         assert len(calls) == 3
         k = len(self.THRESHOLDS)
-        assert shared[:k] == estimate_tail(f, np.zeros((3, 3)), self.THRESHOLDS, spec)
-        assert shared[k:] == estimate_trace_moment(f, self.ORDERS, spec)
+        assert shared[:k] == estimate_tail(f, self.THRESHOLDS, spec,
+                                           centers=[np.zeros((3, 3))])[0]
+        assert shared[k:] == estimate_trace_moment(f, self.ORDERS, spec)[0]
 
     def test_tail_at_several_centres(self):
         f = series_field(233)
         center = np.eye(3)
         spec = SampleSpec(n=10000, seed=29)
-        got = estimate_tail(f, None, self.THRESHOLDS, spec, orders=[2], centers=[center, None])
-        assert got == [estimate_tail(f, center, self.THRESHOLDS, spec, orders=[2]),
-                       estimate_tail(f, None, self.THRESHOLDS, spec, orders=[2])]
+        got = estimate_tail(f, self.THRESHOLDS, spec, orders=[2], centers=[center, None])
+        assert got == [estimate_tail(f, self.THRESHOLDS, spec, orders=[2], centers=[center])[0],
+                       estimate_tail(f, self.THRESHOLDS, spec, orders=[2])[0]]
 
     def test_thresholds_refuse_antithetic_pairing(self):
         # pair-averaged indicators are not Bernoulli: never average them silently
@@ -243,36 +237,39 @@ class TestSharedPass:
         with pytest.raises(DomainError, match="antithetic pairing"):
             estimate_trace_moment(scalar_series(), [1], spec, thresholds=[1.0])
         with pytest.raises(DomainError, match="antithetic pairing"):
-            estimate_tail(scalar_series(), np.zeros((1, 1)), [1.0], spec, orders=[1, 2])
+            estimate_tail(scalar_series(), [1.0], spec, orders=[1, 2], centers=ZERO)
 
 
 class TestTail:
     def test_threshold_zero_survival_one(self):
-        ests = estimate_tail(scalar_series(), np.zeros((1, 1)), [0.0],
-                             SampleSpec(n=5000, seed=4))
+        (ests,) = estimate_tail(scalar_series(), [0.0], SampleSpec(n=5000, seed=4),
+                                centers=ZERO)
         assert ests[0].value == 1.0
 
     def test_monotone_in_threshold(self):
-        ests = estimate_tail(scalar_series(), np.zeros((1, 1)), [0.0, 0.5, 1.0, 2.0],
-                             SampleSpec(n=20000, seed=4))
+        (ests,) = estimate_tail(scalar_series(), [0.0, 0.5, 1.0, 2.0],
+                                SampleSpec(n=20000, seed=4), centers=ZERO)
         vals = [e.value for e in ests]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_normal_two_sided_oracle(self):
         # P(|X| >= 1.96) ~ 0.05 for a standard normal
-        ests = estimate_tail(scalar_series(), np.zeros((1, 1)), [1.96],
-                             SampleSpec(n=100000, seed=6))
+        (ests,) = estimate_tail(scalar_series(), [1.96], SampleSpec(n=100000, seed=6),
+                                centers=ZERO)
         assert ests[0].ci_low <= 0.05 <= ests[0].ci_high
 
-    def test_descending_thresholds_rejected(self):
-        with pytest.raises(DomainError):
-            estimate_tail(scalar_series(), np.zeros((1, 1)), [1.0, 0.5],
-                          SampleSpec(n=10000, seed=1))
+    def test_thresholds_in_any_order(self):
+        # each threshold is its own indicator: a reversed list gives the
+        # same estimates in reversed order
+        spec = SampleSpec(n=10000, seed=1)
+        (up,) = estimate_tail(scalar_series(), [0.5, 1.0, 2.0], spec)
+        (down,) = estimate_tail(scalar_series(), [2.0, 1.0, 0.5], spec)
+        assert down == up[::-1]
 
     def test_antithetic_refused(self):
         with pytest.raises(DomainError):
-            estimate_tail(scalar_series(), np.zeros((1, 1)), [1.0],
-                          SampleSpec(n=10000, seed=1, antithetic=True))
+            estimate_tail(scalar_series(), [1.0], SampleSpec(n=10000, seed=1, antithetic=True),
+                          centers=ZERO)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_counts_equal_a_direct_count(self, workers):
@@ -284,16 +281,16 @@ class TestTail:
         spec = SampleSpec(n=n, seed=31, workers=workers)
         mats = f.eval_batch(draw_standard_normal(spec, f.ambient_dim)) - center
         dev = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
-        for t, est in zip(thresholds, estimate_tail(f, center, thresholds, spec)):
+        for t, est in zip(thresholds, estimate_tail(f, thresholds, spec, centers=[center])[0]):
             k = int(np.count_nonzero(dev >= t))
             assert est.value == k / n
             assert (est.ci_low, est.ci_high) == wilson_interval(k, n, 0.99)
 
     def test_worker_invariance(self):
-        one = estimate_tail(scalar_series(), np.zeros((1, 1)), [1.0, 2.0],
-                            SampleSpec(n=30000, seed=8, workers=1))
-        four = estimate_tail(scalar_series(), np.zeros((1, 1)), [1.0, 2.0],
-                             SampleSpec(n=30000, seed=8, workers=4))
+        one = estimate_tail(scalar_series(), [1.0, 2.0], SampleSpec(n=30000, seed=8, workers=1),
+                            centers=ZERO)
+        four = estimate_tail(scalar_series(), [1.0, 2.0], SampleSpec(n=30000, seed=8, workers=4),
+                             centers=ZERO)
         assert one == four
 
 
