@@ -15,6 +15,7 @@ from .spectral import (
     ScalarFnSpec,
     SpectralDecomposition,
     apply_spectral_fn,
+    batch_eigvalsh,
     eigh,
     intdim,
     max_op_norm,

@@ -33,7 +33,7 @@ from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, Smo
 from .montecarlo import SampleSpec, estimate_tail, estimate_trace_moment
 from .poincare import PoincareCertificate
 from .reports import DEFAULT_SLACK, CheckReport, slack_for
-from .spectral import ScalarFnSpec, eigh, intdim, op_norm, symmetrize
+from .spectral import ScalarFnSpec, batch_eigvalsh, eigh, intdim, op_norm, symmetrize
 
 UNBOUNDED = math.inf
 
@@ -283,16 +283,20 @@ def gaussian_pass(model, cert: PoincareCertificate, spec: SampleSpec, lambda_gri
 
     The tail needs N >= 10^4 samples and an exact variance proxy (a series)
     or a user-certified one (``v_f_override``, for a chaos, whose Gamma is
-    unbounded); its thresholds are sqrt(alpha v_f) * lambda.  The f-stream
+    unbounded; a negative, NaN or infinite one is refused before any draw);
+    its thresholds are sqrt(alpha v_f) * lambda.  The f-stream
     (``spec.seed``) is drawn and evaluated once.  The tail and poly-moment
     read the centred spectrum (the chaos mean; the series is mean zero and
-    needs no centre), the chaos corollaries the uncentred one: one eigvalsh
-    per centre and block, with every order of the union of the q lists read
+    needs no centre), the chaos corollaries the uncentred one: one
+    ``spectral.batch_eigvalsh`` per centre and block (a closed form for
+    d <= 3, LAPACK above), with every order of the union of the q lists read
     at each centre.  A chaos's Gamma stream is one more pass, read at scale
     1 (poly-moment) and 1/4 (chaos-matrix).
     """
     if not isinstance(model, (GaussianSeries, GaussianChaos)):
         raise DomainError(f"unsupported model type {type(model).__name__}")
+    if v_f_override is not None and not (math.isfinite(v_f_override) and v_f_override >= 0):
+        raise DomainError(f"v_f_override must be a finite number >= 0, got {v_f_override}")
     tail, poly, chaos = lambda_grid is not None, poly_q is not None, chaos_q is not None
     v_f = mode = None
     lams, thresholds = [], []
@@ -460,7 +464,7 @@ def chaos_gamma_moments(chaos: GaussianChaos, q_list, spec: SampleSpec,
                         scales=(1.0,)) -> list[list[montecarlo.Estimate]]:
     """Monte Carlo estimates of E tr (scale * Gamma(f))^q for a Gaussian
     chaos: one list per scale, one Estimate per q, all from one pass with
-    one eigvalsh per block.
+    one ``spectral.batch_eigvalsh`` per block (a closed form for d <= 3).
 
     The pass runs on its own stream (seed ^ GAMMA_STREAM, never paired), so
     the Gamma side is independent of the f-pass on ``spec``.  The clipped
@@ -472,7 +476,7 @@ def chaos_gamma_moments(chaos: GaussianChaos, q_list, spec: SampleSpec,
     q_list = [float(q) for q in q_list]
 
     def per_sample(mats):
-        w = np.clip(np.linalg.eigvalsh(mats), 0.0, None)
+        w = np.clip(batch_eigvalsh(mats), 0.0, None)
         out = []
         for scale in scales:
             scaled = scale * w

@@ -13,7 +13,10 @@ eigenvalues, and ``estimate_tail`` turns the tail frequencies of the same
 pass into Wilson estimates; both return one list of Estimates per centre.
 ``bounds.gaussian_pass`` makes these passes once per run, so on the
 f-stream the tail, poly-moment and chaos suites share draws and
-evaluations, and suites with the same centre share one ``eigvalsh``.
+evaluations, and suites with the same centre share one
+``spectral.batch_eigvalsh``: a closed form for d <= 3 (the trigonometric
+method at d = 3) and LAPACK's ``eigvalsh`` above.  The moments and the tail
+indicators read the same eigenvalues.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .spectral import batch_eigvalsh
 
 BLOCK = 4096
 _MASK64 = (1 << 64) - 1
@@ -206,7 +210,7 @@ def estimate_trace_moment(field, orders, spec: SampleSpec, centers=(None,),
     def per_sample(mats):
         out = []
         for c in centres:
-            w = np.abs(np.linalg.eigvalsh(mats if c is None else mats - c))
+            w = np.abs(batch_eigvalsh(mats if c is None else mats - c))
             out += [np.sum(w ** (2.0 * order), axis=1) for order in orders]
             if thresholds:
                 dev = np.max(w, axis=1)

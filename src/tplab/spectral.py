@@ -221,6 +221,75 @@ def max_op_norm(stack) -> float:
     return float(np.max(np.abs(w)))
 
 
+# A 3x3 matrix with 1 - |r| below this (r = cos 3 phi, see _eigvalsh3) is
+# near a double root, where arccos amplifies the rounding of r: the closed
+# form's error grows like 0.6 eps / sqrt(1 - |r|) times the largest
+# |eigenvalue| (about 20 eps here, 60 eps at 1e-4), so such rows go to LAPACK.
+_DOUBLE_ROOT = 1e-3
+# The spread p of a 3x3 spectrum enters cubed; outside this range p^3 or the
+# determinant could overflow or underflow, so such rows go to LAPACK too.
+_P_MIN, _P_MAX = 1e-100, 1e100
+
+
+def _eigvalsh2(a):
+    a00, a11, a10 = a[..., 0, 0], a[..., 1, 1], a[..., 1, 0]
+    m = 0.5 * a00 + 0.5 * a11
+    r = np.hypot(0.5 * a00 - 0.5 * a11, a10)
+    w = np.stack([m - r, m + r], axis=-1)
+    return w, np.isfinite(w).all(axis=-1)
+
+
+def _eigvalsh3(a):
+    """Smith's trigonometric method (CACM 1961): with m = tr(A)/3 and
+    B = A - m I, p^2 = tr(B^2)/6 and r = det(B)/(2 p^3) = cos(3 phi), the
+    eigenvalues are m + 2p cos(phi + 2 pi k/3)."""
+    a00, a11, a22 = a[..., 0, 0], a[..., 1, 1], a[..., 2, 2]
+    a10, a20, a21 = a[..., 1, 0], a[..., 2, 0], a[..., 2, 1]
+    tr = a00 + a11 + a22
+    m = tr / 3.0
+    b00, b11, b22 = a00 - m, a11 - m, a22 - m
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                 + 2.0 * (a10 * a10 + a20 * a20 + a21 * a21)) / 6.0)
+    det = (b00 * (b11 * b22 - a21 * a21) - a10 * (a10 * b22 - a21 * a20)
+           + a20 * (a10 * a21 - b11 * a20))
+    r = det / (2.0 * p * p * p)
+    # NaN fails every comparison, so a NaN entry, p = 0 and inf / inf all
+    # land outside ``ok``
+    ok = (p >= _P_MIN) & (p <= _P_MAX) & (np.abs(r) <= 1.0 - _DOUBLE_ROOT)
+    phi = np.arccos(np.where(ok, r, 0.0)) / 3.0
+    hi = m + 2.0 * p * np.cos(phi)
+    lo = m + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    return np.stack([lo, tr - hi - lo, hi], axis=-1), ok
+
+
+def batch_eigvalsh(stack) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a stack (..., d, d), read from
+    the lower triangle as ``np.linalg.eigvalsh`` reads it.
+
+    d <= 3 takes a closed form: the entry itself at d = 1,
+    m -+ hypot((a00 - a11)/2, a10) with m = (a00 + a11)/2 at d = 2, and the
+    trigonometric method at d = 3; each is within a few tens of eps of the
+    largest |eigenvalue| of LAPACK's.  Rows whose closed form is not finite,
+    and 3x3 rows near a double root or of extreme scale, are handed to
+    ``np.linalg.eigvalsh``, as are larger matrices, so a NaN row gives
+    whatever LAPACK gives.
+    """
+    a = np.asarray(stack, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    d = a.shape[-1]
+    if d == 1:
+        return a[..., 0].copy()
+    if d not in (2, 3):
+        return np.linalg.eigvalsh(a)
+    # an overflow or a NaN here lands outside ``ok``; LAPACK takes the row
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w, ok = _eigvalsh2(a) if d == 2 else _eigvalsh3(a)
+    if not ok.all():
+        w[~ok] = np.linalg.eigvalsh(a[~ok])
+    return w
+
+
 def intdim(a, tol: float = RTOL) -> float:
     """Intrinsic dimension tr(A)/|A| of a PSD matrix; 0 for the zero matrix.
 

@@ -660,6 +660,82 @@ class TestGaussianPass:
         with pytest.raises(DomainError, match="unsupported model type"):
             gaussian_pass(two_state, ou_certificate(), SampleSpec(n=100, seed=1), poly_q=[1])
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_v_f_override_refused_before_any_draw(self, monkeypatch, bad):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(montecarlo, "estimate_statistic", refuse)
+        with pytest.raises(DomainError, match="v_f_override"):
+            gaussian_pass(self.psd_chaos(), ou_certificate(), SampleSpec(n=10 ** 4, seed=3),
+                          lambda_grid=[1.0], v_f_override=bad)
+
+    def test_small_blocks_take_the_closed_form(self, monkeypatch):
+        # every A_ii is a multiple of one rotated diag(1, 2, 4) and A_ij = 0
+        # off the diagonal, so f - E f and Gamma(f) are scalar multiples of
+        # fixed matrices with simple spectra: no block is near a double root
+        rng = np.random.default_rng(173)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        coef = np.zeros((4, 4, 3, 3))
+        for i in range(4):
+            coef[i, i] = (1.0 + i) * (u * [1.0, 2.0, 4.0]) @ u.T
+        chaos = GaussianChaos(coef)
+        raw = rng.standard_normal((5, 8, 8))
+        series = GaussianSeries(0.5 * (raw + raw.transpose(0, 2, 1)))
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        cert, qs = ou_certificate(), [1, 1.5, 2]
+        gaussian_pass(chaos, cert, SampleSpec(n=10 ** 4, seed=41), poly_q=qs, chaos_q=qs)
+        assert calls == []
+        # an 8 x 8 series stays on LAPACK: one call per block
+        gaussian_pass(series, cert, SampleSpec(n=1000, seed=41), poly_q=qs)
+        assert calls == [(1000, 8, 8)]
+
+
+class TestOrthogonalInvariance:
+    """A -> U A U^T for an orthogonal U, applied to every coefficient,
+    conjugates f(X) and Gamma(f)(X) at every X, so every trace quantity and
+    every row of the Monte Carlo suites keeps its value."""
+
+    @staticmethod
+    def rows(model):
+        cert, qs, lams = ou_certificate(), [1, 1.5, 2, 3], [0.5, 1.0, 2.0]
+        chaos = isinstance(model, GaussianChaos)
+        mc = gaussian_pass(model, cert, SampleSpec(n=10 ** 4, seed=43), lambda_grid=lams,
+                           v_f_override=4.0 if chaos else None, poly_q=qs,
+                           chaos_q=qs if chaos else None)
+        rows = check_tail_empirical(model, mc, cert, lams) + check_poly_moment(model, mc, cert, qs)
+        return rows + (check_chaos_matrix(model, mc, qs) if chaos else [])
+
+    @staticmethod
+    def assert_same_rows(base, conj):
+        assert len(base) == len(conj)
+        for a, b in zip(base, conj):
+            assert b.lhs == pytest.approx(a.lhs, rel=1e-12, abs=0.0)
+            assert b.rhs == pytest.approx(a.rhs, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_chaos(self, d):
+        rng = np.random.default_rng(177 + d)
+        coef = rng.standard_normal((3, 3, d, d))
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        conj = np.einsum("ab,ijbc,dc->ijad", u, coef, u)
+        self.assert_same_rows(self.rows(GaussianChaos(coef)), self.rows(GaussianChaos(conj)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_series(self, d):
+        rng = np.random.default_rng(181 + d)
+        coef = rng.standard_normal((4, d, d))
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        conj = np.einsum("ab,kbc,dc->kad", u, coef, u)
+        self.assert_same_rows(self.rows(GaussianSeries(coef)), self.rows(GaussianSeries(conj)))
+
 
 class TestVerdictMechanics:
     def test_slack_monotonicity(self):

@@ -273,18 +273,21 @@ class TestTail:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_counts_equal_a_direct_count(self, workers):
-        # n is not a multiple of BLOCK: the last block is short
+        # n is not a multiple of BLOCK: the last block is short; the d = 3
+        # case counts the indicators of the closed-form spectra against LAPACK
         n = 3 * BLOCK + 517
-        f = series_field(239, d=2)
-        center = np.diag([0.3, -0.3])
         thresholds = [0.0, 0.5, 1.0, 1.5, 2.5, 4.0]
         spec = SampleSpec(n=n, seed=31, workers=workers)
-        mats = f.eval_batch(draw_standard_normal(spec, f.ambient_dim)) - center
-        dev = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
-        for t, est in zip(thresholds, estimate_tail(f, thresholds, spec, centers=[center])[0]):
-            k = int(np.count_nonzero(dev >= t))
-            assert est.value == k / n
-            assert (est.ci_low, est.ci_high) == wilson_interval(k, n, 0.99)
+        cases = [(series_field(239, d=2), np.diag([0.3, -0.3])),
+                 (series_field(241, d=3), np.diag([0.3, -0.3, 0.1]))]
+        for f, center in cases:
+            mats = f.eval_batch(draw_standard_normal(spec, f.ambient_dim)) - center
+            dev = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
+            for t, est in zip(thresholds,
+                              estimate_tail(f, thresholds, spec, centers=[center])[0]):
+                k = int(np.count_nonzero(dev >= t))
+                assert est.value == k / n
+                assert (est.ci_low, est.ci_high) == wilson_interval(k, n, 0.99)
 
     def test_worker_invariance(self):
         one = estimate_tail(scalar_series(), [1.0, 2.0], SampleSpec(n=30000, seed=8, workers=1),

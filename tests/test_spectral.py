@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,6 +12,7 @@ from tplab import (
     NumericError,
     ScalarFnSpec,
     apply_spectral_fn,
+    batch_eigvalsh,
     eigh,
     intdim,
     max_op_norm,
@@ -190,6 +191,85 @@ class TestOpNorm:
             stack = rng.standard_normal((40, d, d))
             assert max_op_norm(stack) == max(op_norm(a) for a in stack)
         assert max_op_norm(np.empty((0, 3, 3))) == 0.0
+
+
+EPS = np.finfo(float).eps
+
+
+def structured_stack(kind, d, seed, scale, gap):
+    """16 matrices (d, d) of one family, scaled by ``scale``."""
+    rng = np.random.default_rng(seed)
+    n = 16
+    if kind == "random":
+        # not symmetric: both solvers read the lower triangle alone
+        a = rng.standard_normal((n, d, d))
+    elif kind == "near-double":
+        # Q diag(lam, lam + gap, mu, ...) Q^T, a random rotation Q per matrix
+        lam = rng.standard_normal(n)
+        w = np.column_stack([lam, lam + gap, rng.standard_normal((n, 2))])[:, :d]
+        q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
+        a = (q * w[:, None, :]) @ q.transpose(0, 2, 1)
+    elif kind in ("rank-1", "rank-2"):
+        s = rng.standard_normal((n, int(kind[-1]), d))
+        a = s.transpose(0, 2, 1) @ s
+    elif kind == "zero":
+        a = np.zeros((n, d, d))
+    else:
+        a = rng.standard_normal(n)[:, None, None] * np.eye(d)
+    return scale * a
+
+
+def assert_close_to_lapack(a):
+    """batch_eigvalsh(a) is ascending and within 64 eps of the largest
+    |eigenvalue| of eigvalsh(a), matrix by matrix."""
+    got, want = batch_eigvalsh(a), np.linalg.eigvalsh(a)
+    assert got.shape == want.shape
+    assert np.all(np.diff(got, axis=-1) >= 0.0)
+    err = np.max(np.abs(got - want), axis=-1)
+    assert np.all(err <= 64 * EPS * np.max(np.abs(want), axis=-1))
+
+
+class TestBatchEigvalsh:
+    """The closed forms (d <= 3) against LAPACK's eigvalsh."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["random", "near-double", "rank-1", "rank-2", "zero", "identity"]),
+           st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.integers(-150, 150),
+           st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1e-2, 3e-2]))
+    def test_matches_lapack(self, kind, d, seed, log_scale, gap):
+        # gaps of 1e-2 and 3e-2 put 1 - |r| near the double-root cut-off
+        assert_close_to_lapack(structured_stack(kind, d, seed, 10.0 ** log_scale, gap))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_decade_of_scale(self, d):
+        # p^3 and the determinant leave the normal range near 1e-103 and
+        # 1e103 before they under- or overflow
+        base = structured_stack("random", d, 5, 1.0, 0.0)
+        for e in range(-160, 161):
+            assert_close_to_lapack(10.0 ** e * base)
+
+    def test_spread_whose_cube_overflows(self):
+        # p = 5.8e102: p^3 overflows while det(A) = -5.2e307 does not, so the
+        # quotient r = det / (2 p^3) would read 0 instead of -0.13
+        assert_close_to_lapack(1.03e103 * np.diag([-1.0, 0.05, 0.95])[None])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("corner", ["first", "last-row", "last"])
+    def test_nan_row_as_lapack(self, d, corner):
+        stack = np.random.default_rng(d).standard_normal((5, d, d))
+        stack[2][{"first": (0, 0), "last-row": (d - 1, 0), "last": (d - 1, d - 1)}[corner]] = math.nan
+        try:
+            want = np.linalg.eigvalsh(stack)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                batch_eigvalsh(stack)
+            return
+        np.testing.assert_array_equal(batch_eigvalsh(stack)[2], want[2])
+        assert_close_to_lapack(np.delete(stack, 2, axis=0))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            batch_eigvalsh(np.zeros((4, 2, 3)))
 
 
 class TestTraceFn:
