@@ -288,10 +288,9 @@ def gaussian_pass(model, cert: PoincareCertificate, spec: SampleSpec, lambda_gri
     (``spec.seed``) is drawn and evaluated once.  The tail and poly-moment
     read the centred spectrum (the chaos mean; the series is mean zero and
     needs no centre), the chaos corollaries the uncentred one: one
-    ``spectral.batch_eigvalsh`` per centre and block (a closed form for
-    d <= 3, LAPACK above), with every order of the union of the q lists read
-    at each centre.  A chaos's Gamma stream is one more pass, read at scale
-    1 (poly-moment) and 1/4 (chaos-matrix).
+    ``spectral.batch_eigvalsh`` per centre and block, with every order of
+    the union of the q lists read at each centre.  A chaos's Gamma stream
+    is one more pass, read at scale 1 (poly-moment) and 1/4 (chaos-matrix).
     """
     if not isinstance(model, (GaussianSeries, GaussianChaos)):
         raise DomainError(f"unsupported model type {type(model).__name__}")
@@ -464,7 +463,7 @@ def chaos_gamma_moments(chaos: GaussianChaos, q_list, spec: SampleSpec,
                         scales=(1.0,)) -> list[list[montecarlo.Estimate]]:
     """Monte Carlo estimates of E tr (scale * Gamma(f))^q for a Gaussian
     chaos: one list per scale, one Estimate per q, all from one pass with
-    one ``spectral.batch_eigvalsh`` per block (a closed form for d <= 3).
+    one ``spectral.batch_eigvalsh`` per block.
 
     The pass runs on its own stream (seed ^ GAMMA_STREAM, never paired), so
     the Gamma side is independent of the f-pass on ``spec``.  The clipped

@@ -14,9 +14,8 @@ pass into Wilson estimates; both return one list of Estimates per centre.
 ``bounds.gaussian_pass`` makes these passes once per run, so on the
 f-stream the tail, poly-moment and chaos suites share draws and
 evaluations, and suites with the same centre share one
-``spectral.batch_eigvalsh``: a closed form for d <= 3 (the trigonometric
-method at d = 3) and LAPACK's ``eigvalsh`` above.  The moments and the tail
-indicators read the same eigenvalues.
+``spectral.batch_eigvalsh`` per block.  The moments and the tail indicators
+read the same eigenvalues.
 """
 
 from __future__ import annotations

@@ -231,14 +231,6 @@ _DOUBLE_ROOT = 1e-3
 _P_MIN, _P_MAX = 1e-100, 1e100
 
 
-def _eigvalsh2(a):
-    a00, a11, a10 = a[..., 0, 0], a[..., 1, 1], a[..., 1, 0]
-    m = 0.5 * a00 + 0.5 * a11
-    r = np.hypot(0.5 * a00 - 0.5 * a11, a10)
-    w = np.stack([m - r, m + r], axis=-1)
-    return w, np.isfinite(w).all(axis=-1)
-
-
 def _eigvalsh3(a):
     """Smith's trigonometric method (CACM 1961): with m = tr(A)/3 and
     B = A - m I, p^2 = tr(B^2)/6 and r = det(B)/(2 p^3) = cos(3 phi), the
@@ -266,25 +258,20 @@ def batch_eigvalsh(stack) -> np.ndarray:
     """Ascending eigenvalues of each matrix of a stack (..., d, d), read from
     the lower triangle as ``np.linalg.eigvalsh`` reads it.
 
-    d <= 3 takes a closed form: the entry itself at d = 1,
-    m -+ hypot((a00 - a11)/2, a10) with m = (a00 + a11)/2 at d = 2, and the
-    trigonometric method at d = 3; each is within a few tens of eps of the
+    d = 3 takes the trigonometric method, within a few tens of eps of the
     largest |eigenvalue| of LAPACK's.  Rows whose closed form is not finite,
-    and 3x3 rows near a double root or of extreme scale, are handed to
-    ``np.linalg.eigvalsh``, as are larger matrices, so a NaN row gives
-    whatever LAPACK gives.
+    or that lie near a double root or are of extreme scale, are handed to
+    ``np.linalg.eigvalsh``, as is every other d, so a NaN row gives whatever
+    LAPACK gives.
     """
     a = np.asarray(stack, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    d = a.shape[-1]
-    if d == 1:
-        return a[..., 0].copy()
-    if d not in (2, 3):
+    if a.shape[-1] != 3:
         return np.linalg.eigvalsh(a)
     # an overflow or a NaN here lands outside ``ok``; LAPACK takes the row
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w, ok = _eigvalsh2(a) if d == 2 else _eigvalsh3(a)
+        w, ok = _eigvalsh3(a)
     if not ok.all():
         w[~ok] = np.linalg.eigvalsh(a[~ok])
     return w

@@ -230,7 +230,8 @@ def assert_close_to_lapack(a):
 
 
 class TestBatchEigvalsh:
-    """The closed forms (d <= 3) against LAPACK's eigvalsh."""
+    """The d = 3 closed form, and the LAPACK route at every other d, against
+    LAPACK's eigvalsh."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["random", "near-double", "rank-1", "rank-2", "zero", "identity"]),
@@ -240,11 +241,10 @@ class TestBatchEigvalsh:
         # gaps of 1e-2 and 3e-2 put 1 - |r| near the double-root cut-off
         assert_close_to_lapack(structured_stack(kind, d, seed, 10.0 ** log_scale, gap))
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_every_decade_of_scale(self, d):
+    def test_every_decade_of_scale(self):
         # p^3 and the determinant leave the normal range near 1e-103 and
         # 1e103 before they under- or overflow
-        base = structured_stack("random", d, 5, 1.0, 0.0)
+        base = structured_stack("random", 3, 5, 1.0, 0.0)
         for e in range(-160, 161):
             assert_close_to_lapack(10.0 ** e * base)
 
