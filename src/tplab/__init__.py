@@ -14,7 +14,6 @@ from .errors import (
 from .spectral import (
     ScalarFnSpec,
     SpectralDecomposition,
-    apply_spectral_fn,
     batch_eigvalsh,
     eigh,
     intdim,

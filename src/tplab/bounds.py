@@ -32,7 +32,7 @@ from .errors import DimensionError, DomainError, NumericError
 from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, SmoothField
 from .montecarlo import SampleSpec, estimate_tail, estimate_trace_moment
 from .poincare import PoincareCertificate
-from .reports import DEFAULT_SLACK, CheckReport, slack_for
+from .reports import CheckReport, slack_for
 from .spectral import ScalarFnSpec, batch_eigvalsh, eigh, intdim, op_norm, symmetrize
 
 UNBOUNDED = math.inf
@@ -65,12 +65,6 @@ class BoundParams:
             raise DomainError(f"tail level must be positive, got {self.lam}")
 
 
-def _centred_spectrum(chain: FiniteChain, f: FiniteField) -> tuple[np.ndarray, np.ndarray]:
-    """The (n_states, d) eigenvalues of f - E_mu f, and E_mu f."""
-    mean = np.einsum("z,zij->ij", chain.stationary, f.values)
-    return np.linalg.eigvalsh(f.values - mean), mean
-
-
 def _as_grid(base: FiniteChain, g) -> np.ndarray:
     if isinstance(g, SymmetrizedPair):
         return g.g_grid
@@ -90,8 +84,7 @@ def _trace_variance(mu: np.ndarray, grid: np.ndarray) -> float:
     return float(np.trace(second - mean @ mean))
 
 
-def check_subadditivity(base: FiniteChain, g,
-                        slack_scale: float = DEFAULT_SLACK) -> CheckReport:
+def check_subadditivity(base: FiniteChain, g) -> CheckReport:
     """tr Var_{mu x mu}[g] <= E_2 tr Var_1[g] + E_1 tr Var_2[g]."""
     grid = _as_grid(base, g)
     mu = base.stationary
@@ -107,12 +100,11 @@ def check_subadditivity(base: FiniteChain, g,
 
     rhs = term1 + term2
     return CheckReport.from_comparison(
-        "variance-subadditivity", lhs, rhs, slack_for(rhs, slack_scale),
+        "variance-subadditivity", lhs, rhs, slack_for(rhs),
         {"chain": base.name, "d": grid.shape[2]})
 
 
-def check_bivariate_poincare(base: FiniteChain, g, cert: PoincareCertificate,
-                             slack_scale: float = DEFAULT_SLACK) -> CheckReport:
+def check_bivariate_poincare(base: FiniteChain, g, cert: PoincareCertificate) -> CheckReport:
     """tr Var_{mu x mu}[g] <= alpha * tr E[dirichlet_1(g) + dirichlet_2(g)];
     the energies of all slices z1 -> g(z1, z2), and then of all slices
     z2 -> g(z1, z2), are one ``column_energies`` call each."""
@@ -125,7 +117,7 @@ def check_bivariate_poincare(base: FiniteChain, g, cert: PoincareCertificate,
     rhs = cert.alpha * energy
     lhs = _trace_variance(mu, grid)
     return CheckReport.from_comparison(
-        "poincare-subadditivity", lhs, rhs, slack_for(rhs, slack_scale),
+        "poincare-subadditivity", lhs, rhs, slack_for(rhs),
         {"chain": base.name, "alpha": cert.alpha, "d": grid.shape[2]})
 
 
@@ -136,8 +128,7 @@ def _require_convex_sq_derivative(phi: ScalarFnSpec):
             "(sinh, signed_pow with exponent >= 1.5, affine)")
 
 
-def check_mean_value_trace(a, b, phi: ScalarFnSpec,
-                           slack_scale: float = DEFAULT_SLACK) -> CheckReport:
+def check_mean_value_trace(a, b, phi: ScalarFnSpec) -> CheckReport:
     """tr[(phi(A) - phi(B))^2] <= (1/2) tr[(A - B)^2 (psi(A) + psi(B))]
     for psi = (phi')^2 convex."""
     _require_convex_sq_derivative(phi)
@@ -153,12 +144,11 @@ def check_mean_value_trace(a, b, phi: ScalarFnSpec,
     diff = a - b
     rhs = 0.5 * float(np.trace(diff @ diff @ (psi_a + psi_b)))
     return CheckReport.from_comparison(
-        "mean-value-trace", lhs, rhs, slack_for(rhs, slack_scale),
+        "mean-value-trace", lhs, rhs, slack_for(rhs),
         {"phi": phi.label(), "d": a.shape[0]})
 
 
-def check_chain_rule(chain: FiniteChain, rep: EnergyReport, phis,
-                     slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
+def check_chain_rule(chain: FiniteChain, rep: EnergyReport, phis) -> list[CheckReport]:
     """tr dirichlet(phi(f)) <= E_mu tr[Gamma(f) psi(f)], both exact sums,
     one report per phi of ``phis``; f's eigendecomposition is computed once
     for the list, and Gamma(f) is read from its energy report.  The trace of
@@ -179,7 +169,7 @@ def check_chain_rule(chain: FiniteChain, rep: EnergyReport, phis,
         rhs = float(np.einsum("z,zij,zji->", chain.stationary, rep.gamma,
                               dec.map(phi.sq_deriv)))
         out.append(CheckReport.from_comparison(
-            "dirichlet-chain-rule", lhs, rhs, slack_for(rhs, slack_scale),
+            "dirichlet-chain-rule", lhs, rhs, slack_for(rhs),
             {"chain": chain.name, "phi": phi.label(), "d": f.dim}))
     return out
 
@@ -207,12 +197,12 @@ def default_theta_grid(alpha: float, v_f: float, points: int = 20) -> np.ndarray
 
 
 def check_exp_moment(chain: FiniteChain, rep: EnergyReport,
-                     cert: PoincareCertificate, theta_grid,
-                     slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
+                     cert: PoincareCertificate, theta_grid) -> list[CheckReport]:
     """E_mu tr cosh(theta f) <= exp_moment_rhs for each grid theta, with f
     centered first (the subtracted mean is logged in the context); the
-    energies are read from f's report, since Gamma is shift-invariant."""
-    eigs, mean = _centred_spectrum(chain, rep.field)
+    spectrum of f - E_mu f and the energies are read from f's report, since
+    Gamma is shift-invariant."""
+    eigs, mean = rep.f_eigs, rep.mean
     v_f, d = rep.v_f, rep.field.dim
     trbar = float(np.trace(rep.dirichlet)) / d
     mu = chain.stationary
@@ -231,7 +221,7 @@ def check_exp_moment(chain: FiniteChain, rep: EnergyReport,
             out.append(CheckReport.skipped("exp-moment", lhs, UNBOUNDED, ctx))
             continue
         out.append(CheckReport.from_comparison(
-            "exp-moment", lhs, rhs, slack_for(rhs, slack_scale), ctx))
+            "exp-moment", lhs, rhs, slack_for(rhs), ctx))
     return out
 
 
@@ -334,8 +324,7 @@ def gaussian_pass(model, cert: PoincareCertificate, spec: SampleSpec, lambda_gri
         chaos={float(q): (moments[-1][float(q)], gammas[-1][float(q)]) for q in chaos_q or []})
 
 
-def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid,
-                         slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
+def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid) -> list[CheckReport]:
     """P{ |f - E f| >= sqrt(alpha v_f) * lambda } <= 6 d exp(-lambda).
 
     Finite chains are enumerated exactly from f's energy report ``rep``.  On
@@ -349,7 +338,7 @@ def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid,
     if isinstance(model, FiniteChain):
         v_f, d = rep.v_f, rep.field.dim
         scale = math.sqrt(cert.alpha * v_f)
-        devs = np.max(np.abs(_centred_spectrum(model, rep.field)[0]), axis=1)
+        devs = np.max(np.abs(rep.f_eigs), axis=1)
         mu = model.stationary
         for lam in lam_grid:
             bound = tail_bound(BoundParams(cert.alpha, v_f, d, lam=float(lam)))
@@ -360,7 +349,7 @@ def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid,
             else:
                 survival = float(mu[devs >= scale * lam].sum())
             out.append(CheckReport.from_comparison(
-                "subexp-tail", survival, bound, slack_for(bound, slack_scale),
+                "subexp-tail", survival, bound, slack_for(bound),
                 {"chain": model.name, "lambda": float(lam), "alpha": cert.alpha,
                  "v_f": v_f, "d": d, "exact": True,
                  "auto_pass": bound >= 1.0}))
@@ -374,7 +363,7 @@ def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid,
                "level": est.level, "auto_pass": bound >= 1.0}
         out.append(CheckReport.from_interval(
             "subexp-tail", est.ci_low, est.value, est.ci_high, bound,
-            slack_for(bound, slack_scale), ctx))
+            slack_for(bound), ctx))
     return out
 
 
@@ -404,15 +393,15 @@ def _root_interval(est: montecarlo.Estimate, q: float) -> tuple[float, float, fl
     return max(est.ci_low, 0.0) ** root, est.value ** root, est.ci_high ** root
 
 
-def check_poly_moment(model, rep, cert: PoincareCertificate, q_list,
-                      slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
+def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[CheckReport]:
     """(E tr |f|^{2q})^{1/(2q)} <= poly_moment_rhs, exact on finite chains
     and Monte Carlo on Gaussian models (fields centered first).
 
-    On a finite chain ``rep`` is f's energy report and both sides are
-    scale-free, so no power overflows before its root: s (E tr (|f| /
-    s)^{2q})^{1/(2q)} with s = max |f - E f|, and sqrt(s_G) poly_moment_rhs(E
-    tr (Gamma / s_G)^q) with s_G = max |Gamma|.
+    On a finite chain ``rep`` is f's energy report, which holds the spectra
+    of f - E f and of Gamma, and both sides are scale-free, so no power
+    overflows before its root: s (E tr (|f| / s)^{2q})^{1/(2q)} with
+    s = max |f - E f|, and sqrt(s_G) poly_moment_rhs(E tr (Gamma / s_G)^q)
+    with s_G = max |Gamma|.
 
     On a Gaussian model ``rep`` is the run's ``gaussian_pass``, which holds
     the centred f-moments and, on a chaos, the Gamma moments; a series's
@@ -420,9 +409,8 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list,
     """
     out = []
     if isinstance(model, FiniteChain):
-        f_eigs, mean = _centred_spectrum(model, rep.field)
-        f_eigs = np.abs(f_eigs)
-        gam_eigs = np.clip(np.linalg.eigvalsh(rep.gamma), 0.0, None)
+        f_eigs = np.abs(rep.f_eigs)
+        gam_eigs = np.clip(rep.gamma_eigs, 0.0, None)
         s, s_gam = float(np.max(f_eigs)), float(np.max(gam_eigs))
         f_eigs, gam_eigs = f_eigs / (s or 1.0), gam_eigs / (s_gam or 1.0)
         mu, d = model.stationary, rep.field.dim
@@ -432,9 +420,9 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list,
             rhs = poly_moment_rhs(BoundParams(cert.alpha, 0.0, d, q=q), tgq) * math.sqrt(s_gam)
             lhs = s * float(np.einsum("z,zi->", mu, f_eigs ** (2.0 * q))) ** (1.0 / (2.0 * q))
             out.append(CheckReport.from_comparison(
-                "poly-moment", lhs, rhs, slack_for(rhs, slack_scale),
+                "poly-moment", lhs, rhs, slack_for(rhs),
                 {"chain": model.name, "q": q, "alpha": cert.alpha, "d": d,
-                 "centered_mean_norm": op_norm(mean),
+                 "centered_mean_norm": op_norm(rep.mean),
                  "sqrt2_regime": _sqrt2_regime(q), "exact": True}))
         return out
 
@@ -450,7 +438,7 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list,
                                                                  gam_est.ci_high]}
         rhs = poly_moment_rhs(BoundParams(cert.alpha, 0.0, d, q=q), tgq)
         out.append(CheckReport.from_interval(
-            "poly-moment", *_root_interval(est, q), rhs, slack_for(rhs, slack_scale),
+            "poly-moment", *_root_interval(est, q), rhs, slack_for(rhs),
             {"q": q, "alpha": cert.alpha, "d": d, "n": est.n, "seed": rep.spec.seed,
              "sqrt2_regime": _sqrt2_regime(q), **gamma_ctx}))
     return out
@@ -489,8 +477,7 @@ def chaos_gamma_moments(chaos: GaussianChaos, q_list, spec: SampleSpec,
 
 
 def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
-                         cert: PoincareCertificate, q_list,
-                         slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
+                         cert: PoincareCertificate, q_list) -> list[CheckReport]:
     """E tr |g|^{2q} <= intdim(dirichlet(g)) * alpha^q q! * v_g^q for the
     symmetrized difference field g(z, z') = f(z) - f(z'), one report per
     natural q of q_list; the pair, its spectrum and intdim are built once
@@ -526,7 +513,7 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
         except OverflowError:
             uniform = math.inf
         out.append(CheckReport.from_comparison(
-            "intdim-moment", lhs, rhs, slack_for(rhs, slack_scale),
+            "intdim-moment", lhs, rhs, slack_for(rhs),
             {"chain": chain.name, "q": q, "alpha": cert.alpha,
              "intdim_dirichlet": idim, "v_g": pair.v, "d": d,
              "uniform_poly_bound": uniform,
@@ -547,8 +534,7 @@ def chaos_scalar_bound(a, q: float) -> float:
     return 8.0 * q * q * norm
 
 
-def check_chaos_scalar(chaos: GaussianChaos, mc: GaussianPass, q_list,
-                       slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
+def check_chaos_scalar(chaos: GaussianChaos, mc: GaussianPass, q_list) -> list[CheckReport]:
     """Scalar chaos corollary (E |f|^{2q})^{1/(2q)} <= 8 q^2 |A| for PSD A,
     read from the uncentred f-moments of the run's ``gaussian_pass``."""
     if chaos.dim != 1:
@@ -559,13 +545,12 @@ def check_chaos_scalar(chaos: GaussianChaos, mc: GaussianPass, q_list,
     out = []
     for q, rhs, (est, _) in zip(q_list, rhs_list, _read(mc.chaos, q_list, "chaos")):
         out.append(CheckReport.from_interval(
-            "chaos-scalar", *_root_interval(est, q), rhs, slack_for(rhs, slack_scale),
+            "chaos-scalar", *_root_interval(est, q), rhs, slack_for(rhs),
             {"q": q, "norm_A": rhs / (8.0 * q * q), "n": est.n, "seed": mc.spec.seed}))
     return out
 
 
-def check_chaos_matrix(chaos: GaussianChaos, mc: GaussianPass, q_list,
-                       slack_scale: float = DEFAULT_SLACK) -> list[CheckReport]:
+def check_chaos_matrix(chaos: GaussianChaos, mc: GaussianPass, q_list) -> list[CheckReport]:
     """One-step matrix chaos inequality with alpha = 1:
 
         (E tr |f|^{2q})^{1/(2q)}
@@ -582,7 +567,7 @@ def check_chaos_matrix(chaos: GaussianChaos, mc: GaussianPass, q_list,
         gam_lo, gam_value, gam_hi = _root_interval(gam_est, q)
         rhs = factor * gam_value
         out.append(CheckReport.from_interval(
-            "chaos-matrix", *_root_interval(est, q), rhs, slack_for(rhs, slack_scale),
+            "chaos-matrix", *_root_interval(est, q), rhs, slack_for(rhs),
             {"q": q, "d": chaos.dim, "n": est.n, "seed": mc.spec.seed,
              "rhs_ci": [factor * gam_lo, factor * gam_hi]}))
     return out

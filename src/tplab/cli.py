@@ -26,6 +26,7 @@ from .models import (
     GaussianSeries,
     chain_from_json,
     complete_refresh_chain,
+    constant_field,
     product_chain,
     two_state_chain,
 )
@@ -161,10 +162,8 @@ def _fields(desc: dict, idx: int, chain: FiniteChain, master_seed: int) -> list:
             raise ConfigError(f"table has {f.n_states} states, chain has {n}")
         return [(desc.get("name", f"table-{idx}"), f)]
     if kind == "constant":
-        m = np.atleast_2d(np.asarray(desc.get("matrix", [[float(desc.get("value", 0.0))]]),
-                                     dtype=float))
-        return [(desc.get("name", f"constant-{idx}"),
-                 FiniteField(np.broadcast_to(m, (n,) + m.shape).copy()))]
+        matrix = desc.get("matrix", [[float(desc.get("value", 0.0))]])
+        return [(desc.get("name", f"constant-{idx}"), constant_field(n, matrix))]
     if kind == "random":
         dim = _integer(desc.get("dim", 2), "dim", low=1)
         sub = _integer(desc.get("seed", 0), "seed")

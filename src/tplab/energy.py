@@ -16,13 +16,14 @@ small matrix products instead of a per-state loop.  On a product chain each
 product with L is one mode product per coordinate (``FiniteChain.apply``),
 so no n x n matrix is formed.  The row-sum term r makes the identity hold
 for the floating-point generator, not only for exact zero row sums.  A
-chain's energies of f (Gamma, Dirichlet form, variance, v_f) are computed
-only by ``energy_report``, which every chain checker reads.  On Gaussian
-models the squared derivative is sum_i (d_i f)^2: the constant
-sum_i A_i^2 for a series f = sum_i X_i A_i, and 4 sum_i (sum_j X_j A_ij)^2
-for a chaos f = sum_ij X_i X_j A_ij.  Their Dirichlet forms and variances
-are exact too (``dirichlet_form``, ``matrix_variance``).  For a series both
-are sum_i A_i^2.  For a chaos, Isserlis' theorem (E[X_i X_j X_k X_l] is a
+chain's energies of f (Gamma, Dirichlet form, variance, v_f) and its two
+spectra, the eigenvalues of f - E_mu f and of Gamma, are computed only by
+``energy_report``, which every chain checker reads: no checker diagonalises
+f - E_mu f or Gamma again.  On Gaussian models the squared derivative is
+sum_i (d_i f)^2: the constant sum_i A_i^2 for a series f = sum_i X_i A_i,
+and 4 sum_i (sum_j X_j A_ij)^2 for a chaos f = sum_ij X_i X_j A_ij.  Their
+Dirichlet forms and variances are exact too (``dirichlet_form``,
+``matrix_variance``).  For a series both are sum_i A_i^2.  For a chaos, Isserlis' theorem (E[X_i X_j X_k X_l] is a
 sum over pairings) gives E Gamma(f) = 4 S and Var f = 2 S with
 S = sum_ij A_ij^2, so nothing is sampled.  Only the Gamma table and the
 variance proxy of a chaos's energy report come from a seeded probe (mode
@@ -206,20 +207,27 @@ def bivariate_symmetrized(chain: FiniteChain, rep: EnergyReport) -> SymmetrizedP
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Bundle of Gamma, Dirichlet form, variance and variance proxy with
-    provenance.  Everything is EXACT on finite chains and Gaussian series.
-    On a Gaussian chaos the Dirichlet form and the variance are exact, but
-    Gamma is tabled at an 8-point probe and v_f is its largest norm there:
-    mode ESTIMATED, with the probe's size and seed in ``sample_meta``.  A
-    chain's report keeps its ``field`` for the checkers (not in the JSON)."""
+    """Bundle of Gamma, its spectrum, the Dirichlet form, variance and
+    variance proxy with provenance.  ``gamma_eigs`` holds Gamma's ascending
+    eigenvalues, one row per state (per probe point on a chaos), and v_f is
+    their largest absolute value.  Everything is EXACT on finite chains and
+    Gaussian series.  On a Gaussian chaos the Dirichlet form and the
+    variance are exact, but Gamma is tabled at an 8-point probe and v_f is
+    its largest norm there: mode ESTIMATED, with the probe's size and seed
+    in ``sample_meta``.  A chain's report also keeps, for the checkers and
+    not in the JSON, its ``field``, the ``mean`` E_mu f and ``f_eigs``, the
+    (n_states, d) eigenvalues of f - E_mu f."""
 
     gamma: np.ndarray
+    gamma_eigs: np.ndarray
     dirichlet: np.ndarray
     variance: np.ndarray
     v_f: float
     mode: str
     sample_meta: dict | None = None
     field: FiniteField | None = None
+    mean: np.ndarray | None = None
+    f_eigs: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -234,10 +242,13 @@ class EnergyReport:
         return out
 
 
-def _check_psd_stack(name: str, stack: np.ndarray):
-    if stack.size == 0:
-        return
-    w = np.linalg.eigvalsh(0.5 * (stack + stack.transpose(0, 2, 1)))
+def _sym_eigvalsh(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(0.5 * (stack + stack.transpose(0, 2, 1)))
+
+
+def _check_psd(name: str, w: np.ndarray):
+    """Refuse eigenvalue rows (m, d) of which one has an eigenvalue below
+    -_PSD_TOL * (1 + its largest |eigenvalue|)."""
     low = w[:, 0]
     bad = low < -_PSD_TOL * (1.0 + np.max(np.abs(w), axis=1))
     if np.any(bad):
@@ -250,33 +261,41 @@ _GAMMA_PROBE = 8
 
 def energy_report(model, f=None, spec: SampleSpec | None = None) -> EnergyReport:
     """Assemble a validated EnergyReport for any supported model, with one
-    ``carre_table`` on a chain.  A Gaussian chaos needs ``spec``, whose seed
-    draws the Gamma probe."""
-    if isinstance(model, FiniteChain):
-        gam = carre_table(model, f)
-        mu, v = model.stationary, f.values
-        mean = np.einsum("z,zij->ij", mu, v)
-        var = np.einsum("z,zij->ij", mu, v @ v) - mean @ mean
-        report = EnergyReport(gam, np.einsum("z,zij->ij", mu, gam), 0.5 * (var + var.T),
-                              max_op_norm(gam), EXACT, field=f)
-    elif isinstance(model, GaussianSeries):
-        dirichlet = dirichlet_form(model)
-        gam = dirichlet[None, :, :]  # x-independent
-        variance = matrix_variance(model)
-        report = EnergyReport(gam, dirichlet, variance, op_norm(dirichlet), EXACT)
-    elif isinstance(model, GaussianChaos):
-        if spec is None:
-            raise DomainError("the energy report of a Gaussian chaos needs a SampleSpec "
-                              "to seed its Gamma probe")
-        probe = montecarlo.draw_standard_normal(SampleSpec(n=_GAMMA_PROBE, seed=spec.seed),
-                                                model.n_vars)
-        gam = chaos_gamma_batch(model, probe)
-        report = EnergyReport(gam, dirichlet_form(model), matrix_variance(model),
-                              max_op_norm(gam), ESTIMATED,
-                              {"probe_n": _GAMMA_PROBE, "probe_seed": spec.seed})
-    else:
-        raise DomainError(f"unsupported model type {type(model).__name__}")
-    _check_psd_stack("gamma", report.gamma)
-    _check_psd_stack("dirichlet", report.dirichlet[None])
-    _check_psd_stack("variance", report.variance[None])
-    return report
+    ``carre_table`` on a chain and one eigvalsh of each of Gamma and, on a
+    chain, f - E_mu f.  A Gaussian chaos needs ``spec``, whose seed draws
+    the Gamma probe.  A Gamma table, Dirichlet form or variance that is not
+    finite (the model's values overflow) raises NumericError."""
+    chain_only, mode, meta = {}, EXACT, None
+    # an overflow is refused below, so it need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(model, FiniteChain):
+            gam = carre_table(model, f)
+            mu, v = model.stationary, f.values
+            mean = np.einsum("z,zij->ij", mu, v)
+            var = np.einsum("z,zij->ij", mu, v @ v) - mean @ mean
+            dirichlet, variance = np.einsum("z,zij->ij", mu, gam), 0.5 * (var + var.T)
+            chain_only = {"field": f, "mean": mean, "f_eigs": np.linalg.eigvalsh(v - mean)}
+        elif isinstance(model, GaussianSeries):
+            dirichlet, variance = dirichlet_form(model), matrix_variance(model)
+            gam = dirichlet[None, :, :]  # x-independent
+        elif isinstance(model, GaussianChaos):
+            if spec is None:
+                raise DomainError("the energy report of a Gaussian chaos needs a SampleSpec "
+                                  "to seed its Gamma probe")
+            probe = montecarlo.draw_standard_normal(SampleSpec(n=_GAMMA_PROBE, seed=spec.seed),
+                                                    model.n_vars)
+            gam = chaos_gamma_batch(model, probe)
+            dirichlet, variance = dirichlet_form(model), matrix_variance(model)
+            mode, meta = ESTIMATED, {"probe_n": _GAMMA_PROBE, "probe_seed": spec.seed}
+        else:
+            raise DomainError(f"unsupported model type {type(model).__name__}")
+    for name, a in (("Gamma table", gam), ("Dirichlet form", dirichlet), ("variance", variance)):
+        if not np.all(np.isfinite(a)):
+            raise NumericError(f"energy report: no verdict, the {name} is not finite; "
+                               "the values of the model overflow")
+    gamma_eigs = _sym_eigvalsh(gam)
+    _check_psd("gamma", gamma_eigs)
+    _check_psd("dirichlet", _sym_eigvalsh(dirichlet[None]))
+    _check_psd("variance", _sym_eigvalsh(variance[None]))
+    return EnergyReport(gam, gamma_eigs, dirichlet, variance,
+                        float(np.max(np.abs(gamma_eigs))), mode, meta, **chain_only)

@@ -28,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 from .spectral import batch_eigvalsh
 
 BLOCK = 4096
@@ -165,16 +165,24 @@ def estimate_statistic(spec: SampleSpec, field, per_sample,
     the n/2 pair means.
     """
 
+    def evaluated(b: int, xs):
+        mats = field.eval_batch(xs)
+        if not np.all(np.isfinite(mats)):
+            raise NumericError(f"Monte Carlo: no estimate, the values of the field at the "
+                               f"samples of block {b} are not finite; the model overflows")
+        return per_sample(mats)
+
     def job(b: int, count: int):
         rng = normal_stream(spec.seed, b)
-        if spec.antithetic:
-            xs = rng.standard_normal((count // 2, field.ambient_dim))
-            vals = [0.5 * (plus + minus) for plus, minus in
-                    zip(per_sample(field.eval_batch(xs)), per_sample(field.eval_batch(-xs)))]
-        else:
-            xs = rng.standard_normal((count, field.ambient_dim))
-            vals = per_sample(field.eval_batch(xs))
+        # an overflowing value is refused and an overflowing statistic is
+        # inf, which the checkers refuse: neither needs a warning
         with np.errstate(over="ignore", invalid="ignore"):
+            if spec.antithetic:
+                xs = rng.standard_normal((count // 2, field.ambient_dim))
+                vals = [0.5 * (plus + minus) for plus, minus in
+                        zip(evaluated(b, xs), evaluated(b, -xs))]
+            else:
+                vals = evaluated(b, rng.standard_normal((count, field.ambient_dim)))
             return [(len(v), v.sum(), np.sum(v ** 2)) for v in vals]
 
     parts = _map_blocks(spec, job)

@@ -20,7 +20,7 @@ from .energy import EnergyReport, column_energies
 from .errors import DimensionError, ModelError
 from .models import FiniteChain
 from .montecarlo import normal_stream
-from .reports import DEFAULT_SLACK, CheckReport, slack_for
+from .reports import CheckReport, slack_for
 
 SPECTRAL_GAP = "SPECTRAL_GAP"
 USER_SUPPLIED = "USER_SUPPLIED"
@@ -77,8 +77,8 @@ def ou_certificate() -> PoincareCertificate:
                                chain_id="gaussian-ou")
 
 
-def check_scalar_poincare(chain: FiniteChain, rep: EnergyReport, cert: PoincareCertificate,
-                          slack_scale: float = DEFAULT_SLACK) -> CheckReport:
+def check_scalar_poincare(chain: FiniteChain, rep: EnergyReport,
+                          cert: PoincareCertificate) -> CheckReport:
     """Var_mu[f] <= alpha * dirichlet(f) for a real-valued f, read from its
     energy report (a 1 x 1 field)."""
     if rep.field.dim != 1:
@@ -86,19 +86,18 @@ def check_scalar_poincare(chain: FiniteChain, rep: EnergyReport, cert: PoincareC
     var = float(rep.variance[0, 0])
     rhs = cert.alpha * float(rep.dirichlet[0, 0])
     return CheckReport.from_comparison(
-        "scalar-poincare", var, rhs, slack_for(rhs, slack_scale),
+        "scalar-poincare", var, rhs, slack_for(rhs),
         {"alpha": cert.alpha, "chain": chain.name, "method": cert.method})
 
 
 def check_trace_poincare(chain: FiniteChain, rep: EnergyReport,
-                         cert: PoincareCertificate,
-                         slack_scale: float = DEFAULT_SLACK) -> CheckReport:
+                         cert: PoincareCertificate) -> CheckReport:
     """tr Var_mu[f] <= alpha * tr dirichlet(f) for a matrix field, read from
     its energy report."""
     lhs = float(np.trace(rep.variance))
     rhs = cert.alpha * float(np.trace(rep.dirichlet))
     return CheckReport.from_comparison(
-        "trace-poincare", lhs, rhs, slack_for(rhs, slack_scale),
+        "trace-poincare", lhs, rhs, slack_for(rhs),
         {"alpha": cert.alpha, "chain": chain.name, "d": rep.field.dim,
          "method": cert.method})
 

@@ -25,13 +25,13 @@ FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# One slack knob shared by every inequality checker: absolute-relative
-# hybrid tolerance slack * (1 + |rhs|).
+# One slack shared by every inequality checker: the absolute-relative
+# hybrid tolerance DEFAULT_SLACK * (1 + |rhs|) of ``slack_for``.
 DEFAULT_SLACK = 1e-9
 
 
-def slack_for(rhs: float, scale: float = DEFAULT_SLACK) -> float:
-    return scale * (1.0 + abs(rhs))
+def slack_for(rhs: float) -> float:
+    return DEFAULT_SLACK * (1.0 + abs(rhs))
 
 
 def _comparable(citation: str, lhs: float, rhs: float, margin: float):

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, NumericError
 
 # Shared relative tolerance for equality-style comparisons, scaled by
-# (1 + magnitude).  Inequality checkers use their own slack knob (see bounds).
+# (1 + magnitude).  Inequality checkers use their own slack (reports.slack_for).
 RTOL = 1e-10
 
 
@@ -86,45 +86,28 @@ def eigh(a) -> SpectralDecomposition:
 class ScalarFnSpec:
     """A scalar function, applicable to matrices through the spectrum.
 
-    ``kind`` is one of cosh, sinh, cosh2, sinh2, abs_pow, signed_pow, affine,
-    custom.  Hyperbolic kinds carry a scale t and act as s -> f(t*s); power
-    kinds carry the exponent; affine carries (a, b).  ``deriv`` and
-    ``sq_deriv`` give phi' and psi = (phi')^2, needed by the mean-value and
-    chain-rule checkers, which only admit kinds whose psi is convex
+    ``kind`` is one of sinh, signed_pow, affine: sinh carries a scale t and
+    acts as s -> sinh(t*s), signed_pow carries the exponent q > 0 of
+    s -> sgn(s) |s|^q, and affine carries (a, b) of s -> a s + b.  ``deriv``
+    and ``sq_deriv`` give phi' and psi = (phi')^2, needed by the mean-value
+    and chain-rule checkers, which only admit functions whose psi is convex
     (see ``convex_sq_derivative``).
     """
 
     kind: str
     params: tuple = ()
-    fn: Callable | None = None
-    dfn: Callable | None = None
 
     def __post_init__(self):
-        if self.kind in ("abs_pow", "signed_pow") and not self.params[0] > 0:
-            raise DomainError(f"{self.kind} exponent must be positive, got {self.params[0]}")
-        if self.kind == "custom" and self.fn is None:
-            raise DomainError("custom scalar function requires an evaluator")
+        if self.kind not in ("sinh", "signed_pow", "affine"):
+            raise DomainError(f"unknown scalar function kind {self.kind!r} "
+                              "(known: sinh, signed_pow, affine)")
+        if self.kind == "signed_pow" and not self.params[0] > 0:
+            raise DomainError(f"signed_pow exponent must be positive, got {self.params[0]}")
 
     # -- constructors -------------------------------------------------------
     @staticmethod
-    def cosh(scale: float = 1.0) -> "ScalarFnSpec":
-        return ScalarFnSpec("cosh", (float(scale),))
-
-    @staticmethod
     def sinh(scale: float = 1.0) -> "ScalarFnSpec":
         return ScalarFnSpec("sinh", (float(scale),))
-
-    @staticmethod
-    def cosh2(scale: float = 1.0) -> "ScalarFnSpec":
-        return ScalarFnSpec("cosh2", (float(scale),))
-
-    @staticmethod
-    def sinh2(scale: float = 1.0) -> "ScalarFnSpec":
-        return ScalarFnSpec("sinh2", (float(scale),))
-
-    @staticmethod
-    def abs_pow(p: float) -> "ScalarFnSpec":
-        return ScalarFnSpec("abs_pow", (float(p),))
 
     @staticmethod
     def signed_pow(q: float) -> "ScalarFnSpec":
@@ -134,48 +117,24 @@ class ScalarFnSpec:
     def affine(a: float, b: float = 0.0) -> "ScalarFnSpec":
         return ScalarFnSpec("affine", (float(a), float(b)))
 
-    @staticmethod
-    def custom(fn: Callable, dfn: Callable | None = None) -> "ScalarFnSpec":
-        return ScalarFnSpec("custom", (), fn=fn, dfn=dfn)
-
     # -- evaluation ---------------------------------------------------------
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         k, p = self.kind, self.params
-        if k == "cosh":
-            return np.cosh(p[0] * x)
         if k == "sinh":
             return np.sinh(p[0] * x)
-        if k == "cosh2":
-            return np.cosh(p[0] * x) ** 2
-        if k == "sinh2":
-            return np.sinh(p[0] * x) ** 2
-        if k == "abs_pow":
-            return np.abs(x) ** p[0]
         if k == "signed_pow":
             return np.sign(x) * np.abs(x) ** p[0]
-        if k == "affine":
-            return p[0] * x + p[1]
-        return np.asarray(self.fn(x), dtype=float)
+        return p[0] * x + p[1]
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
         k, p = self.kind, self.params
-        if k == "cosh":
-            return p[0] * np.sinh(p[0] * x)
         if k == "sinh":
             return p[0] * np.cosh(p[0] * x)
-        if k in ("cosh2", "sinh2"):
-            return p[0] * np.sinh(2.0 * p[0] * x)
-        if k == "abs_pow":
-            return p[0] * np.sign(x) * np.abs(x) ** (p[0] - 1.0)
         if k == "signed_pow":
             return p[0] * np.abs(x) ** (p[0] - 1.0)
-        if k == "affine":
-            return np.full_like(x, p[0])
-        if self.dfn is None:
-            raise DomainError("custom scalar function has no derivative attached")
-        return np.asarray(self.dfn(x), dtype=float)
+        return np.full_like(x, p[0])
 
     def sq_deriv(self, x):
         d = self.deriv(x)
@@ -183,24 +142,14 @@ class ScalarFnSpec:
 
     @property
     def convex_sq_derivative(self) -> bool:
-        """Whitelist of kinds whose (phi')^2 is convex: sinh, signed_pow with
-        exponent >= 1.5, and affine.  No symbolic convexity analysis."""
-        if self.kind == "sinh":
-            return True
-        if self.kind == "signed_pow":
-            return self.params[0] >= 1.5
-        return self.kind == "affine"
+        """Whether (phi')^2 is convex: for sinh and affine always, for
+        signed_pow when the exponent is >= 1.5.  No symbolic convexity
+        analysis."""
+        return self.kind != "signed_pow" or self.params[0] >= 1.5
 
     def label(self) -> str:
-        if self.params:
-            args = ",".join(f"{v:g}" for v in self.params)
-            return f"{self.kind}({args})"
-        return self.kind
-
-
-def apply_spectral_fn(a, fn: ScalarFnSpec) -> np.ndarray:
-    """phi(A) through the eigendecomposition; commutes with A."""
-    return symmetrize(eigh(a).map(fn))
+        args = ",".join(f"{v:g}" for v in self.params)
+        return f"{self.kind}({args})"
 
 
 def op_norm(a) -> float:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -608,6 +609,22 @@ class TestExitCodes:
         assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("DomainError: Gaussian ") and "finite" in err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_overflowing_gaussian_model_exits_2(self, tmp_path, capsys):
+        # finite coefficients whose Gamma overflows: the Gamma stream's
+        # eigensolver raised a bare LinAlgError, exit 1, after a numpy
+        # overflow warning; warnings are errors here, so none may print
+        cfg = {"seed": 1, "samples": {"n": 2000}, "suites": ["poly-moment"],
+               "model": {"gaussian_chaos": {"coefficients": np.full((2, 2, 3, 3),
+                                                                    1e160).tolist()}}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("NumericError: Monte Carlo: no estimate") and "finite" in err
         assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("change, label", [

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from tplab import (
     variance_proxy,
 )
 from tplab import energy
-from tplab.energy import _check_psd_stack, chaos_gamma_batch
+from tplab.energy import _check_psd, chaos_gamma_batch
 from tplab.models import FiniteChain
 from tplab.montecarlo import draw_standard_normal
 
@@ -453,10 +454,11 @@ class TestBivariateSymmetrized:
 class TestEnergyReport:
     def test_psd_check_names_the_violation(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.diag([2.0, -1e-12])])
+        w = np.linalg.eigvalsh(stack)
         with pytest.raises(DomainError, match="min eig -5.000e-01"):
-            _check_psd_stack("gamma", stack)
-        _check_psd_stack("gamma", stack[[0, 2]])
-        _check_psd_stack("gamma", np.empty((0, 2, 2)))
+            _check_psd("gamma", w)
+        _check_psd("gamma", w[[0, 2]])
+        _check_psd("gamma", np.empty((0, 2)))
 
     def test_exact_mode_consistency(self, k4):
         rng = np.random.default_rng(79)
@@ -482,6 +484,35 @@ class TestEnergyReport:
         probe = draw_standard_normal(SampleSpec(n=8, seed=3), 1)
         np.testing.assert_allclose(rep.gamma[:, 0, 0], 4.0 * probe[:, 0] ** 2, rtol=1e-15)
         assert rep.v_f == pytest.approx(4.0 * np.max(probe ** 2), rel=1e-15)
+
+
+    def test_overflowing_gamma_refused(self):
+        # every coefficient 1e160: the probed Gamma, about 1e322, overflows
+        chaos = GaussianChaos(np.full((2, 2, 3, 3), 1e160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="the Gamma table is not finite"):
+                energy_report(chaos, spec=SampleSpec(n=2000, seed=1))
+
+    def test_overflowing_variance_refused(self, two_state):
+        # a constant 1e200 field has Gamma = 0, but E f^2 - (E f)^2 is
+        # inf - inf: the report carried a NaN variance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="the variance is not finite"):
+                energy_report(two_state, constant_field(2, 1e200 * np.eye(2)))
+
+    def test_report_carries_both_spectra(self, k4):
+        rng = np.random.default_rng(83)
+        f = random_field(rng, 4, 3)
+        rep = energy_report(k4, f)
+        np.testing.assert_array_equal(rep.mean, np.einsum("z,zij->ij", k4.stationary, f.values))
+        np.testing.assert_array_equal(rep.f_eigs, np.linalg.eigvalsh(f.values - rep.mean))
+        np.testing.assert_array_equal(rep.gamma_eigs, np.linalg.eigvalsh(rep.gamma))
+        assert rep.v_f == float(np.max(np.abs(rep.gamma_eigs)))
+        series = energy_report(GaussianSeries(rng.standard_normal((3, 2, 2))))
+        assert series.gamma_eigs.shape == (1, 2) and series.f_eigs is None
+        assert series.v_f == op_norm(series.dirichlet)
 
 
 class TestMatrixFreeProducts:
