@@ -231,7 +231,7 @@ class EnergyReport:
 
     def to_json_dict(self) -> dict:
         out = {
-            "gamma": [m.tolist() for m in self.gamma],
+            "gamma": self.gamma.tolist(),
             "dirichlet": self.dirichlet.tolist(),
             "variance": self.variance.tolist(),
             "v_f": self.v_f,

@@ -8,6 +8,15 @@ right-hand side), INCONCLUSIVE for Monte Carlo comparisons violated only
 within the confidence-interval width.  A comparison whose lhs, rhs or
 margin is NaN (say inf against inf after an overflow) has no verdict and
 raises NumericError: a FAIL must be a counterexample, never a NaN.
+
+report.json is byte-identical to ``json.dumps(doc, sort_keys=True,
+indent=2)`` plus a newline, and reruns of one config and seed give
+byte-identical JSON as well as CSV.  ``rows_to_json`` writes that text
+directly: json's C encoder runs only without an indent, and its pure-Python
+path renders every float of a Gamma table through generators.  The direct
+writer renders a regular nested list of floats (Gamma, the Dirichlet form,
+the variance) in bulk: one skeleton of its brackets and indentation, filled
+from one ``float.__repr__`` map over its leaves.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import NumericError
 
@@ -105,18 +115,6 @@ class CheckReport:
             "context": self.context,
         }
 
-    def to_json_dict(self) -> dict:
-        return {
-            "citation": self.citation,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "pass": self.passed,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "context": self.context,
-        }
-
 
 CSV_COLUMNS = ["citation", "suite", "fixture", "lhs", "rhs", "margin",
                "verdict", "tolerance", "context"]
@@ -149,7 +147,122 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def rows_to_json(rows: list[dict], energy_reports: list[dict] | None = None) -> str:
+    """The text of json.dumps(doc, sort_keys=True, indent=2) plus a newline,
+    for doc = {"schema", "rows"[, "energy_reports"]}; TypeError for a value
+    json cannot serialize."""
     doc = {"schema": "tplab-report-v1", "rows": rows}
     if energy_reports is not None:
         doc["energy_reports"] = energy_reports
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    out = []
+    _write(doc, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+# What follows renders exactly the text of json.dumps(value, sort_keys=True,
+# indent=2): the same separators, key order, escapes and number formats.
+_INDENT = "  "
+_quote = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SEQUENCES = {list, tuple}
+# deeper nests, and lists that contain themselves, take the generic path
+_TABLE_DEPTH = 32
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _float_table(value) -> tuple[list[int], list] | None:
+    """(shape, leaves in row-major order) of a nested list of floats whose
+    every level has one length, or None for any other list."""
+    shape, level = [], [value]
+    while len(shape) < _TABLE_DEPTH:
+        sizes = set(map(len, level))
+        if len(sizes) != 1 or 0 in sizes:
+            return None
+        shape.append(sizes.pop())
+        level = list(chain.from_iterable(level))
+        kinds = set(map(type, level))
+        if kinds == {float}:
+            return shape, level
+        if not kinds <= _SEQUENCES:
+            return None
+    return None
+
+
+def _table_text(shape: list[int], leaves: list, depth: int) -> str:
+    """Build the table's skeleton innermost level first, one %s per leaf
+    (its whitespace and brackets hold no other %), then fill in all the
+    leaves at once."""
+    text = "%s"
+    for axis in reversed(range(len(shape))):
+        inner = "\n" + _INDENT * (depth + axis + 1)
+        text = ("[" + inner + ("," + inner).join([text] * shape[axis])
+                + "\n" + _INDENT * (depth + axis) + "]")
+    reprs = list(map(float.__repr__, leaves))
+    if not all(map(math.isfinite, leaves)):
+        reprs = list(map(_NONFINITE.get, reprs, reprs))
+    return text % tuple(reprs)
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return _quote(_float(key))
+    if key is True or key is False or key is None or isinstance(key, int):
+        return _quote(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _scalar(value) -> str:
+    """JSON text of a value that spans one line: a scalar or an empty container."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    if isinstance(value, (list, tuple)) and not value:
+        return "[]"
+    if isinstance(value, dict) and not value:
+        return "{}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _write(value, depth: int, out: list[str]) -> None:
+    """Append to out the JSON text of value nested depth levels deep: the
+    lines inside its brackets are indented depth + 1 levels.  Each item is
+    followed by a comma, and the last comma is replaced by the closing
+    bracket."""
+    if isinstance(value, (list, tuple)) and value:
+        table = _float_table(value)
+        if table is not None:
+            out.append(_table_text(*table, depth))
+            return
+        inner = "\n" + _INDENT * (depth + 1)
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _write(item, depth + 1, out)
+            out.append(",")
+        out[-1] = "\n" + _INDENT * depth + "]"
+    elif isinstance(value, dict) and value:
+        inner = "\n" + _INDENT * (depth + 1)
+        out.append("{")
+        for key, item in sorted(value.items()):
+            out.append(inner + _key(key) + ": ")
+            _write(item, depth + 1, out)
+            out.append(",")
+        out[-1] = "\n" + _INDENT * depth + "}"
+    else:
+        out.append(_scalar(value))
