@@ -17,7 +17,6 @@ from .spectral import (
     batch_eigvalsh,
     eigh,
     intdim,
-    max_op_norm,
     op_norm,
     symmetrize,
 )
@@ -42,10 +41,7 @@ from .energy import (
     bivariate_symmetrized,
     carre_table,
     column_energies,
-    dirichlet_form,
     energy_report,
-    matrix_variance,
-    variance_proxy,
 )
 from .poincare import (
     PoincareCertificate,

@@ -25,8 +25,6 @@ from .energy import (
     bivariate_symmetrized,
     chaos_gamma_batch,
     column_energies,
-    dirichlet_form,
-    variance_proxy,
 )
 from .errors import DimensionError, DomainError, NumericError
 from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, SmoothField
@@ -239,9 +237,10 @@ class GaussianPass:
 
     ``tail`` maps each level lambda to its survival Estimate, ``poly`` and
     ``chaos`` map each order q to a pair (Estimate of E tr |f - c|^{2q},
-    Estimate of E tr (s Gamma)^q): c is the chaos mean (the series is mean
-    zero) for poly-moment and no centre for the chaos corollaries, s is 1
-    and 1/4, and the Gamma entry is None on a series, whose Gamma is exact.
+    E tr (s Gamma)^q): c is the chaos mean (the series is mean zero) for
+    poly-moment and no centre for the chaos corollaries, and s is 1 and
+    1/4.  The Gamma entry is an Estimate on a chaos and, on a series, whose
+    Gamma is constant, the exact float read from its energy report.
     ``v_f`` and ``v_f_mode`` are those of the tail, None without one.
     """
 
@@ -263,24 +262,26 @@ def _read(table: dict, keys, suite: str) -> list:
     return [table[float(k)] for k in keys]
 
 
-def gaussian_pass(model, cert: PoincareCertificate, spec: SampleSpec, lambda_grid=None,
-                  v_f_override: float | None = None, poly_q=None,
+def gaussian_pass(model, rep: EnergyReport, cert: PoincareCertificate, spec: SampleSpec,
+                  lambda_grid=None, v_f_override: float | None = None, poly_q=None,
                   chaos_q=None) -> GaussianPass:
     """One Monte Carlo pass per sample stream for the Gaussian suites of a
     run: the tail at the levels of ``lambda_grid``, poly-moment at the
     orders of ``poly_q`` and the chaos corollaries at those of ``chaos_q``
-    (None leaves a suite out).
+    (None leaves a suite out).  ``rep`` is the model's ``energy_report``.
 
-    The tail needs N >= 10^4 samples and an exact variance proxy (a series)
-    or a user-certified one (``v_f_override``, for a chaos, whose Gamma is
-    unbounded; a negative, NaN or infinite one is refused before any draw);
-    its thresholds are sqrt(alpha v_f) * lambda.  The f-stream
+    The tail needs N >= 10^4 samples and an exact variance proxy (a
+    series's, read from ``rep``) or a user-certified one (``v_f_override``,
+    for a chaos, whose Gamma is unbounded, so the probed v_f of its report
+    is no bound; a negative, NaN or infinite one is refused before any
+    draw); its thresholds are sqrt(alpha v_f) * lambda.  The f-stream
     (``spec.seed``) is drawn and evaluated once.  The tail and poly-moment
     read the centred spectrum (the chaos mean; the series is mean zero and
     needs no centre), the chaos corollaries the uncentred one: one
     ``spectral.batch_eigvalsh`` per centre and block, with every order of
     the union of the q lists read at each centre.  A chaos's Gamma stream
-    is one more pass, read at scale 1 (poly-moment) and 1/4 (chaos-matrix).
+    is one more pass, read at scale 1 (poly-moment) and 1/4 (chaos-matrix);
+    a series's Gamma moments are exact sums over the eigenvalues in ``rep``.
     """
     if not isinstance(model, (GaussianSeries, GaussianChaos)):
         raise DomainError(f"unsupported model type {type(model).__name__}")
@@ -293,7 +294,7 @@ def gaussian_pass(model, cert: PoincareCertificate, spec: SampleSpec, lambda_gri
         if spec.n < 10 ** 4:
             raise DomainError(f"tail estimation needs N >= 10^4 samples, got {spec.n}")
         if isinstance(model, GaussianSeries):
-            v_f, mode = variance_proxy(model)
+            v_f, mode = rep.v_f, rep.mode
         elif v_f_override is None:
             raise DomainError(
                 "Gamma of a Gaussian chaos is unbounded, so it has no exact variance "
@@ -312,11 +313,15 @@ def gaussian_pass(model, cert: PoincareCertificate, spec: SampleSpec, lambda_gri
         groups = estimate_trace_moment(field, orders, spec, centres)
     k = len(lams)
     moments = [dict(zip(orders, g[k:])) for g in groups]
-    gammas = [dict.fromkeys(orders)]  # a series's Gamma is exact: nothing to estimate
-    if isinstance(model, GaussianChaos) and (poly or chaos):
+    if isinstance(model, GaussianSeries):
+        gam_eigs = np.clip(rep.gamma_eigs[0], 0.0, None)
+        gammas = [{q: float(np.sum(gam_eigs ** q)) for q in orders}]
+    elif poly or chaos:
         scales = ([1.0] if poly else []) + ([0.25] if chaos else [])
         gammas = [dict(zip(orders, g))
                   for g in chaos_gamma_moments(model, orders, spec, scales)]
+    else:
+        gammas = []  # a chaos tail alone reads no Gamma moment
     return GaussianPass(
         spec=spec, v_f=v_f, v_f_mode=mode,
         tail=dict(zip(lams, groups[0][:k])) if tail else {},
@@ -404,8 +409,8 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
     with s_G = max |Gamma|.
 
     On a Gaussian model ``rep`` is the run's ``gaussian_pass``, which holds
-    the centred f-moments and, on a chaos, the Gamma moments; a series's
-    Gamma is x-independent and its moments are exact.
+    the centred f-moments and the Gamma moments: estimated on a chaos, and
+    exact on a series, whose Gamma is x-independent.
     """
     out = []
     if isinstance(model, FiniteChain):
@@ -428,11 +433,9 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
 
     q_list = [float(q) for q in q_list]
     d = model.dim
-    if isinstance(model, GaussianSeries):
-        gam_eigs = np.clip(np.linalg.eigvalsh(dirichlet_form(model)), 0.0, None)
     for q, (est, gam_est) in zip(q_list, _read(rep.poly, q_list, "poly-moment")):
-        if gam_est is None:
-            tgq, gamma_ctx = float(np.sum(gam_eigs ** q)), {"gamma_moment_exact": True}
+        if isinstance(gam_est, float):
+            tgq, gamma_ctx = gam_est, {"gamma_moment_exact": True}
         else:
             tgq, gamma_ctx = gam_est.value, {"gamma_moment_ci": [gam_est.ci_low,
                                                                  gam_est.ci_high]}

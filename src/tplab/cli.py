@@ -256,8 +256,9 @@ def _chain_rows(chain, name, named, suites, params, seed):
     return rows
 
 
-def _gaussian_rows(model, name, suites, params, sample_spec):
-    """The rows of the Gaussian suites, all read from one ``gaussian_pass``."""
+def _gaussian_rows(model, name, rep, suites, params, sample_spec):
+    """The rows of the Gaussian suites, all read from one ``gaussian_pass``
+    over the model's energy report ``rep``."""
     for suite in suites:
         if suite in CHAIN_ONLY:
             raise ConfigError(f"suites: '{suite}' requires a finite chain model")
@@ -267,7 +268,7 @@ def _gaussian_rows(model, name, suites, params, sample_spec):
     grid = params.get("lambda_grid", [float(k) for k in range(1, 9)])
     poly_q = params.get("q_list", [1, 1.5, 2, 3])
     chaos_q = params.get("q_list", [1, 2, 3])
-    mc = bounds.gaussian_pass(model, cert, sample_spec,
+    mc = bounds.gaussian_pass(model, rep, cert, sample_spec,
                               lambda_grid=grid if "tail" in suites else None,
                               v_f_override=params.get("v_f_bound"),
                               poly_q=poly_q if "poly-moment" in suites else None,
@@ -294,12 +295,19 @@ def validate_config(cfg: dict):
         raise ConfigError("suites: at least one suite is required")
     if "model" not in cfg:
         raise ConfigError("model: missing")
-    samples = cfg.get("samples", {})
-    if not isinstance(samples, dict):
-        raise ConfigError("samples: must be an object with n/workers/antithetic")
+    _section(cfg, "samples", "n/workers/antithetic")
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int) or seed < 0 or seed > (1 << 64) - 1:
         raise ConfigError("seed: must be an unsigned 64-bit integer")
+
+
+def _section(cfg: dict, key: str, keys: str) -> dict:
+    """The object ``cfg[key]``, empty when absent; any other JSON value is
+    refused."""
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: must be an object with {keys}, got {value!r}")
+    return value
 
 
 def _integer(value, label: str, low: int | None = None) -> int:
@@ -394,12 +402,11 @@ def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
             raise ConfigError("fields: a finite-chain experiment needs at least one field")
         named = [(fname, energy_report(model, f)) for fname, f in fields]
         rows = _chain_rows(model, name, named, suites, params, seed)
-        names, reports = zip(*named)
     else:
-        rows = _gaussian_rows(model, name, suites, params, sample_spec)
-        reports, names = [energy_report(model, spec=sample_spec)], ["model"]
+        named = [("model", energy_report(model, spec=sample_spec))]
+        rows = _gaussian_rows(model, name, named[0][1], suites, params, sample_spec)
     energy_dicts = [{"fixture": name, "field": fname, "report": rep.to_json_dict()}
-                    for fname, rep in zip(names, reports)]
+                    for fname, rep in named]
 
     counts = {PASS: 0, FAIL: 0, SKIPPED: 0, INCONCLUSIVE: 0}
     for row in rows:
@@ -427,11 +434,15 @@ def _cmd_run(args) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         if args.samples is not None:
-            cfg.setdefault("samples", {})["n"] = args.samples
+            cfg["samples"] = dict(_section(cfg, "samples", "n/workers/antithetic"),
+                                  n=args.samples)
         if args.suite:
             cfg["suites"] = args.suite
-        out_cfg = cfg.get("output", {})
-        out_dir = Path(args.out) if args.out else Path(out_cfg.get("dir", "tplab-out"))
+        out_cfg = _section(cfg, "output", "dir/format")
+        out_dir = out_cfg.get("dir", "tplab-out")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"output.dir: expected a path string, got {out_dir!r}")
+        out_dir = args.out or out_dir
         fmt = args.format or out_cfg.get("format", "both")
         if fmt not in ("csv", "json", "both"):
             raise ConfigError(f"output.format: expected csv|json|both, got {fmt!r}")
@@ -439,7 +450,7 @@ def _cmd_run(args) -> int:
     except LabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, CapacityError) else 2
-    written = _write_outputs(rows, energy_dicts, out_dir, fmt)
+    written = _write_outputs(rows, energy_dicts, Path(out_dir), fmt)
     for path in written:
         print(f"wrote {path}")
     print(f"checks: {len(rows)}  PASS={counts[PASS]}  FAIL={counts[FAIL]}  "

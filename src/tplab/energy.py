@@ -1,5 +1,5 @@
-"""Squared-derivative (carre du champ) operators, Dirichlet forms, matrix
-variances and variance proxies.
+"""Squared-derivative (carre du champ) operators and the energy report of a
+model: its Gamma, Dirichlet form, variance and variance proxy.
 
 On a finite chain every quantity is an exact finite sum: for a jump process
 the small-time limit of the defining squared-difference formula collapses to
@@ -15,19 +15,20 @@ so the whole table costs two products of L with an (n, d^2) block plus n
 small matrix products instead of a per-state loop.  On a product chain each
 product with L is one mode product per coordinate (``FiniteChain.apply``),
 so no n x n matrix is formed.  The row-sum term r makes the identity hold
-for the floating-point generator, not only for exact zero row sums.  A
-chain's energies of f (Gamma, Dirichlet form, variance, v_f) and its two
-spectra, the eigenvalues of f - E_mu f and of Gamma, are computed only by
-``energy_report``, which every chain checker reads: no checker diagonalises
+for the floating-point generator, not only for exact zero row sums.
+
+Every model's energies (Gamma, Dirichlet form, variance, v_f) and spectra
+are computed only by ``energy_report``, once per (chain, field) and once
+per Gaussian model; every checker reads that report and none diagonalises
 f - E_mu f or Gamma again.  On Gaussian models the squared derivative is
 sum_i (d_i f)^2: the constant sum_i A_i^2 for a series f = sum_i X_i A_i,
-and 4 sum_i (sum_j X_j A_ij)^2 for a chaos f = sum_ij X_i X_j A_ij.  Their
-Dirichlet forms and variances are exact too (``dirichlet_form``,
-``matrix_variance``).  For a series both are sum_i A_i^2.  For a chaos, Isserlis' theorem (E[X_i X_j X_k X_l] is a
-sum over pairings) gives E Gamma(f) = 4 S and Var f = 2 S with
-S = sum_ij A_ij^2, so nothing is sampled.  Only the Gamma table and the
-variance proxy of a chaos's energy report come from a seeded probe (mode
-ESTIMATED), because Gamma is not constant there.
+which is also its Dirichlet form and its variance, and
+4 sum_i (sum_j X_j A_ij)^2 for a chaos f = sum_ij X_i X_j A_ij.  For a
+chaos, Isserlis' theorem (E[X_i X_j X_k X_l] is a sum over pairings) gives
+E Gamma(f) = 4 S and Var f = 2 S with S = sum_ij A_ij^2, so nothing is
+sampled.  Only the Gamma table and the variance proxy of a chaos's energy
+report come from a seeded probe (mode ESTIMATED), because Gamma is not
+constant there.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from . import montecarlo
 from .errors import CapacityError, DimensionError, DomainError, NumericError
 from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries
 from .montecarlo import SampleSpec
-from .spectral import max_op_norm, op_norm
+from .spectral import op_norm
 
 EXACT = "EXACT"
 ESTIMATED = "ESTIMATED"
@@ -117,43 +118,6 @@ def _chaos_square(chaos: GaussianChaos) -> np.ndarray:
     return np.einsum("ijkl,ijlm->km", a, a)
 
 
-def dirichlet_form(model) -> np.ndarray:
-    """Total energy E[Gamma(f)] of a Gaussian model, exact: sum_i A_i^2 for
-    a series and 4 sum_ij A_ij^2 for a chaos.  A finite chain's comes with
-    its field's ``energy_report``."""
-    if isinstance(model, GaussianSeries):
-        a = model.coefficients
-        return np.einsum("kij,kjl->il", a, a)
-    if isinstance(model, GaussianChaos):
-        return 4.0 * _chaos_square(model)
-    raise DomainError(f"unsupported model type {type(model).__name__}")
-
-
-def matrix_variance(model) -> np.ndarray:
-    """E[f^2] - (E f)^2 of a Gaussian model, a PSD matrix, exact: sum_i A_i^2
-    for a series (E f = 0) and 2 sum_ij A_ij^2 for a chaos.  A finite
-    chain's comes with its field's ``energy_report``."""
-    if isinstance(model, GaussianSeries):
-        a = model.coefficients
-        return np.einsum("kij,kjl->il", a, a)
-    if isinstance(model, GaussianChaos):
-        return 2.0 * _chaos_square(model)
-    raise DomainError(f"unsupported model type {type(model).__name__}")
-
-
-def variance_proxy(model) -> tuple[float, str]:
-    """Supremum of |Gamma(f)| over x of a Gaussian series, exact, since its
-    Gamma is the constant sum_i A_i^2.  A Gaussian chaos has none: its Gamma
-    grows without bound in x unless A = 0.  A finite chain's v_f comes with
-    its field's ``energy_report``."""
-    if isinstance(model, GaussianSeries):
-        return op_norm(dirichlet_form(model)), EXACT
-    if isinstance(model, GaussianChaos):
-        raise DomainError("Gamma of a Gaussian chaos, 4 sum_i (sum_j x_j A_ij)^2, "
-                          "is unbounded in x, so it has no finite variance proxy")
-    raise DomainError(f"unsupported model type {type(model).__name__}")
-
-
 @dataclass(frozen=True)
 class SymmetrizedPair:
     """The antisymmetric difference field g(z, z') = f(z) - f(z') on the
@@ -202,7 +166,7 @@ def bivariate_symmetrized(chain: FiniteChain, rep: EnergyReport) -> SymmetrizedP
     mu2 = np.kron(chain.stationary, chain.stationary)
     dirichlet = np.einsum("z,zij->ij", mu2, gamma)
     return SymmetrizedPair(base=chain, stationary=mu2, g=g, gamma=gamma,
-                           dirichlet=dirichlet, v=max_op_norm(gamma))
+                           dirichlet=dirichlet, v=op_norm(gamma))
 
 
 @dataclass(frozen=True)
@@ -270,14 +234,18 @@ def energy_report(model, f=None, spec: SampleSpec | None = None) -> EnergyReport
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(model, FiniteChain):
             gam = carre_table(model, f)
-            mu, v = model.stationary, f.values
-            mean = np.einsum("z,zij->ij", mu, v)
-            var = np.einsum("z,zij->ij", mu, v @ v) - mean @ mean
+            mu = model.stationary
+            mean = np.einsum("z,zij->ij", mu, f.values)
+            c = f.values - mean
+            var = np.einsum("z,zij->ij", mu, c @ c)
             dirichlet, variance = np.einsum("z,zij->ij", mu, gam), 0.5 * (var + var.T)
-            chain_only = {"field": f, "mean": mean, "f_eigs": np.linalg.eigvalsh(v - mean)}
+            chain_only = {"field": f, "mean": mean, "f_eigs": np.linalg.eigvalsh(c)}
         elif isinstance(model, GaussianSeries):
-            dirichlet, variance = dirichlet_form(model), matrix_variance(model)
-            gam = dirichlet[None, :, :]  # x-independent
+            a = model.coefficients
+            # Gamma is the x-independent sum_i A_i^2, also the Dirichlet form
+            # and the variance (E f = 0)
+            dirichlet = variance = np.einsum("kij,kjl->il", a, a)
+            gam = dirichlet[None, :, :]
         elif isinstance(model, GaussianChaos):
             if spec is None:
                 raise DomainError("the energy report of a Gaussian chaos needs a SampleSpec "
@@ -285,7 +253,8 @@ def energy_report(model, f=None, spec: SampleSpec | None = None) -> EnergyReport
             probe = montecarlo.draw_standard_normal(SampleSpec(n=_GAMMA_PROBE, seed=spec.seed),
                                                     model.n_vars)
             gam = chaos_gamma_batch(model, probe)
-            dirichlet, variance = dirichlet_form(model), matrix_variance(model)
+            square = _chaos_square(model)
+            dirichlet, variance = 4.0 * square, 2.0 * square
             mode, meta = ESTIMATED, {"probe_n": _GAMMA_PROBE, "probe_seed": spec.seed}
         else:
             raise DomainError(f"unsupported model type {type(model).__name__}")

@@ -153,21 +153,14 @@ class ScalarFnSpec:
 
 
 def op_norm(a) -> float:
-    """l2 operator norm: the largest absolute eigenvalue."""
-    a = symmetrize(a)
-    w = np.linalg.eigvalsh(a)
+    """l2 operator norm, the largest absolute eigenvalue, of a matrix, or
+    the largest over a stack (..., d, d) of matrices from one batched
+    eigvalsh; each matrix is symmetrized first, and an empty stack gives 0."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    w = np.linalg.eigvalsh(0.5 * (a + np.swapaxes(a, -1, -2)))
     return float(np.max(np.abs(w))) if w.size else 0.0
-
-
-def max_op_norm(stack) -> float:
-    """Largest operator norm over a stack (m, d, d) of matrices, each
-    symmetrized, from one batched eigvalsh; 0 for an empty stack.  Equals
-    max(op_norm(a) for a in stack) bit for bit."""
-    a = np.asarray(stack, dtype=float)
-    if a.size == 0:
-        return 0.0
-    w = np.linalg.eigvalsh(0.5 * (a + a.transpose(0, 2, 1)))
-    return float(np.max(np.abs(w)))
 
 
 # A 3x3 matrix with 1 - |r| below this (r = cos 3 phi, see _eigvalsh3) is

@@ -32,7 +32,6 @@ from tplab import (
     ou_certificate,
     poincare_constant,
     product_chain,
-    variance_proxy,
 )
 from tplab.cli import default_config, run_experiment
 from tplab.reports import rows_to_csv
@@ -152,10 +151,10 @@ def test_criterion_07_subexponential_tails(two_state, k4):
                     assert report.passed
         series = GaussianSeries(np.stack([[[1.0, 0.0], [0.0, -1.0]],
                                           [[0.0, 1.0], [1.0, 0.0]]]))
-        v_f, mode = variance_proxy(series)
-        assert mode == "EXACT" and v_f == pytest.approx(2.0)
+        rep = energy_report(series)
+        assert rep.mode == "EXACT" and rep.v_f == pytest.approx(2.0)
         cert = ou_certificate()
-        mc = gaussian_pass(series, cert, SampleSpec(n=10 ** 5, seed=20240601),
+        mc = gaussian_pass(series, rep, cert, SampleSpec(n=10 ** 5, seed=20240601),
                            lambda_grid=range(1, 9))
         reports = check_tail_empirical(series, mc, cert, range(1, 9))
         assert all(r.passed for r in reports)

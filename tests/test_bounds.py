@@ -40,7 +40,7 @@ from tplab import (
     product_chain,
     tail_bound,
 )
-from tplab import montecarlo
+from tplab import cli, energy, montecarlo
 from tplab.bounds import GAMMA_STREAM, chaos_gamma_moments
 from tplab.cli import run_experiment
 from tplab.energy import carre_table, chaos_gamma_batch
@@ -373,7 +373,8 @@ class TestTailEmpirical:
     def test_pauli_series_monte_carlo(self):
         series = GaussianSeries(np.stack([[[1.0, 0], [0, -1.0]], [[0, 1.0], [1.0, 0]]]))
         cert = ou_certificate()
-        mc = gaussian_pass(series, cert, SampleSpec(n=20000, seed=99), lambda_grid=range(1, 9))
+        mc = gaussian_pass(series, energy_report(series), cert, SampleSpec(n=20000, seed=99),
+                           lambda_grid=range(1, 9))
         rs = check_tail_empirical(series, mc, cert, range(1, 9))
         assert all(r.passed for r in rs)
         assert rs[0].context["v_f"] == pytest.approx(2.0)
@@ -381,14 +382,17 @@ class TestTailEmpirical:
     def test_sample_floor_enforced(self):
         series = GaussianSeries(np.ones((1, 1, 1)))
         with pytest.raises(DomainError, match="10\\^4"):
-            gaussian_pass(series, ou_certificate(), SampleSpec(n=100, seed=1), lambda_grid=[1.0])
+            gaussian_pass(series, energy_report(series), ou_certificate(), SampleSpec(n=100, seed=1),
+                          lambda_grid=[1.0])
 
     def test_estimated_proxy_refused_without_certificate(self):
         chaos = GaussianChaos(np.ones((1, 1, 1, 1)))
         cert, spec = ou_certificate(), SampleSpec(n=10 ** 4, seed=1)
+        rep = energy_report(chaos, spec=spec)
+        # the report's probed v_f is an estimate, never a tail threshold
         with pytest.raises(DomainError, match="certified"):
-            gaussian_pass(chaos, cert, spec, lambda_grid=[1.0])
-        mc = gaussian_pass(chaos, cert, spec, lambda_grid=[6.0, 8.0], v_f_override=50.0)
+            gaussian_pass(chaos, rep, cert, spec, lambda_grid=[1.0])
+        mc = gaussian_pass(chaos, rep, cert, spec, lambda_grid=[6.0, 8.0], v_f_override=50.0)
         rs = check_tail_empirical(chaos, mc, cert, [6.0, 8.0])
         assert all(r.verdict in ("PASS", "INCONCLUSIVE") for r in rs)
         assert rs[0].context["v_f_mode"] == "USER_CERTIFIED"
@@ -444,7 +448,8 @@ class TestCheckPolyMoment:
     def test_series_monte_carlo_with_exact_gamma(self):
         series = GaussianSeries(np.array([[[1.3]]]))
         cert = ou_certificate()
-        mc = gaussian_pass(series, cert, SampleSpec(n=50000, seed=21), poly_q=[1, 2])
+        mc = gaussian_pass(series, energy_report(series), cert, SampleSpec(n=50000, seed=21),
+                           poly_q=[1, 2])
         rs = check_poly_moment(series, mc, cert, [1, 2])
         for r in rs:
             assert r.verdict in ("PASS",)
@@ -453,7 +458,8 @@ class TestCheckPolyMoment:
     def test_chaos_monte_carlo(self):
         chaos = GaussianChaos(np.ones((1, 1, 1, 1)))
         cert = ou_certificate()
-        mc = gaussian_pass(chaos, cert, SampleSpec(n=50000, seed=23), poly_q=[1, 2])
+        spec = SampleSpec(n=50000, seed=23)
+        mc = gaussian_pass(chaos, energy_report(chaos, spec=spec), cert, spec, poly_q=[1, 2])
         rs = check_poly_moment(chaos, mc, cert, [1, 2])
         for r in rs:
             assert r.verdict in ("PASS", "INCONCLUSIVE")
@@ -556,7 +562,9 @@ class TestChaosBounds:
         coef = np.zeros((2, 2, 1, 1))
         coef[0, 0, 0, 0] = coef[1, 1, 0, 0] = 1.0
         chaos = GaussianChaos(coef)
-        mc = gaussian_pass(chaos, ou_certificate(), SampleSpec(n=20000, seed=31), chaos_q=[2])
+        spec = SampleSpec(n=20000, seed=31)
+        mc = gaussian_pass(chaos, energy_report(chaos, spec=spec), ou_certificate(), spec,
+                           chaos_q=[2])
         rs = check_chaos_scalar(chaos, mc, [2])
         # f = X1^2 + X2^2 ~ chi^2_2: (E f^4)^(1/4) = (2^4 4!)^(1/4) << 32
         assert rs[0].passed
@@ -564,10 +572,11 @@ class TestChaosBounds:
         assert rs[0].rhs == pytest.approx(32.0)
 
     def test_scalar_checker_needs_d1(self):
-        chaos = GaussianChaos(np.ones((1, 1, 2, 2)))
+        chaos, spec = GaussianChaos(np.ones((1, 1, 2, 2))), SampleSpec(n=100, seed=1)
+        mc = gaussian_pass(chaos, energy_report(chaos, spec=spec), ou_certificate(), spec,
+                           chaos_q=[1])
         with pytest.raises(DomainError):
-            check_chaos_scalar(chaos, gaussian_pass(chaos, ou_certificate(),
-                                                    SampleSpec(n=100, seed=1), chaos_q=[1]), [1])
+            check_chaos_scalar(chaos, mc, [1])
 
     def test_scaled_gamma_moments_match_scaled_gamma(self):
         rng = np.random.default_rng(163)
@@ -602,8 +611,9 @@ class TestChaosBounds:
         # the centred f-pass and the scale-1 Gamma pass, each made alone
         (f_ests,) = estimate_trace_moment(chaos.as_field(), qs, spec, centers=[chaos.mean()])
         (gam_ests,) = chaos_gamma_moments(chaos, qs, spec)
+        rep = energy_report(chaos, spec=spec)
         monkeypatch.setattr(montecarlo, "estimate_statistic", counted)
-        mc = gaussian_pass(chaos, cert, spec, poly_q=qs)
+        mc = gaussian_pass(chaos, rep, cert, spec, poly_q=qs)
         assert [mc.poly[q] for q in qs] == list(zip(f_ests, gam_ests))
         assert len(check_poly_moment(chaos, mc, cert, qs)) == 4
         # one pass for f, one for Gamma on its own stream
@@ -612,7 +622,9 @@ class TestChaosBounds:
     def test_matrix_one_step(self):
         rng = np.random.default_rng(151)
         chaos = GaussianChaos(rng.standard_normal((2, 2, 2, 2)))
-        mc = gaussian_pass(chaos, ou_certificate(), SampleSpec(n=30000, seed=33), chaos_q=[1, 2])
+        spec = SampleSpec(n=30000, seed=33)
+        mc = gaussian_pass(chaos, energy_report(chaos, spec=spec), ou_certificate(), spec,
+                           chaos_q=[1, 2])
         rs = check_chaos_matrix(chaos, mc, [1, 2])
         for r in rs:
             assert r.verdict in ("PASS", "INCONCLUSIVE")
@@ -627,7 +639,8 @@ class TestGaussianPass:
 
     def test_checkers_make_no_draw(self, monkeypatch):
         chaos, cert, qs, lams = self.psd_chaos(), ou_certificate(), [1, 1.5, 2], [1.0, 4.0]
-        mc = gaussian_pass(chaos, cert, SampleSpec(n=10 ** 4, seed=3), lambda_grid=lams,
+        spec = SampleSpec(n=10 ** 4, seed=3)
+        mc = gaussian_pass(chaos, energy_report(chaos, spec=spec), cert, spec, lambda_grid=lams,
                            v_f_override=50.0, poly_q=qs, chaos_q=qs)
 
         def refuse(*args, **kwargs):
@@ -642,8 +655,8 @@ class TestGaussianPass:
         assert all(r.verdict in ("PASS", "INCONCLUSIVE") for r in rs)
 
     def test_missing_order_or_level_refused(self):
-        chaos, cert = self.psd_chaos(), ou_certificate()
-        mc = gaussian_pass(chaos, cert, SampleSpec(n=10 ** 4, seed=3), lambda_grid=[1.0],
+        chaos, cert, spec = self.psd_chaos(), ou_certificate(), SampleSpec(n=10 ** 4, seed=3)
+        mc = gaussian_pass(chaos, energy_report(chaos, spec=spec), cert, spec, lambda_grid=[1.0],
                            v_f_override=50.0, poly_q=[1, 2])
         with pytest.raises(DomainError, match="no tail estimate at \\[2.0\\]"):
             check_tail_empirical(chaos, mc, cert, [1.0, 2.0])
@@ -657,17 +670,20 @@ class TestGaussianPass:
 
     def test_chain_model_refused(self, two_state):
         with pytest.raises(DomainError, match="unsupported model type"):
-            gaussian_pass(two_state, ou_certificate(), SampleSpec(n=100, seed=1), poly_q=[1])
+            gaussian_pass(two_state, indicator(two_state), ou_certificate(),
+                          SampleSpec(n=100, seed=1), poly_q=[1])
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_bad_v_f_override_refused_before_any_draw(self, monkeypatch, bad):
         def refuse(*args, **kwargs):
             raise AssertionError("a sample was drawn")
 
+        chaos, spec = self.psd_chaos(), SampleSpec(n=10 ** 4, seed=3)
+        rep = energy_report(chaos, spec=spec)
         monkeypatch.setattr(montecarlo, "estimate_statistic", refuse)
         with pytest.raises(DomainError, match="v_f_override"):
-            gaussian_pass(self.psd_chaos(), ou_certificate(), SampleSpec(n=10 ** 4, seed=3),
-                          lambda_grid=[1.0], v_f_override=bad)
+            gaussian_pass(chaos, rep, ou_certificate(), spec, lambda_grid=[1.0],
+                          v_f_override=bad)
 
     def test_small_blocks_take_the_closed_form(self, monkeypatch):
         # every A_ii is a multiple of one rotated diag(1, 2, 4) and A_ij = 0
@@ -681,6 +697,8 @@ class TestGaussianPass:
         chaos = GaussianChaos(coef)
         raw = rng.standard_normal((5, 8, 8))
         series = GaussianSeries(0.5 * (raw + raw.transpose(0, 2, 1)))
+        chaos_spec, series_spec = SampleSpec(n=10 ** 4, seed=41), SampleSpec(n=1000, seed=41)
+        chaos_rep, series_rep = energy_report(chaos, spec=chaos_spec), energy_report(series)
         calls = []
         real = np.linalg.eigvalsh
 
@@ -690,10 +708,10 @@ class TestGaussianPass:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         cert, qs = ou_certificate(), [1, 1.5, 2]
-        gaussian_pass(chaos, cert, SampleSpec(n=10 ** 4, seed=41), poly_q=qs, chaos_q=qs)
+        gaussian_pass(chaos, chaos_rep, cert, chaos_spec, poly_q=qs, chaos_q=qs)
         assert calls == []
         # an 8 x 8 series stays on LAPACK: one call per block
-        gaussian_pass(series, cert, SampleSpec(n=1000, seed=41), poly_q=qs)
+        gaussian_pass(series, series_rep, cert, series_spec, poly_q=qs)
         assert calls == [(1000, 8, 8)]
 
 
@@ -705,8 +723,8 @@ class TestOrthogonalInvariance:
     @staticmethod
     def rows(model):
         cert, qs, lams = ou_certificate(), [1, 1.5, 2, 3], [0.5, 1.0, 2.0]
-        chaos = isinstance(model, GaussianChaos)
-        mc = gaussian_pass(model, cert, SampleSpec(n=10 ** 4, seed=43), lambda_grid=lams,
+        chaos, spec = isinstance(model, GaussianChaos), SampleSpec(n=10 ** 4, seed=43)
+        mc = gaussian_pass(model, energy_report(model, spec=spec), cert, spec, lambda_grid=lams,
                            v_f_override=4.0 if chaos else None, poly_q=qs,
                            chaos_q=qs if chaos else None)
         rows = check_tail_empirical(model, mc, cert, lams) + check_poly_moment(model, mc, cert, qs)
@@ -803,6 +821,51 @@ class TestSharedSpectra:
         assert len(stacks) == 2
         np.testing.assert_array_equal(stacks[0], f.values - rep.mean)
         np.testing.assert_array_equal(stacks[1], rep.gamma)
+
+    @pytest.mark.parametrize("fixture, suites", [
+        ("pauli-series", ["tail", "poly-moment"]),
+        ("psd-chaos", ["poly-moment", "chaos"]),
+    ])
+    def test_one_energy_report_per_gaussian_run(self, monkeypatch, fixture, suites):
+        # one report, which forms sum_i A_i^2 (series) or sum_ij A_ij^2
+        # (chaos) once for its Dirichlet form, variance and Gamma
+        built, squares = [], []
+        real_report, real_einsum = energy.energy_report, np.einsum
+
+        def report(*args, **kwargs):
+            built.append(args[0])
+            return real_report(*args, **kwargs)
+
+        def einsum(subscripts, *operands, **kwargs):
+            if subscripts in ("kij,kjl->il", "ijkl,ijlm->km"):
+                squares.append(subscripts)
+            return real_einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(energy, "energy_report", report)
+        monkeypatch.setattr(cli, "energy_report", report)
+        monkeypatch.setattr(np, "einsum", einsum)
+        run_experiment({"seed": 5, "samples": {"n": 10 ** 4}, "model": {"fixture": fixture},
+                        "suites": suites})
+        assert len(built) == 1 and len(squares) == 1
+
+    def test_series_pass_reads_its_report(self, monkeypatch):
+        # v_f and the exact Gamma moments come from the report: the
+        # poly-moment checker diagonalises nothing
+        rng = np.random.default_rng(193)
+        raw = rng.standard_normal((4, 3, 3))
+        series = GaussianSeries(0.5 * (raw + raw.transpose(0, 2, 1)))
+        rep, cert = energy_report(series), ou_certificate()
+        mc = gaussian_pass(series, rep, cert, SampleSpec(n=10 ** 4, seed=47), lambda_grid=[1.0],
+                           poly_q=[1, 2])
+        assert mc.v_f == rep.v_f and mc.v_f_mode == rep.mode == "EXACT"
+        assert mc.poly[1.0][1] == pytest.approx(np.trace(rep.dirichlet), rel=1e-13)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checker diagonalised a matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rs = check_poly_moment(series, mc, cert, [1, 2])
+        assert [r.context["gamma_moment_exact"] for r in rs] == [True, True]
 
 
 class TestVerdictMechanics:

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import tplab
-from tplab import (FiniteChain, GaussianChaos, GaussianPass, GaussianSeries, SampleSpec, energy,
-                   estimate_trace_moment, montecarlo)
+from tplab import (FiniteChain, GaussianChaos, GaussianPass, GaussianSeries, SampleSpec,
+                   SmoothField, energy, estimate_trace_moment, montecarlo)
 from tplab.bounds import (GAMMA_STREAM, chaos_gamma_moments, check_chaos_matrix,
                           check_chaos_scalar)
 from tplab.cli import CHAIN_ONLY, build_model, default_config, main, run_experiment
@@ -614,7 +614,8 @@ class TestExitCodes:
     def test_overflowing_gaussian_model_exits_2(self, tmp_path, capsys):
         # finite coefficients whose Gamma overflows: the Gamma stream's
         # eigensolver raised a bare LinAlgError, exit 1, after a numpy
-        # overflow warning; warnings are errors here, so none may print
+        # overflow warning; warnings are errors here, so none may print.
+        # The model's energy report refuses it before any Monte Carlo pass
         cfg = {"seed": 1, "samples": {"n": 2000}, "suites": ["poly-moment"],
                "model": {"gaussian_chaos": {"coefficients": np.full((2, 2, 3, 3),
                                                                     1e160).tolist()}}}
@@ -624,8 +625,24 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("NumericError: Monte Carlo: no estimate") and "finite" in err
+        assert err.startswith("NumericError: energy report: no verdict, "
+                              "the Gamma table is not finite")
         assert not (tmp_path / "report.csv").exists()
+
+    def test_overflowing_block_refused_by_the_monte_carlo_pass(self):
+        # the same chaos: its values (about 1e161) stay finite, but its
+        # Gamma (about 1e322) overflows in every block of the Gamma stream
+        chaos = GaussianChaos(np.full((2, 2, 3, 3), 1e160))
+        gamma = SmoothField(ambient_dim=2, dim=3,
+                            batch=lambda xs: energy.chaos_gamma_batch(chaos, xs))
+        spec = SampleSpec(n=2000, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tplab.NumericError, match="Monte Carlo: no estimate, the values "
+                                                         "of the field at the samples of block 0"):
+                estimate_trace_moment(gamma, [1.0], spec)
+            with pytest.raises(tplab.NumericError, match="Monte Carlo: no estimate"):
+                chaos_gamma_moments(chaos, [1.0], spec)
 
     @pytest.mark.parametrize("change, label", [
         # bare KeyErrors, exit 1
@@ -644,6 +661,10 @@ class TestExitCodes:
          "model.product.n: "),
         # a d = 0 field used to run and PASS trace-poincare
         ({"fields": [{"type": "random", "dim": 0}]}, "fields[0]: "),
+        # an AttributeError, or without --out a TypeError from Path: exit 1
+        ({"output": []}, "output: "),
+        ({"output": "x"}, "output: "),
+        ({"output": {"dir": 5}}, "output.dir: "),
     ])
     def test_malformed_descriptor_exits_2(self, tmp_path, capsys, change, label):
         cfg = {"seed": 1, **TWO_STATE, "suites": ["poincare", "chain-rule"],
@@ -675,6 +696,17 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(label)
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_sample_count_flag_on_malformed_section_exits_2(self, tmp_path, capsys):
+        # --samples wrote into the list: a bare TypeError, exit 1
+        cfg = {"seed": 1, "model": {"fixture": "pauli-series"}, "samples": [1],
+               "suites": ["poly-moment"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["run", "--config", str(path), "--samples", "100", "--out", str(tmp_path)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("ConfigError: samples: ")
         assert not (tmp_path / "report.csv").exists()
 
     def test_integral_float_sample_count_accepted(self):

@@ -22,13 +22,12 @@ from tplab import (
     column_energies,
     complete_refresh_chain,
     constant_field,
-    dirichlet_form,
     energy_report,
-    matrix_variance,
+    gaussian_pass,
     op_norm,
+    ou_certificate,
     poincare_constant,
     product_chain,
-    variance_proxy,
 )
 from tplab import energy
 from tplab.energy import _check_psd, chaos_gamma_batch
@@ -36,6 +35,13 @@ from tplab.models import FiniteChain
 from tplab.montecarlo import draw_standard_normal
 
 from conftest import dense_product_generator, random_field, random_reversible_chain
+
+
+def chaos_report(chaos):
+    """The energy report of a chaos, whose Dirichlet form and variance are
+    exact whatever the probe seed."""
+    return energy_report(chaos, spec=SampleSpec(n=8, seed=1))
+
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -296,7 +302,7 @@ class TestDirichletForm:
 
     def test_series_exact(self):
         series = GaussianSeries(np.stack([PAULI_Z, PAULI_X]))
-        np.testing.assert_allclose(dirichlet_form(series), 2.0 * np.eye(2))
+        np.testing.assert_allclose(energy_report(series).dirichlet, 2.0 * np.eye(2))
 
     def test_equals_mu_average_of_gamma(self, k4, cycle4):
         rng = np.random.default_rng(61)
@@ -315,7 +321,7 @@ class TestDirichletForm:
         chaos = GaussianChaos(rng.standard_normal((2, 2, 2, 2)))
         a = chaos.coefficients
         oracle = 4.0 * sum(a[i, j] @ a[i, j] for i in range(2) for j in range(2))
-        assert relative_gap(dirichlet_form(chaos), oracle) <= 1e-14
+        assert relative_gap(chaos_report(chaos).dirichlet, oracle) <= 1e-14
 
 
 class TestChaosEnergies:
@@ -329,15 +335,17 @@ class TestChaosEnergies:
         second = gauss_hermite_mean(lambda xs: field.eval_batch(xs) @ field.eval_batch(xs), n)
         energy = gauss_hermite_mean(lambda xs: central_gamma(field, xs), n)
         assert relative_gap(chaos.mean(), mean) <= 1e-12
-        assert relative_gap(matrix_variance(chaos), second - mean @ mean) <= 1e-12
-        assert relative_gap(dirichlet_form(chaos), energy) <= 1e-12
+        rep = chaos_report(chaos)
+        assert relative_gap(rep.variance, second - mean @ mean) <= 1e-12
+        assert relative_gap(rep.dirichlet, energy) <= 1e-12
 
     def test_variance_is_half_the_energy(self):
         # on the second chaos Var f = E Gamma(f) / 2, bit for bit
         rng = np.random.default_rng(89)
         for n, d in ((1, 1), (4, 2), (8, 3)):
             chaos = GaussianChaos(rng.standard_normal((n, n, d, d)))
-            np.testing.assert_array_equal(matrix_variance(chaos), 0.5 * dirichlet_form(chaos))
+            rep = chaos_report(chaos)
+            np.testing.assert_array_equal(rep.variance, 0.5 * rep.dirichlet)
 
 
 class TestMatrixVariance:
@@ -353,7 +361,7 @@ class TestMatrixVariance:
         a = np.array([0.7, -1.2, 0.4])
         series = GaussianSeries(a[:, None, None])
         # var of sum a_i X_i is sum a_i^2
-        assert matrix_variance(series)[0, 0] == pytest.approx(np.sum(a ** 2))
+        assert energy_report(series).variance[0, 0] == pytest.approx(np.sum(a ** 2))
 
     def test_psd_on_random_fields(self, k4):
         rng = np.random.default_rng(71)
@@ -375,19 +383,17 @@ class TestVarianceProxy:
 
     def test_series_norm(self):
         series = GaussianSeries(np.stack([PAULI_Z, PAULI_X]))
-        v, mode = variance_proxy(series)
-        assert v == pytest.approx(2.0) and mode == "EXACT"
+        rep = energy_report(series)
+        assert rep.v_f == pytest.approx(2.0) and rep.mode == "EXACT"
 
     def test_general_smooth_needs_grid(self):
+        # a chaos's v_f is only probed: no tail threshold is read from it
         chaos = GaussianChaos(np.ones((1, 1, 1, 1)))
+        spec = SampleSpec(n=10 ** 4, seed=1)
+        rep = energy_report(chaos, spec=spec)
+        assert rep.mode == "ESTIMATED"
         with pytest.raises(DomainError, match="unbounded"):
-            variance_proxy(chaos)
-
-    def test_finite_chains_read_the_energy_report(self, two_state):
-        # the Gaussian energies take no field; a chain's come with its report
-        for fn in (dirichlet_form, matrix_variance, variance_proxy):
-            with pytest.raises(DomainError, match="FiniteChain"):
-                fn(two_state)
+            gaussian_pass(chaos, rep, ou_certificate(), spec, lambda_grid=[1.0])
 
 
 class TestBivariateSymmetrized:
@@ -494,13 +500,13 @@ class TestEnergyReport:
             with pytest.raises(NumericError, match="the Gamma table is not finite"):
                 energy_report(chaos, spec=SampleSpec(n=2000, seed=1))
 
-    def test_overflowing_variance_refused(self, two_state):
-        # a constant 1e200 field has Gamma = 0, but E f^2 - (E f)^2 is
-        # inf - inf: the report carried a NaN variance
+    def test_huge_constant_field_has_zero_variance(self, two_state):
+        # a constant 1e200 field has Gamma = 0, and E_mu[(f - E_mu f)^2] = 0;
+        # E f^2 - (E f)^2 would be inf - inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericError, match="the variance is not finite"):
-                energy_report(two_state, constant_field(2, 1e200 * np.eye(2)))
+            rep = energy_report(two_state, constant_field(2, 1e200 * np.eye(2)))
+        assert not rep.variance.any() and not rep.dirichlet.any()
 
     def test_report_carries_both_spectra(self, k4):
         rng = np.random.default_rng(83)
