@@ -49,7 +49,8 @@ ESTIMATED = "ESTIMATED"
 _PSD_TOL = 1e-10
 
 
-def carre_table(chain: FiniteChain, f: FiniteField) -> np.ndarray:
+def carre_table(chain: FiniteChain, f: FiniteField,
+                centred: np.ndarray | None = None) -> np.ndarray:
     """Squared derivative at every state: (n_states, d, d), each PSD.
 
     Evaluates (1/2) [L(c^2) - c (Lc) - (Lc) c + r c^2] with r = L 1, which
@@ -60,15 +61,11 @@ def carre_table(chain: FiniteChain, f: FiniteField) -> np.ndarray:
     O(n m k d^2 + n d^3) on a k-factor chain with an (m, m) factor, and
     O(n^2 d^2 + n d^3) on a plain one.  A table that is not finite (the
     squared fluctuations overflow) raises NumericError, since no bound read
-    from it would mean anything.
+    from it would mean anything.  ``centred`` is f - E_mu f when the caller
+    already holds it (``energy_report`` does), so f is centred once.
     """
-    v = f.values
     n = chain.n_states
-    if v.shape[0] != n:
-        raise DimensionError(
-            f"field has {v.shape[0]} states but chain has {n}"
-        )
-    c = v - np.einsum("z,zij->ij", chain.stationary, v)
+    c = _centre(chain, f)[1] if centred is None else centred
     sq = c @ c
     lc = chain.apply(c.reshape(n, -1)).reshape(c.shape)
     lsq = chain.apply(sq.reshape(n, -1)).reshape(c.shape)
@@ -78,6 +75,18 @@ def carre_table(chain: FiniteChain, f: FiniteField) -> np.ndarray:
         raise NumericError("carre-du-champ: no verdict, the Gamma table is not finite; "
                            "the squared fluctuations of the field overflow")
     return out
+
+
+def _centre(chain: FiniteChain, f: FiniteField) -> tuple[np.ndarray, np.ndarray]:
+    """(E_mu f, f - E_mu f) as arrays; DimensionError when f and the chain
+    differ in their number of states."""
+    v = f.values
+    if v.shape[0] != chain.n_states:
+        raise DimensionError(
+            f"field has {v.shape[0]} states but chain has {chain.n_states}"
+        )
+    mean = np.einsum("z,zij->ij", chain.stationary, v)
+    return mean, v - mean
 
 
 def column_energies(chain: FiniteChain, cols) -> tuple[np.ndarray, np.ndarray]:
@@ -194,10 +203,15 @@ class EnergyReport:
     f_eigs: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
+        """The report's JSON document.  Gamma, the Dirichlet form and the
+        variance are the report's own float64 arrays, not lists:
+        ``reports.rows_to_json`` writes them as their ``tolist()`` would be
+        written, rendering each distinct value once, and a run that writes
+        no JSON never converts them."""
         out = {
-            "gamma": self.gamma.tolist(),
-            "dirichlet": self.dirichlet.tolist(),
-            "variance": self.variance.tolist(),
+            "gamma": self.gamma,
+            "dirichlet": self.dirichlet,
+            "variance": self.variance,
             "v_f": self.v_f,
             "mode": self.mode,
         }
@@ -233,10 +247,9 @@ def energy_report(model, f=None, spec: SampleSpec | None = None) -> EnergyReport
     # an overflow is refused below, so it need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(model, FiniteChain):
-            gam = carre_table(model, f)
+            mean, c = _centre(model, f)
+            gam = carre_table(model, f, c)
             mu = model.stationary
-            mean = np.einsum("z,zij->ij", mu, f.values)
-            c = f.values - mean
             var = np.einsum("z,zij->ij", mu, c @ c)
             dirichlet, variance = np.einsum("z,zij->ij", mu, gam), 0.5 * (var + var.T)
             chain_only = {"field": f, "mean": mean, "f_eigs": np.linalg.eigvalsh(c)}

@@ -206,9 +206,11 @@ def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
     _, t, axis = next(c for c in ratios if c[0] >= sup * (1.0 - _PROBE_SLACK))
     d = dims[t % len(dims)]
     vals, u = _probe_field(seed, t, n, d)
-    argmax = {"trial": t, "kind": "matrix", "d": d, "field": vals.tolist()}
-    if axis is not None:  # <u, f(z) e_axis>
-        argmax.update(kind="compression", axis=axis, field=(vals[:, :, axis] @ u).tolist())
+    if axis is None:
+        argmax = {"trial": t, "kind": "matrix", "d": d, "field": vals.tolist()}
+    else:  # <u, f(z) e_axis>
+        argmax = {"trial": t, "kind": "compression", "d": d,
+                  "field": (vals[:, :, axis] @ u).tolist(), "axis": axis}
     return ProbeReport(sup_ratio=sup, alpha=cert.alpha, trials=trials, dims=dims,
                        seed=seed, passed=bool(sup <= cert.alpha * (1.0 + _PROBE_SLACK)),
                        maximizer=argmax)

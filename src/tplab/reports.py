@@ -10,13 +10,14 @@ margin is NaN (say inf against inf after an overflow) has no verdict and
 raises NumericError: a FAIL must be a counterexample, never a NaN.
 
 report.json is byte-identical to ``json.dumps(doc, sort_keys=True,
-indent=2)`` plus a newline, and reruns of one config and seed give
-byte-identical JSON as well as CSV.  ``rows_to_json`` writes that text
-directly: json's C encoder runs only without an indent, and its pure-Python
-path renders every float of a Gamma table through generators.  The direct
-writer renders a regular nested list of floats (Gamma, the Dirichlet form,
-the variance) in bulk: one skeleton of its brackets and indentation, filled
-from one ``float.__repr__`` map over its leaves.
+indent=2)`` plus a newline, where doc has every numpy array replaced by its
+``tolist()``, and reruns of one config and seed give byte-identical JSON as
+well as CSV.  ``rows_to_json`` writes that text directly: json's C encoder
+runs only without an indent, and its pure-Python path renders every float
+of a Gamma table through generators.  The energy tables (Gamma, the
+Dirichlet form, the variance) arrive as float64 arrays and are rendered
+without ``tolist``: one skeleton of the array's brackets and indentation,
+filled from one ``float.__repr__`` per distinct value.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+
+import numpy as np
 
 from .errors import NumericError
 
@@ -126,8 +128,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_CONTEXT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _context_json(context: dict) -> str:
-    return json.dumps(context, sort_keys=True, separators=(",", ":"))
+    return _CONTEXT_ENCODER.encode(context)
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -148,8 +153,9 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 def rows_to_json(rows: list[dict], energy_reports: list[dict] | None = None) -> str:
     """The text of json.dumps(doc, sort_keys=True, indent=2) plus a newline,
-    for doc = {"schema", "rows"[, "energy_reports"]}; TypeError for a value
-    json cannot serialize."""
+    for doc = {"schema", "rows"[, "energy_reports"]} with every numpy array
+    in it replaced by its ``tolist()``; TypeError for a value json cannot
+    serialize."""
     doc = {"schema": "tplab-report-v1", "rows": rows}
     if energy_reports is not None:
         doc["energy_reports"] = energy_reports
@@ -164,9 +170,7 @@ def rows_to_json(rows: list[dict], energy_reports: list[dict] | None = None) -> 
 _INDENT = "  "
 _quote = json.encoder.encode_basestring_ascii
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_SEQUENCES = {list, tuple}
-# deeper nests, and lists that contain themselves, take the generic path
-_TABLE_DEPTH = 32
+_FLOAT64 = np.dtype(np.float64)  # native byte order only
 
 
 def _float(x: float) -> str:
@@ -174,37 +178,24 @@ def _float(x: float) -> str:
     return _NONFINITE.get(text, text)
 
 
-def _float_table(value) -> tuple[list[int], list] | None:
-    """(shape, leaves in row-major order) of a nested list of floats whose
-    every level has one length, or None for any other list."""
-    shape, level = [], [value]
-    while len(shape) < _TABLE_DEPTH:
-        sizes = set(map(len, level))
-        if len(sizes) != 1 or 0 in sizes:
-            return None
-        shape.append(sizes.pop())
-        level = list(chain.from_iterable(level))
-        kinds = set(map(type, level))
-        if kinds == {float}:
-            return shape, level
-        if not kinds <= _SEQUENCES:
-            return None
-    return None
-
-
-def _table_text(shape: list[int], leaves: list, depth: int) -> str:
-    """Build the table's skeleton innermost level first, one %s per leaf
-    (its whitespace and brackets hold no other %), then fill in all the
-    leaves at once."""
+def _array_text(a: np.ndarray, depth: int) -> str:
+    """The JSON text of ``a.tolist()`` for a non-empty float64 array of at
+    least one axis.  Its skeleton of brackets and indentation is built
+    innermost axis first, one %s per leaf (its whitespace and brackets hold
+    no other %).  The leaves are keyed by their bit patterns, so -0.0 and
+    0.0, and NaNs of different payloads, stay apart; each distinct value is
+    rendered once and the leaves are gathered from those renderings."""
     text = "%s"
-    for axis in reversed(range(len(shape))):
+    for axis in reversed(range(a.ndim)):
         inner = "\n" + _INDENT * (depth + axis + 1)
-        text = ("[" + inner + ("," + inner).join([text] * shape[axis])
+        text = ("[" + inner + ("," + inner).join([text] * a.shape[axis])
                 + "\n" + _INDENT * (depth + axis) + "]")
-    reprs = list(map(float.__repr__, leaves))
-    if not all(map(math.isfinite, leaves)):
+    bits, inverse = np.unique(a.reshape(-1).view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    reprs = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
         reprs = list(map(_NONFINITE.get, reprs, reprs))
-    return text % tuple(reprs)
+    return text % tuple(np.array(reprs, dtype=object)[inverse].tolist())
 
 
 def _key(key) -> str:
@@ -243,12 +234,13 @@ def _write(value, depth: int, out: list[str]) -> None:
     """Append to out the JSON text of value nested depth levels deep: the
     lines inside its brackets are indented depth + 1 levels.  Each item is
     followed by a comma, and the last comma is replaced by the closing
-    bracket."""
-    if isinstance(value, (list, tuple)) and value:
-        table = _float_table(value)
-        if table is not None:
-            out.append(_table_text(*table, depth))
+    bracket.  An array is written as its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        if type(value) is np.ndarray and value.dtype == _FLOAT64 and value.ndim and value.size:
+            out.append(_array_text(value, depth))
             return
+        value = value.tolist()
+    if isinstance(value, (list, tuple)) and value:
         inner = "\n" + _INDENT * (depth + 1)
         out.append("[")
         for item in value:

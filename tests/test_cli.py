@@ -12,7 +12,7 @@ import pytest
 
 import tplab
 from tplab import (FiniteChain, GaussianChaos, GaussianPass, GaussianSeries, SampleSpec,
-                   SmoothField, energy, estimate_trace_moment, montecarlo)
+                   SmoothField, energy, estimate_trace_moment, montecarlo, rows_to_json)
 from tplab.bounds import (GAMMA_STREAM, chaos_gamma_moments, check_chaos_matrix,
                           check_chaos_scalar)
 from tplab.cli import CHAIN_ONLY, build_model, default_config, main, run_experiment
@@ -26,6 +26,14 @@ def run_cli(args):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_same_run(got, want):
+    """Two run_experiment results agree: rows and counts by ==, energy
+    reports, which hold arrays, by their report.json text."""
+    (rows, energy, counts), (want_rows, want_energy, want_counts) = got, want
+    assert rows == want_rows and counts == want_counts
+    assert rows_to_json(rows, energy) == rows_to_json(want_rows, want_energy)
 
 
 class TestFixtures:
@@ -81,6 +89,31 @@ class TestRunDefault:
         assert doc["rows"] and doc["energy_reports"]
         assert {"gamma", "dirichlet", "variance", "v_f", "mode"} <= set(
             doc["energy_reports"][0]["report"])
+
+    def test_refresh_product_json_is_json_dumps_of_lists(self, tmp_path):
+        # energy tables reach the writer as arrays; the file must read as if
+        # they had been lists: indicator-1's Gamma repeats a few values, the
+        # d = 2 table its off-diagonal
+        rng = np.random.default_rng(5)
+        raw = rng.standard_normal((3 ** 5, 2, 2))
+        cfg = {"seed": 2,
+               "model": {"product": {"base": {"complete_refresh": {"stationary": [0.2, 0.3, 0.5]}},
+                                     "n": 5}},
+               "fields": [{"type": "fixture", "name": "indicator-1"},
+                          {"type": "table", "name": "d2",
+                           "values": (raw + raw.transpose(0, 2, 1)).tolist()}],
+               "suites": ["poincare", "exp-moment", "tail", "poly-moment"],
+               "params": {"probe": {"trials": 4, "dims": [1, 2]}}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path),
+                        "--format", "both"]) == 0
+        rows, energy, _ = run_experiment(cfg)
+        listed = [{**e, "report": {k: v.tolist() if isinstance(v, np.ndarray) else v
+                                   for k, v in e["report"].items()}} for e in energy]
+        doc = {"schema": "tplab-report-v1", "rows": rows, "energy_reports": listed}
+        assert (tmp_path / "report.json").read_text() == json.dumps(
+            doc, sort_keys=True, indent=2) + "\n"
 
     def test_suite_filter(self, tmp_path):
         run_cli(["run", "--out", str(tmp_path), "--suite", "poincare"])
@@ -139,9 +172,9 @@ class TestSharedEnergies:
         calls = []
         real = energy.carre_table
 
-        def counted(chain, f):
+        def counted(chain, f, *args):
             calls.append(f)
-            return real(chain, f)
+            return real(chain, f, *args)
 
         monkeypatch.setattr(energy, "carre_table", counted)
         cfg = default_config()
@@ -384,13 +417,13 @@ class TestParamLists:
         cfg = {"seed": 1, **TWO_STATE, "suites": ["poincare"]}
         as_int = run_experiment({**cfg, "params": {"probe": {"trials": 6, "dims": [1, 2]}}})
         as_float = run_experiment({**cfg, "params": {"probe": {"trials": 6.0, "dims": [1.0, 2]}}})
-        assert as_float == as_int
+        assert_same_run(as_float, as_int)
 
     def test_integral_float_intdim_order_accepted(self):
         cfg = {"seed": 1, **TWO_STATE, "suites": ["intdim"]}
         as_int = run_experiment({**cfg, "params": {"intdim_q": [1, 2]}})
         as_float = run_experiment({**cfg, "params": {"intdim_q": [1.0, 2e0]}})
-        assert as_float == as_int
+        assert_same_run(as_float, as_int)
 
 
 class TestModuleEntryPoints:
@@ -714,7 +747,7 @@ class TestExitCodes:
                "suites": ["poly-moment"], "params": {"q_list": [1]}}
         as_int = run_experiment({**cfg, "samples": {"n": 2000, "workers": 2}})
         as_float = run_experiment({**cfg, "samples": {"n": 2e3, "workers": 2.0}})
-        assert as_float == as_int
+        assert_same_run(as_float, as_int)
 
     def test_missing_file_exits_2(self):
         assert run_cli(["run", "--config", "/nonexistent/cfg.json"]) == 2

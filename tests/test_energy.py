@@ -477,6 +477,22 @@ class TestEnergyReport:
         assert set(doc) == {"gamma", "dirichlet", "variance", "v_f", "mode"}
         assert np.asarray(doc["gamma"]).shape == (4, 2, 2)
 
+    def test_json_dict_holds_the_report_arrays(self, k4):
+        # no tolist: the writer renders the arrays, and a csv-only run
+        # never converts them
+        rep = energy_report(k4, random_field(np.random.default_rng(3), 4, 2))
+        doc = rep.to_json_dict()
+        assert doc["gamma"] is rep.gamma
+        assert doc["dirichlet"] is rep.dirichlet and doc["variance"] is rep.variance
+
+    def test_report_centres_once_with_the_same_bits(self, k4):
+        # energy_report hands carre_table the field it already centred
+        f = random_field(np.random.default_rng(4), 4, 3)
+        f = FiniteField(f.values + 1e3)
+        rep = energy_report(k4, f)
+        np.testing.assert_array_equal(rep.gamma, carre_table(k4, f))
+        np.testing.assert_array_equal(rep.mean, np.einsum("z,zij->ij", k4.stationary, f.values))
+
     def test_estimated_mode_has_meta(self):
         # f = X^2: the energies are exact, Gamma(x) = 4 x^2 is probed
         chaos = GaussianChaos(np.ones((1, 1, 1, 1)))

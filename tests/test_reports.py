@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tplab import CheckReport, NumericError, rows_to_csv, rows_to_json
+from tplab import CheckReport, NumericError, reports, rows_to_csv, rows_to_json
 from tplab.cli import run_experiment
 from tplab.reports import slack_for
 
@@ -53,11 +53,11 @@ class TestSerialization:
         assert doc["energy_reports"]
 
 
-def _oracle(rows, energy_reports=None) -> str:
+def _oracle(rows, energy_reports=None, default=None) -> str:
     doc = {"schema": "tplab-report-v1", "rows": rows}
     if energy_reports is not None:
         doc["energy_reports"] = energy_reports
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=default) + "\n"
 
 
 _EDGE_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16]
@@ -138,7 +138,7 @@ class TestJsonWriter:
                           {"type": "table", "name": "d2",
                            "values": [[[1.0, 0.5], [0.5, -2.0]], [[0.0, 0.25], [0.25, 3.0]]]}]}
         rows, energy, _ = run_experiment(cfg)
-        expected = _oracle(rows, energy)
+        expected = _oracle(rows, energy, default=np.ndarray.tolist)
         dumps, iterencode = json.dumps, json.JSONEncoder.iterencode
 
         def guarded_dumps(obj, *args, **kwargs):
@@ -152,3 +152,82 @@ class TestJsonWriter:
         monkeypatch.setattr(json, "dumps", guarded_dumps)
         monkeypatch.setattr(json.JSONEncoder, "iterencode", guarded_iterencode)
         assert rows_to_json(rows, energy) == expected
+
+
+def _bits(pattern: int) -> float:
+    return float(np.array(pattern, dtype=np.uint64).view(np.float64))
+
+
+# a small pool makes repeated values common; -nan and a payload NaN have
+# other bit patterns than nan, and 5e-324 and 2.2e-308 are subnormal
+_ARRAY_FLOATS = st.sampled_from(_EDGE_FLOATS + [0.0, 1.0, -1.5, 2.2e-308, 0.1,
+                                                _bits(0xFFF8000000000000),
+                                                _bits(0x7FF8000000000001)]) | st.floats()
+
+
+@st.composite
+def _float64_arrays(draw):
+    """Float64 arrays of 1-3 axes, some of them non-contiguous views."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    pool = draw(st.lists(_ARRAY_FLOATS, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=2 * math.prod(shape), max_size=2 * math.prod(shape)))
+    base = np.array([pool[i] for i in picks]).reshape((2,) + shape)
+    view = draw(st.sampled_from(["contiguous", "strided", "transposed", "reversed"]))
+    if view == "strided":
+        return base.reshape(-1)[::2].reshape(shape)
+    if view == "transposed":
+        return base[1].T
+    if view == "reversed":
+        return base[0][..., ::-1]
+    return base[0]
+
+
+class TestArrayWriter:
+    """A float64 array is written as json.dumps writes its tolist()."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_float64_arrays())
+    def test_matches_json_dumps_of_tolist(self, a):
+        listed = a.tolist()
+        assert rows_to_json([a], [{"gamma": a, "v_f": 1.0}]) == _oracle(
+            [listed], [{"gamma": listed, "v_f": 1.0}])
+
+    def test_signed_zeros_and_nans_keep_their_text(self):
+        a = np.array([[0.0, -0.0], [-0.0, 0.0], [math.nan, _bits(0xFFF8000000000000)],
+                      [math.inf, -math.inf]])
+        assert rows_to_json([a]) == _oracle([a.tolist()])
+        assert "-0.0" in rows_to_json([a]) and "NaN" in rows_to_json([a])
+
+    def test_single_leaf(self):
+        for a in (np.array([2.5]), np.array([[[-0.0]]])):
+            assert rows_to_json([a]) == _oracle([a.tolist()])
+
+    @pytest.mark.parametrize("a", [
+        np.arange(6, dtype=np.float32).reshape(2, 3) / 3,
+        np.arange(6).reshape(3, 2),
+        np.array([[True, False], [False, False]]),
+        np.array(0.25),
+        np.array(1e300) * 10,
+        np.zeros((0, 2)),
+        np.zeros(0),
+        (np.arange(4) / 3).astype(">f8"),
+    ], ids=["float32", "int", "bool", "0-d", "0-d inf", "empty 2-d", "empty", "big-endian"])
+    def test_other_arrays_take_the_generic_path(self, a, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the float64 array path was taken")
+
+        monkeypatch.setattr(reports, "_array_text", refused)
+        assert rows_to_json([a], [{"t": a}]) == _oracle([a.tolist()], [{"t": a.tolist()}])
+
+    def test_float64_arrays_take_the_array_path(self, monkeypatch):
+        calls = []
+        real = reports._array_text
+
+        def counted(a, depth):
+            calls.append(a.shape)
+            return real(a, depth)
+
+        monkeypatch.setattr(reports, "_array_text", counted)
+        rows_to_json([np.ones((2, 3))], [{"gamma": np.ones((4, 2, 2)), "v": np.ones(1)}])
+        assert sorted(calls) == [(1,), (2, 3), (4, 2, 2)]
