@@ -382,7 +382,13 @@ def _checked_params(params) -> dict:
 
 
 def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
-    """Execute the configured suites; returns (rows, energy reports, counts)."""
+    """Execute the configured suites; returns (rows, energy reports, counts).
+
+    Each energy report is ``EnergyReport.to_json_dict()``: its "gamma",
+    "dirichlet" and "variance" are the report's own float64 arrays, not
+    lists, and share memory with it, so a caller must not modify them.
+    ``rows_to_json`` writes them; ``json.dumps`` needs
+    ``default=np.ndarray.tolist``."""
     validate_config(cfg)
     seed = int(cfg.get("seed", 0))
     samples = cfg.get("samples", {})

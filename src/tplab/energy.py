@@ -49,8 +49,7 @@ ESTIMATED = "ESTIMATED"
 _PSD_TOL = 1e-10
 
 
-def carre_table(chain: FiniteChain, f: FiniteField,
-                centred: np.ndarray | None = None) -> np.ndarray:
+def carre_table(chain: FiniteChain, f: FiniteField) -> np.ndarray:
     """Squared derivative at every state: (n_states, d, d), each PSD.
 
     Evaluates (1/2) [L(c^2) - c (Lc) - (Lc) c + r c^2] with r = L 1, which
@@ -61,11 +60,10 @@ def carre_table(chain: FiniteChain, f: FiniteField,
     O(n m k d^2 + n d^3) on a k-factor chain with an (m, m) factor, and
     O(n^2 d^2 + n d^3) on a plain one.  A table that is not finite (the
     squared fluctuations overflow) raises NumericError, since no bound read
-    from it would mean anything.  ``centred`` is f - E_mu f when the caller
-    already holds it (``energy_report`` does), so f is centred once.
+    from it would mean anything.
     """
     n = chain.n_states
-    c = _centre(chain, f)[1] if centred is None else centred
+    c = _centre(chain, f)[1]
     sq = c @ c
     lc = chain.apply(c.reshape(n, -1)).reshape(c.shape)
     lsq = chain.apply(sq.reshape(n, -1)).reshape(c.shape)
@@ -247,8 +245,8 @@ def energy_report(model, f=None, spec: SampleSpec | None = None) -> EnergyReport
     # an overflow is refused below, so it need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(model, FiniteChain):
+            gam = carre_table(model, f)
             mean, c = _centre(model, f)
-            gam = carre_table(model, f, c)
             mu = model.stationary
             var = np.einsum("z,zij->ij", mu, c @ c)
             dirichlet, variance = np.einsum("z,zij->ij", mu, gam), 0.5 * (var + var.T)

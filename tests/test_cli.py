@@ -172,9 +172,9 @@ class TestSharedEnergies:
         calls = []
         real = energy.carre_table
 
-        def counted(chain, f, *args):
+        def counted(chain, f):
             calls.append(f)
-            return real(chain, f, *args)
+            return real(chain, f)
 
         monkeypatch.setattr(energy, "carre_table", counted)
         cfg = default_config()

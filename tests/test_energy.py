@@ -485,8 +485,8 @@ class TestEnergyReport:
         assert doc["gamma"] is rep.gamma
         assert doc["dirichlet"] is rep.dirichlet and doc["variance"] is rep.variance
 
-    def test_report_centres_once_with_the_same_bits(self, k4):
-        # energy_report hands carre_table the field it already centred
+    def test_report_gamma_and_mean_have_the_table_bits(self, k4):
+        # the report's Gamma is carre_table's, and its mean is E_mu f, bit for bit
         f = random_field(np.random.default_rng(4), 4, 3)
         f = FiniteField(f.values + 1e3)
         rep = energy_report(k4, f)
