@@ -17,7 +17,13 @@ runs only without an indent, and its pure-Python path renders every float
 of a Gamma table through generators.  The energy tables (Gamma, the
 Dirichlet form, the variance) arrive as float64 arrays and are rendered
 without ``tolist``: one skeleton of the array's brackets and indentation,
-filled from one ``float.__repr__`` per distinct value.
+filled from one ``float.__repr__`` per distinct value.  Rows are rendered
+per shape, in both writers: the rows whose context is flat and whose keys
+and value types match share one ``%s`` skeleton (the indent-2 row text, or
+the whole CSV line), filled from one rendering per distinct value in the
+call.  report.csv keeps the bytes of ``csv.writer``: its top-level floats
+are ``repr`` (``nan``, ``inf``), its context floats JSON (``NaN``,
+``Infinity``).  Every other row takes the generic path.
 """
 
 from __future__ import annotations
@@ -131,37 +137,64 @@ def _fmt(value) -> str:
 _CONTEXT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _context_json(context: dict) -> str:
-    return _CONTEXT_ENCODER.encode(context)
+class _Lines(list):
+    """A file for csv.writer that keeps each row it writes as one item:
+    ``writerow`` makes one call to ``write`` per row."""
+
+    write = list.append
 
 
 def rows_to_csv(rows: list[dict]) -> str:
     """Deterministic CSV text for a list of report rows (byte-identical for
-    identical inputs: repr floats, sorted compact context JSON, LF endings)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    identical inputs: repr floats, sorted compact context JSON, LF endings).
+    A row on the bulk path is written as one line of its shape's skeleton;
+    any other row goes through csv.writer."""
+    out = _Lines()
+    writer = csv.writer(out, lineterminator="\n")
+
+    def cell(text: str) -> str:
+        # text as the writer writes it in a field that is not a row's only
+        # one; a second writer would allocate another 128 KiB record buffer
+        writer.writerow((text, ""))
+        return out.pop()[:-2]
+
+    lines = _bulk_texts(rows, cell)
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([
-            row["citation"], row["suite"], row["fixture"],
-            _fmt(row["lhs"]), _fmt(row["rhs"]), _fmt(row["margin"]),
-            row["verdict"], _fmt(row["tolerance"]),
-            _context_json(row["context"]),
-        ])
-    return buf.getvalue()
+    for row, line in zip(rows, lines):
+        if line is None:
+            writer.writerow([
+                row["citation"], row["suite"], row["fixture"],
+                _fmt(row["lhs"]), _fmt(row["rhs"]), _fmt(row["margin"]),
+                row["verdict"], _fmt(row["tolerance"]),
+                _CONTEXT_ENCODER.encode(row["context"]),
+            ])
+        else:
+            out.append(line)
+    return "".join(out)
 
 
 def rows_to_json(rows: list[dict], energy_reports: list[dict] | None = None) -> str:
     """The text of json.dumps(doc, sort_keys=True, indent=2) plus a newline,
     for doc = {"schema", "rows"[, "energy_reports"]} with every numpy array
     in it replaced by its ``tolist()``; TypeError for a value json cannot
-    serialize."""
-    doc = {"schema": "tplab-report-v1", "rows": rows}
+    serialize.  Rows on the bulk path are filled into their shape's
+    skeleton; the energy reports and every other row go through _write."""
+    out = ["{"]
     if energy_reports is not None:
-        doc["energy_reports"] = energy_reports
-    out = []
-    _write(doc, 0, out)
-    out.append("\n")
+        out.append('\n  "energy_reports": ')
+        _write(energy_reports, 1, out)
+        out.append(",")
+    out.append('\n  "rows": ')
+    out.append("[")
+    for row, text in zip(rows, _bulk_texts(rows)):
+        out.append("\n    ")
+        if text is None:
+            _write(row, 2, out)
+        else:
+            out.append(text)
+        out.append(",")
+    out[-1] = "\n  ]" if rows else "[]"
+    out.append(',\n  "schema": "tplab-report-v1"\n}\n')
     return "".join(out)
 
 
@@ -178,24 +211,167 @@ def _float(x: float) -> str:
     return _NONFINITE.get(text, text)
 
 
+def _float_texts(a: np.ndarray) -> tuple[list[str], list[str]]:
+    """The repr and the JSON text of each leaf of a float64 array, in C
+    order.  The leaves are keyed by their bit patterns, so -0.0 and 0.0, and
+    NaNs of different payloads, stay apart; each distinct value is rendered
+    once and the leaves are gathered from those renderings."""
+    bits, inverse = np.unique(a.reshape(-1).view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    reprs = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    leaves = reprs[inverse].tolist()
+    if np.isfinite(values).all():
+        return leaves, leaves
+    return leaves, np.array(list(map(_NONFINITE.get, reprs, reprs)), dtype=object)[inverse].tolist()
+
+
 def _array_text(a: np.ndarray, depth: int) -> str:
     """The JSON text of ``a.tolist()`` for a non-empty float64 array of at
-    least one axis.  Its skeleton of brackets and indentation is built
-    innermost axis first, one %s per leaf (its whitespace and brackets hold
-    no other %).  The leaves are keyed by their bit patterns, so -0.0 and
-    0.0, and NaNs of different payloads, stay apart; each distinct value is
-    rendered once and the leaves are gathered from those renderings."""
+    least one axis: its skeleton of brackets and indentation, built
+    innermost axis first with one %s per leaf (its whitespace and brackets
+    hold no other %), filled from ``_float_texts``."""
     text = "%s"
     for axis in reversed(range(a.ndim)):
         inner = "\n" + _INDENT * (depth + axis + 1)
         text = ("[" + inner + ("," + inner).join([text] * a.shape[axis])
                 + "\n" + _INDENT * (depth + axis) + "]")
-    bits, inverse = np.unique(a.reshape(-1).view(np.int64), return_inverse=True)
-    values = bits.view(np.float64)
-    reprs = list(map(float.__repr__, values.tolist()))
-    if not np.isfinite(values).all():
-        reprs = list(map(_NONFINITE.get, reprs, reprs))
-    return text % tuple(np.array(reprs, dtype=object)[inverse].tolist())
+    return text % tuple(_float_texts(a)[1])
+
+
+# A row on the bulk path: a dict of exactly the CSV_COLUMNS keys whose fields,
+# taken in json's key order with the context last, have the _TOP_TYPES, and
+# whose context is flat: str keys, and values of exactly the _CONTEXT_TYPES.
+# Its values are its fields, then the context's values in insertion order.
+_TOP_TYPES = (str, str, float, float, float, str, float, str, dict)
+_CONTEXT_TYPES = frozenset([str, float, int, bool, type(None)])
+_CSV_ORDER = (0, 5, 1, 2, 4, 3, 7, 6)  # CSV_COLUMNS but the context, as field indices
+_LITERALS = {True: "true", False: "false", None: "null"}
+# the JSON text of each context type but float
+_RENDER = {str: _quote, int: int.__repr__, bool: _LITERALS.__getitem__,
+           type(None): _LITERALS.__getitem__}
+
+
+def _shapes(rows) -> list[tuple]:
+    """The rows on the bulk path, grouped by shape: one (context keys in
+    insertion order, value types, row indices, value columns) per shape.
+    Rows are grouped by their context keys first; a group is split by the
+    rows' value types only where one of its columns mixes types."""
+    by_keys = {}
+    for i, row in enumerate(rows):
+        if type(row) is not dict or len(row) != len(CSV_COLUMNS):
+            continue
+        try:
+            fields = (row["citation"], row["fixture"], row["lhs"], row["margin"], row["rhs"],
+                      row["suite"], row["tolerance"], row["verdict"], row["context"])
+        except KeyError:
+            continue
+        if type(fields[-1]) is dict:
+            keys = tuple(fields[-1])
+            group = by_keys.get(keys)
+            if group is None:
+                group = by_keys[keys] = ([], [])
+            group[0].append(i)
+            group[1].append(fields)
+    shapes = []
+    for keys, (indices, fields) in by_keys.items():
+        top = list(zip(*fields))
+        columns = top + list(zip(*map(dict.values, top[-1])))
+        kinds = [set(map(type, column)) for column in columns]
+        if all(len(kind) == 1 for kind in kinds):
+            by_types = {tuple(kind.pop() for kind in kinds): (indices, columns)}
+        else:
+            split = {}
+            for i, values in zip(indices, zip(*columns)):
+                group = split.setdefault(tuple(map(type, values)), ([], []))
+                group[0].append(i)
+                group[1].append(values)
+            by_types = {types: (group_indices, list(zip(*group_values)))
+                        for types, (group_indices, group_values) in split.items()}
+        shapes += [(keys, types, group_indices, group_columns)
+                   for types, (group_indices, group_columns) in by_types.items()
+                   if types[:len(_TOP_TYPES)] == _TOP_TYPES
+                   and all(type(key) is str for key in keys)
+                   and _CONTEXT_TYPES.issuperset(types[len(_TOP_TYPES):])]
+    return shapes
+
+
+def _csv_json(text: str) -> str:
+    """A JSON string inside the quoted context cell of a CSV line."""
+    return _quote(text).replace('"', '""')
+
+
+def _distinct(render, memo: dict, column) -> list[str]:
+    """render(value) for each value of column, one call per distinct value
+    among all the columns that share memo."""
+    distinct = set(column)
+    for value in distinct.difference(memo):
+        memo[value] = render(value)
+    if len(distinct) == 1:
+        return [memo[column[0]]] * len(column)
+    return list(map(memo.__getitem__, column))
+
+
+def _skeleton(keys, csv_line: bool) -> str:
+    """One %s text for the rows of one shape, given its sorted context keys:
+    a whole CSV line, with the context's compact JSON already in its quoted
+    cell, or the row's JSON text two levels deep."""
+    if csv_line:
+        context = ('"{' + ",".join(_csv_json(key).replace("%", "%%") + ":%s" for key in keys)
+                   + '}"' if keys else "{}")
+        return "%s," * (len(CSV_COLUMNS) - 1) + context + "\n"
+    inner = "\n" + _INDENT * 4
+    context = ("{" + inner + ("," + inner).join(_quote(key).replace("%", "%%") + ": %s"
+                                                for key in keys)
+               + "\n" + _INDENT * 3 + "}" if keys else "{}")
+    inner = "\n" + _INDENT * 3
+    return ("{" + inner + ("," + inner).join(
+        _quote(key) + ": " + (context if key == "context" else "%s")
+        for key in sorted(CSV_COLUMNS)) + "\n" + _INDENT * 2 + "}")
+
+
+def _bulk_texts(rows, csv_cell=None) -> list[str | None]:
+    """Each row's text on the bulk path, and None for every other row.  A
+    shape is rendered as one skeleton, filled column by column: each
+    distinct float is rendered once over all the rows (``_float_texts``),
+    and each other distinct value once per rendering.  With csv_cell, the
+    rendering of a top-level string, each text is a CSV line, whose
+    top-level floats are written by repr; otherwise it is the row's JSON
+    text.  The context is compact JSON either way."""
+    csv_line = csv_cell is not None
+    texts = [None] * len(rows)
+    shapes = _shapes(rows)
+    pool = []
+    for _, types, _, columns in shapes:
+        for kind, column in zip(types, columns):
+            if kind is float:
+                pool += column
+    reprs, floats = _float_texts(np.array(pool, dtype=np.float64))
+    start, memos = 0, {}
+    for keys, types, indices, columns in shapes:
+        rendered = []
+        for j, (kind, column) in enumerate(zip(types, columns)):
+            top = j < len(_TOP_TYPES)
+            if kind is float:
+                rendered.append((reprs if csv_line and top else floats)[start:start + len(column)])
+                start += len(column)
+            elif kind is dict:  # the context, filled from its values
+                rendered.append(None)
+            else:
+                if kind is str and csv_line:
+                    render = csv_cell if top else _csv_json
+                else:
+                    render = _RENDER[kind]
+                rendered.append(_distinct(render, memos.setdefault(render, {}), column))
+        perm = sorted(range(len(keys)), key=keys.__getitem__)
+        context = [rendered[len(_TOP_TYPES) + p] for p in perm]
+        if csv_line:
+            slots = [rendered[j] for j in _CSV_ORDER] + context
+        else:
+            slots = rendered[:1] + context + rendered[1:len(_TOP_TYPES) - 1]
+        skeleton = _skeleton([keys[p] for p in perm], csv_line)
+        for i, text in zip(indices, map(skeleton.__mod__, zip(*slots))):
+            texts[i] = text
+    return texts
 
 
 def _key(key) -> str:

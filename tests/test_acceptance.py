@@ -82,7 +82,7 @@ def test_criterion_03_trace_poincare_sweep(two_state, k4, cycle4):
                 assert check_trace_poincare(chain, energy_report(chain, f), cert).passed
             probe = equivalence_probe(chain, trials=300, dims=[1, 2, 3, 4],
                                       seed=424242)
-            assert probe.passed
+            assert probe.to_check().verdict == "PASS"
             assert probe.sup_ratio <= cert.alpha * (1 + 1e-9)
 
 

@@ -115,7 +115,7 @@ class TestPoincareConstant:
             poincare_constant(chain)
 
     def test_user_certificate(self):
-        cert = user_certificate(0.25, "external")
+        cert = user_certificate(0.25)
         assert cert.method == "USER_SUPPLIED"
         assert cert.gap == pytest.approx(4.0)
 
@@ -202,18 +202,18 @@ class TestEquivalenceProbe:
 
     def test_two_state_probe_attains_alpha(self, two_state):
         report = equivalence_probe(two_state, trials=50, dims=[1, 2], seed=5)
-        assert report.passed
+        assert report.to_check().verdict == "PASS"
         assert report.sup_ratio == pytest.approx(0.5, abs=1e-12)
 
     def test_k4_sup_below_alpha(self, k4):
         report = equivalence_probe(k4, trials=400, dims=[1, 2, 3], seed=11)
-        assert report.passed
+        assert report.to_check().verdict == "PASS"
         assert report.sup_ratio <= 0.75 * (1 + 1e-9)
         assert report.maximizer is not None
 
     def test_zero_trials_vacuous(self, k4):
         report = equivalence_probe(k4, trials=0, dims=[1], seed=1)
-        assert report.sup_ratio is None and report.passed is None
+        assert report.sup_ratio is None
         assert report.to_check("k4").verdict == "SKIPPED"
 
     def test_caller_certificate_is_used(self, k4):
@@ -223,7 +223,7 @@ class TestEquivalenceProbe:
         assert shared == own
         tight = equivalence_probe(k4, trials=30, dims=[1, 2], seed=3,
                                   cert=user_certificate(0.5))
-        assert tight.alpha == 0.5 and tight.passed is False
+        assert tight.alpha == 0.5 and tight.to_check().verdict == "FAIL"
 
     def test_matches_per_trial_oracle(self, two_state, k4):
         # on a two-state chain and on K4 every field attains alpha, so the
@@ -242,6 +242,17 @@ class TestEquivalenceProbe:
                 assert report.maximizer == ties[0]
                 if chain.n_states > 2 and chain is not k4:
                     assert abs(report.sup_ratio - sup) <= 1e-13 * sup
+
+    def test_probe_field_signs_match_choice(self):
+        # the sign vector is drawn by indexing, from the same stream values
+        # as rng.choice([-1.0, 1.0], size=d)
+        for d in range(1, 5):
+            for t in range(8):
+                vals, u = poincare._probe_field(31, t, 5, d)
+                rng = normal_stream(31, t)
+                raw = rng.standard_normal((5, d, d))
+                assert np.array_equal(vals, 0.5 * (raw + raw.transpose(0, 2, 1)))
+                assert np.array_equal(u, rng.choice([-1.0, 1.0], size=d))
 
     def test_stacked_trials_match_one_trial_per_call(self, monkeypatch):
         chain = random_reversible_chain(np.random.default_rng(263), 27)

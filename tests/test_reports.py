@@ -1,5 +1,9 @@
+import csv
+import io
 import json
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,3 +235,162 @@ class TestArrayWriter:
         monkeypatch.setattr(reports, "_array_text", counted)
         rows_to_json([np.ones((2, 3))], [{"gamma": np.ones((4, 2, 2)), "v": np.ones(1)}])
         assert sorted(calls) == [(1,), (2, 3), (4, 2, 2)]
+
+
+def _csv_oracle(rows) -> str:
+    """The reference CSV writer: every row through csv.writer, the
+    top-level floats by repr, anything else by str, and the context as
+    compact sorted JSON."""
+    def fmt(value):
+        return repr(value) if isinstance(value, float) else str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(reports.CSV_COLUMNS)
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    for row in rows:
+        writer.writerow([row["citation"], row["suite"], row["fixture"],
+                         fmt(row["lhs"]), fmt(row["rhs"]), fmt(row["margin"]),
+                         row["verdict"], fmt(row["tolerance"]), encoder.encode(row["context"])])
+    return buf.getvalue()
+
+
+# strings a skeleton or a CSV cell could mishandle; a small pool makes
+# shapes, strings and floats repeat across rows
+_ROW_TEXTS = st.sampled_from(["", "PASS", "%s", "100%", 'say "hi"', "a,b", "two\nlines",
+                              "cr\rx", "é", "\u2028", "%%d,\"\n"]) | st.text(max_size=4)
+_ROW_FLOATS = st.sampled_from(_EDGE_FLOATS + [0.0, 0.5, 0.1]) | st.floats()
+_CONTEXT_VALUES = (_ROW_FLOATS | st.integers() | st.booleans() | st.none() | _ROW_TEXTS
+                   | _ROW_FLOATS.map(np.float64))
+# values that send a row to the generic path
+_NESTED = st.lists(_ROW_FLOATS, max_size=2) | st.dictionaries(_ROW_TEXTS, st.integers(),
+                                                               max_size=2)
+_ODD_TOP = st.sampled_from([None, 3, True, np.float64(0.25)])
+
+
+@st.composite
+def _report_rows(draw):
+    """Row-shaped dicts: most on the bulk path, some with an empty, nested
+    or int-keyed context, an odd top-level value, a missing column or an
+    extra one."""
+    keysets = draw(st.lists(st.lists(_ROW_TEXTS, max_size=4, unique=True),
+                            min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        context = {key: draw(_CONTEXT_VALUES) for key in draw(st.sampled_from(keysets))}
+        row = {key: draw(_ROW_TEXTS) for key in ("citation", "suite", "fixture", "verdict")}
+        row.update({key: draw(_ROW_FLOATS) for key in ("lhs", "rhs", "margin", "tolerance")})
+        row["context"] = context
+        variant = draw(st.sampled_from(["flat"] * 6 + ["nested", "int keys", "odd top",
+                                                       "missing", "extra"]))
+        if variant == "nested" and context:
+            context[next(iter(context))] = draw(_NESTED)
+        elif variant == "int keys":
+            row["context"] = {i: value for i, value in enumerate(context.values())}
+        elif variant == "odd top":
+            row[draw(st.sampled_from(reports.CSV_COLUMNS[:-1]))] = draw(_ODD_TOP)
+        elif variant == "missing":
+            del row[draw(st.sampled_from(reports.CSV_COLUMNS))]
+        elif variant == "extra":
+            row[draw(_ROW_TEXTS)] = draw(_CONTEXT_VALUES)
+        rows.append(row)
+    return rows
+
+
+class TestRowWriters:
+    """Rows of one shape are written from one skeleton, with the bytes of
+    json.dumps and of the csv.writer path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_report_rows())
+    def test_json_matches_json_dumps(self, rows):
+        assert rows_to_json(rows) == _oracle(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_report_rows())
+    def test_csv_matches_csv_writer(self, rows):
+        try:
+            expected = _csv_oracle(rows)
+        except KeyError:
+            with pytest.raises(KeyError):
+                rows_to_csv(rows)
+        else:
+            assert rows_to_csv(rows) == expected
+
+    def test_csv_floats_are_repr_at_top_and_json_in_context(self):
+        row = {"citation": "c", "suite": "s", "fixture": "f", "lhs": math.nan,
+               "rhs": math.inf, "margin": -math.inf, "verdict": "FAIL", "tolerance": -0.0,
+               "context": {"x": math.nan, "y": math.inf, "z": -math.inf}}
+        assert reports._bulk_texts([row], str) != [None]
+        assert rows_to_csv([row]).splitlines()[1] == (
+            'c,s,f,nan,inf,-inf,FAIL,-0.0,"{""x"":NaN,""y"":Infinity,""z"":-Infinity}"')
+        assert rows_to_csv([row]) == _csv_oracle([row])
+        assert rows_to_json([row]) == _oracle([row])
+
+    def test_one_key_holding_values_of_several_types(self):
+        # -0.0 and 0.0, 1 and True, 1.0 and np.float64(1.0) are equal keys
+        # of a dict but differ in text
+        base = {"citation": "c", "suite": "s", "fixture": "f", "lhs": 0.0, "rhs": 1.0,
+                "margin": 1.0, "verdict": "PASS", "tolerance": 0.0}
+        rows = [dict(base, lhs=lhs, context={"q": q, "z": z})
+                for lhs, q, z in ((0.0, 1, 0.0), (-0.0, True, -0.0), (0.0, 1.0, 0.0),
+                                  (-0.0, np.float64(1.0), 0.0), (0.0, None, -0.0))]
+        assert rows_to_json(rows) == _oracle(rows)
+        assert rows_to_csv(rows) == _csv_oracle(rows)
+        texts = reports._bulk_texts(rows, str)
+        assert [text is None for text in texts] == [False, False, False, True, False]
+
+    def test_rows_outside_the_bulk_path(self):
+        row = {"citation": "c", "suite": "s", "fixture": "f", "lhs": 1.0, "rhs": 2.0,
+               "margin": 1.0, "verdict": "PASS", "tolerance": 0.0, "context": {"a": 1}}
+        others = [dict(row, context={"dims": [1, 2]}), dict(row, context={1: 0.5}),
+                  dict(row, lhs=np.float64(1.0)), dict(row, context={"a": np.int64(1)}),
+                  dict(row, extra=0), {k: v for k, v in row.items() if k != "suite"}]
+        texts = reports._bulk_texts([row] + others)
+        assert texts[0] is not None and texts[1:] == [None] * len(others)
+
+
+def _load_workloads():
+    """perfbench/workloads.py, executed from its text so that nothing is
+    written beside it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tiny_runs():
+    workloads = _load_workloads()
+    return {(name, seed): run_experiment(workloads.build_config(name, seed, "tiny"))
+            for name in workloads.WORKLOADS for seed in (1, 2)}
+
+
+class TestRealRows:
+    """The rows of the benchmark's workloads, at tiny size."""
+
+    def test_writers_match_the_oracles(self, tiny_runs):
+        for (rows, energy, _) in tiny_runs.values():
+            assert rows_to_csv(rows) == _csv_oracle(rows)
+            assert rows_to_json(rows, energy) == _oracle(rows, energy,
+                                                         default=np.ndarray.tolist)
+
+    def test_write_runs_only_for_the_probe_row_and_energy_reports(self, tiny_runs, monkeypatch):
+        rows, energy, _ = tiny_runs[("chain-many-fields", 1)]
+        outermost, depth = [], [0]
+        real = reports._write
+
+        def traced(value, level, out):
+            if not depth[0]:
+                outermost.append(value)
+            depth[0] += 1
+            try:
+                real(value, level, out)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(reports, "_write", traced)
+        rows_to_json(rows, energy)
+        probe = [row for row in rows if row["citation"] == "poincare-equivalence"]
+        assert len(probe) == 1
+        assert sorted(map(id, outermost)) == sorted([id(energy), id(probe[0])])
