@@ -29,7 +29,6 @@ are ``repr`` (``nan``, ``inf``), its context floats JSON (``NaN``,
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -254,8 +253,8 @@ _RENDER = {str: _quote, int: int.__repr__, bool: _LITERALS.__getitem__,
 def _shapes(rows) -> list[tuple]:
     """The rows on the bulk path, grouped by shape: one (context keys in
     insertion order, value types, row indices, value columns) per shape.
-    Rows are grouped by their context keys first; a group is split by the
-    rows' value types only where one of its columns mixes types."""
+    Rows are grouped by their context keys; a group one of whose columns
+    mixes types stays on the generic path."""
     by_keys = {}
     for i, row in enumerate(rows):
         if type(row) is not dict or len(row) != len(CSV_COLUMNS):
@@ -277,21 +276,11 @@ def _shapes(rows) -> list[tuple]:
         top = list(zip(*fields))
         columns = top + list(zip(*map(dict.values, top[-1])))
         kinds = [set(map(type, column)) for column in columns]
-        if all(len(kind) == 1 for kind in kinds):
-            by_types = {tuple(kind.pop() for kind in kinds): (indices, columns)}
-        else:
-            split = {}
-            for i, values in zip(indices, zip(*columns)):
-                group = split.setdefault(tuple(map(type, values)), ([], []))
-                group[0].append(i)
-                group[1].append(values)
-            by_types = {types: (group_indices, list(zip(*group_values)))
-                        for types, (group_indices, group_values) in split.items()}
-        shapes += [(keys, types, group_indices, group_columns)
-                   for types, (group_indices, group_columns) in by_types.items()
-                   if types[:len(_TOP_TYPES)] == _TOP_TYPES
-                   and all(type(key) is str for key in keys)
-                   and _CONTEXT_TYPES.issuperset(types[len(_TOP_TYPES):])]
+        types = tuple(kind.pop() for kind in kinds if len(kind) == 1)
+        if (len(types) == len(columns) and types[:len(_TOP_TYPES)] == _TOP_TYPES
+                and all(type(key) is str for key in keys)
+                and _CONTEXT_TYPES.issuperset(types[len(_TOP_TYPES):])):
+            shapes.append((keys, types, indices, columns))
     return shapes
 
 
@@ -340,6 +329,8 @@ def _bulk_texts(rows, csv_cell=None) -> list[str | None]:
     csv_line = csv_cell is not None
     texts = [None] * len(rows)
     shapes = _shapes(rows)
+    if not shapes:
+        return texts
     pool = []
     for _, types, _, columns in shapes:
         for kind, column in zip(types, columns):
