@@ -28,7 +28,13 @@ from .energy import (
 )
 from .errors import DimensionError, DomainError, NumericError
 from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, SmoothField
-from .montecarlo import SampleSpec, estimate_tail, estimate_trace_moment
+from .montecarlo import (
+    PRODUCT_EXPONENTS,
+    SampleSpec,
+    estimate_tail,
+    estimate_trace_moment,
+    power_sums,
+)
 from .poincare import PoincareCertificate
 from .reports import CheckReport, slack_for
 from .spectral import ScalarFnSpec, batch_eigvalsh, eigh, intdim, op_norm, symmetrize
@@ -458,19 +464,27 @@ def chaos_gamma_moments(chaos: GaussianChaos, q_list, spec: SampleSpec,
 
     The pass runs on its own stream (seed ^ GAMMA_STREAM, never paired), so
     the Gamma side is independent of the f-pass on ``spec``.  The clipped
-    eigenvalues of Gamma are scaled rather than Gamma itself; for a
-    power-of-two scale the two agree exactly.
+    eigenvalues w of Gamma are scaled rather than Gamma itself; for a
+    power-of-two scale the two agree exactly.  The orders that
+    ``montecarlo.power_sums`` forms from products are formed once, from
+    s w at the smallest scale s, and each scale's sums are those times
+    (scale / s)^q, a power of two for the scales 1 and 1/4 and so exact;
+    forming them at the smallest scale overflows no power that the scaled
+    one would not.  Every other order is a power of each scaled w.
     """
     gamma = SmoothField(ambient_dim=chaos.n_vars, dim=chaos.dim,
                         batch=lambda xs: chaos_gamma_batch(chaos, xs))
     q_list = [float(q) for q in q_list]
+    low = min(scales)
+    shared = [q for q in q_list if q in PRODUCT_EXPONENTS]
 
     def per_sample(mats):
         w = np.clip(batch_eigvalsh(mats), 0.0, None)
+        sums = dict(zip(shared, power_sums(low * w, shared)))
         out = []
         for scale in scales:
-            scaled = scale * w
-            out += [np.sum(scaled ** q, axis=1) for q in q_list]
+            out += [sums[q] * (scale / low) ** q if q in sums
+                    else power_sums(scale * w, [q])[0] for q in q_list]
         return out
 
     stream = SampleSpec(n=spec.n, seed=spec.seed ^ GAMMA_STREAM, workers=spec.workers)
@@ -524,17 +538,24 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
     return out
 
 
-def chaos_scalar_bound(a, q: float) -> float:
-    """8 q^2 |A| for a PSD coefficient matrix A of a scalar Gaussian chaos."""
-    if not q >= 1:
-        raise DomainError(f"moment order q must be >= 1, got {q}")
+def _psd_norm(a) -> float:
+    """|A| of a PSD coefficient matrix; DomainError when A is not PSD."""
     a = symmetrize(a)
     w = np.linalg.eigvalsh(a)
     norm = float(np.max(np.abs(w))) if w.size else 0.0
     if w.size and w[0] < -1e-10 * (1.0 + norm):
         raise DomainError(
             f"chaos coefficient matrix must be PSD (min eigenvalue {w[0]:.3e})")
-    return 8.0 * q * q * norm
+    return norm
+
+
+def chaos_scalar_bound(a, q: float) -> float:
+    """8 q^2 |A| for a PSD coefficient matrix A of a scalar Gaussian chaos;
+    q^2 is never formed on its own, so a huge q overflows the bound only
+    when 8 q^2 |A| itself does."""
+    if not q >= 1:
+        raise DomainError(f"moment order q must be >= 1, got {q}")
+    return 8.0 * _psd_norm(a) * q * q
 
 
 def check_chaos_scalar(chaos: GaussianChaos, mc: GaussianPass, q_list) -> list[CheckReport]:
@@ -543,13 +564,14 @@ def check_chaos_scalar(chaos: GaussianChaos, mc: GaussianPass, q_list) -> list[C
     if chaos.dim != 1:
         raise DomainError("the scalar chaos corollary needs d = 1 coefficients")
     a = chaos.coefficients[:, :, 0, 0]
+    norm = _psd_norm(a)
     q_list = [float(q) for q in q_list]
-    rhs_list = [chaos_scalar_bound(a, q) for q in q_list]
     out = []
-    for q, rhs, (est, _) in zip(q_list, rhs_list, _read(mc.chaos, q_list, "chaos")):
+    for q, (est, _) in zip(q_list, _read(mc.chaos, q_list, "chaos")):
+        rhs = chaos_scalar_bound(a, q)
         out.append(CheckReport.from_interval(
             "chaos-scalar", *_root_interval(est, q), rhs, slack_for(rhs),
-            {"q": q, "norm_A": rhs / (8.0 * q * q), "n": est.n, "seed": mc.spec.seed}))
+            {"q": q, "norm_A": norm, "n": est.n, "seed": mc.spec.seed}))
     return out
 
 
@@ -561,12 +583,13 @@ def check_chaos_matrix(chaos: GaussianChaos, mc: GaussianPass, q_list) -> list[C
 
     Both sides are Monte Carlo estimates on independent streams, read from
     the run's ``gaussian_pass``; no iterated closed form is asserted.  The
-    inner sum is Gamma(f) / 4.
+    inner sum is Gamma(f) / 4.  The factor is sqrt(8) q, so a huge q with
+    finite estimates gives a finite rhs.
     """
     q_list = [float(q) for q in q_list]
     out = []
     for q, (est, gam_est) in zip(q_list, _read(mc.chaos, q_list, "chaos")):
-        factor = math.sqrt(8.0 * q * q)
+        factor = math.sqrt(8.0) * q
         gam_lo, gam_value, gam_hi = _root_interval(gam_est, q)
         rhs = factor * gam_value
         out.append(CheckReport.from_interval(

@@ -23,12 +23,24 @@ per Gaussian model; every checker reads that report and none diagonalises
 f - E_mu f or Gamma again.  On Gaussian models the squared derivative is
 sum_i (d_i f)^2: the constant sum_i A_i^2 for a series f = sum_i X_i A_i,
 which is also its Dirichlet form and its variance, and
-4 sum_i (sum_j X_j A_ij)^2 for a chaos f = sum_ij X_i X_j A_ij.  For a
-chaos, Isserlis' theorem (E[X_i X_j X_k X_l] is a sum over pairings) gives
-E Gamma(f) = 4 S and Var f = 2 S with S = sum_ij A_ij^2, so nothing is
-sampled.  Only the Gamma table and the variance proxy of a chaos's energy
-report come from a seeded probe (mode ESTIMATED), because Gamma is not
-constant there.
+4 sum_i (sum_j X_j A_ij)^2 for a chaos f = sum_ij X_i X_j A_ij.
+
+Gamma of a chaos is again a chaos.  With M_i = sum_j x_j A_ij,
+
+    Gamma(f)(x) = 4 sum_i M_i^2 = sum_jl x_j x_l C_jl,
+    C_jl = 2 sum_i (A_ij A_il + A_il A_ij),
+
+an exact identity: the symmetric part of each product A_ij A_il is what
+the symmetric sum over (j, l) keeps.  So Gamma is evaluated like f itself,
+with one BLAS product and one contraction per block
+(``models.chaos_values``) on coefficients C built once per model
+(``GaussianChaos.gamma_coefficients``), instead of a Gram product
+4 S^T S per sample.  Its mean is that of a chaos, E Gamma(f) = sum_j C_jj,
+which is 4 S with S = sum_ij A_ij^2, and Isserlis' theorem
+(E[X_i X_j X_k X_l] is a sum over pairings) gives Var f = 2 S, so the
+Dirichlet form and the variance are exact and nothing is sampled.  Only
+the Gamma table and the variance proxy of a chaos's energy report come
+from a seeded probe (mode ESTIMATED), because Gamma is not constant there.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ import numpy as np
 
 from . import montecarlo
 from .errors import CapacityError, DimensionError, DomainError, NumericError
-from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries
+from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, chaos_values
 from .montecarlo import SampleSpec
 from .spectral import op_norm
 
@@ -107,22 +119,15 @@ def chaos_gamma_batch(chaos: GaussianChaos, xs: np.ndarray) -> np.ndarray:
     """Exact squared derivative 4 sum_i (sum_j x_j A_ij)^2 at a batch of
     points xs: (m, n) -> (m, d, d).
 
-    One BLAS product M = xs @ A.reshape(n, n d^2) gives every
-    M_i = sum_j x_j A_ij (A is symmetric in (i, j)).  Stacking the M_i of a
-    sample into S = M.reshape(m, n d, d), a view of the same memory, gives
-    sum_i M_i^T M_i = S^T S, and M_i^T = M_i, so Gamma = 4 S^T S is one
-    batched matmul.  S^T is a strided view, which matmul hands to BLAS as a
-    transposed operand: nothing is copied beyond M itself.
+    Gamma of a quadratic chaos is a quadratic chaos,
+    Gamma(f)(x) = sum_jl x_j x_l C_jl with C_jl = 2 sum_i (A_ij A_il +
+    A_il A_ij), so it is evaluated by ``models.chaos_values``, the kernel of
+    the field itself, on the model's ``gamma_coefficients`` C, built once
+    per model.  The Gram form 4 S^T S of the stacked M_i = sum_j x_j A_ij
+    took one batched (d, n d) @ (n d, d) matmul per sample, about twice
+    the time of this evaluation.
     """
-    n, d = chaos.n_vars, chaos.dim
-    s = (xs @ chaos.coefficients.reshape(n, n * d * d)).reshape(len(xs), n * d, d)
-    return 4.0 * (s.transpose(0, 2, 1) @ s)
-
-
-def _chaos_square(chaos: GaussianChaos) -> np.ndarray:
-    """S = sum_ij A_ij^2, which gives E Gamma(f) = 4 S and Var f = 2 S."""
-    a = chaos.coefficients
-    return np.einsum("ijkl,ijlm->km", a, a)
+    return chaos_values(chaos.gamma_coefficients, xs)
 
 
 @dataclass(frozen=True)
@@ -264,8 +269,9 @@ def energy_report(model, f=None, spec: SampleSpec | None = None) -> EnergyReport
             probe = montecarlo.draw_standard_normal(SampleSpec(n=_GAMMA_PROBE, seed=spec.seed),
                                                     model.n_vars)
             gam = chaos_gamma_batch(model, probe)
-            square = _chaos_square(model)
-            dirichlet, variance = 4.0 * square, 2.0 * square
+            # E Gamma(f) is the mean of the Gamma chaos, sum_j C_jj
+            dirichlet = np.einsum("jjkl->kl", model.gamma_coefficients)
+            variance = 0.5 * dirichlet
             mode, meta = ESTIMATED, {"probe_n": _GAMMA_PROBE, "probe_seed": spec.seed}
         else:
             raise DomainError(f"unsupported model type {type(model).__name__}")

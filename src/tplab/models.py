@@ -356,6 +356,14 @@ class GaussianChaos:
         """E f = sum_i A_ii (E[X_i X_j] = delta_ij)."""
         return np.einsum("iikl->kl", self.coefficients)
 
+    @cached_property
+    def gamma_coefficients(self) -> np.ndarray:
+        """The coefficients C of Gamma(f) = sum_i (d_i f)^2, itself a
+        quadratic chaos: Gamma(f)(x) = sum_jl x_j x_l C_jl with
+        C_jl = 2 sum_i (A_ij A_il + A_il A_ij), (n, n, d, d).  Built on first
+        use and kept, so once per model."""
+        return _gamma_coefficients(self.coefficients)
+
     def as_field(self) -> SmoothField:
         return chaos_as_field(self)
 
@@ -369,17 +377,32 @@ def series_as_field(s: GaussianSeries) -> SmoothField:
     return SmoothField(ambient_dim=s.n_terms, dim=s.dim, batch=batch)
 
 
+def _gamma_coefficients(a: np.ndarray) -> np.ndarray:
+    """C_jl = 2 sum_i (A_ij A_il + A_il A_ij) of a chaos's coefficients A.
+
+    d_i f = 2 M_i with M_i = sum_j x_j A_ij, so Gamma(f) = 4 sum_i M_i^2 =
+    4 sum_jl x_j x_l sum_i A_ij A_il, and the symmetric part of each
+    matrix product gives C.  With P_jl = sum_i A_ij A_il, A_il A_ij is
+    P_jl^T, so C_jl = 2 (P_jl + P_jl^T), symmetric in each matrix."""
+    p = np.einsum("ijab,ilbc->jlac", a, a)
+    c = 2.0 * (p + p.transpose(0, 1, 3, 2))
+    c.setflags(write=False)
+    return c
+
+
+def chaos_values(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_ij x_i x_j A_ij at each row x of xs for coefficients A of shape
+    (n, n, d, d): (m, n) -> (m, d, d).  f(x) = sum_i x_i M_i with
+    M_i = sum_j x_j A_ij: one BLAS product gives every M_i, then a
+    contraction over i."""
+    n, d = a.shape[0], a.shape[2]
+    m = (xs @ a.reshape(n, n * d * d)).reshape(len(xs), n, d * d)
+    return np.einsum("mi,mik->mk", xs, m).reshape(len(xs), d, d)
+
+
 def chaos_as_field(c: GaussianChaos) -> SmoothField:
     a = c.coefficients
-    n, d = c.n_vars, c.dim
-
-    def batch(xs):
-        # f(x) = sum_i x_i M_i with M_i = sum_j x_j A_ij: one BLAS product
-        # gives every M_i, then a contraction over i
-        m = (xs @ a.reshape(n, n * d * d)).reshape(len(xs), n, d * d)
-        return np.einsum("mi,mik->mk", xs, m).reshape(len(xs), d, d)
-
-    return SmoothField(ambient_dim=c.n_vars, dim=c.dim, batch=batch)
+    return SmoothField(ambient_dim=c.n_vars, dim=c.dim, batch=lambda xs: chaos_values(a, xs))
 
 
 def constant_field(n_states: int, matrix) -> FiniteField:

@@ -190,6 +190,46 @@ def estimate_statistic(spec: SampleSpec, field, per_sample,
             for k in range(len(parts[0]))]
 
 
+# the exponents whose powers are products of w and sqrt(w)
+PRODUCT_EXPONENTS = frozenset([1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+
+
+def _power(w: np.ndarray, e: float) -> np.ndarray:
+    """w ** e, formed in one new array (w itself at e = 1): w sqrt(w) at
+    1.5, and at 2, 3, 4 and 6 the products w w, w^2 w, (w^2)^2 and
+    (w^2 w)^2, each within a few ulp of ``w ** e``; every other exponent,
+    huge ones included, takes ``w ** e``."""
+    if e == 1.0:
+        return w
+    if e == 1.5:
+        p = np.sqrt(w)
+        p *= w
+        return p
+    if e not in PRODUCT_EXPONENTS:
+        return w ** e
+    p = w * w
+    if e in (3.0, 6.0):
+        p *= w
+    if e in (4.0, 6.0):
+        p *= p
+    return p
+
+
+def power_sums(w: np.ndarray, exponents) -> list[np.ndarray]:
+    """sum_k w[:, k] ** e for each exponent e, one (m,) array per exponent,
+    for an (m, d) block of nonnegative values.
+
+    The exponents of PRODUCT_EXPONENTS take products of w (``_power``):
+    numpy's general ``pow`` is several times slower.  Each power lives only
+    until its sum is taken, so a block holds one power at a time.  Each row
+    sum is one ``einsum`` over the contiguous rows, about three times as
+    fast as ``np.sum(axis=1)`` over the short axis.  Adding columns or a
+    product with a vector of ones is faster still at d = 3, but both raised
+    the peak RSS of a two-worker series run by 0.2-0.7 MB.
+    """
+    return [np.einsum("ij->i", _power(w, float(e))) for e in exponents]
+
+
 def estimate_trace_moment(field, orders, spec: SampleSpec, centers=(None,),
                           level: float = 0.99, thresholds=()) -> list[list[Estimate]]:
     """Estimates of E tr |f(X) - c|^(2q) with CLT intervals, one list per
@@ -218,7 +258,7 @@ def estimate_trace_moment(field, orders, spec: SampleSpec, centers=(None,),
         out = []
         for c in centres:
             w = np.abs(batch_eigvalsh(mats if c is None else mats - c))
-            out += [np.sum(w ** (2.0 * order), axis=1) for order in orders]
+            out += power_sums(w, [2.0 * order for order in orders])
             if thresholds:
                 dev = np.max(w, axis=1)
                 out += [(dev >= t).astype(float) for t in thresholds]

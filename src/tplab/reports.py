@@ -21,9 +21,11 @@ filled from one ``float.__repr__`` per distinct value.  Rows are rendered
 per shape, in both writers: the rows whose context is flat and whose keys
 and value types match share one ``%s`` skeleton (the indent-2 row text, or
 the whole CSV line), filled from one rendering per distinct value in the
-call.  report.csv keeps the bytes of ``csv.writer``: its top-level floats
-are ``repr`` (``nan``, ``inf``), its context floats JSON (``NaN``,
-``Infinity``).  Every other row takes the generic path.
+call.  report.csv keeps the bytes of ``csv.writer``, which quotes a field
+holding a bare CR as it quotes one holding a LF: its top-level floats are
+``float.__repr__`` (``nan``, ``inf``; numpy's float64 too), its context
+floats JSON (``NaN``, ``Infinity``).  Every other row takes the generic
+path.
 """
 
 from __future__ import annotations
@@ -128,8 +130,10 @@ CSV_COLUMNS = ["citation", "suite", "fixture", "lhs", "rhs", "margin",
 
 
 def _fmt(value) -> str:
+    """A top-level number of a CSV row: a float, numpy's float64 included,
+    by ``float.__repr__``, as report.json writes it; anything else by str."""
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return str(value)
 
 
@@ -147,21 +151,30 @@ def rows_to_csv(rows: list[dict]) -> str:
     """Deterministic CSV text for a list of report rows (byte-identical for
     identical inputs: repr floats, sorted compact context JSON, LF endings).
     A row on the bulk path is written as one line of its shape's skeleton;
-    any other row goes through csv.writer."""
+    any other row goes through csv.writer.
+
+    The writer's line terminator is CRLF, cut to LF after each row: csv
+    quotes a field holding a character of its terminator, and Python 3.11
+    quotes for no other line break, so with LF alone a field holding a bare
+    CR would go unquoted and ``csv.reader`` would refuse the file."""
     out = _Lines()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\r\n")
 
     def cell(text: str) -> str:
         # text as the writer writes it in a field that is not a row's only
         # one; a second writer would allocate another 128 KiB record buffer
         writer.writerow((text, ""))
-        return out.pop()[:-2]
+        return out.pop()[:-3]
+
+    def write(fields) -> None:
+        writer.writerow(fields)
+        out[-1] = out[-1][:-2] + "\n"
 
     lines = _bulk_texts(rows, cell)
-    writer.writerow(CSV_COLUMNS)
+    write(CSV_COLUMNS)
     for row, line in zip(rows, lines):
         if line is None:
-            writer.writerow([
+            write([
                 row["citation"], row["suite"], row["fixture"],
                 _fmt(row["lhs"]), _fmt(row["rhs"]), _fmt(row["margin"]),
                 row["verdict"], _fmt(row["tolerance"]),

@@ -11,6 +11,7 @@ from tplab import (
     FiniteField,
     NumericError,
     GaussianChaos,
+    GaussianPass,
     GaussianSeries,
     SampleSpec,
     ScalarFnSpec,
@@ -558,6 +559,22 @@ class TestChaosBounds:
         with pytest.raises(DomainError):
             chaos_scalar_bound(np.diag([1.0, -1.0]), 1)
 
+    def test_huge_order_gives_a_finite_rhs(self):
+        # 8 q^2 overflows at q = 1e160, sqrt(8) q and 8 |A| q q do not
+        q, est = 1e160, montecarlo.Estimate(value=4.0, ci_low=2.0, ci_high=8.0, level=0.99,
+                                             n=100)
+        coef = np.zeros((2, 2, 1, 1))
+        coef[0, 0, 0, 0] = coef[1, 1, 0, 0] = 1e-300
+        chaos = GaussianChaos(coef)
+        mc = GaussianPass(spec=SampleSpec(n=100, seed=1), v_f=None, v_f_mode=None, tail={},
+                          poly={}, chaos={q: (est, est)})
+        (matrix,) = check_chaos_matrix(chaos, mc, [q])
+        assert matrix.rhs == pytest.approx(math.sqrt(8.0) * q * 4.0 ** (1.0 / (2.0 * q)))
+        assert all(map(math.isfinite, [matrix.rhs, *matrix.context["rhs_ci"]]))
+        (scalar,) = check_chaos_scalar(chaos, mc, [q])
+        assert scalar.rhs == pytest.approx(8e-300 * q * q)
+        assert scalar.context["norm_A"] == pytest.approx(1e-300)
+
     def test_scalar_chaos_empirical(self):
         coef = np.zeros((2, 2, 1, 1))
         coef[0, 0, 0, 0] = coef[1, 1, 0, 0] = 1.0
@@ -827,8 +844,10 @@ class TestSharedSpectra:
         ("psd-chaos", ["poly-moment", "chaos"]),
     ])
     def test_one_energy_report_per_gaussian_run(self, monkeypatch, fixture, suites):
-        # one report, which forms sum_i A_i^2 (series) or sum_ij A_ij^2
-        # (chaos) once for its Dirichlet form, variance and Gamma
+        # one report, which forms sum_i A_i^2 (series) or the Gamma chaos's
+        # coefficients C_jl from sum_i A_ij A_il (chaos) once for its
+        # Dirichlet form, variance and Gamma; the chaos's Gamma stream
+        # (three blocks) reads the same C
         built, squares = [], []
         real_report, real_einsum = energy.energy_report, np.einsum
 
@@ -837,7 +856,7 @@ class TestSharedSpectra:
             return real_report(*args, **kwargs)
 
         def einsum(subscripts, *operands, **kwargs):
-            if subscripts in ("kij,kjl->il", "ijkl,ijlm->km"):
+            if subscripts in ("kij,kjl->il", "ijab,ilbc->jlac"):
                 squares.append(subscripts)
             return real_einsum(subscripts, *operands, **kwargs)
 

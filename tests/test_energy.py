@@ -29,7 +29,8 @@ from tplab import (
     poincare_constant,
     product_chain,
 )
-from tplab import energy
+from tplab import energy, models
+from tplab.bounds import chaos_gamma_moments
 from tplab.energy import _check_psd, chaos_gamma_batch
 from tplab.models import FiniteChain
 from tplab.montecarlo import draw_standard_normal
@@ -289,6 +290,68 @@ class TestChaosKernels:
         values = np.einsum("mi,mj,ijkl->mkl", xs, xs, a)
         assert relative_gap(chaos_gamma_batch(chaos, xs), gamma) <= 1e-13
         assert relative_gap(chaos.as_field().eval_batch(xs), values) <= 1e-13
+
+
+@st.composite
+def _chaos_points(draw):
+    """A chaos with n in 1..6 variables, d in 1..4 and coefficients of one
+    scale between 1e-100 and 1e100, and a few points."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    coef = np.array(draw(st.lists(unit, min_size=n * n * d * d, max_size=n * n * d * d)))
+    xs = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=3 * n, max_size=3 * n)))
+    return GaussianChaos(scale * coef.reshape(n, n, d, d)), xs.reshape(3, n)
+
+
+class TestChaosGammaIdentity:
+    """Gamma of a chaos evaluated as a chaos, sum_jl x_j x_l C_jl, against
+    its definition 4 sum_i M_i^2 with M_i = sum_j x_j A_ij."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_chaos_points())
+    def test_matches_the_definition(self, case):
+        chaos, xs = case
+        a = chaos.coefficients
+        n, d = chaos.n_vars, chaos.dim
+        m = np.einsum("pj,ijkl->pikl", xs, a)
+        want = 4.0 * np.einsum("pikl,pilr->pkr", m, m)
+        # the rounding of either form is a few eps of the sum of the
+        # absolute terms, which is at most 4 sum_i (sum_j |x_j| |A_ij|)^2,
+        # plus a few subnormal steps per term where the terms underflow
+        norms = np.sqrt(np.einsum("ijkl,ijkl->ij", a, a))
+        scale = 4.0 * np.sum((np.abs(xs) @ norms.T) ** 2, axis=1)
+        gap = np.max(np.abs(chaos_gamma_batch(chaos, xs) - want), axis=(1, 2))
+        tiny = np.nextafter(0.0, 1.0)
+        assert np.all(gap <= 8 * (n * d + 4) * (np.finfo(float).eps * scale + n * tiny))
+
+    def test_coefficients_are_built_once_per_model(self, monkeypatch):
+        built = []
+        real = models._gamma_coefficients
+
+        def counted(a):
+            built.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(models, "_gamma_coefficients", counted)
+        rng = np.random.default_rng(71)
+        chaos = GaussianChaos(rng.standard_normal((4, 4, 3, 3)))
+        spec = SampleSpec(n=10000, seed=3)  # three blocks
+        rep = energy_report(chaos, spec=spec)
+        chaos_gamma_moments(chaos, [1, 2], spec, scales=(1.0, 0.25))
+        assert built == [(4, 4, 3, 3)]
+        np.testing.assert_array_equal(rep.variance, 0.5 * rep.dirichlet)
+        # another model of the same coefficients builds its own
+        chaos_gamma_batch(GaussianChaos(chaos.coefficients), np.ones((1, 4)))
+        assert len(built) == 2
+
+    def test_mean_is_the_trace_of_the_coefficients(self):
+        # E Gamma(f) = sum_j C_jj = 4 sum_ij A_ij^2
+        rng = np.random.default_rng(73)
+        chaos = GaussianChaos(rng.standard_normal((5, 5, 3, 3)))
+        a = chaos.coefficients
+        square = np.einsum("ijkl,ijlm->km", a, a)
+        assert relative_gap(chaos_report(chaos).dirichlet, 4.0 * square) <= 1e-15
 
 
 class TestDirichletForm:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tplab import (
     DomainError,
@@ -17,6 +20,7 @@ from tplab.montecarlo import (
     draw_standard_normal,
     estimate_statistic,
     normal_quantile,
+    power_sums,
 )
 
 from conftest import moment
@@ -174,6 +178,53 @@ class TestFusedPass:
         est = moment(series.as_field(), 1, SampleSpec(n=100000, seed=29))
         assert est.level == 0.99
         assert est.ci_low <= exact <= est.ci_high
+
+
+# the moment orders q, read at exponent 2q from f and at exponent q from Gamma
+_ORDERS = [1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 7.0]
+_EXPONENTS = sorted({e for q in _ORDERS for e in (q, 2.0 * q)})
+_TINY = np.nextafter(0.0, 1.0)
+_EDGES = [0.0, _TINY, 1e-310, np.finfo(float).tiny, 1e-160, 1e-100, 1.0, 1e51, 1e77, 1e103,
+          math.inf]
+
+
+class TestPowerSums:
+    """The moment kernel against np.sum(w ** e, axis=1)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 9)),
+                  elements=st.sampled_from(_EDGES) | st.floats(0.0, 1e120)))
+    def test_matches_pow_and_sum(self, w):
+        tol = 16 * np.finfo(float).eps
+        big = np.finfo(float).max / (1.0 + tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = power_sums(w, _EXPONENTS)
+            for e, g in zip(_EXPONENTS, got):
+                r = np.sum(w ** e, axis=1)
+                assert g.shape == r.shape == (w.shape[0],)
+                # a power within a few ulp of the largest float may round
+                # to inf on one side only
+                edge = (np.isinf(g) != np.isinf(r)) & (np.minimum(g, r) >= big)
+                close = np.abs(g - r) <= tol * r + w.shape[1] * 4 * _TINY
+                assert np.all((g == r) | edge | close), e
+
+    def test_products_and_the_general_power(self, monkeypatch):
+        # only the orders outside PRODUCT_EXPONENTS reach numpy's pow
+        w = np.abs(np.random.default_rng(5).standard_normal((7, 3)))
+        pows = []
+
+        class Spy(np.ndarray):
+            def __pow__(self, e):
+                pows.append(e)
+                return np.asarray(self) ** e
+
+        power_sums(w.view(Spy), _EXPONENTS)
+        assert sorted(pows) == [1.25, 2.5, 5.0, 7.0, 14.0]
+
+    def test_exact_where_pow_is(self):
+        w = np.array([[0.0, 1.0, 2.0], [0.5, 4.0, 0.25]])
+        for e, got in zip(_EXPONENTS, power_sums(w, _EXPONENTS)):
+            np.testing.assert_array_equal(got, np.sum(w ** e, axis=1))
 
 
 def counting_field(field, calls):

@@ -237,22 +237,27 @@ class TestArrayWriter:
         assert sorted(calls) == [(1,), (2, 3), (4, 2, 2)]
 
 
-def _csv_oracle(rows) -> str:
-    """The reference CSV writer: every row through csv.writer, the
-    top-level floats by repr, anything else by str, and the context as
-    compact sorted JSON."""
+def _csv_oracle(rows, terminator="\r\n") -> str:
+    """The reference CSV writer: every row through its own csv.writer, the
+    top-level floats by float.__repr__, anything else by str, and the
+    context as compact sorted JSON; every row ends in LF.  csv quotes a
+    field that holds a character of the line terminator, so the CRLF one
+    quotes a bare CR as it quotes a LF; with LF alone, the plain
+    ``csv.writer`` text, Python 3.11 leaves a bare CR unquoted."""
     def fmt(value):
-        return repr(value) if isinstance(value, float) else str(value)
+        return float.__repr__(value) if isinstance(value, float) else str(value)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(reports.CSV_COLUMNS)
     encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-    for row in rows:
-        writer.writerow([row["citation"], row["suite"], row["fixture"],
-                         fmt(row["lhs"]), fmt(row["rhs"]), fmt(row["margin"]),
-                         row["verdict"], fmt(row["tolerance"]), encoder.encode(row["context"])])
-    return buf.getvalue()
+    lines = []
+    for fields in [reports.CSV_COLUMNS] + [
+            [row["citation"], row["suite"], row["fixture"],
+             fmt(row["lhs"]), fmt(row["rhs"]), fmt(row["margin"]),
+             row["verdict"], fmt(row["tolerance"]), encoder.encode(row["context"])]
+            for row in rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=terminator).writerow(fields)
+        lines.append(buf.getvalue()[:-len(terminator)] + "\n")
+    return "".join(lines)
 
 
 # strings a skeleton or a CSV cell could mishandle; a small pool makes
@@ -344,6 +349,28 @@ class TestRowWriters:
         assert rows_to_json(uniform) == _oracle(uniform)
         assert rows_to_csv(uniform) == _csv_oracle(uniform)
 
+    def test_numpy_float_is_written_as_a_float(self):
+        row = {"citation": "c", "suite": "s", "fixture": "f", "lhs": np.float64(0.25),
+               "rhs": 1.0, "margin": 0.75, "verdict": "PASS", "tolerance": 0.0,
+               "context": {}}
+        text = rows_to_csv([row])
+        assert text == _csv_oracle([row])
+        assert text.splitlines()[1] == "c,s,f,0.25,1.0,0.75,PASS,0.0,{}"
+        assert json.loads(rows_to_json([row]))["rows"][0]["lhs"] == 0.25
+
+    @pytest.mark.parametrize("fixture", ["a\rb", "a\r\nb", "a\nb", "\r"])
+    @pytest.mark.parametrize("context, bulk", [({"q": 1.0}, True), ({"q": [1.0]}, False)],
+                             ids=["bulk", "generic"])
+    def test_line_breaks_in_a_field_read_back_intact(self, fixture, context, bulk):
+        row = {"citation": "c", "suite": "s", "fixture": fixture, "lhs": 1.0, "rhs": 2.0,
+               "margin": 1.0, "verdict": "PASS", "tolerance": 0.0, "context": context}
+        assert (reports._bulk_texts([row], str) != [None]) == bulk
+        text = rows_to_csv([row, dict(row, citation="d")])
+        assert text == _csv_oracle([row, dict(row, citation="d")])
+        read = list(csv.reader(io.StringIO(text, newline="")))
+        assert [r[2] for r in read[1:]] == [fixture, fixture]
+        assert [r[0] for r in read] == ["citation", "c", "d"]
+
     def test_rows_outside_the_bulk_path(self):
         row = {"citation": "c", "suite": "s", "fixture": "f", "lhs": 1.0, "rhs": 2.0,
                "margin": 1.0, "verdict": "PASS", "tolerance": 0.0, "context": {"a": 1}}
@@ -376,7 +403,8 @@ class TestRealRows:
 
     def test_writers_match_the_oracles(self, tiny_runs):
         for (rows, energy, _) in tiny_runs.values():
-            assert rows_to_csv(rows) == _csv_oracle(rows)
+            # no field holds a CR, so quoting it leaves the plain csv.writer bytes
+            assert rows_to_csv(rows) == _csv_oracle(rows) == _csv_oracle(rows, "\n")
             assert rows_to_json(rows, energy) == _oracle(rows, energy,
                                                          default=np.ndarray.tolist)
 
