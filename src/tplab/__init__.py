@@ -37,7 +37,6 @@ from .models import (
 )
 from .energy import (
     EnergyReport,
-    SymmetrizedPair,
     bivariate_symmetrized,
     carre_table,
     column_energies,

@@ -21,10 +21,10 @@ import numpy as np
 from . import montecarlo
 from .energy import (
     EnergyReport,
-    SymmetrizedPair,
     bivariate_symmetrized,
     chaos_gamma_batch,
     column_energies,
+    pair_energies,
 )
 from .errors import DimensionError, DomainError, NumericError
 from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, SmoothField
@@ -37,7 +37,8 @@ from .montecarlo import (
 )
 from .poincare import PoincareCertificate
 from .reports import CheckReport, slack_for
-from .spectral import ScalarFnSpec, batch_eigvalsh, eigh, intdim, op_norm, symmetrize
+from .spectral import (ScalarFnSpec, batch_eigvalsh, eigh, intdim, op_norm, psd_eigvalsh,
+                       symmetrize)
 
 UNBOUNDED = math.inf
 
@@ -70,8 +71,6 @@ class BoundParams:
 
 
 def _as_grid(base: FiniteChain, g) -> np.ndarray:
-    if isinstance(g, SymmetrizedPair):
-        return g.g_grid
     arr = np.asarray(g, dtype=float)
     m = base.n_states
     if arr.ndim != 4 or arr.shape[0] != m or arr.shape[1] != m or arr.shape[2] != arr.shape[3]:
@@ -80,26 +79,28 @@ def _as_grid(base: FiniteChain, g) -> np.ndarray:
     return 0.5 * (arr + arr.transpose(0, 1, 3, 2))
 
 
-def _trace_variance(mu: np.ndarray, grid: np.ndarray) -> float:
-    """tr Var_{mu x mu}[g] of a grid g of shape (m, m, d, d)."""
+def _trace_variance(mu: np.ndarray, grid: np.ndarray, sq: np.ndarray) -> float:
+    """tr Var_{mu x mu}[g] of a grid g of shape (m, m, d, d), given its
+    square sq = g @ g."""
     w = np.einsum("a,b->ab", mu, mu)
     mean = np.einsum("ab,abij->ij", w, grid)
-    second = np.einsum("ab,abij->ij", w, grid @ grid)
+    second = np.einsum("ab,abij->ij", w, sq)
     return float(np.trace(second - mean @ mean))
 
 
 def check_subadditivity(base: FiniteChain, g) -> CheckReport:
     """tr Var_{mu x mu}[g] <= E_2 tr Var_1[g] + E_1 tr Var_2[g]."""
     grid = _as_grid(base, g)
+    sq = grid @ grid
     mu = base.stationary
-    lhs = _trace_variance(mu, grid)
+    lhs = _trace_variance(mu, grid, sq)
 
     mean1 = np.einsum("a,abij->bij", mu, grid)            # E_1 g (per z2)
-    var1 = np.einsum("a,abij->bij", mu, grid @ grid) - mean1 @ mean1
+    var1 = np.einsum("a,abij->bij", mu, sq) - mean1 @ mean1
     term1 = float(np.einsum("b,bii->", mu, var1))         # E_2 tr Var_1
 
     mean2 = np.einsum("b,abij->aij", mu, grid)            # E_2 g (per z1)
-    var2 = np.einsum("b,abij->aij", mu, grid @ grid) - mean2 @ mean2
+    var2 = np.einsum("b,abij->aij", mu, sq) - mean2 @ mean2
     term2 = float(np.einsum("a,aii->", mu, var2))         # E_1 tr Var_2
 
     rhs = term1 + term2
@@ -119,7 +120,7 @@ def check_bivariate_poincare(base: FiniteChain, g, cert: PoincareCertificate) ->
         _, dirichlet = column_energies(base, slices.reshape(m, -1))
         energy += float(mu @ dirichlet.reshape(m, -1).sum(axis=1))
     rhs = cert.alpha * energy
-    lhs = _trace_variance(mu, grid)
+    lhs = _trace_variance(mu, grid, grid @ grid)
     return CheckReport.from_comparison(
         "poincare-subadditivity", lhs, rhs, slack_for(rhs),
         {"chain": base.name, "alpha": cert.alpha, "d": grid.shape[2]})
@@ -349,7 +350,7 @@ def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid) -> 
     if isinstance(model, FiniteChain):
         v_f, d = rep.v_f, rep.field.dim
         scale = math.sqrt(cert.alpha * v_f)
-        devs = np.max(np.abs(rep.f_eigs), axis=1)
+        devs = np.maximum(np.abs(rep.f_eigs[:, 0]), np.abs(rep.f_eigs[:, -1]))
         mu = model.stationary
         for lam in lam_grid:
             bound = tail_bound(BoundParams(cert.alpha, v_f, d, lam=float(lam)))
@@ -497,8 +498,9 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
                          cert: PoincareCertificate, q_list) -> list[CheckReport]:
     """E tr |g|^{2q} <= intdim(dirichlet(g)) * alpha^q q! * v_g^q for the
     symmetrized difference field g(z, z') = f(z) - f(z'), one report per
-    natural q of q_list; the pair, its spectrum and intdim are built once
-    for the whole list from f's energy report ``rep``, which gives v_f.
+    natural q of q_list; g, its spectrum, its Gamma table and intdim are
+    built once for the whole list from f's energy report ``rep``, which
+    gives v_f.  No other checker reads g's Gamma (``energy.pair_energies``).
 
     The context also records the uniform bound (2 alpha q^2)^q * d * v_f^q
     that follows from the polynomial moment inequality, and which of the two
@@ -507,22 +509,22 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
     for q in q_list:
         if not (q >= 1 and float(q).is_integer()):
             raise DomainError(f"the intrinsic-dimension bound needs a natural q, got {q}")
-    pair = bivariate_symmetrized(chain, rep)
-    mu2 = pair.stationary
-    g_eigs = np.abs(np.linalg.eigvalsh(pair.g.values))
-    idim = intdim(pair.dirichlet)
     v_f, d = rep.v_f, rep.field.dim
+    grid = bivariate_symmetrized(chain, rep)
+    _, mu2, dirichlet, v_g = pair_energies(chain, rep)
+    g_eigs = np.abs(np.linalg.eigvalsh(grid.reshape(-1, d, d)))
+    idim = intdim(dirichlet)
     out = []
     for q in q_list:
         q = int(q)
         lhs = float(np.einsum("z,zi->", mu2, g_eigs ** (2 * q)))
         # q! in log space; a bound beyond the float range is read as inf
-        if idim == 0.0 or pair.v == 0.0:
+        if idim == 0.0 or v_g == 0.0:
             rhs = 0.0
         else:
             try:
                 rhs = math.exp(math.log(idim) + q * math.log(cert.alpha)
-                               + math.lgamma(q + 1) + q * math.log(pair.v))
+                               + math.lgamma(q + 1) + q * math.log(v_g))
             except OverflowError:
                 rhs = math.inf
         try:
@@ -532,43 +534,43 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
         out.append(CheckReport.from_comparison(
             "intdim-moment", lhs, rhs, slack_for(rhs),
             {"chain": chain.name, "q": q, "alpha": cert.alpha,
-             "intdim_dirichlet": idim, "v_g": pair.v, "d": d,
+             "intdim_dirichlet": idim, "v_g": v_g, "d": d,
              "uniform_poly_bound": uniform,
              "tighter": "intdim" if rhs <= uniform else "uniform"}))
     return out
 
 
-def _psd_norm(a) -> float:
-    """|A| of a PSD coefficient matrix; DomainError when A is not PSD."""
-    a = symmetrize(a)
-    w = np.linalg.eigvalsh(a)
-    norm = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and w[0] < -1e-10 * (1.0 + norm):
-        raise DomainError(
-            f"chaos coefficient matrix must be PSD (min eigenvalue {w[0]:.3e})")
-    return norm
+def _coefficient_norm(a) -> float:
+    """|A| of a PSD coefficient matrix, from one eigvalsh; DomainError when
+    A is not PSD."""
+    w = psd_eigvalsh(symmetrize(a), "chaos coefficient matrix")
+    return float(np.max(np.abs(w))) if w.size else 0.0
+
+
+def _scalar_bound(norm: float, q: float) -> float:
+    if not q >= 1:
+        raise DomainError(f"moment order q must be >= 1, got {q}")
+    return 8.0 * norm * q * q
 
 
 def chaos_scalar_bound(a, q: float) -> float:
     """8 q^2 |A| for a PSD coefficient matrix A of a scalar Gaussian chaos;
     q^2 is never formed on its own, so a huge q overflows the bound only
     when 8 q^2 |A| itself does."""
-    if not q >= 1:
-        raise DomainError(f"moment order q must be >= 1, got {q}")
-    return 8.0 * _psd_norm(a) * q * q
+    return _scalar_bound(_coefficient_norm(a), q)
 
 
 def check_chaos_scalar(chaos: GaussianChaos, mc: GaussianPass, q_list) -> list[CheckReport]:
     """Scalar chaos corollary (E |f|^{2q})^{1/(2q)} <= 8 q^2 |A| for PSD A,
-    read from the uncentred f-moments of the run's ``gaussian_pass``."""
+    read from the uncentred f-moments of the run's ``gaussian_pass``; A is
+    diagonalised once for the whole list."""
     if chaos.dim != 1:
         raise DomainError("the scalar chaos corollary needs d = 1 coefficients")
-    a = chaos.coefficients[:, :, 0, 0]
-    norm = _psd_norm(a)
+    norm = _coefficient_norm(chaos.coefficients[:, :, 0, 0])
     q_list = [float(q) for q in q_list]
     out = []
     for q, (est, _) in zip(q_list, _read(mc.chaos, q_list, "chaos")):
-        rhs = chaos_scalar_bound(a, q)
+        rhs = _scalar_bound(norm, q)
         out.append(CheckReport.from_interval(
             "chaos-scalar", *_root_interval(est, q), rhs, slack_for(rhs),
             {"q": q, "norm_A": norm, "n": est.n, "seed": mc.spec.seed}))

@@ -213,9 +213,9 @@ def _chain_rows(chain, name, named, suites, params, seed):
             add(suite, probe.to_check(chain.name))
         elif suite == "subadditivity":
             for fname, rep in named:
-                pair = bivariate_symmetrized(chain, rep)
-                add(suite, bounds.check_subadditivity(chain, pair), fname)
-                add(suite, bounds.check_bivariate_poincare(chain, pair, cert), fname)
+                grid = bivariate_symmetrized(chain, rep)
+                add(suite, bounds.check_subadditivity(chain, grid), fname)
+                add(suite, bounds.check_bivariate_poincare(chain, grid, cert), fname)
         elif suite == "chain-rule":
             descs = params.get("phis", [{"kind": "sinh"}])
             if not isinstance(descs, list):

@@ -53,12 +53,10 @@ from . import montecarlo
 from .errors import CapacityError, DimensionError, DomainError, NumericError
 from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, chaos_values
 from .montecarlo import SampleSpec
-from .spectral import op_norm
+from .spectral import op_norm, psd_eigvalsh
 
 EXACT = "EXACT"
 ESTIMATED = "ESTIMATED"
-
-_PSD_TOL = 1e-10
 
 
 def carre_table(chain: FiniteChain, f: FiniteField) -> np.ndarray:
@@ -131,55 +129,46 @@ def chaos_gamma_batch(chaos: GaussianChaos, xs: np.ndarray) -> np.ndarray:
     return chaos_values(chaos.gamma_coefficients, xs)
 
 
-@dataclass(frozen=True)
-class SymmetrizedPair:
-    """The antisymmetric difference field g(z, z') = f(z) - f(z') on the
-    two-fold product chain, with its energies.
-
-    Gamma(g)(z, z') = Gamma(f)(z) + Gamma(f)(z') exactly, because each
-    coordinate of the product moves one argument of g; so the table comes
-    from f's Gamma table in O(m^2 d^2) without building the m^2-state
-    product chain.  ``stationary`` is mu x mu in the row-major
-    order of (z, z').  Also dirichlet = 2 * dirichlet(f) and v <= 2 * v_f
-    (exactly 2 v_f when |Gamma(f)| is state-independent).
-    """
-
-    base: FiniteChain
-    stationary: np.ndarray
-    g: FiniteField
-    gamma: np.ndarray
-    dirichlet: np.ndarray
-    v: float
-
-    @property
-    def g_grid(self) -> np.ndarray:
-        m = self.base.n_states
-        d = self.g.dim
-        return self.g.values.reshape(m, m, d, d)
-
-
 # bytes the bivariate pair's g and Gamma tables, (n^2, d, d) each, may take
 PAIR_BYTE_BUDGET = 2 << 30
 
 
-def bivariate_symmetrized(chain: FiniteChain, rep: EnergyReport) -> SymmetrizedPair:
-    """Build g(z, z') = f(z) - f(z') over the squared state space from f's
-    energy report.  Raises CapacityError, before allocating, when the g and
-    Gamma tables (2 n^2 d^2 doubles) exceed PAIR_BYTE_BUDGET (2 GiB)."""
+def bivariate_symmetrized(chain: FiniteChain, rep: EnergyReport) -> np.ndarray:
+    """The difference field g(z, z') = f(z) - f(z') on the two-fold product
+    chain, as the (n, n, d, d) grid of its values, from f's energy report.
+    Raises CapacityError, before allocating, when g and its Gamma table
+    (2 n^2 d^2 doubles) would exceed PAIR_BYTE_BUDGET (2 GiB): only intdim
+    builds the Gamma table (``pair_energies``), but the budget counts both
+    so that one boundary holds for every suite."""
     n, d = chain.n_states, rep.field.dim
     need = 2 * n * n * d * d * 8
     if need > PAIR_BYTE_BUDGET:
         raise CapacityError(f"the bivariate pair of '{chain.name}' ({n}^2 states, d = {d}) "
                             f"needs {need / 2 ** 30:.3g} GiB for its g and Gamma tables, "
                             f"over the budget of {PAIR_BYTE_BUDGET / 2 ** 30:g} GiB")
-    gam_f = rep.gamma
     v = rep.field.values
-    g = FiniteField((v[:, None, :, :] - v[None, :, :, :]).reshape(-1, d, d))
+    return v[:, None] - v[None]
+
+
+def pair_energies(chain: FiniteChain,
+                  rep: EnergyReport) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(Gamma table, mu x mu, Dirichlet form, v) of g(z, z') = f(z) - f(z')
+    on the two-fold product chain, indexed in the row-major order of
+    (z, z'), from f's energy report.
+
+    Gamma(g)(z, z') = Gamma(f)(z) + Gamma(f)(z') exactly: the product
+    generator moves one coordinate per jump, and a jump of either
+    coordinate changes g by a difference of f's values there, so each
+    coordinate contributes its own term of f's Gamma and no cross term
+    arises.  The table costs O(n^2 d^2) and the n^2-state chain is never
+    built.  Also dirichlet = 2 dirichlet(f) and v <= 2 v_f (equal when
+    |Gamma(f)| is state-independent).
+    """
+    gam_f, d = rep.gamma, rep.field.dim
     gamma = (gam_f[:, None, :, :] + gam_f[None, :, :, :]).reshape(-1, d, d)
     mu2 = np.kron(chain.stationary, chain.stationary)
     dirichlet = np.einsum("z,zij->ij", mu2, gamma)
-    return SymmetrizedPair(base=chain, stationary=mu2, g=g, gamma=gamma,
-                           dirichlet=dirichlet, v=op_norm(gamma))
+    return gamma, mu2, dirichlet, op_norm(gamma)
 
 
 @dataclass(frozen=True)
@@ -224,20 +213,6 @@ class EnergyReport:
         return out
 
 
-def _sym_eigvalsh(stack: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(0.5 * (stack + stack.transpose(0, 2, 1)))
-
-
-def _check_psd(name: str, w: np.ndarray):
-    """Refuse eigenvalue rows (m, d) of which one has an eigenvalue below
-    -_PSD_TOL * (1 + its largest |eigenvalue|)."""
-    low = w[:, 0]
-    bad = low < -_PSD_TOL * (1.0 + np.max(np.abs(w), axis=1))
-    if np.any(bad):
-        raise DomainError(f"{name} is not PSD within tolerance "
-                          f"(min eig {low[np.argmax(bad)]:.3e})")
-
-
 _GAMMA_PROBE = 8
 
 
@@ -280,9 +255,8 @@ def energy_report(model, f=None, spec: SampleSpec | None = None) -> EnergyReport
         if not np.all(np.isfinite(a)):
             raise NumericError(f"energy report: no verdict, the {name} is not finite; "
                                "the values of the model overflow")
-    gamma_eigs = _sym_eigvalsh(gam)
-    _check_psd("gamma", gamma_eigs)
-    _check_psd("dirichlet", _sym_eigvalsh(dirichlet[None]))
-    _check_psd("variance", _sym_eigvalsh(variance[None]))
+    gamma_eigs = psd_eigvalsh(gam, "gamma")
+    psd_eigvalsh(dirichlet, "dirichlet")
+    psd_eigvalsh(variance, "variance")
     return EnergyReport(gam, gamma_eigs, dirichlet, variance,
                         float(np.max(np.abs(gamma_eigs))), mode, meta, **chain_only)

@@ -219,17 +219,30 @@ def batch_eigvalsh(stack) -> np.ndarray:
     return w
 
 
-def intdim(a, tol: float = RTOL) -> float:
+def psd_eigvalsh(a, name: str) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
+    stack (..., d, d), each symmetrized first.  A matrix with an eigenvalue
+    below -RTOL * (1 + its largest |eigenvalue|) is not PSD within rounding
+    and is refused: DomainError naming ``name`` and the first such
+    eigenvalue."""
+    w = np.linalg.eigvalsh(0.5 * (a + np.swapaxes(a, -1, -2)))
+    if w.size:
+        low = w[..., 0].reshape(-1)
+        bad = low < -RTOL * (1.0 + np.max(np.abs(w), axis=-1).reshape(-1))
+        if np.any(bad):
+            raise DomainError(f"{name} is not PSD within tolerance "
+                              f"(min eig {low[np.argmax(bad)]:.3e})")
+    return w
+
+
+def intdim(a) -> float:
     """Intrinsic dimension tr(A)/|A| of a PSD matrix; 0 for the zero matrix.
 
     Always between 1 and rank(A) for nonzero PSD input.  Raises DomainError
-    when A has an eigenvalue below -tol*(1+|A|).
+    when A is not PSD (``psd_eigvalsh``).
     """
-    a = symmetrize(a)
-    w = np.linalg.eigvalsh(a)
+    w = psd_eigvalsh(symmetrize(a), "matrix")
     norm = float(np.max(np.abs(w)))
     if norm == 0.0:
         return 0.0
-    if w[0] < -tol * (1.0 + norm):
-        raise DomainError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     return float(np.sum(w)) / norm

@@ -41,12 +41,13 @@ from tplab import (
     product_chain,
     tail_bound,
 )
-from tplab import cli, energy, montecarlo
+from tplab import bounds, cli, energy, montecarlo
 from tplab.bounds import GAMMA_STREAM, chaos_gamma_moments
 from tplab.cli import run_experiment
 from tplab.energy import carre_table, chaos_gamma_batch
 from tplab.models import FiniteChain, SmoothField
 from tplab.reports import CheckReport
+from tplab.spectral import psd_eigvalsh
 
 from conftest import random_field, random_reversible_chain, random_symmetric
 
@@ -558,6 +559,24 @@ class TestChaosBounds:
     def test_non_psd_rejected(self):
         with pytest.raises(DomainError):
             chaos_scalar_bound(np.diag([1.0, -1.0]), 1)
+
+    def test_scalar_check_diagonalises_a_once(self, monkeypatch):
+        # one eigvalsh of A for the whole q list, not one per q
+        calls = []
+
+        def counted(a, name):
+            calls.append(name)
+            return psd_eigvalsh(a, name)
+
+        monkeypatch.setattr(bounds, "psd_eigvalsh", counted)
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        chaos = GaussianChaos(a[:, :, None, None])
+        est = montecarlo.Estimate(value=4.0, ci_low=2.0, ci_high=8.0, level=0.99, n=100)
+        mc = GaussianPass(spec=SampleSpec(n=100, seed=1), v_f=None, v_f_mode=None, tail={},
+                          poly={}, chaos={q: (est, est) for q in (1.0, 2.0, 3.0)})
+        rows = check_chaos_scalar(chaos, mc, [1, 2, 3])
+        assert calls == ["chaos coefficient matrix"]
+        assert [r.rhs for r in rows] == [8.0 * 3.0 * q * q for q in (1, 2, 3)]
 
     def test_huge_order_gives_a_finite_rhs(self):
         # 8 q^2 overflows at q = 1e160, sqrt(8) q and 8 |A| q q do not

@@ -29,9 +29,11 @@ from tplab import (
     poincare_constant,
     product_chain,
 )
-from tplab import energy, models
+from tplab import bounds, energy, models
 from tplab.bounds import chaos_gamma_moments
-from tplab.energy import _check_psd, chaos_gamma_batch
+from tplab.cli import run_experiment
+from tplab.energy import chaos_gamma_batch, pair_energies
+from tplab.spectral import psd_eigvalsh
 from tplab.models import FiniteChain
 from tplab.montecarlo import draw_standard_normal
 
@@ -468,25 +470,27 @@ class TestBivariateSymmetrized:
                 prod, energy_report(prod, FiniteField.from_scalars(np.zeros(prod.n_states))))
 
     def test_budget_counts_both_tables(self, k4, monkeypatch):
-        # 2 tables x 16 states x 2 x 2 doubles = 1024 bytes
+        # 2 tables x 16 states x 2 x 2 doubles = 1024 bytes, though the grid
+        # alone is half of that
         rep = energy_report(k4, FiniteField(np.zeros((4, 2, 2))))
         monkeypatch.setattr(energy, "PAIR_BYTE_BUDGET", 1024)
-        assert bivariate_symmetrized(k4, rep).g.n_states == 16
+        assert bivariate_symmetrized(k4, rep).shape == (4, 4, 2, 2)
         monkeypatch.setattr(energy, "PAIR_BYTE_BUDGET", 1023)
         with pytest.raises(CapacityError):
             bivariate_symmetrized(k4, rep)
 
     def test_constant_field_all_zero(self, two_state):
-        pair = bivariate_symmetrized(two_state, energy_report(two_state, constant_field(2, [[5.0]])))
-        np.testing.assert_allclose(pair.g.values, 0.0, atol=1e-15)
-        np.testing.assert_allclose(pair.gamma, 0.0, atol=1e-15)
-        assert pair.v == 0.0
+        rep = energy_report(two_state, constant_field(2, [[5.0]]))
+        np.testing.assert_allclose(bivariate_symmetrized(two_state, rep), 0.0, atol=1e-15)
+        gamma, _, _, v = pair_energies(two_state, rep)
+        np.testing.assert_allclose(gamma, 0.0, atol=1e-15)
+        assert v == 0.0
 
     def test_two_state_doubling(self, two_state):
-        pair = bivariate_symmetrized(
+        _, _, dirichlet, v = pair_energies(
             two_state, energy_report(two_state, FiniteField.from_scalars([0.0, 1.0])))
-        assert pair.dirichlet[0, 0] == pytest.approx(1.0, abs=1e-15)  # 2 * (1/2)
-        assert pair.v == pytest.approx(1.0, abs=1e-15)  # 2 * v_f, state-independent Gamma
+        assert dirichlet[0, 0] == pytest.approx(1.0, abs=1e-15)  # 2 * (1/2)
+        assert v == pytest.approx(1.0, abs=1e-15)  # 2 * v_f, state-independent Gamma
 
     def test_decomposition_identities(self, two_state, k4):
         rng = np.random.default_rng(73)
@@ -496,38 +500,63 @@ class TestBivariateSymmetrized:
                 f = random_field(rng, n, 2)
                 gam_f = carre_table(chain, f)
                 rep = energy_report(chain, f)
-                pair = bivariate_symmetrized(chain, rep)
+                gamma, _, dirichlet, v = pair_energies(chain, rep)
                 for z in range(n):
                     for zp in range(n):
-                        delta = pair.gamma[z * n + zp] - gam_f[z] - gam_f[zp]
+                        delta = gamma[z * n + zp] - gam_f[z] - gam_f[zp]
                         assert np.max(np.abs(delta)) <= 1e-12
-                assert op_norm(pair.dirichlet - 2.0 * rep.dirichlet) <= 1e-12
-                assert pair.v <= 2.0 * rep.v_f + 1e-12
+                assert op_norm(dirichlet - 2.0 * rep.dirichlet) <= 1e-12
+                assert v <= 2.0 * rep.v_f + 1e-12
 
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 5),
            d=st.sampled_from([1, 2, 3]))
     def test_matches_product_chain_route(self, seed, n, d):
-        # the closed form against Gamma of g on the explicit two-fold product
+        # the additive identity against Gamma of g on the explicit two-fold product
         rng = np.random.default_rng(seed)
         chain = random_reversible_chain(rng, n)
-        pair = bivariate_symmetrized(chain, energy_report(chain, random_field(rng, n, d)))
+        rep = energy_report(chain, random_field(rng, n, d))
+        grid = bivariate_symmetrized(chain, rep)
+        gamma, mu2, _, _ = pair_energies(chain, rep)
         prod = product_chain(chain, 2)
-        np.testing.assert_array_equal(pair.stationary, prod.stationary)
-        want = carre_table(prod, pair.g)
-        err = np.max(np.abs(pair.gamma - want))
+        np.testing.assert_array_equal(mu2, prod.stationary)
+        want = carre_table(prod, FiniteField(grid.reshape(-1, d, d)))
+        err = np.max(np.abs(gamma - want))
         assert err <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+    def test_only_intdim_builds_the_pair_gamma(self, monkeypatch):
+        cfg = {"seed": 3, "model": {"fixture": "two-state"},
+               "fields": [{"type": "fixture", "name": "indicator-1"},
+                          {"type": "random", "dim": 2, "count": 2, "seed": 5}],
+               "params": {"intdim_q": [1, 2]}}
+
+        def refuse(*args):
+            raise AssertionError("the subadditivity suite built the pair's Gamma")
+
+        monkeypatch.setattr(energy, "pair_energies", refuse)
+        monkeypatch.setattr(bounds, "pair_energies", refuse)
+        rows, _, counts = run_experiment(dict(cfg, suites=["subadditivity"]))
+        assert len(rows) == 2 * 3 and counts["PASS"] == 6
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return pair_energies(*args)
+
+        monkeypatch.setattr(bounds, "pair_energies", counted)
+        rows, _, _ = run_experiment(dict(cfg, suites=["intdim"]))
+        assert len(rows) == 2 * 3 and len(calls) == 3
 
 
 class TestEnergyReport:
     def test_psd_check_names_the_violation(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.diag([2.0, -1e-12])])
-        w = np.linalg.eigvalsh(stack)
         with pytest.raises(DomainError, match="min eig -5.000e-01"):
-            _check_psd("gamma", w)
-        _check_psd("gamma", w[[0, 2]])
-        _check_psd("gamma", np.empty((0, 2)))
+            psd_eigvalsh(stack, "gamma")
+        np.testing.assert_array_equal(psd_eigvalsh(stack[[0, 2]], "gamma"),
+                                      np.linalg.eigvalsh(stack[[0, 2]]))
+        psd_eigvalsh(np.empty((0, 2, 2)), "gamma")
 
     def test_exact_mode_consistency(self, k4):
         rng = np.random.default_rng(79)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tplab import CheckReport, NumericError, reports, rows_to_csv, rows_to_json
+from tplab import CheckReport, NumericError, bounds, reports, rows_to_csv, rows_to_json
 from tplab.cli import run_experiment
 from tplab.reports import slack_for
 
@@ -382,18 +382,19 @@ class TestRowWriters:
             assert reports._bulk_texts([other]) == [None]
 
 
-def _load_workloads():
-    """perfbench/workloads.py, executed from its text so that nothing is
+def _load_perfbench(name: str):
+    """perfbench/<name>.py, executed from its text so that nothing is
     written beside it."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    module = types.ModuleType("perfbench_workloads")
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
 @pytest.fixture(scope="module")
 def tiny_runs():
-    workloads = _load_workloads()
+    workloads = _load_perfbench("workloads")
     return {(name, seed): run_experiment(workloads.build_config(name, seed, "tiny"))
             for name in workloads.WORKLOADS for seed in (1, 2)}
 
@@ -407,6 +408,28 @@ class TestRealRows:
             assert rows_to_csv(rows) == _csv_oracle(rows) == _csv_oracle(rows, "\n")
             assert rows_to_json(rows, energy) == _oracle(rows, energy,
                                                          default=np.ndarray.tolist)
+
+    def test_seed_one_rows_pass_the_benchmark_gate(self, tiny_runs, monkeypatch):
+        # the benchmark's correctness gate against its stored references;
+        # a 1e-6 change to one bound is a moved row that it must catch
+        gate = _load_perfbench("gate")
+
+        seed = gate.REFERENCE_SEED
+
+        def errors(name, rows, energy, counts):
+            return gate.check(rows, gate.load_reference(name, "tiny"), seed,
+                              1 if counts["FAIL"] else 0, rows_to_json(rows, energy))
+
+        names = sorted({name for name, _ in tiny_runs})
+        assert len(names) == 4
+        for name in names:
+            assert errors(name, *tiny_runs[(name, seed)]) == [], name
+        real = bounds.poly_moment_rhs
+        monkeypatch.setattr(bounds, "poly_moment_rhs", lambda *a: real(*a) * (1.0 + 1e-6))
+        workloads = _load_perfbench("workloads")
+        moved = errors("chain-large",
+                       *run_experiment(workloads.build_config("chain-large", seed, "tiny")))
+        assert moved and all("rhs" in e for e in moved)
 
     def test_write_runs_only_for_the_probe_row_and_energy_reports(self, tiny_runs, monkeypatch):
         rows, energy, _ = tiny_runs[("chain-many-fields", 1)]

@@ -12,11 +12,13 @@ from tplab import (
     NumericError,
     ScalarFnSpec,
     batch_eigvalsh,
+    chaos_scalar_bound,
     eigh,
     intdim,
     op_norm,
     symmetrize,
 )
+from tplab.spectral import _eigvalsh3, psd_eigvalsh
 
 from conftest import random_symmetric
 
@@ -196,7 +198,7 @@ def structured_stack(kind, d, seed, scale, gap):
     elif kind == "near-double":
         # Q diag(lam, lam + gap, mu, ...) Q^T, a random rotation Q per matrix
         lam = rng.standard_normal(n)
-        w = np.column_stack([lam, lam + gap, rng.standard_normal((n, 2))])[:, :d]
+        w = np.column_stack([lam, lam + gap, rng.standard_normal((n, max(d, 4) - 2))])[:, :d]
         q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
         a = (q * w[:, None, :]) @ q.transpose(0, 2, 1)
     elif kind in ("rank-1", "rank-2"):
@@ -230,6 +232,25 @@ class TestBatchEigvalsh:
     def test_matches_lapack(self, kind, d, seed, log_scale, gap):
         # gaps of 1e-2 and 3e-2 put 1 - |r| near the double-root cut-off
         assert_close_to_lapack(structured_stack(kind, d, seed, 10.0 ** log_scale, gap))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["random", "near-double", "rank-1", "rank-2", "zero", "identity"]),
+           st.sampled_from([1, 2, 3, 8]), st.integers(0, 2 ** 32 - 1), st.integers(-150, 150),
+           st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1e-2, 3e-2]))
+    def test_largest_modulus_at_an_end(self, kind, d, seed, log_scale, gap):
+        # the tail deviations read max |w| from the two ends of each ascending
+        # row; they must equal the max over the whole row, bit for bit
+        a = structured_stack(kind, d, seed, 10.0 ** log_scale, gap)
+        if d == 3:
+            # rows near a double root and of extreme scale, which LAPACK takes
+            base = structured_stack("random", 3, seed, 1.0, 0.0)
+            lapack = np.concatenate([structured_stack("near-double", 3, seed, 1.0, 1e-9),
+                                     1e120 * base, 1e-120 * base])
+            with np.errstate(all="ignore"):
+                assert not _eigvalsh3(lapack)[1].any()
+            a = np.concatenate([a, lapack])
+        w = np.abs(batch_eigvalsh(a))
+        np.testing.assert_array_equal(np.maximum(w[:, 0], w[:, -1]), np.max(w, axis=1))
 
     def test_every_decade_of_scale(self):
         # p^3 and the determinant leave the normal range near 1e-103 and
@@ -308,3 +329,27 @@ class TestIntdim:
             val = intdim(a)
             rank = np.linalg.matrix_rank(a, rtol=1e-10, hermitian=True)
             assert 1.0 - 1e-12 <= val <= rank + 1e-12
+
+
+class TestPsdEigvalsh:
+    def test_one_rule_for_every_psd_matrix(self):
+        # the rule refuses an eigenvalue below -1e-10 (1 + max |w|), here
+        # -3e-10; intdim and the scalar chaos bound apply it through
+        # psd_eigvalsh and name the matrix they refuse
+        inside, outside = np.diag([2.0, -2.9e-10]), np.diag([2.0, -3.1e-10])
+        np.testing.assert_array_equal(psd_eigvalsh(inside, "A"), [-2.9e-10, 2.0])
+        assert intdim(inside) == pytest.approx(1.0)
+        assert chaos_scalar_bound(inside, 1) == 16.0
+        for refuse, name in ((lambda a: psd_eigvalsh(a, "A"), "A"), (intdim, "matrix"),
+                             (lambda a: chaos_scalar_bound(a, 1), "chaos coefficient matrix")):
+            with pytest.raises(DomainError, match=f"^{name} is not PSD within tolerance "
+                                                  r"\(min eig -3.100e-10\)$"):
+                refuse(outside)
+
+    def test_stack_names_the_first_refused_matrix(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.diag([2.0, -1e-12]),
+                          np.diag([1.0, -0.25])])
+        with pytest.raises(DomainError, match="min eig -5.000e-01"):
+            psd_eigvalsh(stack, "gamma")
+        assert psd_eigvalsh(np.empty((0, 2, 2)), "gamma").shape == (0, 2)
+        assert psd_eigvalsh(np.empty((0, 0)), "gamma").shape == (0,)
