@@ -71,11 +71,17 @@ class BoundParams:
 
 
 def _as_grid(base: FiniteChain, g) -> np.ndarray:
+    """g as an (m, m, d, d) float grid, symmetric in its last two axes: a
+    float64 grid that is exactly symmetric already, as
+    ``bivariate_symmetrized``'s is, is returned as it is, with no copy;
+    any other is symmetrized."""
     arr = np.asarray(g, dtype=float)
     m = base.n_states
     if arr.ndim != 4 or arr.shape[0] != m or arr.shape[1] != m or arr.shape[2] != arr.shape[3]:
         raise DimensionError(
             f"bivariate field must have shape ({m}, {m}, d, d), got {arr.shape}")
+    if np.array_equal(arr, arr.transpose(0, 1, 3, 2)):
+        return arr
     return 0.5 * (arr + arr.transpose(0, 1, 3, 2))
 
 

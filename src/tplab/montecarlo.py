@@ -3,7 +3,11 @@
 RNG streams are counter-based (Philox): the draws of block b of a run are a
 pure function of (seed, b), so estimates are bit-identical regardless of how
 many workers process the blocks.  Reductions run in block order.  The worker
-count can be capped with the TPL_THREADS environment variable.
+count can be capped with the TPL_THREADS environment variable.  A stream is
+only a key and a zero counter, so a sequential caller that opens many short
+streams, as the equivalence probe opens one per trial, re-keys one Philox
+(``rekeyed_streams``) instead of building one per stream, with the same
+draws as ``normal_stream``.
 
 A run makes one pass per sample stream: ``estimate_statistic`` draws and
 evaluates each block once and returns one Estimate per per-sample
@@ -69,6 +73,34 @@ def normal_stream(seed: int, stream: int) -> np.random.Generator:
     """Deterministic stream: a pure function of (seed, stream index)."""
     key = (seed & _MASK64) | ((stream & _MASK64) << 64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def rekeyed_streams(seed: int):
+    """A function ``at`` whose ``at(t)`` draws exactly what
+    ``normal_stream(seed, t)`` draws, from one Philox built here and
+    re-keyed on each call.
+
+    A Philox stream is its key plus a counter, so setting the state to the
+    key [seed, t] (each masked to 64 bits), a zero counter, an empty buffer
+    and no cached uint32 starts stream t afresh, whatever the previous
+    stream drew.  That costs about a tenth of building a new Philox, whose
+    construction also gathers OS entropy only for the key to override it.
+    Every call returns the same Generator, so this is for sequential use
+    only: the thread-pool blocks keep ``normal_stream``.
+    """
+    bits = np.random.Philox(key=seed & _MASK64)
+    gen = np.random.Generator(bits)
+    zeros = np.zeros(4, dtype=np.uint64)
+    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def at(stream: int) -> np.random.Generator:
+        key[1] = stream & _MASK64
+        bits.state = state
+        return gen
+
+    return at
 
 
 def _worker_count(spec: SampleSpec) -> int:

@@ -12,6 +12,7 @@ the (m, m) factor is diagonalised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .energy import EnergyReport, column_energies
 from .errors import DimensionError, ModelError
 from .models import FiniteChain
-from .montecarlo import normal_stream
+from .montecarlo import normal_stream, rekeyed_streams
 from .reports import CheckReport, slack_for
 
 SPECTRAL_GAP = "SPECTRAL_GAP"
@@ -130,10 +131,13 @@ class ProbeReport:
 _SIGNS = np.array([-1.0, 1.0])
 
 
-def _probe_field(seed: int, t: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _probe_field(seed: int, t: int, n: int, d: int,
+                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Trial t's symmetrized standard normal field (n, d, d) and its random
-    sign vector u, from the trial's own stream."""
-    rng = normal_stream(seed, t)
+    sign vector u, from the trial's own stream: ``rng`` when the caller has
+    it at its start already, else ``normal_stream(seed, t)``."""
+    if rng is None:
+        rng = normal_stream(seed, t)
     raw = rng.standard_normal((n, d, d))
     return 0.5 * (raw + raw.transpose(0, 2, 1)), _SIGNS[rng.integers(0, 2, size=d)]
 
@@ -160,6 +164,50 @@ def _probe_chunks(n: int, trial_dims, limit: int) -> list[range]:
     return chunks
 
 
+def _trial_view(arr: np.ndarray, start: int, k: int, period: int, shape) -> np.ndarray:
+    """The (..., k, *shape) view of k runs of columns along the last axis of
+    the C-contiguous ``arr``, the first at ``start`` and each ``period``
+    columns after the previous, each run read row-major as ``shape``.  The
+    ndarray constructor refuses a view that would reach past ``arr``."""
+    step = arr.itemsize
+    inner = tuple(step * math.prod(shape[i + 1:]) for i in range(len(shape)))
+    return np.ndarray(arr.shape[:-1] + (k, *shape), arr.dtype, arr, start * step,
+                      arr.strides[:-1] + (period * step, *inner))
+
+
+def _probe_block(stream, n: int, chunk, dims) -> tuple[np.ndarray, dict]:
+    """The probe columns of a run of consecutive trials as one (n, width)
+    block, per trial its d^2 entries and then its d compressions
+    <u, f(z) e_i>, and the trials of the run grouped by their position in
+    ``dims`` as {position: (first column, trials)}.  The trials of a group
+    lie one cycle of ``dims`` apart, so each group is one strided view of
+    the block.  Each trial draws its field and then its signs from its own
+    stream, as ``_probe_field`` does; symmetrization and compressions run
+    once per group, straight into the block."""
+    widths = [d * d + d for d in dims]
+    period = sum(widths)
+    groups: dict = {}
+    width = 0
+    for t in chunk:
+        groups.setdefault(t % len(dims), (width, []))[1].append(t)
+        width += widths[t % len(dims)]
+    block = np.empty((n, width))
+    for r, (start, ts) in groups.items():
+        d, k = dims[r], len(ts)
+        raws = np.empty((k, n, d, d))
+        signs = np.empty((k, d), dtype=np.intp)
+        for j, t in enumerate(ts):
+            rng = stream(t)
+            rng.standard_normal(out=raws[j])
+            signs[j] = rng.integers(0, 2, size=d)
+        vals = _trial_view(block, start, k, period, (d, d))
+        np.add(raws.transpose(1, 0, 2, 3), raws.transpose(1, 0, 3, 2), out=vals)
+        vals *= 0.5
+        np.matmul(_SIGNS[signs][:, None, :], vals,
+                  out=_trial_view(block, start + d * d, k, period, (1, d)))
+    return block, groups
+
+
 def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
                       cert: PoincareCertificate | None = None) -> ProbeReport:
     """Search for the worst variance/energy ratio; it never exceeds alpha.
@@ -167,48 +215,66 @@ def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
     Fields are sampled with i.i.d. standard normal entries and symmetrized;
     each trial also probes the scalar compressions z -> <u, f(z) e_i> with a
     random sign vector u, mirroring the reduction used to pass from scalar
-    to trace inequalities.  Per-trial RNG streams are split deterministically
-    from the seed, so trials are order-independent.  A trace ratio is a
-    ratio of sums over the field's entries, so the d^2 entries and the d
-    compressions of a trial are columns of one block, and the blocks of
-    consecutive trials are stacked into one ``column_energies`` call of at
-    most _PROBE_ENTRIES entries.  The maximizer is the first (trial,
-    candidate) whose ratio lies within _PROBE_SLACK (relative) of the
-    supremum, so exact ties, which every field makes on a two-state chain or
-    K_n, resolve to the earliest; its trial is redrawn from its stream to
-    report its field.  ``cert`` is the chain's certificate when the caller
-    already has it; by default it is computed here.
+    to trace inequalities.  Trial t draws from stream t of the seed
+    (``normal_stream(seed, t)``), so trials are order-independent; one
+    Philox, re-keyed per trial (``montecarlo.rekeyed_streams``), serves
+    them all.  A trace ratio is a ratio of sums over the field's entries, so
+    the d^2 entries and the d compressions of a trial are columns of one
+    block, and the blocks of consecutive trials are stacked into one
+    ``column_energies`` call of at most _PROBE_ENTRIES entries
+    (``_probe_block``).  Each trial's candidates, its matrix ratio and then
+    its d compression ratios, are read from those energies with array
+    operations.  The maximizer is the first (trial, candidate) whose ratio
+    lies within _PROBE_SLACK (relative) of the supremum, so exact ties,
+    which every field makes on a two-state chain or K_n, resolve to the
+    earliest; its trial is redrawn from its stream to report its field.
+    ``cert`` is the chain's certificate when the caller already has it; by
+    default it is computed here.
     """
     if cert is None:
         cert = poincare_constant(chain)
     dims = tuple(int(d) for d in dims)
     n = chain.n_states
-    ratios = []  # (ratio, trial, compression axis or None), in search order
+    stream = rekeyed_streams(seed)
     trial_dims = [dims[t % len(dims)] for t in range(trials)]
+    period = sum(d * d + d for d in dims)  # columns of one cycle of dims
+    found = []  # (trials, (k, d + 1) ratios: matrix, then axes 0..d-1) per group
     for chunk in _probe_chunks(n, trial_dims, _PROBE_ENTRIES):
-        fields = [_probe_field(seed, t, n, trial_dims[t]) for t in chunk]
-        var, dirich = column_energies(
-            chain, np.hstack([np.hstack([vals.reshape(n, -1), u @ vals]) for vals, u in fields]))
-        start = 0
-        for t, (vals, _) in zip(chunk, fields):
-            d = vals.shape[1]
-            k = start + d * d
-            candidates = [(var[start:k].sum(), dirich[start:k].sum(), None)]
-            candidates += [(var[k + i], dirich[k + i], i) for i in range(d)]
-            ratios += [(float(v / e), t, axis) for v, e, axis in candidates if e > 1e-14]
-            start = k + d
+        block, groups = _probe_block(stream, n, chunk, dims)
+        energies = column_energies(chain, block)
+        for r, (start, ts) in groups.items():
+            d = dims[r]
+            cand = []
+            for e in energies:
+                per_trial = _trial_view(e, start, len(ts), period, (d * d + d,))
+                out = np.empty((len(ts), d + 1))
+                # a sum over d^2 contiguous entries, as e[i:j].sum() adds them
+                out[:, 0] = per_trial[:, :d * d].sum(axis=1)
+                out[:, 1:] = per_trial[:, d * d:]
+                cand.append(out)
+            ratios = np.full_like(cand[0], -np.inf)
+            np.divide(cand[0], cand[1], out=ratios, where=cand[1] > 1e-14)
+            found.append((ts, ratios))
 
-    if not ratios:
+    sup = max((float(r.max()) for _, r in found), default=-np.inf)
+    if sup == -np.inf:
         return ProbeReport(sup_ratio=None, alpha=cert.alpha, trials=trials, dims=dims,
                            seed=seed, maximizer=None)
-    sup = max(r for r, _, _ in ratios)
-    # the first near-tie, so that rounding never picks among exact ties
-    _, t, axis = next(c for c in ratios if c[0] >= sup * (1.0 - _PROBE_SLACK))
-    d = dims[t % len(dims)]
-    vals, u = _probe_field(seed, t, n, d)
-    if axis is None:
+    # the first near-tie in search order, so that rounding never picks
+    # among exact ties: the earliest trial, and within it the first candidate
+    near = []
+    for ts, ratios in found:
+        hit = ratios >= sup * (1.0 - _PROBE_SLACK)
+        rows = np.flatnonzero(hit.any(axis=1))
+        if rows.size:
+            near.append((ts[rows[0]], int(np.argmax(hit[rows[0]]))))
+    t, col = min(near)
+    d = trial_dims[t]
+    vals, u = _probe_field(seed, t, n, d, stream(t))
+    if col == 0:
         argmax = {"trial": t, "kind": "matrix", "d": d, "field": vals.tolist()}
     else:  # <u, f(z) e_axis>
+        axis = col - 1
         argmax = {"trial": t, "kind": "compression", "d": d,
                   "field": (vals[:, :, axis] @ u).tolist(), "axis": axis}
     return ProbeReport(sup_ratio=sup, alpha=cert.alpha, trials=trials, dims=dims,

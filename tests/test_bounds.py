@@ -93,6 +93,35 @@ class TestSubadditivity:
         pair = bivariate_symmetrized(two_state, indicator(two_state))
         assert check_subadditivity(two_state, pair).passed
 
+    def test_symmetric_float_grid_is_read_in_place(self, k4):
+        f = random_field(np.random.default_rng(109), 4, 2)
+        pair = bivariate_symmetrized(k4, energy_report(k4, f))
+        assert pair.dtype == np.float64
+        assert bounds._as_grid(k4, pair) is pair
+
+    def test_asymmetric_grid_is_symmetrized_into_a_copy(self, k4):
+        raw = np.random.default_rng(113).standard_normal((4, 4, 3, 3))
+        before = raw.copy()
+        grid = bounds._as_grid(k4, raw)
+        assert grid is not raw
+        np.testing.assert_array_equal(grid, 0.5 * (raw + raw.transpose(0, 1, 3, 2)))
+        np.testing.assert_array_equal(raw, before)
+        # a symmetric grid that is not float64 is converted, not returned
+        ints = np.ones((4, 4, 2, 2), dtype=int)
+        assert bounds._as_grid(k4, ints).dtype == np.float64
+
+    def test_asymmetric_grid_gives_the_rows_of_its_symmetrization(self, two_state, k4):
+        rng = np.random.default_rng(127)
+        for chain in (two_state, k4, random_reversible_chain(rng, 5)):
+            cert = poincare_constant(chain)
+            m = chain.n_states
+            for d in (1, 2, 3):
+                raw = rng.standard_normal((m, m, d, d))
+                sym = 0.5 * (raw + raw.transpose(0, 1, 3, 2))
+                assert check_subadditivity(chain, raw) == check_subadditivity(chain, sym)
+                assert (check_bivariate_poincare(chain, raw, cert)
+                        == check_bivariate_poincare(chain, sym, cert))
+
 
 class TestBivariatePoincare:
     def test_constant_zero_margin(self, two_state):

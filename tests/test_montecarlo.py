@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,6 +21,7 @@ from tplab.montecarlo import (
     estimate_statistic,
     normal_quantile,
     power_sums,
+    rekeyed_streams,
 )
 
 from conftest import moment
@@ -58,6 +59,44 @@ class TestStreams:
         xs = normal_stream(8, 0).standard_normal((10 ** 6, 4))
         cov = xs.T @ xs / xs.shape[0]
         assert np.linalg.norm(cov - np.eye(4)) <= 0.01 * np.linalg.norm(np.eye(4))
+
+
+class TestRekeyedStreams:
+    """rekeyed_streams(seed)(t) draws what normal_stream(seed, t) draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(-2 ** 66, 2 ** 130), stream=st.integers(-2 ** 66, 2 ** 130))
+    @example(seed=2 ** 64 + 5, stream=2 ** 64 - 1)
+    @example(seed=2 ** 64 - 1, stream=2 ** 64)
+    @example(seed=-1, stream=3 * 2 ** 64 + 7)
+    def test_masked_like_normal_stream(self, seed, stream):
+        # seeds and stream indices beyond 64 bits keep their low 64 bits
+        want = normal_stream(seed, stream).standard_normal(17)
+        np.testing.assert_array_equal(rekeyed_streams(seed)(stream).standard_normal(17), want)
+
+    def test_cached_uint32_is_dropped(self):
+        # an odd-length integers draw leaves half of a 64-bit output cached;
+        # the next stream must not start from it
+        at = rekeyed_streams(41)
+        rng = at(0)
+        rng.integers(0, 2, size=3)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        for t in (1, 0, 1):
+            fresh = normal_stream(41, t)
+            np.testing.assert_array_equal(at(t).integers(0, 2, size=5),
+                                          fresh.integers(0, 2, size=5))
+            at(t).standard_normal(3)  # leaves a partly read buffer behind
+
+    def test_probe_order_of_draws(self):
+        # a trial draws its (n, d, d) field, then its d signs
+        at = rekeyed_streams(31)
+        for t, (n, d) in enumerate([(5, 1), (4, 3), (27, 2), (3, 3), (1, 1), (8, 4)]):
+            rng, fresh = at(t), normal_stream(31, t)
+            np.testing.assert_array_equal(rng.standard_normal((n, d, d)),
+                                          fresh.standard_normal((n, d, d)))
+            np.testing.assert_array_equal(rng.integers(0, 2, size=d),
+                                          fresh.integers(0, 2, size=d))
+            np.testing.assert_array_equal(rng.random(3), fresh.random(3))
 
 
 class TestSampleSpec:

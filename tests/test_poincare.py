@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tplab import (
     DimensionError,
@@ -21,6 +23,7 @@ from tplab import (
 )
 
 from tplab import poincare
+from tplab.energy import column_energies
 from tplab.montecarlo import normal_stream
 
 from conftest import dense_product_generator, k_complete, random_field, random_reversible_chain
@@ -54,6 +57,29 @@ def per_trial_ratios(chain, trials, dims, seed):
             var, dirich = float(np.trace(rep.variance)), float(np.trace(rep.dirichlet))
             if dirich > 1e-14:
                 out.append((var / dirich, info))
+    return out
+
+
+def stacked_ratios(chain, trials, dims, seed):
+    """Oracle: the probe's (ratio, trial, compression axis or None) in
+    search order, from the same chunks of trials, each chunk's columns
+    stacked trial by trial from ``_probe_field`` and read back one slice per
+    candidate: the probe's arithmetic, one trial at a time."""
+    n = chain.n_states
+    trial_dims = [dims[t % len(dims)] for t in range(trials)]
+    out = []
+    for chunk in poincare._probe_chunks(n, trial_dims, poincare._PROBE_ENTRIES):
+        fields = [poincare._probe_field(seed, t, n, trial_dims[t]) for t in chunk]
+        var, dirich = column_energies(
+            chain, np.hstack([np.hstack([vals.reshape(n, -1), u @ vals]) for vals, u in fields]))
+        start = 0
+        for t in chunk:
+            d = trial_dims[t]
+            k = start + d * d
+            candidates = [(var[start:k].sum(), dirich[start:k].sum(), None)]
+            candidates += [(var[k + i], dirich[k + i], i) for i in range(d)]
+            out += [(float(v / e), t, axis) for v, e, axis in candidates if e > 1e-14]
+            start = k + d
     return out
 
 
@@ -242,6 +268,45 @@ class TestEquivalenceProbe:
                 assert report.maximizer == ties[0]
                 if chain.n_states > 2 and chain is not k4:
                     assert abs(report.sup_ratio - sup) <= 1e-13 * sup
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain_seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+           scale=st.integers(-3, 3),
+           dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+           trials=st.integers(1, 30), seed=st.integers(0, 2 ** 64 - 1),
+           entries=st.sampled_from([1, 20, 60, 150, 2 ** 14]))
+    def test_bulk_probe_matches_per_trial_oracles(self, chain_seed, n, scale, dims, trials,
+                                                  seed, entries):
+        # dims may repeat a dimension and need not divide the trial count,
+        # and small chunks end inside a run of same-dimension trials
+        chain = random_reversible_chain(np.random.default_rng(chain_seed), n, 10.0 ** scale)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poincare, "_PROBE_ENTRIES", entries)
+            report = equivalence_probe(chain, trials, dims, seed)
+            stacked = stacked_ratios(chain, trials, dims, seed)
+        sup = max(r for r, _, _ in stacked)
+        _, t, axis = next(c for c in stacked if c[0] >= sup * (1 - 1e-9))
+        assert report.sup_ratio == sup
+        assert (report.maximizer["trial"], report.maximizer.get("axis")) == (t, axis)
+        # the energy-report oracle sums the trace in another order
+        ratios = per_trial_ratios(chain, trials, dims, seed)
+        top = max(r for r, _ in ratios)
+        assert abs(report.sup_ratio - top) <= 1e-13 * top
+        assert report.maximizer == next(info for r, info in ratios if r >= top * (1 - 1e-9))
+
+    def test_one_philox_per_probe(self, k4, monkeypatch):
+        # trials re-key one bit generator, and the maximizer's redraw reuses it
+        built = []
+        real = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        report = equivalence_probe(k4, trials=400, dims=[1, 2, 3], seed=17)
+        assert report.maximizer is not None
+        assert len(built) == 1
 
     def test_probe_field_signs_match_choice(self):
         # the sign vector is drawn by indexing, from the same stream values

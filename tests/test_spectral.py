@@ -102,6 +102,17 @@ class TestEigh:
         with pytest.raises(NumericError, match="matrix 3 of 6"):
             eigh(stack)
 
+    def test_contract_runs_no_svd(self, monkeypatch):
+        # the residuals are Frobenius norms; a 2-norm would be one SVD per
+        # matrix, which np.linalg.norm reaches through its own module
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg._linalg, "svd", refuse)
+        dec = eigh(np.random.default_rng(7).standard_normal((27, 3, 3)))
+        assert dec.eigenvalues.shape == (27, 3)
+
 
 class TestApplySpectralFn:
     """phi(A) = Q diag(phi(w)) Q^T, applied through eigh(a).map."""
