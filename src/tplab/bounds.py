@@ -8,7 +8,7 @@ Each checker evaluates both sides of one inequality instance (exactly on
 finite chains, by Monte Carlo on Gaussian models) and returns CheckReports.
 An unbounded right-hand side is a first-class verdict (SKIPPED), not an
 exception; Monte Carlo comparisons violated only within the confidence
-interval come back INCONCLUSIVE rather than FAIL.
+intervals of the two sides come back INCONCLUSIVE rather than FAIL.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .energy import (
     bivariate_symmetrized,
     chaos_gamma_batch,
     column_energies,
-    pair_energies,
 )
 from .errors import DimensionError, DomainError, NumericError
 from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, SmoothField
@@ -380,7 +379,7 @@ def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid) -> 
                "v_f_mode": rep.v_f_mode, "d": d, "n": est.n, "seed": rep.spec.seed,
                "level": est.level, "auto_pass": bound >= 1.0}
         out.append(CheckReport.from_interval(
-            "subexp-tail", est.ci_low, est.value, est.ci_high, bound,
+            "subexp-tail", est.ci_low, est.value, est.ci_high, (bound,) * 3,
             slack_for(bound), ctx))
     return out
 
@@ -422,8 +421,9 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
     with s_G = max |Gamma|.
 
     On a Gaussian model ``rep`` is the run's ``gaussian_pass``, which holds
-    the centred f-moments and the Gamma moments: estimated on a chaos, and
-    exact on a series, whose Gamma is x-independent.
+    the centred f-moments and the Gamma moments: estimated on a chaos, whose
+    rhs then carries the Gamma moment's interval (``rhs_ci``), and exact on
+    a series, whose Gamma is x-independent.
     """
     out = []
     if isinstance(model, FiniteChain):
@@ -448,13 +448,14 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
     d = model.dim
     for q, (est, gam_est) in zip(q_list, _read(rep.poly, q_list, "poly-moment")):
         if isinstance(gam_est, float):
-            tgq, gamma_ctx = gam_est, {"gamma_moment_exact": True}
+            tgqs, gamma_ctx = (gam_est,) * 3, {"gamma_moment_exact": True}
         else:
-            tgq, gamma_ctx = gam_est.value, {"gamma_moment_ci": [gam_est.ci_low,
-                                                                 gam_est.ci_high]}
-        rhs = poly_moment_rhs(BoundParams(cert.alpha, 0.0, d, q=q), tgq)
+            tgqs = (max(gam_est.ci_low, 0.0), gam_est.value, gam_est.ci_high)
+            gamma_ctx = {"gamma_moment_ci": [gam_est.ci_low, gam_est.ci_high]}
+        params = BoundParams(cert.alpha, 0.0, d, q=q)
+        rhs = tuple(poly_moment_rhs(params, t) for t in tgqs)
         out.append(CheckReport.from_interval(
-            "poly-moment", *_root_interval(est, q), rhs, slack_for(rhs),
+            "poly-moment", *_root_interval(est, q), rhs, slack_for(rhs[1]),
             {"q": q, "alpha": cert.alpha, "d": d, "n": est.n, "seed": rep.spec.seed,
              "sqrt2_regime": _sqrt2_regime(q), **gamma_ctx}))
     return out
@@ -469,8 +470,8 @@ def chaos_gamma_moments(chaos: GaussianChaos, q_list, spec: SampleSpec,
     chaos: one list per scale, one Estimate per q, all from one pass with
     one ``spectral.batch_eigvalsh`` per block.
 
-    The pass runs on its own stream (seed ^ GAMMA_STREAM, never paired), so
-    the Gamma side is independent of the f-pass on ``spec``.  The clipped
+    The pass runs on its own stream (seed ^ GAMMA_STREAM), so the Gamma
+    side is independent of the f-pass on ``spec``.  The clipped
     eigenvalues w of Gamma are scaled rather than Gamma itself; for a
     power-of-two scale the two agree exactly.  The orders that
     ``montecarlo.power_sums`` forms from products are formed once, from
@@ -504,9 +505,10 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
                          cert: PoincareCertificate, q_list) -> list[CheckReport]:
     """E tr |g|^{2q} <= intdim(dirichlet(g)) * alpha^q q! * v_g^q for the
     symmetrized difference field g(z, z') = f(z) - f(z'), one report per
-    natural q of q_list; g, its spectrum, its Gamma table and intdim are
-    built once for the whole list from f's energy report ``rep``, which
-    gives v_f.  No other checker reads g's Gamma (``energy.pair_energies``).
+    natural q of q_list; g and its spectrum are built once for the whole
+    list.  g's energies are read from f's energy report ``rep``:
+    Gamma(g)(z, z') = Gamma(f)(z) + Gamma(f)(z') gives v_g = 2 v_f and
+    dirichlet(g) = 2 dirichlet(f), and intdim(2 D) = intdim(D).
 
     The context also records the uniform bound (2 alpha q^2)^q * d * v_f^q
     that follows from the polynomial moment inequality, and which of the two
@@ -516,10 +518,11 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
         if not (q >= 1 and float(q).is_integer()):
             raise DomainError(f"the intrinsic-dimension bound needs a natural q, got {q}")
     v_f, d = rep.v_f, rep.field.dim
+    v_g = 2.0 * v_f
     grid = bivariate_symmetrized(chain, rep)
-    _, mu2, dirichlet, v_g = pair_energies(chain, rep)
+    mu2 = np.kron(chain.stationary, chain.stationary)
     g_eigs = np.abs(np.linalg.eigvalsh(grid.reshape(-1, d, d)))
-    idim = intdim(dirichlet)
+    idim = intdim(rep.dirichlet)
     out = []
     for q in q_list:
         q = int(q)
@@ -578,7 +581,7 @@ def check_chaos_scalar(chaos: GaussianChaos, mc: GaussianPass, q_list) -> list[C
     for q, (est, _) in zip(q_list, _read(mc.chaos, q_list, "chaos")):
         rhs = _scalar_bound(norm, q)
         out.append(CheckReport.from_interval(
-            "chaos-scalar", *_root_interval(est, q), rhs, slack_for(rhs),
+            "chaos-scalar", *_root_interval(est, q), (rhs,) * 3, slack_for(rhs),
             {"q": q, "norm_A": norm, "n": est.n, "seed": mc.spec.seed}))
     return out
 
@@ -590,7 +593,8 @@ def check_chaos_matrix(chaos: GaussianChaos, mc: GaussianPass, q_list) -> list[C
             <= sqrt(8 q^2) * (E tr [sum_i (sum_j X_j A_ij)^2]^q)^{1/(2q)}
 
     Both sides are Monte Carlo estimates on independent streams, read from
-    the run's ``gaussian_pass``; no iterated closed form is asserted.  The
+    the run's ``gaussian_pass``, and the verdict compares their intervals
+    (the rhs's is ``rhs_ci``); no iterated closed form is asserted.  The
     inner sum is Gamma(f) / 4.  The factor is sqrt(8) q, so a huge q with
     finite estimates gives a finite rhs.
     """
@@ -598,10 +602,8 @@ def check_chaos_matrix(chaos: GaussianChaos, mc: GaussianPass, q_list) -> list[C
     out = []
     for q, (est, gam_est) in zip(q_list, _read(mc.chaos, q_list, "chaos")):
         factor = math.sqrt(8.0) * q
-        gam_lo, gam_value, gam_hi = _root_interval(gam_est, q)
-        rhs = factor * gam_value
+        rhs = tuple(factor * t for t in _root_interval(gam_est, q))
         out.append(CheckReport.from_interval(
-            "chaos-matrix", *_root_interval(est, q), rhs, slack_for(rhs),
-            {"q": q, "d": chaos.dim, "n": est.n, "seed": mc.spec.seed,
-             "rhs_ci": [factor * gam_lo, factor * gam_hi]}))
+            "chaos-matrix", *_root_interval(est, q), rhs, slack_for(rhs[1]),
+            {"q": q, "d": chaos.dim, "n": est.n, "seed": mc.spec.seed}))
     return out

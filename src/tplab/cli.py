@@ -51,7 +51,7 @@ def default_config() -> dict:
     """Built-in experiment: all chain suites on the two-state fixture."""
     return {
         "seed": 20240601,
-        "samples": {"n": 20000, "workers": 1, "antithetic": False},
+        "samples": {"n": 20000, "workers": 1},
         "model": {"fixture": "two-state"},
         "fields": [
             {"type": "fixture", "name": "indicator-1"},
@@ -295,7 +295,7 @@ def validate_config(cfg: dict):
         raise ConfigError("suites: at least one suite is required")
     if "model" not in cfg:
         raise ConfigError("model: missing")
-    _section(cfg, "samples", "n/workers/antithetic")
+    _section(cfg, "samples", "n/workers")
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int) or seed < 0 or seed > (1 << 64) - 1:
         raise ConfigError("seed: must be an unsigned 64-bit integer")
@@ -319,13 +319,6 @@ def _integer(value, label: str, low: int | None = None) -> int:
                                                                  and value < low):
         bound = "" if low is None else f" >= {low}"
         raise ConfigError(f"{label}: expected an integer{bound}, got {value!r}")
-    return value
-
-
-def _sample_flag(samples: dict, key: str) -> bool:
-    value = samples.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"samples.{key}: expected true or false, got {value!r}")
     return value
 
 
@@ -396,8 +389,11 @@ def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
         n=_integer(samples.get("n", 20000), "samples.n"),
         seed=seed,
         workers=_integer(samples.get("workers", 1), "samples.workers"),
-        antithetic=_sample_flag(samples, "antithetic"),
     )
+    if samples.get("antithetic", False) is not False:
+        raise ConfigError(f"samples.antithetic: pairing is not supported, got "
+                          f"{samples['antithetic']!r}; every statistic is even in x, so an "
+                          f"(x, -x) pair evaluates one sample twice and only halves n")
     params = _checked_params(cfg.get("params", {}))
     suites = cfg["suites"]
     model, name = build_model(cfg["model"])
@@ -440,7 +436,7 @@ def _cmd_run(args) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         if args.samples is not None:
-            cfg["samples"] = dict(_section(cfg, "samples", "n/workers/antithetic"),
+            cfg["samples"] = dict(_section(cfg, "samples", "n/workers"),
                                   n=args.samples)
         if args.suite:
             cfg["suites"] = args.suite

@@ -53,7 +53,7 @@ from . import montecarlo
 from .errors import CapacityError, DimensionError, DomainError, NumericError
 from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, chaos_values
 from .montecarlo import SampleSpec
-from .spectral import op_norm, psd_eigvalsh
+from .spectral import psd_eigvalsh
 
 EXACT = "EXACT"
 ESTIMATED = "ESTIMATED"
@@ -129,46 +129,31 @@ def chaos_gamma_batch(chaos: GaussianChaos, xs: np.ndarray) -> np.ndarray:
     return chaos_values(chaos.gamma_coefficients, xs)
 
 
-# bytes the bivariate pair's g and Gamma tables, (n^2, d, d) each, may take
+# bytes the bivariate pair's g and one table of g's size, (n^2, d, d) each,
+# may take
 PAIR_BYTE_BUDGET = 2 << 30
 
 
 def bivariate_symmetrized(chain: FiniteChain, rep: EnergyReport) -> np.ndarray:
     """The difference field g(z, z') = f(z) - f(z') on the two-fold product
     chain, as the (n, n, d, d) grid of its values, from f's energy report.
-    Raises CapacityError, before allocating, when g and its Gamma table
-    (2 n^2 d^2 doubles) would exceed PAIR_BYTE_BUDGET (2 GiB): only intdim
-    builds the Gamma table (``pair_energies``), but the budget counts both
-    so that one boundary holds for every suite."""
+    Raises CapacityError, before allocating, when g and one table of its
+    size (2 n^2 d^2 doubles) would exceed PAIR_BYTE_BUDGET (2 GiB): both
+    subadditivity checkers form g @ g beside g.
+
+    g's energies need no table of their own.  The product generator moves
+    one coordinate per jump, so Gamma(g)(z, z') = Gamma(f)(z) + Gamma(f)(z')
+    exactly; hence D(g) = 2 D(f), and v_g = 2 v_f, attained on the
+    diagonal z = z'.  ``bounds.check_intdim_variant`` reads them from f's
+    report."""
     n, d = chain.n_states, rep.field.dim
     need = 2 * n * n * d * d * 8
     if need > PAIR_BYTE_BUDGET:
         raise CapacityError(f"the bivariate pair of '{chain.name}' ({n}^2 states, d = {d}) "
-                            f"needs {need / 2 ** 30:.3g} GiB for its g and Gamma tables, "
+                            f"needs {need / 2 ** 30:.3g} GiB for g and a table of its size, "
                             f"over the budget of {PAIR_BYTE_BUDGET / 2 ** 30:g} GiB")
     v = rep.field.values
     return v[:, None] - v[None]
-
-
-def pair_energies(chain: FiniteChain,
-                  rep: EnergyReport) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(Gamma table, mu x mu, Dirichlet form, v) of g(z, z') = f(z) - f(z')
-    on the two-fold product chain, indexed in the row-major order of
-    (z, z'), from f's energy report.
-
-    Gamma(g)(z, z') = Gamma(f)(z) + Gamma(f)(z') exactly: the product
-    generator moves one coordinate per jump, and a jump of either
-    coordinate changes g by a difference of f's values there, so each
-    coordinate contributes its own term of f's Gamma and no cross term
-    arises.  The table costs O(n^2 d^2) and the n^2-state chain is never
-    built.  Also dirichlet = 2 dirichlet(f) and v <= 2 v_f (equal when
-    |Gamma(f)| is state-independent).
-    """
-    gam_f, d = rep.gamma, rep.field.dim
-    gamma = (gam_f[:, None, :, :] + gam_f[None, :, :, :]).reshape(-1, d, d)
-    mu2 = np.kron(chain.stationary, chain.stationary)
-    dirichlet = np.einsum("z,zij->ij", mu2, gamma)
-    return gamma, mu2, dirichlet, op_norm(gamma)
 
 
 @dataclass(frozen=True)

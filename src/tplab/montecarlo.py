@@ -41,21 +41,22 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Monte Carlo budget: sample count, 64-bit seed, worker count and the
-    optional antithetic (x, -x) pairing for symmetric integrands."""
+    """Monte Carlo budget: sample count, 64-bit seed and worker count.
+
+    There is no antithetic (x, -x) pairing: every statistic a Gaussian pass
+    reads is even in x (a chaos is even, and a series is odd, so its
+    moduli are even), so a pair would evaluate one sample twice and only
+    halve the effective n."""
 
     n: int
     seed: int
     workers: int = 1
-    antithetic: bool = False
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"sample count must be >= 1, got {self.n}")
         if self.workers < 1:
             raise DomainError(f"worker count must be >= 1, got {self.workers}")
-        if self.antithetic and self.n % 2 != 0:
-            raise DomainError("antithetic sampling needs an even sample count")
 
 
 @dataclass(frozen=True)
@@ -192,30 +193,19 @@ def estimate_statistic(spec: SampleSpec, field, per_sample,
     Returns one Estimate per array, in the same order.  The block sums of
     each statistic are kept apart and reduced in block order with
     math.fsum, so each Estimate is bit-identical to a pass that computed
-    that statistic alone, for any worker count.  With antithetic pairing on,
-    each statistic is averaged over each (x, -x) pair and the CLT runs on
-    the n/2 pair means.
+    that statistic alone, for any worker count.
     """
 
-    def evaluated(b: int, xs):
-        mats = field.eval_batch(xs)
-        if not np.all(np.isfinite(mats)):
-            raise NumericError(f"Monte Carlo: no estimate, the values of the field at the "
-                               f"samples of block {b} are not finite; the model overflows")
-        return per_sample(mats)
-
     def job(b: int, count: int):
-        rng = normal_stream(spec.seed, b)
+        xs = normal_stream(spec.seed, b).standard_normal((count, field.ambient_dim))
         # an overflowing value is refused and an overflowing statistic is
         # inf, which the checkers refuse: neither needs a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if spec.antithetic:
-                xs = rng.standard_normal((count // 2, field.ambient_dim))
-                vals = [0.5 * (plus + minus) for plus, minus in
-                        zip(evaluated(b, xs), evaluated(b, -xs))]
-            else:
-                vals = evaluated(b, rng.standard_normal((count, field.ambient_dim)))
-            return [(len(v), v.sum(), np.sum(v ** 2)) for v in vals]
+            mats = field.eval_batch(xs)
+            if not np.all(np.isfinite(mats)):
+                raise NumericError(f"Monte Carlo: no estimate, the values of the field at the "
+                                   f"samples of block {b} are not finite; the model overflows")
+            return [(len(v), v.sum(), np.sum(v ** 2)) for v in per_sample(mats)]
 
     parts = _map_blocks(spec, job)
     return [_estimate([p[k] for p in parts], level)
@@ -273,17 +263,12 @@ def estimate_trace_moment(field, orders, spec: SampleSpec, centers=(None,),
     ``thresholds`` appends to each list, from the same eigenvalues, one
     Estimate per threshold t of the frequency of ||f(X) - c|| >= t (the mean
     of an indicator; ``estimate_tail`` gives it a Wilson interval).
-    Indicators are never averaged over antithetic pairs, so thresholds
-    refuse pairing.
     """
     orders = [float(q) for q in orders]
     for order in orders:
         if not order >= 1:
             raise DomainError(f"moment order q must be >= 1, got {order}")
     thresholds = [float(t) for t in thresholds]
-    if thresholds and spec.antithetic:
-        raise DomainError("antithetic pairing breaks the Bernoulli model of "
-                          "the Wilson interval; disable it for tail estimation")
     centres = list(centers)
 
     def per_sample(mats):

@@ -92,19 +92,25 @@ class CheckReport:
 
     @classmethod
     def from_interval(cls, citation: str, ci_low: float, value: float, ci_high: float,
-                      rhs: float, tolerance: float,
+                      rhs: tuple[float, float, float], tolerance: float,
                       context: dict | None = None) -> "CheckReport":
-        """Monte Carlo comparison: PASS when the upper confidence bound sits
-        below the bound, FAIL when even the lower bound violates it, and
-        INCONCLUSIVE in between (violated only within CI width)."""
+        """Monte Carlo comparison against an rhs given as (lo, value, hi):
+        PASS when the lhs upper confidence bound sits below the rhs lower
+        one, FAIL when even the lhs lower bound exceeds the rhs upper one,
+        and INCONCLUSIVE in between, so a FAIL needs the two intervals
+        apart.  An exact rhs has lo = hi = value; an estimated one (lo < hi)
+        is recorded in the context as ``rhs_ci``."""
+        rhs_lo, rhs, rhs_hi = rhs
         ctx = dict(context or {})
+        if rhs_lo < rhs_hi:
+            ctx.setdefault("rhs_ci", [float(rhs_lo), float(rhs_hi)])
         ctx.setdefault("ci_low", float(ci_low))
         ctx.setdefault("ci_high", float(ci_high))
         margin = rhs - value
         _comparable(citation, value, rhs, margin)
-        if ci_high <= rhs + tolerance:
+        if ci_high <= rhs_lo + tolerance:
             verdict = PASS
-        elif ci_low > rhs + tolerance:
+        elif ci_low > rhs_hi + tolerance:
             verdict = FAIL
         else:
             verdict = INCONCLUSIVE

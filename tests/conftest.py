@@ -1,3 +1,6 @@
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,16 @@ def moment(field, q, spec, center=None):
     """The Estimate of E tr |f(X) - center|^(2q) at one order and one centre
     (None for no centre), from ``estimate_trace_moment``."""
     return estimate_trace_moment(field, [q], spec, centers=[center])[0][0]
+
+
+def load_perfbench(name: str):
+    """perfbench/<name>.py, executed from its text so that nothing is
+    written beside it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def k_complete(n):

@@ -618,7 +618,9 @@ class TestChaosBounds:
                           poly={}, chaos={q: (est, est)})
         (matrix,) = check_chaos_matrix(chaos, mc, [q])
         assert matrix.rhs == pytest.approx(math.sqrt(8.0) * q * 4.0 ** (1.0 / (2.0 * q)))
-        assert all(map(math.isfinite, [matrix.rhs, *matrix.context["rhs_ci"]]))
+        # the (2q)-th roots of the Gamma interval's ends round to one value,
+        # so the rhs is a point and the row records no rhs_ci
+        assert math.isfinite(matrix.rhs) and "rhs_ci" not in matrix.context
         (scalar,) = check_chaos_scalar(chaos, mc, [q])
         assert scalar.rhs == pytest.approx(8e-300 * q * q)
         assert scalar.context["norm_A"] == pytest.approx(1e-300)
@@ -947,9 +949,21 @@ class TestVerdictMechanics:
                 assert big.passed
 
     def test_interval_trichotomy(self):
-        r = CheckReport.from_interval("x", 0.5, 0.8, 0.9, 1.0, 0.0)
-        assert r.verdict == "PASS"
-        r = CheckReport.from_interval("x", 0.95, 1.05, 1.2, 1.0, 0.0)
+        exact = (1.0, 1.0, 1.0)
+        r = CheckReport.from_interval("x", 0.5, 0.8, 0.9, exact, 0.0)
+        assert r.verdict == "PASS" and "rhs_ci" not in r.context
+        r = CheckReport.from_interval("x", 0.95, 1.05, 1.2, exact, 0.0)
         assert r.verdict == "INCONCLUSIVE"
-        r = CheckReport.from_interval("x", 1.1, 1.2, 1.3, 1.0, 0.0)
+        r = CheckReport.from_interval("x", 1.1, 1.2, 1.3, exact, 0.0)
+        assert r.verdict == "FAIL"
+        # an estimated rhs: PASS below its lower end, FAIL above its upper end
+        estimated = (0.95, 1.0, 1.05)
+        r = CheckReport.from_interval("x", 0.5, 0.8, 0.9, estimated, 0.0)
+        assert r.verdict == "PASS" and r.context["rhs_ci"] == [0.95, 1.05]
+        assert r.rhs == 1.0 and r.margin == pytest.approx(0.2)
+        r = CheckReport.from_interval("x", 0.5, 0.8, 0.96, estimated, 0.0)
+        assert r.verdict == "INCONCLUSIVE"
+        r = CheckReport.from_interval("x", 1.02, 1.1, 1.2, estimated, 0.0)
+        assert r.verdict == "INCONCLUSIVE"
+        r = CheckReport.from_interval("x", 1.06, 1.1, 1.2, estimated, 0.0)
         assert r.verdict == "FAIL"

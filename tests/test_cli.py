@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,11 +13,14 @@ import pytest
 
 import tplab
 from tplab import (FiniteChain, GaussianChaos, GaussianPass, GaussianSeries, SampleSpec,
-                   SmoothField, energy, estimate_trace_moment, montecarlo, rows_to_json)
+                   SmoothField, bounds, energy, estimate_trace_moment, montecarlo,
+                   rows_to_json)
 from tplab.bounds import (GAMMA_STREAM, chaos_gamma_moments, check_chaos_matrix,
                           check_chaos_scalar)
 from tplab.cli import CHAIN_ONLY, build_model, default_config, main, run_experiment
 from tplab.fixtures import catalog, get_field, get_model
+
+from conftest import load_perfbench
 
 
 def run_cli(args):
@@ -255,6 +259,95 @@ class TestGaussianConfigs:
         assert len(up) == 4 and down == up[::-1]
 
 
+class TestEstimatedRhs:
+    """A scalar chaos in 6 variables with A_ii = 1 and every other
+    coefficient 0: at q = 1 both sides of the chaos-matrix row are
+    sqrt(48) (E f^2 = 36 + 12 and 8 sum_ij A_ij^2 = 48), and both are Monte
+    Carlo estimates, so only a comparison of the two intervals can keep the
+    rhs's own error from making a FAIL."""
+
+    COEF = np.zeros((6, 6, 1, 1))
+    COEF[range(6), range(6)] = 1.0
+    CFG = {"samples": {"n": 20000}, "suites": ["chaos"], "params": {"q_list": [1]},
+           "model": {"gaussian_chaos": {"coefficients": COEF.tolist()}}}
+
+    def matrix_row(self, seed):
+        rows, _, _ = run_experiment({**self.CFG, "seed": seed})
+        (row,) = [r for r in rows if r["citation"] == "chaos-matrix"]
+        return row
+
+    def test_seed_18_is_no_counterexample(self, tmp_path):
+        # the lhs interval [6.920, 7.076] lies above the rhs point 6.918 but
+        # overlaps the rhs interval [6.882, 6.954]
+        row = self.matrix_row(18)
+        assert row["lhs"] > row["rhs"] and row["verdict"] == "INCONCLUSIVE"
+        lo, hi = row["context"]["rhs_ci"]
+        assert lo < row["rhs"] < hi < row["context"]["ci_high"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.CFG, "seed": 18}))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+    def test_no_fail_over_50_seeds(self):
+        assert all(self.matrix_row(seed)["verdict"] != "FAIL" for seed in range(50))
+
+    def test_a_smaller_rhs_still_fails(self, monkeypatch):
+        # the Gamma moments scaled by 0.9^(2q) scale the rhs and its interval
+        # by 0.9: a true counterexample must still FAIL
+        real = bounds.chaos_gamma_moments
+
+        def scaled(chaos, q_list, spec, scales=(1.0,)):
+            return [[dataclasses.replace(e, value=e.value * 0.9 ** (2 * q),
+                                         ci_low=e.ci_low * 0.9 ** (2 * q),
+                                         ci_high=e.ci_high * 0.9 ** (2 * q))
+                     for q, e in zip(q_list, ests)]
+                    for ests in real(chaos, q_list, spec, scales)]
+
+        monkeypatch.setattr(bounds, "chaos_gamma_moments", scaled)
+        row = self.matrix_row(18)
+        assert row["rhs"] == pytest.approx(0.9 * 6.917865039327238, rel=1e-12)
+        assert any(self.matrix_row(seed)["verdict"] == "FAIL" for seed in range(50))
+
+
+class TestTimeRescaling:
+    """L -> cL gives Gamma -> c Gamma and alpha -> alpha / c, so every row of
+    the seven chain suites keeps its lhs and rhs, except the two rows that
+    measure one of them alone: both sides of dirichlet-chain-rule scale by c
+    and both sides of poincare-equivalence by 1 / c.  The benchmark's
+    chain-many-fields workload (tiny, seed 1) with its refresh base written
+    as a generator; at powers of two the rows agree bit for bit."""
+
+    SCALED = {"dirichlet-chain-rule": lambda c: c, "poincare-equivalence": lambda c: 1.0 / c}
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        cfg = load_perfbench("workloads").build_config("chain-many-fields", 1, "tiny")
+        assert set(cfg["suites"]) == CHAIN_ONLY | {"tail", "poly-moment"}
+        product = cfg["model"]["product"]
+        mu = np.asarray(product["base"]["complete_refresh"]["stationary"])
+        refresh = np.tile(mu, (mu.size, 1)) - np.eye(mu.size)
+
+        def rows(c):
+            base = {"generator": (c * refresh).tolist(), "stationary": mu.tolist()}
+            return run_experiment({**cfg, "model": {"product": {**product, "base": base}}})[0]
+
+        return rows
+
+    @pytest.mark.parametrize("c", [4.0, 0.25, 3.0, 1e-3])
+    def test_every_row_keeps_its_sides(self, run, c):
+        base, rows = run(1.0), run(c)
+        assert len(rows) == len(base) == 470
+        for want, got in zip(base, rows):
+            citation = want["citation"]
+            assert (got["citation"], got["verdict"]) == (citation, want["verdict"])
+            k = self.SCALED.get(citation, lambda c: 1.0)(c)
+            for side in ("lhs", "rhs"):
+                # the intdim rhs adds log alpha and log v_g separately
+                if c in (4.0, 0.25) and (citation, side) != ("intdim-moment", "rhs"):
+                    assert got[side] == want[side] * k, (citation, side)
+                else:
+                    assert got[side] == pytest.approx(want[side] * k, rel=1e-13, abs=0.0)
+
+
 class _CountedField:
     """A field whose batch evaluations are logged; all a pass reads of it."""
 
@@ -317,7 +410,7 @@ class TestSharedPasses:
         assert len(opened) == 11
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("model, suites, params", [
         ({"fixture": "pauli-series"}, ["tail", "poly-moment"],
          {"lambda_grid": [1, 2, 4], "q_list": [1, 2]}),
@@ -328,10 +421,11 @@ class TestSharedPasses:
         # the tail reads the centred spectrum, the chaos suite the uncentred one
         (_matrix_chaos(), ["tail", "poly-moment", "chaos"], {"v_f_bound": 40.0}),
     ])
-    def test_rows_equal_one_run_per_suite(self, workers, antithetic, model, suites, params):
-        if antithetic:
-            suites = [s for s in suites if s != "tail"]
-        cfg = {"seed": 7, "samples": {"n": 10000, "workers": workers, "antithetic": antithetic},
+    def test_rows_equal_one_run_per_suite(self, workers, reverse, model, suites, params):
+        # in either order of the suites
+        if reverse:
+            suites = suites[::-1]
+        cfg = {"seed": 7, "samples": {"n": 10000, "workers": workers},
                "model": model, "suites": suites, "params": params}
         rows, _, _ = run_experiment(cfg)
         alone = []
@@ -345,13 +439,24 @@ class TestSharedPasses:
         return str(path)
 
     def test_antithetic_tail_beside_poly_moment_exits_2(self, tmp_path, capsys):
+        # antithetic pairing is gone: every statistic is even in x, so a
+        # pair would only halve n; asking for it is a configuration error
         cfg = {"seed": 1, "samples": {"n": 20000, "antithetic": True},
                "model": {"fixture": "pauli-series"}, "suites": ["poly-moment", "tail"]}
         assert run_cli(["run", "--config", self.write(tmp_path, cfg),
                         "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "DomainError: antithetic pairing breaks the Bernoulli model")
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: samples.antithetic: ")
+        assert "even" in err and "halves n" in err
         assert not (tmp_path / "report.csv").exists()
+
+    def test_antithetic_false_or_absent_runs(self):
+        cfg = {"seed": 1, "samples": {"n": 10000}, "model": {"fixture": "pauli-series"},
+               "suites": ["poly-moment", "tail"]}
+        rows, _, counts = run_experiment(cfg)
+        assert counts["FAIL"] == 0
+        off = run_experiment({**cfg, "samples": {"n": 10000, "antithetic": False}})[0]
+        assert off == rows
 
     def test_small_tail_sample_exits_2(self, tmp_path, capsys):
         cfg = {"seed": 1, "samples": {"n": 5000},
@@ -717,6 +822,8 @@ class TestExitCodes:
         # fractional counts used to be truncated silently
         ({"n": 20000.7}, None, "ConfigError: samples.n: "),
         ({"n": 1000, "workers": 1.5}, None, "ConfigError: samples.workers: "),
+        # pairing is refused, not ignored
+        ({"n": 1000, "antithetic": True}, None, "ConfigError: samples.antithetic: "),
     ])
     def test_malformed_sample_settings_exit_2(self, tmp_path, capsys, monkeypatch,
                                               samples, env, label):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 import warnings
 
@@ -32,8 +33,8 @@ from tplab import (
 from tplab import bounds, energy, models
 from tplab.bounds import chaos_gamma_moments
 from tplab.cli import run_experiment
-from tplab.energy import chaos_gamma_batch, pair_energies
-from tplab.spectral import psd_eigvalsh
+from tplab.energy import chaos_gamma_batch
+from tplab.spectral import intdim, psd_eigvalsh
 from tplab.models import FiniteChain
 from tplab.montecarlo import draw_standard_normal
 
@@ -479,74 +480,91 @@ class TestBivariateSymmetrized:
         with pytest.raises(CapacityError):
             bivariate_symmetrized(k4, rep)
 
+    @staticmethod
+    def pair_report(chain, rep):
+        """The energy report of g(z, z') = f(z) - f(z') on the explicit
+        two-fold product chain: the oracle of g's energies, which no suite
+        builds."""
+        grid = bivariate_symmetrized(chain, rep)
+        return energy_report(product_chain(chain, 2),
+                             FiniteField(grid.reshape(-1, *grid.shape[2:])))
+
     def test_constant_field_all_zero(self, two_state):
         rep = energy_report(two_state, constant_field(2, [[5.0]]))
         np.testing.assert_allclose(bivariate_symmetrized(two_state, rep), 0.0, atol=1e-15)
-        gamma, _, _, v = pair_energies(two_state, rep)
-        np.testing.assert_allclose(gamma, 0.0, atol=1e-15)
-        assert v == 0.0
+        pair = self.pair_report(two_state, rep)
+        np.testing.assert_allclose(pair.gamma, 0.0, atol=1e-15)
+        assert pair.v_f == 0.0
 
     def test_two_state_doubling(self, two_state):
-        _, _, dirichlet, v = pair_energies(
+        pair = self.pair_report(
             two_state, energy_report(two_state, FiniteField.from_scalars([0.0, 1.0])))
-        assert dirichlet[0, 0] == pytest.approx(1.0, abs=1e-15)  # 2 * (1/2)
-        assert v == pytest.approx(1.0, abs=1e-15)  # 2 * v_f, state-independent Gamma
+        assert pair.dirichlet[0, 0] == pytest.approx(1.0, abs=1e-15)  # 2 * (1/2)
+        assert pair.v_f == pytest.approx(1.0, abs=1e-15)  # 2 * v_f
 
     def test_decomposition_identities(self, two_state, k4):
+        # Gamma(g)(z, z') = Gamma(f)(z) + Gamma(f)(z') and D(g) = 2 D(f) on the
+        # product chain, to 1e-12 for fields of unit scale
         rng = np.random.default_rng(73)
         for chain in (two_state, k4):
             n = chain.n_states
             for _ in range(25):
-                f = random_field(rng, n, 2)
-                gam_f = carre_table(chain, f)
-                rep = energy_report(chain, f)
-                gamma, _, dirichlet, v = pair_energies(chain, rep)
+                rep = energy_report(chain, random_field(rng, n, 2))
+                pair = self.pair_report(chain, rep)
                 for z in range(n):
                     for zp in range(n):
-                        delta = gamma[z * n + zp] - gam_f[z] - gam_f[zp]
+                        delta = pair.gamma[z * n + zp] - rep.gamma[z] - rep.gamma[zp]
                         assert np.max(np.abs(delta)) <= 1e-12
-                assert op_norm(dirichlet - 2.0 * rep.dirichlet) <= 1e-12
-                assert v <= 2.0 * rep.v_f + 1e-12
-
+                assert op_norm(pair.dirichlet - 2.0 * rep.dirichlet) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 5),
            d=st.sampled_from([1, 2, 3]))
     def test_matches_product_chain_route(self, seed, n, d):
-        # the additive identity against Gamma of g on the explicit two-fold product
+        # intdim reads v_g = 2 v_f and D(g) = 2 D(f) from f's report; the
+        # product route's own Gamma table rounds differently, so its energies
+        # are held to 1e-12 relative, while the additive table's largest
+        # norm is exactly 2 v_f (attained on the diagonal z = z')
         rng = np.random.default_rng(seed)
-        chain = random_reversible_chain(rng, n)
-        rep = energy_report(chain, random_field(rng, n, d))
-        grid = bivariate_symmetrized(chain, rep)
-        gamma, mu2, _, _ = pair_energies(chain, rep)
-        prod = product_chain(chain, 2)
-        np.testing.assert_array_equal(mu2, prod.stationary)
-        want = carre_table(prod, FiniteField(grid.reshape(-1, d, d)))
-        err = np.max(np.abs(gamma - want))
-        assert err <= 1e-12 * (1.0 + np.max(np.abs(want)))
+        chain = random_reversible_chain(rng, n, scale=10.0 ** rng.uniform(-3, 3))
+        rep = energy_report(chain, random_field(rng, n, d, scale=10.0 ** rng.uniform(-3, 3)))
+        pair = self.pair_report(chain, rep)
+        additive = (rep.gamma[:, None] + rep.gamma[None]).reshape(-1, d, d)
+        assert op_norm(additive) == 2.0 * rep.v_f
+        scale = np.max(np.abs(additive))
+        assert np.max(np.abs(pair.gamma - additive)) <= 1e-12 * scale
+        assert op_norm(pair.dirichlet - 2.0 * rep.dirichlet) <= 1e-12 * scale
+        assert pair.v_f == pytest.approx(2.0 * rep.v_f, rel=1e-12)
+        for r in bounds.check_intdim_variant(chain, rep, poincare_constant(chain), [1, 2]):
+            assert r.context["v_g"] == 2.0 * rep.v_f
+            assert r.context["intdim_dirichlet"] == pytest.approx(intdim(pair.dirichlet),
+                                                                  rel=1e-12)
 
-    def test_only_intdim_builds_the_pair_gamma(self, monkeypatch):
+    def test_no_suite_builds_the_pair_gamma(self, monkeypatch):
+        # no Gamma table and no op_norm of an n^2-state stack: both suites
+        # that build the pair read its energies from f's report
         cfg = {"seed": 3, "model": {"fixture": "two-state"},
                "fields": [{"type": "fixture", "name": "indicator-1"},
                           {"type": "random", "dim": 2, "count": 2, "seed": 5}],
-               "params": {"intdim_q": [1, 2]}}
+               "params": {"intdim_q": [1, 2]}, "suites": ["subadditivity", "intdim"]}
+        states = []
+        real_table, real_norm = energy.carre_table, bounds.op_norm
 
-        def refuse(*args):
-            raise AssertionError("the subadditivity suite built the pair's Gamma")
+        def table(chain, f):
+            states.append(chain.n_states)
+            return real_table(chain, f)
 
-        monkeypatch.setattr(energy, "pair_energies", refuse)
-        monkeypatch.setattr(bounds, "pair_energies", refuse)
-        rows, _, counts = run_experiment(dict(cfg, suites=["subadditivity"]))
-        assert len(rows) == 2 * 3 and counts["PASS"] == 6
-        calls = []
+        def norm(a):
+            states.append(np.shape(a)[0] if np.ndim(a) == 3 else 1)
+            return real_norm(a)
 
-        def counted(*args):
-            calls.append(args)
-            return pair_energies(*args)
-
-        monkeypatch.setattr(bounds, "pair_energies", counted)
-        rows, _, _ = run_experiment(dict(cfg, suites=["intdim"]))
-        assert len(rows) == 2 * 3 and len(calls) == 3
+        monkeypatch.setattr(energy, "carre_table", table)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("tplab") and hasattr(module, "op_norm"):
+                monkeypatch.setattr(module, "op_norm", norm)
+        rows, _, counts = run_experiment(cfg)
+        assert len(rows) == 3 * (2 + 2) and counts["PASS"] == 12
+        assert states and max(states) == 2
 
 
 class TestEnergyReport:

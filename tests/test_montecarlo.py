@@ -105,8 +105,6 @@ class TestSampleSpec:
             SampleSpec(n=0, seed=1)
         with pytest.raises(DomainError):
             SampleSpec(n=10, seed=1, workers=0)
-        with pytest.raises(DomainError):
-            SampleSpec(n=11, seed=1, antithetic=True)
 
 
 class TestTraceMoment:
@@ -148,14 +146,6 @@ class TestTraceMoment:
         capped = moment(f, 2, SampleSpec(n=50000, seed=5, workers=8))
         assert capped == base
 
-    def test_antithetic_pairing(self):
-        # the statistic is even in X, so pair means equal the plain values
-        # computed from half the draws; the mechanism must stay deterministic
-        f = scalar_series(1.0)
-        est = moment(f, 1, SampleSpec(n=20000, seed=9, antithetic=True))
-        assert est.n == 10000
-        assert est.ci_low <= 1.0 <= est.ci_high
-
     def test_q_below_one_rejected(self):
         with pytest.raises(DomainError):
             moment(scalar_series(), 0.5, SampleSpec(n=100, seed=1))
@@ -172,18 +162,20 @@ class TestFusedPass:
     ORDERS = [1, 1.5, 2, 3]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("centred", [False, True])
-    def test_each_order_matches_its_own_pass_bit_for_bit(self, workers, antithetic, centred):
+    def test_each_order_matches_its_own_pass_bit_for_bit(self, workers, reverse, centred):
         rng = np.random.default_rng(211)
         coefs = rng.standard_normal((4, 3, 3))
         f = GaussianSeries(0.5 * (coefs + coefs.transpose(0, 2, 1))).as_field()
         center = np.diag([0.5, -0.25, 1.0]) if centred else None
-        # 10,000 samples span three blocks, the last one short
-        spec = SampleSpec(n=10000, seed=17, workers=workers, antithetic=antithetic)
-        (fused,) = estimate_trace_moment(f, self.ORDERS, spec, centers=[center])
-        assert len(fused) == len(self.ORDERS)
-        for q, est in zip(self.ORDERS, fused):
+        # 10,000 samples span three blocks, the last one short; the orders
+        # may come in any order
+        spec = SampleSpec(n=10000, seed=17, workers=workers)
+        orders = self.ORDERS[::-1] if reverse else self.ORDERS
+        (fused,) = estimate_trace_moment(f, orders, spec, centers=[center])
+        assert len(fused) == len(orders)
+        for q, est in zip(orders, fused):
             assert est == moment(f, q, spec, center)
 
     def test_one_evaluation_per_block(self):
@@ -287,18 +279,20 @@ class TestSharedPass:
     THRESHOLDS = [0.5, 1.0, 2.0, 4.0]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_centres_share_draws_and_match_their_own_passes(self, workers, antithetic):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_centres_share_draws_and_match_their_own_passes(self, workers, reverse):
         f = series_field(227)
-        center = np.diag([0.5, -0.25, 1.0])
-        spec = SampleSpec(n=10000, seed=19, workers=workers, antithetic=antithetic)
+        centres = [np.diag([0.5, -0.25, 1.0]), None]
+        if reverse:
+            centres.reverse()
+        spec = SampleSpec(n=10000, seed=19, workers=workers)
         calls = []
         both = estimate_trace_moment(counting_field(f, calls), self.ORDERS, spec,
-                                     centers=[center, None])
-        assert both == [estimate_trace_moment(f, self.ORDERS, spec, centers=[center])[0],
-                        estimate_trace_moment(f, self.ORDERS, spec)[0]]
-        # one evaluation per block (two with antithetic pairing: x and -x)
-        assert len(calls) == 3 * (2 if antithetic else 1)
+                                     centers=centres)
+        assert both == [estimate_trace_moment(f, self.ORDERS, spec, centers=[c])[0]
+                        for c in centres]
+        # one evaluation per block
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_tail_and_moments_from_one_pass(self, workers):
@@ -320,14 +314,6 @@ class TestSharedPass:
         got = estimate_tail(f, self.THRESHOLDS, spec, orders=[2], centers=[center, None])
         assert got == [estimate_tail(f, self.THRESHOLDS, spec, orders=[2], centers=[center])[0],
                        estimate_tail(f, self.THRESHOLDS, spec, orders=[2])[0]]
-
-    def test_thresholds_refuse_antithetic_pairing(self):
-        # pair-averaged indicators are not Bernoulli: never average them silently
-        spec = SampleSpec(n=10000, seed=1, antithetic=True)
-        with pytest.raises(DomainError, match="antithetic pairing"):
-            estimate_trace_moment(scalar_series(), [1], spec, thresholds=[1.0])
-        with pytest.raises(DomainError, match="antithetic pairing"):
-            estimate_tail(scalar_series(), [1.0], spec, orders=[1, 2], centers=ZERO)
 
 
 class TestTail:
@@ -355,11 +341,6 @@ class TestTail:
         (up,) = estimate_tail(scalar_series(), [0.5, 1.0, 2.0], spec)
         (down,) = estimate_tail(scalar_series(), [2.0, 1.0, 0.5], spec)
         assert down == up[::-1]
-
-    def test_antithetic_refused(self):
-        with pytest.raises(DomainError):
-            estimate_tail(scalar_series(), [1.0], SampleSpec(n=10000, seed=1, antithetic=True),
-                          centers=ZERO)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_counts_equal_a_direct_count(self, workers):

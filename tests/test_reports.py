@@ -2,8 +2,6 @@ import csv
 import io
 import json
 import math
-import types
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +11,8 @@ from hypothesis import strategies as st
 from tplab import CheckReport, NumericError, bounds, reports, rows_to_csv, rows_to_json
 from tplab.cli import run_experiment
 from tplab.reports import slack_for
+
+from conftest import load_perfbench
 
 
 class TestCheckReport:
@@ -36,7 +36,7 @@ class TestCheckReport:
         with pytest.raises(NumericError, match="^poly-moment: no verdict"):
             CheckReport.from_comparison("poly-moment", lhs, rhs, 1e-9)
         with pytest.raises(NumericError, match="^chaos-matrix: no verdict"):
-            CheckReport.from_interval("chaos-matrix", lhs, lhs, lhs, rhs, 1e-9)
+            CheckReport.from_interval("chaos-matrix", lhs, lhs, lhs, (rhs,) * 3, 1e-9)
 
     def test_slack_is_absolute_relative_hybrid(self):
         assert slack_for(0.0) == pytest.approx(1e-9)
@@ -382,19 +382,9 @@ class TestRowWriters:
             assert reports._bulk_texts([other]) == [None]
 
 
-def _load_perfbench(name: str):
-    """perfbench/<name>.py, executed from its text so that nothing is
-    written beside it."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
-    module = types.ModuleType(f"perfbench_{name}")
-    module.__file__ = str(path)
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
-
-
 @pytest.fixture(scope="module")
 def tiny_runs():
-    workloads = _load_perfbench("workloads")
+    workloads = load_perfbench("workloads")
     return {(name, seed): run_experiment(workloads.build_config(name, seed, "tiny"))
             for name in workloads.WORKLOADS for seed in (1, 2)}
 
@@ -412,7 +402,7 @@ class TestRealRows:
     def test_seed_one_rows_pass_the_benchmark_gate(self, tiny_runs, monkeypatch):
         # the benchmark's correctness gate against its stored references;
         # a 1e-6 change to one bound is a moved row that it must catch
-        gate = _load_perfbench("gate")
+        gate = load_perfbench("gate")
 
         seed = gate.REFERENCE_SEED
 
@@ -426,7 +416,7 @@ class TestRealRows:
             assert errors(name, *tiny_runs[(name, seed)]) == [], name
         real = bounds.poly_moment_rhs
         monkeypatch.setattr(bounds, "poly_moment_rhs", lambda *a: real(*a) * (1.0 + 1e-6))
-        workloads = _load_perfbench("workloads")
+        workloads = load_perfbench("workloads")
         moved = errors("chain-large",
                        *run_experiment(workloads.build_config("chain-large", seed, "tiny")))
         assert moved and all("rhs" in e for e in moved)
