@@ -2,10 +2,15 @@
 
 RNG streams are counter-based (Philox): the draws of block b of a run are a
 pure function of (seed, b), so estimates are bit-identical regardless of how
-many workers process the blocks.  Reductions run in block order.  The worker
-count can be capped with the TPL_THREADS environment variable.  A stream is
-only a key and a zero counter, so a sequential caller that opens many short
-streams, as the equivalence probe opens one per trial, re-keys one Philox
+many workers process the blocks.  Reductions run in block order.  Workers
+are forked processes, one per strided share of the blocks, where the
+platform has the ``fork`` start method; elsewhere the blocks run in a
+serial loop.  Threads would collide in LAPACK's dense tridiagonal
+reduction, where the 8x8 eigensolves of a series spend most of their
+time.  The TPL_THREADS environment variable caps the worker count, and so
+do the number of blocks and of usable CPUs.  A stream is only a key and a
+zero counter, so a sequential caller that opens many short streams, as the
+equivalence probe opens one per trial, re-keys one Philox
 (``rekeyed_streams``) instead of building one per stream, with the same
 draws as ``normal_stream``.
 
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -87,7 +91,7 @@ def rekeyed_streams(seed: int):
     stream drew.  That costs about a tenth of building a new Philox, whose
     construction also gathers OS entropy only for the key to override it.
     Every call returns the same Generator, so this is for sequential use
-    only: the thread-pool blocks keep ``normal_stream``.
+    only: the blocks of a pass keep ``normal_stream``.
     """
     bits = np.random.Philox(key=seed & _MASK64)
     gen = np.random.Generator(bits)
@@ -126,21 +130,87 @@ def _block_plan(n: int) -> list[tuple[int, int]]:
     return plan
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_share(job, share, send):
+    """Send the results of a share's blocks, in order, up to its first
+    error, with that error (None if there is none)."""
+    out = []
+    for b, c in share:
+        try:
+            out.append(job(b, c))
+        except Exception as exc:
+            send.send((out, exc))
+            return
+    send.send((out, None))
+
+
+def _fork_context():
+    import multiprocessing
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+
+
 def _map_blocks(spec: SampleSpec, job):
     """Apply ``job(block_index, count)`` to every block; results are returned
-    in block order, so the reduction is independent of the worker count."""
+    in block order, so the reduction is independent of the worker count.
+
+    With w = min(workers, blocks, usable CPUs) > 1, w forked processes take
+    the strided shares ``plan[i::w]``.  They inherit ``job``, so only the
+    results cross their pipes.  A share stops at its first error, so the
+    error of the lowest failing block, the one the serial loop raises, is
+    raised here with its type and message.  A worker that dies without a
+    result is a ChildProcessError, not a wait without end.  Every worker has
+    exited when this returns or raises."""
     plan = _block_plan(spec.n)
-    workers = _worker_count(spec)
-    if workers == 1 or len(plan) == 1:
+    workers = min(_worker_count(spec), len(plan), _usable_cpus())
+    ctx = _fork_context() if workers > 1 else None
+    if ctx is None:
         return [job(b, c) for b, c in plan]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda bc: job(*bc), plan))
+    shares = [plan[i::workers] for i in range(workers)]
+    procs, done = [], []
+    try:
+        for share in shares:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_run_share, args=(job, share, send), daemon=True)
+            proc.start()
+            procs.append((proc, recv))
+            # the worker's copy is now the only one, so its death reads as EOF
+            send.close()
+        for i, (proc, recv) in enumerate(procs):
+            try:
+                done.append(recv.recv())
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(f"Monte Carlo: worker {i} of {workers} exited with "
+                                        f"code {proc.exitcode} before sending its blocks") from None
+    finally:
+        # every result is in by now, unless the pass is failing
+        for proc, recv in procs:
+            recv.close()
+            proc.terminate()
+            proc.join()
+    errors = [(share[len(out)][0], exc) for share, (out, exc) in zip(shares, done)
+              if exc is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    out = [None] * len(plan)
+    for i, (results, _) in enumerate(done):
+        out[i::workers] = results
+    return out
 
 
 def draw_standard_normal(spec: SampleSpec, dim: int) -> np.ndarray:
-    """All (n, dim) draws of a run, assembled in block order."""
-    chunks = _map_blocks(spec, lambda b, c: normal_stream(spec.seed, b).standard_normal((c, dim)))
-    return np.concatenate(chunks, axis=0)
+    """All (n, dim) draws of a run, assembled in block order, drawn in this
+    process: the draws are the result, so a worker would only copy them."""
+    return np.concatenate([normal_stream(spec.seed, b).standard_normal((c, dim))
+                           for b, c in _block_plan(spec.n)], axis=0)
 
 
 def normal_quantile(level: float) -> float:
@@ -162,8 +232,9 @@ def wilson_interval(successes: int, trials: int, level: float = 0.99) -> tuple[f
 
 
 def _clt_interval(mean: float, var: float, n: int, level: float) -> tuple[float, float]:
+    # one sample says nothing about its spread, so it decides no verdict
     if n <= 1 or not np.isfinite(var):
-        return (mean, mean) if var == 0.0 else (-math.inf, math.inf)
+        return (-math.inf, math.inf)
     z = normal_quantile(level)
     half = z * math.sqrt(max(var, 0.0) / n)
     return (mean - half, mean + half)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -248,6 +249,20 @@ class TestGaussianConfigs:
         assert rows == alone
         # the scalar and matrix corollaries share the f-pass; Gamma has its own stream
         assert sorted(seeds) == sorted([5, 5 ^ 0x5DEECE66D])
+
+    @pytest.mark.parametrize("cfg", [
+        # one draw used to decide: the q = 1 row FAILed with lhs 3.1147
+        # against rhs 2.8284, and chaos-matrix the same way, exit 1
+        {"seed": 8, "model": {"fixture": "pauli-series"}, "suites": ["poly-moment"],
+         "params": {"q_list": [1, 2, 3]}},
+        {"seed": 5, "model": {"fixture": "psd-chaos"}, "suites": ["chaos"]},
+    ])
+    def test_one_sample_gives_no_verdict(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "samples": {"n": 1}}))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "report.csv")
+        assert rows and {r["verdict"] for r in rows} == {"INCONCLUSIVE"}
 
     def test_reversed_lambda_grid_gives_reversed_rows(self):
         # each level is its own indicator, so the order of the grid is free;
@@ -574,6 +589,10 @@ class TestColdStart:
                             "fields": [{"type": "random", "dim": 2}],
                             "suites": ["poincare", "tail"]})
             print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+            # chain runs and one-worker Gaussian runs start no worker, so
+            # neither a thread pool nor multiprocessing is imported
+            print(sorted(m for m in sys.modules
+                         if m.split(".")[0] in ("concurrent", "multiprocessing")))
         """)
         src = os.path.dirname(os.path.dirname(tplab.__file__))
         env = {**os.environ,
@@ -581,7 +600,7 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
 
 
 class TestExitCodes:
@@ -753,34 +772,63 @@ class TestExitCodes:
         # finite coefficients whose Gamma overflows: the Gamma stream's
         # eigensolver raised a bare LinAlgError, exit 1, after a numpy
         # overflow warning; warnings are errors here, so none may print.
-        # The model's energy report refuses it before any Monte Carlo pass
-        cfg = {"seed": 1, "samples": {"n": 2000}, "suites": ["poly-moment"],
-               "model": {"gaussian_chaos": {"coefficients": np.full((2, 2, 3, 3),
-                                                                    1e160).tolist()}}}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("NumericError: energy report: no verdict, "
-                              "the Gamma table is not finite")
-        assert not (tmp_path / "report.csv").exists()
+        # The model's energy report refuses it before any Monte Carlo pass,
+        # at one worker and at two
+        for workers in (1, 2):
+            cfg = {"seed": 1, "samples": {"n": 10000, "workers": workers},
+                   "suites": ["poly-moment"],
+                   "model": {"gaussian_chaos": {"coefficients": np.full((2, 2, 3, 3),
+                                                                        1e160).tolist()}}}
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("NumericError: energy report: no verdict, "
+                                  "the Gamma table is not finite")
+            assert not (tmp_path / "report.csv").exists()
 
     def test_overflowing_block_refused_by_the_monte_carlo_pass(self):
         # the same chaos: its values (about 1e161) stay finite, but its
-        # Gamma (about 1e322) overflows in every block of the Gamma stream
+        # Gamma (about 1e322) overflows in every block of the Gamma stream.
+        # Three blocks: at two workers the error is raised in a child and
+        # reaches the caller with its type and message, and no child is left
         chaos = GaussianChaos(np.full((2, 2, 3, 3), 1e160))
         gamma = SmoothField(ambient_dim=2, dim=3,
                             batch=lambda xs: energy.chaos_gamma_batch(chaos, xs))
-        spec = SampleSpec(n=2000, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(tplab.NumericError, match="Monte Carlo: no estimate, the values "
-                                                         "of the field at the samples of block 0"):
-                estimate_trace_moment(gamma, [1.0], spec)
-            with pytest.raises(tplab.NumericError, match="Monte Carlo: no estimate"):
-                chaos_gamma_moments(chaos, [1.0], spec)
+        message = ("Monte Carlo: no estimate, the values of the field at the samples of "
+                   "block 0 are not finite; the model overflows")
+        for workers in (1, 2):
+            spec = SampleSpec(n=10000, seed=1, workers=workers)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(tplab.NumericError) as err:
+                    estimate_trace_moment(gamma, [1.0], spec)
+                assert type(err.value) is tplab.NumericError and str(err.value) == message
+                with pytest.raises(tplab.NumericError, match="Monte Carlo: no estimate"):
+                    chaos_gamma_moments(chaos, [1.0], spec)
+            assert multiprocessing.active_children() == []
+
+    def test_monte_carlo_error_in_a_worker_exits_2(self, tmp_path, capsys, monkeypatch):
+        # no config reaches an overflowing pass, since the energy report
+        # refuses such a model first, so the Gamma stream is made to
+        # overflow: a forked worker's error exits 2 with the serial message
+        monkeypatch.setattr(bounds, "chaos_gamma_batch",
+                            lambda chaos, xs: np.full((len(xs), 1, 1), np.inf))
+        errs = []
+        for workers in (1, 2):
+            cfg = {"seed": 1, "samples": {"n": 10000, "workers": workers},
+                   "model": {"fixture": "psd-chaos"}, "suites": ["poly-moment"]}
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+            errs.append(capsys.readouterr().err)
+            assert multiprocessing.active_children() == []
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("NumericError: Monte Carlo: no estimate, the values of "
+                                  "the field at the samples of block 0 are not finite")
+        assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("change, label", [
         # bare KeyErrors, exit 1

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -9,9 +11,12 @@ from hypothesis.extra.numpy import arrays
 from tplab import (
     DomainError,
     GaussianSeries,
+    NumericError,
     SampleSpec,
+    SmoothField,
     estimate_tail,
     estimate_trace_moment,
+    montecarlo,
     normal_stream,
     wilson_interval,
 )
@@ -112,6 +117,12 @@ class TestTraceMoment:
         est = moment(scalar_series(0.0), 1, SampleSpec(n=1000, seed=2))
         assert est.value == 0.0 and est.ci_low == 0.0 and est.ci_high == 0.0
 
+    def test_one_sample_has_no_interval(self):
+        # a single draw has no spread to measure, not a zero one
+        for a in (0.0, 1.7):
+            est = moment(scalar_series(a), 1, SampleSpec(n=1, seed=2))
+            assert (est.ci_low, est.ci_high) == (-math.inf, math.inf)
+
     def test_second_moment_oracle(self):
         a = 1.7
         est = moment(scalar_series(a), 1, SampleSpec(n=100000, seed=3))
@@ -143,8 +154,10 @@ class TestTraceMoment:
         f = scalar_series(1.3)
         base = moment(f, 2, SampleSpec(n=50000, seed=5, workers=1))
         monkeypatch.setenv("TPL_THREADS", "1")
+        started = fake_workers(monkeypatch)
         capped = moment(f, 2, SampleSpec(n=50000, seed=5, workers=8))
         assert capped == base
+        assert started == []
 
     def test_q_below_one_rejected(self):
         with pytest.raises(DomainError):
@@ -156,6 +169,88 @@ class TestTraceMoment:
         # NaN < 1 is false, so the order check has to be phrased as q >= 1
         with pytest.raises(DomainError):
             estimate_trace_moment(scalar_series(), [1, math.nan], SampleSpec(n=100, seed=1))
+
+
+def fake_workers(monkeypatch, cpus=None):
+    """Replace the fork context's Process with a fake that runs in this
+    process; returns the list of the fakes started.  ``cpus`` sets the CPUs
+    that the scheduler lets this process use."""
+    started = []
+
+    class FakeProcess:
+        def __init__(self, target, args, daemon):
+            self.target, self.args = target, args
+
+        def start(self):
+            started.append(self)
+            self.target(*self.args)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", FakeProcess)
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    return started
+
+
+class TestForkedWorkers:
+    @pytest.mark.parametrize("workers, cpus, n, forked", [
+        # a million workers used to cost nothing, as threads were lazy
+        (10 ** 6, 64, 3 * BLOCK, 3),
+        (10 ** 6, 2, 10 * BLOCK, 2),
+        (3, 64, 10 * BLOCK, 3),
+        # one block, or one usable CPU, runs the serial loop
+        (4, 64, BLOCK, 0),
+        (4, 1, 10 * BLOCK, 0),
+    ])
+    def test_process_count_is_capped(self, monkeypatch, workers, cpus, n, forked):
+        f = scalar_series(0.7)
+        base = moment(f, 2, SampleSpec(n=n, seed=9))
+        started = fake_workers(monkeypatch, cpus)
+        assert moment(f, 2, SampleSpec(n=n, seed=9, workers=workers)) == base
+        assert len(started) == forked
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # the fork path, whatever this machine's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_results_come_back_in_block_order(self, two_cpus):
+        spec = SampleSpec(n=5 * BLOCK + 7, seed=3, workers=2)
+        got = montecarlo._map_blocks(spec, lambda b, c: (b, c))
+        assert got == montecarlo._block_plan(spec.n)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lowest_failing_block_raises(self, two_cpus, workers):
+        # blocks 1 and 2 fail, in the second share and the first; block 1's
+        # error is raised, as in the serial loop, and no child outlives the
+        # pass
+        def job(b, count):
+            if b in (1, 2):
+                raise NumericError(f"block {b}")
+            return b
+
+        with pytest.raises(NumericError, match="^block 1$"):
+            montecarlo._map_blocks(SampleSpec(n=4 * BLOCK, seed=1, workers=workers), job)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers fork")
+    def test_dead_worker_is_an_error_not_a_wait(self, two_cpus):
+        parent = os.getpid()
+
+        def job(b, count):
+            if b == 1 and os.getpid() != parent:
+                os._exit(3)
+            return b
+
+        with pytest.raises(ChildProcessError, match="worker 1 of 2 exited with code 3"):
+            montecarlo._map_blocks(SampleSpec(n=4 * BLOCK, seed=1, workers=2), job)
+        assert multiprocessing.active_children() == []
 
 
 class TestFusedPass:
@@ -186,7 +281,6 @@ class TestFusedPass:
             calls.append(len(xs))
             return base.eval_batch(xs)
 
-        from tplab import SmoothField
         f = SmoothField(ambient_dim=1, dim=1, batch=counted)
         estimate_trace_moment(f, self.ORDERS, SampleSpec(n=10000, seed=3))
         assert calls == [4096, 4096, 1808]
@@ -259,11 +353,12 @@ class TestPowerSums:
 
 
 def counting_field(field, calls):
-    """``field`` with every batch evaluation's size appended to ``calls``."""
-    from tplab import SmoothField
+    """``field`` with every batch evaluation counted in ``calls``, a
+    ``multiprocessing.Value`` that forked workers share."""
 
     def batch(xs):
-        calls.append(len(xs))
+        with calls.get_lock():
+            calls.value += 1
         return field.eval_batch(xs)
 
     return SmoothField(ambient_dim=field.ambient_dim, dim=field.dim, batch=batch)
@@ -286,22 +381,22 @@ class TestSharedPass:
         if reverse:
             centres.reverse()
         spec = SampleSpec(n=10000, seed=19, workers=workers)
-        calls = []
+        calls = multiprocessing.Value("i", 0)
         both = estimate_trace_moment(counting_field(f, calls), self.ORDERS, spec,
                                      centers=centres)
         assert both == [estimate_trace_moment(f, self.ORDERS, spec, centers=[c])[0]
                         for c in centres]
         # one evaluation per block
-        assert len(calls) == 3
+        assert calls.value == 3
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_tail_and_moments_from_one_pass(self, workers):
         f = series_field(229)
         spec = SampleSpec(n=10000, seed=23, workers=workers)
-        calls = []
+        calls = multiprocessing.Value("i", 0)
         (shared,) = estimate_tail(counting_field(f, calls), self.THRESHOLDS, spec,
                                   orders=self.ORDERS)
-        assert len(calls) == 3
+        assert calls.value == 3
         k = len(self.THRESHOLDS)
         assert shared[:k] == estimate_tail(f, self.THRESHOLDS, spec,
                                            centers=[np.zeros((3, 3))])[0]
