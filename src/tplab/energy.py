@@ -31,11 +31,11 @@ Gamma of a chaos is again a chaos.  With M_i = sum_j x_j A_ij,
     C_jl = 2 sum_i (A_ij A_il + A_il A_ij),
 
 an exact identity: the symmetric part of each product A_ij A_il is what
-the symmetric sum over (j, l) keeps.  So Gamma is evaluated like f itself,
-with one BLAS product and one contraction per block
-(``models.chaos_values``) on coefficients C built once per model
-(``GaussianChaos.gamma_coefficients``), instead of a Gram product
-4 S^T S per sample.  Its mean is that of a chaos, E Gamma(f) = sum_j C_jj,
+the symmetric sum over (j, l) keeps.  So Gamma is evaluated like f itself
+(``models.chaos_values``: the monomials x_j x_l, j <= l, as rows and one
+BLAS product per block) on coefficients C built and packed once per model
+(``GaussianChaos.gamma_coefficients``, ``packed_gamma_coefficients``),
+instead of a Gram product 4 S^T S per sample.  Its mean is that of a chaos, E Gamma(f) = sum_j C_jj,
 which is 4 S with S = sum_ij A_ij^2, and Isserlis' theorem
 (E[X_i X_j X_k X_l] is a sum over pairings) gives Var f = 2 S, so the
 Dirichlet form and the variance are exact and nothing is sampled.  Only
@@ -115,18 +115,21 @@ def column_energies(chain: FiniteChain, cols) -> tuple[np.ndarray, np.ndarray]:
 
 def chaos_gamma_batch(chaos: GaussianChaos, xs: np.ndarray) -> np.ndarray:
     """Exact squared derivative 4 sum_i (sum_j x_j A_ij)^2 at a batch of
-    points xs: (m, n) -> (m, d, d).
+    points xs: (m, n) -> (m, d, d), the samples-last view that
+    ``models.chaos_values`` returns (each matrix entry one contiguous row).
 
     Gamma of a quadratic chaos is a quadratic chaos,
     Gamma(f)(x) = sum_jl x_j x_l C_jl with C_jl = 2 sum_i (A_ij A_il +
     A_il A_ij), so it is evaluated by ``models.chaos_values``, the kernel of
-    the field itself, on the model's ``gamma_coefficients`` C, built once
-    per model.  The Gram form 4 S^T S of the stacked M_i = sum_j x_j A_ij
-    takes one batched (d, n d) @ (n d, d) matmul per sample: 1.25 against
-    0.78 ms for a block of 4096 samples at n = 8, d = 3 on one core of an
-    x86-64 VM.
+    the field itself, on the model's ``gamma_coefficients`` C in the packed
+    form ``packed_gamma_coefficients``, both built once per model.  The
+    Gram form 4 S^T S of the stacked M_i = sum_j x_j A_ij takes one batched
+    (d, n d) @ (n d, d) matmul per sample: 1.25 ms for a block of 4096
+    samples at n = 8, d = 3 on one core of an x86-64 VM, against 0.78 ms for
+    sum_i x_i M_i over sample-major M_i and 0.24-0.30 ms for the packed
+    monomials.
     """
-    return chaos_values(chaos.gamma_coefficients, xs)
+    return chaos_values(chaos.gamma_coefficients, chaos.packed_gamma_coefficients, xs)
 
 
 # bytes the bivariate pair's g and one table of g's size, (n^2, d, d) each,

@@ -11,6 +11,7 @@ fields map states (or points of R^n) to symmetric d x d matrices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -364,6 +365,17 @@ class GaussianChaos:
         use and kept, so once per model."""
         return _gamma_coefficients(self.coefficients)
 
+    @cached_property
+    def packed_coefficients(self) -> np.ndarray:
+        """A in the packed form ``chaos_values`` multiplies, built on first
+        use and kept (``_packed``)."""
+        return _packed(self.coefficients)
+
+    @cached_property
+    def packed_gamma_coefficients(self) -> np.ndarray:
+        """C, the ``gamma_coefficients``, in packed form, built once."""
+        return _packed(self.gamma_coefficients)
+
     def as_field(self) -> SmoothField:
         return chaos_as_field(self)
 
@@ -390,19 +402,92 @@ def _gamma_coefficients(a: np.ndarray) -> np.ndarray:
     return c
 
 
-def chaos_values(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum_ij x_i x_j A_ij at each row x of xs for coefficients A of shape
-    (n, n, d, d): (m, n) -> (m, d, d).  f(x) = sum_i x_i M_i with
-    M_i = sum_j x_j A_ij: one BLAS product gives every M_i, then a
-    contraction over i."""
+# x^2 of a nonzero x lies in [2^-1022, 2^1022] exactly when |x| lies in
+# [2^-511, 2^511]; then every monomial x_j x_l is a normal number
+_SQUARE_MIN, _SQUARE_MAX = 2.0 ** -1022, 2.0 ** 1022
+
+
+def _packed(a: np.ndarray) -> np.ndarray:
+    """The (d^2, n(n+1)/2) coefficients of the monomials of ``chaos_values``:
+    first A_jj for each j, then A_jl + A_lj for each pair j < l in
+    ``np.triu_indices`` order, each matrix read row-major.  Since
+    x_j x_l A_jl + x_l x_j A_lj = x_j x_l (A_jl + A_lj), this holds for any A,
+    symmetric in the index pair or not."""
+    n, d = a.shape[0], a.shape[2]
+    j, l = np.triu_indices(n, 1)
+    rows = np.concatenate([a[np.arange(n), np.arange(n)], a[j, l] + a[l, j]])
+    packed = np.ascontiguousarray(rows.reshape(len(rows), d * d).T)
+    packed.setflags(write=False)
+    return packed
+
+
+def _m_first(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_i x_i M_i with M_i = sum_j x_j A_ij, (m, n) -> (m, d^2): one BLAS
+    product gives every M_i, then a contraction over i."""
     n, d = a.shape[0], a.shape[2]
     m = (xs @ a.reshape(n, n * d * d)).reshape(len(xs), n, d * d)
-    return np.einsum("mi,mik->mk", xs, m).reshape(len(xs), d, d)
+    return np.einsum("mi,mik->mk", xs, m)
+
+
+def chaos_values(a: np.ndarray, packed: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_ij x_i x_j A_ij at each row x of xs for coefficients A of shape
+    (n, n, d, d), given ``packed = _packed(A)``: (m, n) -> (m, d, d), the
+    samples-last view of a (d^2, m) array, so that each matrix entry of the
+    block is one contiguous row.
+
+    The n(n+1)/2 monomials x_j x_l (j <= l), squares first, are formed as
+    contiguous rows, each from two columns of xs, and multiplied by the
+    packed coefficients in one BLAS product; both halves of the symmetric
+    (j, l) sum are one coefficient.  When the monomials and the result
+    would take more rows than the n d^2 columns of the M_i = sum_j x_j A_ij
+    (and n > 2), the monomials are formed in slabs, so that a slab, the
+    result and one partial product hold fewer rows than the M_i would.
+
+    A sample with a nonzero |x_i| outside [2^-511, 2^511] would leave the
+    normal range in a monomial and lose its value to underflow or overflow
+    there; such samples, found from the squares, take the form
+    sum_i x_i M_i instead.
+    """
+    xs = np.asarray(xs, dtype=float)
+    m, n = xs.shape
+    dd, k = packed.shape
+    pairs = itertools.chain(zip(range(n), range(n)), itertools.combinations(range(n), 2))
+    size = (n - 2) * dd - 1
+    if k + dd <= n * dd or size < 1:
+        size = max(k, 1)
+    mono, part, outside = np.empty((size, m)), None, None
+    out = np.empty((dd, m)) if k else np.zeros((dd, m))
+    # an overflow here is either a monomial of a sample that is evaluated
+    # again below or a value that overflows, which every caller refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, k, size):
+            rows = mono[:min(size, k - start)]
+            for r, (j, l) in enumerate(itertools.islice(pairs, len(rows))):
+                np.multiply(xs[:, j], xs[:, l], out=rows[r])
+            coef = packed[:, start:start + len(rows)]
+            if start == 0:
+                np.matmul(coef, rows, out=out)
+            else:
+                part = np.matmul(coef, rows, out=part)
+                out += part
+            squares = rows[:max(n - start, 0)]
+            if not (squares.min(initial=_SQUARE_MIN) >= _SQUARE_MIN
+                    and squares.max(initial=_SQUARE_MAX) <= _SQUARE_MAX):
+                # NaN fails both bounds, so its sample is evaluated again too
+                hit = ~((squares >= _SQUARE_MIN) & (squares <= _SQUARE_MAX))
+                hit &= xs[:, start:start + len(squares)].T != 0.0
+                outside = hit.any(axis=0) if outside is None else outside | hit.any(axis=0)
+    if outside is not None and outside.any():
+        redo = np.flatnonzero(outside)
+        out[:, redo] = _m_first(a, xs[redo]).T
+    d = a.shape[2]
+    return np.moveaxis(out.reshape(d, d, m), -1, 0)
 
 
 def chaos_as_field(c: GaussianChaos) -> SmoothField:
-    a = c.coefficients
-    return SmoothField(ambient_dim=c.n_vars, dim=c.dim, batch=lambda xs: chaos_values(a, xs))
+    a, packed = c.coefficients, c.packed_coefficients
+    return SmoothField(ambient_dim=c.n_vars, dim=c.dim,
+                       batch=lambda xs: chaos_values(a, packed, xs))
 
 
 def constant_field(n_states: int, matrix) -> FiniteField:

@@ -314,11 +314,16 @@ def power_sums(w: np.ndarray, exponents) -> list[np.ndarray]:
 
     The exponents of PRODUCT_EXPONENTS take products of w (``_power``):
     numpy's general ``pow`` is several times slower.  Each power lives only
-    until its sum is taken, so a block holds one power at a time.  Each row
-    sum is one ``einsum`` over the contiguous rows, about three times as
-    fast as ``np.sum(axis=1)`` over the short axis.  Adding columns or a
-    product with a vector of ones is faster still at d = 3, but both raised
-    the peak RSS of a two-worker series run by 0.2-0.7 MB.
+    until its sum is taken, so a block holds one power at a time, in w's
+    own layout: d contiguous columns of m for the samples-last eigenvalues
+    of ``spectral.batch_eigvalsh`` at d = 3, where each sum adds three
+    contiguous rows, and m contiguous rows of d for LAPACK's.  Each row sum
+    is one ``einsum``, about three times as fast as ``np.sum(axis=1)`` over
+    the short axis of sample-major rows.  On sample-major rows, adding
+    columns or a product with a vector of ones was faster still at d = 3,
+    but each raised the peak RSS of a two-worker series run by 0.2-0.7 MB
+    when the workers were threads; that was not measured again with forked
+    workers.
     """
     return [np.einsum("ij->i", _power(w, float(e))) for e in exponents]
 

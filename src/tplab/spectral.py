@@ -178,7 +178,13 @@ _P_MIN, _P_MAX = 1e-100, 1e100
 def _eigvalsh3(a):
     """Smith's trigonometric method (CACM 1961): with m = tr(A)/3 and
     B = A - m I, p^2 = tr(B^2)/6 and r = det(B)/(2 p^3) = cos(3 phi), the
-    eigenvalues are m + 2p cos(phi + 2 pi k/3)."""
+    eigenvalues are m + 2p cos(phi + 2 pi k/3).
+
+    Every step is elementwise over the stack, so on a samples-last stack
+    (each entry a contiguous row, as ``models.chaos_values`` returns) it
+    runs on contiguous rows.  The eigenvalues come back as the (..., 3)
+    view of a (3, ...) array, each of the lowest, middle and highest one
+    contiguous row, with the stack's leading axes in their order."""
     a00, a11, a22 = a[..., 0, 0], a[..., 1, 1], a[..., 2, 2]
     a10, a20, a21 = a[..., 1, 0], a[..., 2, 0], a[..., 2, 1]
     tr = a00 + a11 + a22
@@ -195,18 +201,22 @@ def _eigvalsh3(a):
     phi = np.arccos(np.where(ok, r, 0.0)) / 3.0
     hi = m + 2.0 * p * np.cos(phi)
     lo = m + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    return np.stack([lo, tr - hi - lo, hi], axis=-1), ok
+    return np.moveaxis(np.stack([lo, tr - hi - lo, hi]), 0, -1), ok
 
 
 def batch_eigvalsh(stack) -> np.ndarray:
     """Ascending eigenvalues of each matrix of a stack (..., d, d), read from
-    the lower triangle as ``np.linalg.eigvalsh`` reads it.
+    the lower triangle as ``np.linalg.eigvalsh`` reads it, in LAPACK's
+    shape (..., d).
 
     d = 3 takes the trigonometric method, within a few tens of eps of the
-    largest |eigenvalue| of LAPACK's.  Rows whose closed form is not finite,
-    or that lie near a double root or are of extreme scale, are handed to
-    ``np.linalg.eigvalsh``, as is every other d, so a NaN row gives whatever
-    LAPACK gives.
+    largest |eigenvalue| of LAPACK's, and returns the (..., 3) view of a
+    (3, ...) array: each eigenvalue index is one contiguous row, so the
+    elementwise work and row sums that follow run on contiguous data.  The
+    values do not depend on the stack's memory layout.  Rows whose closed
+    form is not finite, or that lie near a double root or are of extreme
+    scale, are handed to ``np.linalg.eigvalsh``, as is every other d, so a
+    NaN row gives whatever LAPACK gives.
     """
     a = np.asarray(stack, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:

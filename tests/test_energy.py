@@ -348,6 +348,27 @@ class TestChaosGammaIdentity:
         chaos_gamma_batch(GaussianChaos(chaos.coefficients), np.ones((1, 4)))
         assert len(built) == 2
 
+    def test_packed_coefficients_are_built_once_per_model(self, monkeypatch):
+        built = []
+        real = models._packed
+
+        def counted(a):
+            built.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(models, "_packed", counted)
+        rng = np.random.default_rng(79)
+        chaos = GaussianChaos(rng.standard_normal((4, 4, 3, 3)))
+        spec = SampleSpec(n=10000, seed=5)  # three blocks per pass
+        rep = energy_report(chaos, spec=spec)
+        passes = gaussian_pass(chaos, rep, ou_certificate(), spec,
+                               poly_q=[1, 2], chaos_q=[1, 2])
+        assert built == [(4, 4, 3, 3), (4, 4, 3, 3)]  # C for the report, then A
+        assert set(passes.poly) == {1.0, 2.0}
+        # another model of the same coefficients builds its own
+        chaos_gamma_batch(GaussianChaos(chaos.coefficients), np.ones((1, 4)))
+        assert len(built) == 3
+
     def test_mean_is_the_trace_of_the_coefficients(self):
         # E Gamma(f) = sum_j C_jj = 4 sum_ij A_ij^2
         rng = np.random.default_rng(73)

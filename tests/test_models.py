@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,7 @@ from tplab import (
     series_as_field,
     two_state_chain,
 )
-from tplab.models import component_count
+from tplab.models import _packed, chaos_values, component_count
 
 from conftest import (
     cycle_adjacency,
@@ -338,6 +341,107 @@ class TestGaussianChaosField:
         chaos = GaussianChaos(coef)
         np.testing.assert_allclose(chaos.mean(),
                                    sum(chaos.coefficients[i, i] for i in range(3)))
+
+
+def exact_chaos(a, xs):
+    """sum_ij x_i x_j A_ij with each term formed from the mantissas of its
+    three factors and scaled by a power of two last, so that no term under-
+    or overflows before its last rounding, and the terms of each entry summed
+    by math.fsum: within 2 eps of the sum of the absolute terms, plus half a
+    subnormal step per term."""
+    mx, ex = np.frexp(xs)
+    ma, ea = np.frexp(a)
+    mant = mx[:, :, None, None, None] * mx[:, None, :, None, None] * ma
+    terms = np.ldexp(mant, ex[:, :, None, None, None] + ex[:, None, :, None, None] + ea)
+    p, n, d = len(xs), a.shape[0], a.shape[2]
+    flat = terms.reshape(p, n * n, d * d)
+    return np.array([[math.fsum(flat[q, :, e]) for e in range(d * d)]
+                     for q in range(p)]).reshape(p, d, d)
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+# nonzero |x| below 2^-511 or above 2^511 leaves a monomial's normal range
+_TINY_X = _signed(st.floats(5e-324, 2.0 ** -512))
+_HUGE_X = _signed(st.floats(2.0 ** 512, 2.0 ** 540))
+
+
+@st.composite
+def _raw_chaos_rows(draw):
+    """Coefficients A (n, n, d, d), n in 1..6 and d in 1..4, not symmetric in
+    the index pair or in a matrix, of one scale between 1e-100 and 1e100, and
+    five points: the first of entries in [-4, 4], the others also with
+    zeros, tiny entries and, where x^2 A cannot overflow, huge ones."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    log_scale = draw(st.integers(-100, 100))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    coef = np.array(draw(st.lists(unit, min_size=n * n * d * d, max_size=n * n * d * d)))
+    kinds = [st.floats(-4.0, 4.0), st.just(0.0), _TINY_X]
+    if log_scale <= -20:
+        kinds.append(_HUGE_X)
+    first = draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
+    rest = draw(st.lists(st.one_of(kinds), min_size=4 * n, max_size=4 * n))
+    xs = np.array(first + rest).reshape(5, n)
+    return 10.0 ** log_scale * coef.reshape(n, n, d, d), xs
+
+
+class TestChaosValues:
+    """The packed evaluation of a chaos, sum_ij x_i x_j A_ij, against an
+    oracle that neither under- nor overflows before its last rounding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_raw_chaos_rows())
+    def test_matches_the_definition(self, case):
+        a, xs = case
+        n = a.shape[0]
+        got = chaos_values(a, _packed(a), xs)
+        want = exact_chaos(a, xs)
+        # a few eps of the sum of the absolute terms, plus a few subnormal
+        # steps per term; a sample off the monomials' range takes
+        # sum_i x_i (sum_j x_j A_ij), whose subnormal steps in the inner sum
+        # are scaled by |x_i|
+        inner = np.einsum("pj,ijkl->pikl", np.abs(xs), np.abs(a))
+        scale = np.einsum("pi,pikl->pkl", np.abs(xs), inner)
+        tiny = np.nextafter(0.0, 1.0)
+        spread = n * tiny * (1.0 + np.sum(np.abs(xs), axis=1))[:, None, None]
+        assert np.all(np.abs(got - want) <= 8 * (n + 4) * (np.finfo(float).eps * scale + spread))
+
+    def test_underflowing_monomial_takes_the_m_first_form(self):
+        # x^2 underflows to 0, while x (x A) is a subnormal 3.6e-322
+        a = np.full((1, 1, 1, 1), 4e150)
+        xs = np.array([[9.5e-237], [1.0]])
+        got = chaos_values(a, _packed(a), xs)
+        assert got[0, 0, 0] == 9.5e-237 * (9.5e-237 * 4e150) > 0.0
+        assert got[1, 0, 0] == 4e150
+
+    def test_returns_the_samples_last_view(self):
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((4, 4, 3, 3))
+        got = chaos_values(a, _packed(a), rng.standard_normal((50, 4)))
+        assert got.shape == (50, 3, 3)
+        assert np.moveaxis(got, 0, -1).flags.c_contiguous
+
+    @pytest.mark.parametrize("n, d", [(8, 3), (64, 1)])
+    def test_peak_memory_within_the_m_first_form(self, n, d):
+        # the M_i of x_i M_i take m n d^2 doubles; the 2,080 monomials of a
+        # 64-variable scalar chaos would take 33 times that unsliced
+        rng = np.random.default_rng(19)
+        a = rng.standard_normal((n, n, d, d))
+        packed, xs, m = _packed(a), rng.standard_normal((4096, n)), 4096
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = chaos_values(a, packed, xs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= m * n * d * d * 8
+        want = np.einsum("mi,mj,ijkl->mkl", xs, xs, a)
+        scale = np.einsum("mi,mj,ijkl->mkl", np.abs(xs), np.abs(xs), np.abs(a))
+        assert np.all(np.abs(got - want) <= 8 * (n + 4) * np.finfo(float).eps * scale)
 
 
 class TestChainFromJson:

@@ -319,6 +319,21 @@ class TestEquivalenceProbe:
                 assert np.array_equal(vals, 0.5 * (raw + raw.transpose(0, 2, 1)))
                 assert np.array_equal(u, rng.choice([-1.0, 1.0], size=d))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1), st.integers(1, 8),
+           st.integers(0, 300))
+    def test_signs_from_raw_words_match_integers(self, seed, t, d, normals):
+        # the probe reads its signs from raw words; this pins them to what
+        # Generator.integers(0, 2) draws after a normal draw of any size,
+        # so a change in how numpy bounds its integers fails here
+        rng = normal_stream(seed, t)
+        rng.standard_normal(normals)
+        want = rng.integers(0, 2, size=d)
+        rng = normal_stream(seed, t)
+        rng.standard_normal(normals)
+        got = poincare._signs(poincare._sign_words(rng, d), d)
+        np.testing.assert_array_equal(got, np.array([-1.0, 1.0])[want])
+
     def test_stacked_trials_match_one_trial_per_call(self, monkeypatch):
         chain = random_reversible_chain(np.random.default_rng(263), 27)
         stacked = equivalence_probe(chain, trials=90, dims=[1, 2, 3], seed=7)

@@ -293,6 +293,35 @@ class TestBatchEigvalsh:
         with pytest.raises(DimensionError):
             batch_eigvalsh(np.zeros((4, 2, 3)))
 
+    @pytest.mark.parametrize("shape", [(2, 5), (1,)])
+    def test_multi_axis_stack_keeps_lapack_shape(self, shape):
+        # rows near a double root and of extreme scale go to LAPACK, so the
+        # closed form and the fallback both write into the leading axes
+        count = math.prod(shape)
+        a = structured_stack("random", 3, 41, 1.0, 0.0)[:count]
+        if count > 1:
+            a[1] = structured_stack("near-double", 3, 41, 1.0, 1e-9)[0]
+            a[-1] *= 1e120
+        a = a.reshape(*shape, 3, 3)
+        with np.errstate(all="ignore"):
+            ok = _eigvalsh3(a)[1]
+        assert ok.shape == shape and ok.any() and (count == 1 or not ok.all())
+        assert_close_to_lapack(a)
+        assert batch_eigvalsh(a).shape == (*shape, 3)
+
+    def test_samples_last_layout_gives_the_same_bits(self):
+        # the closed form is elementwise, so the layout of the stack, C order
+        # or each entry a contiguous row, moves no bit
+        a = np.concatenate([structured_stack(kind, 3, 43, 1.0, 1e-9)
+                            for kind in ("random", "near-double", "rank-1", "identity")])
+        rows = np.ascontiguousarray(np.moveaxis(a, 0, -1))
+        last = np.moveaxis(rows, -1, 0)
+        assert not last.flags.c_contiguous
+        got = batch_eigvalsh(last)
+        np.testing.assert_array_equal(got, batch_eigvalsh(a))
+        # the eigenvalue rows of the closed form are contiguous too
+        assert np.moveaxis(got, -1, 0).flags.c_contiguous
+
 
 class TestTraceFn:
     """tr phi(A) for every matrix of a stack, through SpectralDecomposition.map."""
