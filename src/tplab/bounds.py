@@ -37,7 +37,7 @@ from .montecarlo import (
 from .poincare import PoincareCertificate
 from .reports import CheckReport, slack_for
 from .spectral import (ScalarFnSpec, batch_eigvalsh, eigh, intdim, op_norm, psd_eigvalsh,
-                       symmetrize)
+                       symmetric_part, symmetrize)
 
 UNBOUNDED = math.inf
 
@@ -81,7 +81,7 @@ def _as_grid(base: FiniteChain, g) -> np.ndarray:
             f"bivariate field must have shape ({m}, {m}, d, d), got {arr.shape}")
     if np.array_equal(arr, arr.transpose(0, 1, 3, 2)):
         return arr
-    return 0.5 * (arr + arr.transpose(0, 1, 3, 2))
+    return symmetric_part(arr)
 
 
 def _trace_variance(mu: np.ndarray, grid: np.ndarray, sq: np.ndarray) -> float:
@@ -138,24 +138,30 @@ def _require_convex_sq_derivative(phi: ScalarFnSpec):
             "(sinh, signed_pow with exponent >= 1.5, affine)")
 
 
-def check_mean_value_trace(a, b, phi: ScalarFnSpec) -> CheckReport:
+def check_mean_value_trace(a, b, phis) -> list[CheckReport]:
     """tr[(phi(A) - phi(B))^2] <= (1/2) tr[(A - B)^2 (psi(A) + psi(B))]
-    for psi = (phi')^2 convex."""
-    _require_convex_sq_derivative(phi)
+    for psi = (phi')^2 convex, one report per phi of ``phis``; the pair
+    (A, B) is diagonalised once for the list."""
+    for phi in phis:
+        _require_convex_sq_derivative(phi)
     a = symmetrize(a)
     b = symmetrize(b)
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     dec = eigh(np.stack([a, b]))
-    phi_a, phi_b = dec.map(phi)
-    psi_a, psi_b = dec.map(phi.sq_deriv)
-    diff_phi = phi_a - phi_b
-    lhs = float(np.trace(diff_phi @ diff_phi))
     diff = a - b
-    rhs = 0.5 * float(np.trace(diff @ diff @ (psi_a + psi_b)))
-    return CheckReport.from_comparison(
-        "mean-value-trace", lhs, rhs, slack_for(rhs),
-        {"phi": phi.label(), "d": a.shape[0]})
+    sq_diff = diff @ diff
+    out = []
+    for phi in phis:
+        phi_a, phi_b = dec.map(phi)
+        psi_a, psi_b = dec.map(phi.sq_deriv)
+        diff_phi = phi_a - phi_b
+        lhs = float(np.trace(diff_phi @ diff_phi))
+        rhs = 0.5 * float(np.trace(sq_diff @ (psi_a + psi_b)))
+        out.append(CheckReport.from_comparison(
+            "mean-value-trace", lhs, rhs, slack_for(rhs),
+            {"phi": phi.label(), "d": a.shape[0]}))
+    return out
 
 
 def check_chain_rule(chain: FiniteChain, rep: EnergyReport, phis) -> list[CheckReport]:
@@ -432,6 +438,7 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
         s, s_gam = float(np.max(f_eigs)), float(np.max(gam_eigs))
         f_eigs, gam_eigs = f_eigs / (s or 1.0), gam_eigs / (s_gam or 1.0)
         mu, d = model.stationary, rep.field.dim
+        mean_norm = op_norm(rep.mean)
         for q in q_list:
             q = float(q)
             tgq = float(np.einsum("z,zi->", mu, gam_eigs ** q))
@@ -440,7 +447,7 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
             out.append(CheckReport.from_comparison(
                 "poly-moment", lhs, rhs, slack_for(rhs),
                 {"chain": model.name, "q": q, "alpha": cert.alpha, "d": d,
-                 "centered_mean_norm": op_norm(rep.mean),
+                 "centered_mean_norm": mean_norm,
                  "sqrt2_regime": _sqrt2_regime(q), "exact": True}))
         return out
 
@@ -506,9 +513,11 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
     """E tr |g|^{2q} <= intdim(dirichlet(g)) * alpha^q q! * v_g^q for the
     symmetrized difference field g(z, z') = f(z) - f(z'), one report per
     natural q of q_list; g and its spectrum are built once for the whole
-    list.  g's energies are read from f's energy report ``rep``:
-    Gamma(g)(z, z') = Gamma(f)(z) + Gamma(f)(z') gives v_g = 2 v_f and
-    dirichlet(g) = 2 dirichlet(f), and intdim(2 D) = intdim(D).
+    list, the spectrum by one ``spectral.batch_eigvalsh`` over the
+    (n^2, d, d) grid (closed forms at d = 2 and 3).  g's energies are read
+    from f's energy report ``rep``: Gamma(g)(z, z') = Gamma(f)(z) +
+    Gamma(f)(z') gives v_g = 2 v_f and dirichlet(g) = 2 dirichlet(f), and
+    intdim(2 D) = intdim(D).
 
     The context also records the uniform bound (2 alpha q^2)^q * d * v_f^q
     that follows from the polynomial moment inequality, and which of the two
@@ -521,7 +530,7 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
     v_g = 2.0 * v_f
     grid = bivariate_symmetrized(chain, rep)
     mu2 = np.kron(chain.stationary, chain.stationary)
-    g_eigs = np.abs(np.linalg.eigvalsh(grid.reshape(-1, d, d)))
+    g_eigs = np.abs(batch_eigvalsh(grid.reshape(-1, d, d)))
     idim = intdim(rep.dirichlet)
     out = []
     for q in q_list:

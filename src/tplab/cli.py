@@ -223,11 +223,13 @@ def _chain_rows(chain, name, named, suites, params, seed):
             phis = [_labelled(f"params.phis[{i}]", (LabError,), _build_phi, desc)
                     for i, desc in enumerate(descs)]
             for fname, rep in named:
-                v = rep.field.values
-                for phi, r in zip(phis, bounds.check_chain_rule(chain, rep, phis)):
+                reports = bounds.check_chain_rule(chain, rep, phis)
+                if chain.n_states >= 2:
+                    v = rep.field.values
+                    mean_value = bounds.check_mean_value_trace(v[0], v[1], phis)
+                    reports = [r for pair in zip(reports, mean_value) for r in pair]
+                for r in reports:
                     add(suite, r, fname)
-                    if chain.n_states >= 2:
-                        add(suite, bounds.check_mean_value_trace(v[0], v[1], phi), fname)
         elif suite == "exp-moment":
             for fname, rep in named:
                 grid = params.get("theta_grid")

@@ -13,9 +13,10 @@ the generator identity (the definition of the carre du champ)
 
 so the whole table costs two products of L with an (n, d^2) block plus n
 small matrix products instead of a per-state loop.  On a product chain each
-product with L is one mode product per coordinate (``FiniteChain.apply``),
-so no n x n matrix is formed.  The row-sum term r makes the identity hold
-for the floating-point generator, not only for exact zero row sums.
+product with L is one dense product per group of coordinates
+(``FiniteChain.apply``), so no n x n matrix is formed.  The row-sum term r
+makes the identity hold for the floating-point generator, not only for
+exact zero row sums.
 
 Every model's energies (Gamma, Dirichlet form, variance, v_f) and spectra
 are computed only by ``energy_report``, once per (chain, field) and once
@@ -67,7 +68,8 @@ def carre_table(chain: FiniteChain, f: FiniteField) -> np.ndarray:
     is centred first, c = f - E_mu f; Gamma is shift-invariant, and centring
     keeps the cancellation at the scale of the fluctuations rather than of
     the mean.  L is read only through ``chain.apply`` and ``chain.row_sums``:
-    O(n m k d^2 + n d^3) on a k-factor chain with an (m, m) factor, and
+    O(n w d^2 + n d^3) on a product chain whose coordinate groups are w
+    states wide in all (``FiniteChain.group_sums``), and
     O(n^2 d^2 + n d^3) on a plain one.  A table that is not finite (the
     squared fluctuations overflow) raises NumericError, since no bound read
     from it would mean anything.

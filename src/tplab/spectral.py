@@ -21,12 +21,29 @@ from .errors import DimensionError, DomainError, NumericError
 RTOL = 1e-10
 
 
+def symmetric_part(a, axes=(-2, -1)) -> np.ndarray:
+    """(A + A^T)/2 of each matrix of a float stack (..., d, d), transposing
+    ``axes``, as a fresh array.  When A + A^T overflows, the stack is formed
+    again as A/2 + A^T/2, so no finite entry overflows; halving is exact in
+    the normal range, so the two forms agree there bit for bit, and only the
+    first keeps a symmetric subnormal input as it is."""
+    a = np.asarray(a, dtype=float)
+    try:
+        with np.errstate(over="raise"):
+            out = a + np.swapaxes(a, *axes)
+    except FloatingPointError:
+        half = 0.5 * a
+        return half + np.swapaxes(half, *axes)
+    out *= 0.5
+    return out
+
+
 def symmetrize(raw) -> np.ndarray:
     """Return the symmetric part (A + A^T)/2 as a fresh float64 array."""
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    return symmetric_part(a)
 
 
 @dataclass(frozen=True)
@@ -56,7 +73,7 @@ def eigh(a) -> SpectralDecomposition:
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    a = 0.5 * (a + np.swapaxes(a, -1, -2))
+    a = symmetric_part(a)
     try:
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -161,7 +178,7 @@ def op_norm(a) -> float:
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    w = np.linalg.eigvalsh(0.5 * (a + np.swapaxes(a, -1, -2)))
+    w = np.linalg.eigvalsh(symmetric_part(a))
     return float(np.max(np.abs(w))) if w.size else 0.0
 
 
@@ -204,28 +221,42 @@ def _eigvalsh3(a):
     return np.moveaxis(np.stack([lo, tr - hi - lo, hi]), 0, -1), ok
 
 
+def _eigvalsh2(a):
+    """m -+ hypot(a/2 - c/2, b) for [[a, b], [b, c]] with m = a/2 + c/2,
+    halved first so that no finite entry overflows; the (..., 2) view of a
+    (2, ...) array, as ``_eigvalsh3`` returns, and which rows are finite."""
+    a00, a10, a11 = a[..., 0, 0], a[..., 1, 0], a[..., 1, 1]
+    m = 0.5 * a00 + 0.5 * a11
+    r = np.hypot(0.5 * a00 - 0.5 * a11, a10)
+    w = np.stack([m - r, m + r])
+    return np.moveaxis(w, 0, -1), np.isfinite(w).all(axis=0)
+
+
 def batch_eigvalsh(stack) -> np.ndarray:
     """Ascending eigenvalues of each matrix of a stack (..., d, d), read from
     the lower triangle as ``np.linalg.eigvalsh`` reads it, in LAPACK's
     shape (..., d).
 
-    d = 3 takes the trigonometric method, within a few tens of eps of the
-    largest |eigenvalue| of LAPACK's, and returns the (..., 3) view of a
-    (3, ...) array: each eigenvalue index is one contiguous row, so the
-    elementwise work and row sums that follow run on contiguous data.  The
-    values do not depend on the stack's memory layout.  Rows whose closed
-    form is not finite, or that lie near a double root or are of extreme
-    scale, are handed to ``np.linalg.eigvalsh``, as is every other d, so a
-    NaN row gives whatever LAPACK gives.
+    d = 2 and d = 3 take closed forms, within a few tens of eps of the
+    largest |eigenvalue| of LAPACK's: m -+ hypot((a - c)/2, b) with m the
+    mean of the diagonal, and the trigonometric method.  They return the
+    (..., d) view of a (d, ...) array: each eigenvalue index is one
+    contiguous row, so the elementwise work and row sums that follow run on
+    contiguous data.  The values do not depend on the stack's memory
+    layout.  Rows whose closed form is not finite, or (d = 3) that lie near
+    a double root or are of extreme scale, are handed to
+    ``np.linalg.eigvalsh``, as is every other d, so a NaN row gives
+    whatever LAPACK gives.
     """
     a = np.asarray(stack, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if a.shape[-1] != 3:
+    closed = {2: _eigvalsh2, 3: _eigvalsh3}.get(a.shape[-1])
+    if closed is None:
         return np.linalg.eigvalsh(a)
     # an overflow or a NaN here lands outside ``ok``; LAPACK takes the row
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w, ok = _eigvalsh3(a)
+        w, ok = closed(a)
     if not ok.all():
         w[~ok] = np.linalg.eigvalsh(a[~ok])
     return w
@@ -237,7 +268,7 @@ def psd_eigvalsh(a, name: str) -> np.ndarray:
     below -RTOL * (1 + its largest |eigenvalue|) is not PSD within rounding
     and is refused: DomainError naming ``name`` and the first such
     eigenvalue."""
-    w = np.linalg.eigvalsh(0.5 * (a + np.swapaxes(a, -1, -2)))
+    w = np.linalg.eigvalsh(symmetric_part(a))
     if w.size:
         low = w[..., 0].reshape(-1)
         bad = low < -RTOL * (1.0 + np.max(np.abs(w), axis=-1).reshape(-1))

@@ -40,6 +40,19 @@ def dense_product_generator(base, k):
     return gen
 
 
+def kronecker_sum_apply(base, k, x):
+    """The Kronecker sum of k copies of a one-factor base's generator applied
+    to an (m^k, cols) block, one contraction per coordinate axis of the
+    block viewed as (m,) * k + (cols,): the oracle for ``apply`` at sizes
+    where the dense matrix would not fit."""
+    m = base.generator.shape[0]
+    t = x.reshape((m,) * k + (-1,))
+    out = np.zeros_like(t)
+    for i in range(k):
+        out += np.moveaxis(np.tensordot(base.generator, t, axes=([1], [i])), 0, i)
+    return out.reshape(x.shape)
+
+
 def moment(field, q, spec, center=None):
     """The Estimate of E tr |f(X) - center|^(2q) at one order and one centre
     (None for no centre), from ``estimate_trace_moment``."""

@@ -93,12 +93,14 @@ def test_criterion_04_mean_value_trace():
             d = int(rng.integers(1, 7))
             a, b = random_symmetric(rng, d), random_symmetric(rng, d)
             theta = float(rng.uniform(0.05, 2.5))
-            assert check_mean_value_trace(a, b, ScalarFnSpec.sinh(theta)).passed
+            (r,) = check_mean_value_trace(a, b, [ScalarFnSpec.sinh(theta)])
+            assert r.passed
         for q in (1.5, 2.0, 3.0):
             for _ in range(1000):
                 d = int(rng.integers(1, 7))
                 a, b = random_symmetric(rng, d), random_symmetric(rng, d)
-                assert check_mean_value_trace(a, b, ScalarFnSpec.signed_pow(q)).passed
+                (r,) = check_mean_value_trace(a, b, [ScalarFnSpec.signed_pow(q)])
+                assert r.passed
 
 
 def test_criterion_05_chain_rule(two_state, k4):

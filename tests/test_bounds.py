@@ -29,6 +29,7 @@ from tplab import (
     check_subadditivity,
     check_tail_empirical,
     check_trace_poincare,
+    complete_refresh_chain,
     constant_field,
     default_theta_grid,
     energy_report,
@@ -171,19 +172,19 @@ class TestBivariatePoincare:
 class TestMeanValueTrace:
     def test_equal_arguments(self):
         a = np.array([[1.0, 0.3], [0.3, -0.5]])
-        r = check_mean_value_trace(a, a, ScalarFnSpec.sinh(2.0))
+        (r,) = check_mean_value_trace(a, a, [ScalarFnSpec.sinh(2.0)])
         assert r.passed and r.lhs == pytest.approx(0.0, abs=1e-14)
 
     def test_affine_is_equality(self):
         rng = np.random.default_rng(109)
         a, b = random_symmetric(rng, 3), random_symmetric(rng, 3)
-        r = check_mean_value_trace(a, b, ScalarFnSpec.affine(1.0, 0.0))
+        (r,) = check_mean_value_trace(a, b, [ScalarFnSpec.affine(1.0, 0.0)])
         assert r.passed and abs(r.margin) <= 1e-12 * (1 + abs(r.rhs))
 
     def test_scalar_sinh_oracle(self):
         # d=1, a=1, b=0: sinh(1)^2 <= (1/2)(cosh(1)^2 + 1), both evaluated
         # with the math library as the oracle
-        r = check_mean_value_trace([[1.0]], [[0.0]], ScalarFnSpec.sinh(1.0))
+        (r,) = check_mean_value_trace([[1.0]], [[0.0]], [ScalarFnSpec.sinh(1.0)])
         assert r.passed
         assert r.lhs == pytest.approx(math.sinh(1.0) ** 2, abs=1e-12)
         assert r.rhs == pytest.approx(0.5 * (math.cosh(1.0) ** 2 + 1.0), abs=1e-12)
@@ -191,7 +192,27 @@ class TestMeanValueTrace:
     def test_inadmissible_phi_rejected(self):
         a = np.eye(2)
         with pytest.raises(DomainError):
-            check_mean_value_trace(a, a, ScalarFnSpec.signed_pow(1.2))
+            check_mean_value_trace(a, a, [ScalarFnSpec.sinh(1.0), ScalarFnSpec.signed_pow(1.2)])
+
+    def test_one_eigh_for_the_phi_list(self, monkeypatch):
+        # the pair is diagonalised once however many phis read it, and each
+        # report equals the one of its phi alone
+        rng = np.random.default_rng(115)
+        a, b = random_symmetric(rng, 3), random_symmetric(rng, 3)
+        phis = [ScalarFnSpec.sinh(1.0), ScalarFnSpec.signed_pow(2.0),
+                ScalarFnSpec.affine(2.0, 1.0)]
+        alone = [check_mean_value_trace(a, b, [phi])[0] for phi in phis]
+        calls = []
+        real = bounds.eigh
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return real(x)
+
+        monkeypatch.setattr(bounds, "eigh", counted)
+        assert check_mean_value_trace(a, b, phis) == alone
+        assert calls == [(2, 3, 3)]
+        assert check_mean_value_trace(a, b, []) == []
 
     def test_random_sweep(self):
         rng = np.random.default_rng(113)
@@ -199,9 +220,10 @@ class TestMeanValueTrace:
             d = int(rng.integers(1, 7))
             a, b = random_symmetric(rng, d), random_symmetric(rng, d)
             theta = float(rng.uniform(0.1, 2.0))
-            assert check_mean_value_trace(a, b, ScalarFnSpec.sinh(theta)).passed
             q = float(rng.choice([1.5, 2.0, 3.0]))
-            assert check_mean_value_trace(a, b, ScalarFnSpec.signed_pow(q)).passed
+            reports = check_mean_value_trace(
+                a, b, [ScalarFnSpec.sinh(theta), ScalarFnSpec.signed_pow(q)])
+            assert [r.passed for r in reports] == [True, True]
 
 
 class TestChainRule:
@@ -361,6 +383,21 @@ class TestCheckExpMoment:
         cert = poincare_constant(two_state)
         r = check_exp_moment(two_state, indicator(two_state), cert, [0.5])[0]
         assert r.context["centered_mean_norm"] == pytest.approx(0.5)
+
+    def test_rhs_scaled_below_the_equality_fails(self, monkeypatch):
+        # at theta = 0 both sides are d, an equality; an rhs helper that
+        # reads 1e-6 low must turn the row into a FAIL
+        base = product_chain(complete_refresh_chain([0.2, 0.3, 0.5]), 2)
+        rep = energy_report(base, random_field(np.random.default_rng(157), base.n_states, 2))
+        cert = poincare_constant(base)
+        (r,) = check_exp_moment(base, rep, cert, [0.0])
+        assert r.verdict == "PASS" and r.lhs == r.rhs == 2.0
+        real = bounds.exp_moment_rhs
+        monkeypatch.setattr(bounds, "exp_moment_rhs",
+                            lambda p, trbar: (1.0 - 1e-6) * real(p, trbar))
+        (r,) = check_exp_moment(base, rep, cert, [0.0])
+        assert r.verdict == "FAIL"
+        assert r.margin == pytest.approx(-2e-6, rel=1e-9)
 
     def test_default_grid_stays_below_singularity(self):
         grid = default_theta_grid(0.5, 0.5)
@@ -554,6 +591,25 @@ class TestIntdimVariant:
         cert = poincare_constant(two_state)
         with pytest.raises(DomainError):
             check_intdim_variant(two_state, indicator(two_state), cert, [1, 1.5])
+
+    @pytest.mark.parametrize("d, lapack_rows", [(2, []), (3, [(4, 3, 3)])])
+    def test_no_lapack_call_on_the_grid(self, monkeypatch, k4, d, lapack_rows):
+        # the (n^2, d, d) differences take the closed forms of
+        # batch_eigvalsh; LAPACK sees the (d, d) Dirichlet form and, at
+        # d = 3, the n zero differences g(z, z), a triple root
+        cert = poincare_constant(k4)
+        rep = energy_report(k4, random_field(np.random.default_rng(153), 4, d))
+        want = check_intdim_variant(k4, rep, cert, [1, 2, 3])
+        stacks = []
+        real = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            stacks.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert check_intdim_variant(k4, rep, cert, [1, 2, 3]) == want
+        assert stacks == lapack_rows + [(d, d)]
 
     def test_order_list_equals_one_order_at_a_time(self, k4):
         cert = poincare_constant(k4)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tplab import (
@@ -23,12 +23,15 @@ from tplab import (
     series_as_field,
     two_state_chain,
 )
+from tplab import models
 from tplab.models import _packed, chaos_values, component_count
+from tplab.spectral import symmetrize
 
 from conftest import (
     cycle_adjacency,
     dense_product_generator,
     k_complete,
+    kronecker_sum_apply,
     random_reversible_chain,
 )
 
@@ -232,22 +235,55 @@ class TestProductChain:
         with pytest.raises(CapacityError):
             product_chain(base, 6)  # 11^6 > 10^6
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 4), k=st.sampled_from([1, 2, 3, 4]),
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 5), k=st.integers(1, 8),
            cols=st.sampled_from([1, 4, 9]), log_scale=st.integers(-3, 3))
     def test_apply_matches_dense_kronecker_sum(self, seed, m, k, cols, log_scale):
+        # up to 4096 states, so that several groups of coordinates and a
+        # remainder group run; the dense sum is the oracle up to 729 states,
+        # one contraction per coordinate beyond
+        assume(m ** k <= 4096)
         rng = np.random.default_rng(seed)
         base = random_reversible_chain(rng, m, 10.0 ** log_scale)
         prod = product_chain(base, k)
         assert prod.factors == k and prod.n_states == m ** k
-        gen = dense_product_generator(base, k)
         x = rng.standard_normal((m ** k, cols))
-        want = gen @ x
+        if m ** k <= 729:
+            gen = dense_product_generator(base, k)
+            want, rows = gen @ x, gen.sum(axis=1)
+        else:
+            want = kronecker_sum_apply(base, k, x)
+            rows = kronecker_sum_apply(base, k, np.ones((m ** k, 1)))[:, 0]
+        scale = np.max(np.abs(base.generator))
         assert np.max(np.abs(prod.apply(x) - want)) <= 1e-13 * np.max(np.abs(want))
         np.testing.assert_allclose(prod.apply(x[:, 0]), want[:, 0], rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)))
-        np.testing.assert_allclose(prod.row_sums, gen.sum(axis=1), rtol=0,
-                                   atol=1e-13 * np.max(np.abs(gen)))
+        np.testing.assert_allclose(prod.row_sums, rows, rtol=0, atol=1e-13 * k * scale)
+
+    @pytest.mark.parametrize("m, k, widths", [
+        (3, 1, [3]), (3, 2, [9]), (3, 3, [27]), (3, 7, [3, 27, 27]), (3, 12, [27] * 4),
+        (2, 7, [8, 16]), (5, 3, [5, 25]), (30, 2, [30, 30]),
+    ])
+    def test_group_sums_built_once_per_chain(self, monkeypatch, m, k, widths):
+        # the remainder, then groups of the largest g with m^g <=
+        # GROUP_STATES; each distinct group wider than the factor is built on
+        # the first apply and never again, and a one-coordinate group is the
+        # generator itself
+        builds = []
+        real = models._mode_products
+
+        def counted(gen, s):
+            builds.append(m ** s)
+            return real(gen, s)
+
+        monkeypatch.setattr(models, "_mode_products", counted)
+        chain = product_chain(complete_refresh_chain(np.full(m, 1.0 / m)), k)
+        x = np.random.default_rng(m).standard_normal((m ** k, 2))
+        for _ in range(3):
+            chain.apply(x)
+        assert [s.shape[0] for s in chain.group_sums] == widths
+        assert sorted(builds) == sorted({w for w in widths if w > m})
+        assert all(s is chain.generator for s in chain.group_sums if s.shape[0] == m)
 
     def test_single_factor_apply_is_the_dense_product(self):
         rng = np.random.default_rng(71)
@@ -489,3 +525,27 @@ class TestFiniteField:
             FiniteField(vals)
         with pytest.raises(DomainError, match="finite"):
             FiniteField.from_scalars([0.0, bad])
+
+
+class TestSymmetricParts:
+    @pytest.mark.filterwarnings("error")
+    def test_huge_entries_stay_finite(self):
+        # (a + a^T) / 2 of two 1.5e308 entries overflows in the sum; every
+        # constructor keeps the entry, with no overflow warning
+        big = 1.5e308
+        np.testing.assert_array_equal(symmetrize(np.full((2, 2), big)), np.full((2, 2), big))
+        np.testing.assert_array_equal(FiniteField(np.full((3, 2, 2), big)).values,
+                                      np.full((3, 2, 2), big))
+        np.testing.assert_array_equal(GaussianSeries(np.full((2, 2, 2), big)).coefficients,
+                                      np.full((2, 2, 2), big))
+        np.testing.assert_array_equal(GaussianChaos(np.full((1, 1, 1, 1), big)).coefficients,
+                                      np.full((1, 1, 1, 1), big))
+        # both steps of the chaos: the index pair, then each matrix
+        coef = np.zeros((2, 2, 2, 2))
+        coef[0, 1, 0, 1], coef[1, 0, 0, 1], coef[1, 0, 1, 0] = big, 1.7e308, big
+        got = GaussianChaos(coef).coefficients
+        assert np.all(np.isfinite(got))
+        # ((1.5 + 1.7) / 2 + 1.5 / 2) / 2 = 1.175, in units of 1e308
+        np.testing.assert_allclose(got[0, 1], [[0.0, 1.175e308], [1.175e308, 0.0]],
+                                   rtol=4e-16, atol=0.0)
+        np.testing.assert_array_equal(got[0, 1], got[1, 0])

@@ -18,7 +18,7 @@ from tplab import (
     op_norm,
     symmetrize,
 )
-from tplab.spectral import _eigvalsh3, psd_eigvalsh
+from tplab.spectral import _eigvalsh2, _eigvalsh3, psd_eigvalsh
 
 from conftest import random_symmetric
 
@@ -233,8 +233,8 @@ def assert_close_to_lapack(a):
 
 
 class TestBatchEigvalsh:
-    """The d = 3 closed form, and the LAPACK route at every other d, against
-    LAPACK's eigvalsh."""
+    """The d = 2 and d = 3 closed forms, and the LAPACK route at every other
+    d, against LAPACK's eigvalsh."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["random", "near-double", "rank-1", "rank-2", "zero", "identity"]),
@@ -262,6 +262,38 @@ class TestBatchEigvalsh:
             a = np.concatenate([a, lapack])
         w = np.abs(batch_eigvalsh(a))
         np.testing.assert_array_equal(np.maximum(w[:, 0], w[:, -1]), np.max(w, axis=1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["random", "near-double", "rank-1", "zero", "identity", "diagonal"]),
+           st.integers(0, 2 ** 32 - 1), st.integers(-150, 150),
+           st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1e-2]))
+    def test_two_by_two_closed_form(self, kind, seed, log_scale, gap):
+        # every row of these takes the closed form: equal eigenvalues
+        # (identity, gap 0) and diagonal rows of any order included
+        if kind == "diagonal":
+            w = np.random.default_rng(seed).standard_normal((16, 2))
+            w[:8, 1] = w[:8, 0] + gap
+            a = 10.0 ** log_scale * (w[:, :, None] * np.eye(2))
+        else:
+            a = structured_stack(kind, 2, seed, 10.0 ** log_scale, gap)
+        assert _eigvalsh2(a)[1].all()
+        assert_close_to_lapack(a)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (1, 1)])
+    def test_two_by_two_non_finite_row_as_lapack(self, value, entry):
+        stack = np.random.default_rng(59).standard_normal((5, 2, 2))
+        stack[2][entry] = value
+        with np.errstate(all="ignore"):
+            assert not _eigvalsh2(stack)[1][2]
+        try:
+            want = np.linalg.eigvalsh(stack[2:3])
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                batch_eigvalsh(stack)
+            return
+        np.testing.assert_array_equal(batch_eigvalsh(stack)[2], want[0])
+        assert_close_to_lapack(np.delete(stack, 2, axis=0))
 
     def test_every_decade_of_scale(self):
         # p^3 and the determinant leave the normal range near 1e-103 and
@@ -308,6 +340,15 @@ class TestBatchEigvalsh:
         assert ok.shape == shape and ok.any() and (count == 1 or not ok.all())
         assert_close_to_lapack(a)
         assert batch_eigvalsh(a).shape == (*shape, 3)
+
+    def test_two_by_two_stack_keeps_lapack_shape(self):
+        a = structured_stack("random", 2, 47, 1.0, 0.0)[:10].reshape(2, 5, 2, 2)
+        a[1, 3, 1, 0] = math.nan
+        got = batch_eigvalsh(a)
+        assert got.shape == (2, 5, 2)
+        np.testing.assert_array_equal(got[1, 3], np.linalg.eigvalsh(a[1, 3]))
+        a[1, 3, 1, 0] = 0.0
+        assert_close_to_lapack(a)
 
     def test_samples_last_layout_gives_the_same_bits(self):
         # the closed form is elementwise, so the layout of the stack, C order
