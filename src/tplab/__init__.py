@@ -16,7 +16,6 @@ from .spectral import (
     SpectralDecomposition,
     batch_eigvalsh,
     eigh,
-    intdim,
     op_norm,
     symmetrize,
 )
@@ -62,7 +61,6 @@ from .montecarlo import (
 )
 from .bounds import (
     UNBOUNDED,
-    BoundParams,
     GaussianPass,
     chaos_scalar_bound,
     check_bivariate_poincare,

@@ -36,37 +36,9 @@ from .montecarlo import (
 )
 from .poincare import PoincareCertificate
 from .reports import CheckReport, slack_for
-from .spectral import (ScalarFnSpec, batch_eigvalsh, eigh, intdim, op_norm, psd_eigvalsh,
-                       symmetric_part, symmetrize)
+from .spectral import ScalarFnSpec, batch_eigvalsh, eigh, psd_eigvalsh, symmetric_part, symmetrize
 
 UNBOUNDED = math.inf
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Parameters entering the moment/tail bounds.  theta is the exponential
-    scale, q the moment order, lam the tail level; unused entries may stay
-    None.  q in (1, 1.5) is admissible only through the sqrt(2)-adjusted
-    regime of poly_moment_rhs."""
-
-    alpha: float
-    v_f: float
-    d: int
-    theta: float | None = None
-    q: float | None = None
-    lam: float | None = None
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if self.v_f < 0:
-            raise DomainError(f"variance proxy must be nonnegative, got {self.v_f}")
-        if self.d < 1:
-            raise DomainError(f"matrix dimension must be >= 1, got {self.d}")
-        if self.theta is not None and self.theta < 0:
-            raise DomainError(f"theta must be nonnegative, got {self.theta}")
-        if self.lam is not None and not self.lam > 0:
-            raise DomainError(f"tail level must be positive, got {self.lam}")
 
 
 def _as_grid(base: FiniteChain, g) -> np.ndarray:
@@ -190,17 +162,25 @@ def check_chain_rule(chain: FiniteChain, rep: EnergyReport, phis) -> list[CheckR
     return out
 
 
-def exp_moment_rhs(p: BoundParams, trace_dirichlet_normalized: float) -> float:
-    """d * [1 + alpha theta^2 trbar(dirichlet) / (1 - alpha v_f theta^2 / 2)_+].
+def exp_moment_rhs(alpha: float, v_f: float, d: int, theta: float, trbar: float) -> float:
+    """d * [1 + alpha theta^2 trbar / (1 - alpha v_f theta^2 / 2)_+], with
+    trbar the normalized trace tr(dirichlet) / d.
 
     Returns UNBOUNDED (inf) when the positive part in the denominator
     vanishes; callers record such grid points as SKIPPED.
     """
-    theta = p.theta if p.theta is not None else 1.0
-    denom = 1.0 - p.alpha * p.v_f * theta * theta / 2.0
+    if not alpha > 0:
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    if v_f < 0:
+        raise DomainError(f"variance proxy must be nonnegative, got {v_f}")
+    if d < 1:
+        raise DomainError(f"matrix dimension must be >= 1, got {d}")
+    if theta < 0:
+        raise DomainError(f"theta must be nonnegative, got {theta}")
+    denom = 1.0 - alpha * v_f * theta * theta / 2.0
     if denom <= 0.0:
         return UNBOUNDED
-    return p.d * (1.0 + p.alpha * theta * theta * trace_dirichlet_normalized / denom)
+    return d * (1.0 + alpha * theta * theta * trbar / denom)
 
 
 def default_theta_grid(alpha: float, v_f: float, points: int = 20) -> np.ndarray:
@@ -218,17 +198,15 @@ def check_exp_moment(chain: FiniteChain, rep: EnergyReport,
     centered first (the subtracted mean is logged in the context); the
     spectrum of f - E_mu f and the energies are read from f's report, since
     Gamma is shift-invariant."""
-    eigs, mean = rep.f_eigs, rep.mean
-    v_f, d = rep.v_f, rep.field.dim
+    eigs, v_f, d = rep.f_eigs, rep.v_f, rep.field.dim
     trbar = float(np.trace(rep.dirichlet)) / d
     mu = chain.stationary
     base_ctx = {"chain": chain.name, "alpha": cert.alpha, "v_f": v_f,
                 "trbar_dirichlet": trbar, "d": d,
-                "centered_mean_norm": op_norm(mean)}
+                "centered_mean_norm": rep.mean_norm}
     out = []
     for theta in np.asarray(theta_grid, dtype=float):
-        params = BoundParams(alpha=cert.alpha, v_f=v_f, d=d, theta=float(theta))
-        rhs = exp_moment_rhs(params, trbar)
+        rhs = exp_moment_rhs(cert.alpha, v_f, d, float(theta), trbar)
         ctx = dict(base_ctx, theta=float(theta))
         with np.errstate(over="ignore"):
             lhs = float(np.einsum("z,zi->", mu, np.cosh(theta * eigs)))
@@ -241,11 +219,13 @@ def check_exp_moment(chain: FiniteChain, rep: EnergyReport,
     return out
 
 
-def tail_bound(p: BoundParams) -> float:
+def tail_bound(d: int, lam: float) -> float:
     """6 d exp(-lambda)."""
-    if p.lam is None:
-        raise DomainError("tail bound needs the level lambda")
-    return 6.0 * p.d * math.exp(-p.lam)
+    if d < 1:
+        raise DomainError(f"matrix dimension must be >= 1, got {d}")
+    if not lam > 0:
+        raise DomainError(f"tail level must be positive, got {lam}")
+    return 6.0 * d * math.exp(-lam)
 
 
 @dataclass(frozen=True)
@@ -364,7 +344,7 @@ def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid) -> 
         devs = np.maximum(np.abs(rep.f_eigs[:, 0]), np.abs(rep.f_eigs[:, -1]))
         mu = model.stationary
         for lam in lam_grid:
-            bound = tail_bound(BoundParams(cert.alpha, v_f, d, lam=float(lam)))
+            bound = tail_bound(d, float(lam))
             if scale == 0.0:
                 # constant field: the meaningful event is a strictly positive
                 # deviation, which never happens
@@ -380,7 +360,7 @@ def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid) -> 
 
     d = model.dim
     for lam, est in zip(lam_grid, _read(rep.tail, lam_grid, "tail")):
-        bound = tail_bound(BoundParams(cert.alpha, rep.v_f, d, lam=float(lam)))
+        bound = tail_bound(d, float(lam))
         ctx = {"lambda": float(lam), "alpha": cert.alpha, "v_f": rep.v_f,
                "v_f_mode": rep.v_f_mode, "d": d, "n": est.n, "seed": rep.spec.seed,
                "level": est.level, "auto_pass": bound >= 1.0}
@@ -394,16 +374,17 @@ def _sqrt2_regime(q: float) -> bool:
     return 1.0 < q < 1.5
 
 
-def poly_moment_rhs(p: BoundParams, trace_gamma_q: float) -> float:
+def poly_moment_rhs(alpha: float, q: float, trace_gamma_q: float) -> float:
     """sqrt(2 alpha) q (E tr Gamma^q)^(1/(2q)), with the extra sqrt(2) in
     the exceptional regime q in (1, 1.5); q stays outside the square root,
     so a huge finite q gives a finite rhs."""
-    q = p.q
-    if q is None or not q >= 1.0:
+    if not alpha > 0:
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not q >= 1.0:
         raise DomainError(f"moment order q must be >= 1, got {q}")
     if trace_gamma_q < 0:
         raise DomainError("E tr Gamma^q must be nonnegative")
-    rhs = math.sqrt(2.0 * p.alpha) * q * trace_gamma_q ** (1.0 / (2.0 * q))
+    rhs = math.sqrt(2.0 * alpha) * q * trace_gamma_q ** (1.0 / (2.0 * q))
     if _sqrt2_regime(q):
         rhs *= math.sqrt(2.0)
     return rhs
@@ -438,16 +419,15 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
         s, s_gam = float(np.max(f_eigs)), float(np.max(gam_eigs))
         f_eigs, gam_eigs = f_eigs / (s or 1.0), gam_eigs / (s_gam or 1.0)
         mu, d = model.stationary, rep.field.dim
-        mean_norm = op_norm(rep.mean)
         for q in q_list:
             q = float(q)
             tgq = float(np.einsum("z,zi->", mu, gam_eigs ** q))
-            rhs = poly_moment_rhs(BoundParams(cert.alpha, 0.0, d, q=q), tgq) * math.sqrt(s_gam)
+            rhs = poly_moment_rhs(cert.alpha, q, tgq) * math.sqrt(s_gam)
             lhs = s * float(np.einsum("z,zi->", mu, f_eigs ** (2.0 * q))) ** (1.0 / (2.0 * q))
             out.append(CheckReport.from_comparison(
                 "poly-moment", lhs, rhs, slack_for(rhs),
                 {"chain": model.name, "q": q, "alpha": cert.alpha, "d": d,
-                 "centered_mean_norm": mean_norm,
+                 "centered_mean_norm": rep.mean_norm,
                  "sqrt2_regime": _sqrt2_regime(q), "exact": True}))
         return out
 
@@ -459,8 +439,7 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
         else:
             tgqs = (max(gam_est.ci_low, 0.0), gam_est.value, gam_est.ci_high)
             gamma_ctx = {"gamma_moment_ci": [gam_est.ci_low, gam_est.ci_high]}
-        params = BoundParams(cert.alpha, 0.0, d, q=q)
-        rhs = tuple(poly_moment_rhs(params, t) for t in tgqs)
+        rhs = tuple(poly_moment_rhs(cert.alpha, q, t) for t in tgqs)
         out.append(CheckReport.from_interval(
             "poly-moment", *_root_interval(est, q), rhs, slack_for(rhs[1]),
             {"q": q, "alpha": cert.alpha, "d": d, "n": est.n, "seed": rep.spec.seed,
@@ -514,10 +493,11 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
     symmetrized difference field g(z, z') = f(z) - f(z'), one report per
     natural q of q_list; g and its spectrum are built once for the whole
     list, the spectrum by one ``spectral.batch_eigvalsh`` over the
-    (n^2, d, d) grid (closed forms at d = 2 and 3).  g's energies are read
+    (n^2, d, d) grid.  g's energies are read
     from f's energy report ``rep``: Gamma(g)(z, z') = Gamma(f)(z) +
     Gamma(f)(z') gives v_g = 2 v_f and dirichlet(g) = 2 dirichlet(f), and
-    intdim(2 D) = intdim(D).
+    intdim(2 D) = intdim(D), which is sum(w) / max |w| over the report's
+    ``dirichlet_eigs`` w, and 0 when D = 0.
 
     The context also records the uniform bound (2 alpha q^2)^q * d * v_f^q
     that follows from the polynomial moment inequality, and which of the two
@@ -531,7 +511,9 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
     grid = bivariate_symmetrized(chain, rep)
     mu2 = np.kron(chain.stationary, chain.stationary)
     g_eigs = np.abs(batch_eigvalsh(grid.reshape(-1, d, d)))
-    idim = intdim(rep.dirichlet)
+    w = rep.dirichlet_eigs
+    norm = float(np.max(np.abs(w)))
+    idim = float(np.sum(w)) / norm if norm else 0.0
     out = []
     for q in q_list:
         q = int(q)

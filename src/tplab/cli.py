@@ -170,7 +170,7 @@ def _fields(desc: dict, idx: int, chain: FiniteChain, master_seed: int) -> list:
         out = []
         for i in range(_integer(desc.get("count", 1), "count", low=0)):
             raw = normal_stream(master_seed ^ sub, i).standard_normal((n, dim, dim))
-            out.append((f"random-{idx}-{i}", FiniteField(0.5 * (raw + raw.transpose(0, 2, 1)))))
+            out.append((f"random-{idx}-{i}", FiniteField(raw)))
         return out
     if kind == "fixture":
         return [(desc["name"], fixtures.get_field(desc["name"], chain))]

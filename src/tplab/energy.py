@@ -54,7 +54,7 @@ from . import montecarlo
 from .errors import CapacityError, DimensionError, DomainError, NumericError
 from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, chaos_values
 from .montecarlo import SampleSpec
-from .spectral import psd_eigvalsh
+from .spectral import batch_eigvalsh, op_norm, psd_eigvalsh, symmetric_part
 
 EXACT = "EXACT"
 ESTIMATED = "ESTIMATED"
@@ -79,8 +79,7 @@ def carre_table(chain: FiniteChain, f: FiniteField) -> np.ndarray:
     sq = c @ c
     lc = chain.apply(c.reshape(n, -1)).reshape(c.shape)
     lsq = chain.apply(sq.reshape(n, -1)).reshape(c.shape)
-    out = 0.5 * (lsq - c @ lc - lc @ c + chain.row_sums[:, None, None] * sq)
-    out = 0.5 * (out + out.transpose(0, 2, 1))
+    out = symmetric_part(0.5 * (lsq - c @ lc - lc @ c + chain.row_sums[:, None, None] * sq))
     if not np.all(np.isfinite(out)):
         raise NumericError("carre-du-champ: no verdict, the Gamma table is not finite; "
                            "the squared fluctuations of the field overflow")
@@ -163,26 +162,29 @@ def bivariate_symmetrized(chain: FiniteChain, rep: EnergyReport) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Bundle of Gamma, its spectrum, the Dirichlet form, variance and
-    variance proxy with provenance.  ``gamma_eigs`` holds Gamma's ascending
-    eigenvalues, one row per state (per probe point on a chaos), and v_f is
-    their largest absolute value.  Everything is EXACT on finite chains and
+    """Bundle of Gamma, the Dirichlet form, variance and variance proxy with
+    provenance, and the spectra of the first two: ``gamma_eigs`` holds
+    Gamma's ascending eigenvalues, one row per state (per probe point on a
+    chaos), v_f is their largest absolute value, and ``dirichlet_eigs``
+    holds the Dirichlet form's.  Everything is EXACT on finite chains and
     Gaussian series.  On a Gaussian chaos the Dirichlet form and the
     variance are exact, but Gamma is tabled at an 8-point probe and v_f is
     its largest norm there: mode ESTIMATED, with the probe's size and seed
     in ``sample_meta``.  A chain's report also keeps, for the checkers and
-    not in the JSON, its ``field``, the ``mean`` E_mu f and ``f_eigs``, the
-    (n_states, d) eigenvalues of f - E_mu f."""
+    not in the JSON, its ``field``, the ``mean`` E_mu f, its ``mean_norm``
+    and ``f_eigs``, the (n_states, d) eigenvalues of f - E_mu f."""
 
     gamma: np.ndarray
     gamma_eigs: np.ndarray
     dirichlet: np.ndarray
+    dirichlet_eigs: np.ndarray
     variance: np.ndarray
     v_f: float
     mode: str
     sample_meta: dict | None = None
     field: FiniteField | None = None
     mean: np.ndarray | None = None
+    mean_norm: float | None = None
     f_eigs: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
@@ -208,10 +210,10 @@ _GAMMA_PROBE = 8
 
 def energy_report(model, f=None, spec: SampleSpec | None = None) -> EnergyReport:
     """Assemble a validated EnergyReport for any supported model, with one
-    ``carre_table`` on a chain and one eigvalsh of each of Gamma and, on a
-    chain, f - E_mu f.  A Gaussian chaos needs ``spec``, whose seed draws
-    the Gamma probe.  A Gamma table, Dirichlet form or variance that is not
-    finite (the model's values overflow) raises NumericError."""
+    ``carre_table`` on a chain; the one place a model's matrices are
+    diagonalised, each once.  A Gaussian chaos needs ``spec``, whose seed
+    draws the Gamma probe.  A Gamma table, Dirichlet form or variance that
+    is not finite (the model's values overflow) raises NumericError."""
     chain_only, mode, meta = {}, EXACT, None
     # an overflow is refused below, so it need not warn
     with np.errstate(over="ignore", invalid="ignore"):
@@ -220,8 +222,9 @@ def energy_report(model, f=None, spec: SampleSpec | None = None) -> EnergyReport
             mean, c = _centre(model, f)
             mu = model.stationary
             var = np.einsum("z,zij->ij", mu, c @ c)
-            dirichlet, variance = np.einsum("z,zij->ij", mu, gam), 0.5 * (var + var.T)
-            chain_only = {"field": f, "mean": mean, "f_eigs": np.linalg.eigvalsh(c)}
+            dirichlet, variance = np.einsum("z,zij->ij", mu, gam), symmetric_part(var)
+            chain_only = {"field": f, "mean": mean, "mean_norm": op_norm(mean),
+                          "f_eigs": batch_eigvalsh(c)}
         elif isinstance(model, GaussianSeries):
             a = model.coefficients
             # Gamma is the x-independent sum_i A_i^2, also the Dirichlet form
@@ -246,7 +249,11 @@ def energy_report(model, f=None, spec: SampleSpec | None = None) -> EnergyReport
             raise NumericError(f"energy report: no verdict, the {name} is not finite; "
                                "the values of the model overflow")
     gamma_eigs = psd_eigvalsh(gam, "gamma")
-    psd_eigvalsh(dirichlet, "dirichlet")
-    psd_eigvalsh(variance, "variance")
-    return EnergyReport(gam, gamma_eigs, dirichlet, variance,
+    if isinstance(model, GaussianSeries):  # Gamma, D and Var are one matrix
+        dirichlet_eigs = gamma_eigs[0]
+    else:
+        dirichlet_eigs = psd_eigvalsh(dirichlet, "dirichlet")
+    if isinstance(model, FiniteChain):  # a chaos's variance is exactly D / 2
+        psd_eigvalsh(variance, "variance")
+    return EnergyReport(gam, gamma_eigs, dirichlet, dirichlet_eigs, variance,
                         float(np.max(np.abs(gamma_eigs))), mode, meta, **chain_only)

@@ -22,6 +22,7 @@ from .errors import DimensionError, ModelError
 from .models import FiniteChain
 from .montecarlo import normal_stream, rekeyed_streams
 from .reports import CheckReport, slack_for
+from .spectral import batch_eigvalsh, symmetric_part
 
 SPECTRAL_GAP = "SPECTRAL_GAP"
 USER_SUPPLIED = "USER_SUPPLIED"
@@ -49,9 +50,8 @@ def poincare_constant(chain: FiniteChain) -> PoincareCertificate:
     and the exact gap of the product."""
     mu = chain.factor_stationary
     root = np.sqrt(mu)
-    sym = (root[:, None] * chain.generator) / root[None, :]
-    sym = 0.5 * (sym + sym.T)
-    w = np.linalg.eigvalsh(-sym)
+    sym = symmetric_part((root[:, None] * chain.generator) / root[None, :])
+    w = batch_eigvalsh(-sym)
     scale = max(1.0, float(np.max(np.abs(w))))
     m = mu.shape[0]
     if m < 2 or w[1] <= _GAP_REL_TOL * scale:
@@ -159,7 +159,7 @@ def _probe_field(seed: int, t: int, n: int, d: int,
     if rng is None:
         rng = normal_stream(seed, t)
     raw = rng.standard_normal((n, d, d))
-    return 0.5 * (raw + raw.transpose(0, 2, 1)), _signs(_sign_words(rng, d), d)
+    return symmetric_part(raw), _signs(_sign_words(rng, d), d)
 
 
 # entries of the stacked probe columns per ``column_energies`` call: at most

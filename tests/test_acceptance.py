@@ -27,7 +27,6 @@ from tplab import (
     energy_report,
     equivalence_probe,
     gaussian_pass,
-    intdim,
     op_norm,
     ou_certificate,
     poincare_constant,
@@ -192,6 +191,9 @@ def test_criterion_09_intdim_variant(two_state, k4):
                 f = random_field(rng, chain.n_states, d)
                 rep = energy_report(chain, f)
                 assert all(r.passed for r in check_intdim_variant(chain, rep, cert, [1, 2, 3]))
+        # the intdim the checker reports, tr D / |D|, lies in [1, rank D]:
+        # on the two-state chain f = (0, A) has D(f) = A^2 / 2, of A's rank
+        cert = poincare_constant(two_state)
         for _ in range(1000):
             d = int(rng.integers(1, 9))
             r = int(rng.integers(1, d + 1))
@@ -199,7 +201,8 @@ def test_criterion_09_intdim_variant(two_state, k4):
             a = b @ b.T
             if op_norm(a) == 0.0:
                 continue
-            val = intdim(a)
+            rep = energy_report(two_state, FiniteField(np.stack([np.zeros((d, d)), a])))
+            val = check_intdim_variant(two_state, rep, cert, [1])[0].context["intdim_dirichlet"]
             rank = np.linalg.matrix_rank(a, rtol=1e-10, hermitian=True)
             assert 1.0 - 1e-12 <= val <= rank + 1e-12
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tplab import (
-    BoundParams,
     DomainError,
     FiniteField,
     NumericError,
@@ -339,17 +338,17 @@ class TestTightnessWitnesses:
 class TestExpMomentRhs:
     def test_theta_to_zero_limit(self):
         for theta in (1e-3, 1e-6):
-            rhs = exp_moment_rhs(BoundParams(0.5, 0.5, 3, theta=theta), 0.5)
+            rhs = exp_moment_rhs(0.5, 0.5, 3, theta, 0.5)
             assert rhs == pytest.approx(3.0, rel=1e-5)
-        assert exp_moment_rhs(BoundParams(0.5, 0.5, 3, theta=0.0), 0.5) == 3.0
+        assert exp_moment_rhs(0.5, 0.5, 3, 0.0, 0.5) == 3.0
 
     def test_unbounded_at_singularity(self):
         # alpha v_f theta^2 = 2 makes the positive part vanish
-        assert exp_moment_rhs(BoundParams(1.0, 2.0, 1, theta=1.0), 1.0) == UNBOUNDED
-        assert exp_moment_rhs(BoundParams(1.0, 2.0, 1, theta=5.0), 1.0) == UNBOUNDED
+        assert exp_moment_rhs(1.0, 2.0, 1, 1.0, 1.0) == UNBOUNDED
+        assert exp_moment_rhs(1.0, 2.0, 1, 5.0, 1.0) == UNBOUNDED
 
     def test_hand_arithmetic(self):
-        rhs = exp_moment_rhs(BoundParams(0.5, 0.5, 2, theta=1.0), 0.5)
+        rhs = exp_moment_rhs(0.5, 0.5, 2, 1.0, 0.5)
         assert rhs == pytest.approx(18.0 / 7.0, abs=1e-12)
 
 
@@ -394,7 +393,7 @@ class TestCheckExpMoment:
         assert r.verdict == "PASS" and r.lhs == r.rhs == 2.0
         real = bounds.exp_moment_rhs
         monkeypatch.setattr(bounds, "exp_moment_rhs",
-                            lambda p, trbar: (1.0 - 1e-6) * real(p, trbar))
+                            lambda *args: (1.0 - 1e-6) * real(*args))
         (r,) = check_exp_moment(base, rep, cert, [0.0])
         assert r.verdict == "FAIL"
         assert r.margin == pytest.approx(-2e-6, rel=1e-9)
@@ -408,10 +407,10 @@ class TestCheckExpMoment:
 
 class TestTailAndExpectationValues:
     def test_tail_bound_values(self):
-        assert tail_bound(BoundParams(1.0, 1.0, 4, lam=1e-12)) == pytest.approx(24.0)
-        assert tail_bound(BoundParams(1.0, 1.0, 1, lam=math.log(6.0))) == pytest.approx(1.0)
+        assert tail_bound(4, 1e-12) == pytest.approx(24.0)
+        assert tail_bound(1, math.log(6.0)) == pytest.approx(1.0)
         lams = np.linspace(0.5, 8, 16)
-        vals = [tail_bound(BoundParams(1.0, 1.0, 2, lam=l)) for l in lams]
+        vals = [tail_bound(2, l) for l in lams]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -468,20 +467,20 @@ class TestTailEmpirical:
 
 class TestPolyMomentRhs:
     def test_zero_energy(self):
-        assert poly_moment_rhs(BoundParams(0.5, 0.0, 1, q=1.0), 0.0) == 0.0
+        assert poly_moment_rhs(0.5, 1.0, 0.0) == 0.0
 
     def test_hand_arithmetic(self):
-        rhs = poly_moment_rhs(BoundParams(0.5, 0.0, 1, q=1.0), 0.5)
+        rhs = poly_moment_rhs(0.5, 1.0, 0.5)
         assert rhs == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_sqrt2_regime(self):
         plain = math.sqrt(2 * 0.5 * 1.2 ** 2) * 0.5 ** (1 / 2.4)
-        rhs = poly_moment_rhs(BoundParams(0.5, 0.0, 1, q=1.2), 0.5)
+        rhs = poly_moment_rhs(0.5, 1.2, 0.5)
         assert rhs == pytest.approx(math.sqrt(2.0) * plain, abs=1e-12)
 
     def test_q_below_one_rejected(self):
         with pytest.raises(DomainError):
-            poly_moment_rhs(BoundParams(0.5, 0.0, 1, q=0.5), 1.0)
+            poly_moment_rhs(0.5, 0.5, 1.0)
 
 
 class TestCheckPolyMoment:
@@ -592,14 +591,16 @@ class TestIntdimVariant:
         with pytest.raises(DomainError):
             check_intdim_variant(two_state, indicator(two_state), cert, [1, 1.5])
 
-    @pytest.mark.parametrize("d, lapack_rows", [(2, []), (3, [(4, 3, 3)])])
-    def test_no_lapack_call_on_the_grid(self, monkeypatch, k4, d, lapack_rows):
-        # the (n^2, d, d) differences take the closed forms of
-        # batch_eigvalsh; LAPACK sees the (d, d) Dirichlet form and, at
-        # d = 3, the n zero differences g(z, z), a triple root
-        cert = poincare_constant(k4)
-        rep = energy_report(k4, random_field(np.random.default_rng(153), 4, d))
-        want = check_intdim_variant(k4, rep, cert, [1, 2, 3])
+    @pytest.mark.parametrize("d, lapack_rows", [(2, []), (3, [])])
+    def test_no_lapack_call_on_the_grid(self, monkeypatch, d, lapack_rows):
+        # the 81 (n^2, d, d) differences take the closed forms of
+        # batch_eigvalsh, and at d = 3 the n zero differences g(z, z), a
+        # triple root, return their diagonal; the Dirichlet form's spectrum
+        # is read from the report, so LAPACK sees nothing
+        chain = product_chain(complete_refresh_chain([0.2, 0.3, 0.5]), 2)
+        cert = poincare_constant(chain)
+        rep = energy_report(chain, random_field(np.random.default_rng(153), chain.n_states, d))
+        want = check_intdim_variant(chain, rep, cert, [1, 2, 3])
         stacks = []
         real = np.linalg.eigvalsh
 
@@ -608,8 +609,8 @@ class TestIntdimVariant:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        assert check_intdim_variant(k4, rep, cert, [1, 2, 3]) == want
-        assert stacks == lapack_rows + [(d, d)]
+        assert check_intdim_variant(chain, rep, cert, [1, 2, 3]) == want
+        assert stacks == lapack_rows
 
     def test_order_list_equals_one_order_at_a_time(self, k4):
         cert = poincare_constant(k4)
@@ -623,7 +624,7 @@ class TestNonFiniteOrders:
     # NaN >= 1 and NaN < 1 are both false: the checks must refuse it
     def test_poly_moment_rhs(self):
         with pytest.raises(DomainError):
-            poly_moment_rhs(BoundParams(0.5, 0.0, 1, q=math.nan), 0.5)
+            poly_moment_rhs(0.5, math.nan, 0.5)
 
     def test_chaos_scalar_bound(self):
         with pytest.raises(DomainError):

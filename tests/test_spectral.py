@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +16,10 @@ from tplab import (
     batch_eigvalsh,
     chaos_scalar_bound,
     eigh,
-    intdim,
     op_norm,
     symmetrize,
 )
+from tplab import spectral
 from tplab.spectral import _eigvalsh2, _eigvalsh3, psd_eigvalsh
 
 from conftest import random_symmetric
@@ -236,6 +238,14 @@ class TestBatchEigvalsh:
     """The d = 2 and d = 3 closed forms, and the LAPACK route at every other
     d, against LAPACK's eigvalsh."""
 
+    @pytest.fixture(autouse=True, scope="class")
+    def closed_forms_for_every_stack(self):
+        # the stacks here are smaller than CLOSED_FORM_ROWS, which would send
+        # them to LAPACK and make every comparison with LAPACK vacuous
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "CLOSED_FORM_ROWS", 1)
+            yield
+
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["random", "near-double", "rank-1", "rank-2", "zero", "identity"]),
            st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.integers(-150, 150),
@@ -364,6 +374,62 @@ class TestBatchEigvalsh:
         assert np.moveaxis(got, -1, 0).flags.c_contiguous
 
 
+class TestEigvalshRoute:
+    """Which stacks ``batch_eigvalsh`` hands to LAPACK."""
+
+    @pytest.fixture
+    def lapack_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_one_by_one_returns_the_entries(self, lapack_calls):
+        # LAPACK returns exactly these at n = 1, signed zeros and NaN included
+        a = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -3.3])
+        stack = np.repeat(a, 10)[:, None, None]
+        got = batch_eigvalsh(stack)
+        assert lapack_calls == []
+        want = np.linalg.eigvalsh(stack)
+        assert got.shape == want.shape == (80, 1)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(got[:, 0].view(np.int64), stack[:, 0, 0].view(np.int64))
+
+    @pytest.mark.parametrize("d, closed", [(2, _eigvalsh2), (3, _eigvalsh3)])
+    def test_stack_size_picks_the_route(self, lapack_calls, d, closed):
+        a = np.random.default_rng(d).standard_normal((spectral.CLOSED_FORM_ROWS, d, d))
+        small = a[:-1]
+        np.testing.assert_array_equal(batch_eigvalsh(small), np.linalg.eigvalsh(small))
+        del lapack_calls[:]
+        got = batch_eigvalsh(a)
+        assert lapack_calls == []
+        w, ok = closed(a)
+        assert ok.all()
+        np.testing.assert_array_equal(got, w)
+        # the two routes differ in the last bits, so the test tells them apart
+        assert not np.array_equal(got, np.linalg.eigvalsh(a))
+
+    def test_multiples_of_the_identity_skip_lapack(self, lapack_calls):
+        # p = 0 sends c I past the closed form; its spectrum is its diagonal
+        c = np.random.default_rng(61).standard_normal(spectral.CLOSED_FORM_ROWS)
+        c[:4] = [0.0, -0.0, 1e-320, 1e300]
+        stack = c[:, None, None] * np.eye(3)
+        got = batch_eigvalsh(stack)
+        assert lapack_calls == []
+        np.testing.assert_array_equal(got, np.repeat(c[:, None], 3, axis=1))
+        # a spread p that underflows is refused too, but the row is no
+        # multiple of I, so LAPACK takes it
+        stack[5] = 1e-200 * np.diag([1.0, 2.0, 4.0])
+        got = batch_eigvalsh(stack)
+        assert lapack_calls == [(1, 3, 3)]
+        np.testing.assert_array_equal(got[5], np.linalg.eigvalsh(stack[5]))
+
+
 class TestTraceFn:
     """tr phi(A) for every matrix of a stack, through SpectralDecomposition.map."""
 
@@ -385,43 +451,15 @@ class TestTraceFn:
                                    2 * math.sinh(theta) ** 2, rtol=1e-12)
 
 
-class TestIntdim:
-    def test_examples(self):
-        assert intdim(np.eye(5)) == pytest.approx(5.0)
-        assert intdim(np.diag([1.0, 0.0, 0.0])) == pytest.approx(1.0)
-        assert intdim(np.diag([2.0, 1.0])) == pytest.approx(1.5)
-
-    def test_zero_matrix(self):
-        assert intdim(np.zeros((3, 3))) == 0.0
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(DomainError):
-            intdim(np.diag([1.0, -1.0]))
-
-    def test_bounds_between_one_and_rank(self):
-        rng = np.random.default_rng(23)
-        for _ in range(1000):
-            d = int(rng.integers(1, 9))
-            r = int(rng.integers(1, d + 1))
-            b = rng.standard_normal((d, r))
-            a = b @ b.T  # PSD with rank <= r
-            if op_norm(a) == 0.0:
-                continue
-            val = intdim(a)
-            rank = np.linalg.matrix_rank(a, rtol=1e-10, hermitian=True)
-            assert 1.0 - 1e-12 <= val <= rank + 1e-12
-
-
 class TestPsdEigvalsh:
     def test_one_rule_for_every_psd_matrix(self):
         # the rule refuses an eigenvalue below -1e-10 (1 + max |w|), here
-        # -3e-10; intdim and the scalar chaos bound apply it through
-        # psd_eigvalsh and name the matrix they refuse
+        # -3e-10; the scalar chaos bound applies it through psd_eigvalsh
+        # and names the matrix it refuses
         inside, outside = np.diag([2.0, -2.9e-10]), np.diag([2.0, -3.1e-10])
         np.testing.assert_array_equal(psd_eigvalsh(inside, "A"), [-2.9e-10, 2.0])
-        assert intdim(inside) == pytest.approx(1.0)
         assert chaos_scalar_bound(inside, 1) == 16.0
-        for refuse, name in ((lambda a: psd_eigvalsh(a, "A"), "A"), (intdim, "matrix"),
+        for refuse, name in ((lambda a: psd_eigvalsh(a, "A"), "A"),
                              (lambda a: chaos_scalar_bound(a, 1), "chaos coefficient matrix")):
             with pytest.raises(DomainError, match=f"^{name} is not PSD within tolerance "
                                                   r"\(min eig -3.100e-10\)$"):
@@ -434,3 +472,32 @@ class TestPsdEigvalsh:
             psd_eigvalsh(stack, "gamma")
         assert psd_eigvalsh(np.empty((0, 2, 2)), "gamma").shape == (0, 2)
         assert psd_eigvalsh(np.empty((0, 0)), "gamma").shape == (0,)
+
+
+def linalg_solver_uses(path: Path) -> set:
+    """(file, enclosing function, solver) of every reference to a
+    ``*.linalg`` eigvalsh or eigh in a source file, and of every such name
+    imported from a linalg module."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in ("eigvalsh", "eigh")
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            found.add((path.name, func, node.attr))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            found.update((path.name, func, alias.name) for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_eigensolvers_are_called_in_one_place_each():
+    # every eigenvalue route is chosen inside batch_eigvalsh, and every
+    # eigendecomposition is checked inside eigh
+    src = Path(__file__).resolve().parent.parent / "src" / "tplab"
+    uses = set().union(*(linalg_solver_uses(p) for p in sorted(src.glob("*.py"))))
+    assert uses == {("spectral.py", "batch_eigvalsh", "eigvalsh"), ("spectral.py", "eigh", "eigh")}
