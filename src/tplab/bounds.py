@@ -27,13 +27,7 @@ from .energy import (
 )
 from .errors import DimensionError, DomainError, NumericError
 from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, SmoothField
-from .montecarlo import (
-    PRODUCT_EXPONENTS,
-    SampleSpec,
-    estimate_tail,
-    estimate_trace_moment,
-    power_sums,
-)
+from .montecarlo import SampleSpec, estimate_tail, estimate_trace_moment, power_sums
 from .poincare import PoincareCertificate
 from .reports import CheckReport, slack_for
 from .spectral import ScalarFnSpec, batch_eigvalsh, eigh, psd_eigvalsh, symmetric_part, symmetrize
@@ -235,9 +229,10 @@ class GaussianPass:
 
     ``tail`` maps each level lambda to its survival Estimate, ``poly`` and
     ``chaos`` map each order q to a pair (Estimate of E tr |f - c|^{2q},
-    E tr (s Gamma)^q): c is the chaos mean (the series is mean zero) for
-    poly-moment and no centre for the chaos corollaries, and s is 1 and
-    1/4.  The Gamma entry is an Estimate on a chaos and, on a series, whose
+    E tr (Gamma / 4)^q): c is the chaos mean (the series is mean zero) for
+    poly-moment and no centre for the chaos corollaries.  The Gamma entry
+    comes from the pass's one Gamma table, so the two suites hold the same
+    object at an order: an Estimate on a chaos and, on a series, whose
     Gamma is constant, the exact float read from its energy report.
     ``v_f`` and ``v_f_mode`` are those of the tail, None without one.
     """
@@ -277,9 +272,10 @@ def gaussian_pass(model, rep: EnergyReport, cert: PoincareCertificate, spec: Sam
     read the centred spectrum (the chaos mean; the series is mean zero and
     needs no centre), the chaos corollaries the uncentred one: one
     ``spectral.batch_eigvalsh`` per centre and block, with every order of
-    the union of the q lists read at each centre.  A chaos's Gamma stream
-    is one more pass, read at scale 1 (poly-moment) and 1/4 (chaos-matrix);
-    a series's Gamma moments are exact sums over the eigenvalues in ``rep``.
+    the union of the q lists read at each centre.  Both suites read one
+    Gamma moment per order, E tr (Gamma / 4)^q: on a chaos one more pass
+    (``chaos_gamma_moments``), on a series an exact sum over the
+    eigenvalues in ``rep``.
     """
     if not isinstance(model, (GaussianSeries, GaussianChaos)):
         raise DomainError(f"unsupported model type {type(model).__name__}")
@@ -312,19 +308,15 @@ def gaussian_pass(model, rep: EnergyReport, cert: PoincareCertificate, spec: Sam
     k = len(lams)
     moments = [dict(zip(orders, g[k:])) for g in groups]
     if isinstance(model, GaussianSeries):
-        gam_eigs = np.clip(rep.gamma_eigs[0], 0.0, None)
-        gammas = [{q: float(np.sum(gam_eigs ** q)) for q in orders}]
-    elif poly or chaos:
-        scales = ([1.0] if poly else []) + ([0.25] if chaos else [])
-        gammas = [dict(zip(orders, g))
-                  for g in chaos_gamma_moments(model, orders, spec, scales)]
-    else:
-        gammas = []  # a chaos tail alone reads no Gamma moment
+        gam_eigs = 0.25 * np.clip(rep.gamma_eigs[0], 0.0, None)
+        gammas = {q: float(np.sum(gam_eigs ** q)) for q in orders}
+    else:  # a chaos tail alone has no order, and reads no Gamma moment
+        gammas = dict(zip(orders, chaos_gamma_moments(model, orders, spec))) if orders else {}
     return GaussianPass(
         spec=spec, v_f=v_f, v_f_mode=mode,
         tail=dict(zip(lams, groups[0][:k])) if tail else {},
-        poly={float(q): (moments[0][float(q)], gammas[0][float(q)]) for q in poly_q or []},
-        chaos={float(q): (moments[-1][float(q)], gammas[-1][float(q)]) for q in chaos_q or []})
+        poly={float(q): (moments[0][float(q)], gammas[float(q)]) for q in poly_q or []},
+        chaos={float(q): (moments[-1][float(q)], gammas[float(q)]) for q in chaos_q or []})
 
 
 def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid) -> list[CheckReport]:
@@ -408,9 +400,12 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
     with s_G = max |Gamma|.
 
     On a Gaussian model ``rep`` is the run's ``gaussian_pass``, which holds
-    the centred f-moments and the Gamma moments: estimated on a chaos, whose
-    rhs then carries the Gamma moment's interval (``rhs_ci``), and exact on
-    a series, whose Gamma is x-independent.
+    the centred f-moments and the moments t = E tr (Gamma / 4)^q: estimated
+    on a chaos, whose rhs then carries the Gamma moment's interval
+    (``rhs_ci``), and exact on a series, whose Gamma is x-independent.  The
+    rhs is the scale-free 2 poly_moment_rhs(t), since
+    (4^q t)^{1/(2q)} = 2 t^{1/(2q)}, and ``gamma_moment_ci`` is 4^q times
+    t's interval, that of E tr Gamma^q.
     """
     out = []
     if isinstance(model, FiniteChain):
@@ -438,8 +433,9 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
             tgqs, gamma_ctx = (gam_est,) * 3, {"gamma_moment_exact": True}
         else:
             tgqs = (max(gam_est.ci_low, 0.0), gam_est.value, gam_est.ci_high)
-            gamma_ctx = {"gamma_moment_ci": [gam_est.ci_low, gam_est.ci_high]}
-        rhs = tuple(poly_moment_rhs(cert.alpha, q, t) for t in tgqs)
+            gamma_ctx = {"gamma_moment_ci": [4.0 ** q * gam_est.ci_low,
+                                             4.0 ** q * gam_est.ci_high]}
+        rhs = tuple(2.0 * poly_moment_rhs(cert.alpha, q, t) for t in tgqs)
         out.append(CheckReport.from_interval(
             "poly-moment", *_root_interval(est, q), rhs, slack_for(rhs[1]),
             {"q": q, "alpha": cert.alpha, "d": d, "n": est.n, "seed": rep.spec.seed,
@@ -450,41 +446,27 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
 GAMMA_STREAM = 0x5DEECE66D
 
 
-def chaos_gamma_moments(chaos: GaussianChaos, q_list, spec: SampleSpec,
-                        scales=(1.0,)) -> list[list[montecarlo.Estimate]]:
-    """Monte Carlo estimates of E tr (scale * Gamma(f))^q for a Gaussian
-    chaos: one list per scale, one Estimate per q, all from one pass with
-    one ``spectral.batch_eigvalsh`` per block.
+def chaos_gamma_moments(chaos: GaussianChaos, q_list,
+                        spec: SampleSpec) -> list[montecarlo.Estimate]:
+    """Monte Carlo estimates of E tr (Gamma(f) / 4)^q for a Gaussian chaos,
+    one Estimate per q, all from one pass with one
+    ``spectral.batch_eigvalsh`` per block.
 
-    The pass runs on its own stream (seed ^ GAMMA_STREAM), so the Gamma
-    side is independent of the f-pass on ``spec``.  The clipped
-    eigenvalues w of Gamma are scaled rather than Gamma itself; for a
-    power-of-two scale the two agree exactly.  The orders that
-    ``montecarlo.power_sums`` forms from products are formed once, from
-    s w at the smallest scale s, and each scale's sums are those times
-    (scale / s)^q, a power of two for the scales 1 and 1/4 and so exact;
-    forming them at the smallest scale overflows no power that the scaled
-    one would not.  Every other order is a power of each scaled w.
+    Gamma / 4 = sum_i (sum_j X_j A_ij)^2 is the matrix of the chaos
+    corollary, and poly-moment reads the same moments, as
+    (E tr Gamma^q)^{1/(2q)} = 2 (E tr (Gamma / 4)^q)^{1/(2q)}.  The clipped
+    eigenvalues of Gamma are scaled by 1/4, which agrees exactly with
+    scaling Gamma.  The pass runs on its own stream (seed ^ GAMMA_STREAM),
+    so the Gamma side is independent of the f-pass on ``spec``.
     """
     gamma = SmoothField(ambient_dim=chaos.n_vars, dim=chaos.dim,
                         batch=lambda xs: chaos_gamma_batch(chaos, xs))
-    q_list = [float(q) for q in q_list]
-    low = min(scales)
-    shared = [q for q in q_list if q in PRODUCT_EXPONENTS]
 
     def per_sample(mats):
-        w = np.clip(batch_eigvalsh(mats), 0.0, None)
-        sums = dict(zip(shared, power_sums(low * w, shared)))
-        out = []
-        for scale in scales:
-            out += [sums[q] * (scale / low) ** q if q in sums
-                    else power_sums(scale * w, [q])[0] for q in q_list]
-        return out
+        return power_sums(0.25 * np.clip(batch_eigvalsh(mats), 0.0, None), q_list)
 
     stream = SampleSpec(n=spec.n, seed=spec.seed ^ GAMMA_STREAM, workers=spec.workers)
-    ests = montecarlo.estimate_statistic(stream, gamma, per_sample)
-    k = len(q_list)
-    return [ests[i * k:(i + 1) * k] for i in range(len(scales))]
+    return montecarlo.estimate_statistic(stream, gamma, per_sample)
 
 
 def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
@@ -586,8 +568,8 @@ def check_chaos_matrix(chaos: GaussianChaos, mc: GaussianPass, q_list) -> list[C
     Both sides are Monte Carlo estimates on independent streams, read from
     the run's ``gaussian_pass``, and the verdict compares their intervals
     (the rhs's is ``rhs_ci``); no iterated closed form is asserted.  The
-    inner sum is Gamma(f) / 4.  The factor is sqrt(8) q, so a huge q with
-    finite estimates gives a finite rhs.
+    inner sum is Gamma(f) / 4, whose moments poly-moment reads too.  The
+    factor is sqrt(8) q, so a huge q with finite estimates gives a finite rhs.
     """
     q_list = [float(q) for q in q_list]
     out = []

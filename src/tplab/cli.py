@@ -207,9 +207,8 @@ def _chain_rows(chain, name, named, suites, params, seed):
                 if rep.field.dim == 1:
                     add(suite, check_scalar_poincare(chain, rep, cert), fname)
                 add(suite, check_trace_poincare(chain, rep, cert), fname)
-            probe_cfg = params.get("probe", {})
-            probe = equivalence_probe(chain, probe_cfg.get("trials", 50),
-                                      probe_cfg.get("dims", [1, 2, 3]), seed, cert)
+            probe_cfg = params["probe"]
+            probe = equivalence_probe(chain, probe_cfg["trials"], probe_cfg["dims"], seed, cert)
             add(suite, probe.to_check(chain.name))
         elif suite == "subadditivity":
             for fname, rep in named:
@@ -346,7 +345,7 @@ def _checked_params(params) -> dict:
     probe settings checked: a NaN or out-of-range order, level, scale, bound
     or trial count is refused rather than reaching a verdict, and intdim_q
     and the probe's trials and dims become integers (an integral float such
-    as 2.0 counts)."""
+    as 2.0 counts); a missing probe gets 50 trials and dims [1, 2, 3]."""
     if not isinstance(params, dict):
         raise ConfigError("params: must be a JSON object")
     out = dict(params)
@@ -361,18 +360,17 @@ def _checked_params(params) -> dict:
     bound = out.get("v_f_bound")
     if bound is not None and not _is_number(bound, lambda v: math.isfinite(v) and v >= 0):
         raise ConfigError(f"params.v_f_bound: expected a finite number >= 0, got {bound!r}")
-    if "probe" in out:
-        probe = out["probe"]
-        if not isinstance(probe, dict):
-            raise ConfigError(f"params.probe: must be a JSON object with trials/dims, "
-                              f"got {probe!r}")
-        dims = probe.get("dims", [1, 2, 3])
-        if not isinstance(dims, list) or not dims:
-            raise ConfigError(f"params.probe.dims: expected a non-empty list of "
-                              f"integers >= 1, got {dims!r}")
-        out["probe"] = dict(
-            probe, trials=_integer(probe.get("trials", 50), "params.probe.trials", low=0),
-            dims=[_integer(d, "params.probe.dims", low=1) for d in dims])
+    probe = out.get("probe", {})
+    if not isinstance(probe, dict):
+        raise ConfigError(f"params.probe: must be a JSON object with trials/dims, "
+                          f"got {probe!r}")
+    dims = probe.get("dims", [1, 2, 3])
+    if not isinstance(dims, list) or not dims:
+        raise ConfigError(f"params.probe.dims: expected a non-empty list of "
+                          f"integers >= 1, got {dims!r}")
+    out["probe"] = dict(
+        probe, trials=_integer(probe.get("trials", 50), "params.probe.trials", low=0),
+        dims=[_integer(d, "params.probe.dims", low=1) for d in dims])
     return out
 
 

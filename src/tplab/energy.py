@@ -171,8 +171,8 @@ class EnergyReport:
     variance are exact, but Gamma is tabled at an 8-point probe and v_f is
     its largest norm there: mode ESTIMATED, with the probe's size and seed
     in ``sample_meta``.  A chain's report also keeps, for the checkers and
-    not in the JSON, its ``field``, the ``mean`` E_mu f, its ``mean_norm``
-    and ``f_eigs``, the (n_states, d) eigenvalues of f - E_mu f."""
+    not in the JSON, its ``field``, ``mean_norm`` = |E_mu f| and
+    ``f_eigs``, the (n_states, d) eigenvalues of f - E_mu f."""
 
     gamma: np.ndarray
     gamma_eigs: np.ndarray
@@ -183,7 +183,6 @@ class EnergyReport:
     mode: str
     sample_meta: dict | None = None
     field: FiniteField | None = None
-    mean: np.ndarray | None = None
     mean_norm: float | None = None
     f_eigs: np.ndarray | None = None
 
@@ -223,7 +222,7 @@ def energy_report(model, f=None, spec: SampleSpec | None = None) -> EnergyReport
             mu = model.stationary
             var = np.einsum("z,zij->ij", mu, c @ c)
             dirichlet, variance = np.einsum("z,zij->ij", mu, gam), symmetric_part(var)
-            chain_only = {"field": f, "mean": mean, "mean_norm": op_norm(mean),
+            chain_only = {"field": f, "mean_norm": op_norm(mean),
                           "f_eigs": batch_eigvalsh(c)}
         elif isinstance(model, GaussianSeries):
             a = model.coefficients

@@ -41,6 +41,7 @@ from .spectral import batch_eigvalsh
 
 BLOCK = 4096
 _MASK64 = (1 << 64) - 1
+LEVEL = 0.99  # the confidence level of every interval
 
 
 @dataclass(frozen=True)
@@ -219,11 +220,11 @@ def normal_quantile(level: float) -> float:
     return NormalDist().inv_cdf(0.5 * (1.0 + level))
 
 
-def wilson_interval(successes: int, trials: int, level: float = 0.99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at LEVEL for a binomial proportion."""
     if trials <= 0:
         return (0.0, 1.0)
-    z = normal_quantile(level)
+    z = normal_quantile(LEVEL)
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
@@ -231,30 +232,29 @@ def wilson_interval(successes: int, trials: int, level: float = 0.99) -> tuple[f
     return (max(0.0, center - spread), min(1.0, center + spread))
 
 
-def _clt_interval(mean: float, var: float, n: int, level: float) -> tuple[float, float]:
+def _clt_interval(mean: float, var: float, n: int) -> tuple[float, float]:
     # one sample says nothing about its spread, so it decides no verdict
     if n <= 1 or not np.isfinite(var):
         return (-math.inf, math.inf)
-    z = normal_quantile(level)
+    z = normal_quantile(LEVEL)
     half = z * math.sqrt(max(var, 0.0) / n)
     return (mean - half, mean + half)
 
 
-def _estimate(parts, level: float) -> Estimate:
-    """Estimate from per-block (count, sum, sum of squares) tuples, reduced
-    in block order with math.fsum."""
+def _estimate(parts) -> Estimate:
+    """Estimate at LEVEL from per-block (count, sum, sum of squares)
+    tuples, reduced in block order with math.fsum."""
     n_eff = sum(p[0] for p in parts)
     s1 = math.fsum(p[1] for p in parts)
     s2 = math.fsum(p[2] for p in parts)
     mean = s1 / n_eff
     var = max(s2 / n_eff - mean * mean, 0.0) if np.isfinite(s2) else math.inf
-    lo, hi = _clt_interval(mean, var, n_eff, level)
+    lo, hi = _clt_interval(mean, var, n_eff)
     return Estimate(value=mean, ci_low=min(lo, mean), ci_high=max(hi, mean),
-                    level=level, n=n_eff)
+                    level=LEVEL, n=n_eff)
 
 
-def estimate_statistic(spec: SampleSpec, field, per_sample,
-                       level: float = 0.99) -> list[Estimate]:
+def estimate_statistic(spec: SampleSpec, field, per_sample) -> list[Estimate]:
     """One Monte Carlo pass: the means of several per-sample statistics of
     f(X), each with a CLT interval.
 
@@ -279,12 +279,11 @@ def estimate_statistic(spec: SampleSpec, field, per_sample,
             return [(len(v), v.sum(), np.sum(v ** 2)) for v in per_sample(mats)]
 
     parts = _map_blocks(spec, job)
-    return [_estimate([p[k] for p in parts], level)
-            for k in range(len(parts[0]))]
+    return [_estimate([p[k] for p in parts]) for k in range(len(parts[0]))]
 
 
 # the exponents whose powers are products of w and sqrt(w)
-PRODUCT_EXPONENTS = frozenset([1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+_PRODUCT_EXPONENTS = frozenset([1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
 
 
 def _power(w: np.ndarray, e: float) -> np.ndarray:
@@ -298,7 +297,7 @@ def _power(w: np.ndarray, e: float) -> np.ndarray:
         p = np.sqrt(w)
         p *= w
         return p
-    if e not in PRODUCT_EXPONENTS:
+    if e not in _PRODUCT_EXPONENTS:
         return w ** e
     p = w * w
     if e in (3.0, 6.0):
@@ -312,7 +311,7 @@ def power_sums(w: np.ndarray, exponents) -> list[np.ndarray]:
     """sum_k w[:, k] ** e for each exponent e, one (m,) array per exponent,
     for an (m, d) block of nonnegative values.
 
-    The exponents of PRODUCT_EXPONENTS take products of w (``_power``):
+    The exponents of _PRODUCT_EXPONENTS take products of w (``_power``):
     numpy's general ``pow`` is several times slower.  Each power lives only
     until its sum is taken, so a block holds one power at a time, in w's
     own layout: d contiguous columns of m for the samples-last eigenvalues
@@ -329,7 +328,7 @@ def power_sums(w: np.ndarray, exponents) -> list[np.ndarray]:
 
 
 def estimate_trace_moment(field, orders, spec: SampleSpec, centers=(None,),
-                          level: float = 0.99, thresholds=()) -> list[list[Estimate]]:
+                          thresholds=()) -> list[list[Estimate]]:
     """Estimates of E tr |f(X) - c|^(2q) with CLT intervals, one list per
     centre c of ``centers`` (None for no centre) and one Estimate per order
     q of ``orders`` in each list, all from a single pass: each block is
@@ -359,13 +358,13 @@ def estimate_trace_moment(field, orders, spec: SampleSpec, centers=(None,),
                 out += [(dev >= t).astype(float) for t in thresholds]
         return out
 
-    estimates = estimate_statistic(spec, field, per_sample, level)
+    estimates = estimate_statistic(spec, field, per_sample)
     width = len(orders) + len(thresholds)
     return [estimates[i * width:(i + 1) * width] for i in range(len(centres))]
 
 
-def estimate_tail(field, thresholds, spec: SampleSpec, orders=(), centers=(None,),
-                  level: float = 0.99) -> list[list[Estimate]]:
+def estimate_tail(field, thresholds, spec: SampleSpec, orders=(),
+                  centers=(None,)) -> list[list[Estimate]]:
     """Empirical survival P{ |f(X) - c| >= t } with Wilson intervals, one
     pass over the samples: per centre c of ``centers``, one Estimate per
     threshold t (in any order) followed by one Estimate per order of
@@ -374,14 +373,14 @@ def estimate_tail(field, thresholds, spec: SampleSpec, orders=(), centers=(None,
     orders = list(orders)
     k = len(orders)
     out = []
-    for ests in estimate_trace_moment(field, orders, spec, centers, level, thresholds):
+    for ests in estimate_trace_moment(field, orders, spec, centers, thresholds):
         tail = []
         for est in ests[k:]:
             # the indicator sum is an exact integer and the mean its correctly
             # rounded ratio to n, so rounding recovers the count exactly
             count = round(est.value * spec.n)
-            lo, hi = wilson_interval(count, spec.n, level)
+            lo, hi = wilson_interval(count, spec.n)
             tail.append(Estimate(value=count / spec.n, ci_low=lo, ci_high=hi,
-                                 level=level, n=spec.n))
+                                 level=LEVEL, n=spec.n))
         out.append(tail + ests[:k])
     return out

@@ -716,7 +716,8 @@ class TestChaosBounds:
 
         oracle = montecarlo.estimate_statistic(
             SampleSpec(n=9000, seed=35 ^ GAMMA_STREAM), quarter, per_sample)
-        (got_list,) = chaos_gamma_moments(chaos, qs, spec, scales=(0.25,))
+        got_list = chaos_gamma_moments(chaos, qs, spec)
+        assert len(got_list) == len(qs)
         for got, want in zip(got_list, oracle):
             assert abs(got.value - want.value) <= 1e-15 * want.value
             assert abs(got.ci_high - want.ci_high) <= 1e-15 * want.ci_high
@@ -732,9 +733,9 @@ class TestChaosBounds:
         rng = np.random.default_rng(167)
         chaos = GaussianChaos(rng.standard_normal((3, 3, 2, 2)))
         qs, spec, cert = [1, 1.5, 2, 3], SampleSpec(n=4000, seed=37), ou_certificate()
-        # the centred f-pass and the scale-1 Gamma pass, each made alone
+        # the centred f-pass and the Gamma / 4 pass, each made alone
         (f_ests,) = estimate_trace_moment(chaos.as_field(), qs, spec, centers=[chaos.mean()])
-        (gam_ests,) = chaos_gamma_moments(chaos, qs, spec)
+        gam_ests = chaos_gamma_moments(chaos, qs, spec)
         rep = energy_report(chaos, spec=spec)
         monkeypatch.setattr(montecarlo, "estimate_statistic", counted)
         mc = gaussian_pass(chaos, rep, cert, spec, poly_q=qs)
@@ -943,7 +944,8 @@ class TestSharedSpectra:
         check_tail_empirical(chain, rep, cert, [0.5, 1.0, 2.0])
         check_poly_moment(chain, rep, cert, [1, 1.5, 2, 3])
         assert len(stacks) == 2
-        np.testing.assert_array_equal(stacks[0], f.values - rep.mean)
+        mean = np.einsum("z,zij->ij", chain.stationary, f.values)
+        np.testing.assert_array_equal(stacks[0], f.values - mean)
         np.testing.assert_array_equal(stacks[1], rep.gamma)
 
     @pytest.mark.parametrize("fixture, suites", [
@@ -984,7 +986,8 @@ class TestSharedSpectra:
         mc = gaussian_pass(series, rep, cert, SampleSpec(n=10 ** 4, seed=47), lambda_grid=[1.0],
                            poly_q=[1, 2])
         assert mc.v_f == rep.v_f and mc.v_f_mode == rep.mode == "EXACT"
-        assert mc.poly[1.0][1] == pytest.approx(np.trace(rep.dirichlet), rel=1e-13)
+        # the pass holds E tr (Gamma / 4)^q, and a series's Gamma is D
+        assert 4.0 * mc.poly[1.0][1] == pytest.approx(np.trace(rep.dirichlet), rel=1e-13)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a checker diagonalised a matrix")

@@ -233,10 +233,10 @@ class TestGaussianConfigs:
 
         spec = SampleSpec(n=20000, seed=5)
         chaos = get_model("psd-chaos")
-        # the uncentred f-pass and the scale-1/4 Gamma pass, each made alone,
+        # the uncentred f-pass and the Gamma / 4 pass, each made alone,
         # give the same rows, bit for bit
         (f_ests,) = estimate_trace_moment(chaos.as_field(), [1, 2], spec)
-        (gam_ests,) = chaos_gamma_moments(chaos, [1, 2], spec, scales=(0.25,))
+        gam_ests = chaos_gamma_moments(chaos, [1, 2], spec)
         mc = GaussianPass(spec=spec, v_f=None, v_f_mode=None, tail={}, poly={},
                           chaos=dict(zip([1.0, 2.0], zip(f_ests, gam_ests))))
         alone = [r.to_row(suite="chaos", fixture="psd-chaos")
@@ -310,12 +310,11 @@ class TestEstimatedRhs:
         # by 0.9: a true counterexample must still FAIL
         real = bounds.chaos_gamma_moments
 
-        def scaled(chaos, q_list, spec, scales=(1.0,)):
-            return [[dataclasses.replace(e, value=e.value * 0.9 ** (2 * q),
-                                         ci_low=e.ci_low * 0.9 ** (2 * q),
-                                         ci_high=e.ci_high * 0.9 ** (2 * q))
-                     for q, e in zip(q_list, ests)]
-                    for ests in real(chaos, q_list, spec, scales)]
+        def scaled(chaos, q_list, spec):
+            return [dataclasses.replace(e, value=e.value * 0.9 ** (2 * q),
+                                        ci_low=e.ci_low * 0.9 ** (2 * q),
+                                        ci_high=e.ci_high * 0.9 ** (2 * q))
+                    for q, e in zip(q_list, real(chaos, q_list, spec))]
 
         monkeypatch.setattr(bounds, "chaos_gamma_moments", scaled)
         row = self.matrix_row(18)
@@ -408,6 +407,46 @@ class TestSharedPasses:
         assert {r["citation"] for r in rows} == {"poly-moment", "chaos-scalar", "chaos-matrix"}
         assert sorted(seed for seed, _ in passes) == sorted([5, 5 ^ GAMMA_STREAM])
         assert all(len(calls) == 5 for _, calls in passes)
+
+    def test_chaos_gamma_pass_reads_one_moment_per_order(self, monkeypatch):
+        # the Gamma stream's per-sample function returns one statistic per
+        # order of the union of the q lists, E tr (Gamma / 4)^q, which
+        # poly-moment and chaos-matrix both read: one object per order
+        widths = []
+        real = montecarlo.estimate_statistic
+
+        def counted(spec, field, per_sample):
+            def logged(mats):
+                out = per_sample(mats)
+                widths.append((spec.seed, len(out)))
+                return out
+
+            return real(spec, field, logged)
+
+        monkeypatch.setattr(montecarlo, "estimate_statistic", counted)
+        chaos = GaussianChaos(np.asarray(_matrix_chaos()["gaussian_chaos"]["coefficients"]))
+        spec = SampleSpec(n=10000, seed=7)  # three blocks
+        mc = bounds.gaussian_pass(chaos, tplab.energy_report(chaos, spec=spec),
+                                  tplab.ou_certificate(), spec, poly_q=[1, 2], chaos_q=[1, 2, 3])
+        assert [w for seed, w in widths if seed == 7 ^ GAMMA_STREAM] == [3] * 3
+        assert all(mc.poly[q][1] is mc.chaos[q][1] for q in (1.0, 2.0))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_poly_moment_and_chaos_matrix_share_their_rhs(self, seed):
+        # at alpha = 1, sqrt(2) q (E tr Gamma^q)^{1/(2q)} is
+        # sqrt(8) q (E tr (Gamma / 4)^q)^{1/(2q)}, and both rows read one
+        # estimate, so outside the sqrt(2) regime q in (1, 1.5) they agree
+        # bit for bit; with two Gamma moments per order, seed 1 read
+        # 52.44607341790993 against 52.446073417909936 at q = 1.5
+        rows, _, _ = run_experiment(load_perfbench("workloads").build_config("chaos-mc", seed,
+                                                                              "tiny"))
+        poly = {r["context"]["q"]: r for r in rows if r["citation"] == "poly-moment"}
+        matrix = {r["context"]["q"]: r for r in rows if r["citation"] == "chaos-matrix"}
+        assert sorted(poly) == sorted(matrix) == [1.0, 1.5, 2.0, 3.0]
+        assert all(r["context"]["alpha"] == 1.0 for r in poly.values())
+        for q, row in poly.items():
+            assert row["rhs"] == matrix[q]["rhs"]
+            assert row["context"]["rhs_ci"] == matrix[q]["context"]["rhs_ci"]
 
     def test_chaos_energies_open_no_stream(self, monkeypatch):
         # 5 blocks of the f-stream, 5 of the Gamma stream and the energy

@@ -334,7 +334,7 @@ class TestPowerSums:
                 assert np.all((g == r) | edge | close), e
 
     def test_products_and_the_general_power(self, monkeypatch):
-        # only the orders outside PRODUCT_EXPONENTS reach numpy's pow
+        # only the orders outside _PRODUCT_EXPONENTS reach numpy's pow
         w = np.abs(np.random.default_rng(5).standard_normal((7, 3)))
         pows = []
 
@@ -453,7 +453,7 @@ class TestTail:
                               estimate_tail(f, thresholds, spec, centers=[center])[0]):
                 k = int(np.count_nonzero(dev >= t))
                 assert est.value == k / n
-                assert (est.ci_low, est.ci_high) == wilson_interval(k, n, 0.99)
+                assert (est.ci_low, est.ci_high) == wilson_interval(k, n)
 
     def test_worker_invariance(self):
         one = estimate_tail(scalar_series(), [1.0, 2.0], SampleSpec(n=30000, seed=8, workers=1),
@@ -480,17 +480,17 @@ class TestNormalQuantile:
         denom = 1.0 + z * z / n
         center = (p + z * z / (2.0 * n)) / denom
         spread = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
-        lo, hi = wilson_interval(300, n, 0.99)
+        lo, hi = wilson_interval(300, n)
         assert lo == pytest.approx(center - spread, rel=1e-15)
         assert hi == pytest.approx(center + spread, rel=1e-15)
 
 
 class TestWilson:
     def test_basic_properties(self):
-        lo, hi = wilson_interval(50, 100, 0.99)
+        lo, hi = wilson_interval(50, 100)
         assert 0.0 <= lo <= 0.5 <= hi <= 1.0
         assert wilson_interval(0, 0) == (0.0, 1.0)
-        lo0, hi0 = wilson_interval(0, 1000, 0.99)
+        lo0, hi0 = wilson_interval(0, 1000)
         assert lo0 == 0.0 and hi0 > 0.0
 
     @pytest.mark.parametrize("p", [0.5, 0.1, 0.01])
@@ -502,6 +502,6 @@ class TestWilson:
         ks = rng.binomial(n, p, size=reps)
         covered = 0
         for k in ks:
-            lo, hi = wilson_interval(int(k), n, 0.99)
+            lo, hi = wilson_interval(int(k), n)
             covered += lo <= p <= hi
         assert covered / reps >= 0.97

@@ -501,3 +501,37 @@ def test_eigensolvers_are_called_in_one_place_each():
     src = Path(__file__).resolve().parent.parent / "src" / "tplab"
     uses = set().union(*(linalg_solver_uses(p) for p in sorted(src.glob("*.py"))))
     assert uses == {("spectral.py", "batch_eigvalsh", "eigvalsh"), ("spectral.py", "eigh", "eigh")}
+
+
+ESTIMATORS = ("estimate_statistic", "estimate_trace_moment", "estimate_tail")
+
+
+def estimator_calls(path: Path) -> set:
+    """(file, enclosing function, estimator) of every call of a Monte Carlo
+    estimator in a source file, by bare name or as an attribute."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ESTIMATORS:
+                found.add((path.name, func, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_monte_carlo_passes_are_made_in_one_place_each():
+    # one pass per sample stream: outside montecarlo.py only the run's
+    # gaussian_pass (the f-stream) and chaos_gamma_moments (the Gamma
+    # stream) call an estimator
+    src = Path(__file__).resolve().parent.parent / "src" / "tplab"
+    calls = set().union(*(estimator_calls(p) for p in sorted(src.glob("*.py"))
+                          if p.name != "montecarlo.py"))
+    assert calls == {("bounds.py", "gaussian_pass", "estimate_tail"),
+                     ("bounds.py", "gaussian_pass", "estimate_trace_moment"),
+                     ("bounds.py", "chaos_gamma_moments", "estimate_statistic")}
