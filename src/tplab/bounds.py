@@ -389,6 +389,17 @@ def _root_interval(est: montecarlo.Estimate, q: float) -> tuple[float, float, fl
     return max(est.ci_low, 0.0) ** root, est.value ** root, est.ci_high ** root
 
 
+def _times_four_to(q: float, x: float) -> float:
+    """4^q x as x 4^(q - k) 2^(2k) with k = floor(q), by ldexp: finite where
+    only 4^q overflows (q >= 512), +-inf beyond the float range, and 0,
+    inf or NaN where x is."""
+    k = math.floor(q)
+    try:
+        return math.ldexp(x * 4.0 ** (q - k), 2 * k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[CheckReport]:
     """(E tr |f|^{2q})^{1/(2q)} <= poly_moment_rhs, exact on finite chains
     and Monte Carlo on Gaussian models (fields centered first).
@@ -433,8 +444,8 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
             tgqs, gamma_ctx = (gam_est,) * 3, {"gamma_moment_exact": True}
         else:
             tgqs = (max(gam_est.ci_low, 0.0), gam_est.value, gam_est.ci_high)
-            gamma_ctx = {"gamma_moment_ci": [4.0 ** q * gam_est.ci_low,
-                                             4.0 ** q * gam_est.ci_high]}
+            gamma_ctx = {"gamma_moment_ci": [_times_four_to(q, gam_est.ci_low),
+                                             _times_four_to(q, gam_est.ci_high)]}
         rhs = tuple(2.0 * poly_moment_rhs(cert.alpha, q, t) for t in tgqs)
         out.append(CheckReport.from_interval(
             "poly-moment", *_root_interval(est, q), rhs, slack_for(rhs[1]),

@@ -63,7 +63,6 @@ def default_config() -> dict:
             "lambda_grid": [0.5 * k for k in range(1, 17)],
             "q_list": [1, 1.5, 2, 3],
             "intdim_q": [1, 2, 3],
-            "probe": {"trials": 50, "dims": [1, 2, 3]},
             "phis": [
                 {"kind": "sinh", "scale": 1.0},
                 {"kind": "signed_pow", "exponent": 2.0},

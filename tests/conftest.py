@@ -1,3 +1,4 @@
+import ast
 import types
 from pathlib import Path
 
@@ -93,3 +94,24 @@ def k4():
 @pytest.fixture(scope="session")
 def cycle4():
     return chain_from_graph(cycle_adjacency(4), 2, name="cycle4")
+
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "tplab"
+
+
+def source_uses(names_at) -> set:
+    """(file, enclosing function, name) for every name that ``names_at(node)``
+    yields at a node of the package's source files, walked by ``ast``; the
+    function is None at module level."""
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+
+        def visit(node, func):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            found.update((path.name, func, name) for name in names_at(node))
+            for child in ast.iter_child_nodes(node):
+                visit(child, func)
+
+        visit(ast.parse(path.read_text()), None)
+    return found

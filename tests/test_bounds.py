@@ -682,6 +682,21 @@ class TestChaosBounds:
         assert scalar.rhs == pytest.approx(8e-300 * q * q)
         assert scalar.context["norm_A"] == pytest.approx(1e-300)
 
+    def test_huge_order_poly_moment_gives_a_finite_rhs(self):
+        # 4^q overflows at q = 1e160 and used to raise an uncaught
+        # OverflowError; the rhs 2 poly_moment_rhs(E tr (Gamma / 4)^q) does
+        # not, and the Gamma interval 4^q [2, 8] is read as [inf, inf]
+        q, est = 1e160, montecarlo.Estimate(value=4.0, ci_low=2.0, ci_high=8.0, level=0.99,
+                                             n=100)
+        coef = np.zeros((2, 2, 1, 1))
+        coef[0, 0, 0, 0] = coef[1, 1, 0, 0] = 1.0
+        mc = GaussianPass(spec=SampleSpec(n=100, seed=1), v_f=None, v_f_mode=None, tail={},
+                          poly={q: (est, est)}, chaos={})
+        (row,) = check_poly_moment(GaussianChaos(coef), mc, ou_certificate(), [q])
+        assert math.isfinite(row.rhs)
+        assert row.rhs == pytest.approx(2.0 * math.sqrt(2.0) * q * 4.0 ** (1.0 / (2.0 * q)))
+        assert row.context["gamma_moment_ci"] == [math.inf, math.inf]
+
     def test_scalar_chaos_empirical(self):
         coef = np.zeros((2, 2, 1, 1))
         coef[0, 0, 0, 0] = coef[1, 1, 0, 0] = 1.0

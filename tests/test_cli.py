@@ -807,6 +807,20 @@ class TestExitCodes:
         assert err.startswith("DomainError: Gaussian ") and "finite" in err
         assert not (tmp_path / "report.csv").exists()
 
+    def test_huge_order_poly_moment_on_a_chaos_exits_2(self, tmp_path, capsys):
+        # q = 1e200: rescaling the quarter-scale Gamma interval by 4^q raised
+        # an uncaught OverflowError, exit 1; the moments at that order
+        # overflow, so the run gives no verdict
+        cfg = {"seed": 1, "samples": {"n": 2000}, "model": {"fixture": "psd-chaos"},
+               "suites": ["poly-moment"], "params": {"q_list": [2, 1e200]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with np.errstate(all="ignore"):
+            code = run_cli(["run", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("NumericError: poly-moment: no verdict")
+        assert not (tmp_path / "report.csv").exists()
+
     def test_overflowing_gaussian_model_exits_2(self, tmp_path, capsys):
         # finite coefficients whose Gamma overflows: the Gamma stream's
         # eigensolver raised a bare LinAlgError, exit 1, after a numpy

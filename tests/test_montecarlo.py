@@ -1,3 +1,4 @@
+import ast
 import math
 import multiprocessing
 import os
@@ -29,7 +30,7 @@ from tplab.montecarlo import (
     rekeyed_streams,
 )
 
-from conftest import moment
+from conftest import moment, source_uses
 
 
 def scalar_series(a=1.0):
@@ -505,3 +506,25 @@ class TestWilson:
             lo, hi = wilson_interval(int(k), n)
             covered += lo <= p <= hi
         assert covered / reps >= 0.97
+
+
+ESTIMATORS = ("estimate_statistic", "estimate_trace_moment", "estimate_tail")
+
+
+def estimator_calls(node):
+    """The Monte Carlo estimator a call node calls, by bare name or as an
+    attribute."""
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in ESTIMATORS:
+            yield name
+
+
+def test_monte_carlo_passes_are_made_in_one_place_each():
+    # one pass per sample stream: outside montecarlo.py only the run's
+    # gaussian_pass (the f-stream) and chaos_gamma_moments (the Gamma
+    # stream) call an estimator
+    calls = {use for use in source_uses(estimator_calls) if use[0] != "montecarlo.py"}
+    assert calls == {("bounds.py", "gaussian_pass", "estimate_tail"),
+                     ("bounds.py", "gaussian_pass", "estimate_trace_moment"),
+                     ("bounds.py", "chaos_gamma_moments", "estimate_statistic")}

@@ -1,6 +1,5 @@
 import ast
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from tplab import (
 from tplab import spectral
 from tplab.spectral import _eigvalsh2, _eigvalsh3, psd_eigvalsh
 
-from conftest import random_symmetric
+from conftest import random_symmetric, source_uses
 
 
 class TestSymmetrize:
@@ -474,64 +473,18 @@ class TestPsdEigvalsh:
         assert psd_eigvalsh(np.empty((0, 0)), "gamma").shape == (0,)
 
 
-def linalg_solver_uses(path: Path) -> set:
-    """(file, enclosing function, solver) of every reference to a
-    ``*.linalg`` eigvalsh or eigh in a source file, and of every such name
-    imported from a linalg module."""
-    found = set()
-
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
-        if (isinstance(node, ast.Attribute) and node.attr in ("eigvalsh", "eigh")
-                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
-            found.add((path.name, func, node.attr))
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
-            found.update((path.name, func, alias.name) for alias in node.names)
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(ast.parse(path.read_text()), None)
-    return found
+def linalg_solvers(node):
+    """The ``*.linalg`` eigvalsh or eigh a node refers to, and every name it
+    imports from a linalg module."""
+    if (isinstance(node, ast.Attribute) and node.attr in ("eigvalsh", "eigh")
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+        yield node.attr
+    if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+        yield from (alias.name for alias in node.names)
 
 
 def test_eigensolvers_are_called_in_one_place_each():
     # every eigenvalue route is chosen inside batch_eigvalsh, and every
     # eigendecomposition is checked inside eigh
-    src = Path(__file__).resolve().parent.parent / "src" / "tplab"
-    uses = set().union(*(linalg_solver_uses(p) for p in sorted(src.glob("*.py"))))
-    assert uses == {("spectral.py", "batch_eigvalsh", "eigvalsh"), ("spectral.py", "eigh", "eigh")}
-
-
-ESTIMATORS = ("estimate_statistic", "estimate_trace_moment", "estimate_tail")
-
-
-def estimator_calls(path: Path) -> set:
-    """(file, enclosing function, estimator) of every call of a Monte Carlo
-    estimator in a source file, by bare name or as an attribute."""
-    found = set()
-
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in ESTIMATORS:
-                found.add((path.name, func, name))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(ast.parse(path.read_text()), None)
-    return found
-
-
-def test_monte_carlo_passes_are_made_in_one_place_each():
-    # one pass per sample stream: outside montecarlo.py only the run's
-    # gaussian_pass (the f-stream) and chaos_gamma_moments (the Gamma
-    # stream) call an estimator
-    src = Path(__file__).resolve().parent.parent / "src" / "tplab"
-    calls = set().union(*(estimator_calls(p) for p in sorted(src.glob("*.py"))
-                          if p.name != "montecarlo.py"))
-    assert calls == {("bounds.py", "gaussian_pass", "estimate_tail"),
-                     ("bounds.py", "gaussian_pass", "estimate_trace_moment"),
-                     ("bounds.py", "chaos_gamma_moments", "estimate_statistic")}
+    assert source_uses(linalg_solvers) == {("spectral.py", "batch_eigvalsh", "eigvalsh"),
+                                           ("spectral.py", "eigh", "eigh")}
