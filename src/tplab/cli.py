@@ -60,9 +60,6 @@ def default_config() -> dict:
         "suites": ["poincare", "subadditivity", "chain-rule", "exp-moment",
                    "tail", "poly-moment", "intdim"],
         "params": {
-            "lambda_grid": [0.5 * k for k in range(1, 17)],
-            "q_list": [1, 1.5, 2, 3],
-            "intdim_q": [1, 2, 3],
             "phis": [
                 {"kind": "sinh", "scale": 1.0},
                 {"kind": "signed_pow", "exponent": 2.0},
@@ -215,16 +212,11 @@ def _chain_rows(chain, name, named, suites, params, seed):
                 add(suite, bounds.check_subadditivity(chain, grid), fname)
                 add(suite, bounds.check_bivariate_poincare(chain, grid, cert), fname)
         elif suite == "chain-rule":
-            descs = params.get("phis", [{"kind": "sinh"}])
-            if not isinstance(descs, list):
-                raise ConfigError(f"params.phis: expected a list, got {descs!r}")
-            phis = [_labelled(f"params.phis[{i}]", (LabError,), _build_phi, desc)
-                    for i, desc in enumerate(descs)]
             for fname, rep in named:
-                reports = bounds.check_chain_rule(chain, rep, phis)
+                reports = bounds.check_chain_rule(chain, rep, params["phis"])
                 if chain.n_states >= 2:
                     v = rep.field.values
-                    mean_value = bounds.check_mean_value_trace(v[0], v[1], phis)
+                    mean_value = bounds.check_mean_value_trace(v[0], v[1], params["phis"])
                     reports = [r for pair in zip(reports, mean_value) for r in pair]
                 for r in reports:
                     add(suite, r, fname)
@@ -250,20 +242,12 @@ def _chain_rows(chain, name, named, suites, params, seed):
             for fname, rep in named:
                 for r in bounds.check_intdim_variant(chain, rep, cert, q_list):
                     add(suite, r, fname)
-        else:
-            raise ConfigError(f"suites: '{suite}' requires a Gaussian model, "
-                              f"but the config model is a finite chain")
     return rows
 
 
 def _gaussian_rows(model, name, rep, suites, params, sample_spec):
     """The rows of the Gaussian suites, all read from one ``gaussian_pass``
     over the model's energy report ``rep``."""
-    for suite in suites:
-        if suite in CHAIN_ONLY:
-            raise ConfigError(f"suites: '{suite}' requires a finite chain model")
-        if suite == "chaos" and not isinstance(model, GaussianChaos):
-            raise ConfigError("suites: 'chaos' requires a gaussian_chaos model")
     cert = ou_certificate()
     grid = params.get("lambda_grid", [float(k) for k in range(1, 9)])
     poly_q = params.get("q_list", [1, 1.5, 2, 3])
@@ -284,6 +268,19 @@ def _gaussian_rows(model, name, rep, suites, params, sample_spec):
             reports += bounds.check_chaos_matrix(model, mc, chaos_q)
         rows += [r.to_row(suite=suite, fixture=name) for r in reports]
     return rows
+
+
+def _check_suites(model, suites):
+    """Refuse a suite the model cannot run, before any energy report."""
+    for suite in suites:
+        if isinstance(model, FiniteChain):
+            if suite == "chaos":
+                raise ConfigError(f"suites: '{suite}' requires a Gaussian model, "
+                                  f"but the config model is a finite chain")
+        elif suite in CHAIN_ONLY:
+            raise ConfigError(f"suites: '{suite}' requires a finite chain model")
+        elif suite == "chaos" and not isinstance(model, GaussianChaos):
+            raise ConfigError("suites: 'chaos' requires a gaussian_chaos model")
 
 
 def validate_config(cfg: dict):
@@ -340,11 +337,13 @@ PARAM_LISTS = {
 
 
 def _checked_params(params) -> dict:
-    """params with every list of PARAM_LISTS, the certified v_f_bound and the
-    probe settings checked: a NaN or out-of-range order, level, scale, bound
-    or trial count is refused rather than reaching a verdict, and intdim_q
-    and the probe's trials and dims become integers (an integral float such
-    as 2.0 counts); a missing probe gets 50 trials and dims [1, 2, 3]."""
+    """params with every list of PARAM_LISTS, the certified v_f_bound, the
+    probe settings and the scalar functions checked: a NaN or out-of-range
+    order, level, scale, bound or trial count is refused rather than
+    reaching a verdict, and intdim_q and the probe's trials and dims become
+    integers (an integral float such as 2.0 counts); a missing probe gets 50
+    trials and dims [1, 2, 3], and phis, missing [sinh], becomes the list
+    of chain-rule functions."""
     if not isinstance(params, dict):
         raise ConfigError("params: must be a JSON object")
     out = dict(params)
@@ -370,6 +369,11 @@ def _checked_params(params) -> dict:
     out["probe"] = dict(
         probe, trials=_integer(probe.get("trials", 50), "params.probe.trials", low=0),
         dims=[_integer(d, "params.probe.dims", low=1) for d in dims])
+    descs = out.get("phis", [{"kind": "sinh"}])
+    if not isinstance(descs, list):
+        raise ConfigError(f"params.phis: expected a list, got {descs!r}")
+    out["phis"] = [_labelled(f"params.phis[{i}]", (LabError,), _build_phi, desc)
+                   for i, desc in enumerate(descs)]
     return out
 
 
@@ -396,6 +400,7 @@ def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     params = _checked_params(cfg.get("params", {}))
     suites = cfg["suites"]
     model, name = build_model(cfg["model"])
+    _check_suites(model, suites)
 
     if isinstance(model, FiniteChain):
         fields = build_fields(cfg.get("fields", []), model, seed)

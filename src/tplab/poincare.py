@@ -12,7 +12,6 @@ the (m, m) factor is diagonalised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .energy import EnergyReport, column_energies
 from .errors import DimensionError, ModelError
 from .models import FiniteChain
-from .montecarlo import normal_stream, rekeyed_streams
+from .montecarlo import rekeyed_streams
 from .reports import CheckReport, slack_for
 from .spectral import batch_eigvalsh, symmetric_part
 
@@ -151,81 +150,31 @@ def _signs(words: np.ndarray, d: int) -> np.ndarray:
     return _SIGNS[bits.reshape(*words.shape[:-1], -1)[..., :d]]
 
 
-def _probe_field(seed: int, t: int, n: int, d: int,
-                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Trial t's symmetrized standard normal field (n, d, d) and its random
-    sign vector u, from the trial's own stream: ``rng`` when the caller has
-    it at its start already, else ``normal_stream(seed, t)``."""
-    if rng is None:
-        rng = normal_stream(seed, t)
-    raw = rng.standard_normal((n, d, d))
-    return symmetric_part(raw), _signs(_sign_words(rng, d), d)
-
-
-# entries of the stacked probe columns per ``column_energies`` call: at most
-# 128 KiB per array, so that stacking trials saves calls without raising the
-# peak memory of a small chain's probe
+# entries of one run's block, trials of one dimension stacked into one
+# ``column_energies`` call: at most 128 KiB per array, so that stacking
+# trials saves calls without raising the peak memory of a small chain's probe
 _PROBE_ENTRIES = 2 ** 14
 
 
-def _probe_chunks(n: int, trial_dims, limit: int) -> list[range]:
-    """Runs of consecutive trials whose blocks (d^2 + d columns of n entries
-    each) stack to at most ``limit`` entries; a trial over the limit is a
-    run of its own."""
-    chunks, start, entries = [], 0, 0
-    for t, d in enumerate(trial_dims):
-        size = n * (d * d + d)
-        if t > start and entries + size > limit:
-            chunks.append(range(start, t))
-            start, entries = t, 0
-        entries += size
-    if trial_dims:
-        chunks.append(range(start, len(trial_dims)))
-    return chunks
-
-
-def _trial_view(arr: np.ndarray, start: int, k: int, period: int, shape) -> np.ndarray:
-    """The (..., k, *shape) view of k runs of columns along the last axis of
-    the C-contiguous ``arr``, the first at ``start`` and each ``period``
-    columns after the previous, each run read row-major as ``shape``.  The
-    ndarray constructor refuses a view that would reach past ``arr``."""
-    step = arr.itemsize
-    inner = tuple(step * math.prod(shape[i + 1:]) for i in range(len(shape)))
-    return np.ndarray(arr.shape[:-1] + (k, *shape), arr.dtype, arr, start * step,
-                      arr.strides[:-1] + (period * step, *inner))
-
-
-def _probe_block(stream, n: int, chunk, dims) -> tuple[np.ndarray, dict]:
-    """The probe columns of a run of consecutive trials as one (n, width)
-    block, per trial its d^2 entries and then its d compressions
-    <u, f(z) e_i>, and the trials of the run grouped by their position in
-    ``dims`` as {position: (first column, trials)}.  The trials of a group
-    lie one cycle of ``dims`` apart, so each group is one strided view of
-    the block.  Each trial draws its field and then its signs from its own
-    stream, as ``_probe_field`` does; symmetrization and compressions run
-    once per group, straight into the block."""
-    widths = [d * d + d for d in dims]
-    period = sum(widths)
-    groups: dict = {}
-    width = 0
-    for t in chunk:
-        groups.setdefault(t % len(dims), (width, []))[1].append(t)
-        width += widths[t % len(dims)]
-    block = np.empty((n, width))
-    for r, (start, ts) in groups.items():
-        d, k = dims[r], len(ts)
-        raws = np.empty((k, n, d, d))
-        words = np.empty((k, (d + 1) // 2), dtype=np.uint64)
-        for j, t in enumerate(ts):
-            rng = stream(t)
-            rng.standard_normal(out=raws[j])
-            words[j] = _sign_words(rng, d)
-        vals = _trial_view(block, start, k, period, (d, d))
-        np.add(raws.transpose(1, 0, 2, 3), raws.transpose(1, 0, 3, 2), out=vals)
-        vals *= 0.5
-        np.matmul(_signs(words, d)[:, None, :], vals,
-                  out=_trial_view(block, start + d * d, k, period, (1, d)))
-    return block, groups
+def _probe_block(stream, trials, n: int, d: int) -> np.ndarray:
+    """The probe columns of a run of trials of one dimension d as one
+    (n, k, d^2 + d) block: per trial its d^2 symmetrized entries and then
+    its d compressions <u, f(z) e_i>.  Each trial draws its field and then
+    its signs u from its own stream(t); symmetrization and compressions run
+    once per run, straight into the block."""
+    k, w = len(trials), d * d
+    raws = np.empty((k, n, d, d))
+    words = np.empty((k, (d + 1) // 2), dtype=np.uint64)
+    for j, t in enumerate(trials):
+        rng = stream(t)
+        rng.standard_normal(out=raws[j])
+        words[j] = _sign_words(rng, d)
+    block = np.empty((n, k, w + d))
+    vals = block[:, :, :w].reshape(n, k, d, d)  # a view: one axis split in two
+    np.add(raws.transpose(1, 0, 2, 3), raws.transpose(1, 0, 3, 2), out=vals)
+    vals *= 0.5
+    np.matmul(_signs(words, d)[:, None, :], vals, out=block[:, :, None, w:])
+    return block
 
 
 def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
@@ -235,19 +184,21 @@ def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
     Fields are sampled with i.i.d. standard normal entries and symmetrized;
     each trial also probes the scalar compressions z -> <u, f(z) e_i> with a
     random sign vector u, mirroring the reduction used to pass from scalar
-    to trace inequalities.  Trial t draws from stream t of the seed
-    (``normal_stream(seed, t)``), so trials are order-independent; one
-    Philox, re-keyed per trial (``montecarlo.rekeyed_streams``), serves
-    them all.  A trace ratio is a ratio of sums over the field's entries, so
-    the d^2 entries and the d compressions of a trial are columns of one
-    block, and the blocks of consecutive trials are stacked into one
-    ``column_energies`` call of at most _PROBE_ENTRIES entries
-    (``_probe_block``).  Each trial's candidates, its matrix ratio and then
-    its d compression ratios, are read from those energies with array
+    to trace inequalities.  Trial t has dimension dims[t % len(dims)] and
+    draws from stream t of the seed (``normal_stream(seed, t)``), so trials
+    are order-independent; one Philox, re-keyed per trial
+    (``montecarlo.rekeyed_streams``), serves them all.  A trace ratio is a
+    ratio of sums over the field's entries, so the d^2 entries and the d
+    compressions of a trial are columns of one block.  The trials of each
+    position of ``dims`` are cut into runs of at most _PROBE_ENTRIES
+    entries (a trial over the bound is a run of its own), and each run is
+    one (n, k, d^2 + d) block (``_probe_block``) and one
+    ``column_energies`` call.  Each trial's candidates, its matrix ratio and
+    then its d compression ratios, are read from those energies with array
     operations.  The maximizer is the first (trial, candidate) whose ratio
     lies within _PROBE_SLACK (relative) of the supremum, so exact ties,
     which every field makes on a two-state chain or K_n, resolve to the
-    earliest; its trial is redrawn from its stream to report its field.
+    earliest; its trial is redrawn by ``_probe_block`` to report its field.
     ``cert`` is the chain's certificate when the caller already has it; by
     default it is computed here.
     """
@@ -256,25 +207,21 @@ def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
     dims = tuple(int(d) for d in dims)
     n = chain.n_states
     stream = rekeyed_streams(seed)
-    trial_dims = [dims[t % len(dims)] for t in range(trials)]
-    period = sum(d * d + d for d in dims)  # columns of one cycle of dims
-    found = []  # (trials, (k, d + 1) ratios: matrix, then axes 0..d-1) per group
-    for chunk in _probe_chunks(n, trial_dims, _PROBE_ENTRIES):
-        block, groups = _probe_block(stream, n, chunk, dims)
-        energies = column_energies(chain, block)
-        for r, (start, ts) in groups.items():
-            d = dims[r]
-            cand = []
-            for e in energies:
-                per_trial = _trial_view(e, start, len(ts), period, (d * d + d,))
-                out = np.empty((len(ts), d + 1))
-                # a sum over d^2 contiguous entries, as e[i:j].sum() adds them
-                out[:, 0] = per_trial[:, :d * d].sum(axis=1)
-                out[:, 1:] = per_trial[:, d * d:]
-                cand.append(out)
-            ratios = np.full_like(cand[0], -np.inf)
-            np.divide(cand[0], cand[1], out=ratios, where=cand[1] > 1e-14)
-            found.append((ts, ratios))
+    found = []  # (trials, (k, d + 1) ratios: matrix, then axes 0..d-1) per run
+    for r, d in enumerate(dims):
+        w = d * d
+        size = max(1, _PROBE_ENTRIES // (n * (w + d)))
+        ts = range(r, trials, len(dims))
+        for i in range(0, len(ts), size):
+            run = ts[i:i + size]
+            block = _probe_block(stream, run, n, d)
+            energies = column_energies(chain, block.reshape(n, -1))
+            # a matrix ratio sums d^2 contiguous entries, as e[i:j].sum() adds them
+            var, dirich = (np.column_stack((e[:, :w].sum(axis=1), e[:, w:]))
+                           for e in (x.reshape(len(run), w + d) for x in energies))
+            ratios = np.full_like(var, -np.inf)
+            np.divide(var, dirich, out=ratios, where=dirich > 1e-14)
+            found.append((run, ratios))
 
     sup = max((float(r.max()) for _, r in found), default=-np.inf)
     if sup == -np.inf:
@@ -283,19 +230,20 @@ def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
     # the first near-tie in search order, so that rounding never picks
     # among exact ties: the earliest trial, and within it the first candidate
     near = []
-    for ts, ratios in found:
+    for run, ratios in found:
         hit = ratios >= sup * (1.0 - _PROBE_SLACK)
         rows = np.flatnonzero(hit.any(axis=1))
         if rows.size:
-            near.append((ts[rows[0]], int(np.argmax(hit[rows[0]]))))
+            near.append((run[rows[0]], int(np.argmax(hit[rows[0]]))))
     t, col = min(near)
-    d = trial_dims[t]
-    vals, u = _probe_field(seed, t, n, d, stream(t))
+    d = dims[t % len(dims)]
+    block = _probe_block(stream, [t], n, d)[:, 0]
     if col == 0:
-        argmax = {"trial": t, "kind": "matrix", "d": d, "field": vals.tolist()}
+        argmax = {"trial": t, "kind": "matrix", "d": d,
+                  "field": block[:, :d * d].reshape(n, d, d).tolist()}
     else:  # <u, f(z) e_axis>
         axis = col - 1
         argmax = {"trial": t, "kind": "compression", "d": d,
-                  "field": (vals[:, :, axis] @ u).tolist(), "axis": axis}
+                  "field": block[:, d * d + axis].tolist(), "axis": axis}
     return ProbeReport(sup_ratio=sup, alpha=cert.alpha, trials=trials, dims=dims,
                        seed=seed, maximizer=argmax)

@@ -1,7 +1,8 @@
 """The benchmark's smoke run (perfbench/smoke.py) expects each workload to
-reach certain tplab functions, found by their ``module.function`` names.
-Deleting or renaming one breaks only that run, which takes over a minute,
-so the names are checked here against the package."""
+reach, or not to reach, certain tplab functions, found by their
+``module.function`` names.  Deleting or renaming one breaks only that run,
+which takes over a minute, so the names are checked here against the
+package."""
 
 import ast
 import importlib
@@ -22,13 +23,15 @@ def smoke_table(name: str) -> dict:
 
 
 def test_reached_functions_are_public_functions_of_tplab():
-    reached = smoke_table("REACHED")
-    names = sorted({n for names in reached.values() for n in names})
-    assert names
-    for name in names:
-        module, function = name.split(".")
-        obj = getattr(importlib.import_module(f"tplab.{module}"), function, None)
-        # the tracer keys each public function by its defining module and
-        # its own name
-        assert inspect.isfunction(obj) and not function.startswith("_"), name
-        assert f"{obj.__module__}.{obj.__name__}" == f"tplab.{name}", name
+    # NOT_REACHED too: a renamed function would leave its "must not reach"
+    # check passing without checking anything
+    for table in ("REACHED", "NOT_REACHED"):
+        names = sorted({n for names in smoke_table(table).values() for n in names})
+        assert names, table
+        for name in names:
+            module, function = name.split(".")
+            obj = getattr(importlib.import_module(f"tplab.{module}"), function, None)
+            # the tracer keys each public function by its defining module and
+            # its own name
+            assert inspect.isfunction(obj) and not function.startswith("_"), name
+            assert f"{obj.__module__}.{obj.__name__}" == f"tplab.{name}", name

@@ -563,6 +563,9 @@ class TestParamLists:
         (PSD_CHAOS, "tail", {"v_f_bound": -1.0}, "params.v_f_bound"),
         (PSD_CHAOS, "tail", {"v_f_bound": math.nan}, "params.v_f_bound"),
         (PSD_CHAOS, "tail", {"v_f_bound": math.inf}, "params.v_f_bound"),
+        # phis were parsed only where the chain-rule suite ran
+        (TWO_STATE, "poincare", {"phis": [{"kind": "cosh"}]}, "params.phis[0]"),
+        (TWO_STATE, "poincare", {"phis": {"kind": "sinh"}}, "params.phis"),
     ])
     def test_invalid_list_exits_2(self, tmp_path, capsys, base, suite, params, label):
         cfg = {"seed": 1, **base, "suites": [suite], "params": params}
@@ -663,6 +666,28 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert run_cli(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("model, suites, message", [
+        ({"fixture": "two-state"}, ["poincare", "chaos"],
+         "suites: 'chaos' requires a Gaussian model, but the config model is a finite chain"),
+        ({"fixture": "pauli-series"}, ["intdim"],
+         "suites: 'intdim' requires a finite chain model"),
+        ({"fixture": "pauli-series"}, ["tail", "chaos"],
+         "suites: 'chaos' requires a gaussian_chaos model"),
+    ], ids=["chain-chaos", "series-intdim", "series-chaos"])
+    def test_suite_model_mismatch_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                          model, suites, message):
+        # a suite the model cannot run used to be refused only after the
+        # energy reports, and on a chain after the whole probe
+        calls = []
+        monkeypatch.setattr(tplab.cli, "energy_report", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(tplab.cli, "equivalence_probe", lambda *a, **k: calls.append(a))
+        cfg = {**default_config(), "model": model, "suites": suites}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"ConfigError: {message}\n"
+        assert calls == []
 
     def test_capacity_exits_3(self, tmp_path):
         cfg = {

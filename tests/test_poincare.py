@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -34,6 +35,15 @@ def scalar_report(chain, vals):
     return energy_report(chain, FiniteField.from_scalars(np.asarray(vals, dtype=float)))
 
 
+def probe_field(seed, t, n, d):
+    """Oracle: trial t's symmetrized standard normal field (n, d, d) and its
+    sign vector u, drawn from ``normal_stream(seed, t)`` as the probe
+    documents it, the signs by ``rng.choice``."""
+    rng = normal_stream(seed, t)
+    raw = rng.standard_normal((n, d, d))
+    return 0.5 * (raw + raw.transpose(0, 2, 1)), rng.choice([-1.0, 1.0], size=d)
+
+
 def per_trial_ratios(chain, trials, dims, seed):
     """Oracle: the probe's ratios in search order, from one energy report
     per trial and per compression, each with the maximizer record it would
@@ -41,11 +51,9 @@ def per_trial_ratios(chain, trials, dims, seed):
     n = chain.n_states
     out = []
     for t in range(trials):
-        rng = normal_stream(seed, t)
         d = dims[t % len(dims)]
-        raw = rng.standard_normal((n, d, d))
-        f = FiniteField(0.5 * (raw + raw.transpose(0, 2, 1)))
-        u = rng.choice([-1.0, 1.0], size=d)
+        vals, u = probe_field(seed, t, n, d)
+        f = FiniteField(vals)
         cases = [(f, {"trial": t, "kind": "matrix", "d": d, "field": f.values.tolist()})]
         for i in range(d):
             g = f.values[:, :, i] @ u
@@ -62,25 +70,30 @@ def per_trial_ratios(chain, trials, dims, seed):
 
 def stacked_ratios(chain, trials, dims, seed):
     """Oracle: the probe's (ratio, trial, compression axis or None) in
-    search order, from the same chunks of trials, each chunk's columns
-    stacked trial by trial from ``_probe_field`` and read back one slice per
+    search order, from the same runs of trials, each run's columns stacked
+    trial by trial from ``probe_field`` and read back one slice per
     candidate: the probe's arithmetic, one trial at a time."""
     n = chain.n_states
-    trial_dims = [dims[t % len(dims)] for t in range(trials)]
     out = []
-    for chunk in poincare._probe_chunks(n, trial_dims, poincare._PROBE_ENTRIES):
-        fields = [poincare._probe_field(seed, t, n, trial_dims[t]) for t in chunk]
+    runs = []  # (d, trials) per run of at most _PROBE_ENTRIES entries, or one trial
+    for r, d in enumerate(dims):
+        size = max(1, poincare._PROBE_ENTRIES // (n * (d * d + d)))
+        ts = list(range(r, trials, len(dims)))
+        runs += [(d, ts[i:i + size]) for i in range(0, len(ts), size)]
+    for d, run in runs:
+        fields = [probe_field(seed, t, n, d) for t in run]
         var, dirich = column_energies(
             chain, np.hstack([np.hstack([vals.reshape(n, -1), u @ vals]) for vals, u in fields]))
         start = 0
-        for t in chunk:
-            d = trial_dims[t]
+        for t in run:
             k = start + d * d
             candidates = [(var[start:k].sum(), dirich[start:k].sum(), None)]
             candidates += [(var[k + i], dirich[k + i], i) for i in range(d)]
             out += [(float(v / e), t, axis) for v, e, axis in candidates if e > 1e-14]
             start = k + d
-    return out
+    # runs group trials by their position in dims; a stable sort by trial
+    # keeps each trial's candidates in their order
+    return sorted(out, key=lambda c: c[1])
 
 
 class TestPoincareConstant:
@@ -309,15 +322,16 @@ class TestEquivalenceProbe:
         assert len(built) == 1
 
     def test_probe_field_signs_match_choice(self):
-        # the sign vector is drawn by indexing, from the same stream values
-        # as rng.choice([-1.0, 1.0], size=d)
+        # a block holds each trial's symmetrized field and its compressions
+        # u @ f, with u drawn from the same stream values as
+        # rng.choice([-1.0, 1.0], size=d)
         for d in range(1, 5):
+            block = poincare._probe_block(functools.partial(normal_stream, 31), range(8), 5, d)
+            assert block.shape == (5, 8, d * d + d)
             for t in range(8):
-                vals, u = poincare._probe_field(31, t, 5, d)
-                rng = normal_stream(31, t)
-                raw = rng.standard_normal((5, d, d))
-                assert np.array_equal(vals, 0.5 * (raw + raw.transpose(0, 2, 1)))
-                assert np.array_equal(u, rng.choice([-1.0, 1.0], size=d))
+                vals, u = probe_field(31, t, 5, d)
+                assert np.array_equal(block[:, t, :d * d].reshape(5, d, d), vals)
+                assert np.array_equal(block[:, t, d * d:], u @ vals)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1), st.integers(1, 8),
@@ -342,14 +356,41 @@ class TestEquivalenceProbe:
         assert abs(stacked.sup_ratio - single.sup_ratio) <= 1e-13 * single.sup_ratio
         assert stacked.maximizer == single.maximizer
 
-    def test_chunks_respect_the_entry_bound(self):
-        dims = [1, 2, 3] * 7
-        for n, bound in ((27, 2 ** 20), (2187, 2 ** 16), (3 ** 12, 2 ** 20), (5, 30)):
-            chunks = poincare._probe_chunks(n, dims, bound)
-            assert [t for c in chunks for t in c] == list(range(len(dims)))
-            for c in chunks:
-                entries = sum(n * (dims[t] ** 2 + dims[t]) for t in c)
-                assert len(c) == 1 or entries <= bound
+    def test_chunks_respect_the_entry_bound(self, monkeypatch):
+        # each column_energies call holds the block of one run: trials of one
+        # dimension, at most the bound's entries unless it is one trial, and
+        # every trial in exactly one run
+        base = complete_refresh_chain(np.full(3, 1.0 / 3.0))
+        dims = [1, 2, 3]
+        real_block = poincare._probe_block
+        blocks, calls = [], []
+
+        def block(stream, trials, n, d):
+            blocks.append((list(trials), d))
+            return real_block(stream, trials, n, d)
+
+        def energies(chain, cols):
+            calls.append((blocks[-1], cols.shape))
+            return np.ones(cols.shape[1]), np.ones(cols.shape[1])
+
+        monkeypatch.setattr(poincare, "_probe_block", block)
+        monkeypatch.setattr(poincare, "column_energies", energies)
+        for k, bound in ((3, 2 ** 20), (7, 2 ** 16), (12, 2 ** 20), (1, 30)):
+            chain = product_chain(base, k)
+            n = chain.n_states
+            monkeypatch.setattr(poincare, "_PROBE_ENTRIES", bound)
+            blocks.clear()
+            calls.clear()
+            equivalence_probe(chain, 21, dims, seed=2, cert=user_certificate(1.0))
+            seen = []
+            for (trials, d), shape in calls:
+                assert {dims[t % len(dims)] for t in trials} == {d}
+                assert shape == (n, len(trials) * (d * d + d))
+                assert len(trials) == 1 or n * shape[1] <= bound
+                seen += trials
+            assert sorted(seen) == list(range(21))
+            # and the maximizer's redraw is one block of one trial
+            assert len(blocks) == len(calls) + 1 and len(blocks[-1][0]) == 1
 
     def test_deterministic_given_seed(self, k4):
         a = equivalence_probe(k4, trials=60, dims=[2], seed=21)
