@@ -30,7 +30,8 @@ from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, Smo
 from .montecarlo import SampleSpec, estimate_tail, estimate_trace_moment, power_sums
 from .poincare import PoincareCertificate
 from .reports import CheckReport, slack_for
-from .spectral import ScalarFnSpec, batch_eigvalsh, eigh, psd_eigvalsh, symmetric_part, symmetrize
+from .spectral import (ScalarFnSpec, batch_eigvalsh, eigh, psd_eigvalsh, square_matrix,
+                       symmetric_part)
 
 UNBOUNDED = math.inf
 
@@ -110,12 +111,13 @@ def check_mean_value_trace(a, b, phis) -> list[CheckReport]:
     (A, B) is diagonalised once for the list."""
     for phi in phis:
         _require_convex_sq_derivative(phi)
-    a = symmetrize(a)
-    b = symmetrize(b)
+    a, b = square_matrix(a), square_matrix(b)
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    # eigh symmetrizes the pair, and sym(A) - sym(B) = sym(A - B), so no
+    # matrix is symmetrized twice
     dec = eigh(np.stack([a, b]))
-    diff = a - b
+    diff = symmetric_part(a - b)
     sq_diff = diff @ diff
     out = []
     for phi in phis:
@@ -292,7 +294,8 @@ def gaussian_pass(model, rep: EnergyReport, cert: PoincareCertificate, spec: Sam
         elif v_f_override is None:
             raise DomainError(
                 "Gamma of a Gaussian chaos is unbounded, so it has no exact variance "
-                "proxy; supply an explicit certified bound (v_f_override)")
+                "proxy; supply an explicit certified bound: the config key "
+                "params.v_f_bound, or the keyword v_f_override of gaussian_pass")
         else:
             v_f, mode = float(v_f_override), "USER_CERTIFIED"
         lams = [float(lam) for lam in lambda_grid]
@@ -536,7 +539,7 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
 def _coefficient_norm(a) -> float:
     """|A| of a PSD coefficient matrix, from one eigvalsh; DomainError when
     A is not PSD."""
-    w = psd_eigvalsh(symmetrize(a), "chaos coefficient matrix")
+    w = psd_eigvalsh(square_matrix(a), "chaos coefficient matrix")
     return float(np.max(np.abs(w))) if w.size else 0.0
 
 

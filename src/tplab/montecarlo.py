@@ -9,14 +9,15 @@ serial loop.  Threads would collide in LAPACK's dense tridiagonal
 reduction, where the 8x8 eigensolves of a series spend most of their
 time.  The TPL_THREADS environment variable caps the worker count, and so
 do the number of blocks and of usable CPUs.  A stream is only a key and a
-zero counter, so a sequential caller that opens many short streams, as the
-equivalence probe opens one per trial, re-keys one Philox
-(``rekeyed_streams``) instead of building one per stream, with the same
-draws as ``normal_stream``.
+zero counter, so a sequential caller that opens many streams re-keys one
+Philox (``rekeyed_streams``) instead of building one per stream, with the
+same draws as ``normal_stream``: a pass re-keys one per process for its
+blocks, and the equivalence probe one for its trials.
 
 A run makes one pass per sample stream: ``estimate_statistic`` draws and
 evaluates each block once and returns one Estimate per per-sample
-statistic.  ``estimate_trace_moment`` diagonalises each block once per
+statistic, from one row sum of the block's stacked statistics and one of
+their squares.  ``estimate_trace_moment`` diagonalises each block once per
 centre and reads every moment order and every tail threshold from those
 eigenvalues, and ``estimate_tail`` turns the tail frequencies of the same
 pass into Wilson estimates; both return one list of Estimates per centre.
@@ -92,7 +93,7 @@ def rekeyed_streams(seed: int):
     stream drew.  That costs about a tenth of building a new Philox, whose
     construction also gathers OS entropy only for the key to override it.
     Every call returns the same Generator, so this is for sequential use
-    only: the blocks of a pass keep ``normal_stream``.
+    only: a pass re-keys one per process, and a forked worker its own copy.
     """
     bits = np.random.Philox(key=seed & _MASK64)
     gen = np.random.Generator(bits)
@@ -241,12 +242,11 @@ def _clt_interval(mean: float, var: float, n: int) -> tuple[float, float]:
     return (mean - half, mean + half)
 
 
-def _estimate(parts) -> Estimate:
-    """Estimate at LEVEL from per-block (count, sum, sum of squares)
-    tuples, reduced in block order with math.fsum."""
-    n_eff = sum(p[0] for p in parts)
-    s1 = math.fsum(p[1] for p in parts)
-    s2 = math.fsum(p[2] for p in parts)
+def _estimate(n_eff: int, sums, squares) -> Estimate:
+    """Estimate at LEVEL from n_eff samples' per-block sums and sums of
+    squares, each reduced in block order with math.fsum."""
+    s1 = math.fsum(sums)
+    s2 = math.fsum(squares)
     mean = s1 / n_eff
     var = max(s2 / n_eff - mean * mean, 0.0) if np.isfinite(s2) else math.inf
     lo, hi = _clt_interval(mean, var, n_eff)
@@ -261,14 +261,20 @@ def estimate_statistic(spec: SampleSpec, field, per_sample) -> list[Estimate]:
     Each block is drawn and evaluated once; ``per_sample(mats)`` maps the
     (m, d, d) block of values to a list of (m,) arrays, one per statistic,
     so every statistic reuses the same draws, evaluations and eigenvalues.
-    Returns one Estimate per array, in the same order.  The block sums of
-    each statistic are kept apart and reduced in block order with
-    math.fsum, so each Estimate is bit-identical to a pass that computed
-    that statistic alone, for any worker count.
+    Returns one Estimate per array, in the same order.  A block stacks the
+    arrays into one (k, m) array and takes its k sums, and then the k sums
+    of its squares, each as one row sum; numpy adds each contiguous row
+    pairwise, as it adds a lone (m,) array, so the sums keep their bits.
+    The block sums of each statistic are kept apart and reduced in block
+    order with math.fsum, so each Estimate is bit-identical to a pass that
+    computed that statistic alone, for any worker count.  Block b draws
+    stream b of the seed from one re-keyed Philox (``rekeyed_streams``);
+    a forked worker re-keys its own copy.
     """
+    stream = rekeyed_streams(spec.seed)
 
     def job(b: int, count: int):
-        xs = normal_stream(spec.seed, b).standard_normal((count, field.ambient_dim))
+        xs = stream(b).standard_normal((count, field.ambient_dim))
         # an overflowing value is refused and an overflowing statistic is
         # inf, which the checkers refuse: neither needs a warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -276,10 +282,16 @@ def estimate_statistic(spec: SampleSpec, field, per_sample) -> list[Estimate]:
             if not np.all(np.isfinite(mats)):
                 raise NumericError(f"Monte Carlo: no estimate, the values of the field at the "
                                    f"samples of block {b} are not finite; the model overflows")
-            return [(len(v), v.sum(), np.sum(v ** 2)) for v in per_sample(mats)]
+            # (k, count), and (0, count) for a pass with no statistic
+            v = np.array(per_sample(mats), dtype=float).reshape(-1, count)
+            sums = v.sum(axis=1)
+            v *= v
+            return sums, v.sum(axis=1)
 
     parts = _map_blocks(spec, job)
-    return [_estimate([p[k] for p in parts]) for k in range(len(parts[0]))]
+    # (blocks, k) arrays of the block sums and of the block sums of squares
+    sums, squares = (np.array(x) for x in zip(*parts))
+    return [_estimate(spec.n, s1, s2) for s1, s2 in zip(sums.T, squares.T)]
 
 
 # the exponents whose powers are products of w and sqrt(w)

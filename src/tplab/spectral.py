@@ -39,12 +39,18 @@ def symmetric_part(a, axes=(-2, -1)) -> np.ndarray:
     return out
 
 
-def symmetrize(raw) -> np.ndarray:
-    """Return the symmetric part (A + A^T)/2 as a fresh float64 array."""
+def square_matrix(raw) -> np.ndarray:
+    """``raw`` as a float64 array, not copied when it is one; DimensionError
+    unless it is one square matrix."""
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return symmetric_part(a)
+    return a
+
+
+def symmetrize(raw) -> np.ndarray:
+    """Return the symmetric part (A + A^T)/2 as a fresh float64 array."""
+    return symmetric_part(square_matrix(raw))
 
 
 @dataclass(frozen=True)
@@ -185,10 +191,12 @@ def op_norm(a) -> float:
 
 
 # Stacks of at least this many 2x2 or 3x3 matrices take the closed forms of
-# ``batch_eigvalsh``, smaller ones LAPACK.  Median per call on an x86-64 VM:
-# one 3x3 matrix 36 us by the closed form against 5.7 us by LAPACK, (27, 3, 3)
-# 56 against 29 us, (2187, 2, 2) 56 against 668 us and (729, 3, 3) 186
-# against 661 us; the two routes cross between 48 and 64 matrices at both d.
+# ``batch_eigvalsh``, smaller ones LAPACK.  Median per call on a 2-core
+# x86-64 VM: a (1, 3, 3) stack 53 us by the closed form against 9.9 us by
+# LAPACK, (27, 3, 3) 37 against 30 us, (48, 3, 3) 37 against 47 us,
+# (729, 3, 3) 72 against 723 us and (2187, 2, 2) 49 against 653 us; the two
+# routes cross between 32 and 48 matrices at both d.  The constant stays
+# above the crossing: moving it would move the bits of 48-63-matrix stacks.
 CLOSED_FORM_ROWS = 64
 # A 3x3 matrix with 1 - |r| below this (r = cos 3 phi, see _eigvalsh3) is
 # near a double root, where arccos amplifies the rounding of r: the closed
@@ -198,35 +206,78 @@ _DOUBLE_ROOT = 1e-3
 # The spread p of a 3x3 spectrum enters cubed; outside this range p^3 or the
 # determinant could overflow or underflow, so such rows go to LAPACK too.
 _P_MIN, _P_MAX = 1e-100, 1e100
+_SQRT3 = math.sqrt(3.0)
 
 
 def _eigvalsh3(a):
     """Smith's trigonometric method (CACM 1961): with m = tr(A)/3 and
     B = A - m I, p^2 = tr(B^2)/6 and r = det(B)/(2 p^3) = cos(3 phi), the
-    eigenvalues are m + 2p cos(phi + 2 pi k/3).
+    eigenvalues are m + 2p cos(phi + 2 pi k/3).  With c = cos(phi) and
+    s = sin(phi), one cosine and one sine give them all: the highest is
+    m + 2pc, the lowest m - p(c + sqrt(3) s), since cos(phi + 2 pi/3) =
+    -c/2 - (sqrt(3)/2) s, and the middle one tr(A) minus the two.
 
-    Every step is elementwise over the stack, so on a samples-last stack
-    (each entry a contiguous row, as ``models.chaos_values`` returns) it
-    runs on contiguous rows.  The eigenvalues come back as the (..., 3)
-    view of a (3, ...) array, each of the lowest, middle and highest one
-    contiguous row, with the stack's leading axes in their order."""
+    Every step is elementwise over a stack (..., 3, 3), on a few work
+    arrays updated in place, so on a samples-last stack (each entry a
+    contiguous row, as ``models.chaos_values`` returns) it runs on
+    contiguous rows.  The lowest, middle and highest eigenvalue are written
+    straight into the three contiguous rows of one (3, ...) array, whose
+    (..., 3) view comes back, with the stack's leading axes in their
+    order, together with which rows the method accepts."""
     a00, a11, a22 = a[..., 0, 0], a[..., 1, 1], a[..., 2, 2]
     a10, a20, a21 = a[..., 1, 0], a[..., 2, 0], a[..., 2, 1]
-    tr = a00 + a11 + a22
+    w = np.empty((3, *a.shape[:-2]))
+    lo, mid, hi = w
+    tr = a00 + a11
+    tr += a22
     m = tr / 3.0
     b00, b11, b22 = a00 - m, a11 - m, a22 - m
-    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
-                 + 2.0 * (a10 * a10 + a20 * a20 + a21 * a21)) / 6.0)
-    det = (b00 * (b11 * b22 - a21 * a21) - a10 * (a10 * b22 - a21 * a20)
-           + a20 * (a10 * a21 - b11 * a20))
-    r = det / (2.0 * p * p * p)
+    # p^2 = (b00^2 + b11^2 + b22^2 + 2 (a10^2 + a20^2 + a21^2)) / 6, with
+    # ``hi`` as scratch until the end
+    off = a10 * a10
+    off += np.multiply(a20, a20, out=hi)
+    off += np.multiply(a21, a21, out=hi)
+    off *= 2.0
+    p = b00 * b00
+    p += np.multiply(b11, b11, out=hi)
+    p += np.multiply(b22, b22, out=hi)
+    p += off
+    p /= 6.0
+    np.sqrt(p, out=p)
+    # det(B) = b00 (b11 b22 - a21^2) - a10 (a10 b22 - a21 a20)
+    #          + a20 (a10 a21 - b11 a20), the terms reusing ``off``
+    r = b11 * b22
+    r -= np.multiply(a21, a21, out=hi)
+    r *= b00
+    np.multiply(a10, b22, out=off)
+    off -= np.multiply(a21, a20, out=hi)
+    off *= a10
+    r -= off
+    np.multiply(a10, a21, out=off)
+    off -= np.multiply(b11, a20, out=hi)
+    off *= a20
+    r += off
+    two_p = 2.0 * p
+    np.multiply(two_p, p, out=off)
+    off *= p
+    r /= off
     # NaN fails every comparison, so a NaN entry, p = 0 and inf / inf all
     # land outside ``ok``
     ok = (p >= _P_MIN) & (p <= _P_MAX) & (np.abs(r) <= 1.0 - _DOUBLE_ROOT)
-    phi = np.arccos(np.where(ok, r, 0.0)) / 3.0
-    hi = m + 2.0 * p * np.cos(phi)
-    lo = m + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    return np.moveaxis(np.stack([lo, tr - hi - lo, hi]), 0, -1), ok
+    np.copyto(r, 0.0, where=~ok)
+    phi = np.arccos(r, out=r)
+    phi /= 3.0
+    c = np.cos(phi, out=b00)
+    s = np.sin(phi, out=b11)
+    np.multiply(two_p, c, out=hi)
+    hi += m
+    s *= _SQRT3
+    s += c
+    s *= p
+    np.subtract(m, s, out=lo)
+    np.subtract(tr, hi, out=mid)
+    mid -= lo
+    return np.moveaxis(w, 0, -1), ok
 
 
 def _eigvalsh2(a):
@@ -271,15 +322,17 @@ def batch_eigvalsh(stack) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w, ok = closed(a)
     if not ok.all():
-        # a refused row that is exactly c I has its diagonal as its
-        # spectrum; LAPACK takes every other
-        rows = a[~ok]
+        # the refused rows, gathered and scattered by index: one that is
+        # exactly c I has its diagonal as its spectrum; LAPACK takes every
+        # other
+        refused = np.unravel_index(np.flatnonzero(~ok), ok.shape)
+        rows = a[refused]
         flat = rows.reshape(len(rows), -1)
         lapack = (flat != np.where(np.eye(d, dtype=bool).ravel(), flat[:, :1], 0.0)).any(axis=1)
         out = np.repeat(flat[:, :1], d, axis=1)
         if lapack.any():
             out[lapack] = np.linalg.eigvalsh(rows[lapack])
-        w[~ok] = out
+        w[refused] = out
     return w
 
 

@@ -448,20 +448,49 @@ class TestSharedPasses:
             assert row["rhs"] == matrix[q]["rhs"]
             assert row["context"]["rhs_ci"] == matrix[q]["context"]["rhs_ci"]
 
+    PSD_CHAOS_RUN = {"seed": 5, "samples": {"n": 20000}, "model": {"fixture": "psd-chaos"},
+                     "suites": ["poly-moment", "chaos"]}
+
     def test_chaos_energies_open_no_stream(self, monkeypatch):
         # 5 blocks of the f-stream, 5 of the Gamma stream and the energy
-        # report's 8-point probe; the exact energies draw nothing
+        # report's 8-point probe; the exact energies draw nothing.  A stream
+        # is its key (seed, t), opened fresh or by re-keying one Philox
         opened = []
-        real = montecarlo.normal_stream
+        real, real_rekeyed = montecarlo.normal_stream, montecarlo.rekeyed_streams
 
         def counted(seed, stream):
             opened.append((seed, stream))
             return real(seed, stream)
 
+        def counted_rekeyed(seed):
+            at = real_rekeyed(seed)
+
+            def counted_at(stream):
+                opened.append((seed, stream))
+                return at(stream)
+
+            return counted_at
+
         monkeypatch.setattr(montecarlo, "normal_stream", counted)
-        run_experiment({"seed": 5, "samples": {"n": 20000}, "model": {"fixture": "psd-chaos"},
-                        "suites": ["poly-moment", "chaos"]})
+        monkeypatch.setattr(montecarlo, "rekeyed_streams", counted_rekeyed)
+        run_experiment(self.PSD_CHAOS_RUN)
         assert len(opened) == 11
+        assert sorted(opened) == sorted([(5, 0)] + [(5, b) for b in range(5)]
+                                        + [(5 ^ GAMMA_STREAM, b) for b in range(5)])
+
+    def test_one_philox_per_pass(self, monkeypatch):
+        # the f-pass, the Gamma pass and the energy report's probe each build
+        # one bit generator, where one per block would make 11
+        built = []
+        real = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        run_experiment(self.PSD_CHAOS_RUN)
+        assert len(built) == 3
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("reverse", [False, True])
@@ -688,6 +717,16 @@ class TestExitCodes:
         assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"ConfigError: {message}\n"
         assert calls == []
+
+    def test_chaos_tail_without_v_f_bound_names_the_config_key(self, tmp_path, capsys):
+        # the message named only gaussian_pass's keyword v_f_override, which
+        # a config cannot set
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": {"fixture": "psd-chaos"}, "suites": ["tail", "chaos"]}))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("DomainError: Gamma of a Gaussian chaos is unbounded")
+        assert "params.v_f_bound" in err
 
     def test_capacity_exits_3(self, tmp_path):
         cfg = {

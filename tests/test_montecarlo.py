@@ -293,6 +293,8 @@ class TestFusedPass:
         assert len(ests) == 2
         assert ests[0].ci_low <= 0.0 <= ests[0].ci_high
         assert ests[1].ci_low <= 4.0 <= ests[1].ci_high
+        # no statistic (an empty lambda_grid, say) is no Estimate, not an error
+        assert estimate_statistic(spec, f, lambda mats: []) == []
 
     def test_series_second_moment_closed_form(self):
         # E tr f^2 = tr sum_i A_i^2 for f = sum_i X_i A_i

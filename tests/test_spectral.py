@@ -223,6 +223,21 @@ def structured_stack(kind, d, seed, scale, gap):
     return scale * a
 
 
+def rotated_spectra(w, seed):
+    """Q diag(w_k) Q^T for each row w_k of ``w`` (k, 3), a random rotation Q
+    per matrix."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(w), 3, 3)))
+    return (q * np.asarray(w)[:, None, :]) @ q.transpose(0, 2, 1)
+
+
+def smith_spectra(r, p, m):
+    """The eigenvalues m + 2p cos(phi + 2 pi k/3), cos(3 phi) = r, that the
+    trigonometric method reads from r, p and m, as rows (k, 3)."""
+    phi = np.arccos(np.asarray(r, dtype=float)) / 3.0
+    k = np.arange(3) * (2.0 * np.pi / 3.0)
+    return np.asarray(m)[:, None] + 2.0 * np.asarray(p)[:, None] * np.cos(phi[:, None] + k)
+
+
 def assert_close_to_lapack(a):
     """batch_eigvalsh(a) is ascending and within 64 eps of the largest
     |eigenvalue| of eigvalsh(a), matrix by matrix."""
@@ -304,6 +319,23 @@ class TestBatchEigvalsh:
         np.testing.assert_array_equal(batch_eigvalsh(stack)[2], want[0])
         assert_close_to_lapack(np.delete(stack, 2, axis=0))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_form_edges(self, seed):
+        # rows the closed form keeps: 1 - |r| just above _DOUBLE_ROOT, p just
+        # inside [_P_MIN, _P_MAX], and spectra with a zero eigenvalue
+        edge = 1.0 - 1.01 * spectral._DOUBLE_ROOT
+        r = np.array([edge, -edge, edge, -edge, edge, 0.3, -0.6])
+        p = np.array([1.0, 1.0, 1.01 * spectral._P_MIN, 1.01 * spectral._P_MIN,
+                      0.99 * spectral._P_MAX, 0.99 * spectral._P_MAX, 1.01 * spectral._P_MIN])
+        m = np.array([0.0, 3.0, 0.0, -2e-100, 0.0, 5e99, 1e-100])
+        zero = np.array([[0.0, 1.0, 3.0], [-3.0, 0.0, 1.0], [-2.5, -1.0, 0.0],
+                         [0.0, 2.0, 7.0], [-7.0, -2.0, 0.0], [-1.0, 0.0, 1.0]])
+        a = rotated_spectra(np.concatenate([smith_spectra(r, p, m), zero, 1e-99 * zero,
+                                            1e99 * zero]), seed)
+        with np.errstate(all="ignore"):
+            assert _eigvalsh3(a)[1].all()
+        assert_close_to_lapack(a)
+
     def test_every_decade_of_scale(self):
         # p^3 and the determinant leave the normal range near 1e-103 and
         # 1e103 before they under- or overflow
@@ -336,19 +368,23 @@ class TestBatchEigvalsh:
 
     @pytest.mark.parametrize("shape", [(2, 5), (1,)])
     def test_multi_axis_stack_keeps_lapack_shape(self, shape):
-        # rows near a double root and of extreme scale go to LAPACK, so the
-        # closed form and the fallback both write into the leading axes
+        # rows near a double root, of extreme scale and exactly c I go to the
+        # fallback, so the closed form and the fallback both write into the
+        # leading axes, and each refused row is LAPACK's answer bit for bit
         count = math.prod(shape)
         a = structured_stack("random", 3, 41, 1.0, 0.0)[:count]
         if count > 1:
             a[1] = structured_stack("near-double", 3, 41, 1.0, 1e-9)[0]
+            a[3] = 2.5 * np.eye(3)
             a[-1] *= 1e120
         a = a.reshape(*shape, 3, 3)
         with np.errstate(all="ignore"):
             ok = _eigvalsh3(a)[1]
-        assert ok.shape == shape and ok.any() and (count == 1 or not ok.all())
+        assert ok.shape == shape and ok.any() and (count == 1 or (~ok).sum() == 3)
         assert_close_to_lapack(a)
-        assert batch_eigvalsh(a).shape == (*shape, 3)
+        got = batch_eigvalsh(a)
+        assert got.shape == (*shape, 3)
+        np.testing.assert_array_equal(got[~ok], np.linalg.eigvalsh(a[~ok]))
 
     def test_two_by_two_stack_keeps_lapack_shape(self):
         a = structured_stack("random", 2, 47, 1.0, 0.0)[:10].reshape(2, 5, 2, 2)
