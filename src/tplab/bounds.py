@@ -26,7 +26,7 @@ from .energy import (
     column_energies,
 )
 from .errors import DimensionError, DomainError, NumericError
-from .models import FiniteChain, FiniteField, GaussianChaos, GaussianSeries, SmoothField
+from .models import FiniteChain, GaussianChaos, GaussianSeries, SmoothField
 from .montecarlo import SampleSpec, estimate_tail, estimate_trace_moment, power_sums
 from .poincare import PoincareCertificate
 from .reports import CheckReport, slack_for
@@ -34,6 +34,47 @@ from .spectral import (ScalarFnSpec, batch_eigvalsh, eigh, psd_eigvalsh, square_
                        symmetric_part)
 
 UNBOUNDED = math.inf
+
+# entries of one chunk of a grid checker's (points, n, d) block: a grid is
+# evaluated a chunk of points at a time, at least one point per chunk, so a
+# large chain never holds a block of its whole grid
+_GRID_ENTRIES = 2 ** 14
+
+
+def _grid_slices(points: int, entries: int):
+    """The consecutive slices of ``points`` grid points that each take at
+    most _GRID_ENTRIES entries, at ``entries`` per point, and at least one
+    point."""
+    step = max(1, _GRID_ENTRIES // max(entries, 1))
+    return (slice(i, i + step) for i in range(0, points, step))
+
+
+def _grid_means(mu: np.ndarray, eigs: np.ndarray, points, fn) -> np.ndarray:
+    """E_mu sum_i fn(x, eigs)_i at every grid point x of ``points``, with fn
+    elementwise over a (k, 1, 1) column of points and the (n, d) ``eigs``:
+    one array expression and one einsum per chunk (``_grid_slices``).  Each
+    value has the bits of einsum("z,zi->", mu, fn(x, eigs)) at x alone."""
+    points = np.asarray(points, dtype=float)
+    out = np.empty(points.shape)
+    for s in _grid_slices(points.size, eigs.size):
+        out[s] = np.einsum("z,kzi->k", mu, fn(points[s, None, None], eigs))
+    return out
+
+
+def _cosh_of_product(theta, eigs):
+    block = theta * eigs
+    return np.cosh(block, out=block)
+
+
+def _power_of(q, eigs):
+    """eigs^q at a (k, 1, 1) column of orders.  numpy squares at an order of
+    exactly 2 given alone (x * x, correctly rounded), but calls pow when the
+    orders form an array, so those orders are squared here too: an order's
+    values do not depend on the grid around it."""
+    block = np.power(eigs, q)
+    for j in np.flatnonzero(q.ravel() == 2.0):
+        np.square(eigs, out=block[j])
+    return block
 
 
 def _as_grid(base: FiniteChain, g) -> np.ndarray:
@@ -105,57 +146,86 @@ def _require_convex_sq_derivative(phi: ScalarFnSpec):
             "(sinh, signed_pow with exponent >= 1.5, affine)")
 
 
+def _phi_psi(dec, phis) -> tuple[np.ndarray, np.ndarray]:
+    """phi(X) and psi(X) = phi'(X)^2 of every matrix X of a decomposition,
+    for each phi of ``phis``: two (len(phis), ..., d, d) stacks from one
+    ``with_eigenvalues`` product over the whole list."""
+    w = dec.eigenvalues
+    maps = dec.with_eigenvalues([phi(w) for phi in phis]
+                                + [phi.sq_deriv(w) for phi in phis])
+    return maps[:len(phis)], maps[len(phis):]
+
+
+def _mean_value_rows(a, b, phi_ab, psi_ab, phis) -> list[CheckReport]:
+    """The mean-value rows of the pair (A, B), one per phi of ``phis``, from
+    the (len(phis), 2, d, d) stacks of (phi(A), phi(B)) and of
+    (psi(A), psi(B)); every phi's traces come from one batched product."""
+    diff = symmetric_part(a - b)
+    diff_phi = phi_ab[:, 0] - phi_ab[:, 1]
+    lhs = np.trace(diff_phi @ diff_phi, axis1=-2, axis2=-1)
+    rhs = 0.5 * np.trace((diff @ diff) @ (psi_ab[:, 0] + psi_ab[:, 1]), axis1=-2, axis2=-1)
+    return [CheckReport.from_comparison("mean-value-trace", left, right, slack_for(right),
+                                        {"phi": phi.label(), "d": a.shape[0]})
+            for phi, left, right in zip(phis, lhs.tolist(), rhs.tolist())]
+
+
 def check_mean_value_trace(a, b, phis) -> list[CheckReport]:
     """tr[(phi(A) - phi(B))^2] <= (1/2) tr[(A - B)^2 (psi(A) + psi(B))]
     for psi = (phi')^2 convex, one report per phi of ``phis``; the pair
-    (A, B) is diagonalised once for the list."""
+    (A, B) is diagonalised once for the list.  The chain-rule suite reads
+    the same rows of states 0 and 1 from ``check_chain_rule``."""
     for phi in phis:
         _require_convex_sq_derivative(phi)
     a, b = square_matrix(a), square_matrix(b)
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    if not phis:
+        return []
     # eigh symmetrizes the pair, and sym(A) - sym(B) = sym(A - B), so no
     # matrix is symmetrized twice
-    dec = eigh(np.stack([a, b]))
-    diff = symmetric_part(a - b)
-    sq_diff = diff @ diff
-    out = []
-    for phi in phis:
-        phi_a, phi_b = dec.map(phi)
-        psi_a, psi_b = dec.map(phi.sq_deriv)
-        diff_phi = phi_a - phi_b
-        lhs = float(np.trace(diff_phi @ diff_phi))
-        rhs = 0.5 * float(np.trace(sq_diff @ (psi_a + psi_b)))
-        out.append(CheckReport.from_comparison(
-            "mean-value-trace", lhs, rhs, slack_for(rhs),
-            {"phi": phi.label(), "d": a.shape[0]}))
-    return out
+    return _mean_value_rows(a, b, *_phi_psi(eigh(np.stack([a, b])), phis), phis)
 
 
 def check_chain_rule(chain: FiniteChain, rep: EnergyReport, phis) -> list[CheckReport]:
-    """tr dirichlet(phi(f)) <= E_mu tr[Gamma(f) psi(f)], both exact sums,
-    one report per phi of ``phis``; f's eigendecomposition is computed once
-    for the list, and Gamma(f) is read from its energy report.  The trace of
-    a Dirichlet form is the sum of its entries' energies, so the left sides
-    are one ``column_energies`` call over the entries of every phi(f)."""
+    """The chain-rule suite's rows for one field f: for each phi of
+    ``phis``, tr dirichlet(phi(f)) <= E_mu tr[Gamma(f) psi(f)], both exact
+    sums, and then, on a chain of at least two states, the mean-value row
+    (``check_mean_value_trace``) of the pair f(0), f(1).
+
+    f is diagonalised once (one ``spectral.eigh`` of the (n, d, d) stack),
+    and phi(f) and psi(f) of every phi come from one stacked map of it; the
+    mean-value rows read its states 0 and 1, which LAPACK decomposes with
+    the bits of a separate decomposition of the pair.  Gamma(f) is read
+    from f's energy report.  The trace of a Dirichlet form is the sum of
+    its entries' energies, so the left sides are one ``column_energies``
+    call over the entries of every symmetrized phi(f).  A phi(f) or an
+    energy that is not finite raises NumericError."""
     for phi in phis:
         _require_convex_sq_derivative(phi)
     if not phis:
         return []
-    f = rep.field
+    f, n = rep.field, chain.n_states
     dec = eigh(f.values)
-    entries = [FiniteField(dec.map(phi)).values.reshape(chain.n_states, -1) for phi in phis]
-    _, energies = column_energies(chain, np.hstack(entries))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        phi_f, psi_f = _phi_psi(dec, phis)
+    if not np.all(np.isfinite(phi_f)):
+        raise NumericError("chain rule: no verdict, phi(f) is not finite")
+    # one row of entries per state, phi-major, in C order (at d = 1 the
+    # reshape alone is a strided view, which BLAS rounds differently)
+    entries = np.ascontiguousarray(symmetric_part(phi_f).transpose(1, 0, 2, 3).reshape(n, -1))
+    _, energies = column_energies(chain, entries)
     if not np.all(np.isfinite(energies)):
         raise NumericError("chain rule: no verdict, an energy of phi(f) overflows")
-    out = []
-    for phi, lhs in zip(phis, energies.reshape(len(phis), -1).sum(axis=1).tolist()):
-        rhs = float(np.einsum("z,zij,zji->", chain.stationary, rep.gamma,
-                              dec.map(phi.sq_deriv)))
-        out.append(CheckReport.from_comparison(
-            "dirichlet-chain-rule", lhs, rhs, slack_for(rhs),
-            {"chain": chain.name, "phi": phi.label(), "d": f.dim}))
-    return out
+    lhss = energies.reshape(len(phis), -1).sum(axis=1).tolist()
+    rhss = np.einsum("z,zij,pzji->p", chain.stationary, rep.gamma, psi_f).tolist()
+    out = [CheckReport.from_comparison("dirichlet-chain-rule", lhs, rhs, slack_for(rhs),
+                                       {"chain": chain.name, "phi": phi.label(), "d": f.dim})
+           for phi, lhs, rhs in zip(phis, lhss, rhss)]
+    if n < 2:
+        return out
+    v = f.values
+    mean_value = _mean_value_rows(v[0], v[1], phi_f[:, :2], psi_f[:, :2], phis)
+    return [r for pair in zip(out, mean_value) for r in pair]
 
 
 def exp_moment_rhs(alpha: float, v_f: float, d: int, theta: float, trbar: float) -> float:
@@ -193,25 +263,27 @@ def check_exp_moment(chain: FiniteChain, rep: EnergyReport,
     """E_mu tr cosh(theta f) <= exp_moment_rhs for each grid theta, with f
     centered first (the subtracted mean is logged in the context); the
     spectrum of f - E_mu f and the energies are read from f's report, since
-    Gamma is shift-invariant."""
+    Gamma is shift-invariant.  The left sides of the whole grid are one
+    array expression, cosh of the (theta, n, d) block of theta times the
+    spectrum, evaluated in chunks of at most _GRID_ENTRIES entries."""
     eigs, v_f, d = rep.f_eigs, rep.v_f, rep.field.dim
     trbar = float(np.trace(rep.dirichlet)) / d
-    mu = chain.stationary
+    thetas = np.asarray(theta_grid, dtype=float)
+    with np.errstate(over="ignore"):
+        lhs = _grid_means(chain.stationary, eigs, thetas, _cosh_of_product).tolist()
     base_ctx = {"chain": chain.name, "alpha": cert.alpha, "v_f": v_f,
                 "trbar_dirichlet": trbar, "d": d,
                 "centered_mean_norm": rep.mean_norm}
     out = []
-    for theta in np.asarray(theta_grid, dtype=float):
-        rhs = exp_moment_rhs(cert.alpha, v_f, d, float(theta), trbar)
-        ctx = dict(base_ctx, theta=float(theta))
-        with np.errstate(over="ignore"):
-            lhs = float(np.einsum("z,zi->", mu, np.cosh(theta * eigs)))
+    for theta, left in zip(thetas.tolist(), lhs):
+        rhs = exp_moment_rhs(cert.alpha, v_f, d, theta, trbar)
+        ctx = dict(base_ctx, theta=theta)
         if not math.isfinite(rhs):
             ctx["reason"] = "bound unbounded: alpha*v_f*theta^2/2 >= 1"
-            out.append(CheckReport.skipped("exp-moment", lhs, UNBOUNDED, ctx))
+            out.append(CheckReport.skipped("exp-moment", left, UNBOUNDED, ctx))
             continue
         out.append(CheckReport.from_comparison(
-            "exp-moment", lhs, rhs, slack_for(rhs), ctx))
+            "exp-moment", left, rhs, slack_for(rhs), ctx))
     return out
 
 
@@ -325,8 +397,10 @@ def gaussian_pass(model, rep: EnergyReport, cert: PoincareCertificate, spec: Sam
 def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid) -> list[CheckReport]:
     """P{ |f - E f| >= sqrt(alpha v_f) * lambda } <= 6 d exp(-lambda).
 
-    Finite chains are enumerated exactly from f's energy report ``rep``.  On
-    a Gaussian model ``rep`` is the run's ``gaussian_pass``, which holds a
+    Finite chains are enumerated exactly from f's energy report ``rep``:
+    the survival at every level is one array expression over the states'
+    largest deviations |f(z) - E f|, in chunks of at most _GRID_ENTRIES
+    entries.  On a Gaussian model ``rep`` is the run's ``gaussian_pass``, which holds a
     Wilson estimate per level and the exact (series) or user-certified
     (chaos) variance proxy.  Bounds >= 1 pass automatically since the left
     side is a probability.
@@ -338,17 +412,21 @@ def check_tail_empirical(model, rep, cert: PoincareCertificate, lambda_grid) -> 
         scale = math.sqrt(cert.alpha * v_f)
         devs = np.maximum(np.abs(rep.f_eigs[:, 0]), np.abs(rep.f_eigs[:, -1]))
         mu = model.stationary
-        for lam in lam_grid:
-            bound = tail_bound(d, float(lam))
-            if scale == 0.0:
-                # constant field: the meaningful event is a strictly positive
-                # deviation, which never happens
-                survival = float(mu[devs > 0.0].sum())
-            else:
-                survival = float(mu[devs >= scale * lam].sum())
+        if scale == 0.0:
+            # constant field: the meaningful event is a strictly positive
+            # deviation, which never happens
+            survival = [float(mu[devs > 0.0].sum())] * lam_grid.size
+        else:
+            thresholds = scale * lam_grid
+            survival = np.empty(lam_grid.shape)
+            for s in _grid_slices(thresholds.size, devs.size):
+                survival[s] = np.where(devs >= thresholds[s, None], mu, 0.0).sum(axis=1)
+            survival = survival.tolist()
+        for lam, left in zip(lam_grid.tolist(), survival):
+            bound = tail_bound(d, lam)
             out.append(CheckReport.from_comparison(
-                "subexp-tail", survival, bound, slack_for(bound),
-                {"chain": model.name, "lambda": float(lam), "alpha": cert.alpha,
+                "subexp-tail", left, bound, slack_for(bound),
+                {"chain": model.name, "lambda": lam, "alpha": cert.alpha,
                  "v_f": v_f, "d": d, "exact": True,
                  "auto_pass": bound >= 1.0}))
         return out
@@ -411,7 +489,9 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
     of f - E f and of Gamma, and both sides are scale-free, so no power
     overflows before its root: s (E tr (|f| / s)^{2q})^{1/(2q)} with
     s = max |f - E f|, and sqrt(s_G) poly_moment_rhs(E tr (Gamma / s_G)^q)
-    with s_G = max |Gamma|.
+    with s_G = max |Gamma|.  Each of the two moment grids, over every q of
+    ``q_list``, is one array expression of powers of the scaled spectrum,
+    in chunks of at most _GRID_ENTRIES entries.
 
     On a Gaussian model ``rep`` is the run's ``gaussian_pass``, which holds
     the centred f-moments and the moments t = E tr (Gamma / 4)^q: estimated
@@ -426,13 +506,15 @@ def check_poly_moment(model, rep, cert: PoincareCertificate, q_list) -> list[Che
         f_eigs = np.abs(rep.f_eigs)
         gam_eigs = np.clip(rep.gamma_eigs, 0.0, None)
         s, s_gam = float(np.max(f_eigs)), float(np.max(gam_eigs))
-        f_eigs, gam_eigs = f_eigs / (s or 1.0), gam_eigs / (s_gam or 1.0)
+        f_eigs /= s or 1.0
+        gam_eigs /= s_gam or 1.0
         mu, d = model.stationary, rep.field.dim
-        for q in q_list:
-            q = float(q)
-            tgq = float(np.einsum("z,zi->", mu, gam_eigs ** q))
+        qs = np.asarray(q_list, dtype=float)
+        tgqs = _grid_means(mu, gam_eigs, qs, _power_of).tolist()
+        f_moments = _grid_means(mu, f_eigs, 2.0 * qs, _power_of).tolist()
+        for q, tgq, f_moment in zip(qs.tolist(), tgqs, f_moments):
             rhs = poly_moment_rhs(cert.alpha, q, tgq) * math.sqrt(s_gam)
-            lhs = s * float(np.einsum("z,zi->", mu, f_eigs ** (2.0 * q))) ** (1.0 / (2.0 * q))
+            lhs = s * f_moment ** (1.0 / (2.0 * q))
             out.append(CheckReport.from_comparison(
                 "poly-moment", lhs, rhs, slack_for(rhs),
                 {"chain": model.name, "q": q, "alpha": cert.alpha, "d": d,
@@ -489,7 +571,9 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
     symmetrized difference field g(z, z') = f(z) - f(z'), one report per
     natural q of q_list; g and its spectrum are built once for the whole
     list, the spectrum by one ``spectral.batch_eigvalsh`` over the
-    (n^2, d, d) grid.  g's energies are read
+    (n^2, d, d) grid, and the left sides of every q are one array
+    expression of its powers, in chunks of at most _GRID_ENTRIES entries.
+    g's energies are read
     from f's energy report ``rep``: Gamma(g)(z, z') = Gamma(f)(z) +
     Gamma(f)(z') gives v_g = 2 v_f and dirichlet(g) = 2 dirichlet(f), and
     intdim(2 D) = intdim(D), which is sum(w) / max |w| over the report's
@@ -510,10 +594,10 @@ def check_intdim_variant(chain: FiniteChain, rep: EnergyReport,
     w = rep.dirichlet_eigs
     norm = float(np.max(np.abs(w)))
     idim = float(np.sum(w)) / norm if norm else 0.0
+    qs = [int(q) for q in q_list]
+    lhss = _grid_means(mu2, g_eigs, [2.0 * q for q in qs], _power_of).tolist()
     out = []
-    for q in q_list:
-        q = int(q)
-        lhs = float(np.einsum("z,zi->", mu2, g_eigs ** (2 * q)))
+    for q, lhs in zip(qs, lhss):
         # q! in log space; a bound beyond the float range is read as inf
         if idim == 0.0 or v_g == 0.0:
             rhs = 0.0

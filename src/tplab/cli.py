@@ -188,7 +188,11 @@ def _build_phi(desc: dict) -> ScalarFnSpec:
 def _chain_rows(chain, name, named, suites, params, seed):
     """The rows of the chain suites; ``named`` pairs each field's name with
     its energy report, the one bundle of Gamma, Dirichlet form, variance and
-    v_f that every chain checker reads."""
+    v_f that every chain checker reads.  Each suite makes one checker call
+    per field (two for poincare at d = 1 and for subadditivity), and each
+    call evaluates its whole grid or phi list at once: the chain-rule suite's
+    rows, the mean-value rows of states 0 and 1 among them, all come from
+    ``check_chain_rule``'s one decomposition of the field."""
     cert = poincare_constant(chain)
     rows = []
 
@@ -213,12 +217,7 @@ def _chain_rows(chain, name, named, suites, params, seed):
                 add(suite, bounds.check_bivariate_poincare(chain, grid, cert), fname)
         elif suite == "chain-rule":
             for fname, rep in named:
-                reports = bounds.check_chain_rule(chain, rep, params["phis"])
-                if chain.n_states >= 2:
-                    v = rep.field.values
-                    mean_value = bounds.check_mean_value_trace(v[0], v[1], params["phis"])
-                    reports = [r for pair in zip(reports, mean_value) for r in pair]
-                for r in reports:
+                for r in bounds.check_chain_rule(chain, rep, params["phis"]):
                     add(suite, r, fname)
         elif suite == "exp-moment":
             for fname, rep in named:

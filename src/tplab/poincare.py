@@ -28,6 +28,9 @@ USER_SUPPLIED = "USER_SUPPLIED"
 
 _GAP_REL_TOL = 1e-10
 _PROBE_SLACK = 1e-9
+# a probe column whose Dirichlet form is at most this times the chain's
+# largest exit rate times its variance is rounding, and gives no ratio
+_PROBE_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,10 @@ def poincare_constant(chain: FiniteChain) -> PoincareCertificate:
     root = np.sqrt(mu)
     sym = symmetric_part((root[:, None] * chain.generator) / root[None, :])
     w = batch_eigvalsh(-sym)
-    scale = max(1.0, float(np.max(np.abs(w))))
     m = mu.shape[0]
-    if m < 2 or w[1] <= _GAP_REL_TOL * scale:
+    # relative to the spectrum's own scale, so rescaling time L -> cL never
+    # changes the verdict
+    if m < 2 or w[1] <= _GAP_REL_TOL * float(np.max(np.abs(w))):
         raise ModelError(
             f"chain '{chain.name}' has zero spectral gap (disconnected or "
             f"non-ergodic); second eigenvalue {w[1] if m > 1 else 0.0:.3e}"
@@ -113,9 +117,12 @@ class ProbeReport:
 
     def to_check(self, chain_name: str = "") -> CheckReport:
         if self.trials == 0 or self.sup_ratio is None:
+            reason = ("no trials" if self.trials == 0 else
+                      "every candidate's Dirichlet form is at the rounding floor")
             return CheckReport.skipped(
                 "poincare-equivalence", 0.0, self.alpha,
-                {"trials": 0, "chain": chain_name, "seed": self.seed})
+                {"trials": self.trials, "chain": chain_name, "seed": self.seed,
+                 "reason": reason})
         rhs = self.alpha
         slim = {k: v for k, v in (self.maximizer or {}).items() if k != "field"}
         return CheckReport.from_comparison(
@@ -199,6 +206,9 @@ def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
     lies within _PROBE_SLACK (relative) of the supremum, so exact ties,
     which every field makes on a two-state chain or K_n, resolve to the
     earliest; its trial is redrawn by ``_probe_block`` to report its field.
+    A candidate whose Dirichlet form is at most _PROBE_FLOOR times the
+    chain's largest exit rate times its variance is rounding and gives no
+    ratio; the floor scales with the rates, so L -> cL keeps every trial.
     ``cert`` is the chain's certificate when the caller already has it; by
     default it is computed here.
     """
@@ -206,6 +216,8 @@ def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
         cert = poincare_constant(chain)
     dims = tuple(int(d) for d in dims)
     n = chain.n_states
+    # E(c) <= 2 q Var(c) with q the largest exit rate, the factors' sum
+    rate = chain.factors * float(np.max(np.abs(np.diag(chain.generator))))
     stream = rekeyed_streams(seed)
     found = []  # (trials, (k, d + 1) ratios: matrix, then axes 0..d-1) per run
     for r, d in enumerate(dims):
@@ -220,7 +232,7 @@ def equivalence_probe(chain: FiniteChain, trials: int, dims, seed: int,
             var, dirich = (np.column_stack((e[:, :w].sum(axis=1), e[:, w:]))
                            for e in (x.reshape(len(run), w + d) for x in energies))
             ratios = np.full_like(var, -np.inf)
-            np.divide(var, dirich, out=ratios, where=dirich > 1e-14)
+            np.divide(var, dirich, out=ratios, where=dirich > _PROBE_FLOOR * rate * var)
             found.append((run, ratios))
 
     sup = max((float(r.max()) for _, r in found), default=-np.inf)

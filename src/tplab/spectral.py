@@ -63,8 +63,15 @@ class SpectralDecomposition:
 
     def map(self, fn: Callable) -> np.ndarray:
         """Q diag(fn(w)) Q^T for each matrix; fn acts elementwise."""
+        return self.with_eigenvalues(fn(self.eigenvalues))
+
+    def with_eigenvalues(self, vals) -> np.ndarray:
+        """Q diag(v) Q^T for each matrix, with v read from ``vals``, whose
+        trailing axes are the eigenvalues' shape (..., d): leading axes of
+        ``vals`` give a stack of maps, all from one product, and each map has
+        the bits of the ``map`` of its values alone."""
         q = self.eigenvectors
-        return (q * fn(self.eigenvalues)[..., None, :]) @ np.swapaxes(q, -1, -2)
+        return (q * np.asarray(vals)[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def eigh(a) -> SpectralDecomposition:

@@ -111,12 +111,16 @@ def test_criterion_05_chain_rule(two_state, k4):
                 d = int(rng.integers(1, 4))
                 f = random_field(rng, chain.n_states, d)
                 theta = float(rng.uniform(0.1, 1.5))
-                sinh, pow2, affine = check_chain_rule(
+                # each chain-rule row is followed by the mean-value row of
+                # states 0 and 1
+                reports = check_chain_rule(
                     chain, energy_report(chain, f), [ScalarFnSpec.sinh(theta), ScalarFnSpec.signed_pow(2.0),
                                ScalarFnSpec.affine(1.3, -0.2)])
-                assert sinh.passed
-                assert pow2.passed
-                assert abs(affine.margin) <= 1e-10 * (1.0 + abs(affine.rhs))
+                for rule in (reports[::2], reports[1::2]):
+                    sinh, pow2, affine = rule
+                    assert sinh.passed
+                    assert pow2.passed
+                    assert abs(affine.margin) <= 1e-10 * (1.0 + abs(affine.rhs))
 
 
 def test_criterion_06_exponential_moments(two_state, k4):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,27 +228,35 @@ class TestMeanValueTrace:
 
 class TestChainRule:
     def test_constant_field(self, k4):
-        (r,) = check_chain_rule(k4, energy_report(k4, constant_field(4, np.diag([1.0, 2.0]))),
+        # the chain-rule row, then the mean-value row of states 0 and 1
+        rows = check_chain_rule(k4, energy_report(k4, constant_field(4, np.diag([1.0, 2.0]))),
                                 [ScalarFnSpec.sinh(1.0)])
-        assert r.passed and r.lhs == pytest.approx(0.0, abs=1e-14)
+        assert [r.citation for r in rows] == ["dirichlet-chain-rule", "mean-value-trace"]
+        for r in rows:
+            assert r.passed and r.lhs == pytest.approx(0.0, abs=1e-14)
 
     def test_affine_equality(self, k4):
         rng = np.random.default_rng(127)
         f = random_field(rng, 4, 3)
-        (r,) = check_chain_rule(k4, energy_report(k4, f), [ScalarFnSpec.affine(1.7, -0.4)])
-        assert r.passed
-        assert abs(r.margin) <= 1e-10 * (1.0 + abs(r.rhs))
+        for r in check_chain_rule(k4, energy_report(k4, f), [ScalarFnSpec.affine(1.7, -0.4)]):
+            assert r.passed
+            assert abs(r.margin) <= 1e-10 * (1.0 + abs(r.rhs))
 
     def test_two_state_identity_field_enumeration(self, two_state):
         # f = (0, I_2), phi = sinh: Gamma = I/2 at both states, and
         # psi(f(0)) = I, psi(f(1)) = cosh(1)^2 I, so the enumerated rhs is
         # (1/2)(tr(I/2) + cosh(1)^2 tr(I/2)) = (1 + cosh(1)^2)/2; the lhs is
-        # the energy of sinh(f), namely sinh(1)^2
+        # the energy of sinh(f), namely sinh(1)^2.  The mean-value row of
+        # the pair (0, I) reads tr sinh(I)^2 = 2 sinh(1)^2 against
+        # (1/2) tr[I (I + cosh(1)^2 I)] = 1 + cosh(1)^2
         f = FiniteField(np.stack([np.zeros((2, 2)), np.eye(2)]))
-        (r,) = check_chain_rule(two_state, energy_report(two_state, f), [ScalarFnSpec.sinh(1.0)])
-        assert r.passed
+        r, mean_value = check_chain_rule(two_state, energy_report(two_state, f),
+                                         [ScalarFnSpec.sinh(1.0)])
+        assert r.passed and mean_value.passed
         assert r.lhs == pytest.approx(math.sinh(1.0) ** 2, abs=1e-12)
         assert r.rhs == pytest.approx(0.5 * (1.0 + math.cosh(1.0) ** 2), abs=1e-12)
+        assert mean_value.lhs == pytest.approx(2.0 * math.sinh(1.0) ** 2, abs=1e-12)
+        assert mean_value.rhs == pytest.approx(1.0 + math.cosh(1.0) ** 2, abs=1e-12)
 
     def test_inadmissible_phi_rejected(self, two_state):
         with pytest.raises(DomainError):
@@ -278,8 +287,8 @@ class TestChainRule:
                 decs = [np.linalg.eigh(m) for m in f.values]
                 gam = carre_table(chain, f)
                 reports = check_chain_rule(chain, energy_report(chain, f), phis)
-                assert len(reports) == len(phis)
-                for phi, r in zip(phis, reports):
+                assert len(reports) == 2 * len(phis)
+                for phi, r in zip(phis, reports[::2]):
                     phi_f = FiniteField(np.stack([(q * phi(w)) @ q.T for w, q in decs]))
                     lhs = float(np.trace(energy_report(chain, phi_f).dirichlet))
                     psi_f = [(q * phi.sq_deriv(w)) @ q.T for w, q in decs]
@@ -331,8 +340,182 @@ class TestTightnessWitnesses:
         rng, _, chain = witness_chain(seed, m, factors, log_scale)
         f = random_field(rng, chain.n_states, d)
         phi = ScalarFnSpec.affine(float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-5.0, 5.0)))
-        (r,) = check_chain_rule(chain, energy_report(chain, f), [phi])
-        assert r.passed and abs(r.margin) <= 1e-9 * r.rhs
+        # the chain-rule row and the mean-value row of states 0 and 1: both
+        # are equalities, tr (a (A - B))^2 = (1/2) tr[(A - B)^2 2 a^2]
+        for r in check_chain_rule(chain, energy_report(chain, f), [phi]):
+            assert r.passed and abs(r.margin) <= 1e-9 * r.rhs
+
+
+class TestEqualityWitnessMutations:
+    """With affine phi the chain-rule row and the mean-value row are
+    equalities, so a psi scaled below (phi')^2 must FAIL both."""
+
+    @pytest.fixture
+    def shrunk_psi(self, monkeypatch):
+        real = ScalarFnSpec.sq_deriv
+        monkeypatch.setattr(ScalarFnSpec, "sq_deriv",
+                            lambda self, x: (1.0 - 1e-6) * real(self, x))
+
+    def test_affine_rows_fail_through_the_chain_rule(self, k4, shrunk_psi):
+        f = random_field(np.random.default_rng(131), 4, 3)
+        rows = check_chain_rule(k4, energy_report(k4, f), [ScalarFnSpec.affine(1.7, -0.4)])
+        assert [(r.citation, r.verdict) for r in rows] == [
+            ("dirichlet-chain-rule", "FAIL"), ("mean-value-trace", "FAIL")]
+
+    def test_affine_row_fails_through_the_mean_value_checker(self, shrunk_psi):
+        rng = np.random.default_rng(137)
+        a, b = random_symmetric(rng, 3), random_symmetric(rng, 3)
+        (r,) = check_mean_value_trace(a, b, [ScalarFnSpec.affine(2.0, 1.0)])
+        assert r.verdict == "FAIL"
+
+
+grid_cases = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+                  d=st.sampled_from([1, 2, 3]), log_scale=st.integers(-3, 3),
+                  budget=st.sampled_from([None, 1, 7, 40]))
+
+
+def within_4_ulp(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return bool(np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want))))
+
+
+class TestBatchedGrids:
+    """Each grid checker evaluates its whole grid at once, in chunks of at
+    most bounds._GRID_ENTRIES entries; every value equals the per-point
+    formula within 4 ulp, whatever the chunk budget (``budget`` patches it,
+    None keeps it)."""
+
+    @staticmethod
+    def case(seed, n, d, log_scale, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(bounds, "_GRID_ENTRIES", budget)
+        rng = np.random.default_rng(seed)
+        chain = random_reversible_chain(rng, n, 10.0 ** log_scale)
+        rep = energy_report(chain, random_field(rng, n, d))
+        return chain, rep, poincare_constant(chain)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**grid_cases)
+    def test_exp_moment_equals_one_theta_at_a_time(self, seed, n, d, log_scale, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            chain, rep, cert = self.case(seed, n, d, log_scale, budget, mp)
+            grid = default_theta_grid(cert.alpha, rep.v_f)
+            rows = check_exp_moment(chain, rep, cert, grid)
+        with np.errstate(over="ignore"):
+            want = [np.einsum("z,zi->", chain.stationary, np.cosh(t * rep.f_eigs)) for t in grid]
+        assert within_4_ulp([r.lhs for r in rows], want)
+        assert [r.context["theta"] for r in rows] == grid.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(**grid_cases)
+    def test_tail_equals_one_lambda_at_a_time(self, seed, n, d, log_scale, budget):
+        lams = [0.5 * k for k in range(1, 17)]
+        with pytest.MonkeyPatch.context() as mp:
+            chain, rep, cert = self.case(seed, n, d, log_scale, budget, mp)
+            rows = check_tail_empirical(chain, rep, cert, lams)
+        devs = np.maximum(np.abs(rep.f_eigs[:, 0]), np.abs(rep.f_eigs[:, -1]))
+        scale = math.sqrt(cert.alpha * rep.v_f)
+        want = [chain.stationary[devs >= scale * lam].sum() for lam in lams]
+        assert within_4_ulp([r.lhs for r in rows], want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**grid_cases)
+    def test_poly_moment_equals_one_q_at_a_time(self, seed, n, d, log_scale, budget):
+        qs = [1.0, 1.5, 2.0, 3.0, 4.5]
+        with pytest.MonkeyPatch.context() as mp:
+            chain, rep, cert = self.case(seed, n, d, log_scale, budget, mp)
+            rows = check_poly_moment(chain, rep, cert, qs)
+        mu = chain.stationary
+        f_eigs, gam_eigs = np.abs(rep.f_eigs), np.clip(rep.gamma_eigs, 0.0, None)
+        s, s_gam = np.max(f_eigs), np.max(gam_eigs)
+        for q, r in zip(qs, rows):
+            tgq = np.einsum("z,zi->", mu, (gam_eigs / s_gam) ** q)
+            lhs = s * np.einsum("z,zi->", mu, (f_eigs / s) ** (2.0 * q)) ** (1.0 / (2.0 * q))
+            assert within_4_ulp(r.lhs, lhs)
+            assert within_4_ulp(r.rhs, poly_moment_rhs(cert.alpha, q, tgq) * math.sqrt(s_gam))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**grid_cases)
+    def test_intdim_equals_one_q_at_a_time(self, seed, n, d, log_scale, budget):
+        qs = [1, 2, 3, 4]
+        with pytest.MonkeyPatch.context() as mp:
+            chain, rep, cert = self.case(seed, n, d, log_scale, budget, mp)
+            rows = check_intdim_variant(chain, rep, cert, qs)
+        v = rep.field.values
+        g_eigs = np.abs(np.linalg.eigvalsh((v[:, None] - v[None]).reshape(-1, d, d)))
+        mu2 = np.kron(chain.stationary, chain.stationary)
+        want = [np.einsum("z,zi->", mu2, g_eigs ** (2 * q)) for q in qs]
+        # the oracle's LAPACK spectrum may differ from the closed forms
+        # that n^2 >= 64 stacks take by a few eps of the largest eigenvalue
+        if n * n < 64 or d == 1:
+            assert within_4_ulp([r.lhs for r in rows], want)
+        assert [r.lhs for r in rows] == [check_intdim_variant(chain, rep, cert, [q])[0].lhs
+                                         for q in qs]
+
+    def test_a_chunk_boundary_inside_each_grid(self, monkeypatch):
+        # 27 states at d = 2: a budget of 2 * 54 entries cuts every grid into
+        # chunks of two points, and the rows equal those of the whole grid
+        rng = np.random.default_rng(139)
+        chain = product_chain(complete_refresh_chain(np.array([0.2, 0.3, 0.5])), 3)
+        rep = energy_report(chain, random_field(rng, 27, 2))
+        cert = poincare_constant(chain)
+        thetas = default_theta_grid(cert.alpha, rep.v_f)
+        calls = [lambda: check_exp_moment(chain, rep, cert, thetas),
+                 lambda: check_tail_empirical(chain, rep, cert, [0.5 * k for k in range(1, 17)]),
+                 lambda: check_poly_moment(chain, rep, cert, [1, 1.5, 2, 3]),
+                 lambda: check_intdim_variant(chain, rep, cert, [1, 2, 3])]
+        whole = [call() for call in calls]
+        monkeypatch.setattr(bounds, "_GRID_ENTRIES", 2 * 27 * 2)
+        assert [call() for call in calls] == whole
+
+
+class TestOneDecompositionPerField:
+    def test_mean_value_rows_equal_the_standalone_checker(self):
+        rng = np.random.default_rng(149)
+        phis = [ScalarFnSpec.sinh(0.7), ScalarFnSpec.signed_pow(2.5),
+                ScalarFnSpec.affine(2.0, 1.0)]
+        for n, d in ((2, 1), (5, 2), (9, 3)):
+            chain = random_reversible_chain(rng, n)
+            f = random_field(rng, n, d)
+            rows = check_chain_rule(chain, energy_report(chain, f), phis)
+            assert [r.citation for r in rows] == ["dirichlet-chain-rule",
+                                                  "mean-value-trace"] * len(phis)
+            assert rows[1::2] == check_mean_value_trace(f.values[0], f.values[1], phis)
+
+    def test_a_non_finite_phi_of_f_is_refused(self, two_state):
+        rep = energy_report(two_state, FiniteField.from_scalars([0.0, 1000.0]))
+        with pytest.raises(NumericError, match="chain rule: no verdict, phi"):
+            check_chain_rule(two_state, rep, [ScalarFnSpec.sinh(1.0)])
+
+
+class TestGridMemory:
+    """The grid checkers evaluate their grids in chunks of at most
+    _GRID_ENTRIES entries, so on refresh3^10 (59,049 states, d = 2) each
+    peaks within 8 times the field's (n, d) spectrum; a whole-grid cosh
+    block would be 20 times it."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        chain = product_chain(complete_refresh_chain(np.array([0.2, 0.3, 0.5])), 10)
+        rep = energy_report(chain, random_field(np.random.default_rng(157), chain.n_states, 2))
+        return chain, rep, poincare_constant(chain)
+
+    @pytest.mark.parametrize("suite", ["exp-moment", "tail", "poly-moment"])
+    def test_peak_is_bounded_by_the_spectrum(self, big, suite):
+        chain, rep, cert = big
+        run = {"exp-moment": lambda: check_exp_moment(
+                   chain, rep, cert, default_theta_grid(cert.alpha, rep.v_f)),
+               "tail": lambda: check_tail_empirical(
+                   chain, rep, cert, [0.5 * k for k in range(1, 17)]),
+               "poly-moment": lambda: check_poly_moment(chain, rep, cert, [1, 1.5, 2, 3])}[suite]
+        tracemalloc.start()
+        try:
+            rows = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == {"exp-moment": 20, "tail": 16, "poly-moment": 4}[suite]
+        assert peak <= 8 * rep.f_eigs.nbytes, (peak, rep.f_eigs.nbytes)
 
 
 class TestExpMomentRhs:

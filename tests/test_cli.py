@@ -192,6 +192,30 @@ class TestSharedEnergies:
         assert len(calls) == 3
 
 
+    def test_chain_rule_suite_decomposes_each_field_once(self, monkeypatch):
+        # one spectral.eigh per field serves the chain-rule rows and the
+        # mean-value rows of states 0 and 1
+        calls = []
+        real = bounds.eigh
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(bounds, "eigh", counted)
+        cfg = {"seed": 3, "model": {"product": {"base": {"complete_refresh": {
+                   "stationary": [0.2, 0.3, 0.5]}}, "n": 2}},
+               "fields": [{"type": "fixture", "name": "indicator-1"},
+                          {"type": "random", "dim": 2, "count": 2, "seed": 101}],
+               "suites": ["chain-rule"],
+               "params": {"phis": [{"kind": "sinh"}, {"kind": "signed_pow", "exponent": 2.0},
+                                   {"kind": "affine", "a": 2.0, "b": 1.0}]}}
+        rows, _, _ = run_experiment(cfg)
+        assert calls == [(9, 1, 1), (9, 2, 2), (9, 2, 2)]
+        assert [r["citation"] for r in rows] == ["dirichlet-chain-rule",
+                                                 "mean-value-trace"] * 9
+
+
 class TestGaussianConfigs:
     def test_pauli_series_tail_and_poly(self, tmp_path):
         cfg = {
@@ -360,6 +384,24 @@ class TestTimeRescaling:
                     assert got[side] == want[side] * k, (citation, side)
                 else:
                     assert got[side] == pytest.approx(want[side] * k, rel=1e-13, abs=0.0)
+
+
+    @pytest.mark.parametrize("c", [1e-15, 1e-12, 1e3])
+    def test_extreme_rates_keep_every_row_and_verdict(self, run, c):
+        # no floor of the gap or of the probe is absolute: every row keeps its
+        # key, context keys and verdict, and alpha becomes alpha_1 / c
+        base, rows = run(1.0), run(c)
+        assert len(rows) == len(base) == 470
+        for want, got in zip(base, rows):
+            key = ("citation", "suite", "fixture", "verdict")
+            assert [got[k] for k in key] == [want[k] for k in key]
+            assert sorted(got["context"]) == sorted(want["context"])
+            assert got["context"].get("field") == want["context"].get("field")
+            if "alpha" in want["context"]:
+                assert got["context"]["alpha"] == pytest.approx(
+                    want["context"]["alpha"] / c, rel=1e-12)
+        assert [r["context"]["trials"] for r in rows
+                if r["citation"] == "poincare-equivalence"] == [12]
 
 
 class _CountedField:

@@ -44,6 +44,12 @@ def probe_field(seed, t, n, d):
     return 0.5 * (raw + raw.transpose(0, 2, 1)), rng.choice([-1.0, 1.0], size=d)
 
 
+def rounding_floor(chain):
+    """The probe's floor on a candidate's Dirichlet form per unit of its
+    variance: 1e-14 times the chain's largest exit rate."""
+    return 1e-14 * chain.factors * np.max(np.abs(np.diag(chain.generator)))
+
+
 def per_trial_ratios(chain, trials, dims, seed):
     """Oracle: the probe's ratios in search order, from one energy report
     per trial and per compression, each with the maximizer record it would
@@ -63,7 +69,7 @@ def per_trial_ratios(chain, trials, dims, seed):
         for field, info in cases:
             rep = energy_report(chain, field)
             var, dirich = float(np.trace(rep.variance)), float(np.trace(rep.dirichlet))
-            if dirich > 1e-14:
+            if dirich > rounding_floor(chain) * var:
                 out.append((var / dirich, info))
     return out
 
@@ -89,7 +95,8 @@ def stacked_ratios(chain, trials, dims, seed):
             k = start + d * d
             candidates = [(var[start:k].sum(), dirich[start:k].sum(), None)]
             candidates += [(var[k + i], dirich[k + i], i) for i in range(d)]
-            out += [(float(v / e), t, axis) for v, e, axis in candidates if e > 1e-14]
+            out += [(float(v / e), t, axis) for v, e, axis in candidates
+                    if e > rounding_floor(chain) * v]
             start = k + d
     # runs group trials by their position in dims; a stable sort by trial
     # keeps each trial's candidates in their order
@@ -121,6 +128,14 @@ class TestPoincareConstant:
         base = poincare_constant(two_state_chain(1.0))
         scaled = poincare_constant(two_state_chain(c))
         assert scaled.alpha == pytest.approx(base.alpha / c, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-15, 1e-300])
+    def test_slow_chains_keep_their_gap(self, c):
+        # the gap's floor is relative to the spectrum, so L -> cL gives
+        # alpha -> alpha / c at any rate; a zero generator has no gap
+        assert poincare_constant(two_state_chain(c)).alpha == pytest.approx(0.5 / c, rel=1e-12)
+        with pytest.raises(ModelError, match="zero spectral gap"):
+            poincare_constant(FiniteChain(np.zeros((2, 2)), [0.5, 0.5]))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_product_gap_is_the_factor_gap(self, k):
@@ -253,7 +268,28 @@ class TestEquivalenceProbe:
     def test_zero_trials_vacuous(self, k4):
         report = equivalence_probe(k4, trials=0, dims=[1], seed=1)
         assert report.sup_ratio is None
-        assert report.to_check("k4").verdict == "SKIPPED"
+        row = report.to_check("k4")
+        assert row.verdict == "SKIPPED"
+        assert (row.context["trials"], row.context["reason"]) == (0, "no trials")
+
+    def test_slow_chain_keeps_its_trials(self):
+        # the floor on a candidate's Dirichlet form scales with the rates:
+        # at rate 1e-15 every field of the two-state chain still attains alpha
+        chain = two_state_chain(1e-15)
+        cert = poincare_constant(chain)
+        row = equivalence_probe(chain, trials=6, dims=[1, 2], seed=5, cert=cert).to_check()
+        assert row.verdict == "PASS" and row.context["trials"] == 6
+        assert row.lhs == pytest.approx(cert.alpha, rel=1e-9)
+
+    def test_skipped_row_records_its_trials(self):
+        # a chain that never moves gives every candidate a zero Dirichlet
+        # form: the row is SKIPPED, and says how many trials ran and why
+        frozen = FiniteChain(np.zeros((2, 2)), [0.5, 0.5])
+        report = equivalence_probe(frozen, trials=6, dims=[1, 2], seed=5,
+                                   cert=user_certificate(1.0))
+        row = report.to_check("frozen")
+        assert row.verdict == "SKIPPED" and row.context["trials"] == 6
+        assert "rounding floor" in row.context["reason"]
 
     def test_caller_certificate_is_used(self, k4):
         own = equivalence_probe(k4, trials=30, dims=[1, 2], seed=3)
