@@ -38,7 +38,8 @@ from .poincare import (
     ou_certificate,
     poincare_constant,
 )
-from .reports import FAIL, INCONCLUSIVE, PASS, SKIPPED, rows_to_csv, rows_to_json
+from .reports import (FAIL, INCONCLUSIVE, PASS, SKIPPED, rows_to_csv, rows_to_json,
+                      write_tables)
 from .spectral import ScalarFnSpec
 
 KNOWN_SUITES = ("poincare", "subadditivity", "chain-rule", "exp-moment",
@@ -379,11 +380,12 @@ def _checked_params(params) -> dict:
 def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     """Execute the configured suites; returns (rows, energy reports, counts).
 
-    Each energy report is ``EnergyReport.to_json_dict()``: its "gamma",
-    "dirichlet" and "variance" are the report's own float64 arrays, not
-    lists, and share memory with it, so a caller must not modify them.
-    ``rows_to_json`` writes them; ``json.dumps`` needs
-    ``default=np.ndarray.tolist``."""
+    The k-th energy report is {"fixture", "field", "report"}, with the
+    report ``EnergyReport.to_json_dict(k)``: its Dirichlet form, variance,
+    v_f, mode and sample_meta, and for Gamma a ``reports.TableFile``, the
+    object {"file": "gamma-<k>.npy", "shape": [n, d, d]} that holds the
+    table.  ``rows_to_json`` and ``json.dumps`` write the reports as they
+    go into report.json; ``reports.write_tables`` saves the tables."""
     validate_config(cfg)
     seed = int(cfg.get("seed", 0))
     samples = cfg.get("samples", {})
@@ -410,8 +412,8 @@ def run_experiment(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     else:
         named = [("model", energy_report(model, spec=sample_spec))]
         rows = _gaussian_rows(model, name, named[0][1], suites, params, sample_spec)
-    energy_dicts = [{"fixture": name, "field": fname, "report": rep.to_json_dict()}
-                    for fname, rep in named]
+    energy_dicts = [{"fixture": name, "field": fname, "report": rep.to_json_dict(k)}
+                    for k, (fname, rep) in enumerate(named)]
 
     counts = {PASS: 0, FAIL: 0, SKIPPED: 0, INCONCLUSIVE: 0}
     for row in rows:
@@ -427,6 +429,7 @@ def _write_outputs(rows, energy_dicts, out_dir: Path, fmt: str) -> list[Path]:
         path.write_text(rows_to_csv(rows))
         written.append(path)
     if fmt in ("json", "both"):
+        written += write_tables(energy_dicts, out_dir)
         path = out_dir / "report.json"
         path.write_text(rows_to_json(rows, energy_dicts))
         written.append(path)
@@ -488,7 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--suite", action="append",
                        help="run only this suite (repeatable)")
     run_p.add_argument("--format", choices=["csv", "json", "both"],
-                       help="report format (default both)")
+                       help="csv: report.csv; json: report.json and each energy "
+                            "report's Gamma table as gamma-<k>.npy beside it; "
+                            "both (the default): all of them")
     run_p.set_defaults(func=_cmd_run)
 
     fx_p = sub.add_parser("fixtures", help="list built-in fixtures")

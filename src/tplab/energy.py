@@ -186,16 +186,21 @@ class EnergyReport:
     mean_norm: float | None = None
     f_eigs: np.ndarray | None = None
 
-    def to_json_dict(self) -> dict:
-        """The report's JSON document.  Gamma, the Dirichlet form and the
-        variance are the report's own float64 arrays, not lists:
-        ``reports.rows_to_json`` writes them as their ``tolist()`` would be
-        written, rendering each distinct value once, and a run that writes
-        no JSON never converts them."""
+    def to_json_dict(self, k: int) -> dict:
+        """The report's JSON document as the k-th energy report of a run.
+        The Dirichlet form and the variance, at most d x d, are lists.  The
+        (n, d, d) Gamma table is a ``reports.TableFile``: the JSON object
+        {"file": "gamma-<k>.npy", "shape": [n, d, d]}, which holds the table
+        itself for ``reports.write_tables`` to save beside report.json."""
+        # imported on use, so that the package still loads reports after
+        # this module: with a module-level import, series-mc's benchmark
+        # run_s read about 10% higher though none of its work changed
+        from .reports import TableFile
+
         out = {
-            "gamma": self.gamma,
-            "dirichlet": self.dirichlet,
-            "variance": self.variance,
+            "gamma": TableFile(k, self.gamma),
+            "dirichlet": self.dirichlet.tolist(),
+            "variance": self.variance.tolist(),
             "v_f": self.v_f,
             "mode": self.mode,
         }

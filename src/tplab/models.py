@@ -26,6 +26,15 @@ ROW_SUM_TOL = 1e-12
 BALANCE_TOL = 1e-12
 STATIONARY_TOL = 1e-12
 STATE_BUDGET = 10 ** 6
+# bytes the n x n float64 arrays of a plain chain's build and validation may
+# take at once (chain_from_json checks it before the first of them).  A graph
+# holds seven at the balance check: the adjacency, the generator
+# adj / k - I, FiniteChain's copy of it, its off-diagonal part, the flux
+# pi L, flux - flux.T and its absolute value.  A generator given as a JSON
+# list holds the last five.
+DENSE_BYTE_BUDGET = 2 << 30
+_GRAPH_ARRAYS = 7
+_GENERATOR_ARRAYS = 5
 # A group of g coordinates of an (m, m) factor is applied as one dense
 # (m^g, m^g) Kronecker sum, with g the largest such that m^g <= GROUP_STATES.
 # On 2 cores of an x86-64 VM, 27 applies a (531441, 12) block of refresh3^12
@@ -561,6 +570,7 @@ def chain_from_json(obj: dict, name: str = "chain") -> FiniteChain:
         if not edges:
             raise ModelError("graph has no edges")
         n = max(max(int(i), int(j)) for i, j in edges) + 1
+        _dense_budget(n, _GRAPH_ARRAYS, name)
         adj = np.zeros((n, n))
         for i, j in edges:
             i, j = int(i), int(j)
@@ -572,4 +582,16 @@ def chain_from_json(obj: dict, name: str = "chain") -> FiniteChain:
     if missing:
         raise ModelError(f"chain description missing keys: {missing}")
     states = tuple(obj.get("states", ()))
+    if isinstance(obj["generator"], list):
+        _dense_budget(len(obj["generator"]), _GENERATOR_ARRAYS, name)
     return FiniteChain(obj["generator"], obj["stationary"], states=states, name=name)
+
+
+def _dense_budget(n: int, arrays: int, name: str) -> None:
+    """CapacityError, before any of them is allocated, when ``arrays``
+    n x n float64 arrays exceed DENSE_BYTE_BUDGET."""
+    need = arrays * 8 * n * n
+    if need > DENSE_BYTE_BUDGET:
+        raise CapacityError(f"the plain chain '{name}' ({n} states) needs "
+                            f"{need / 2 ** 30:.3g} GiB for {arrays} dense {n} x {n} arrays, "
+                            f"over the budget of {DENSE_BYTE_BUDGET / 2 ** 30:g} GiB")

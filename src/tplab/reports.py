@@ -14,15 +14,16 @@ indent=2)`` plus a newline, where doc has every numpy array replaced by its
 ``tolist()``, and reruns of one config and seed give byte-identical JSON as
 well as CSV.  ``rows_to_json`` writes that text directly: json's C encoder
 runs only without an indent, and its pure-Python path renders every float
-of a Gamma table through generators.  The energy tables (Gamma, the
-Dirichlet form, the variance) arrive as float64 arrays and are rendered
-without ``tolist``: one skeleton of the array's brackets and indentation,
-filled from one ``float.__repr__`` per distinct value.  Rows are rendered
-per shape, in both writers: the rows whose context is flat and whose keys
-and value types match share one ``%s`` skeleton (the indent-2 row text, or
-the whole CSV line), filled from one rendering per distinct value in the
-call.  report.csv keeps the bytes of ``csv.writer``, which quotes a field
-holding a bare CR as it quotes one holding a LF: its top-level floats are
+through generators.  An energy report's (n, d, d) Gamma table is not in
+report.json: the report holds a ``TableFile``, {"file": "gamma-<k>.npy",
+"shape": [n, d, d]}, and ``write_tables`` saves the table to that file
+beside report.json with ``np.save``, which keeps its exact bits and writes
+the same bytes on every rerun.  Rows are rendered per shape, in both
+writers: the rows whose context is flat and whose keys and value types
+match share one ``%s`` skeleton (the indent-2 row text, or the whole CSV
+line), filled from one rendering per distinct value in the call.
+report.csv keeps the bytes of ``csv.writer``, which quotes a field holding
+a bare CR as it quotes one holding a LF: its top-level floats are
 ``float.__repr__`` (``nan``, ``inf``; numpy's float64 too), its context
 floats JSON (``NaN``, ``Infinity``).  Every other row takes the generic
 path.
@@ -33,7 +34,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -191,12 +194,52 @@ def rows_to_csv(rows: list[dict]) -> str:
     return "".join(out)
 
 
+# the files write_tables owns in a report directory: it removes any of them
+# that the new report.json does not name
+_TABLE_FILE = re.compile(r"gamma-[0-9]+\.npy")
+
+
+class TableFile(dict):
+    """The JSON object {"file": "gamma-<k>.npy", "shape": [n, d, d]} that
+    stands in the k-th energy report for its (n, d, d) Gamma table.  It is
+    a dict, so both ``rows_to_json`` and ``json.dumps`` write it as that
+    object; the table itself is ``table``, which only ``write_tables``
+    reads."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, k: int, table: np.ndarray):
+        super().__init__(file=f"gamma-{k}.npy", shape=list(table.shape))
+        self.table = table
+
+
+def write_tables(energy_reports: list[dict], out_dir: Path) -> list[Path]:
+    """Save each energy report's Gamma table with ``np.save`` to the file
+    its ``TableFile`` names, in out_dir beside report.json, and remove every
+    other file named gamma-<int>.npy there, so a rerun leaves only the
+    tables its report.json names.  ``np.load`` returns each table bit for
+    bit, and reruns write the same bytes.  Returns the paths written."""
+    written = []
+    for entry in energy_reports:
+        ref = entry["report"]["gamma"]
+        path = out_dir / ref["file"]
+        np.save(path, ref.table)
+        written.append(path)
+    names = {path.name for path in written}
+    for path in out_dir.iterdir():
+        if _TABLE_FILE.fullmatch(path.name) and path.name not in names and path.is_file():
+            path.unlink()
+    return written
+
+
 def rows_to_json(rows: list[dict], energy_reports: list[dict] | None = None) -> str:
     """The text of json.dumps(doc, sort_keys=True, indent=2) plus a newline,
     for doc = {"schema", "rows"[, "energy_reports"]} with every numpy array
     in it replaced by its ``tolist()``; TypeError for a value json cannot
     serialize.  Rows on the bulk path are filled into their shape's
-    skeleton; the energy reports and every other row go through _write."""
+    skeleton; the energy reports and every other row go through _write.
+    An energy report's Gamma is its ``TableFile``, written as the object
+    {"file", "shape"}: the table itself goes to ``write_tables``."""
     out = ["{"]
     if energy_reports is not None:
         out.append('\n  "energy_reports": ')
@@ -212,7 +255,7 @@ def rows_to_json(rows: list[dict], energy_reports: list[dict] | None = None) -> 
             out.append(text)
         out.append(",")
     out[-1] = "\n  ]" if rows else "[]"
-    out.append(',\n  "schema": "tplab-report-v1"\n}\n')
+    out.append(',\n  "schema": "tplab-report-v2"\n}\n')
     return "".join(out)
 
 
@@ -221,7 +264,6 @@ def rows_to_json(rows: list[dict], energy_reports: list[dict] | None = None) -> 
 _INDENT = "  "
 _quote = json.encoder.encode_basestring_ascii
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_FLOAT64 = np.dtype(np.float64)  # native byte order only
 
 
 def _float(x: float) -> str:
@@ -241,19 +283,6 @@ def _float_texts(a: np.ndarray) -> tuple[list[str], list[str]]:
     if np.isfinite(values).all():
         return leaves, leaves
     return leaves, np.array(list(map(_NONFINITE.get, reprs, reprs)), dtype=object)[inverse].tolist()
-
-
-def _array_text(a: np.ndarray, depth: int) -> str:
-    """The JSON text of ``a.tolist()`` for a non-empty float64 array of at
-    least one axis: its skeleton of brackets and indentation, built
-    innermost axis first with one %s per leaf (its whitespace and brackets
-    hold no other %), filled from ``_float_texts``."""
-    text = "%s"
-    for axis in reversed(range(a.ndim)):
-        inner = "\n" + _INDENT * (depth + axis + 1)
-        text = ("[" + inner + ("," + inner).join([text] * a.shape[axis])
-                + "\n" + _INDENT * (depth + axis) + "]")
-    return text % tuple(_float_texts(a)[1])
 
 
 # A row on the bulk path: a dict of exactly the CSV_COLUMNS keys whose fields,
@@ -422,9 +451,6 @@ def _write(value, depth: int, out: list[str]) -> None:
     followed by a comma, and the last comma is replaced by the closing
     bracket.  An array is written as its ``tolist()``."""
     if isinstance(value, np.ndarray):
-        if type(value) is np.ndarray and value.dtype == _FLOAT64 and value.ndim and value.size:
-            out.append(_array_text(value, depth))
-            return
         value = value.tolist()
     if isinstance(value, (list, tuple)) and value:
         inner = "\n" + _INDENT * (depth + 1)

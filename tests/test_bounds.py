@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -28,6 +29,7 @@ from tplab import (
     check_poly_moment,
     check_subadditivity,
     check_tail_empirical,
+    check_scalar_poincare,
     check_trace_poincare,
     complete_refresh_chain,
     constant_field,
@@ -367,6 +369,160 @@ class TestEqualityWitnessMutations:
         a, b = random_symmetric(rng, 3), random_symmetric(rng, 3)
         (r,) = check_mean_value_trace(a, b, [ScalarFnSpec.affine(2.0, 1.0)])
         assert r.verdict == "FAIL"
+
+
+# the relative change an rhs mutation test makes: above the 1e-9 slack
+EPS = 1e-6
+
+
+def gap_eigenfunction(chain):
+    """The gap eigenvector v of a plain reversible chain, with E_mu v^2 = 1
+    and E_mu v = 0: Var v = alpha D(v), the equality of the scalar
+    Poincare inequality."""
+    root = np.sqrt(chain.stationary)
+    sym = root[:, None] * chain.generator / root[None, :]
+    _, vecs = np.linalg.eigh(-0.5 * (sym + sym.T))
+    return vecs[:, 1] / root
+
+
+def shrunk(cert):
+    return dataclasses.replace(cert, alpha=(1.0 - EPS) * cert.alpha)
+
+
+class TestRhsMutations:
+    """Each rhs, scaled by 1 - EPS, FAILs an equality witness; scaled by
+    1 + EPS, it fails an exact-value oracle."""
+
+    @pytest.fixture
+    def witness(self):
+        chain = random_reversible_chain(np.random.default_rng(211), 5)
+        return chain, poincare_constant(chain), gap_eigenfunction(chain)
+
+    def test_scalar_poincare_at_the_gap_eigenfunction(self, witness):
+        chain, cert, v = witness
+        rep = energy_report(chain, FiniteField.from_scalars(v))
+        assert check_scalar_poincare(chain, rep, cert).passed
+        r = check_scalar_poincare(chain, rep, shrunk(cert))
+        assert r.verdict == "FAIL" and r.margin == pytest.approx(-EPS, rel=1e-6)
+
+    def test_trace_poincare_at_the_gap_eigenfunction_times_a_matrix(self, witness):
+        chain, cert, v = witness
+        a = random_symmetric(np.random.default_rng(223), 3)
+        rep = energy_report(chain, FiniteField(v[:, None, None] * a))
+        assert check_trace_poincare(chain, rep, cert).passed
+        r = check_trace_poincare(chain, rep, shrunk(cert))
+        assert r.verdict == "FAIL"
+        assert r.margin == pytest.approx(-EPS * np.trace(a @ a), rel=1e-6)
+
+    @pytest.fixture
+    def additive_pair(self, witness):
+        # g(z, z') = v(z) A + v(z') B: the conditional variances are those
+        # of the two terms, whose cross term has mean zero
+        chain, cert, v = witness
+        rng = np.random.default_rng(227)
+        a, b = random_symmetric(rng, 2), random_symmetric(rng, 2)
+        return chain, cert, v[:, None, None, None] * a + v[None, :, None, None] * b
+
+    def test_variance_subadditivity_at_an_additive_pair(self, additive_pair, monkeypatch):
+        chain, _, g = additive_pair
+        assert check_subadditivity(chain, g).passed
+        real = CheckReport.from_comparison
+
+        class Shrunk(CheckReport):
+            @classmethod
+            def from_comparison(cls, citation, lhs, rhs, tolerance, context=None):
+                return real(citation, lhs, (1.0 - EPS) * rhs, tolerance, context)
+
+        monkeypatch.setattr(bounds, "CheckReport", Shrunk)
+        r = check_subadditivity(chain, g)
+        assert r.citation == "variance-subadditivity" and r.verdict == "FAIL"
+
+    def test_poincare_subadditivity_at_an_additive_pair(self, additive_pair):
+        chain, cert, g = additive_pair
+        assert check_bivariate_poincare(chain, g, cert).passed
+        assert check_bivariate_poincare(chain, g, shrunk(cert)).verdict == "FAIL"
+
+    def test_poly_moment_rhs_raised_fails_its_oracle(self, two_state, monkeypatch):
+        # the indicator: alpha = 1/2 and Gamma = 1/2 at both states, so
+        # rhs(q) = q (1/2)^(1/2) exactly
+        def matches_oracle():
+            rows = check_poly_moment(two_state, indicator(two_state),
+                                     poincare_constant(two_state), [1, 2, 3])
+            return all(math.isclose(r.rhs, q * math.sqrt(0.5), rel_tol=1e-12)
+                       for q, r in zip((1, 2, 3), rows))
+
+        assert matches_oracle()
+        real = bounds.poly_moment_rhs
+        monkeypatch.setattr(bounds, "poly_moment_rhs", lambda *a: (1.0 + EPS) * real(*a))
+        assert not matches_oracle()
+
+    def test_tail_bound_raised_fails_its_oracle(self, two_state, monkeypatch):
+        # 6 d e^(-lambda) at lambda = log 6 and log 24 is 1 and 1/4
+        def matches_oracle():
+            rows = check_tail_empirical(two_state, indicator(two_state),
+                                        poincare_constant(two_state),
+                                        [math.log(6.0), math.log(24.0)])
+            return all(math.isclose(r.rhs, want, rel_tol=1e-12)
+                       for want, r in zip((1.0, 0.25), rows))
+
+        assert matches_oracle()
+        real = bounds.tail_bound
+        monkeypatch.setattr(bounds, "tail_bound", lambda *a: (1.0 + EPS) * real(*a))
+        assert not matches_oracle()
+
+
+class TestVerdictBoundaries:
+    """Oracle cases at the edges where a comparison operator or a sign
+    decides the outcome."""
+
+    def test_tail_deviation_exactly_at_a_level(self, two_state):
+        # the indicator deviates by 1/2 at both states, and sqrt(alpha v_f)
+        # = 1/2, so the level at lambda = 1 is exactly 1/2: P(|f - E f| >= 1/2)
+        # is 1, while P(> 1/2) would be 0
+        rep, cert = indicator(two_state), poincare_constant(two_state)
+        above = math.nextafter(1.0, 2.0)
+        rows = check_tail_empirical(two_state, rep, cert, [1.0, above])
+        assert [r.lhs for r in rows] == [1.0, 0.0]
+
+    @pytest.mark.parametrize("q", [1, 1.5, 2.25, 3])
+    def test_times_four_to_is_four_to_the_q(self, q):
+        for x in (0.3, 1.0, 7.5e-3):
+            assert bounds._times_four_to(q, x) == pytest.approx(4.0 ** q * x, rel=1e-15)
+
+    def test_intdim_rhs_and_uniform_bound_away_from_unit_alpha(self, two_state):
+        # f = (0, diag(1, 2)) on the two-state chain, alpha = 1/2: D = Gamma =
+        # diag(1/2, 2), so intdim = 5/4, v_f = 2 and v_g = 4, giving
+        # intdim alpha^q q! v_g^q = (5/4) 2^q q! and (2 alpha q^2)^q d v_f^q
+        # = q^(2q) 2^(q + 1)
+        f = FiniteField(np.array([np.zeros((2, 2)), np.diag([1.0, 2.0])]))
+        cert = poincare_constant(two_state)
+        assert cert.alpha == 0.5
+        rows = check_intdim_variant(two_state, energy_report(two_state, f), cert, [1, 2, 3])
+        assert [r.rhs for r in rows] == pytest.approx([2.5, 10.0, 60.0], rel=1e-12)
+        assert [r.context["uniform_poly_bound"] for r in rows] == [4.0, 128.0, 11664.0]
+        assert [r.lhs for r in rows] == pytest.approx([2.5, 8.5, 32.5], rel=1e-12)
+
+    def test_intdim_tie_counts_as_intdim_tighter(self, two_state):
+        # the indicator at q = 1: intdim alpha v_g = 2 alpha v_f = 1/2 both ways
+        (r,) = check_intdim_variant(two_state, indicator(two_state),
+                                    poincare_constant(two_state), [1])
+        assert r.rhs == r.context["uniform_poly_bound"] == 0.5
+        assert r.context["tighter"] == "intdim"
+
+    def test_auto_pass_at_a_bound_of_exactly_one(self, two_state):
+        lam = math.log(6.0)
+        assert tail_bound(1, lam) == 1.0
+        assert tail_bound(1, math.nextafter(lam, 2.0)) < 1.0
+        cert = poincare_constant(two_state)
+        rows = check_tail_empirical(two_state, indicator(two_state), cert,
+                                    [lam, math.nextafter(lam, 2.0)])
+        assert [r.context["auto_pass"] for r in rows] == [True, False]
+        series = GaussianSeries(np.array([[[1.0]]]))
+        ou = ou_certificate()
+        mc = gaussian_pass(series, energy_report(series), ou, SampleSpec(n=10 ** 4, seed=5),
+                           lambda_grid=[lam, math.nextafter(lam, 2.0)])
+        rows = check_tail_empirical(series, mc, ou, [lam, math.nextafter(lam, 2.0)])
+        assert [r.context["auto_pass"] for r in rows] == [True, False]
 
 
 grid_cases = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
@@ -1225,3 +1381,16 @@ class TestVerdictMechanics:
         assert r.verdict == "INCONCLUSIVE"
         r = CheckReport.from_interval("x", 1.06, 1.1, 1.2, estimated, 0.0)
         assert r.verdict == "FAIL"
+
+    @pytest.mark.parametrize("rhs, tol, edge", [((1.0, 1.0, 1.0), 0.25, (1.25, 1.25)),
+                                                ((0.75, 1.0, 1.5), 0.25, (1.0, 1.75))])
+    def test_interval_ends_within_the_tolerance(self, rhs, tol, edge):
+        # PASS while ci_high <= rhs_lo + tol, FAIL once ci_low > rhs_hi + tol:
+        # ends inside and just outside the tolerance, all exact in binary
+        pass_edge, fail_edge = edge
+        verdicts = [CheckReport.from_interval("x", 0.5, 0.5, hi, rhs, tol).verdict
+                    for hi in (pass_edge - 0.125, pass_edge, pass_edge + 0.125)]
+        assert verdicts == ["PASS", "PASS", "INCONCLUSIVE"]
+        verdicts = [CheckReport.from_interval("x", lo, 2.5, 3.0, rhs, tol).verdict
+                    for lo in (fail_edge - 0.125, fail_edge, fail_edge + 0.125)]
+        assert verdicts == ["INCONCLUSIVE", "INCONCLUSIVE", "FAIL"]

@@ -86,19 +86,36 @@ class TestRunDefault:
         run_cli(["run", "--out", str(tmp_path), "--format", "csv"])
         header = (tmp_path / "report.csv").read_text().splitlines()[0]
         assert header == "citation,suite,fixture,lhs,rhs,margin,verdict,tolerance,context"
-        assert not (tmp_path / "report.json").exists()
+        # no report.json and no Gamma table
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
     def test_json_mirror_with_energy_reports(self, tmp_path):
+        # report.json names each Gamma table, which lies beside it as
+        # gamma-<k>.npy with the bits of the field's energy report
         run_cli(["run", "--out", str(tmp_path), "--format", "json"])
         doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["rows"] and doc["energy_reports"]
-        assert {"gamma", "dirichlet", "variance", "v_f", "mode"} <= set(
-            doc["energy_reports"][0]["report"])
+        assert doc["rows"] and doc["energy_reports"] and doc["schema"] == "tplab-report-v2"
+        assert not (tmp_path / "report.csv").exists()
+        cfg = default_config()
+        chain = build_model(cfg["model"])[0]
+        fields = tplab.cli.build_fields(cfg["fields"], chain, cfg["seed"])
+        assert len(doc["energy_reports"]) == len(fields)
+        for k, (entry, (fname, f)) in enumerate(zip(doc["energy_reports"], fields)):
+            report = entry["report"]
+            assert entry["field"] == fname
+            assert set(report) == {"gamma", "dirichlet", "variance", "v_f", "mode"}
+            want = energy.energy_report(chain, f)
+            assert report["gamma"] == {"file": f"gamma-{k}.npy", "shape": list(want.gamma.shape)}
+            table = np.load(tmp_path / report["gamma"]["file"])
+            np.testing.assert_array_equal(table.view(np.int64), want.gamma.view(np.int64))
+            assert report["dirichlet"] == want.dirichlet.tolist()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["report.json"] + [f"gamma-{k}.npy" for k in range(len(fields))])
 
     def test_refresh_product_json_is_json_dumps_of_lists(self, tmp_path):
-        # energy tables reach the writer as arrays; the file must read as if
-        # they had been lists: indicator-1's Gamma repeats a few values, the
-        # d = 2 table its off-diagonal
+        # the energy reports that run_experiment returns are JSON as they
+        # stand: report.json is json.dumps of them, and the Gamma tables,
+        # indicator-1's and a d = 2 one, are files of their exact bits
         rng = np.random.default_rng(5)
         raw = rng.standard_normal((3 ** 5, 2, 2))
         cfg = {"seed": 2,
@@ -114,11 +131,55 @@ class TestRunDefault:
         assert run_cli(["run", "--config", str(path), "--out", str(tmp_path),
                         "--format", "both"]) == 0
         rows, energy, _ = run_experiment(cfg)
-        listed = [{**e, "report": {k: v.tolist() if isinstance(v, np.ndarray) else v
-                                   for k, v in e["report"].items()}} for e in energy]
-        doc = {"schema": "tplab-report-v1", "rows": rows, "energy_reports": listed}
+        doc = {"schema": "tplab-report-v2", "rows": rows, "energy_reports": energy}
         assert (tmp_path / "report.json").read_text() == json.dumps(
             doc, sort_keys=True, indent=2) + "\n"
+        assert [e["report"]["gamma"]["shape"] for e in energy] == [[243, 1, 1], [243, 2, 2]]
+        for entry in energy:
+            ref = entry["report"]["gamma"]
+            np.testing.assert_array_equal(np.load(tmp_path / ref["file"]).view(np.int64),
+                                          ref.table.view(np.int64))
+
+    def test_reruns_write_the_same_bytes_and_no_stale_table(self, tmp_path, capsys):
+        # two fields, then one: the rerun removes gamma-1.npy, which its
+        # report.json no longer names, and leaves every other file
+        cfg = dict(default_config(), fields=[{"type": "fixture", "name": "indicator-1"},
+                                             {"type": "random", "dim": 2, "seed": 3}])
+        path = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        outputs = ["gamma-0.npy", "gamma-1.npy", "report.csv", "report.json"]
+
+        def run(config):
+            path.write_text(json.dumps(config))
+            assert run_cli(["run", "--config", str(path), "--out", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        first = run(cfg)
+        assert sorted(first) == outputs
+        assert f"wrote {out / 'gamma-1.npy'}" in capsys.readouterr().out
+        assert run(cfg) == first
+        (out / "gamma-9.npy").write_bytes(b"stale")
+        (out / "notes.txt").write_text("kept")
+        fewer = run(dict(cfg, fields=cfg["fields"][:1]))
+        assert sorted(fewer) == ["gamma-0.npy", "notes.txt", "report.csv", "report.json"]
+        assert fewer["gamma-0.npy"] == first["gamma-0.npy"]
+
+    @pytest.mark.parametrize("fixture, shape", [("pauli-series", [1, 2, 2]),
+                                                ("psd-chaos", [8, 1, 1])])
+    def test_gaussian_reports_get_a_table_file(self, tmp_path, fixture, shape):
+        cfg = {"seed": 4, "samples": {"n": 10 ** 4}, "model": {"fixture": fixture},
+               "suites": ["poly-moment"], "params": {"q_list": [1]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path),
+                        "--format", "json"]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        (entry,) = doc["energy_reports"]
+        assert entry["report"]["gamma"] == {"file": "gamma-0.npy", "shape": shape}
+        model = get_model(fixture)
+        want = energy.energy_report(model, spec=SampleSpec(n=10 ** 4, seed=4)).gamma
+        np.testing.assert_array_equal(np.load(tmp_path / "gamma-0.npy").view(np.int64),
+                                      want.view(np.int64))
 
     def test_suite_filter(self, tmp_path):
         run_cli(["run", "--out", str(tmp_path), "--suite", "poincare"])
@@ -789,6 +850,21 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith("CapacityError: ")
+
+    def test_plain_chain_over_the_dense_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a graph config whose largest vertex id makes the dense arrays
+        # exceed the budget is refused before any of them is allocated
+        monkeypatch.setattr(tplab.models, "DENSE_BYTE_BUDGET", 7 * 8 * 9)
+        cfg = {"seed": 1, "model": {"graph": {"edges": [[0, 1], [1, 2], [2, 0]], "k": 2}},
+               "fields": [{"type": "fixture", "name": "indicator-1"}], "suites": ["poincare"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        cfg["model"]["graph"]["edges"] = [[0, 1], [1, 3], [3, 2], [2, 0]]
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
+        assert "CapacityError: the plain chain 'chain' (4 states)" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("suite", ["subadditivity", "intdim"])
     def test_pair_capacity_exits_3(self, tmp_path, capsys, suite):

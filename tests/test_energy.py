@@ -605,17 +605,20 @@ class TestEnergyReport:
         assert rep.mode == "EXACT"
         avg = np.einsum("z,zij->ij", k4.stationary, rep.gamma)
         assert op_norm(rep.dirichlet - avg) <= 1e-12
-        doc = rep.to_json_dict()
+        doc = rep.to_json_dict(0)
         assert set(doc) == {"gamma", "dirichlet", "variance", "v_f", "mode"}
-        assert np.asarray(doc["gamma"]).shape == (4, 2, 2)
+        assert doc["gamma"] == {"file": "gamma-0.npy", "shape": [4, 2, 2]}
 
     def test_json_dict_holds_the_report_arrays(self, k4):
-        # no tolist: the writer renders the arrays, and a csv-only run
-        # never converts them
+        # Gamma's TableFile holds the report's own table, which goes to
+        # gamma-<k>.npy; the d x d Dirichlet form and variance are lists
         rep = energy_report(k4, random_field(np.random.default_rng(3), 4, 2))
-        doc = rep.to_json_dict()
-        assert doc["gamma"] is rep.gamma
-        assert doc["dirichlet"] is rep.dirichlet and doc["variance"] is rep.variance
+        doc = rep.to_json_dict(5)
+        assert doc["gamma"].table is rep.gamma
+        assert doc["gamma"] == {"file": "gamma-5.npy", "shape": [4, 2, 2]}
+        assert doc["dirichlet"] == rep.dirichlet.tolist()
+        assert doc["variance"] == rep.variance.tolist()
+        assert type(doc["dirichlet"]) is list and type(doc["variance"]) is list
 
     def test_report_gamma_and_mean_have_the_table_bits(self, k4):
         # the report's Gamma is carre_table's, and its mean norm is |E_mu f|,
@@ -634,7 +637,7 @@ class TestEnergyReport:
         rep = energy_report(chaos, spec=SampleSpec(n=2000, seed=3))
         assert rep.mode == "ESTIMATED"
         assert rep.sample_meta == {"probe_n": 8, "probe_seed": 3}
-        assert "sample_meta" in rep.to_json_dict()
+        assert rep.to_json_dict(0)["sample_meta"] == rep.sample_meta
         assert rep.dirichlet.tolist() == [[4.0]] and rep.variance.tolist() == [[2.0]]
         probe = draw_standard_normal(SampleSpec(n=8, seed=3), 1)
         np.testing.assert_allclose(rep.gamma[:, 0, 0], 4.0 * probe[:, 0] ** 2, rtol=1e-15)

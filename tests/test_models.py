@@ -503,6 +503,38 @@ class TestChainFromJson:
             chain_from_json({"states": [], "generator": [[-1.0, 1.0], [1.0, -1.0]],
                              "stationary": [0.9, 0.5]})
 
+    # the 4-cycle's seven dense 4 x 4 arrays of a graph, and the five of a
+    # generator, take 7 * 128 and 5 * 128 bytes
+    CYCLE = {"graph": {"edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "k": 2}}
+    WALK = {"generator": [[-1.0, 0.5, 0.0, 0.5], [0.5, -1.0, 0.5, 0.0],
+                          [0.0, 0.5, -1.0, 0.5], [0.5, 0.0, 0.5, -1.0]],
+            "stationary": [0.25] * 4}
+
+    @pytest.mark.parametrize("obj, arrays", [(CYCLE, 7), (WALK, 5)], ids=["graph", "generator"])
+    def test_dense_budget_counts_the_arrays_alive_at_once(self, monkeypatch, obj, arrays):
+        monkeypatch.setattr(models, "DENSE_BYTE_BUDGET", arrays * 8 * 16)
+        assert chain_from_json(obj, name="walk").n_states == 4
+        monkeypatch.setattr(models, "DENSE_BYTE_BUDGET", arrays * 8 * 16 - 1)
+        with pytest.raises(CapacityError, match=f"'walk' \\(4 states\\).*{arrays} dense 4 x 4"):
+            chain_from_json(obj, name="walk")
+
+    def test_dense_budget_is_checked_before_the_first_allocation(self, monkeypatch):
+        # vertex 299 makes 300 states, 5 MB of arrays: refused without
+        # allocating any of them
+        monkeypatch.setattr(models, "DENSE_BYTE_BUDGET", 2 ** 20)
+        edges = [[i, (i + 1) % 300] for i in range(300)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                chain_from_json({"graph": {"edges": edges, "k": 2}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 300 * 8 // 4
+        # with the default budget the same cycle builds
+        monkeypatch.undo()
+        assert chain_from_json({"graph": {"edges": edges, "k": 2}}).n_states == 300
+
 
 class TestFiniteField:
     def test_symmetrized_on_construction(self):

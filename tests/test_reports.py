@@ -58,7 +58,7 @@ class TestSerialization:
 
 
 def _oracle(rows, energy_reports=None, default=None) -> str:
-    doc = {"schema": "tplab-report-v1", "rows": rows}
+    doc = {"schema": "tplab-report-v2", "rows": rows}
     if energy_reports is not None:
         doc["energy_reports"] = energy_reports
     return json.dumps(doc, sort_keys=True, indent=2, default=default) + "\n"
@@ -142,7 +142,7 @@ class TestJsonWriter:
                           {"type": "table", "name": "d2",
                            "values": [[[1.0, 0.5], [0.5, -2.0]], [[0.0, 0.25], [0.25, 3.0]]]}]}
         rows, energy, _ = run_experiment(cfg)
-        expected = _oracle(rows, energy, default=np.ndarray.tolist)
+        expected = _oracle(rows, energy)
         dumps, iterencode = json.dumps, json.JSONEncoder.iterencode
 
         def guarded_dumps(obj, *args, **kwargs):
@@ -217,24 +217,11 @@ class TestArrayWriter:
         np.zeros(0),
         (np.arange(4) / 3).astype(">f8"),
     ], ids=["float32", "int", "bool", "0-d", "0-d inf", "empty 2-d", "empty", "big-endian"])
-    def test_other_arrays_take_the_generic_path(self, a, monkeypatch):
-        def refused(*args):
-            raise AssertionError("the float64 array path was taken")
-
-        monkeypatch.setattr(reports, "_array_text", refused)
+    def test_other_arrays_take_the_generic_path(self, a):
+        # every array, float64 or not, is written as its tolist(): the writer
+        # has no array path of its own since the Gamma tables left report.json
+        assert not hasattr(reports, "_array_text")
         assert rows_to_json([a], [{"t": a}]) == _oracle([a.tolist()], [{"t": a.tolist()}])
-
-    def test_float64_arrays_take_the_array_path(self, monkeypatch):
-        calls = []
-        real = reports._array_text
-
-        def counted(a, depth):
-            calls.append(a.shape)
-            return real(a, depth)
-
-        monkeypatch.setattr(reports, "_array_text", counted)
-        rows_to_json([np.ones((2, 3))], [{"gamma": np.ones((4, 2, 2)), "v": np.ones(1)}])
-        assert sorted(calls) == [(1,), (2, 3), (4, 2, 2)]
 
 
 def _csv_oracle(rows, terminator="\r\n") -> str:
@@ -396,8 +383,20 @@ class TestRealRows:
         for (rows, energy, _) in tiny_runs.values():
             # no field holds a CR, so quoting it leaves the plain csv.writer bytes
             assert rows_to_csv(rows) == _csv_oracle(rows) == _csv_oracle(rows, "\n")
-            assert rows_to_json(rows, energy) == _oracle(rows, energy,
-                                                         default=np.ndarray.tolist)
+            # the energy reports hold no array: json.dumps needs no default
+            assert rows_to_json(rows, energy) == _oracle(rows, energy)
+
+    def test_energy_reports_render_no_gamma_leaf(self, tiny_runs):
+        # report.json names each Gamma table and its shape; the table itself
+        # stays with the TableFile, for write_tables
+        for (rows, energy, _) in tiny_runs.values():
+            doc = json.loads(rows_to_json(rows, energy))
+            for k, (entry, written) in enumerate(zip(energy, doc["energy_reports"])):
+                ref = entry["report"]["gamma"]
+                assert written["report"]["gamma"] == {"file": f"gamma-{k}.npy",
+                                                      "shape": list(ref.table.shape)}
+                assert ref.table.ndim == 3 and ref.table.dtype == np.float64
+                assert {"dirichlet", "variance", "v_f", "mode"} <= set(written["report"])
 
     def test_seed_one_rows_pass_the_benchmark_gate(self, tiny_runs, monkeypatch):
         # the benchmark's correctness gate against its stored references;
@@ -440,3 +439,35 @@ class TestRealRows:
         probe = [row for row in rows if row["citation"] == "poincare-equivalence"]
         assert len(probe) == 1
         assert sorted(map(id, outermost)) == sorted([id(energy), id(probe[0])])
+
+
+class TestTableFiles:
+    """Each energy report's Gamma table is saved beside report.json."""
+
+    @staticmethod
+    def entries(*tables):
+        return [{"report": {"gamma": reports.TableFile(k, t)}} for k, t in enumerate(tables)]
+
+    def test_tables_load_bit_for_bit(self, tmp_path):
+        odd = np.array([0.0, -0.0, math.nan, _bits(0x7FF8000000000001), math.inf, 5e-324,
+                        0.1, -1e308]).reshape(2, 2, 2)
+        strided = np.arange(27.0).reshape(3, 3, 3)[:, ::2, ::2] / 3
+        written = reports.write_tables(self.entries(odd, strided), tmp_path)
+        assert written == [tmp_path / "gamma-0.npy", tmp_path / "gamma-1.npy"]
+        for path, table in zip(written, (odd, strided)):
+            loaded = np.load(path)
+            assert loaded.dtype == np.float64 and loaded.shape == table.shape
+            np.testing.assert_array_equal(loaded.view(np.int64), table.view(np.int64))
+
+    def test_stale_tables_are_removed_and_nothing_else(self, tmp_path):
+        kept = ["gamma-x.npy", "gamma-1.npz", "gamma-2.npy.bak", "Gamma-3.npy", "gamma--4.npy",
+                "report.json", "notes.txt"]
+        for name in kept + ["gamma-5.npy", "gamma-12.npy", "gamma-007.npy"]:
+            (tmp_path / name).write_text("old")
+        (tmp_path / "gamma-6.npy").mkdir()  # a directory is not a table file
+        reports.write_tables(self.entries(np.ones((2, 1, 1))), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            kept + ["gamma-0.npy", "gamma-6.npy"])
+        assert all((tmp_path / name).read_text() == "old" for name in kept)
+        assert reports.write_tables([], tmp_path) == []
+        assert not (tmp_path / "gamma-0.npy").exists()
